@@ -190,7 +190,9 @@ ci-local: vet build
 	$(GO) test -run 'WALAppendSteadyStateAllocs|WALGroupSyncAllocs|VersionStringAlloc' -count=1 ./internal/kvstore/
 	$(GO) test -run 'MetricsEndpoint|MetricsWriter|RegisteredMetricsSources' -count=1 ./internal/web/
 	$(GO) test -run 'PhaseMetricsExposition' -count=1 ./internal/abd/
-	$(GO) test -run 'ZeroAlloc|Pooled' -count=1 ./internal/network/ ./internal/abd/ ./internal/handoff/
+	$(GO) test -run 'ZeroAlloc|Pooled' -count=1 ./internal/network/ ./internal/abd/ ./internal/handoff/ ./internal/fd/ ./internal/cyclon/ ./internal/ring/ ./internal/bootstrap/ ./internal/monitor/
+	$(GO) test -run 'TCPSteadyStateAllocs' -count=1 ./internal/network/
+	$(GO) test -run 'SteadyStateNoGobFallback' -count=1 ./internal/cats/
 	$(MAKE) determinism
 	$(MAKE) chaos
 	$(MAKE) gray

@@ -1,7 +1,6 @@
 package abd
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/kvstore"
@@ -9,15 +8,16 @@ import (
 	"repro/internal/tracing"
 )
 
-// Binary wire-set implementations for the ABD quorum messages: the
-// hot-path frame types the zero-allocation codec handles natively
-// (everything else falls back to gob). Each AppendWire is the exact
+// Binary wire-set implementations for the ABD quorum messages, the
+// hot-path frame types of the binary codec. Each AppendWire is the exact
 // inverse of its registered decoder; the layouts are fixed-width
 // big-endian integers with u32-length-prefixed keys and values, built
 // from the shared network.Append*/WireReader primitives so bounds
-// handling (and its fuzz coverage) is common. The embedded trace context
-// is encoded like any other field — both codecs stamp frames with the
-// same span identity.
+// handling (and its fuzz coverage) is common. Decoded keys and values are
+// copies (WireReader never hands out views of the frame): a register
+// applied from a 16-op batch retains its own kilobyte, not the batch's
+// frame. The embedded trace context is encoded like any other field —
+// both codecs stamp frames with the same span identity.
 
 // Wire tags 0x01–0x07 are the ABD quorum set (handoff owns 0x10–0x11).
 const (
@@ -57,16 +57,6 @@ func appendTrace(dst []byte, c tracing.Context) []byte {
 
 func readTrace(r *network.WireReader) tracing.Context {
 	return tracing.Context{TraceID: r.U64(), SpanID: r.U64()}
-}
-
-// guardCount rejects a corrupt element count that promises more entries
-// than the remaining body could possibly hold (minSize bytes each),
-// before any slice is allocated for it.
-func guardCount(r *network.WireReader, n uint32, minSize int) error {
-	if int64(n)*int64(minSize) > int64(r.Len()) {
-		return fmt.Errorf("abd: wire count %d exceeds body", n)
-	}
-	return nil
 }
 
 func (m readMsg) WireTag() byte { return wireTagRead }
@@ -213,12 +203,8 @@ func decodeOpBatchMsg(r *network.WireReader) (network.Message, error) {
 	var m opBatchMsg
 	m.Header = r.Header()
 	m.Context = readTrace(r)
-	nr := r.U32()
 	// A readPhase is at least trace(16)+op(8)+attempt(8)+epoch(8)+len(4).
-	if err := guardCount(r, nr, 44); err != nil {
-		return nil, err
-	}
-	if nr > 0 {
+	if nr := r.Count(44); nr > 0 {
 		m.Reads = make([]readPhase, nr)
 		for i := range m.Reads {
 			p := &m.Reads[i]
@@ -229,12 +215,8 @@ func decodeOpBatchMsg(r *network.WireReader) (network.Message, error) {
 			p.Key = r.String()
 		}
 	}
-	nw := r.U32()
 	// A writePhase adds version(16)+value len(4) to the readPhase minimum.
-	if err := guardCount(r, nw, 64); err != nil {
-		return nil, err
-	}
-	if nw > 0 {
+	if nw := r.Count(64); nw > 0 {
 		m.Writes = make([]writePhase, nw)
 		for i := range m.Writes {
 			p := &m.Writes[i]
@@ -277,12 +259,8 @@ func decodeOpBatchAckMsg(r *network.WireReader) (network.Message, error) {
 	var m opBatchAckMsg
 	m.Header = r.Header()
 	m.Epoch = r.U64()
-	nr := r.U32()
 	// A readAckEntry is at least op(8)+attempt(8)+version(16)+len(4)+found(1).
-	if err := guardCount(r, nr, 37); err != nil {
-		return nil, err
-	}
-	if nr > 0 {
+	if nr := r.Count(37); nr > 0 {
 		m.ReadAcks = make([]readAckEntry, nr)
 		for i := range m.ReadAcks {
 			a := &m.ReadAcks[i]
@@ -293,11 +271,7 @@ func decodeOpBatchAckMsg(r *network.WireReader) (network.Message, error) {
 			a.Found = r.Bool()
 		}
 	}
-	nw := r.U32()
-	if err := guardCount(r, nw, 16); err != nil {
-		return nil, err
-	}
-	if nw > 0 {
+	if nw := r.Count(16); nw > 0 {
 		m.WriteAcks = make([]writeAckEntry, nw)
 		for i := range m.WriteAcks {
 			a := &m.WriteAcks[i]

@@ -1,21 +1,17 @@
 package abd
 
 import (
-	"reflect"
+	"bytes"
+	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/kvstore"
 	"repro/internal/network"
+	"repro/internal/network/wiretest"
 	"repro/internal/tracing"
 )
-
-func wireHeader() network.Header {
-	return network.NewHeader(
-		network.Address{Host: "10.0.0.1", Port: 7000},
-		network.Address{Host: "10.0.0.2", Port: 7001},
-	)
-}
 
 // TestABDWireRoundTrip drives every ABD quorum message through the binary
 // codec and back, checking field-exact equality: AppendWire and the
@@ -23,15 +19,15 @@ func wireHeader() network.Header {
 func TestABDWireRoundTrip(t *testing.T) {
 	tc := tracing.Context{TraceID: 0xfeed, SpanID: 0xbeef}
 	ver := kvstore.Version{Seq: 42, Writer: 7}
-	msgs := []network.Message{
-		readMsg{Header: wireHeader(), Context: tc, OpID: 1, Attempt: 3, Epoch: 9, Key: "alpha"},
-		readAckMsg{Header: wireHeader(), OpID: 2, Attempt: 1, Epoch: 9, Version: ver, Value: []byte("v"), Found: true},
-		readAckMsg{Header: wireHeader(), OpID: 3, Epoch: 9, Found: false}, // empty value stays nil
-		writeMsg{Header: wireHeader(), Context: tc, OpID: 4, Attempt: 2, Epoch: 9, Key: "beta", Version: ver, Value: []byte("payload")},
-		writeAckMsg{Header: wireHeader(), OpID: 5, Attempt: 1, Epoch: 9},
-		nackMsg{Header: wireHeader(), OpID: 6, Attempt: 4, Epoch: 9, Busy: true, RetryAfter: 250 * time.Millisecond},
-		opBatchMsg{
-			Header: wireHeader(), Context: tc,
+	wiretest.RoundTrip(t, []wiretest.Sample{
+		{Seed: "abd.read", Msg: readMsg{Header: wiretest.Header(), Context: tc, OpID: 1, Attempt: 3, Epoch: 9, Key: "alpha"}},
+		{Seed: "abd.readAck", Msg: readAckMsg{Header: wiretest.Header(), OpID: 2, Attempt: 1, Epoch: 9, Version: ver, Value: []byte("v"), Found: true}},
+		{Msg: readAckMsg{Header: wiretest.Header(), OpID: 3, Epoch: 9, Found: false}}, // empty value stays nil
+		{Seed: "abd.write", Msg: writeMsg{Header: wiretest.Header(), Context: tc, OpID: 4, Attempt: 2, Epoch: 9, Key: "beta", Version: ver, Value: []byte("payload")}},
+		{Seed: "abd.writeAck", Msg: writeAckMsg{Header: wiretest.Header(), OpID: 5, Attempt: 1, Epoch: 9}},
+		{Seed: "abd.nack", Msg: nackMsg{Header: wiretest.Header(), OpID: 6, Attempt: 4, Epoch: 9, Busy: true, RetryAfter: 250 * time.Millisecond}},
+		{Seed: "abd.opBatch", Msg: opBatchMsg{
+			Header: wiretest.Header(), Context: tc,
 			Reads: []readPhase{
 				{Context: tc, OpID: 7, Attempt: 1, Epoch: 9, Key: "g1"},
 				{OpID: 8, Epoch: 9, Key: ""},
@@ -39,40 +35,24 @@ func TestABDWireRoundTrip(t *testing.T) {
 			Writes: []writePhase{
 				{Context: tc, OpID: 9, Attempt: 2, Epoch: 9, Key: "p1", Version: ver, Value: []byte("vv")},
 			},
-		},
-		opBatchMsg{Header: wireHeader(), Context: tc}, // empty batch
-		opBatchAckMsg{
-			Header: wireHeader(), Epoch: 9,
+		}},
+		{Msg: opBatchMsg{Header: wiretest.Header(), Context: tc}}, // empty batch
+		{Seed: "abd.opBatchAck", Msg: opBatchAckMsg{
+			Header: wiretest.Header(), Epoch: 9,
 			ReadAcks: []readAckEntry{
 				{OpID: 7, Attempt: 1, Version: ver, Value: []byte("x"), Found: true},
 				{OpID: 8, Found: false},
 			},
 			WriteAcks: []writeAckEntry{{OpID: 9, Attempt: 2}},
-		},
-	}
-	for _, m := range msgs {
-		payload, err := (network.BinaryCodec{}).Encode(m)
-		if err != nil {
-			t.Fatalf("%T encode: %v", m, err)
-		}
-		if !network.IsBinaryPayload(payload) {
-			t.Fatalf("%T did not use the binary wire format", m)
-		}
-		got, err := network.DecodePayload(payload)
-		if err != nil {
-			t.Fatalf("%T decode: %v", m, err)
-		}
-		if !reflect.DeepEqual(got, m) {
-			t.Fatalf("%T round trip mismatch:\n got  %+v\n want %+v", m, got, m)
-		}
-	}
+		}},
+	})
 }
 
 // TestABDWireCorruptCounts pins the count guards: a batch frame whose
 // element count promises more entries than the body holds must error out
 // before any allocation sized by that count.
 func TestABDWireCorruptCounts(t *testing.T) {
-	payload, err := (network.BinaryCodec{}).Encode(opBatchMsg{Header: wireHeader()})
+	payload, err := (network.BinaryCodec{}).Encode(opBatchMsg{Header: wiretest.Header()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +76,10 @@ func TestABDWireCorruptCounts(t *testing.T) {
 // phase and its ack into a recycled buffer must not allocate.
 func TestABDWireEncodeZeroAlloc(t *testing.T) {
 	msgs := []network.Message{
-		readMsg{Header: wireHeader(), OpID: 1, Attempt: 1, Epoch: 2, Key: "k"},
-		readAckMsg{Header: wireHeader(), OpID: 1, Version: kvstore.Version{Seq: 1}, Value: make([]byte, 256), Found: true},
-		writeMsg{Header: wireHeader(), OpID: 2, Key: "k", Value: make([]byte, 256)},
-		writeAckMsg{Header: wireHeader(), OpID: 2},
+		readMsg{Header: wiretest.Header(), OpID: 1, Attempt: 1, Epoch: 2, Key: "k"},
+		readAckMsg{Header: wiretest.Header(), OpID: 1, Version: kvstore.Version{Seq: 1}, Value: make([]byte, 256), Found: true},
+		writeMsg{Header: wiretest.Header(), OpID: 2, Key: "k", Value: make([]byte, 256)},
+		writeAckMsg{Header: wiretest.Header(), OpID: 2},
 	}
 	buf := make([]byte, 0, 4096)
 	var c network.BinaryCodec
@@ -113,5 +93,57 @@ func TestABDWireEncodeZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ABD wire encode allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestABDDecodedRegisterDoesNotPinFrame is the retention regression test
+// for the transport's reused frame buffer: a replica applies one write out
+// of a 16-op batch of 1 KiB values and drops the rest. What the store then
+// holds must lie outside the frame — a view would keep the whole ~17 KB
+// frame alive per stored kilobyte, and would be rewritten by the next
+// frame the connection reads.
+func TestABDDecodedRegisterDoesNotPinFrame(t *testing.T) {
+	batch := opBatchMsg{Header: wiretest.Header()}
+	for i := 0; i < 16; i++ {
+		batch.Writes = append(batch.Writes, writePhase{
+			OpID: uint64(i), Epoch: 1, Key: fmt.Sprintf("key-%02d", i),
+			Version: kvstore.Version{Seq: 1, Writer: uint64(i)},
+			Value:   bytes.Repeat([]byte{byte('a' + i)}, 1024),
+		})
+	}
+	frame, err := (network.BinaryCodec{}).Encode(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := network.DecodePayload(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := m.(opBatchMsg).Writes[5]
+	store := kvstore.New()
+	if _, err := store.ApplyDurable(w.Key, w.Version, w.Value); err != nil {
+		t.Fatal(err)
+	}
+
+	lo := uintptr(unsafe.Pointer(&frame[0]))
+	hi := lo + uintptr(len(frame))
+	inFrame := func(p *byte) bool { return uintptr(unsafe.Pointer(p)) >= lo && uintptr(unsafe.Pointer(p)) < hi }
+	keys := store.Keys()
+	_, stored, ok := store.Read("key-05")
+	if !ok || len(keys) != 1 {
+		t.Fatalf("store holds %v, want key-05 alone", keys)
+	}
+	if inFrame(unsafe.StringData(keys[0])) || inFrame(&stored[0]) {
+		t.Fatal("stored key or value points into the frame it was decoded from")
+	}
+
+	for i := range frame { // the connection reads its next frame
+		frame[i] = 0xEE
+	}
+	if _, after, _ := store.Read("key-05"); !bytes.Equal(after, bytes.Repeat([]byte{'f'}, 1024)) {
+		t.Fatal("overwriting the frame buffer changed the stored value")
+	}
+	if store.Keys()[0] != "key-05" {
+		t.Fatal("overwriting the frame buffer changed the stored key")
 	}
 }

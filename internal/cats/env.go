@@ -56,10 +56,11 @@ var _ Env = LoopbackEnv{}
 // TCPEnv executes nodes over real TCP sockets with real timers — the
 // production deployment mode.
 type TCPEnv struct {
-	// Compress enables zlib message compression.
+	// Compress selects the gob+zlib codec (zlib message compression).
 	Compress bool
-	// WireCodec names the wire codec backend ("gob", "gob+zlib", "binary");
-	// empty keeps the transport default. Takes precedence over Compress.
+	// WireCodec names the wire codec backend ("binary", "gob", "gob+zlib");
+	// empty keeps the transport default, binary. Takes precedence over
+	// Compress.
 	WireCodec string
 }
 

@@ -91,9 +91,9 @@ type NodeConfig struct {
 	// phase as its own message (A/B benchmarking).
 	NoCoalesce bool
 	// WireCodec names the wire-format backend the node's transport encodes
-	// outbound frames with ("gob", "gob+zlib", "binary"); empty keeps the
-	// environment default. Decoding is codec-agnostic, so nodes with
-	// different settings interoperate.
+	// outbound frames with ("binary", "gob", "gob+zlib"); empty keeps the
+	// environment default (binary over TCP). Decoding is codec-agnostic, so
+	// nodes with different settings interoperate.
 	WireCodec string
 
 	// Gray-failure resilience knobs, passed through to the ABD component

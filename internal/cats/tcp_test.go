@@ -38,14 +38,12 @@ func (c *tcpClient) Setup(ctx *core.Ctx) {
 	core.Subscribe(ctx, c.target, func(p abd.PutResponse) { c.puts <- p })
 }
 
-// TestProductionTCPCluster runs a 3-node CATS cluster over real TCP
-// sockets on localhost — the full production path: dial-on-demand
-// connection management, length-prefixed framing, gob serialization —
-// and performs linearizable puts and gets across coordinators.
-func TestProductionTCPCluster(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real sockets")
-	}
+// bootTCPCluster starts a 3-node CATS cluster over real TCP sockets on
+// localhost with the environment's defaults — the full production path:
+// dial-on-demand connection management, length-prefixed framing, the
+// binary wire codec — and waits until the ring has converged.
+func bootTCPCluster(t *testing.T) []*tcpClient {
+	t.Helper()
 	const n = 3
 	refs := make([]ident.NodeRef, n)
 	for i := range refs {
@@ -53,7 +51,7 @@ func TestProductionTCPCluster(t *testing.T) {
 	}
 
 	rt := core.New(core.WithFaultPolicy(core.LogAndContinue))
-	defer rt.Shutdown()
+	t.Cleanup(rt.Shutdown)
 	env := TCPEnv{}
 	peers := make([]*Peer, n)
 	clients := make([]*tcpClient, n)
@@ -99,6 +97,16 @@ func TestProductionTCPCluster(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	time.Sleep(time.Second) // membership tables
+	return clients
+}
+
+// TestProductionTCPCluster performs linearizable puts and gets across
+// coordinators of a cluster on real sockets.
+func TestProductionTCPCluster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets")
+	}
+	clients := bootTCPCluster(t)
 
 	// Put via node 0, get via node 2.
 	clients[0].ctx.Trigger(abd.PutRequest{ReqID: NextReqID(), Key: "tcp-key", Value: []byte("over-sockets")}, clients[0].target)
@@ -118,5 +126,27 @@ func TestProductionTCPCluster(t *testing.T) {
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatal("get timed out")
+	}
+}
+
+// TestSteadyStateNoGobFallback gates the "one hot wire path" property: an
+// idle cluster keeps exchanging failure-detector probes, Cyclon shuffles
+// and ring stabilization rounds, and every one of those messages has a
+// binary wire encoding — across several periods of each, the transport
+// encodes traffic and none of it falls back to gob.
+func TestSteadyStateNoGobFallback(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets")
+	}
+	bootTCPCluster(t)
+	before := network.GlobalMetrics()
+	time.Sleep(time.Second) // 5 FD intervals, 5 Cyclon periods, 10 stabilize periods
+	after := network.GlobalMetrics()
+	if after.BinaryEncoded == before.BinaryEncoded {
+		t.Fatal("no message was encoded while idle: the gate measured nothing")
+	}
+	if n := after.CodecFallbacks - before.CodecFallbacks; n != 0 {
+		t.Fatalf("%d of %d steady-state messages fell back to gob, want 0",
+			n, after.EncodedMsgs-before.EncodedMsgs)
 	}
 }

@@ -1,16 +1,13 @@
 package handoff
 
 import (
-	"fmt"
-
 	"repro/internal/ident"
 	"repro/internal/kvstore"
 	"repro/internal/network"
 	"repro/internal/tracing"
 )
 
-// Binary wire-set implementations for the handoff chunk messages — large
-// Items payloads are where the zero-copy value decoding pays off most.
+// Binary wire-set implementations for the handoff chunk messages.
 // Tags 0x10–0x11 (the ABD quorum set owns 0x01–0x07).
 const (
 	wireTagPullReq byte = 0x10
@@ -22,15 +19,6 @@ func init() {
 	network.RegisterWire(wireTagItems, "handoff.items", decodeItemsMsg)
 }
 
-func appendNodeRef(dst []byte, n ident.NodeRef) []byte {
-	dst = network.AppendU64(dst, uint64(n.Key))
-	return network.AppendAddr(dst, n.Addr)
-}
-
-func readNodeRef(r *network.WireReader) ident.NodeRef {
-	return ident.NodeRef{Key: ident.Key(r.U64()), Addr: r.Addr()}
-}
-
 func (m pullReqMsg) WireTag() byte { return wireTagPullReq }
 
 func (m pullReqMsg) AppendWire(dst []byte) []byte {
@@ -39,7 +27,7 @@ func (m pullReqMsg) AppendWire(dst []byte) []byte {
 	dst = network.AppendU64(dst, m.SpanID)
 	dst = network.AppendU64(dst, m.Epoch)
 	dst = network.AppendU64(dst, m.Round)
-	return appendNodeRef(dst, m.Requester)
+	return ident.AppendNodeRef(dst, m.Requester)
 }
 
 func decodePullReqMsg(r *network.WireReader) (network.Message, error) {
@@ -48,7 +36,7 @@ func decodePullReqMsg(r *network.WireReader) (network.Message, error) {
 	m.Context = tracing.Context{TraceID: r.U64(), SpanID: r.U64()}
 	m.Epoch = r.U64()
 	m.Round = r.U64()
-	m.Requester = readNodeRef(r)
+	m.Requester = ident.ReadNodeRef(r)
 	return m, nil
 }
 
@@ -78,13 +66,8 @@ func decodeItemsMsg(r *network.WireReader) (network.Message, error) {
 	m.Context = tracing.Context{TraceID: r.U64(), SpanID: r.U64()}
 	m.Epoch = r.U64()
 	m.Round = r.U64()
-	n := r.U32()
-	// An entry is at least key len(4)+version(16)+value len(4); reject a
-	// corrupt count before allocating for it.
-	if int64(n)*24 > int64(r.Len()) {
-		return nil, fmt.Errorf("handoff: wire item count %d exceeds body", n)
-	}
-	if n > 0 {
+	// An entry is at least key len(4)+version(16)+value len(4).
+	if n := r.Count(24); n > 0 {
 		m.Items = make([]kvstore.Entry, n)
 		for i := range m.Items {
 			e := &m.Items[i]

@@ -1,61 +1,38 @@
 package handoff
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/ident"
 	"repro/internal/kvstore"
 	"repro/internal/network"
+	"repro/internal/network/wiretest"
 	"repro/internal/tracing"
 )
-
-func wireHeader() network.Header {
-	return network.NewHeader(
-		network.Address{Host: "10.0.0.1", Port: 7000},
-		network.Address{Host: "10.0.0.2", Port: 7001},
-	)
-}
 
 // TestHandoffWireRoundTrip drives the handoff chunk messages through the
 // binary codec and back with field-exact equality.
 func TestHandoffWireRoundTrip(t *testing.T) {
 	tc := tracing.Context{TraceID: 5, SpanID: 6}
 	ref := ident.NodeRef{Key: ident.Key(0xabc), Addr: network.Address{Host: "10.0.0.3", Port: 7002}}
-	msgs := []network.Message{
-		pullReqMsg{Header: wireHeader(), Context: tc, Epoch: 3, Round: 11, Requester: ref},
-		itemsMsg{
-			Header: wireHeader(), Context: tc, Epoch: 3, Round: 11,
+	wiretest.RoundTrip(t, []wiretest.Sample{
+		{Seed: "handoff.pullReq", Msg: pullReqMsg{Header: wiretest.Header(), Context: tc, Epoch: 3, Round: 11, Requester: ref}},
+		{Seed: "handoff.items", Msg: itemsMsg{
+			Header: wiretest.Header(), Context: tc, Epoch: 3, Round: 11,
 			Items: []kvstore.Entry{
 				{Key: "a", Version: kvstore.Version{Seq: 1, Writer: 2}, Value: []byte("one")},
 				{Key: "", Version: kvstore.Version{Seq: 9}}, // empty key, nil value
 			},
 			Done: true,
-		},
-		itemsMsg{Header: wireHeader(), Epoch: 3, Round: 12, Push: true}, // no items
-	}
-	for _, m := range msgs {
-		payload, err := (network.BinaryCodec{}).Encode(m)
-		if err != nil {
-			t.Fatalf("%T encode: %v", m, err)
-		}
-		if !network.IsBinaryPayload(payload) {
-			t.Fatalf("%T did not use the binary wire format", m)
-		}
-		got, err := network.DecodePayload(payload)
-		if err != nil {
-			t.Fatalf("%T decode: %v", m, err)
-		}
-		if !reflect.DeepEqual(got, m) {
-			t.Fatalf("%T round trip mismatch:\n got  %+v\n want %+v", m, got, m)
-		}
-	}
+		}},
+		{Msg: itemsMsg{Header: wiretest.Header(), Epoch: 3, Round: 12, Push: true}}, // no items
+	})
 }
 
 // TestHandoffWireCorruptCount pins the item-count guard against frames
 // promising more entries than the body holds.
 func TestHandoffWireCorruptCount(t *testing.T) {
-	payload, err := (network.BinaryCodec{}).Encode(itemsMsg{Header: wireHeader(), Epoch: 1, Round: 1})
+	payload, err := (network.BinaryCodec{}).Encode(itemsMsg{Header: wiretest.Header(), Epoch: 1, Round: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +53,7 @@ func TestHandoffWireEncodeZeroAlloc(t *testing.T) {
 	for i := range items {
 		items[i] = kvstore.Entry{Key: "key", Version: kvstore.Version{Seq: uint64(i)}, Value: make([]byte, 128)}
 	}
-	var m network.Message = itemsMsg{Header: wireHeader(), Epoch: 1, Round: 1, Items: items, Done: true}
+	var m network.Message = itemsMsg{Header: wiretest.Header(), Epoch: 1, Round: 1, Items: items, Done: true}
 	buf := make([]byte, 0, 16384)
 	var c network.BinaryCodec
 	allocs := testing.AllocsPerRun(100, func() {

@@ -47,8 +47,8 @@ func IsBinaryPayload(p []byte) bool {
 //
 // EncodeAppend appends the payload to dst and returns the extended slice,
 // so a steady-state caller encoding into a recycled buffer allocates
-// nothing. Decode may alias the payload (zero-copy keys and values), so
-// callers must not reuse a payload buffer after decoding from it.
+// nothing. Decode never returns a view of the payload: the message owns
+// its memory and the caller may overwrite the payload buffer afterwards.
 type WireCodec interface {
 	// Name is the stable human name used by -wire-codec flags and SwapCodec.
 	Name() string
@@ -126,9 +126,8 @@ func init() {
 }
 
 // DecodePayload decodes a self-describing payload produced by any codec,
-// dispatching on the format flag in byte 0. The returned message may alias
-// payload (zero-copy strings and byte slices), so the caller must not
-// reuse the buffer afterwards.
+// dispatching on the format flag in byte 0. The returned message shares no
+// memory with payload, so the caller may reuse the buffer afterwards.
 func DecodePayload(payload []byte) (Message, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("network: decode: empty payload")

@@ -4,17 +4,20 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"unsafe"
+	"sync/atomic"
 
 	"repro/internal/tracing"
 )
 
-// BinaryCodec is the zero-allocation length-prefixed binary backend for
-// the fixed hot-path message set (ABD quorum phases, coalesced batch
-// frames, handoff chunks). Hot-path types implement WireMessage and
-// marshal themselves with the Append* primitives below — no reflection,
-// no type descriptors, encode appends into the caller's recycled buffer
-// and decode aliases the inbound frame (zero-copy keys and values).
+// BinaryCodec is the length-prefixed binary backend and the transport
+// default. Every node-to-node message type (ABD quorum phases and batch
+// frames, handoff chunks, failure-detector probes, Cyclon shuffles, ring
+// maintenance, bootstrap and monitor traffic) implements WireMessage and
+// marshals itself with the Append* primitives below — no reflection, no
+// type descriptors; encode appends into the caller's recycled buffer and
+// allocates nothing. Decode copies every string and byte slice out of the
+// frame: a decoded message owns its memory, so the transport may reuse
+// the frame buffer and a stored value never pins the frame it arrived in.
 // Types outside the wire set fall back to gob inside a tagged frame
 // (format flag flagPlain), so the payload stays self-describing and
 // nothing is ever unencodable.
@@ -97,8 +100,13 @@ func (BinaryCodec) Decode(payload []byte) (Message, error) {
 	return DecodePayload(payload)
 }
 
+// wireReaderPool recycles the reader handed to registered decoders: it
+// escapes through the indirect call, and a decoder never keeps it.
+var wireReaderPool = sync.Pool{New: func() any { return new(WireReader) }}
+
 // decodeBinary deserializes a flagBinary payload: tag byte, then the body
-// handed to the registered decoder. The decoded message aliases payload.
+// handed to the registered decoder. The decoded message shares no memory
+// with payload.
 func decodeBinary(payload []byte) (Message, error) {
 	if len(payload) < 2 {
 		return nil, fmt.Errorf("network: decode: truncated binary payload")
@@ -107,8 +115,10 @@ func decodeBinary(payload []byte) (Message, error) {
 	if dec == nil {
 		return nil, fmt.Errorf("network: decode: unknown wire tag 0x%02x", payload[1])
 	}
-	r := WireReader{buf: payload[2:]}
-	m, err := dec(&r)
+	r := wireReaderPool.Get().(*WireReader)
+	defer wireReaderPool.Put(r)
+	*r = WireReader{buf: payload[2:]}
+	m, err := dec(r)
 	if err != nil {
 		return nil, fmt.Errorf("network: decode %s: %w", wireNames[payload[1]], err)
 	}
@@ -186,8 +196,8 @@ func AppendHeader(dst []byte, h Header) []byte {
 // WireReader reads the primitives back out of a binary body. Out-of-bounds
 // reads latch an error and return zero values; the caller checks Err()
 // once at the end (decodeBinary does this for registered decoders).
-// Bytes and String alias the underlying buffer — zero-copy — which is why
-// decoded messages must own their payload buffer.
+// Bytes and String return copies, never views of the underlying buffer:
+// whatever a decoder builds from them outlives the frame.
 type WireReader struct {
 	buf []byte
 	off int
@@ -263,8 +273,8 @@ func (r *WireReader) I64() int64 { return int64(r.U64()) }
 // Bool reads one byte as a bool.
 func (r *WireReader) Bool() bool { return r.U8() != 0 }
 
-// Bytes reads a u32-prefixed byte slice, aliasing the buffer (zero-copy).
-// Returns nil for a zero length.
+// Bytes reads a u32-prefixed byte slice into a fresh slice. Returns nil
+// for a zero length.
 func (r *WireReader) Bytes() []byte {
 	n := r.U32()
 	if r.err != nil {
@@ -274,28 +284,68 @@ func (r *WireReader) Bytes() []byte {
 	if len(b) == 0 {
 		return nil
 	}
-	return b
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
 }
 
-// String reads a u32-prefixed string, aliasing the buffer (zero-copy via
-// unsafe.String; the buffer is never mutated after decode).
+// String reads a u32-prefixed string (copied out of the buffer).
 func (r *WireReader) String() string {
 	n := r.U32()
 	if r.err != nil {
 		return ""
 	}
-	b := r.take(int(n))
-	if len(b) == 0 {
-		return ""
+	return string(r.take(int(n)))
+}
+
+// Count reads a u32 element count for a repeated field whose elements
+// occupy at least minSize bytes each. A count promising more elements
+// than the unread body could hold latches an error and reads as 0, so a
+// corrupt prefix is rejected before any slice is sized by it.
+func (r *WireReader) Count(minSize int) int {
+	n := r.U32()
+	if r.err == nil && int64(n)*int64(minSize) > int64(r.Len()) {
+		r.err = fmt.Errorf("element count %d exceeds body at offset %d", n, r.off)
 	}
-	return unsafe.String(&b[0], len(b))
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
 }
 
 // Addr reads a network Address.
 func (r *WireReader) Addr() Address {
-	host := r.String()
+	n := r.U32()
+	if r.err != nil {
+		return Address{}
+	}
+	host := internHost(r.take(int(n)))
 	port := r.U16()
 	return Address{Host: host, Port: port}
+}
+
+// hostTable remembers recently decoded Address hosts. Every message
+// carries at least two and a cluster's hosts are a small, stable set, so
+// a host costs an allocation the first time it is seen, not once per
+// header. A slot is picked by a hash of the bytes and overwritten on a
+// collision: the table is bounded, and a hostile peer can only evict.
+var hostTable [256]atomic.Pointer[string]
+
+func internHost(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	h := uint32(2166136261) // FNV-1a
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	slot := &hostTable[h%uint32(len(hostTable))]
+	if p := slot.Load(); p != nil && *p == string(b) {
+		return *p
+	}
+	s := string(b)
+	slot.Store(&s)
+	return s
 }
 
 // Header reads a message Header.

@@ -112,7 +112,6 @@ func (r *LoopbackRegistry) route(m Message) {
 		m = decoded
 	}
 	if r.wire != nil {
-		// Fresh buffer per message: the decoded message may alias it.
 		payload, err := r.wire.Encode(m)
 		if err != nil {
 			r.dropped.add(1)

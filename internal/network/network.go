@@ -5,8 +5,8 @@
 // exist, all satisfying the same port contract:
 //
 //   - TCP: the production transport (the paper's Grizzly/Netty/MINA
-//     equivalent) — connection management, length-prefixed framing, gob
-//     serialization, optional zlib compression.
+//     equivalent) — connection management, length-prefixed framing,
+//     binary serialization (gob, optionally zlib-compressed, by option).
 //   - Loopback: an in-process transport for whole-system tests and local
 //     interactive stress-test execution, optionally exercising the codec
 //     and an artificial latency model.

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -24,6 +25,16 @@ const sendQueueLen = 4096
 // dialTimeout bounds one connection-establishment attempt to a peer.
 const dialTimeout = 3 * time.Second
 
+// ioBufSize sizes both socket loops: the writer flushes once its buffer
+// holds this many bytes (or the peer queue runs empty, whichever comes
+// first), and every inbound connection reads through one buffered reader
+// of this size. 64 KiB holds two to six coalesced ABD batch frames — the
+// largest frames steady-state traffic produces — so under load one write
+// and one read syscall carry several frames, and an idle link still
+// flushes every frame the moment it is queued. A constant, not an option:
+// nothing in the repository needs a second value.
+const ioBufSize = 64 << 10
+
 // Resilience defaults; see the corresponding TCPOptions.
 const (
 	defaultKeepalive    = 10 * time.Second
@@ -38,9 +49,10 @@ const (
 // paper's pluggable NIO frameworks (Grizzly/Netty/MINA) built on net. It
 // performs automatic connection management (dial on demand, reuse,
 // reconnect with capped exponential backoff, teardown on error) and
-// message serialization through a swappable WireCodec backend — gob
-// (optionally zlib-compressed) by default, the zero-allocation binary
-// codec by option, switchable per peer at runtime via SwapCodec.
+// message serialization through a swappable WireCodec backend — the
+// binary codec by default (every node-to-node message type has a wire
+// encoding; gob is the tagged fallback for anything else), gob or
+// gob+zlib by option, switchable per peer at runtime via SwapCodec.
 //
 // Wire format: an 8-byte handshake (magic, version, codec capability
 // byte), then frames — 4-byte big-endian length prefix + self-describing
@@ -48,6 +60,18 @@ const (
 // prefix range (keepalives, codec switches; see framing.go). Outbound
 // connections are used for sending only; peers dial back for their own
 // sends, so each direction has a dedicated connection.
+//
+// Both socket loops work a buffer at a time, not a frame at a time. The
+// writer copies length prefix and payload of each queued frame into one
+// buffer and keeps draining the peer queue into it; it flushes — one
+// deadline update, one write — only when the queue is empty or the buffer
+// holds ioBufSize bytes. A frame is released, and its net.send span
+// recorded, only after the flush that carried it returned; when a flush
+// fails every frame in it is retransmitted first, in order, on the next
+// connection (at-least-once: frames of a partially written flush may
+// arrive twice). The reader sits behind one ioBufSize buffered reader and
+// decodes out of one reusable frame buffer, which is safe because decoded
+// messages own their memory (see WireCodec).
 //
 // Each outbound peer is managed by a small circuit-breaker state machine
 // (connecting → up → backoff → … → down). The pending send queue belongs
@@ -61,14 +85,14 @@ type TCP struct {
 	self Address
 	log  *slog.Logger
 
-	// codec is the default wire-codec backend for peers without an
-	// override; codecName defers resolution of a WithWireCodecName option
-	// to Setup (so unknown names can be logged, not panicked). peerCodecs
-	// holds per-peer overrides installed by SwapCodec; both are guarded by
-	// mu and survive peer retirement and redials.
-	codec      WireCodec
-	codecName  string
-	peerCodecs map[Address]WireCodec
+	// codecs is the published codec choice: the default backend plus the
+	// per-peer overrides installed by SwapCodec, which survive peer
+	// retirement and redials. The send path reads it without a lock;
+	// writers replace the whole table under mu. codecName defers resolution
+	// of a WithWireCodecName option to Setup (so unknown names can be
+	// logged, not panicked).
+	codecs    atomic.Pointer[codecTable]
+	codecName string
 
 	keepalive    time.Duration
 	idleTimeout  time.Duration
@@ -92,6 +116,12 @@ type TCP struct {
 	sent, received, droppedFull, sendErrors atomic.Uint64
 	reconnects, requeued, abandoned         atomic.Uint64
 	codecSwaps                              atomic.Uint64
+}
+
+// codecTable is one immutable snapshot of a transport's codec choice.
+type codecTable struct {
+	def   WireCodec
+	peers map[Address]WireCodec
 }
 
 // frameBuf is a pooled encode buffer: handleSend encodes each outbound
@@ -122,16 +152,17 @@ func releaseFrame(f *outFrame) {
 // trace context of the message it carries. The transport records at most
 // ONE "net.send" span per frame, at its final resolution (delivered or
 // abandoned) — never per write attempt. `spanned` enforces that: a frame
-// preserved across a broken write (requeued, retransmitted first on the
+// preserved across a failed flush (requeued, retransmitted first on the
 // next connection) must not grow a second span on redial. Keepalives are
-// bare length prefixes written directly by serveConn; they never become
-// outFrames and so can never carry or inherit span annotations.
+// bare length prefixes serveConn puts in the write buffer itself; they
+// never become outFrames and so can never carry or inherit span
+// annotations.
 type outFrame struct {
 	payload  []byte
 	buf      *frameBuf // pooled backing buffer; released at final resolution
 	trace    tracing.Context
 	codecID  byte // capability byte of the codec that encoded payload
-	attempts int  // write attempts so far; >1 means the frame crossed a redial
+	attempts int  // flushes that carried it so far; >1 means the frame crossed a redial
 	spanned  bool // the frame's single transport span has been recorded
 }
 
@@ -143,6 +174,13 @@ type peerConn struct {
 	close chan struct{}
 	once  sync.Once
 	state atomic.Int32 // PeerState; gauge updates go through TCP.setState
+
+	// Writer state, touched only by the peer's writeLoop goroutine. wbuf is
+	// what the next flush writes; staged are the frames whose bytes are in
+	// it. Both outlive the connection: after a failed flush staged holds
+	// the frames the next connection must transmit first.
+	wbuf   []byte
+	staged []outFrame
 }
 
 func (p *peerConn) shutdown() { p.once.Do(func() { close(p.close) }) }
@@ -153,7 +191,7 @@ type TCPOption func(*TCP)
 // WithCompression enables zlib compression of message payloads (selects
 // the gob+zlib codec backend as the default).
 func WithCompression() TCPOption {
-	return func(t *TCP) { t.codec = Codec{Compress: true} }
+	return func(t *TCP) { t.codecs.Store(&codecTable{def: Codec{Compress: true}}) }
 }
 
 // WithWireCodecName selects the default wire-codec backend by registry
@@ -203,9 +241,7 @@ func WithSendQueueLen(n int) TCPOption {
 func NewTCP(self Address, opts ...TCPOption) *TCP {
 	t := &TCP{
 		self:         self,
-		codec:        Codec{},
 		conns:        make(map[Address]*peerConn),
-		peerCodecs:   make(map[Address]WireCodec),
 		inbound:      make(map[net.Conn]struct{}),
 		keepalive:    defaultKeepalive,
 		idleTimeout:  defaultIdleTimeout,
@@ -216,6 +252,7 @@ func NewTCP(self Address, opts ...TCPOption) *TCP {
 		queueLen:     sendQueueLen,
 		ids:          tracing.NewIDSource(self.String()),
 	}
+	t.codecs.Store(&codecTable{def: BinaryCodec{}})
 	for _, o := range opts {
 		o(t)
 	}
@@ -231,10 +268,10 @@ func (t *TCP) Setup(ctx *core.Ctx) {
 	t.port = ctx.Provides(PortType)
 	if t.codecName != "" {
 		if c, ok := CodecByName(t.codecName); ok {
-			t.codec = c
+			t.codecs.Store(&codecTable{def: c})
 		} else {
 			t.log.Warn("tcp: unknown wire codec, keeping default",
-				"codec", t.codecName, "default", t.codec.Name())
+				"codec", t.codecName, "default", t.codecs.Load().def.Name())
 		}
 	}
 	core.Subscribe(ctx, t.port, t.handleSend)
@@ -280,35 +317,31 @@ func (t *TCP) PeerCodec(peer Address) WireCodec { return t.codecFor(peer) }
 // lost or reordered. The override survives peer retirement and redials;
 // it applies to the next frame encoded after the swap.
 func (t *TCP) SwapCodec(peer Address, name string) error {
-	c, ok := CodecByName(name)
-	if !ok {
-		return fmt.Errorf("network: swap codec: unknown codec %q (have %v)", name, CodecNames())
-	}
-	if t.port != nil {
-		chans := t.port.AttachedChannels()
-		for _, ch := range chans {
-			ch.Hold()
+	err := t.swapCodecs(name, func(old *codecTable, c WireCodec) *codecTable {
+		peers := make(map[Address]WireCodec, len(old.peers)+1)
+		for a, pc := range old.peers {
+			peers[a] = pc
 		}
-		defer func() {
-			for _, ch := range chans {
-				ch.Resume()
-			}
-		}()
-	}
-	t.mu.Lock()
-	t.peerCodecs[peer] = c
-	t.mu.Unlock()
-	t.codecSwaps.Add(1)
-	gCodecSwaps.Add(1)
-	if t.log != nil {
+		peers[peer] = c
+		return &codecTable{def: old.def, peers: peers}
+	})
+	if err == nil && t.log != nil {
 		t.log.Info("tcp: wire codec swapped", "peer", peer.String(), "codec", name)
 	}
-	return nil
+	return err
 }
 
 // SwapAllCodecs swaps the default codec and every per-peer override to
 // name, under one hold of the Network port.
 func (t *TCP) SwapAllCodecs(name string) error {
+	return t.swapCodecs(name, func(_ *codecTable, c WireCodec) *codecTable {
+		return &codecTable{def: c}
+	})
+}
+
+// swapCodecs resolves name and publishes the table next builds from the
+// current one, with every channel attached to the Network port held.
+func (t *TCP) swapCodecs(name string, next func(old *codecTable, c WireCodec) *codecTable) error {
 	c, ok := CodecByName(name)
 	if !ok {
 		return fmt.Errorf("network: swap codec: unknown codec %q (have %v)", name, CodecNames())
@@ -325,10 +358,7 @@ func (t *TCP) SwapAllCodecs(name string) error {
 		}()
 	}
 	t.mu.Lock()
-	t.codec = c
-	for peer := range t.peerCodecs {
-		t.peerCodecs[peer] = c
-	}
+	t.codecs.Store(next(t.codecs.Load(), c))
 	t.mu.Unlock()
 	t.codecSwaps.Add(1)
 	gCodecSwaps.Add(1)
@@ -403,12 +433,11 @@ func (t *TCP) shutdown() {
 // codecFor resolves the wire codec for one peer: its SwapCodec override
 // if present, else the transport default.
 func (t *TCP) codecFor(dst Address) WireCodec {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c, ok := t.peerCodecs[dst]; ok {
+	ct := t.codecs.Load()
+	if c, ok := ct.peers[dst]; ok {
 		return c
 	}
-	return t.codec
+	return ct.def
 }
 
 // handleSend routes an outbound message onto the peer's connection queue,
@@ -507,17 +536,18 @@ func (t *TCP) retirePeer(pc *peerConn) {
 	peerGaugeAdd(PeerState(pc.state.Load()), -1)
 }
 
-// abandonQueue drains whatever is still queued for a retired peer and
-// counts every frame. Called after retirePeer, so nothing can race new
-// frames in: the silent-loss hole this replaces stranded up to a full
-// queue with no counter.
-func (t *TCP) abandonQueue(pc *peerConn, pending *outFrame) {
-	var n uint64
-	if pending.payload != nil {
-		n++
-		t.recordSendSpan(pending, "abandoned")
-		releaseFrame(pending)
+// abandonQueue resolves every frame a retired peer still holds — the
+// staged frames of a failed flush, then whatever is queued — and counts
+// them. Called after retirePeer, so nothing can race new frames in: the
+// silent-loss hole this replaces stranded up to a full queue with no
+// counter.
+func (t *TCP) abandonQueue(pc *peerConn) {
+	n := uint64(len(pc.staged))
+	for i := range pc.staged {
+		t.recordSendSpan(&pc.staged[i], "abandoned")
+		releaseFrame(&pc.staged[i])
 	}
+	pc.staged, pc.wbuf = nil, nil
 	for {
 		select {
 		case f := <-pc.ch:
@@ -581,11 +611,10 @@ var errPeerClosed = errors.New("peer closed")
 
 // writeLoop is the per-peer connection manager: dial (with backoff),
 // serve the connection until it breaks, redial. Frames stay on pc.ch
-// across redials; a frame caught mid-write rides in pending and is
+// across redials; the frames of a failed flush stay in pc.staged and are
 // retransmitted first on the next connection.
 func (t *TCP) writeLoop(pc *peerConn) {
 	defer t.wg.Done()
-	var pending outFrame
 	everUp := false
 	for {
 		conn, retried := t.dialWithBackoff(pc)
@@ -595,7 +624,7 @@ func (t *TCP) writeLoop(pc *peerConn) {
 			t.setState(pc, PeerDown)
 			down := everUp
 			t.retirePeer(pc)
-			t.abandonQueue(pc, &pending)
+			t.abandonQueue(pc)
 			if down || retried {
 				t.emitStatus(pc.addr, false)
 			}
@@ -603,8 +632,8 @@ func (t *TCP) writeLoop(pc *peerConn) {
 		}
 		// Announce ourselves before the first frame: magic, version, and
 		// the capability byte naming this peer's current codec. Frames
-		// queued under an older codec (including pending, preserved across
-		// the redial) still flow — writeFrame emits a codec-switch control
+		// queued under an older codec (including the staged ones, preserved
+		// across the redial) still flow — stage emits a codec-switch control
 		// frame whenever the next frame's codec differs from the one last
 		// announced on this connection.
 		connCodec := t.codecFor(pc.addr).ID()
@@ -624,11 +653,11 @@ func (t *TCP) writeLoop(pc *peerConn) {
 		everUp = true
 		t.setState(pc, PeerUp)
 		t.emitStatus(pc.addr, true)
-		err := t.serveConn(pc, conn, &pending, connCodec)
+		err := t.serveConn(pc, conn, connCodec)
 		_ = conn.Close()
 		if errors.Is(err, errPeerClosed) {
 			t.retirePeer(pc)
-			t.abandonQueue(pc, &pending)
+			t.abandonQueue(pc)
 			return
 		}
 		t.log.Debug("tcp: connection broke", "peer", pc.addr.String(), "err", err)
@@ -698,58 +727,47 @@ func (t *TCP) writeHandshake(conn net.Conn, codecID byte) error {
 	return err
 }
 
-// serveConn writes framed payloads (and idle keepalives) until the
-// connection breaks or the peer is closed. A frame whose write fails is
-// stored in *pending — counted as requeued — so the reconnected peer
-// transmits it first, ahead of anything queued behind it. The frame's
-// span bookkeeping rides in the outFrame across the redial: the
-// retransmission finishes the original frame's story, it does not start a
-// new one. connCodec is the codec ID the handshake announced; frames
-// encoded under a different codec are preceded by a codec-switch control
-// frame, which is how a live SwapCodec (or a mixed-codec queue surviving
-// a redial) stays frame-exact on the wire.
-func (t *TCP) serveConn(pc *peerConn, conn net.Conn, pending *outFrame, connCodec byte) error {
-	var lenBuf [4]byte
-	writeFrame := func(f *outFrame) error {
-		f.attempts++
-		if t.writeTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(t.writeTimeout))
-		}
-		if f.codecID != connCodec {
-			var sw [5]byte
-			binary.BigEndian.PutUint32(sw[:4], codecSwitchMagic)
-			sw[4] = f.codecID
-			if _, err := conn.Write(sw[:]); err != nil {
-				return err
-			}
-			connCodec = f.codecID
-		}
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(f.payload)))
-		if _, err := conn.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		if _, err := conn.Write(f.payload); err != nil {
-			return err
-		}
-		t.recordSendSpan(f, "ok")
-		releaseFrame(f)
-		return nil
+// stage appends one frame — length prefix and payload, preceded by a
+// codec-switch control frame when its codec differs from connCodec, the
+// one last announced on this connection — to the write buffer, and returns
+// the codec now announced. That is how a live SwapCodec (or a mixed-codec
+// queue surviving a redial) stays frame-exact on the wire, also in the
+// middle of one coalesced buffer.
+func (pc *peerConn) stage(f *outFrame, connCodec byte) byte {
+	f.attempts++
+	if f.codecID != connCodec {
+		pc.wbuf = AppendU32(pc.wbuf, codecSwitchMagic)
+		pc.wbuf = append(pc.wbuf, f.codecID)
 	}
-	fail := func(f outFrame, err error) error {
-		*pending = f
-		t.requeued.Add(1)
-		gRequeued.Add(1)
-		t.sendErrors.Add(1)
-		gSendErrors.Add(1)
-		return err
+	pc.wbuf = AppendU32(pc.wbuf, uint32(len(f.payload)))
+	pc.wbuf = append(pc.wbuf, f.payload...)
+	return f.codecID
+}
+
+// serveConn coalesces queued frames (and idle keepalives) into the write
+// buffer and flushes it until the connection breaks or the peer is closed.
+// It blocks only with an empty buffer; once a frame is staged it keeps
+// draining the queue and flushes when the queue is empty or the buffer
+// holds ioBufSize bytes. The frames of a failed flush stay in pc.staged —
+// counted as requeued — so the reconnected peer transmits them first, in
+// order, ahead of anything queued behind them. Their span bookkeeping
+// rides in the outFrame across the redial: the retransmission finishes the
+// original frame's story, it does not start a new one. connCodec is the
+// codec ID the handshake announced.
+func (t *TCP) serveConn(pc *peerConn, conn net.Conn, connCodec byte) error {
+	pc.wbuf = pc.wbuf[:0]
+	for i := range pc.staged {
+		connCodec = pc.stage(&pc.staged[i], connCodec)
 	}
-	if pending.payload != nil {
-		if err := writeFrame(pending); err != nil {
+	accept := func(f outFrame) {
+		if len(f.payload) > maxFrame {
 			t.sendErrors.Add(1)
 			gSendErrors.Add(1)
-			return err // already counted as requeued when first preserved
+			releaseFrame(&f)
+			return
 		}
-		*pending = outFrame{}
+		pc.staged = append(pc.staged, f)
+		connCodec = pc.stage(&pc.staged[len(pc.staged)-1], connCodec)
 	}
 	var ka <-chan time.Time
 	if t.keepalive > 0 {
@@ -758,34 +776,68 @@ func (t *TCP) serveConn(pc *peerConn, conn net.Conn, pending *outFrame, connCode
 		ka = ticker.C
 	}
 	for {
-		select {
-		case f := <-pc.ch:
-			if len(f.payload) > maxFrame {
-				t.sendErrors.Add(1)
-				gSendErrors.Add(1)
-				releaseFrame(&f)
-				continue
+		if len(pc.wbuf) == 0 {
+			select {
+			case f := <-pc.ch:
+				accept(f)
+			case <-ka:
+				// Keepalives are a bare magic length prefix: no payload, no
+				// outFrame, and by construction no trace annotation — an idle
+				// probe must never surface in an op's timeline.
+				pc.wbuf = AppendU32(pc.wbuf, keepaliveMagic)
+			case <-pc.close:
+				return errPeerClosed
 			}
-			if err := writeFrame(&f); err != nil {
-				return fail(f, err)
+		}
+	drain:
+		for len(pc.wbuf) < ioBufSize {
+			select {
+			case f := <-pc.ch:
+				accept(f)
+			default:
+				break drain
 			}
-		case <-ka:
-			// Keepalives are a bare magic length prefix: no payload, no
-			// outFrame, and by construction no trace annotation — an idle
-			// probe must never surface in an op's timeline.
-			if t.writeTimeout > 0 {
-				_ = conn.SetWriteDeadline(time.Now().Add(t.writeTimeout))
-			}
-			binary.BigEndian.PutUint32(lenBuf[:], keepaliveMagic)
-			if _, err := conn.Write(lenBuf[:]); err != nil {
-				t.sendErrors.Add(1)
-				gSendErrors.Add(1)
-				return err
-			}
-		case <-pc.close:
-			return errPeerClosed
+		}
+		if len(pc.wbuf) == 0 {
+			continue // the only frame taken was oversized and dropped
+		}
+		if err := t.flush(pc, conn); err != nil {
+			return err
 		}
 	}
+}
+
+// flush writes the buffer with one deadline update and one write. Only
+// when the write returned are the staged frames resolved: their spans
+// recorded and their encode buffers released. On failure they all stay
+// staged for the next connection.
+func (t *TCP) flush(pc *peerConn, conn net.Conn) error {
+	if t.writeTimeout > 0 {
+		_ = conn.SetWriteDeadline(time.Now().Add(t.writeTimeout))
+	}
+	if _, err := conn.Write(pc.wbuf); err != nil {
+		var first uint64 // frames preserved for the first time
+		for i := range pc.staged {
+			if pc.staged[i].attempts == 1 {
+				first++
+			}
+		}
+		t.requeued.Add(first)
+		gRequeued.Add(first)
+		t.sendErrors.Add(1)
+		gSendErrors.Add(1)
+		return err
+	}
+	for i := range pc.staged {
+		t.recordSendSpan(&pc.staged[i], "ok")
+		releaseFrame(&pc.staged[i])
+	}
+	pc.staged = pc.staged[:0]
+	pc.wbuf = pc.wbuf[:0]
+	if cap(pc.wbuf) > 2*ioBufSize {
+		pc.wbuf = nil // one huge handoff chunk must not pin megabytes per peer
+	}
+	return nil
 }
 
 // acceptLoop accepts inbound connections and spawns a reader per peer.
@@ -811,14 +863,31 @@ func (t *TCP) acceptLoop(ln net.Listener) {
 	}
 }
 
+// idleReader refreshes the connection's idle deadline before every read
+// from the socket: one deadline update per read syscall, however many
+// frames that read returns.
+type idleReader struct {
+	conn net.Conn
+	idle time.Duration
+}
+
+func (r idleReader) Read(p []byte) (int, error) {
+	if r.idle > 0 {
+		_ = r.conn.SetReadDeadline(time.Now().Add(r.idle))
+	}
+	return r.conn.Read(p)
+}
+
 // readLoop decodes frames from one inbound connection and delivers them on
 // the Network port. The connection must open with a valid handshake naming
 // a registered codec; decode itself dispatches on each payload's format
 // flag, so frames from any codec (or a mid-stream swap) decode without
-// renegotiation. Keepalive control frames only refresh the idle deadline;
-// codec-switch control frames update the peer's announced codec (and are
-// validated against the registry); a connection silent past the idle
-// timeout is reaped.
+// renegotiation. Keepalive control frames only keep the connection from
+// going idle; codec-switch control frames update the peer's announced
+// codec (and are validated against the registry); a connection silent past
+// the idle timeout is reaped. Every payload is read into the same frame
+// buffer: decoded messages own their memory, so the next frame may
+// overwrite it.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -827,11 +896,9 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	if t.idleTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(t.idleTimeout))
-	}
-	var hs [handshakeLen]byte
-	if _, err := io.ReadFull(conn, hs[:]); err != nil {
+	br := bufio.NewReaderSize(idleReader{conn, t.idleTimeout}, ioBufSize)
+	hs, err := br.Peek(handshakeLen)
+	if err != nil {
 		t.log.Debug("tcp: handshake read", "err", err)
 		return
 	}
@@ -843,29 +910,29 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.log.Warn("tcp: handshake names unknown codec", "id", fmt.Sprintf("0x%02x", hs[5]))
 		return
 	}
-	var lenBuf [4]byte
+	_, _ = br.Discard(handshakeLen) // cannot fail: Peek just returned these bytes
+	var frame []byte
 	for {
-		if t.idleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(t.idleTimeout))
-		}
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		prefix, err := br.Peek(4)
+		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				t.log.Debug("tcp: read header", "err", err)
 			}
 			return
 		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
+		n := binary.BigEndian.Uint32(prefix)
+		_, _ = br.Discard(4)
 		if isControlPrefix(n) {
 			switch n {
 			case keepaliveMagic:
 				continue
 			case codecSwitchMagic:
-				var id [1]byte
-				if _, err := io.ReadFull(conn, id[:]); err != nil {
+				id, err := br.ReadByte()
+				if err != nil {
 					return
 				}
-				if _, ok := CodecByID(id[0]); !ok {
-					t.log.Warn("tcp: switch to unknown codec", "id", fmt.Sprintf("0x%02x", id[0]))
+				if _, ok := CodecByID(id); !ok {
+					t.log.Warn("tcp: switch to unknown codec", "id", fmt.Sprintf("0x%02x", id))
 					return
 				}
 				gCodecSwitchFrames.Add(1)
@@ -879,13 +946,17 @@ func (t *TCP) readLoop(conn net.Conn) {
 			t.log.Warn("tcp: bad frame length", "len", n)
 			return
 		}
-		// A fresh buffer per frame: binary-codec decode aliases it
-		// (zero-copy keys and values), so it must not be pooled or reused.
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(conn, payload); err != nil {
+		if cap(frame) < int(n) {
+			frame = make([]byte, n)
+		}
+		frame = frame[:n]
+		if _, err := io.ReadFull(br, frame); err != nil {
 			return
 		}
-		m, err := DecodePayload(payload)
+		m, err := DecodePayload(frame)
+		if cap(frame) > maxPooledFrame {
+			frame = nil // one huge handoff chunk must not pin megabytes per connection
+		}
 		if err != nil {
 			t.log.Warn("tcp: decode failed", "err", err)
 			continue

@@ -77,8 +77,8 @@ func (r *frameReader) run() {
 }
 
 // TestTCPRetransmitFirstSingleSpan is the regression test for the
-// transport span discipline: a traced frame caught mid-write is requeued
-// and retransmitted FIRST on the next connection, and across that redial
+// transport span discipline: a traced frame caught in a failed flush is
+// requeued and retransmitted FIRST on the next connection, and across that redial
 // it records exactly one "net.send" span (on final delivery, with the
 // attempt count showing the retry) — never one per write attempt.
 // Keepalive probes, which share the write loop, record no spans at all.
@@ -99,13 +99,12 @@ func TestTCPRetransmitFirstSingleSpan(t *testing.T) {
 	frameC := outFrame{payload: []byte("frame-C"), trace: tracing.Context{TraceID: 0xC1, SpanID: 0xC2}}
 
 	// Connection 1: the reader accepts two frames (U, A) then hangs up, so
-	// the write of B fails mid-conversation and B lands in pending.
+	// the flush of B fails mid-conversation and B stays staged.
 	c1, c2 := net.Pipe()
 	reader1 := &frameReader{conn: c2, payloads: make(chan []byte, 16)}
 	go reader1.run()
-	var pending outFrame
 	errCh := make(chan error, 1)
-	go func() { errCh <- tr.serveConn(pc, c1, &pending, flagPlain) }()
+	go func() { errCh <- tr.serveConn(pc, c1, flagPlain) }()
 	pc.ch <- frameU
 	pc.ch <- frameA
 	for i := 0; i < 2; i++ {
@@ -127,11 +126,11 @@ func TestTCPRetransmitFirstSingleSpan(t *testing.T) {
 	}
 	_ = c1.Close()
 
-	if string(pending.payload) != "frame-B" {
-		t.Fatalf("pending = %q, want frame-B", pending.payload)
+	if len(pc.staged) != 1 || string(pc.staged[0].payload) != "frame-B" {
+		t.Fatalf("staged = %+v, want frame-B alone", pc.staged)
 	}
-	if pending.attempts != 1 {
-		t.Fatalf("pending attempts = %d, want 1", pending.attempts)
+	if pc.staged[0].attempts != 1 {
+		t.Fatalf("staged attempts = %d, want 1", pc.staged[0].attempts)
 	}
 	if got := tr.requeued.Load(); got != 1 {
 		t.Fatalf("requeued = %d, want 1", got)
@@ -143,7 +142,7 @@ func TestTCPRetransmitFirstSingleSpan(t *testing.T) {
 		t.Fatalf("requeued frame recorded a span before delivery: %+v", spans)
 	}
 
-	// Connection 2: C is already queued behind the pending B. The redial
+	// Connection 2: C is already queued behind the staged B. The redial
 	// must transmit B first, then C — and B's eventual span must be the
 	// frame's only one.
 	pc.ch <- frameC
@@ -151,7 +150,7 @@ func TestTCPRetransmitFirstSingleSpan(t *testing.T) {
 	reader2 := &frameReader{conn: c4, payloads: make(chan []byte, 16)}
 	go reader2.run()
 	tr.keepalive = 10 * time.Millisecond
-	go func() { errCh <- tr.serveConn(pc, c3, &pending, flagPlain) }()
+	go func() { errCh <- tr.serveConn(pc, c3, flagPlain) }()
 	var order []string
 	for i := 0; i < 2; i++ {
 		select {
