@@ -6,7 +6,7 @@ GO ?= go
 BENCHTIME ?= 1s
 BENCHCPU ?= 4
 
-.PHONY: all help build vet test test-race bench bench-dispatch bench-gate determinism chaos gray codecswap fuzz recovery ci ci-local
+.PHONY: all help build vet test test-race bench bench-dispatch bench-gate kvbench-smoke determinism chaos gray codecswap fuzz recovery ci ci-local
 
 all: build
 
@@ -23,6 +23,8 @@ help:
 	@echo "  bench-gate      million-key + WAL durability + hedge + wire-codec catsbench"
 	@echo "                  profiles (reduced scale) gated against the"
 	@echo "                  bench/BENCH_baseline_* floors"
+	@echo "  kvbench-smoke   vet + test the bench/kvbench module (its own go.mod, unseen by"
+	@echo "                  ./...) and run its four workloads at smoke sizes"
 	@echo "  determinism     run the simulation twice per seed and diff trace digests"
 	@echo "  chaos           churn scenario under -race plus two-run chaos report diffs"
 	@echo "                  (memory, long-outage, and durable WAL-backed variants)"
@@ -37,7 +39,7 @@ help:
 	@echo "                  snapshots, assert linearizable + no lost acked writes"
 	@echo "  ci              vet + build + test-race"
 	@echo "  ci-local        full local mirror of the gating CI matrix (lint, tests,"
-	@echo "                  alloc gates, determinism, chaos, recovery, bench-gate)"
+	@echo "                  alloc gates, kvbench, determinism, chaos, recovery, bench-gate)"
 
 build:
 	$(GO) build ./...
@@ -74,6 +76,15 @@ bench-gate:
 	/tmp/catsbench -exp wal -quick -json-dir /tmp/bench -wal-gate bench/BENCH_baseline_wal.json
 	/tmp/catsbench -exp hedge -json-dir /tmp/bench -hedge-gate bench/BENCH_baseline_hedge.json
 	/tmp/catsbench -exp codec -quick -json-dir /tmp/bench -codec-gate bench/BENCH_baseline_codec.json
+
+# Local mirror of the CI kvbench job. bench/kvbench is its own module
+# (replace repro => ../..), so the root ./... patterns never compile it:
+# deleting an exported name it uses stays green everywhere else. The smoke
+# run exits non-zero when an operation fails or verification does.
+kvbench-smoke:
+	$(GO) -C bench/kvbench vet ./...
+	$(GO) -C bench/kvbench test -count=1 ./...
+	bash bench/kvbench/run.sh -smoke -seed 7
 
 # Local mirror of the CI determinism job: one seed, two runs, diff all
 # deterministic output lines (wall time filtered) including the -trace digest.
@@ -193,6 +204,7 @@ ci-local: vet build
 	$(GO) test -run 'ZeroAlloc|Pooled' -count=1 ./internal/network/ ./internal/abd/ ./internal/handoff/ ./internal/fd/ ./internal/cyclon/ ./internal/ring/ ./internal/bootstrap/ ./internal/monitor/
 	$(GO) test -run 'TCPSteadyStateAllocs' -count=1 ./internal/network/
 	$(GO) test -run 'SteadyStateNoGobFallback' -count=1 ./internal/cats/
+	$(MAKE) kvbench-smoke
 	$(MAKE) determinism
 	$(MAKE) chaos
 	$(MAKE) gray

@@ -5,7 +5,6 @@
 //	catsbench -exp latency   # C1: end-to-end op latency (sub-ms claim)
 //	catsbench -exp scaling   # C2: read throughput vs cluster size
 //	catsbench -exp stealing  # C3: work-stealing batch ablation
-//	catsbench -exp quorum    # C4: coalesced vs uncoalesced quorum A/B
 //	catsbench -exp million   # C5: 1M-key sharded-store open-loop profile
 //	catsbench -exp wal       # C7: durability (WAL sync policy) A/B
 //	catsbench -exp hedge     # C8: hedged quorum phases vs a gray replica A/B
@@ -35,7 +34,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1 | latency | scaling | stealing | quorum | trace | million | wal | hedge | codec | all")
+		exp       = flag.String("exp", "all", "experiment: table1 | latency | scaling | stealing | trace | million | wal | hedge | codec | all")
 		seed      = flag.Int64("seed", 2012, "random seed")
 		quick     = flag.Bool("quick", false, "smaller sizes for a fast pass")
 		jsonDir   = flag.String("json-dir", "", "directory to write BENCH_<name>.json results into")
@@ -49,7 +48,7 @@ func main() {
 	run := map[string]bool{}
 	if *exp == "all" {
 		run["table1"], run["latency"], run["scaling"], run["stealing"] = true, true, true, true
-		run["quorum"], run["trace"], run["million"], run["wal"] = true, true, true, true
+		run["trace"], run["million"], run["wal"] = true, true, true
 		run["hedge"], run["codec"] = true, true
 	} else {
 		run[*exp] = true
@@ -69,10 +68,6 @@ func main() {
 	}
 	if run["stealing"] {
 		stealing(*quick)
-		any = true
-	}
-	if run["quorum"] {
-		quorum(*quick, *jsonDir)
 		any = true
 	}
 	if run["trace"] {
@@ -214,13 +209,12 @@ type benchJSON struct {
 	P99Micros   float64 `json:"p99_us"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 
-	// Quorum A/B extras.
+	// A/B extras: the reference arm (tracing off, memory store, fixed
+	// deadlines) and the measured arm's change against it.
 	LegacyOpsPS  float64 `json:"legacy_ops_ps,omitempty"`
 	Improvement  float64 `json:"improvement,omitempty"`
 	LegacyP50Mic float64 `json:"legacy_p50_us,omitempty"`
 	LegacyP99Mic float64 `json:"legacy_p99_us,omitempty"`
-	Batches      uint64  `json:"batches,omitempty"`
-	BatchedOps   uint64  `json:"batched_ops,omitempty"`
 
 	// Hedge A/B extras (virtual-time, deterministic per seed).
 	Hedges    uint64 `json:"hedges,omitempty"`
@@ -254,49 +248,16 @@ func writeJSON(dir string, rec benchJSON) {
 	fmt.Printf("   wrote %s\n\n", path)
 }
 
-func quorum(quick bool, jsonDir string) {
-	clients, ops, rounds := 48, 4000, 3
-	if quick {
-		clients, ops, rounds = 32, 1200, 2
-	}
-	fmt.Println("== C4: coalesced vs uncoalesced ABD quorum rounds (A/B) ==")
-	fmt.Println("   (3 nodes at replication degree 3: every key hits the same replica set;")
-	fmt.Println("    closed-loop clients pile concurrent ops onto each coordinator, and")
-	fmt.Println("    coalescing carries same-destination phases in one frame per peer;")
-	fmt.Println("    rounds interleave A/B to cancel machine drift)")
-	fmt.Println()
-	r := experiments.QuorumAB(3, clients, ops, rounds)
-	fmt.Printf("%12s  %12s  %10s  %10s  %10s\n", "Variant", "ops/s", "P50", "P99", "Frames")
-	fmt.Printf("%12s  %12.0f  %10v  %10v  %10s\n", "uncoalesced", r.LegacyOpsPS,
-		r.LegacyP50.Round(time.Microsecond), r.LegacyP99.Round(time.Microsecond), "-")
-	fmt.Printf("%12s  %12.0f  %10v  %10v  %10d\n", "coalesced", r.CoalescedOpsPS,
-		r.CoalescedP50.Round(time.Microsecond), r.CoalescedP99.Round(time.Microsecond), r.Batches)
-	fmt.Printf("\n   improvement: %+.1f%% ops/s (%d ops in %d multi-op frames)\n\n",
-		100*r.Improvement, r.BatchedOps, r.Batches)
-	writeJSON(jsonDir, benchJSON{
-		Name:         "quorum",
-		OpsPS:        r.CoalescedOpsPS,
-		P50Micros:    float64(r.CoalescedP50.Microseconds()),
-		P99Micros:    float64(r.CoalescedP99.Microseconds()),
-		LegacyOpsPS:  r.LegacyOpsPS,
-		Improvement:  r.Improvement,
-		LegacyP50Mic: float64(r.LegacyP50.Microseconds()),
-		LegacyP99Mic: float64(r.LegacyP99.Microseconds()),
-		Batches:      r.Batches,
-		BatchedOps:   r.BatchedOps,
-	})
-}
-
-// traceOverhead measures the span layer's cost on the coalesced quorum
-// workload at three sampling rates. The acceptance gate is on default
-// sampling: within 3% of tracing-off throughput.
+// traceOverhead measures the span layer's cost on the quorum workload at
+// three sampling rates. The acceptance gate is on default sampling: within
+// 3% of tracing-off throughput.
 func traceOverhead(quick bool, jsonDir string) {
 	clients, ops, rounds := 48, 4000, 3
 	if quick {
 		clients, ops, rounds = 32, 1200, 2
 	}
 	fmt.Println("== C6: distributed-tracing overhead on the quorum workload (A/B/C) ==")
-	fmt.Println("   (same 3-node coalesced quorum workload as C4, run at three sampling")
+	fmt.Println("   (3 nodes at replication degree 3, closed-loop clients, run at three sampling")
 	fmt.Println("    rates with rounds interleaved in rotating order so drift cancels;")
 	fmt.Println("    unsampled ops must stay allocation-free, so 1-in-64 should be noise)")
 	fmt.Println()
@@ -427,7 +388,9 @@ func hedge(seed int64, jsonDir, gate string) {
 	fmt.Println("== C8: hedged quorum phases vs a gray-failing replica (A/B) ==")
 	fmt.Println("   (2-node cluster, every replica group is both nodes: pulsing the")
 	fmt.Println("    non-coordinator slow stalls each phase at quorum-minus-one, which")
-	fmt.Println("    is the hedge trigger; virtual-time latencies, deterministic per seed)")
+	fmt.Println("    is the hedge trigger; \"off\" is the fixed-deadline coordinator, every")
+	fmt.Println("    peer deadline pinned to OpTimeout; virtual-time latencies, deterministic")
+	fmt.Println("    per seed)")
 	fmt.Println()
 	r := experiments.HedgeBench(seed, experiments.HedgeBenchConfig{})
 	fmt.Printf("%10s  %8s  %12s  %12s  %12s\n", "Hedging", "Ops", "P50", "P99", "Max")

@@ -41,8 +41,7 @@ func main() {
 		monitorS   = flag.String("monitor", "", "monitor server address")
 		webS       = flag.String("web", "", "web UI listen address (empty: disabled)")
 		replicas   = flag.Int("replication", 3, "replication degree")
-		compress   = flag.Bool("compress", false, "zlib-compress network messages (selects the gob+zlib wire codec)")
-		wireCodec  = flag.String("wire-codec", "", fmt.Sprintf("wire codec backend: %s (empty: binary, or gob+zlib with -compress)", strings.Join(network.CodecNames(), " | ")))
+		wireCodec  = flag.String("wire-codec", "", fmt.Sprintf("wire codec backend: %s (empty: binary)", strings.Join(network.CodecNames(), " | ")))
 		pprofOn    = flag.Bool("pprof", false, "expose /debug/pprof/ on the web listener")
 		traceEvery = flag.Int("trace-sample", 64, "trace one operation in N (rounded up to a power of two; 1: every op, 0: tracing off)")
 
@@ -98,9 +97,8 @@ func main() {
 		if _, ok := network.CodecByName(*wireCodec); !ok {
 			fatal(fmt.Errorf("unknown -wire-codec %q (have: %s)", *wireCodec, strings.Join(network.CodecNames(), ", ")))
 		}
-		cfg.WireCodec = *wireCodec
 	}
-	env := cats.TCPEnv{Compress: *compress, WireCodec: *wireCodec}
+	env := cats.TCPEnv{WireCodec: *wireCodec}
 	rt := core.New()
 	peer := cats.NewPeer(env, cfg)
 	rt.MustBootstrap("CatsNodeMain", core.SetupFunc(func(ctx *core.Ctx) {

@@ -60,44 +60,9 @@ var PutGetPortType = core.NewPortType("PutGet",
 // Replica wire messages. Every quorum phase carries the coordinator's
 // group-view epoch; replicas refuse epochs behind their own (consistent
 // quorums: an attempt's acks all come from one epoch, never straddling two
-// memberships) and acks echo the epoch they were served in.
-
-type readMsg struct {
-	network.Header
-	tracing.Context
-	OpID    uint64
-	Attempt int
-	Epoch   uint64
-	Key     string
-}
-
-type readAckMsg struct {
-	network.Header
-	OpID    uint64
-	Attempt int
-	Epoch   uint64
-	Version Version
-	Value   []byte
-	Found   bool
-}
-
-type writeMsg struct {
-	network.Header
-	tracing.Context
-	OpID    uint64
-	Attempt int
-	Epoch   uint64
-	Key     string
-	Version Version
-	Value   []byte
-}
-
-type writeAckMsg struct {
-	network.Header
-	OpID    uint64
-	Attempt int
-	Epoch   uint64
-}
+// memberships) and acks echo the epoch they were served in. Phases and
+// acks travel in opBatchMsg/opBatchAckMsg (batch.go); refusals are
+// individual.
 
 // nackMsg refuses a quorum phase. Busy means the replica cannot serve
 // right now; with RetryAfter zero it is mid-handoff (state for the new
@@ -116,10 +81,6 @@ type nackMsg struct {
 }
 
 func init() {
-	network.Register(readMsg{})
-	network.Register(readAckMsg{})
-	network.Register(writeMsg{})
-	network.Register(writeAckMsg{})
 	network.Register(nackMsg{})
 }
 
@@ -221,33 +182,22 @@ type Config struct {
 	// one store between the replica and its handoff component; nil creates
 	// a private store (tests).
 	Store *kvstore.Store
-	// NoCoalesce disables quorum coalescing: every phase goes out as its
-	// own single-op message immediately. Exists for A/B benchmarking and
-	// protocol-level tests of the uncoalesced flow.
-	NoCoalesce bool
 
 	// DeadlineFloor and DeadlineCeil clamp the adaptive per-peer deadline
 	// (defaults OpTimeout/20 and OpTimeout). The ceiling doubles as the
 	// attempt budget for groups with no latency history, so a fresh
-	// coordinator behaves exactly like the old fixed-timeout one.
+	// coordinator behaves exactly like the old fixed-timeout one. A floor
+	// equal to the ceiling IS the fixed-timeout coordinator: every peer
+	// deadline is the ceiling, the hedge checkpoint (a third of the budget)
+	// is never past it, and no hedge can fire.
 	DeadlineFloor time.Duration
 	DeadlineCeil  time.Duration
-	// NoHedge disables hedged quorum phases (A/B benchmarking).
-	NoHedge bool
 
-	// Replica-side admission control. ShedServeRate caps quorum phases
-	// served per ShedWindow (default 10ms); past the cap the replica sheds
-	// with Busy{RetryAfter: ShedRetryAfter} nacks (default OpTimeout/20).
-	// ShedBacklog sheds when the runtime scheduler reports more than this
-	// many components queued; ShedWALBacklog sheds when a durable store's
-	// un-fsynced WAL bytes exceed it. Zero disables each signal — the
-	// defaults are conservative because shedding healthy traffic is worse
-	// than queueing it.
-	ShedServeRate  int
-	ShedWindow     time.Duration
-	ShedRetryAfter time.Duration
-	ShedBacklog    int
-	ShedWALBacklog int64
+	// ShedServeRate is replica-side admission control: it caps the quorum
+	// phases served per shedWindow, and past the cap the replica sheds
+	// with Busy{RetryAfter: OpTimeout/20} nacks. Zero (the default) never
+	// sheds — shedding healthy traffic is worse than queueing it.
+	ShedServeRate int
 }
 
 func (c *Config) applyDefaults() {
@@ -268,12 +218,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.DeadlineFloor > c.DeadlineCeil {
 		c.DeadlineFloor = c.DeadlineCeil
-	}
-	if c.ShedWindow <= 0 {
-		c.ShedWindow = 10 * time.Millisecond
-	}
-	if c.ShedRetryAfter <= 0 {
-		c.ShedRetryAfter = c.OpTimeout / 20
 	}
 }
 
@@ -409,10 +353,6 @@ func (a *ABD) Setup(ctx *core.Ctx) {
 	core.Subscribe(ctx, a.rout, a.handleFound)
 	core.Subscribe(ctx, a.hop, a.handleSyncStarted)
 	core.Subscribe(ctx, a.hop, a.handleSynced)
-	core.Subscribe(ctx, a.net, a.handleRead)
-	core.Subscribe(ctx, a.net, a.handleReadAck)
-	core.Subscribe(ctx, a.net, a.handleWrite)
-	core.Subscribe(ctx, a.net, a.handleWriteAck)
 	core.Subscribe(ctx, a.net, a.handleNack)
 	core.Subscribe(ctx, a.net, a.handleOpBatch)
 	core.Subscribe(ctx, a.net, a.handleOpBatchAck)
@@ -443,12 +383,6 @@ func (a *ABD) Epoch() uint64 { return a.localEpoch }
 // Syncing reports whether the replica is inside a handoff sync window —
 // refusing quorum phases with Busy nacks (tests and benchmark settling).
 func (a *ABD) Syncing() bool { return a.syncing }
-
-// BatchStats returns coalescing counters: multi-op frames flushed by this
-// coordinator and the quorum phases they carried.
-func (a *ABD) BatchStats() (batches, batchedOps uint64) {
-	return a.statBatchesSent, a.statBatchedOps
-}
 
 // InFlight returns the number of operations currently executing.
 func (a *ABD) InFlight() int { return len(a.ops) }
@@ -573,12 +507,6 @@ func (a *ABD) handleFound(f router.FoundSuccessor) {
 	}
 }
 
-// handleReadAck feeds a legacy single-op read ack into the quorum state
-// machine; batch acks arrive through handleOpBatchAck and share ingest.
-func (a *ABD) handleReadAck(m readAckMsg) {
-	a.ingestReadAck(m.Source(), m.OpID, m.Attempt, m.Version, m.Value, m.Found)
-}
-
 // ingestReadAck collects the read quorum, then imposes the chosen
 // version+value in phase 2.
 func (a *ABD) ingestReadAck(src network.Address, opID uint64, attempt int, version Version, value []byte, found bool) {
@@ -643,12 +571,6 @@ func (a *ABD) ingestReadAck(src network.Address, opID uint64, attempt int, versi
 			Value:   val,
 		})
 	}
-}
-
-// handleWriteAck feeds a legacy single-op write ack into the quorum state
-// machine; batch acks arrive through handleOpBatchAck and share ingest.
-func (a *ABD) handleWriteAck(m writeAckMsg) {
-	a.ingestWriteAck(m.Source(), m.OpID, m.Attempt)
 }
 
 // ingestWriteAck collects the write quorum and completes the operation.
@@ -827,7 +749,7 @@ func (a *ABD) serveEpoch(m network.Message, tc tracing.Context, kind string, opI
 		a.recordServe(tc, kind, opID, attempt, "shed")
 		a.ctx.Trigger(nackMsg{
 			Header: network.Reply(m), OpID: opID, Attempt: attempt,
-			Epoch: a.localEpoch, Busy: true, RetryAfter: a.cfg.ShedRetryAfter,
+			Epoch: a.localEpoch, Busy: true, RetryAfter: a.cfg.OpTimeout / shedRetryDiv,
 		}, a.net)
 		return false
 	}
@@ -836,39 +758,4 @@ func (a *ABD) serveEpoch(m network.Message, tc tracing.Context, kind string, opI
 		a.localEpoch = epoch
 	}
 	return true
-}
-
-func (a *ABD) handleRead(m readMsg) {
-	if !a.serveEpoch(m, m.Context, "serve.read", m.OpID, m.Attempt, m.Epoch) {
-		return
-	}
-	ver, val, found := a.store.Read(m.Key)
-	a.recordServe(m.Context, "serve.read", m.OpID, m.Attempt, "ok")
-	a.ctx.Trigger(readAckMsg{
-		Header:  network.Reply(m),
-		OpID:    m.OpID,
-		Attempt: m.Attempt,
-		Epoch:   a.localEpoch,
-		Version: ver,
-		Value:   val,
-		Found:   found,
-	}, a.net)
-}
-
-func (a *ABD) handleWrite(m writeMsg) {
-	if !a.serveEpoch(m, m.Context, "serve.write", m.OpID, m.Attempt, m.Epoch) {
-		return
-	}
-	// The ack is the durability promise: on a durable store ApplyDurable
-	// returns only after the write is in the shard's WAL (fsynced under
-	// sync=always). A WAL failure therefore withholds the ack — the
-	// coordinator retries or fails the op, but never reports a write
-	// stored that a restart would lose.
-	if _, err := a.store.ApplyDurable(m.Key, m.Version, m.Value); err != nil {
-		a.recordServe(m.Context, "serve.write", m.OpID, m.Attempt, "wal-error")
-		a.ctx.Log().Warn("abd: wal append failed; write not acked", "key", m.Key, "err", err)
-		return
-	}
-	a.recordServe(m.Context, "serve.write", m.OpID, m.Attempt, "ok")
-	a.ctx.Trigger(writeAckMsg{Header: network.Reply(m), OpID: m.OpID, Attempt: m.Attempt, Epoch: a.localEpoch}, a.net)
 }

@@ -288,8 +288,8 @@ func TestUnanimousReadSkipsImposeRound(t *testing.T) {
 	if len(nodes[1].gets) != 1 || string(nodes[1].gets[0].Value) != "v1" {
 		t.Fatalf("get: %+v", nodes[1].gets)
 	}
-	// One-round read: 3 readMsg + up to 3 readAck = at most 6 messages
-	// (no writeMsg/writeAck round).
+	// One-round read: 3 single-phase read frames + up to 3 acks = at most
+	// 6 messages (no impose round).
 	if delta := messageCount(nodes) - before; delta > 6 {
 		t.Fatalf("unanimous read used %d messages, want <= 6 (impose skipped)", delta)
 	}

@@ -35,6 +35,17 @@ const (
 	// fires at budget/hedgeStageDiv as the hedge checkpoint, then re-arms
 	// for the remainder as the retry deadline.
 	hedgeStageDiv = 3
+	// shedWindow is the accounting window of the replica's serve-rate cap
+	// (Config.ShedServeRate phases per window).
+	shedWindow = 10 * time.Millisecond
+	// shedRetryDiv derives a shed nack's retry-after hint from the
+	// coordinator-visible timescale: OpTimeout/shedRetryDiv, the same
+	// fraction as the default deadline floor. Coupled to shedWindow: the
+	// coordinator re-offers as early as ¾ of the hint, which reaches a
+	// fresh serve window only while OpTimeout·¾/shedRetryDiv >= shedWindow,
+	// i.e. OpTimeout >= 267 ms (the smallest configured anywhere is
+	// 500 ms). Below that a re-offer can be shed once more before it lands.
+	shedRetryDiv = 20
 )
 
 // peerStat is the coordinator's latency estimator for one replica.
@@ -227,7 +238,7 @@ func (a *ABD) countAck(o *op, src network.Address) bool {
 // duplicate is discarded by countAck's per-replica dedup, and epochs
 // still gate the duplicate per op on the replica.
 func (a *ABD) maybeHedge(o *op) {
-	if a.cfg.NoHedge || o.hedged || len(o.group) == 0 {
+	if o.hedged || len(o.group) == 0 {
 		return
 	}
 	var acks int
@@ -373,29 +384,16 @@ func (a *ABD) handleBackoff(t backoffTimeout) {
 	a.beginAttempt(o)
 }
 
-// shouldShed consults the replica's local pressure signals ahead of
-// serving a quorum phase: a serve-rate cap per accounting window, the
-// runtime scheduler's queued-component backlog, and — on durable stores —
-// the WAL fsync backlog. Any signal over its threshold sheds the phase
-// with a Busy{RetryAfter} nack instead of queueing it unboundedly.
+// shouldShed applies the replica's admission control ahead of serving a
+// quorum phase: past ShedServeRate serves in the current shedWindow the
+// phase is shed with a Busy{RetryAfter} nack instead of queued unboundedly.
 func (a *ABD) shouldShed() bool {
-	if a.cfg.ShedServeRate > 0 {
-		now := a.ctx.Now()
-		if now.Sub(a.shedWinStart) >= a.cfg.ShedWindow {
-			a.shedWinStart, a.shedServed = now, 0
-		}
-		if a.shedServed >= a.cfg.ShedServeRate {
-			return true
-		}
+	if a.cfg.ShedServeRate <= 0 {
+		return false
 	}
-	if a.cfg.ShedBacklog > 0 {
-		if b, ok := a.ctx.Runtime().Scheduler().(interface{ Backlog() int64 }); ok &&
-			b.Backlog() > int64(a.cfg.ShedBacklog) {
-			return true
-		}
+	now := a.ctx.Now()
+	if now.Sub(a.shedWinStart) >= shedWindow {
+		a.shedWinStart, a.shedServed = now, 0
 	}
-	if a.cfg.ShedWALBacklog > 0 && a.store.SyncBacklog() > a.cfg.ShedWALBacklog {
-		return true
-	}
-	return false
+	return a.shedServed >= a.cfg.ShedServeRate
 }

@@ -6,17 +6,20 @@ import (
 	"repro/internal/tracing"
 )
 
-// Quorum coalescing. A coordinator under load runs many operations against
-// the same replica set concurrently; sending each read/impose phase as its
-// own frame pays per-message codec and transport overhead N times for
-// traffic that is all going to the same peers. Instead the coordinator
-// queues phases into per-peer batches and flushes them on a zero-delay
-// timer event: every phase generated while the flush event sits in the
-// component's queue rides in the same frame, mirroring the per-worker
-// fanoutBatch idiom in the forwarding layer. Replicas serve a batch in one
-// handler execution and ack all served ops in one reply; the epoch gate
-// stays strictly per-op, so a stale operation inside a batch nacks
-// individually while the rest of the batch acks.
+// The quorum wire protocol: opBatchMsg carries phases to a replica,
+// opBatchAckMsg carries its acks back, and there is no other request or ack
+// type. A coordinator under load runs many operations against the same
+// replica set concurrently; sending each read/impose phase as its own frame
+// would pay per-message codec and transport overhead N times for traffic
+// that is all going to the same peers. So the coordinator queues phases
+// into per-peer batches and flushes them on a zero-delay timer event: every
+// phase generated while the flush event sits in the component's queue rides
+// in the same frame, mirroring the per-worker fanoutBatch idiom in the
+// forwarding layer. An idle coordinator's frame holds one phase; it is
+// sent, served, acked and counted like any other batch. Replicas serve a
+// batch in one handler execution and ack all served ops in one reply; the
+// epoch gate stays strictly per-op, so a stale operation inside a batch
+// nacks individually while the rest of the batch acks.
 
 // readPhase is one coalesced phase-1 query. The embedded trace context is
 // per-op: each sampled operation inside a batch keeps its own identity.
@@ -40,10 +43,9 @@ type writePhase struct {
 }
 
 // opBatchMsg carries every phase a coordinator owed one replica at flush
-// time. Batches of one downgrade to the legacy readMsg/writeMsg instead.
-// The envelope's trace context is the first sampled entry's — it annotates
-// the transport frame (net.send spans) without the transport having to
-// look inside the batch.
+// time. The envelope's trace context is the first sampled entry's — it
+// annotates the transport frame (net.send spans) without the transport
+// having to look inside the batch.
 type opBatchMsg struct {
 	network.Header
 	tracing.Context
@@ -119,83 +121,25 @@ func (a *ABD) pendFor(dst network.Address) *peerBatch {
 	return b
 }
 
-// sendRead dispatches one phase-1 query to dst: immediately as a legacy
-// readMsg when coalescing is off, else into dst's pending batch.
+// sendRead queues one phase-1 query into dst's pending batch.
 func (a *ABD) sendRead(dst network.Address, r readPhase) {
-	if a.cfg.NoCoalesce {
-		a.ctx.Trigger(readMsg{
-			Header:  network.NewHeader(a.cfg.Self.Addr, dst),
-			Context: r.Context,
-			OpID:    r.OpID,
-			Attempt: r.Attempt,
-			Epoch:   r.Epoch,
-			Key:     r.Key,
-		}, a.net)
-		return
-	}
 	b := a.pendFor(dst)
 	b.reads = append(b.reads, r)
 }
 
-// sendWrite dispatches one phase-2 impose to dst.
+// sendWrite queues one phase-2 impose into dst's pending batch.
 func (a *ABD) sendWrite(dst network.Address, w writePhase) {
-	if a.cfg.NoCoalesce {
-		a.ctx.Trigger(writeMsg{
-			Header:  network.NewHeader(a.cfg.Self.Addr, dst),
-			Context: w.Context,
-			OpID:    w.OpID,
-			Attempt: w.Attempt,
-			Epoch:   w.Epoch,
-			Key:     w.Key,
-			Version: w.Version,
-			Value:   w.Value,
-		}, a.net)
-		return
-	}
 	b := a.pendFor(dst)
 	b.writes = append(b.writes, w)
 }
 
-// handleFlush drains every pending batch, one frame per peer. A batch
-// carrying a single phase downgrades to the legacy single-op message: the
-// batch envelope buys nothing there, and single-op flows (and their message
-// counts, which tests pin) stay byte-for-byte identical to the uncoalesced
-// protocol.
+// handleFlush drains every pending batch, one frame per peer.
 func (a *ABD) handleFlush(flushTimeout) {
 	a.flushArmed = false
 	for _, dst := range a.pendOrder {
 		b := a.pend[dst]
 		delete(a.pend, dst)
 		n := len(b.reads) + len(b.writes)
-		if n == 0 {
-			continue
-		}
-		if n == 1 {
-			if len(b.reads) == 1 {
-				r := b.reads[0]
-				a.ctx.Trigger(readMsg{
-					Header:  network.NewHeader(a.cfg.Self.Addr, dst),
-					Context: r.Context,
-					OpID:    r.OpID,
-					Attempt: r.Attempt,
-					Epoch:   r.Epoch,
-					Key:     r.Key,
-				}, a.net)
-			} else {
-				w := b.writes[0]
-				a.ctx.Trigger(writeMsg{
-					Header:  network.NewHeader(a.cfg.Self.Addr, dst),
-					Context: w.Context,
-					OpID:    w.OpID,
-					Attempt: w.Attempt,
-					Epoch:   w.Epoch,
-					Key:     w.Key,
-					Version: w.Version,
-					Value:   w.Value,
-				}, a.net)
-			}
-			continue
-		}
 		a.statBatchesSent++
 		a.statBatchedOps += uint64(n)
 		observeBatch(n)
@@ -228,10 +172,10 @@ func (a *ABD) handleFlush(flushTimeout) {
 
 // --- replica side ---------------------------------------------------------------
 
-// handleOpBatch serves a coalesced frame. Every op passes the epoch gate
-// individually: stale or mid-sync ops nack alone through the legacy
-// nackMsg path, the rest are served and acknowledged together in one
-// opBatchAckMsg. Serving merges newer epochs as it goes, so ops later in
+// handleOpBatch serves a quorum frame. Every op passes the epoch gate
+// individually: stale, mid-sync or shed ops nack alone through nackMsg,
+// the rest are served and acknowledged together in one opBatchAckMsg.
+// Serving merges newer epochs as it goes, so ops later in
 // the batch are gated against the freshest view the batch itself revealed.
 func (a *ABD) handleOpBatch(m opBatchMsg) {
 	var readAcks []readAckEntry
@@ -254,9 +198,11 @@ func (a *ABD) handleOpBatch(m opBatchMsg) {
 		if !a.serveEpoch(m, w.Context, "serve.write", w.OpID, w.Attempt, w.Epoch) {
 			continue
 		}
-		// Same durability gate as the unbatched path: no WAL append, no
-		// ack entry — the op times out at the coordinator instead of
-		// being acked un-durably.
+		// The ack entry is the durability promise: on a durable store
+		// ApplyDurable returns only after the write is in the shard's WAL
+		// (fsynced under sync=always). No WAL append, no ack entry — the
+		// coordinator retries or fails the op, but never reports a write
+		// stored that a restart would lose.
 		if _, err := a.store.ApplyDurable(w.Key, w.Version, w.Value); err != nil {
 			a.recordServe(w.Context, "serve.write", w.OpID, w.Attempt, "wal-error")
 			a.ctx.Log().Warn("abd: wal append failed; batched write not acked", "key", w.Key, "err", err)

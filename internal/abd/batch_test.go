@@ -174,7 +174,7 @@ func TestBatchAllStaleNoAck(t *testing.T) {
 
 // TestBatchBusyMidSyncNacksIndividually: a frame arriving inside a sync
 // window is refused Busy per op — the coordinator learns about each op
-// separately, exactly as with single-op messages.
+// separately.
 func TestBatchBusyMidSyncNacksIndividually(t *testing.T) {
 	sim, _, nodes, probe := newBatchWorld(t, 3, 43)
 	r := nodes[0]
@@ -228,9 +228,15 @@ func TestCoordinatorCoalescesConcurrentOps(t *testing.T) {
 			t.Fatalf("put failed: %+v", p)
 		}
 	}
-	batches, batched := coord.ABD.BatchStats()
-	if batches == 0 || batched < 2 {
-		t.Fatalf("burst of %d ops coalesced nothing: batches=%d ops=%d", ops, batches, batched)
+	// Every put sends one read and one impose phase to each replica. Fully
+	// coalesced, the burst costs one frame per replica per phase; a
+	// coordinator that flushed per phase would send one frame per phase.
+	batches, batched := coord.ABD.statBatchesSent, coord.ABD.statBatchedOps
+	if want := uint64(2 * len(nodes) * ops); batched != want {
+		t.Fatalf("burst of %d ops sent %d phases, want %d", ops, batched, want)
+	}
+	if max := uint64(2 * len(nodes)); batches > max {
+		t.Fatalf("burst of %d ops rode %d frames, want at most %d (one per replica per phase)", ops, batches, max)
 	}
 	// Reads see the writes through the same coalesced path.
 	sim.ScheduleAt(0, "test:verify", func() {
@@ -246,41 +252,6 @@ func TestCoordinatorCoalescesConcurrentOps(t *testing.T) {
 		if g.Err != "" || !g.Found {
 			t.Fatalf("get %d failed: %+v", i, g)
 		}
-	}
-}
-
-// TestNoCoalesceMatchesLegacyFlow: with the knob off, bursts still resolve
-// and no batch frames are ever sent.
-func TestNoCoalesceMatchesLegacyFlow(t *testing.T) {
-	sim := simulation.New(45)
-	emu := simulation.NewNetworkEmulator(sim,
-		simulation.WithLatency(simulation.ConstantLatency(2*time.Millisecond)))
-	group := []ident.NodeRef{nodeRef(1), nodeRef(2), nodeRef(3)}
-	nodes := make([]*epochNode, 3)
-	for i := range nodes {
-		nodes[i] = &epochNode{self: group[i], group: group, sim: sim, emu: emu}
-	}
-	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
-		for i, nd := range nodes {
-			ctx.Create(fmt.Sprintf("n%d", i+1), nd)
-		}
-	}))
-	sim.Settle()
-	// Flip the knob before any traffic: the config is read per send.
-	for _, nd := range nodes {
-		nd.ABD.cfg.NoCoalesce = true
-	}
-	sim.ScheduleAt(0, "test:burst", func() {
-		for i := 0; i < 8; i++ {
-			nodes[0].put(uint64(i+1), fmt.Sprintf("k%d", i), "v")
-		}
-	})
-	sim.Run(5 * time.Second)
-	if len(nodes[0].puts) != 8 {
-		t.Fatalf("resolved %d puts, want 8", len(nodes[0].puts))
-	}
-	if batches, _ := nodes[0].ABD.BatchStats(); batches != 0 {
-		t.Fatalf("NoCoalesce coordinator sent %d batch frames", batches)
 	}
 }
 
@@ -336,19 +307,21 @@ func TestBatchChurnStress(t *testing.T) {
 	sim.Run(25 * time.Second)
 
 	resolved := 0
-	batches := uint64(0)
+	batches, batched := uint64(0), uint64(0)
 	for i, nd := range nodes {
 		resolved += len(nd.puts) + len(nd.gets)
 		if nd.ABD.InFlight() != 0 {
 			t.Errorf("node %d leaked %d in-flight ops", i+1, nd.ABD.InFlight())
 		}
-		b, _ := nd.ABD.BatchStats()
-		batches += b
+		batches += nd.ABD.statBatchesSent
+		batched += nd.ABD.statBatchedOps
 	}
 	if resolved != total {
 		t.Fatalf("resolved %d of %d ops", resolved, total)
 	}
-	if batches == 0 {
-		t.Fatal("stress run never coalesced a batch")
+	// Bursts are six ops wide; a coordinator that flushed per phase would
+	// average exactly one phase per frame.
+	if batched < 2*batches {
+		t.Fatalf("stress run barely coalesced: %d phases in %d frames", batched, batches)
 	}
 }

@@ -96,8 +96,10 @@ type ackRecord struct {
 }
 
 // wireProbe is a bare network endpoint that speaks the replica wire
-// protocol directly and records the full answer stream — the
-// KompicsTesting-style harness for the epoch-ordering assertion.
+// protocol directly — one-entry opBatchMsg frames out, opBatchAckMsg and
+// nackMsg back — and records the full answer stream, one record per acked
+// or refused op: the KompicsTesting-style harness for the epoch-ordering
+// assertion.
 type wireProbe struct {
 	self network.Address
 	emu  *simulation.NetworkEmulator
@@ -110,11 +112,13 @@ type wireProbe struct {
 func (p *wireProbe) Setup(ctx *core.Ctx) {
 	p.ctx = ctx
 	p.net = ctx.Requires(network.PortType)
-	core.Subscribe(ctx, p.net, func(m readAckMsg) {
-		p.acks = append(p.acks, ackRecord{kind: "readAck", epoch: m.Epoch, opID: m.OpID})
-	})
-	core.Subscribe(ctx, p.net, func(m writeAckMsg) {
-		p.acks = append(p.acks, ackRecord{kind: "writeAck", epoch: m.Epoch, opID: m.OpID})
+	core.Subscribe(ctx, p.net, func(m opBatchAckMsg) {
+		for _, a := range m.ReadAcks {
+			p.acks = append(p.acks, ackRecord{kind: "readAck", epoch: m.Epoch, opID: a.OpID})
+		}
+		for _, a := range m.WriteAcks {
+			p.acks = append(p.acks, ackRecord{kind: "writeAck", epoch: m.Epoch, opID: a.OpID})
+		}
 	})
 	core.Subscribe(ctx, p.net, func(m nackMsg) {
 		p.acks = append(p.acks, ackRecord{kind: "nack", epoch: m.Epoch, opID: m.OpID, busy: m.Busy, retryAfter: m.RetryAfter})
@@ -122,17 +126,19 @@ func (p *wireProbe) Setup(ctx *core.Ctx) {
 }
 
 func (p *wireProbe) write(to network.Address, opID, epoch uint64, key, val string) {
-	p.ctx.Trigger(writeMsg{
+	p.ctx.Trigger(opBatchMsg{
 		Header: network.NewHeader(p.self, to),
-		OpID:   opID, Attempt: 1, Epoch: epoch,
-		Key: key, Version: Version{Seq: opID, Writer: 999}, Value: []byte(val),
+		Writes: []writePhase{{
+			OpID: opID, Attempt: 1, Epoch: epoch,
+			Key: key, Version: Version{Seq: opID, Writer: 999}, Value: []byte(val),
+		}},
 	}, p.net)
 }
 
 func (p *wireProbe) read(to network.Address, opID, epoch uint64, key string) {
-	p.ctx.Trigger(readMsg{
+	p.ctx.Trigger(opBatchMsg{
 		Header: network.NewHeader(p.self, to),
-		OpID:   opID, Attempt: 1, Epoch: epoch, Key: key,
+		Reads:  []readPhase{{OpID: opID, Attempt: 1, Epoch: epoch, Key: key}},
 	}, p.net)
 }
 

@@ -67,11 +67,11 @@ func TestHedgeFiresOnStalledQuorumPhase(t *testing.T) {
 	}
 }
 
-// TestNoHedgeBelowQuorumMinusOne pins the quorum-minus-one gate: with TWO
+// TestHedgeNotBelowQuorumMinusOne pins the quorum-minus-one gate: with TWO
 // acks missing (5 replicas, quorum 3, only the self ack in), the
 // checkpoint must NOT hedge — a hedge fills a single straggler's hole, it
 // is not a retry mechanism for a missing quorum.
-func TestNoHedgeBelowQuorumMinusOne(t *testing.T) {
+func TestHedgeNotBelowQuorumMinusOne(t *testing.T) {
 	sim, emu, nodes := newABDWorld(t, 5, 42)
 	coord := nodes[0]
 	warmEstimators(sim, coord, "k", 10)
@@ -94,11 +94,11 @@ func TestNoHedgeBelowQuorumMinusOne(t *testing.T) {
 	}
 }
 
-// TestNoHedgeBeforeAdaptiveDeadline pins the p99-overrun gate: a cold
+// TestHedgeNotBeforeAdaptiveDeadline pins the p99-overrun gate: a cold
 // coordinator (no latency history) keeps the ceiling deadline, so a
 // straggler that would trigger a warmed coordinator's hedge is simply
 // waited out — hedging needs evidence, not just a stall.
-func TestNoHedgeBeforeAdaptiveDeadline(t *testing.T) {
+func TestHedgeNotBeforeAdaptiveDeadline(t *testing.T) {
 	sim, emu, nodes := newABDWorld(t, 3, 43)
 	coord := nodes[0]
 	// No warm-up: estimators empty, per-peer deadline = ceiling (300ms).
@@ -112,6 +112,53 @@ func TestNoHedgeBeforeAdaptiveDeadline(t *testing.T) {
 	}
 	if len(coord.puts) != 1 || coord.puts[0].Err != "" {
 		t.Fatalf("put: %+v", coord.puts)
+	}
+}
+
+// TestFixedDeadlineNeverHedges pins the hedge bench's reference arm, the
+// fixed-deadline coordinator: with DeadlineFloor = DeadlineCeil = OpTimeout
+// every peer deadline is the whole attempt budget, so the hedge checkpoint
+// (a third of it) is never past a straggler's deadline. The warmed
+// coordinator and the pulse that hedge in
+// TestHedgeFiresOnStalledQuorumPhase wait the stragglers out here: the
+// read sits at quorum-minus-one for most of the attempt and completes on
+// the late original ack, without a hedge and without a retry.
+func TestFixedDeadlineNeverHedges(t *testing.T) {
+	sim, emu, nodes := newABDWorldCfg(t, 3, 41, func(c *Config) {
+		c.DeadlineFloor, c.DeadlineCeil = c.OpTimeout, c.OpTimeout
+	})
+	coord := nodes[0]
+	warmEstimators(sim, coord, "k", 10)
+	preGets := len(coord.gets)
+
+	// Phases sent inside the 5ms window reach the remote replicas 250ms
+	// late; the attempt budget is 300ms and its checkpoint fires at 100ms.
+	emu.SlowNode(nodes[1].self.Addr, 250*time.Millisecond, 5*time.Millisecond)
+	emu.SlowNode(nodes[2].self.Addr, 250*time.Millisecond, 5*time.Millisecond)
+	coord.get(1, "k")
+	sim.Run(200 * time.Millisecond)
+	if len(coord.gets) != preGets {
+		t.Fatalf("get completed %d times while both remote replicas were stalled", len(coord.gets)-preGets)
+	}
+	for _, o := range coord.ABD.ops {
+		if o.phase != phaseRead || o.readAcks != o.quorum-1 || !o.hedgeChecked {
+			t.Fatalf("past the checkpoint: phase=%d readAcks=%d hedgeChecked=%v, want the read phase at quorum-1, checkpoint taken",
+				o.phase, o.readAcks, o.hedgeChecked)
+		}
+	}
+	sim.Run(time.Second)
+
+	if coord.ABD.statHedges != 0 {
+		t.Fatalf("fixed-deadline coordinator hedged %d times, want 0", coord.ABD.statHedges)
+	}
+	if len(coord.gets) != preGets+1 {
+		t.Fatalf("gets=%d, want %d", len(coord.gets), preGets+1)
+	}
+	if g := coord.gets[len(coord.gets)-1]; g.Err != "" || string(g.Value) != "warm-seed" {
+		t.Fatalf("get completed on the late ack: %+v", g)
+	}
+	if _, _, retries, failures := coord.ABD.Stats(); retries != 0 || failures != 0 {
+		t.Fatalf("late ack arrived inside the attempt, yet retries=%d failures=%d", retries, failures)
 	}
 }
 
@@ -167,14 +214,17 @@ func TestShedBusyRedeliveryConverges(t *testing.T) {
 }
 
 // TestShedNackCarriesRetryAfterAndEpochsStayMonotone drives a replica at
-// the wire level: the shed answer must be a Busy nack carrying a positive
-// RetryAfter hint, a re-offer after the hint must succeed, and the
-// replica's ack stream stays epoch-monotone across shed/redeliver cycles
-// and an interleaved view change.
+// the wire level: the shed answer must be a Busy nack whose RetryAfter hint
+// is the derived OpTimeout/20, a re-offer at the earliest instant of the
+// coordinator's ±25% jitter window around that hint must be served (it
+// lands in a fresh serve window), and the replica's ack stream stays
+// epoch-monotone across shed/redeliver cycles and an interleaved view
+// change.
 func TestShedNackCarriesRetryAfterAndEpochsStayMonotone(t *testing.T) {
+	var hint time.Duration
 	sim, _, nodes, probe := newEpochWorldCfg(t, 3, 45, func(c *Config) {
 		c.ShedServeRate = 1
-		c.ShedRetryAfter = 20 * time.Millisecond
+		hint = c.OpTimeout / 20
 	})
 	replica := nodes[0].self.Addr
 
@@ -182,7 +232,7 @@ func TestShedNackCarriesRetryAfterAndEpochsStayMonotone(t *testing.T) {
 	// second shed.
 	probe.write(replica, 1, 0, "k", "v1")
 	probe.write(replica, 2, 0, "k", "v2")
-	sim.Run(50 * time.Millisecond)
+	sim.Run(5 * time.Millisecond) // one 2ms+2ms round trip
 	if len(probe.acks) != 2 {
 		t.Fatalf("answer stream has %d records, want 2: %+v", len(probe.acks), probe.acks)
 	}
@@ -193,15 +243,16 @@ func TestShedNackCarriesRetryAfterAndEpochsStayMonotone(t *testing.T) {
 	if shed.kind != "nack" || !shed.busy {
 		t.Fatalf("over-rate phase: %+v, want busy nack", shed)
 	}
-	if shed.retryAfter != 20*time.Millisecond {
-		t.Fatalf("shed RetryAfter=%v, want the configured 20ms", shed.retryAfter)
+	if shed.retryAfter != hint {
+		t.Fatalf("shed RetryAfter=%v, want OpTimeout/20 = %v", shed.retryAfter, hint)
 	}
 
 	// The replica moves to a new view, then the shed write is re-offered
-	// (the coordinator's redelivery) in the new epoch: it must be served.
+	// in the new epoch as early as the coordinator's jittered redelivery
+	// can (hint·¾): it must be served.
 	nodes[0].syncWindow(4, 1, true)
 	sim.Settle()
-	sim.ScheduleAt(30*time.Millisecond, "test:redeliver", func() {
+	sim.ScheduleAt(hint*3/4, "test:redeliver", func() {
 		probe.write(replica, 2, 4, "k", "v2")
 	})
 	sim.Run(time.Second)

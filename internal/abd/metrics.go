@@ -18,8 +18,7 @@ import (
 )
 
 // batchSizeBuckets are the histogram upper bounds: batches of size
-// ≤2, ≤4, … ≤64, +Inf. Size-1 batches never exist — they downgrade to
-// legacy single-op messages before sending.
+// ≤2 (an idle coordinator's frames hold one phase), ≤4, … ≤64, +Inf.
 var batchSizeBuckets = [...]uint64{2, 4, 8, 16, 32, 64}
 
 var (
@@ -69,7 +68,7 @@ func GlobalResilienceMetrics() ResilienceMetrics {
 	}
 }
 
-// observeBatch records one flushed multi-op frame of n ops.
+// observeBatch records one flushed quorum frame of n phases.
 func observeBatch(n int) {
 	batchesTotal.Add(1)
 	batchedOpsTotal.Add(uint64(n))
@@ -82,7 +81,8 @@ func observeBatch(n int) {
 
 // BatchMetrics is a snapshot of the process-wide coalescing counters.
 type BatchMetrics struct {
-	// Batches is the number of multi-op frames flushed.
+	// Batches is the number of quorum frames flushed, single-phase ones
+	// included.
 	Batches uint64
 	// BatchedOps is the number of quorum phases carried in those frames.
 	BatchedOps uint64
@@ -182,11 +182,11 @@ func writePhaseMetrics(m *web.MetricsWriter) {
 func init() {
 	web.RegisterMetricsSource("abd", func(m *web.MetricsWriter) {
 		s := GlobalBatchMetrics()
-		m.Header("cats_abd_batches_total", "counter", "Coalesced multi-op quorum frames flushed.")
+		m.Header("cats_abd_batches_total", "counter", "Quorum frames flushed (every phase rides one).")
 		m.Counter("cats_abd_batches_total", s.Batches)
-		m.Header("cats_abd_batched_ops_total", "counter", "Quorum phases carried in coalesced frames.")
+		m.Header("cats_abd_batched_ops_total", "counter", "Quorum phases carried in quorum frames.")
 		m.Counter("cats_abd_batched_ops_total", s.BatchedOps)
-		m.Header("cats_abd_batch_size", "histogram", "Ops per coalesced quorum frame.")
+		m.Header("cats_abd_batch_size", "histogram", "Phases per quorum frame.")
 		var cum uint64
 		for i, le := range batchSizeBuckets {
 			cum += batchBuckets[i].Load()

@@ -19,22 +19,17 @@ import (
 // frame. The embedded trace context is encoded like any other field —
 // both codecs stamp frames with the same span identity.
 
-// Wire tags 0x01–0x07 are the ABD quorum set (handoff owns 0x10–0x11).
+// Wire tags 0x05–0x07 are the ABD quorum set (handoff owns 0x10–0x11).
+// 0x01–0x04 belonged to the retired single-op read/readAck/write/writeAck
+// messages: tags are forever, so they stay unregistered (a frame carrying
+// one fails to decode) and are never reused.
 const (
-	wireTagRead       byte = 0x01
-	wireTagReadAck    byte = 0x02
-	wireTagWrite      byte = 0x03
-	wireTagWriteAck   byte = 0x04
 	wireTagNack       byte = 0x05
 	wireTagOpBatch    byte = 0x06
 	wireTagOpBatchAck byte = 0x07
 )
 
 func init() {
-	network.RegisterWire(wireTagRead, "abd.read", decodeReadMsg)
-	network.RegisterWire(wireTagReadAck, "abd.readAck", decodeReadAckMsg)
-	network.RegisterWire(wireTagWrite, "abd.write", decodeWriteMsg)
-	network.RegisterWire(wireTagWriteAck, "abd.writeAck", decodeWriteAckMsg)
 	network.RegisterWire(wireTagNack, "abd.nack", decodeNackMsg)
 	network.RegisterWire(wireTagOpBatch, "abd.opBatch", decodeOpBatchMsg)
 	network.RegisterWire(wireTagOpBatchAck, "abd.opBatchAck", decodeOpBatchAckMsg)
@@ -57,96 +52,6 @@ func appendTrace(dst []byte, c tracing.Context) []byte {
 
 func readTrace(r *network.WireReader) tracing.Context {
 	return tracing.Context{TraceID: r.U64(), SpanID: r.U64()}
-}
-
-func (m readMsg) WireTag() byte { return wireTagRead }
-
-func (m readMsg) AppendWire(dst []byte) []byte {
-	dst = network.AppendHeader(dst, m.Header)
-	dst = appendTrace(dst, m.Context)
-	dst = network.AppendU64(dst, m.OpID)
-	dst = network.AppendI64(dst, int64(m.Attempt))
-	dst = network.AppendU64(dst, m.Epoch)
-	return network.AppendString(dst, m.Key)
-}
-
-func decodeReadMsg(r *network.WireReader) (network.Message, error) {
-	var m readMsg
-	m.Header = r.Header()
-	m.Context = readTrace(r)
-	m.OpID = r.U64()
-	m.Attempt = int(r.I64())
-	m.Epoch = r.U64()
-	m.Key = r.String()
-	return m, nil
-}
-
-func (m readAckMsg) WireTag() byte { return wireTagReadAck }
-
-func (m readAckMsg) AppendWire(dst []byte) []byte {
-	dst = network.AppendHeader(dst, m.Header)
-	dst = network.AppendU64(dst, m.OpID)
-	dst = network.AppendI64(dst, int64(m.Attempt))
-	dst = network.AppendU64(dst, m.Epoch)
-	dst = appendVersion(dst, m.Version)
-	dst = network.AppendBytes(dst, m.Value)
-	return network.AppendBool(dst, m.Found)
-}
-
-func decodeReadAckMsg(r *network.WireReader) (network.Message, error) {
-	var m readAckMsg
-	m.Header = r.Header()
-	m.OpID = r.U64()
-	m.Attempt = int(r.I64())
-	m.Epoch = r.U64()
-	m.Version = readVersion(r)
-	m.Value = r.Bytes()
-	m.Found = r.Bool()
-	return m, nil
-}
-
-func (m writeMsg) WireTag() byte { return wireTagWrite }
-
-func (m writeMsg) AppendWire(dst []byte) []byte {
-	dst = network.AppendHeader(dst, m.Header)
-	dst = appendTrace(dst, m.Context)
-	dst = network.AppendU64(dst, m.OpID)
-	dst = network.AppendI64(dst, int64(m.Attempt))
-	dst = network.AppendU64(dst, m.Epoch)
-	dst = network.AppendString(dst, m.Key)
-	dst = appendVersion(dst, m.Version)
-	return network.AppendBytes(dst, m.Value)
-}
-
-func decodeWriteMsg(r *network.WireReader) (network.Message, error) {
-	var m writeMsg
-	m.Header = r.Header()
-	m.Context = readTrace(r)
-	m.OpID = r.U64()
-	m.Attempt = int(r.I64())
-	m.Epoch = r.U64()
-	m.Key = r.String()
-	m.Version = readVersion(r)
-	m.Value = r.Bytes()
-	return m, nil
-}
-
-func (m writeAckMsg) WireTag() byte { return wireTagWriteAck }
-
-func (m writeAckMsg) AppendWire(dst []byte) []byte {
-	dst = network.AppendHeader(dst, m.Header)
-	dst = network.AppendU64(dst, m.OpID)
-	dst = network.AppendI64(dst, int64(m.Attempt))
-	return network.AppendU64(dst, m.Epoch)
-}
-
-func decodeWriteAckMsg(r *network.WireReader) (network.Message, error) {
-	var m writeAckMsg
-	m.Header = r.Header()
-	m.OpID = r.U64()
-	m.Attempt = int(r.I64())
-	m.Epoch = r.U64()
-	return m, nil
 }
 
 func (m nackMsg) WireTag() byte { return wireTagNack }

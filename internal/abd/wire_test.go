@@ -13,87 +13,77 @@ import (
 	"repro/internal/tracing"
 )
 
+var (
+	wireTC  = tracing.Context{TraceID: 0xfeed, SpanID: 0xbeef}
+	wireVer = kvstore.Version{Seq: 42, Writer: 7}
+)
+
+// wireSamples are the ABD quorum messages the wire checks run over. The
+// single-entry frames are what an idle coordinator sends and gets back — a
+// batch of one phase — and "abd.opBatch.one" is pinned in the fuzz corpus
+// beside the multi-op frame.
+var wireSamples = []wiretest.Sample{
+	{Seed: "abd.nack", Msg: nackMsg{Header: wiretest.Header(), OpID: 6, Attempt: 4, Epoch: 9, Busy: true, RetryAfter: 250 * time.Millisecond}},
+	{Seed: "abd.opBatch", Msg: opBatchMsg{
+		Header: wiretest.Header(), Context: wireTC,
+		Reads: []readPhase{
+			{Context: wireTC, OpID: 7, Attempt: 1, Epoch: 9, Key: "g1"},
+			{OpID: 8, Epoch: 9, Key: ""},
+		},
+		Writes: []writePhase{
+			{Context: wireTC, OpID: 9, Attempt: 2, Epoch: 9, Key: "p1", Version: wireVer, Value: []byte("vv")},
+		},
+	}},
+	{Seed: "abd.opBatch.one", Msg: opBatchMsg{
+		Header: wiretest.Header(), Context: wireTC,
+		Reads: []readPhase{{Context: wireTC, OpID: 1, Attempt: 3, Epoch: 9, Key: "alpha"}},
+	}},
+	{Msg: opBatchMsg{
+		Header: wiretest.Header(),
+		Writes: []writePhase{{OpID: 4, Attempt: 2, Epoch: 9, Key: "beta", Version: wireVer, Value: make([]byte, 256)}},
+	}},
+	{Msg: opBatchMsg{Header: wiretest.Header(), Context: wireTC}}, // empty batch
+	{Seed: "abd.opBatchAck", Msg: opBatchAckMsg{
+		Header: wiretest.Header(), Epoch: 9,
+		ReadAcks: []readAckEntry{
+			{OpID: 7, Attempt: 1, Version: wireVer, Value: []byte("x"), Found: true},
+			{OpID: 8, Found: false}, // empty value stays nil
+		},
+		WriteAcks: []writeAckEntry{{OpID: 9, Attempt: 2}},
+	}},
+	{Msg: opBatchAckMsg{
+		Header: wiretest.Header(), Epoch: 9,
+		ReadAcks: []readAckEntry{{OpID: 1, Attempt: 3, Version: wireVer, Value: make([]byte, 256), Found: true}},
+	}},
+	{Msg: opBatchAckMsg{Header: wiretest.Header(), Epoch: 9, WriteAcks: []writeAckEntry{{OpID: 4, Attempt: 2}}}},
+}
+
 // TestABDWireRoundTrip drives every ABD quorum message through the binary
 // codec and back, checking field-exact equality: AppendWire and the
 // registered decoder must be exact inverses.
 func TestABDWireRoundTrip(t *testing.T) {
-	tc := tracing.Context{TraceID: 0xfeed, SpanID: 0xbeef}
-	ver := kvstore.Version{Seq: 42, Writer: 7}
-	wiretest.RoundTrip(t, []wiretest.Sample{
-		{Seed: "abd.read", Msg: readMsg{Header: wiretest.Header(), Context: tc, OpID: 1, Attempt: 3, Epoch: 9, Key: "alpha"}},
-		{Seed: "abd.readAck", Msg: readAckMsg{Header: wiretest.Header(), OpID: 2, Attempt: 1, Epoch: 9, Version: ver, Value: []byte("v"), Found: true}},
-		{Msg: readAckMsg{Header: wiretest.Header(), OpID: 3, Epoch: 9, Found: false}}, // empty value stays nil
-		{Seed: "abd.write", Msg: writeMsg{Header: wiretest.Header(), Context: tc, OpID: 4, Attempt: 2, Epoch: 9, Key: "beta", Version: ver, Value: []byte("payload")}},
-		{Seed: "abd.writeAck", Msg: writeAckMsg{Header: wiretest.Header(), OpID: 5, Attempt: 1, Epoch: 9}},
-		{Seed: "abd.nack", Msg: nackMsg{Header: wiretest.Header(), OpID: 6, Attempt: 4, Epoch: 9, Busy: true, RetryAfter: 250 * time.Millisecond}},
-		{Seed: "abd.opBatch", Msg: opBatchMsg{
-			Header: wiretest.Header(), Context: tc,
-			Reads: []readPhase{
-				{Context: tc, OpID: 7, Attempt: 1, Epoch: 9, Key: "g1"},
-				{OpID: 8, Epoch: 9, Key: ""},
-			},
-			Writes: []writePhase{
-				{Context: tc, OpID: 9, Attempt: 2, Epoch: 9, Key: "p1", Version: ver, Value: []byte("vv")},
-			},
-		}},
-		{Msg: opBatchMsg{Header: wiretest.Header(), Context: tc}}, // empty batch
-		{Seed: "abd.opBatchAck", Msg: opBatchAckMsg{
-			Header: wiretest.Header(), Epoch: 9,
-			ReadAcks: []readAckEntry{
-				{OpID: 7, Attempt: 1, Version: ver, Value: []byte("x"), Found: true},
-				{OpID: 8, Found: false},
-			},
-			WriteAcks: []writeAckEntry{{OpID: 9, Attempt: 2}},
-		}},
-	})
+	wiretest.RoundTrip(t, wireSamples)
 }
 
 // TestABDWireCorruptCounts pins the count guards: a batch frame whose
 // element count promises more entries than the body holds must error out
-// before any allocation sized by that count.
+// before any allocation sized by that count. An empty batch's tail is the
+// reads count u32 then the writes count u32 (read acks, write acks).
 func TestABDWireCorruptCounts(t *testing.T) {
-	payload, err := (network.BinaryCodec{}).Encode(opBatchMsg{Header: wiretest.Header()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reads count is the u32 right after flag+tag+header+trace. Corrupt
-	// it to a huge value and decoding must fail cleanly.
-	corrupt := append([]byte(nil), payload...)
-	n := len(corrupt)
-	// Empty batch tail: reads count u32 + writes count u32 are the last 8.
-	corrupt[n-8], corrupt[n-7], corrupt[n-6], corrupt[n-5] = 0xff, 0xff, 0xff, 0xff
-	if _, err := network.DecodePayload(corrupt); err == nil {
-		t.Fatal("corrupt batch count decoded")
-	}
-	corrupt2 := append([]byte(nil), payload...)
-	corrupt2[n-4], corrupt2[n-3], corrupt2[n-2], corrupt2[n-1] = 0xff, 0xff, 0xff, 0xff
-	if _, err := network.DecodePayload(corrupt2); err == nil {
-		t.Fatal("corrupt write count decoded")
+	for _, m := range []network.Message{
+		opBatchMsg{Header: wiretest.Header()},
+		opBatchAckMsg{Header: wiretest.Header()},
+	} {
+		wiretest.CorruptCount(t, m, 8)
+		wiretest.CorruptCount(t, m, 4)
 	}
 }
 
-// TestABDWireEncodeZeroAlloc gates the quorum hot path: encoding a read
-// phase and its ack into a recycled buffer must not allocate.
+// TestABDWireEncodeZeroAlloc gates the quorum hot path: encoding quorum
+// frames — single-phase ones included — and their acks into a recycled
+// buffer must not allocate.
 func TestABDWireEncodeZeroAlloc(t *testing.T) {
-	msgs := []network.Message{
-		readMsg{Header: wiretest.Header(), OpID: 1, Attempt: 1, Epoch: 2, Key: "k"},
-		readAckMsg{Header: wiretest.Header(), OpID: 1, Version: kvstore.Version{Seq: 1}, Value: make([]byte, 256), Found: true},
-		writeMsg{Header: wiretest.Header(), OpID: 2, Key: "k", Value: make([]byte, 256)},
-		writeAckMsg{Header: wiretest.Header(), OpID: 2},
-	}
-	buf := make([]byte, 0, 4096)
-	var c network.BinaryCodec
-	allocs := testing.AllocsPerRun(200, func() {
-		for _, m := range msgs {
-			out, err := c.EncodeAppend(buf[:0], m)
-			if err != nil || len(out) == 0 {
-				t.Fatal("encode failed")
-			}
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("ABD wire encode allocates %.1f/op, want 0", allocs)
-	}
+	wiretest.EncodeZeroAlloc(t, wireSamples)
 }
 
 // TestABDDecodedRegisterDoesNotPinFrame is the retention regression test

@@ -56,20 +56,16 @@ var _ Env = LoopbackEnv{}
 // TCPEnv executes nodes over real TCP sockets with real timers — the
 // production deployment mode.
 type TCPEnv struct {
-	// Compress selects the gob+zlib codec (zlib message compression).
-	Compress bool
-	// WireCodec names the wire codec backend ("binary", "gob", "gob+zlib");
-	// empty keeps the transport default, binary. Takes precedence over
-	// Compress.
+	// WireCodec names the wire codec backend the transports encode
+	// outbound frames with ("binary", "gob", "gob+zlib"); empty keeps the
+	// transport default, binary. Decoding is codec-agnostic, so nodes with
+	// different settings interoperate.
 	WireCodec string
 }
 
 // NewTransport implements Env.
 func (e TCPEnv) NewTransport(addr network.Address) core.Definition {
 	var opts []network.TCPOption
-	if e.Compress {
-		opts = append(opts, network.WithCompression())
-	}
 	if e.WireCodec != "" {
 		opts = append(opts, network.WithWireCodecName(e.WireCodec))
 	}

@@ -87,28 +87,15 @@ type NodeConfig struct {
 	// for lagging members before serving with what transferred
 	// (default 2s).
 	HandoffPullTimeout time.Duration
-	// NoCoalesce disables ABD quorum coalescing, sending every quorum
-	// phase as its own message (A/B benchmarking).
-	NoCoalesce bool
-	// WireCodec names the wire-format backend the node's transport encodes
-	// outbound frames with ("binary", "gob", "gob+zlib"); empty keeps the
-	// environment default (binary over TCP). Decoding is codec-agnostic, so
-	// nodes with different settings interoperate.
-	WireCodec string
 
 	// Gray-failure resilience knobs, passed through to the ABD component
 	// (see abd.Config for semantics and defaults). DeadlineFloor and
-	// DeadlineCeil clamp the adaptive per-peer deadline; NoHedge disables
-	// hedged quorum phases; the Shed* knobs arm replica-side admission
-	// control (all disabled by default).
-	DeadlineFloor  time.Duration
-	DeadlineCeil   time.Duration
-	NoHedge        bool
-	ShedServeRate  int
-	ShedWindow     time.Duration
-	ShedRetryAfter time.Duration
-	ShedBacklog    int
-	ShedWALBacklog int64
+	// DeadlineCeil clamp the adaptive per-peer deadline (floor = ceiling
+	// is the fixed-deadline coordinator, which never hedges);
+	// ShedServeRate arms replica-side admission control (off by default).
+	DeadlineFloor time.Duration
+	DeadlineCeil  time.Duration
+	ShedServeRate int
 
 	// DataDir, when set, makes the register store durable: per-shard
 	// write-ahead logs + snapshots live under this directory and are
@@ -286,15 +273,9 @@ func (n *Node) Setup(ctx *core.Ctx) {
 		ReplicationDegree: n.cfg.ReplicationDegree,
 		OpTimeout:         n.cfg.OpTimeout,
 		Store:             store,
-		NoCoalesce:        n.cfg.NoCoalesce,
 		DeadlineFloor:     n.cfg.DeadlineFloor,
 		DeadlineCeil:      n.cfg.DeadlineCeil,
-		NoHedge:           n.cfg.NoHedge,
 		ShedServeRate:     n.cfg.ShedServeRate,
-		ShedWindow:        n.cfg.ShedWindow,
-		ShedRetryAfter:    n.cfg.ShedRetryAfter,
-		ShedBacklog:       n.cfg.ShedBacklog,
-		ShedWALBacklog:    n.cfg.ShedWALBacklog,
 	})
 	abdC := ctx.Create("abd", n.ABD)
 	n.Handoff = handoff.New(handoff.Config{

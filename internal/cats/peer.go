@@ -34,16 +34,7 @@ func (p *Peer) Setup(ctx *core.Ctx) {
 	rt := ctx.Provides(router.PortType)
 	webP := ctx.Provides(web.PortType)
 
-	env := p.Env
-	if p.NodeCfg.WireCodec != "" {
-		// A node-level codec choice overrides the environment's: re-derive
-		// the env value where the environment supports codec selection.
-		if tcpEnv, ok := env.(TCPEnv); ok {
-			tcpEnv.WireCodec = p.NodeCfg.WireCodec
-			env = tcpEnv
-		}
-	}
-	tr := ctx.Create("net", env.NewTransport(p.NodeCfg.Self.Addr))
+	tr := ctx.Create("net", p.Env.NewTransport(p.NodeCfg.Self.Addr))
 	tm := ctx.Create("timer", p.Env.NewTimer())
 	p.Node = NewNode(p.NodeCfg)
 	nodeC := ctx.Create("node", p.Node)

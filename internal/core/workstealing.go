@@ -271,18 +271,6 @@ func (s *WorkStealingScheduler) Stats() (executed, steals, stolen uint64) {
 	return executed, steals, stolen
 }
 
-// Backlog returns the total components currently queued across worker
-// deques — a cheap, allocation-free pressure signal for admission
-// control (the full SchedulerMetrics snapshot allocates its per-worker
-// slice). Read racily; the exact value only ever gates a shed decision.
-func (s *WorkStealingScheduler) Backlog() int64 {
-	var n int64
-	for _, w := range s.workers {
-		n += w.deque.size()
-	}
-	return n
-}
-
 // SchedulerMetrics aggregates the padded per-worker counters into one
 // snapshot (implements SchedulerMetricsSource). Counters are read racily;
 // they are monotone, so a snapshot is a consistent lower bound.

@@ -185,7 +185,7 @@ func codecLoopbackRound(nodes, clients, ops int, codecName string) (done uint64,
 		panic("codec bench: unknown codec " + codecName)
 	}
 	registry := network.NewLoopbackRegistry(network.WithWireCodec(wc))
-	host := cats.NewSimulator(cats.LoopbackEnv{Registry: registry}, kvClusterConfig(false))
+	host := cats.NewSimulator(cats.LoopbackEnv{Registry: registry}, kvClusterConfig())
 	rt := core.New(core.WithFaultPolicy(core.LogAndContinue))
 	defer rt.Shutdown()
 	var exp *core.Port
@@ -304,11 +304,10 @@ func codecTCPRound(nodes, clients, ops int, codecName string) (done uint64, elap
 	rt.MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
 		comps := make([]*core.Component, nodes)
 		for i := range refs {
-			cfg := kvClusterConfig(false)
+			cfg := kvClusterConfig()
 			cfg.Self = refs[i]
 			cfg.StabilizePeriod = 100 * time.Millisecond
 			cfg.CyclonPeriod = 200 * time.Millisecond
-			cfg.WireCodec = codecName
 			if i > 0 {
 				cfg.Seeds = []ident.NodeRef{refs[0]}
 			}

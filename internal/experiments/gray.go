@@ -380,8 +380,8 @@ type HedgeArm struct {
 // HedgeBenchResult is the A/B comparison plus the hedge activity observed
 // in the hedging-on arm.
 type HedgeBenchResult struct {
-	Off HedgeArm // hedging disabled
-	On  HedgeArm // hedging enabled
+	Off HedgeArm // fixed-deadline coordinator: never hedges
+	On  HedgeArm // adaptive deadlines: hedges
 	// Hedges/HedgeWins fired during the On arm (process-wide deltas).
 	Hedges    uint64
 	HedgeWins uint64
@@ -390,8 +390,10 @@ type HedgeBenchResult struct {
 	P99Improvement float64
 }
 
-// HedgeBench measures tail latency under a gray-failing replica with
-// hedging off vs on. A two-node cluster makes every replica group both
+// HedgeBench measures tail latency under a gray-failing replica with a
+// fixed-deadline coordinator (every peer deadline pinned to OpTimeout, so
+// the hedge checkpoint is never past one: hedging off) vs the adaptive one
+// (hedging on). A two-node cluster makes every replica group both
 // nodes (quorum two): pulsing the non-coordinator slow holds every phase
 // at quorum-minus-one, which is precisely the hedge trigger. With hedging
 // off the op must ride out the delayed original (or an attempt timeout +
@@ -400,9 +402,9 @@ type HedgeBenchResult struct {
 func HedgeBench(seed int64, cfg HedgeBenchConfig) HedgeBenchResult {
 	cfg.applyDefaults()
 	var res HedgeBenchResult
-	res.Off = hedgeArm(seed, cfg, true)
+	res.Off = hedgeArm(seed, cfg, simNodeConfig().OpTimeout)
 	mid := abd.GlobalResilienceMetrics()
-	res.On = hedgeArm(seed, cfg, false)
+	res.On = hedgeArm(seed, cfg, 2*time.Millisecond)
 	resAfter := abd.GlobalResilienceMetrics()
 	res.Hedges = resAfter.Hedges - mid.Hedges
 	res.HedgeWins = resAfter.HedgeWins - mid.HedgeWins
@@ -413,11 +415,10 @@ func HedgeBench(seed int64, cfg HedgeBenchConfig) HedgeBenchResult {
 }
 
 // hedgeArm runs one arm of the A/B: same seed, same pulse schedule, only
-// the NoHedge knob differs.
-func hedgeArm(seed int64, cfg HedgeBenchConfig, noHedge bool) HedgeArm {
+// the adaptive-deadline floor differs.
+func hedgeArm(seed int64, cfg HedgeBenchConfig, deadlineFloor time.Duration) HedgeArm {
 	nodeCfg := simNodeConfig()
-	nodeCfg.DeadlineFloor = 2 * time.Millisecond
-	nodeCfg.NoHedge = noHedge
+	nodeCfg.DeadlineFloor = deadlineFloor
 
 	sim, emu, host, exp := buildSimCluster(seed, 2, nodeCfg)
 	host.RecordOps = true

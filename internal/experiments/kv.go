@@ -19,7 +19,7 @@ import (
 // kvClusterConfig returns relaxed node timings for the real-time KV
 // benchmarks: background protocol periods are slow so the measurement
 // reflects the operation path.
-func kvClusterConfig(noCoalesce bool) cats.NodeConfig {
+func kvClusterConfig() cats.NodeConfig {
 	return cats.NodeConfig{
 		ReplicationDegree: 3,
 		// The benchmark clusters are faultless, so the failure detector only
@@ -34,19 +34,17 @@ func kvClusterConfig(noCoalesce bool) cats.NodeConfig {
 		CyclonPeriod:         2 * time.Second,
 		// Short per-attempt timeout: an op that catches a replica mid-epoch-
 		// sync (Busy nack) only retries on timeout, and a multi-second
-		// straggler would dominate the round's wall-clock in both variants.
-		OpTimeout:  500 * time.Millisecond,
-		NoCoalesce: noCoalesce,
+		// straggler would dominate the round's wall-clock.
+		OpTimeout: 500 * time.Millisecond,
 	}
 }
 
 // buildKVCluster boots a real-time loopback cluster of n nodes with full
-// per-message marshalling (the realistic framed-transport cost coalescing
-// amortizes) and waits for ring convergence. The caller must Shutdown the
-// returned runtime.
-func buildKVCluster(n int, noCoalesce bool) (*core.Runtime, *cats.Simulator, *core.Port) {
+// per-message marshalling (the realistic framed-transport cost) and waits
+// for ring convergence. The caller must Shutdown the returned runtime.
+func buildKVCluster(n int) (*core.Runtime, *cats.Simulator, *core.Port) {
 	registry := network.NewLoopbackRegistry(network.WithCodec(network.Codec{}))
-	host := cats.NewSimulator(cats.LoopbackEnv{Registry: registry}, kvClusterConfig(noCoalesce))
+	host := cats.NewSimulator(cats.LoopbackEnv{Registry: registry}, kvClusterConfig())
 	rt := core.New(core.WithFaultPolicy(core.LogAndContinue))
 	var exp *core.Port
 	rt.MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
@@ -73,32 +71,10 @@ func percentiles(lat []time.Duration) (p50, p99 time.Duration) {
 	return s[len(s)/2], s[len(s)*99/100]
 }
 
-// QuorumABResult summarizes the interleaved coalescing A/B comparison.
-type QuorumABResult struct {
-	Nodes    int
-	Clients  int
-	OpsRound int
-	Rounds   int
-
-	CoalescedOpsPS float64
-	LegacyOpsPS    float64
-	// Improvement is CoalescedOpsPS/LegacyOpsPS - 1.
-	Improvement  float64
-	CoalescedP50 time.Duration
-	CoalescedP99 time.Duration
-	LegacyP50    time.Duration
-	LegacyP99    time.Duration
-	// Batches/BatchedOps are the frames flushed and ops carried during the
-	// coalesced rounds (coordinator-side counters summed over nodes).
-	Batches    uint64
-	BatchedOps uint64
-}
-
 // quorumRound runs one closed-loop round on a fresh cluster and returns
-// completed ops, elapsed load time, latencies, and the coordinators' batch
-// counters.
-func quorumRound(nodes, clients, ops int, noCoalesce bool) (done uint64, elapsed time.Duration, lat []time.Duration, batches, batchedOps uint64) {
-	rt, host, exp := buildKVCluster(nodes, noCoalesce)
+// completed ops, elapsed load time and latencies.
+func quorumRound(nodes, clients, ops int) (done uint64, elapsed time.Duration, lat []time.Duration) {
+	rt, host, exp := buildKVCluster(nodes)
 	defer rt.Shutdown()
 
 	_ = core.TriggerOn(exp, cats.StartLoad{
@@ -118,76 +94,7 @@ func quorumRound(nodes, clients, ops int, noCoalesce bool) (done uint64, elapsed
 	rt.WaitQuiescence(5 * time.Second)
 
 	m := host.Metrics()
-	for _, ref := range host.AliveNodes() {
-		if p, ok := host.Peer(ref.Key); ok && p.Node != nil {
-			b, bo := p.Node.ABD.BatchStats()
-			batches += b
-			batchedOps += bo
-		}
-	}
-	return m.LoadDone, m.LoadEnd.Sub(m.LoadStart), m.OpLatencies, batches, batchedOps
-}
-
-// QuorumAB measures the coalesced quorum path against the uncoalesced one
-// on the multi-op same-replica-set workload: `nodes` nodes at replication
-// degree 3 (with nodes == 3 every key maps to the same replica set), many
-// closed-loop clients so quorum phases pile up at the coordinators. Rounds
-// are interleaved, alternating which variant goes first, so machine drift
-// cancels instead of biasing one side.
-func QuorumAB(nodes, clients, opsPerRound, rounds int) QuorumABResult {
-	if nodes <= 0 {
-		nodes = 3
-	}
-	if clients <= 0 {
-		clients = 48
-	}
-	if opsPerRound <= 0 {
-		opsPerRound = 4000
-	}
-	if rounds <= 0 {
-		rounds = 3
-	}
-	res := QuorumABResult{Nodes: nodes, Clients: clients, OpsRound: opsPerRound, Rounds: rounds}
-
-	var coDone, legDone uint64
-	var coTime, legTime time.Duration
-	var coLat, legLat []time.Duration
-	runOne := func(noCoalesce bool) {
-		done, elapsed, lat, b, bo := quorumRound(nodes, clients, opsPerRound, noCoalesce)
-		if noCoalesce {
-			legDone += done
-			legTime += elapsed
-			legLat = append(legLat, lat...)
-		} else {
-			coDone += done
-			coTime += elapsed
-			coLat = append(coLat, lat...)
-			res.Batches += b
-			res.BatchedOps += bo
-		}
-	}
-	for r := 0; r < rounds; r++ {
-		if r%2 == 0 {
-			runOne(true)
-			runOne(false)
-		} else {
-			runOne(false)
-			runOne(true)
-		}
-	}
-
-	if coTime > 0 {
-		res.CoalescedOpsPS = float64(coDone) / coTime.Seconds()
-	}
-	if legTime > 0 {
-		res.LegacyOpsPS = float64(legDone) / legTime.Seconds()
-	}
-	if res.LegacyOpsPS > 0 {
-		res.Improvement = res.CoalescedOpsPS/res.LegacyOpsPS - 1
-	}
-	res.CoalescedP50, res.CoalescedP99 = percentiles(coLat)
-	res.LegacyP50, res.LegacyP99 = percentiles(legLat)
-	return res
+	return m.LoadDone, m.LoadEnd.Sub(m.LoadStart), m.OpLatencies
 }
 
 // QuorumTraceArm is one sampling configuration in the tracing-overhead
@@ -256,7 +163,7 @@ func QuorumTraceAB(nodes, clients, opsPerRound, rounds int) QuorumTraceABResult 
 		ring := tracing.NewRing(1 << 15)
 		prevRing := tracing.SwapDefault(ring)
 		prevSample := tracing.SetSampleEvery(every)
-		done, elapsed, lat, _, _ := quorumRound(nodes, clients, opsPerRound, false)
+		done, elapsed, lat := quorumRound(nodes, clients, opsPerRound)
 		tracing.SetSampleEvery(prevSample)
 		tracing.SwapDefault(prevRing)
 		a.done += done
@@ -272,7 +179,7 @@ func QuorumTraceAB(nodes, clients, opsPerRound, rounds int) QuorumTraceABResult 
 	// One discarded warm-up round: the first round of a process run absorbs
 	// cold caches and any initial CPU-quota burst, which would otherwise be
 	// credited entirely to whichever arm runs first.
-	warm, _, _, _, _ := quorumRound(nodes, clients, opsPerRound, false)
+	warm, _, _ := quorumRound(nodes, clients, opsPerRound)
 	_ = warm
 
 	order := []int{0, 64, 1}
@@ -357,7 +264,7 @@ func MillionKV(keys, ops, ratePS int) MillionKVResult {
 	const nodes = 3 // degree 3: every replica covers the whole keyspace
 	res := MillionKVResult{Nodes: nodes, Keys: keys, Ops: ops, RatePS: ratePS}
 
-	rt, host, exp := buildKVCluster(nodes, false)
+	rt, host, exp := buildKVCluster(nodes)
 	defer rt.Shutdown()
 
 	// Preload each replica's store directly, identically (version-gated

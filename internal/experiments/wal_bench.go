@@ -46,7 +46,7 @@ type WALBenchResult struct {
 // walBenchConfig is the node template for one durability arm. An empty
 // policy string means memory-only (no DataDir, the pre-WAL behaviour).
 func walBenchConfig(sync kvstore.SyncPolicy, durable bool) cats.NodeConfig {
-	cfg := kvClusterConfig(false)
+	cfg := kvClusterConfig()
 	if durable {
 		cfg.WALSync = sync
 		cfg.WALSyncEvery = 2 * time.Millisecond

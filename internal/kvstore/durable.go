@@ -233,24 +233,6 @@ func (s *Store) Dir() string {
 // stores or stores opened over an empty directory).
 func (s *Store) Recovery() RecoveryStats { return s.recovery }
 
-// SyncBacklog returns the bytes appended to shard WALs but not yet
-// fsynced, summed across shards — the durability lag replica admission
-// control sheds on. Always zero for memory-only stores and under
-// SyncAlways (appends are synced before they are acknowledged).
-func (s *Store) SyncBacklog() int64 {
-	if s.dur == nil {
-		return 0
-	}
-	var lag int64
-	for i := range s.dur.shards {
-		ws := &s.dur.shards[i]
-		ws.mu.Lock()
-		lag += ws.appended - ws.durable
-		ws.mu.Unlock()
-	}
-	return lag
-}
-
 // Close flushes every shard log and releases the files. The store must
 // not be used afterwards; appends fail with an error. Memory-only
 // stores close trivially.

@@ -457,8 +457,8 @@ func TestTCPSelfDelivery(t *testing.T) {
 	waitCount(t, &n1.got, 1, 5*time.Second)
 }
 
-func TestTCPWithCompression(t *testing.T) {
-	_, n1, n2 := newTCPPair(t, WithCompression())
+func TestTCPZlibCodec(t *testing.T) {
+	_, n1, n2 := newTCPPair(t, WithWireCodecName("gob+zlib"))
 	payload := make([]byte, 2048)
 	n1.ctx.Trigger(data{Header: NewHeader(n1.self, n2.self), Seq: 1, Payload: payload}, n1.port)
 	waitCount(t, &n2.got, 1, 5*time.Second)

@@ -188,12 +188,6 @@ func (p *peerConn) shutdown() { p.once.Do(func() { close(p.close) }) }
 // TCPOption configures a TCP transport.
 type TCPOption func(*TCP)
 
-// WithCompression enables zlib compression of message payloads (selects
-// the gob+zlib codec backend as the default).
-func WithCompression() TCPOption {
-	return func(t *TCP) { t.codecs.Store(&codecTable{def: Codec{Compress: true}}) }
-}
-
 // WithWireCodecName selects the default wire-codec backend by registry
 // name ("gob", "gob+zlib", "binary"). Unknown names are logged at Setup
 // and the transport keeps its previous default.

@@ -20,8 +20,9 @@ import (
 
 // Sample is one message a protocol package submits to the checks. Seed,
 // when set, is the registered wire name of its type and makes the sample
-// that type's pinned frame in the fuzz corpus; further variants of a type
-// (empty lists, zero values) leave it empty.
+// that type's pinned frame in the fuzz corpus; a second pinned frame of a
+// type appends a suffix to the name ("abd.opBatch.one"). Further variants
+// of a type (empty lists, zero values) leave it empty.
 type Sample struct {
 	Seed string
 	Msg  network.Message

@@ -53,12 +53,6 @@ func (s *SimScheduler) SchedulerMetrics() core.SchedulerStats {
 	}
 }
 
-// Backlog mirrors WorkStealingScheduler.Backlog for admission control:
-// components currently in the ready FIFO. The simulation drains to
-// quiescence between events, so this is almost always ~0 — deterministic
-// shed scenarios use the serve-rate signal instead.
-func (s *SimScheduler) Backlog() int64 { return int64(len(s.ready)) }
-
 // Start implements core.Scheduler (no worker goroutines to launch).
 func (s *SimScheduler) Start() {}
 
