@@ -84,11 +84,6 @@ func init() {
 	network.Register(nackMsg{})
 }
 
-type opTimeout struct {
-	timer.Timeout
-	OpID uint64
-}
-
 // op phases. phaseIdle is the between-attempts state: a timed-out
 // attempt sits idle through its backoff delay, ignoring stragglers from
 // the superseded wire attempt.
@@ -135,7 +130,10 @@ type op struct {
 	// not eat the timeout budget, but it still needs its own bound.
 	retries       int
 	epochRestarts int
-	timerID       timer.ID
+	// dlAt is the attempt timer's next instant and dlIdx the op's position
+	// in the coordinator's deadline heap (-1 when not queued; deadline.go).
+	dlAt  time.Time
+	dlIdx int
 
 	// Adaptive-deadline and hedge state. deadline is this attempt's full
 	// budget; the attempt timer first fires at deadline/hedgeStageDiv (the
@@ -269,10 +267,17 @@ type ABD struct {
 
 	// Quorum coalescing state: phases owed to each peer since the last
 	// flush, in insertion order (map order would be nondeterministic), and
-	// whether a flush timeout is already in flight.
+	// whether the backstop flush timeout is already in flight (batch.go).
 	pend       map[network.Address]*peerBatch
 	pendOrder  []network.Address
 	flushArmed bool
+
+	// deadlines holds every in-flight attempt's next attempt-timer
+	// instant; dlTimer is the one armed Timer request (0: none) and
+	// dlArmedAt the instant it fires at (deadline.go).
+	deadlines deadlineHeap
+	dlTimer   timer.ID
+	dlArmedAt time.Time
 
 	// peers holds the coordinator's per-replica latency estimators
 	// (adaptive deadlines, overrun evidence; see adaptive.go).
@@ -356,10 +361,11 @@ func (a *ABD) Setup(ctx *core.Ctx) {
 	core.Subscribe(ctx, a.net, a.handleNack)
 	core.Subscribe(ctx, a.net, a.handleOpBatch)
 	core.Subscribe(ctx, a.net, a.handleOpBatchAck)
-	core.Subscribe(ctx, a.tmr, a.handleTimeout)
+	core.Subscribe(ctx, a.tmr, a.handleDeadline)
 	core.Subscribe(ctx, a.tmr, a.handleBackoff)
 	core.Subscribe(ctx, a.tmr, a.handleRedeliver)
 	core.Subscribe(ctx, a.tmr, a.handleFlush)
+	ctx.OnActivationEnd(a.activationEnd)
 }
 
 // Store exposes the local register store (status, tests).
@@ -422,6 +428,7 @@ func (a *ABD) handlePut(p PutRequest) {
 func (a *ABD) startOp(o *op) {
 	a.seq++
 	o.id = a.seq
+	o.dlIdx = -1
 	a.beginTrace(o)
 	a.ops[o.id] = o
 	a.beginAttempt(o)
@@ -445,11 +452,7 @@ func (a *ABD) beginAttempt(o *op) {
 	o.attemptAt, o.phaseSentAt = now, now
 	o.deadline = a.attemptBudget(o)
 	deadlineGauge.Store(uint64(o.deadline))
-	o.timerID = timer.NextID()
-	a.ctx.Trigger(timer.ScheduleTimeout{
-		Delay:   o.deadline / hedgeStageDiv,
-		Timeout: opTimeout{Timeout: timer.Timeout{ID: o.timerID}, OpID: o.id},
-	}, a.tmr)
+	a.setDeadline(o, now.Add(o.deadline/hedgeStageDiv))
 	a.ctx.Trigger(router.FindSuccessor{
 		ReqID: o.id,
 		Key:   ident.KeyOfString(o.key),
@@ -486,13 +489,8 @@ func (a *ABD) handleFound(f router.FoundSuccessor) {
 	if b := a.attemptBudget(o); b < o.deadline {
 		o.deadline = b
 		deadlineGauge.Store(uint64(b))
-		a.ctx.Trigger(timer.CancelTimeout{ID: o.timerID}, a.tmr)
-		o.timerID = timer.NextID()
 		o.attemptAt = a.ctx.Now()
-		a.ctx.Trigger(timer.ScheduleTimeout{
-			Delay:   b / hedgeStageDiv,
-			Timeout: opTimeout{Timeout: timer.Timeout{ID: o.timerID}, OpID: o.id},
-		}, a.tmr)
+		a.setDeadline(o, o.attemptAt.Add(b/hedgeStageDiv))
 	}
 	o.phase = phaseRead
 	o.phaseSentAt = a.ctx.Now()
@@ -626,7 +624,6 @@ func (a *ABD) handleNack(m nackMsg) {
 	}
 	o.epochRestarts++
 	a.statEpochRestarts++
-	a.ctx.Trigger(timer.CancelTimeout{ID: o.timerID}, a.tmr)
 	// The restarted attempt keeps the trace: the superseded attempt span
 	// ends with outcome "restart" and the next one links back to it.
 	a.endPhase(o, outcomeRestart)
@@ -637,7 +634,7 @@ func (a *ABD) handleNack(m nackMsg) {
 // finish completes an operation, responding to the client.
 func (a *ABD) finish(o *op, errMsg string) {
 	delete(a.ops, o.id)
-	a.ctx.Trigger(timer.CancelTimeout{ID: o.timerID}, a.tmr)
+	a.clearDeadline(o)
 	if errMsg != "" {
 		a.statFailures++
 		a.endTrace(o, "fail")
@@ -664,28 +661,20 @@ func (a *ABD) finish(o *op, errMsg string) {
 	}
 }
 
-// handleTimeout is the attempt timer's two-stage handler. The first fire
-// (at deadline/hedgeStageDiv) is the hedge checkpoint: if the phase is one
-// ack short of quorum and the straggler has overrun its adaptive deadline,
-// the phase is resent to another group member, and either way the timer
-// re-arms for the remainder of the budget. The second fire retries the
-// whole attempt (fresh group resolution, after a jittered backoff) or
-// fails the operation after MaxRetries.
-func (a *ABD) handleTimeout(t opTimeout) {
-	o, ok := a.ops[t.OpID]
-	if !ok || o.timerID != t.TimeoutID() {
-		return
-	}
+// handleTimeout is the attempt timer's two-stage handler, run by the
+// deadline sweep for an op whose instant has come (it is off the heap).
+// The first fire (at deadline/hedgeStageDiv) is the hedge checkpoint: if
+// the phase is one ack short of quorum and the straggler has overrun its
+// adaptive deadline, the phase is resent to another group member, and
+// either way the timer re-arms for the end of the budget. The second fire
+// retries the whole attempt (fresh group resolution, after a jittered
+// backoff) or fails the operation after MaxRetries.
+func (a *ABD) handleTimeout(o *op) {
 	if !o.hedgeChecked {
 		o.hedgeChecked = true
 		a.maybeHedge(o)
-		rem := o.deadline - a.ctx.Now().Sub(o.attemptAt)
-		if rem > 0 {
-			o.timerID = timer.NextID()
-			a.ctx.Trigger(timer.ScheduleTimeout{
-				Delay:   rem,
-				Timeout: opTimeout{Timeout: timer.Timeout{ID: o.timerID}, OpID: o.id},
-			}, a.tmr)
+		if end := o.attemptAt.Add(o.deadline); end.After(a.ctx.Now()) {
+			a.setDeadline(o, end)
 			return
 		}
 	}
@@ -704,12 +693,12 @@ func (a *ABD) handleTimeout(t opTimeout) {
 	a.endAttempt(o, "timeout")
 	// Jittered backoff desynchronizes co-timed retries so they don't
 	// stampede a recovering replica; the op idles through the delay,
-	// ignoring stragglers from the superseded wire attempt.
+	// ignoring stragglers from the superseded wire attempt. Backoffs are
+	// rare, so they stay plain Timer requests.
 	o.phase = phaseIdle
-	o.timerID = timer.NextID()
 	a.ctx.Trigger(timer.ScheduleTimeout{
 		Delay:   a.retryBackoff(o.retries),
-		Timeout: backoffTimeout{Timeout: timer.Timeout{ID: o.timerID}, OpID: o.id},
+		Timeout: backoffTimeout{Timeout: timer.Timeout{ID: timer.NextID()}, OpID: o.id},
 	}, a.tmr)
 }
 

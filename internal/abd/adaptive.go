@@ -33,7 +33,8 @@ const (
 	slowHintAfter = 3
 	// hedgeStageDiv splits the attempt budget: the attempt timer first
 	// fires at budget/hedgeStageDiv as the hedge checkpoint, then re-arms
-	// for the remainder as the retry deadline.
+	// for the end of the budget as the retry deadline (both instants on
+	// the coordinator's deadline heap, deadline.go).
 	hedgeStageDiv = 3
 	// shedWindow is the accounting window of the replica's serve-rate cap
 	// (Config.ShedServeRate phases per window).
@@ -375,10 +376,11 @@ func (a *ABD) handleRedeliver(t redeliverTimeout) {
 	a.resendPhase(o, t.Dst)
 }
 
-// handleBackoff begins the delayed retry attempt.
+// handleBackoff begins the delayed retry attempt. An op sits in phaseIdle
+// only between a timed-out attempt and its one backoff timeout.
 func (a *ABD) handleBackoff(t backoffTimeout) {
 	o, ok := a.ops[t.OpID]
-	if !ok || o.timerID != t.TimeoutID() {
+	if !ok || o.phase != phaseIdle {
 		return
 	}
 	a.beginAttempt(o)

@@ -60,9 +60,9 @@ func (p *batchProbe) send(to network.Address, m opBatchMsg) {
 
 // newBatchWorld builds n replicas (epochNodes, so tests drive their sync
 // windows) plus a batch probe.
-func newBatchWorld(t *testing.T, n int, seed int64) (*simulation.Simulation, *simulation.NetworkEmulator, []*epochNode, *batchProbe) {
+func newBatchWorld(t *testing.T, n int, seed int64, opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, []*epochNode, *batchProbe) {
 	t.Helper()
-	sim := simulation.New(seed)
+	sim := simulation.New(seed, opts...)
 	emu := simulation.NewNetworkEmulator(sim,
 		simulation.WithLatency(simulation.ConstantLatency(2*time.Millisecond)))
 	group := make([]ident.NodeRef, n)
@@ -313,15 +313,21 @@ func TestBatchChurnStress(t *testing.T) {
 		if nd.ABD.InFlight() != 0 {
 			t.Errorf("node %d leaked %d in-flight ops", i+1, nd.ABD.InFlight())
 		}
+		if n := len(nd.ABD.deadlines); n != 0 {
+			t.Errorf("node %d left %d attempts on its deadline heap", i+1, n)
+		}
 		batches += nd.ABD.statBatchesSent
 		batched += nd.ABD.statBatchedOps
 	}
 	if resolved != total {
 		t.Fatalf("resolved %d of %d ops", resolved, total)
 	}
-	// Bursts are six ops wide; a coordinator that flushed per phase would
-	// average exactly one phase per frame.
-	if batched < 2*batches {
-		t.Fatalf("stress run barely coalesced: %d phases in %d frames", batched, batches)
+	// A coordinator that flushed per phase would average exactly one phase
+	// per frame. Batches flush when the coordinator's own queue drains, and
+	// in the simulation that happens between the waves of one burst (route
+	// answers, then acks, trickle in), so the bar is "some coalescing", not
+	// a ratio; the burst test pins the ratio.
+	if batched <= batches {
+		t.Fatalf("stress run never coalesced: %d phases in %d frames", batched, batches)
 	}
 }

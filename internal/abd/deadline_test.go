@@ -1,0 +1,353 @@
+package abd
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/ident"
+	"repro/internal/network"
+	"repro/internal/router"
+	"repro/internal/simulation"
+	"repro/internal/status"
+	"repro/internal/timer"
+)
+
+// timerRec is one event on a coordinator's Timer port: a request ABD sent
+// ("schedule", "cancel") or a timeout the timer delivered ("fire"),
+// stamped with virtual time.
+type timerRec struct {
+	at    time.Time
+	kind  string
+	ev    string // timeout type of schedules and fires
+	id    timer.ID
+	delay time.Duration
+}
+
+// timerStream is the KompicsTesting-style probe on one coordinator's Timer
+// port, subscribed from the node's scope on both halves of the ABD↔timer
+// channel: requests where they leave ABD, timeouts where they leave the
+// timer. Both observers run in the node component, so the stream keeps
+// causal order.
+type timerStream struct {
+	recs []timerRec
+}
+
+func watchTimer(sim *simulation.Simulation, nd *epochNode) *timerStream {
+	s := &timerStream{}
+	kind := func(ev timer.TimeoutEvent) string {
+		switch ev.(type) {
+		case deadlineTimeout:
+			return "deadline"
+		case flushTimeout:
+			return "flush"
+		}
+		return fmt.Sprintf("%T", ev)
+	}
+	req := nd.abdC.Required(timer.PortType)
+	core.Subscribe(nd.ctx, req, func(r timer.ScheduleTimeout) {
+		s.recs = append(s.recs, timerRec{at: sim.Now(), kind: "schedule", ev: kind(r.Timeout), id: r.Timeout.TimeoutID(), delay: r.Delay})
+	})
+	core.Subscribe(nd.ctx, req, func(c timer.CancelTimeout) {
+		s.recs = append(s.recs, timerRec{at: sim.Now(), kind: "cancel", id: c.ID})
+	})
+	core.Subscribe(nd.ctx, nd.timerC.Provided(timer.PortType), func(ev timer.TimeoutEvent) {
+		s.recs = append(s.recs, timerRec{at: sim.Now(), kind: "fire", ev: kind(ev), id: ev.TimeoutID()})
+	})
+	return s
+}
+
+// count returns how many records match kind and timeout type ("" = any).
+func (s *timerStream) count(kind, ev string) int {
+	n := 0
+	for _, r := range s.recs {
+		if r.kind == kind && (ev == "" || r.ev == ev) {
+			n++
+		}
+	}
+	return n
+}
+
+// closedLoopGets runs n gets of key back to back — each response issues
+// the next get in the same instant — and lets the run settle.
+func closedLoopGets(sim *simulation.Simulation, nd *epochNode, key string, n int, nextID *uint64) {
+	left := n - 1
+	nd.onGet = func(GetResponse) {
+		if left > 0 {
+			left--
+			*nextID++
+			nd.get(*nextID, key)
+		}
+	}
+	*nextID++
+	nd.get(*nextID, key)
+	sim.Run(2 * time.Second)
+	nd.onGet = nil
+}
+
+// newWarmPair builds a two-replica batch world — every ack counts toward
+// the quorum, so every group member gets latency history and resolved
+// budgets shrink below the ceiling (in a constant-latency three-replica
+// world the third ack always lands after the quorum and its peer stays at
+// the ceiling) — writes key "k", and warms the coordinator with 20 gets.
+func newWarmPair(t *testing.T, seed int64, opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, []*epochNode, *uint64) {
+	t.Helper()
+	sim, emu, nodes, _ := newBatchWorld(t, 2, seed, opts...)
+	nodes[0].put(1, "k", "v")
+	sim.Run(100 * time.Millisecond)
+	id := uint64(100)
+	closedLoopGets(sim, nodes[0], "k", 20, &id)
+	return sim, emu, nodes, &id
+}
+
+// TestWarmGetsIssueNoTimerRequests pins the Timer-free hot path as an
+// event-stream property: on a warm coordinator, 50 sequential gets send no
+// CancelTimeout and no flush timeout at all, and every deadline
+// ScheduleTimeout past the first get is the single re-arm of a deadline
+// sweep (a per-op attempt timer would cost two schedules and two cancels
+// per get, plus a flush timeout per frame burst).
+func TestWarmGetsIssueNoTimerRequests(t *testing.T) {
+	sim, _, nodes, id := newWarmPair(t, 51)
+	coord := nodes[0]
+	ts := watchTimer(sim, coord)
+	before := len(coord.gets)
+	const gets = 50
+	closedLoopGets(sim, coord, "k", gets, id)
+
+	got := coord.gets[before:]
+	if len(got) != gets {
+		t.Fatalf("resolved %d gets, want %d", len(got), gets)
+	}
+	for _, g := range got {
+		if g.Err != "" || string(g.Value) != "v" {
+			t.Fatalf("warm get: %+v", g)
+		}
+	}
+	if n := ts.count("cancel", ""); n != 0 {
+		t.Fatalf("warm gets issued %d CancelTimeout, want 0", n)
+	}
+	if n := ts.count("schedule", "flush"); n != 0 {
+		t.Fatalf("lone warm gets armed %d flush timeouts, want 0 (an idle coordinator flushes as it drains)", n)
+	}
+	// The first get finds no timer armed: it arms the ceiling checkpoint,
+	// then re-arms earlier once its group's budget is known. Every later
+	// schedule must directly follow a deadline fire, one per fire.
+	cold, seenFire, afterFire := 0, false, false
+	for i, r := range ts.recs {
+		fire := r.kind == "fire" && r.ev == "deadline"
+		if r.kind == "schedule" && r.ev == "deadline" {
+			switch {
+			case !seenFire:
+				cold++
+			case !afterFire:
+				t.Fatalf("deadline schedule #%d at %v is not the one re-arm of a sweep: %+v", i, r.at, ts.recs)
+			}
+		}
+		seenFire = seenFire || fire
+		afterFire = fire
+	}
+	if cold > 2 {
+		t.Fatalf("%d deadline schedules before the first sweep, want at most 2 (arm + re-budget)", cold)
+	}
+	schedules := ts.count("schedule", "deadline")
+	if schedules*2 > gets {
+		t.Fatalf("%d gets issued %d deadline schedules; sweeps should amortize them", gets, schedules)
+	}
+	t.Logf("%d warm gets: %d deadline schedules, %d deadline fires, 0 cancels, 0 flush timeouts",
+		gets, schedules, ts.count("fire", "deadline"))
+}
+
+// traceSink collects every handler execution of the simulation in order.
+type traceSink struct{ recs []core.TraceRecord }
+
+func (s *traceSink) Record(r core.TraceRecord) { s.recs = append(s.recs, r) }
+
+// TestLoneGetFlushesInFoundActivation: a get on an idle coordinator sends
+// its read phase from the very activation that resolved the group. After
+// ABD runs FoundSuccessor, the coordinator's transport handles the
+// opBatchMsg before ABD runs anything else, and no flush timeout is ever
+// executed.
+func TestLoneGetFlushesInFoundActivation(t *testing.T) {
+	sink := &traceSink{}
+	sim, _, nodes, _ := newBatchWorld(t, 3, 52, simulation.WithTraceSink(sink))
+	coord := nodes[0]
+	coord.put(1, "k", "v")
+	sim.Run(100 * time.Millisecond)
+
+	sink.recs = nil
+	coord.get(2, "k")
+	sim.Run(100 * time.Millisecond)
+	if len(coord.gets) != 1 || coord.gets[0].Err != "" {
+		t.Fatalf("get: %+v", coord.gets)
+	}
+
+	netPath := coord.ctx.Self().Path() + "/net"
+	foundT, batchT, flushT := reflect.TypeOf(router.FoundSuccessor{}), reflect.TypeOf(opBatchMsg{}), reflect.TypeOf(flushTimeout{})
+	found := -1
+	for i, r := range sink.recs {
+		if r.Component == coord.abdC && r.Event == flushT {
+			t.Fatalf("coordinator executed a flush timeout for a lone get (record %d)", i)
+		}
+		if found < 0 && r.Component == coord.abdC && r.Event == foundT {
+			found = i
+		}
+	}
+	if found < 0 {
+		t.Fatal("coordinator never resolved the group")
+	}
+	for _, r := range sink.recs[found+1:] {
+		if r.Component == coord.abdC {
+			t.Fatalf("ABD ran %s before the read phase reached its transport", r.Event)
+		}
+		if r.Component.Path() == netPath && r.Event == batchT {
+			return
+		}
+	}
+	t.Fatal("the read phase never reached the coordinator's transport")
+}
+
+// TestShrunkBudgetRearmsEarlier: a fresh attempt arms the ceiling
+// checkpoint; when its resolved group's budget is smaller, the deadline
+// timer re-arms for the earlier instant, the sweep runs the op's hedge
+// checkpoint there and re-arms once for its retry deadline, and the
+// superseded ceiling timeout fires into nothing.
+func TestShrunkBudgetRearmsEarlier(t *testing.T) {
+	sim, emu, nodes, _ := newWarmPair(t, 53)
+	coord := nodes[0]
+	ts := watchTimer(sim, coord)
+	// The remote replica stalls the read past its checkpoint.
+	emu.SlowNode(nodes[1].self.Addr, 50*time.Millisecond, 5*time.Millisecond)
+	start := sim.Now()
+	coord.get(500, "k")
+	sim.Run(time.Second)
+	if n := len(coord.gets); n == 0 || coord.gets[n-1].Err != "" {
+		t.Fatalf("get: %+v", coord.gets)
+	}
+
+	var scheds, fires []timerRec
+	for _, r := range ts.recs {
+		if r.ev != "deadline" {
+			continue
+		}
+		switch r.kind {
+		case "schedule":
+			scheds = append(scheds, r)
+		case "fire":
+			fires = append(fires, r)
+		}
+	}
+	ceilCheck := 300 * time.Millisecond / hedgeStageDiv // OpTimeout 300ms: cold budget = ceiling
+	if len(scheds) < 3 {
+		t.Fatalf("deadline schedules %+v, want arm, earlier re-arm, retry re-arm", scheds)
+	}
+	arm, early, retry := scheds[0], scheds[1], scheds[2]
+	if !arm.at.Equal(start) || arm.delay != ceilCheck {
+		t.Fatalf("first arm %+v, want the ceiling checkpoint %v at %v", arm, ceilCheck, start)
+	}
+	if !early.at.Equal(start) || early.delay <= 0 || early.delay >= arm.delay {
+		t.Fatalf("re-budget %+v, want an earlier checkpoint than %v at the same instant", early, arm.delay)
+	}
+	var sweptEarly, sweptStale bool
+	for _, f := range fires {
+		switch f.id {
+		case early.id:
+			sweptEarly = f.at.Equal(start.Add(early.delay))
+		case arm.id:
+			sweptStale = true
+		}
+	}
+	if !sweptEarly {
+		t.Fatalf("no sweep at the shrunk checkpoint %v: fires %+v", start.Add(early.delay), fires)
+	}
+	if !sweptStale {
+		t.Fatalf("the superseded ceiling timeout never fired: %+v", fires)
+	}
+	budget := retry.at.Add(retry.delay).Sub(start)
+	if !retry.at.Equal(start.Add(early.delay)) || budget/hedgeStageDiv != early.delay {
+		t.Fatalf("retry re-arm %+v, want the checkpoint sweep re-arming for the end of the budget (%v)", retry, 3*early.delay)
+	}
+	for _, s := range scheds[3:] {
+		if s.at.Equal(start.Add(arm.delay)) {
+			t.Fatalf("the superseded ceiling timeout re-armed the timer: %+v", s)
+		}
+	}
+	if len(coord.ABD.deadlines) != 0 || coord.ABD.InFlight() != 0 {
+		t.Fatalf("op state left behind: heap %d, in flight %d", len(coord.ABD.deadlines), coord.ABD.InFlight())
+	}
+}
+
+// TestBackstopFlushesWhenQueueNeverDrains runs a coordinator on the real
+// runtime and timer with its queue kept thousands of events deep: it never
+// ends an activation idle, so only the backstop flush timeout can send its
+// read phase, and the get must still complete inside its first attempt.
+// The budget is generous because each pass through the flooded queue
+// takes milliseconds (tens under -race); without the backstop the phase
+// never leaves and the op times out.
+func TestBackstopFlushesWhenQueueNeverDrains(t *testing.T) {
+	const floodDepth = 4096
+	rt := core.New(core.WithScheduler(core.NewWorkStealingScheduler(2)), core.WithFaultPolicy(core.LogAndContinue))
+	t.Cleanup(rt.Shutdown)
+	self := nodeRef(1)
+	reg := network.NewLoopbackRegistry()
+	a := New(Config{Self: self, ReplicationDegree: 1, OpTimeout: 5 * time.Second, MaxRetries: 1})
+	var abdC *core.Component
+	got := make(chan GetResponse, 1)
+	rt.MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
+		tr := ctx.Create("net", network.NewLoopback(self.Addr, reg))
+		tm := ctx.Create("timer", timer.NewReal())
+		ro := ctx.Create("router", &stubRouter{group: []ident.NodeRef{self}})
+		abdC = ctx.Create("abd", a)
+		ctx.Connect(abdC.Required(network.PortType), tr.Provided(network.PortType))
+		ctx.Connect(abdC.Required(timer.PortType), tm.Provided(timer.PortType))
+		ctx.Connect(abdC.Required(router.PortType), ro.Provided(router.PortType))
+		core.Subscribe(ctx, abdC.Provided(PutGetPortType), func(g GetResponse) { got <- g })
+	}))
+	if !rt.WaitQuiescence(5 * time.Second) {
+		t.Fatal("no quiescence after boot")
+	}
+
+	// The flood: status requests topped up whenever the queue runs below
+	// floodDepth, far faster than ABD answers them.
+	statusIn := abdC.Provided(status.PortType)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if abdC.QueuedEvents() >= floodDepth {
+				runtime.Gosched()
+				continue
+			}
+			for i := 0; i < floodDepth/4; i++ {
+				_ = core.TriggerOn(statusIn, status.Request{})
+			}
+		}
+	}()
+	for abdC.QueuedEvents() < floodDepth/2 {
+		runtime.Gosched()
+	}
+	_ = core.TriggerOn(abdC.Provided(PutGetPortType), GetRequest{ReqID: 1, Key: "k"})
+	var g GetResponse
+	select {
+	case g = <-got:
+	case <-time.After(8 * time.Second):
+	}
+	close(stop)
+	<-done
+	if !rt.WaitQuiescence(10 * time.Second) {
+		t.Fatal("no quiescence after the flood")
+	}
+	if g.ReqID != 1 || g.Err != "" {
+		t.Fatalf("get under a queue that never drains: %+v (retries %d)", g, a.statRetries)
+	}
+	if a.statRetries != 0 || a.statBatchesSent == 0 {
+		t.Fatalf("read phase left late: retries %d, batches %d", a.statRetries, a.statBatchesSent)
+	}
+}

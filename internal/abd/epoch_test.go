@@ -36,10 +36,13 @@ type epochNode struct {
 
 	ctx     *core.Ctx
 	ABD     *ABD
+	abdC    *core.Component
+	timerC  *core.Component
 	pgOuter *core.Port
 	hoInner *core.Port
 	puts    []PutResponse
 	gets    []GetResponse
+	onGet   func(GetResponse) // optional observer (closed-loop clients)
 }
 
 func (n *epochNode) Setup(ctx *core.Ctx) {
@@ -59,13 +62,19 @@ func (n *epochNode) Setup(ctx *core.Ctx) {
 	}
 	n.ABD = New(cfg)
 	abdC := ctx.Create("abd", n.ABD)
+	n.abdC, n.timerC = abdC, tm
 	ctx.Connect(abdC.Required(network.PortType), tr.Provided(network.PortType))
 	ctx.Connect(abdC.Required(timer.PortType), tm.Provided(timer.PortType))
 	ctx.Connect(abdC.Required(router.PortType), rt.Provided(router.PortType))
 	ctx.Connect(abdC.Required(handoff.PortType), ho.Provided(handoff.PortType))
 	n.pgOuter = abdC.Provided(PutGetPortType)
 	core.Subscribe(ctx, n.pgOuter, func(p PutResponse) { n.puts = append(n.puts, p) })
-	core.Subscribe(ctx, n.pgOuter, func(g GetResponse) { n.gets = append(n.gets, g) })
+	core.Subscribe(ctx, n.pgOuter, func(g GetResponse) {
+		n.gets = append(n.gets, g)
+		if n.onGet != nil {
+			n.onGet(g)
+		}
+	})
 }
 
 func (n *epochNode) put(id uint64, key, val string) {

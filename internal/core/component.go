@@ -86,11 +86,17 @@ type Component struct {
 
 	// curWorker is the scheduler worker currently executing this
 	// component's handlers, set by the work-stealing scheduler around
-	// ExecuteOne. Ctx.Trigger reads it as a locality hint so events
+	// each activation. Ctx.Trigger reads it as a locality hint so events
 	// triggered from inside a handler schedule their destinations onto the
 	// triggering worker's own deque. It is advisory only: a stale or nil
 	// value merely costs locality, never correctness.
 	curWorker atomic.Pointer[worker]
+
+	// onActEnd is the end-of-activation hook (Ctx.OnActivationEnd), nil for
+	// components that set none. Set from Setup (before any activation) or
+	// a handler, and read at the end of an activation, so every access is
+	// ordered by the component's handler exclusivity.
+	onActEnd func(idle bool)
 
 	ctx *Ctx
 }
@@ -350,6 +356,9 @@ func (c *Component) ExecuteOne() bool {
 // every two events. limit bounds the activation so a busy component still
 // interleaves fairly with the rest of the ready set. The same exclusivity
 // contract as ExecuteOne applies.
+//
+// An activation that executed at least one event ends with the
+// component's end-of-activation hook, if it set one and is not destroyed.
 func (c *Component) ExecuteBatch(limit int) int {
 	c.sched.Store(schedBusy)
 	n := 0
@@ -360,6 +369,9 @@ func (c *Component) ExecuteBatch(limit int) int {
 		}
 		c.executeItem(it)
 		n++
+	}
+	if n > 0 && c.onActEnd != nil && c.life.Load() != lifeDestroyed {
+		c.activationEnd()
 	}
 	c.sched.Store(schedIdle)
 	// Re-wake BEFORE releasing this execution's active count: if more work
@@ -432,10 +444,21 @@ func (c *Component) runItem(it workItem) {
 func (c *Component) invoke(s *Subscription, ev Event) {
 	defer func() {
 		if r := recover(); r != nil {
-			c.rt.handleFault(c, r, ev, s)
+			c.rt.handleFault(c, r, ev, s.name)
 		}
 	}()
 	s.handler(ev)
+}
+
+// activationEnd runs the end-of-activation hook under the same fault
+// isolation as a handler. idle reports that no event is left queued.
+func (c *Component) activationEnd() {
+	defer func() {
+		if r := recover(); r != nil {
+			c.rt.handleFault(c, r, nil, c.name+".OnActivationEnd")
+		}
+	}()
+	c.onActEnd(c.pending.Load() == 0)
 }
 
 // onStart activates the component and recursively starts its current

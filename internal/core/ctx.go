@@ -174,6 +174,18 @@ func Subscribe[E Event](x *Ctx, p *Port, h func(E)) *Subscription {
 	return s
 }
 
+// OnActivationEnd sets the component's end-of-activation hook. An
+// activation is one scheduler pass over the component (see Scheduler); the
+// hook runs after the last event of every activation that executed at
+// least one event, with the same exclusivity and fault isolation as a
+// handler (a panic becomes a Fault), and never for a destroyed component.
+// idle is true when no event is left in the component's queue. It is the
+// place to flush work a burst of handlers accumulated — the component
+// draining is the signal that no more of the burst is coming — without
+// paying an event to find out. Call it from Setup or a handler; a later
+// call replaces the hook, and nil removes it.
+func (x *Ctx) OnActivationEnd(h func(idle bool)) { x.c.onActEnd = h }
+
 // Unsubscribe removes a previously made subscription; the handler stops
 // firing for events not yet executed. It is a no-op if already removed.
 func (x *Ctx) Unsubscribe(s *Subscription) {

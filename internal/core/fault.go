@@ -66,16 +66,12 @@ func LogAndContinue(rt *Runtime, f Fault) {
 // it: walking up from the faulty component, the first ancestor that
 // subscribed a matching handler on its child's control port receives the
 // event; if none does, the runtime fault policy runs.
-func (rt *Runtime) handleFault(c *Component, recovered any, ev Event, s *Subscription) {
+func (rt *Runtime) handleFault(c *Component, recovered any, ev Event, handler string) {
 	rt.faults.Add(1)
 	c.stats.faults.Add(1)
 	err, ok := recovered.(error)
 	if !ok {
 		err = fmt.Errorf("panic: %v", recovered)
-	}
-	handler := "<unknown>"
-	if s != nil {
-		handler = s.name
 	}
 	f := Fault{
 		Component: c,

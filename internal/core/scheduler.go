@@ -6,8 +6,14 @@ package core
 // deterministic scheduler in simulation.
 //
 // The runtime hands a component to Schedule exactly once per transition to
-// the ready state; the scheduler must eventually call ExecuteOne on it
-// (from exactly one goroutine at a time per component).
+// the ready state; the scheduler must eventually run one activation of it,
+// from exactly one goroutine at a time per component. An activation is one
+// call to ExecuteBatch(limit) (ExecuteOne is ExecuteBatch(1)): up to limit
+// queued events run back to back, then the component's end-of-activation
+// hook (Ctx.OnActivationEnd) runs if any event ran, and the component goes
+// idle, re-entering the ready state at once if events are still queued.
+// The work-stealing scheduler activates with maxExecBatch; the simulation
+// scheduler with one event, so there every event ends an activation.
 //
 // The production scheduler's per-worker ready queues are array-based
 // work-stealing deques (see wsDeque in deque.go); the earlier node-based

@@ -82,8 +82,9 @@ var PortType = core.NewPortType("Timer",
 
 // Real is the production Timer provider (the paper's JavaTimer): it
 // provides the Timer port backed by the runtime clock and time.AfterFunc.
-// Timeout indications are injected from timer goroutines; ordering across
-// distinct timeouts follows real time.
+// Timeout indications are injected from timer goroutines (zero-delay ones
+// from the request handler itself); ordering across distinct timeouts
+// follows real time.
 type Real struct {
 	ctx  *core.Ctx
 	port *core.Port
@@ -126,7 +127,20 @@ func (r *Real) Setup(ctx *core.Ctx) {
 	})
 }
 
+// handleSchedule arms a one-shot timeout. A timeout already due (Delay <=
+// 0) is delivered straight from this handler: it needs no clock, no
+// pending entry and no goroutine, and it still lands behind every event
+// the requester queued before asking.
 func (r *Real) handleSchedule(st ScheduleTimeout) {
+	if st.Delay <= 0 {
+		r.mu.Lock()
+		stopped := r.stopped
+		r.mu.Unlock()
+		if !stopped {
+			r.ctx.Trigger(st.Timeout, r.port)
+		}
+		return
+	}
 	id := st.Timeout.TimeoutID()
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -149,6 +149,47 @@ func TestStopCancelsAll(t *testing.T) {
 	}
 }
 
+// TestZeroDelayDeliveredDirectly: a timeout that is already due is
+// delivered from the request handler — exactly once, never entering the
+// pending set — a cancel after delivery is a no-op, and after Stop nothing
+// is delivered at all.
+func TestZeroDelayDeliveredDirectly(t *testing.T) {
+	h := newHarness(t)
+	id := NextID()
+	h.ctx.Trigger(ScheduleTimeout{Timeout: tick{Timeout: Timeout{ID: id}, Label: "now"}}, h.port)
+	h.ctx.Trigger(ScheduleTimeout{Delay: -time.Second, Timeout: tick{Timeout: Timeout{ID: NextID()}, Label: "past"}}, h.port)
+	if !h.rt.WaitQuiescence(time.Second) {
+		t.Fatal("no quiescence")
+	}
+	if n := h.ticks.Load(); n != 2 {
+		t.Fatalf("due timeouts delivered %d times, want 2 (once each)", n)
+	}
+	if one, per := h.real.Pending(); one != 0 || per != 0 {
+		t.Fatalf("due timeouts left pending entries: %d/%d", one, per)
+	}
+	h.ctx.Trigger(CancelTimeout{ID: id}, h.port)
+	if !h.rt.WaitQuiescence(time.Second) {
+		t.Fatal("no quiescence")
+	}
+	time.Sleep(20 * time.Millisecond)
+	if n := h.ticks.Load(); n != 2 {
+		t.Fatalf("delivered %d timeouts after a cancel of a delivered one, want 2", n)
+	}
+
+	h.real.cancelAll()
+	h.ctx.Trigger(ScheduleTimeout{Timeout: tick{Timeout: Timeout{ID: NextID()}}}, h.port)
+	if !h.rt.WaitQuiescence(time.Second) {
+		t.Fatal("no quiescence")
+	}
+	time.Sleep(20 * time.Millisecond)
+	if n := h.ticks.Load(); n != 2 {
+		t.Fatalf("zero-delay timeout delivered after stop: %d ticks, want 2", n)
+	}
+	if one, _ := h.real.Pending(); one != 0 {
+		t.Fatalf("stopped timer holds %d one-shots", one)
+	}
+}
+
 func TestNextIDMonotonic(t *testing.T) {
 	a, b := NextID(), NextID()
 	if b <= a {
