@@ -4,7 +4,7 @@ package repro
 // §3 and EXPERIMENTS.md), plus framework microbenchmarks for the design
 // choices the paper calls out. Macro experiments (whole-cluster runs) take
 // seconds per iteration, so testing.B typically settles at N=1; their
-// results are conveyed via b.ReportMetric. The catsbench binary prints the
+// results are conveyed via b.ReportMetric. `catssim run paper` prints the
 // same experiments as paper-style tables.
 
 import (

@@ -237,6 +237,45 @@ func TestAdaptiveStealBatchPolicy(t *testing.T) {
 	}
 }
 
+// TestStealBatchPolicyOpCounts is the deterministic core of the paper's C3
+// claim (batched stealing moves the same work in far fewer steal
+// operations): one thread drains a preloaded victim deque through the
+// thief's real steal path under steal-one and steal-half, with no worker
+// goroutines running, so the operation counts are exact.
+func TestStealBatchPolicyOpCounts(t *testing.T) {
+	const preload = 64
+	cases := []struct {
+		name      string
+		batch     func(n int64) int64
+		steals    uint64
+		thiefLeft int64 // stolen components queued on the thief, not yet run
+	}{
+		// One steal operation per component.
+		{"one", func(int64) int64 { return 1 }, preload, 0},
+		// Halving 64: 32+16+8+4+2+1, then the last one (n/2 = 0 rounds up to 1).
+		{"half", func(n int64) int64 { return n / 2 }, 7, preload - 7},
+	}
+	for _, c := range cases {
+		s := NewWorkStealingScheduler(2, WithStealBatch(c.batch))
+		rt := &Runtime{scheduler: s}
+		victim, thief := s.workers[0], s.workers[1]
+		for i := 0; i < preload; i++ {
+			victim.deque.push(&Component{rt: rt})
+		}
+		for thief.steal() {
+		}
+		_, steals, stolen := s.Stats()
+		if steals != c.steals || stolen != preload {
+			t.Errorf("steal-%s: %d steal ops moved %d components, want %d ops moving %d",
+				c.name, steals, stolen, c.steals, preload)
+		}
+		if victim.deque.size() != 0 || thief.deque.size() != c.thiefLeft {
+			t.Errorf("steal-%s: victim holds %d, thief %d; want 0 and %d",
+				c.name, victim.deque.size(), thief.deque.size(), c.thiefLeft)
+		}
+	}
+}
+
 // BenchmarkStealPingPong measures the steal round trip against a
 // repeatedly-refilled shallow victim whose deque once ran deep — the drain
 // phase the adaptive policy is shaped for. Sub-benchmark "half" pins the

@@ -92,18 +92,13 @@ func LongOutageChurnConfig() ChurnConfig {
 // ChurnResult reports the scenario outcome.
 type ChurnResult struct {
 	Nodes, Keys int
+	HistoryAudit
 
-	AckedPuts, FailedPuts int
-	OKGets, FailedGets    int
-	UnresolvedOps         int
-	Crashes, Restarts     uint64
-	Flaps, ChurnDropped   uint64
-	Linearizable          bool
-	NonLinearizableKey    string
-	LostAckedWrites       int // keys whose acked writes the final audit read could not observe
-	SimulatedDuration     time.Duration
-	DiscreteEvents        uint64
-	HandlerExecutions     uint64
+	Crashes, Restarts   uint64
+	Flaps, ChurnDropped uint64
+	SimulatedDuration   time.Duration
+	DiscreteEvents      uint64
+	HandlerExecutions   uint64
 
 	// State-handoff activity during the scenario (deltas of the
 	// process-wide counters, so they are per-seed deterministic).
@@ -136,8 +131,86 @@ type ChurnResult struct {
 	CrossNodeTraces int    // timelines with spans from >= 2 nodes
 	RestartTraces   int    // timelines that crossed >= 1 epoch restart
 	TraceDigest     uint64 // FNV-1a over all timelines; per-seed deterministic
-	LostKeys        []string
 	Timelines       []tracing.Timeline
+}
+
+// HistoryAudit is the client-history verdict every fault-injection
+// scenario reports: op outcome counts, per-key linearizability of the
+// recorded history, and the lost-acknowledged-write audit.
+type HistoryAudit struct {
+	AckedPuts, FailedPuts int
+	OKGets, FailedGets    int
+	UnresolvedOps         int
+	Linearizable          bool
+	NonLinearizableKey    string
+	LostAckedWrites       int // keys whose acked writes the final audit read could not observe
+	LostKeys              []string
+}
+
+// auditHistory checks the ops the host recorded. Failed or unresolved
+// puts may or may not have taken effect, so they enter the per-key
+// linearizability history as writes with an unconstrained response time;
+// failed gets observed nothing and are excluded. The audit reads are the
+// gets recorded from index auditFrom on: per key in keys with an
+// acknowledged write, the final read must succeed and find a value (one of
+// the acked writes, or a later unacked write's — still not a loss).
+func auditHistory(host *cats.Simulator, auditFrom int, keys []string) HistoryAudit {
+	history := host.OpHistory()
+	unresolved := host.UnresolvedOps()
+	a := HistoryAudit{UnresolvedOps: len(unresolved)}
+	hist := make(map[string][]linear.Op)
+	acked := make(map[string]bool)
+	addPut := func(r cats.OpRecord, end int64) {
+		hist[r.Key] = append(hist[r.Key], linear.Op{
+			Kind: linear.Write, Value: r.Value, Start: r.Start.UnixNano(), End: end,
+		})
+	}
+	for _, r := range history {
+		switch r.Kind {
+		case "put":
+			if r.OK {
+				a.AckedPuts++
+				acked[r.Key] = true
+				addPut(r, r.End.UnixNano())
+			} else {
+				a.FailedPuts++
+				addPut(r, math.MaxInt64)
+			}
+		case "get":
+			if r.OK {
+				a.OKGets++
+				hist[r.Key] = append(hist[r.Key], linear.Op{
+					Kind: linear.Read, Value: r.Value, Found: r.Found,
+					Start: r.Start.UnixNano(), End: r.End.UnixNano(),
+				})
+			} else {
+				a.FailedGets++
+			}
+		}
+	}
+	for _, r := range unresolved {
+		if r.Kind == "put" {
+			addPut(r, math.MaxInt64)
+		}
+	}
+	a.Linearizable, a.NonLinearizableKey = linear.CheckPerKey(hist)
+
+	finalRead := make(map[string]cats.OpRecord)
+	for _, r := range history[auditFrom:] {
+		if r.Kind == "get" {
+			finalRead[r.Key] = r
+		}
+	}
+	for _, key := range keys {
+		if !acked[key] {
+			continue
+		}
+		if r, ok := finalRead[key]; !ok || !r.OK || !r.Found {
+			a.LostAckedWrites++
+			a.LostKeys = append(a.LostKeys, key)
+		}
+	}
+	return a
 }
 
 // TimelineDigest folds assembled timelines into one FNV-1a fingerprint.
@@ -318,12 +391,10 @@ func Churn(seed int64, cfg ChurnConfig, simOpts ...simulation.SimOption) ChurnRe
 	}
 	auditStats := sim.Run(nodeCfg.OpTimeout * 3)
 
-	history := host.OpHistory()
-	unresolved := host.UnresolvedOps()
 	res := ChurnResult{
 		Nodes:             cfg.Nodes,
 		Keys:              cfg.Keys,
-		UnresolvedOps:     len(unresolved),
+		HistoryAudit:      auditHistory(host, preAudit, keys),
 		SimulatedDuration: mainStats.SimulatedDuration + auditStats.SimulatedDuration,
 		DiscreteEvents:    mainStats.DiscreteEvents + auditStats.DiscreteEvents,
 		HandlerExecutions: mainStats.HandlerExecutions + auditStats.HandlerExecutions,
@@ -341,50 +412,6 @@ func Churn(seed int64, cfg ChurnConfig, simOpts ...simulation.SimOption) ChurnRe
 	res.WALSnapshots = kvAfter.Snapshots - kvBefore.Snapshots
 	res.WALErrors = kvAfter.WALErrors - kvBefore.WALErrors
 
-	// Build the per-key linearizability history. Failed or unresolved puts
-	// may or may not have taken effect, so they enter as writes with an
-	// unconstrained response time; failed gets observed nothing and are
-	// excluded.
-	hist := make(map[string][]linear.Op)
-	ackedVals := make(map[string]map[string]bool)
-	addPut := func(r cats.OpRecord, end int64) {
-		hist[r.Key] = append(hist[r.Key], linear.Op{
-			Kind: linear.Write, Value: r.Value, Start: r.Start.UnixNano(), End: end,
-		})
-	}
-	for _, r := range history {
-		switch r.Kind {
-		case "put":
-			if r.OK {
-				res.AckedPuts++
-				if ackedVals[r.Key] == nil {
-					ackedVals[r.Key] = make(map[string]bool)
-				}
-				ackedVals[r.Key][r.Value] = true
-				addPut(r, r.End.UnixNano())
-			} else {
-				res.FailedPuts++
-				addPut(r, math.MaxInt64)
-			}
-		case "get":
-			if r.OK {
-				res.OKGets++
-				hist[r.Key] = append(hist[r.Key], linear.Op{
-					Kind: linear.Read, Value: r.Value, Found: r.Found,
-					Start: r.Start.UnixNano(), End: r.End.UnixNano(),
-				})
-			} else {
-				res.FailedGets++
-			}
-		}
-	}
-	for _, r := range unresolved {
-		if r.Kind == "put" {
-			addPut(r, math.MaxInt64)
-		}
-	}
-	res.Linearizable, res.NonLinearizableKey = linear.CheckPerKey(hist)
-
 	for _, ref := range host.AliveNodes() {
 		p, ok := host.Peer(ref.Key)
 		if !ok || p.Node == nil {
@@ -399,26 +426,6 @@ func Churn(seed int64, cfg ChurnConfig, simOpts ...simulation.SimOption) ChurnRe
 					res.StoreMaxShardShare = share
 				}
 			}
-		}
-	}
-
-	// Lost-acked-write audit: per key with acknowledged writes, the final
-	// read must succeed and find one of them (or a later unacked write's
-	// value — still not a loss).
-	finalRead := make(map[string]cats.OpRecord)
-	for _, r := range history[preAudit:] {
-		if r.Kind == "get" {
-			finalRead[r.Key] = r
-		}
-	}
-	for _, key := range keys {
-		if len(ackedVals[key]) == 0 {
-			continue
-		}
-		r, ok := finalRead[key]
-		if !ok || !r.OK || !r.Found {
-			res.LostAckedWrites++
-			res.LostKeys = append(res.LostKeys, key)
 		}
 	}
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/cats"
 	"repro/internal/core"
 	"repro/internal/ident"
-	"repro/internal/linear"
 	"repro/internal/simulation"
 	"repro/internal/tracing"
 )
@@ -61,13 +59,7 @@ func (c *CodecSwapConfig) applyDefaults() {
 // the emulator's local (per-run, deterministic) accounting.
 type CodecSwapResult struct {
 	Nodes, Keys int
-
-	AckedPuts, FailedPuts int
-	OKGets, FailedGets    int
-	UnresolvedOps         int
-	Linearizable          bool
-	NonLinearizableKey    string
-	LostAckedWrites       int
+	HistoryAudit
 
 	CodecSwaps   uint64 // live swaps applied under traffic
 	BinaryFrames uint64 // frames that crossed the wire in the binary format
@@ -169,83 +161,26 @@ func CodecSwap(seed int64, cfg CodecSwapConfig, simOpts ...simulation.SimOption)
 
 	// Audit: one read per key after everything settles.
 	preAudit := len(host.OpHistory())
-	for k := 0; k < cfg.Keys; k++ {
+	keys := make([]string, cfg.Keys)
+	for k := range keys {
 		key := keyName(k)
+		keys[k] = key
 		sim.ScheduleAt(0, "codecswap:audit", func() {
 			_ = core.TriggerOn(exp, cats.OpGet{NodeKey: ident.Key(rng.Uint64()), Key: key})
 		})
 	}
 	auditStats := sim.Run(simNodeConfig().OpTimeout * 3)
 
-	history := host.OpHistory()
-	unresolved := host.UnresolvedOps()
 	res := CodecSwapResult{
 		Nodes:             cfg.Nodes,
 		Keys:              cfg.Keys,
-		UnresolvedOps:     len(unresolved),
+		HistoryAudit:      auditHistory(host, preAudit, keys),
 		SimulatedDuration: mainStats.SimulatedDuration + auditStats.SimulatedDuration,
 		DiscreteEvents:    mainStats.DiscreteEvents + auditStats.DiscreteEvents,
 		HandlerExecutions: mainStats.HandlerExecutions + auditStats.HandlerExecutions,
 	}
 	res.CodecSwaps, res.BinaryFrames, res.GobFrames, res.CodecErrors = emu.CodecStats()
 	_, _, res.Flaps, _ = emu.ChurnStats()
-
-	hist := make(map[string][]linear.Op)
-	ackedVals := make(map[string]map[string]bool)
-	addPut := func(r cats.OpRecord, end int64) {
-		hist[r.Key] = append(hist[r.Key], linear.Op{
-			Kind: linear.Write, Value: r.Value, Start: r.Start.UnixNano(), End: end,
-		})
-	}
-	for _, r := range history {
-		switch r.Kind {
-		case "put":
-			if r.OK {
-				res.AckedPuts++
-				if ackedVals[r.Key] == nil {
-					ackedVals[r.Key] = make(map[string]bool)
-				}
-				ackedVals[r.Key][r.Value] = true
-				addPut(r, r.End.UnixNano())
-			} else {
-				res.FailedPuts++
-				addPut(r, math.MaxInt64)
-			}
-		case "get":
-			if r.OK {
-				res.OKGets++
-				hist[r.Key] = append(hist[r.Key], linear.Op{
-					Kind: linear.Read, Value: r.Value, Found: r.Found,
-					Start: r.Start.UnixNano(), End: r.End.UnixNano(),
-				})
-			} else {
-				res.FailedGets++
-			}
-		}
-	}
-	for _, r := range unresolved {
-		if r.Kind == "put" {
-			addPut(r, math.MaxInt64)
-		}
-	}
-	res.Linearizable, res.NonLinearizableKey = linear.CheckPerKey(hist)
-
-	finalRead := make(map[string]cats.OpRecord)
-	for _, r := range history[preAudit:] {
-		if r.Kind == "get" {
-			finalRead[r.Key] = r
-		}
-	}
-	for k := 0; k < cfg.Keys; k++ {
-		key := keyName(k)
-		if len(ackedVals[key]) == 0 {
-			continue
-		}
-		r, ok := finalRead[key]
-		if !ok || !r.OK || !r.Found {
-			res.LostAckedWrites++
-		}
-	}
 
 	res.TraceDigest = TimelineDigest(tracing.Assemble(ring.Snapshot()))
 	return res

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestCodecSwapCleanRun is the live-swap correctness gate: quorum traffic
 // across per-node codec swaps and overlapping link flaps stays
@@ -30,7 +33,7 @@ func TestCodecSwapCleanRun(t *testing.T) {
 }
 
 // TestCodecSwapDeterministic pins the two-run byte-identical property the
-// codecswap CI job diffs: same seed, same result, including the codec
+// codecswap gate entry compares: same seed, same result, including the codec
 // counters and the trace digest.
 func TestCodecSwapDeterministic(t *testing.T) {
 	if testing.Short() {
@@ -38,7 +41,7 @@ func TestCodecSwapDeterministic(t *testing.T) {
 	}
 	a := CodecSwap(11, CodecSwapConfig{})
 	b := CodecSwap(11, CodecSwapConfig{})
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same-seed runs diverge:\n a: %+v\n b: %+v", a, b)
 	}
 	c := CodecSwap(13, CodecSwapConfig{})

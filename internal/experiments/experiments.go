@@ -1,12 +1,19 @@
-// Package experiments implements the paper's evaluation artifacts as
-// reusable experiment functions, shared by the catsbench harness (which
-// prints paper-style tables) and the root bench_test.go benchmarks. Each
-// experiment corresponds to a row of DESIGN.md §3:
+// Package experiments implements the paper's evaluation artifacts and the
+// repo's fault-injection scenarios as reusable functions. The catssim
+// scenario registry runs them (its paper entries print paper-style tables,
+// its gate entries print reports it checks invariants over), and the root
+// bench_test.go benchmarks reuse the paper experiments. The paper rows of
+// DESIGN.md §3:
 //
 //   - Table1: simulated-time compression vs. number of peers.
 //   - C1: end-to-end operation latency on an in-process cluster.
 //   - C2: aggregate read throughput vs. cluster size.
 //   - C3: work-stealing batch-size ablation.
+//
+// The scenarios: Churn (crash-restart churn, link flaps, partitions),
+// Gray (straggler pulses and an overload burst), HedgeBench (the hedging
+// A/B under a gray replica), CodecSwap (live wire-codec swaps), and the
+// two-process crash-restart Recovery pair.
 package experiments
 
 import (

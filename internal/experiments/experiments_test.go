@@ -60,17 +60,11 @@ func TestStealingBothPolicies(t *testing.T) {
 	}
 	one := Stealing(4, 64, 50, false)
 	half := Stealing(4, 64, 50, true)
+	// Whether and how often the workers steal depends on goroutine timing;
+	// the exact steal-operation counts per policy are pinned single-threaded
+	// by TestStealBatchPolicyOpCounts in internal/core.
 	if one.Events != 64*50 || half.Events != 64*50 {
 		t.Fatalf("event counts: %d %d", one.Events, half.Events)
-	}
-	if one.Steals == 0 || half.Steals == 0 {
-		t.Fatalf("no stealing occurred: one=%d half=%d", one.Steals, half.Steals)
-	}
-	// Batching's defining mechanism: far fewer steal operations move the
-	// same work.
-	if half.Steals >= one.Steals {
-		t.Fatalf("batch=half used %d steal ops, batch=one used %d; batching must use fewer",
-			half.Steals, one.Steals)
 	}
 }
 

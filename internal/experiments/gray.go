@@ -11,7 +11,6 @@
 package experiments
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/cats"
 	"repro/internal/core"
 	"repro/internal/ident"
-	"repro/internal/linear"
 	"repro/internal/network"
 	"repro/internal/simulation"
 	"repro/internal/tracing"
@@ -77,10 +75,7 @@ func (c *GrayConfig) applyDefaults() {
 // GrayResult reports the scenario outcome.
 type GrayResult struct {
 	Nodes int
-
-	AckedPuts, FailedPuts int
-	OKGets, FailedGets    int
-	UnresolvedOps         int
+	HistoryAudit
 
 	// Resilience activity (deltas of the process-wide counters).
 	Retries      uint64
@@ -91,11 +86,6 @@ type GrayResult struct {
 	SlowHints    uint64 // summed over the cluster's failure detectors
 	SlowWindows  uint64 // gray injections applied by the emulator
 	SlowDelayed  uint64 // messages the emulator delayed inside one
-
-	Linearizable       bool
-	NonLinearizableKey string
-	LostAckedWrites    int
-	LostKeys           []string
 
 	SimulatedDuration time.Duration
 	DiscreteEvents    uint64
@@ -238,11 +228,9 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 	}
 	auditStats := sim.Run(nodeCfg.OpTimeout * 4)
 
-	history := host.OpHistory()
-	unresolved := host.UnresolvedOps()
 	res := GrayResult{
 		Nodes:             cfg.Nodes,
-		UnresolvedOps:     len(unresolved),
+		HistoryAudit:      auditHistory(host, preAudit, auditKeys),
 		SimulatedDuration: mainStats.SimulatedDuration + auditStats.SimulatedDuration,
 		DiscreteEvents:    mainStats.DiscreteEvents + auditStats.DiscreteEvents,
 		HandlerExecutions: mainStats.HandlerExecutions + auditStats.HandlerExecutions,
@@ -257,64 +245,6 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 	for _, ref := range host.AliveNodes() {
 		if p, ok := host.Peer(ref.Key); ok && p.Node != nil {
 			res.SlowHints += p.Node.FD.SlowHints()
-		}
-	}
-
-	// Linearizability history, exactly as the churn scenario builds it.
-	hist := make(map[string][]linear.Op)
-	ackedVals := make(map[string]map[string]bool)
-	addPut := func(r cats.OpRecord, end int64) {
-		hist[r.Key] = append(hist[r.Key], linear.Op{
-			Kind: linear.Write, Value: r.Value, Start: r.Start.UnixNano(), End: end,
-		})
-	}
-	for _, r := range history {
-		switch r.Kind {
-		case "put":
-			if r.OK {
-				res.AckedPuts++
-				if ackedVals[r.Key] == nil {
-					ackedVals[r.Key] = make(map[string]bool)
-				}
-				ackedVals[r.Key][r.Value] = true
-				addPut(r, r.End.UnixNano())
-			} else {
-				res.FailedPuts++
-				addPut(r, math.MaxInt64)
-			}
-		case "get":
-			if r.OK {
-				res.OKGets++
-				hist[r.Key] = append(hist[r.Key], linear.Op{
-					Kind: linear.Read, Value: r.Value, Found: r.Found,
-					Start: r.Start.UnixNano(), End: r.End.UnixNano(),
-				})
-			} else {
-				res.FailedGets++
-			}
-		}
-	}
-	for _, r := range unresolved {
-		if r.Kind == "put" {
-			addPut(r, math.MaxInt64)
-		}
-	}
-	res.Linearizable, res.NonLinearizableKey = linear.CheckPerKey(hist)
-
-	finalRead := make(map[string]cats.OpRecord)
-	for _, r := range history[preAudit:] {
-		if r.Kind == "get" {
-			finalRead[r.Key] = r
-		}
-	}
-	for _, key := range auditKeys {
-		if len(ackedVals[key]) == 0 {
-			continue
-		}
-		r, ok := finalRead[key]
-		if !ok || !r.OK || !r.Found {
-			res.LostAckedWrites++
-			res.LostKeys = append(res.LostKeys, key)
 		}
 	}
 

@@ -1,6 +1,6 @@
 // The recovery scenario: proof that durability actually survives death.
-// It runs in two phases in two separate processes (catssim -mode
-// recovery -phase crash|recover):
+// It runs in two phases in two separate processes (the crash and recover
+// children of catssim's recovery entry):
 //
 // Phase 1 (crash) boots a simulated CATS cluster whose nodes carry
 // durable stores (per-node WAL + snapshot directories under one root,
@@ -21,8 +21,8 @@
 //
 // Both phases are driven by the deterministic simulation, and phase 1
 // writes files at virtual-time-ordered points, so a (phase 1; phase 2)
-// pair from one seed produces byte-identical phase-2 reports — the CI
-// recovery job runs each seed twice and diffs them.
+// pair from one seed produces byte-identical phase-2 reports — `catssim
+// run recovery` runs each seed's pair twice and compares them.
 package experiments
 
 import (

@@ -17,7 +17,7 @@ import (
 // destroyed (no leave protocol — queues dropped, stores closed by the
 // Stop cascade), and a brand-new cluster built over the same data
 // directories must recover the registers from snapshot + WAL and answer
-// reads. The out-of-process SIGKILL variant (catssim -mode recovery)
+// reads. The out-of-process SIGKILL variant (catssim run recovery)
 // additionally proves this with no clean Close at all.
 func TestRecoveryFullClusterRestart(t *testing.T) {
 	root := t.TempDir()
