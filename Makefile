@@ -6,7 +6,7 @@ GO ?= go
 BENCHTIME ?= 1s
 BENCHCPU ?= 4
 
-.PHONY: all help build vet test test-race bench bench-dispatch kvbench-smoke scenarios fuzz ci ci-local
+.PHONY: all help build vet test test-race core-stress bench bench-dispatch kvbench-smoke scenarios fuzz ci ci-local
 
 all: build
 
@@ -16,6 +16,8 @@ help:
 	@echo "  vet             go vet ./..."
 	@echo "  test            go test ./..."
 	@echo "  test-race       go test -race ./... (deque/routing-cache stress tests)"
+	@echo "  core-stress     internal/core 50x at -cpu 1,2,4 and 10x under -race: the"
+	@echo "                  hold/unplug/resume and swap ordering tests are concurrent"
 	@echo "  bench           full benchmark sweep (macro experiments included)"
 	@echo "  bench-dispatch  hot-path microbenchmarks only: dispatch, fan-out,"
 	@echo "                  ping-pong, deque. Pinned -benchtime $(BENCHTIME) -cpu $(BENCHCPU);"
@@ -28,7 +30,7 @@ help:
 	@echo "  fuzz            binary frame decoder fuzz targets, 30s each"
 	@echo "  ci              vet + build + test-race"
 	@echo "  ci-local        local mirror of the CI jobs: lint (without staticcheck and"
-	@echo "                  govulncheck), test, alloc, kvbench, scenarios, fuzz"
+	@echo "                  govulncheck), test, core-stress, alloc, kvbench, scenarios, fuzz"
 
 build:
 	$(GO) build ./...
@@ -43,6 +45,14 @@ test:
 # internal/core (concurrent push/pop/steal, subscribe/unsubscribe under fire).
 test-race:
 	$(GO) test -race ./...
+
+# Local mirror of the CI core-stress job. The channel reconfiguration tests
+# (hold/resume and swap under concurrent traffic) race producers against
+# reconfiguration, so one pass proves little: repeat them across scheduler
+# widths, and under the race detector.
+core-stress:
+	$(GO) test -count=50 -cpu 1,2,4 ./internal/core
+	$(GO) test -race -count=10 ./internal/core
 
 # Full benchmark sweep (experiment macro-benchmarks take seconds per run).
 bench:
@@ -84,12 +94,13 @@ ci: vet build test-race
 # The CI jobs, locally and in one command, job for job: lint (vet, build,
 # gofmt; staticcheck and govulncheck need a network install), test (the
 # -race pass unsharded: sharding only buys wall-clock on parallel
-# runners), alloc, kvbench, scenarios and fuzz. The non-gating bench job
+# runners), core-stress, alloc, kvbench, scenarios and fuzz. The non-gating bench job
 # is `make bench-dispatch` on two commits.
 ci-local: vet build
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) test -count=1 ./...
 	$(GO) test -race -count=1 ./...
+	$(MAKE) core-stress
 	$(GO) test -run 'ZeroAlloc' -count=1 .
 	$(GO) test -run 'ZeroAlloc|Pooled' -count=1 ./internal/network/ ./internal/abd/ ./internal/handoff/ ./internal/fd/ ./internal/cyclon/ ./internal/ring/ ./internal/bootstrap/ ./internal/monitor/
 	$(GO) test -run 'TCPSteadyStateAllocs' -count=1 ./internal/network/

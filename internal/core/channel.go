@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -12,46 +13,65 @@ import (
 // Hold, Resume, Unplug, and Plug. Held channels queue events in both
 // directions without dropping any; Resume flushes the queue in FIFO order
 // and then resumes pass-through forwarding.
+//
+// One state rule governs every delivery through a channel:
+//
+//  1. pass is non-nil only while the channel is a plain pipe: both ends
+//     plugged, not held, queue empty, no drain running. Only a holder of mu
+//     changes it.
+//  2. forward's fast path takes a reference on the published endpoint
+//     snapshot, re-checks that it is still published, delivers, and drops
+//     the reference. Otherwise forward takes mu: a channel that is not a
+//     plain pipe queues the event; a plain one delivers through the current
+//     snapshot, holding a reference the same way.
+//  3. Hold, Unplug and Disconnect retire the snapshot and, before they
+//     return, wait — without holding mu — until every reference on it has
+//     been dropped. After Unplug returns, nothing can still reach the
+//     detached half.
+//  4. Resume and Plug drain as the only drainer (the draining flag, set
+//     under mu; a second caller leaves the drain to the first). Arrivals
+//     during a drain queue behind it, and the drainer republishes pass only
+//     when it finds the queue empty.
 type Channel struct {
 	typ *PortType
 
-	// pass caches the two live endpoints for lock-free pass-through
-	// forwarding. It is non-nil exactly while the channel is a plain pipe —
-	// both ends plugged and not held — and nil whenever any reconfiguration
-	// state forces the locked slow path. Mutators republish it under mu
-	// (updatePassLocked), so the broadcast hot path costs one atomic load
-	// and a pointer compare per channel instead of a mutex round trip.
+	// pass is ends while the channel is a plain pipe, nil otherwise (rule
+	// 1), so pass-through forwarding costs an atomic load and a reference
+	// count instead of a mutex round trip.
 	pass atomic.Pointer[chanEnds]
 
-	mu   sync.Mutex
-	ends [2]*Port // endpoint halves; an unplugged end is nil
-	held bool
-	// queue holds events that arrived while the channel was held or while
-	// the destination end was unplugged, in arrival order. dstEnd records
-	// which endpoint slot each event was heading to.
+	mu       sync.Mutex
+	ends     *chanEnds // current endpoints; replaced, never mutated
+	held     bool
+	draining bool
+	// queue holds events that could not pass through, in arrival order.
 	queue []queuedEvent
 }
 
-// chanEnds is an immutable snapshot of a live channel's endpoints. Port
+// chanEnds is an immutable snapshot of a channel's endpoints, indexed by
+// polarity: prov is the provider-like half and req the requirer-like half,
+// nil while unplugged. refs counts deliveries in flight through it. Port
 // handles are canonical (see portPair.halves), so endpoint identity is a
 // pointer compare.
-type chanEnds struct{ a, b *Port }
-
-// otherOf returns the endpoint opposite half from, or nil when from is not
-// an endpoint of this snapshot (a racing unplug: take the slow path).
-func (ce *chanEnds) otherOf(from *Port) *Port {
-	if ce.a == from {
-		return ce.b
-	}
-	if ce.b == from {
-		return ce.a
-	}
-	return nil
+type chanEnds struct {
+	prov, req *Port
+	refs      atomic.Int32
 }
 
+// end returns the provider-like end when toProv is set, else the
+// requirer-like end.
+func (ce *chanEnds) end(toProv bool) *Port {
+	if toProv {
+		return ce.prov
+	}
+	return ce.req
+}
+
+// queuedEvent is an event waiting in the channel; toProv records which end
+// it is heading to.
 type queuedEvent struct {
 	event  Event
-	dstEnd int
+	toProv bool
 }
 
 // Connect creates a channel between two complementary port halves. The
@@ -74,10 +94,11 @@ func Connect(a, b *Port) (*Channel, error) {
 	if a.pair == b.pair {
 		return nil, fmt.Errorf("core: Connect: cannot connect the two halves of the same port %s", a)
 	}
-	ch := &Channel{typ: a.Type()}
-	ch.ends[0] = a
-	ch.ends[1] = b
-	ch.pass.Store(&chanEnds{a: a, b: b})
+	if !a.providerLike() {
+		a, b = b, a
+	}
+	ch := &Channel{typ: a.Type(), ends: &chanEnds{prov: a, req: b}}
+	ch.pass.Store(ch.ends)
 	a.pair.attachChannel(a.face, ch)
 	b.pair.attachChannel(b.face, ch)
 	return ch, nil
@@ -97,146 +118,69 @@ func MustConnect(a, b *Port) *Channel {
 // Type returns the port type the channel carries.
 func (ch *Channel) Type() *PortType { return ch.typ }
 
-// Ends returns the two endpoint halves; an unplugged end is nil.
-func (ch *Channel) Ends() (a, b *Port) {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.ends[0], ch.ends[1]
-}
-
-// forward carries an event that just crossed into half `from` onward to the
-// opposite endpoint. If the channel is held, or the destination end is
-// currently unplugged, the event is queued instead of dropped. hint is the
-// scheduler locality hint of the originating trigger, threaded through the
-// synchronous forwarding chain (see Port.deliver).
-func (ch *Channel) forward(ev Event, from *Port, hint *worker) {
-	if ce := ch.pass.Load(); ce != nil {
-		if dst := ce.otherOf(from); dst != nil {
-			dst.deliver(ev, hint)
-			return
+// forward carries an event that just crossed into endpoint half from onward
+// to the opposite end, or queues it while the channel is not a plain pipe.
+// hint is the scheduler locality hint of the originating trigger (see
+// Port.deliver). With a non-nil batch b the delivery joins it, and the
+// snapshot reference is dropped when b flushes, after its enqueues.
+func (ch *Channel) forward(ev Event, from *Port, hint *worker, b *fanoutBatch) {
+	ce := ch.pass.Load()
+	if ce != nil {
+		ce.refs.Add(1)
+		if ch.pass.Load() != ce {
+			ce.refs.Add(-1)
+			ce = nil
 		}
 	}
-	ch.forwardSlow(ev, from, hint, nil)
-}
-
-// forwardInto is forward inside an ongoing batch collection: the far side's
-// fan-out joins the same batch.
-func (ch *Channel) forwardInto(ev Event, from *Port, hint *worker, b *fanoutBatch) {
-	if ce := ch.pass.Load(); ce != nil {
-		if dst := ce.otherOf(from); dst != nil {
-			dst.deliverInto(ev, hint, b)
+	toProv := !from.providerLike()
+	if ce == nil {
+		ch.mu.Lock()
+		if !ch.plainLocked() {
+			ch.queue = append(ch.queue, queuedEvent{event: ev, toProv: toProv})
+			ch.mu.Unlock()
 			return
 		}
-	}
-	ch.forwardSlow(ev, from, hint, b)
-}
-
-// forwardSlice carries a homogeneous event slice across the channel as one
-// atomic batch: a live channel forwards it whole; a held channel (or one
-// whose destination end is unplugged) buffers the whole slice in order
-// under a single lock acquisition, so no concurrent forward can interleave
-// inside the batch and Resume replays it contiguously.
-func (ch *Channel) forwardSlice(evs []Event, from *Port, hint *worker, b *fanoutBatch) {
-	if ce := ch.pass.Load(); ce != nil {
-		if dst := ce.otherOf(from); dst != nil {
-			dst.deliverSliceInto(evs, hint, b)
-			return
-		}
-	}
-	ch.mu.Lock()
-	dstEnd := ch.slowDstEndLocked(from)
-	if ch.held || ch.ends[dstEnd] == nil {
-		for _, ev := range evs {
-			ch.queue = append(ch.queue, queuedEvent{event: ev, dstEnd: dstEnd})
-		}
+		ce = ch.ends
+		ce.refs.Add(1)
 		ch.mu.Unlock()
+	}
+	if b == nil {
+		ce.end(toProv).deliver(ev, hint)
+		ce.refs.Add(-1)
 		return
 	}
-	dst := ch.ends[dstEnd]
+	ce.end(toProv).deliverInto(ev, hint, b)
+	b.refs = append(b.refs, ce)
+}
+
+// plainLocked reports whether the channel is a plain pipe (rule 1). Called
+// with ch.mu held.
+func (ch *Channel) plainLocked() bool {
+	return !ch.held && !ch.draining && len(ch.queue) == 0 && ch.ends.prov != nil && ch.ends.req != nil
+}
+
+// retireLocked replaces the endpoint snapshot with one holding prov and req,
+// unpublishes pass, releases ch.mu, and returns once no delivery through the
+// retired snapshot is in flight (rule 3). In-flight deliveries only enqueue,
+// possibly across pass-through channels, so the wait is short and never
+// needs this channel's lock.
+func (ch *Channel) retireLocked(prov, req *Port) {
+	old := ch.ends
+	ch.ends = &chanEnds{prov: prov, req: req}
+	ch.pass.Store(nil)
 	ch.mu.Unlock()
-	dst.deliverSliceInto(evs, hint, b)
-}
-
-// forwardSlow is the locked forwarding path, taken whenever the channel is
-// not a plain live pipe (held, partially unplugged, or racing a reconfig).
-// When b is non-nil the delivery joins that batch.
-func (ch *Channel) forwardSlow(ev Event, from *Port, hint *worker, b *fanoutBatch) {
-	ch.mu.Lock()
-	dstEnd := ch.slowDstEndLocked(from)
-	if ch.held || ch.ends[dstEnd] == nil {
-		ch.queue = append(ch.queue, queuedEvent{event: ev, dstEnd: dstEnd})
-		ch.mu.Unlock()
-		return
+	for old.refs.Load() != 0 {
+		runtime.Gosched()
 	}
-	dst := ch.ends[dstEnd]
-	ch.mu.Unlock()
-	if b != nil {
-		dst.deliverInto(ev, hint, b)
-	} else {
-		dst.deliver(ev, hint)
-	}
-}
-
-// slowDstEndLocked resolves which endpoint slot an event entering from half
-// `from` is heading to. Called with ch.mu held.
-func (ch *Channel) slowDstEndLocked(from *Port) int {
-	dstEnd := ch.endIndexOfOther(from)
-	if dstEnd < 0 {
-		// The 'from' half is no longer an endpoint (racing unplug): the
-		// event was emitted while we were attached, so deliver toward the
-		// remaining end to honor the no-drop guarantee.
-		if ch.ends[0] != nil {
-			dstEnd = 0
-		} else {
-			dstEnd = 1
-		}
-	}
-	return dstEnd
-}
-
-// updatePassLocked republishes the lock-free pass-through snapshot after a
-// state mutation. Called with ch.mu held.
-func (ch *Channel) updatePassLocked() {
-	if !ch.held && ch.ends[0] != nil && ch.ends[1] != nil {
-		ch.pass.Store(&chanEnds{a: ch.ends[0], b: ch.ends[1]})
-	} else {
-		ch.pass.Store(nil)
-	}
-}
-
-// endIndexOfOther returns the slot index of the endpoint opposite to half p,
-// or -1 if p is not currently an endpoint.
-func (ch *Channel) endIndexOfOther(p *Port) int {
-	if ch.ends[0] != nil && ch.ends[0].pair == p.pair && ch.ends[0].face == p.face {
-		return 1
-	}
-	if ch.ends[1] != nil && ch.ends[1].pair == p.pair && ch.ends[1].face == p.face {
-		return 0
-	}
-	return -1
 }
 
 // Hold puts the channel on hold: it stops forwarding events and starts
-// queueing them in both directions.
+// queueing them in both directions. When Hold returns, no event is still in
+// flight through the channel.
 func (ch *Channel) Hold() {
 	ch.mu.Lock()
-	defer ch.mu.Unlock()
 	ch.held = true
-	ch.updatePassLocked()
-}
-
-// Held reports whether the channel is currently on hold.
-func (ch *Channel) Held() bool {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.held
-}
-
-// QueuedLen returns the number of events currently queued in the channel.
-func (ch *Channel) QueuedLen() int {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return len(ch.queue)
+	ch.retireLocked(ch.ends.prov, ch.ends.req)
 }
 
 // Resume takes the channel off hold: it first forwards all queued events,
@@ -246,75 +190,68 @@ func (ch *Channel) QueuedLen() int {
 func (ch *Channel) Resume() {
 	ch.mu.Lock()
 	ch.held = false
-	ch.updatePassLocked()
 	ch.drainLocked()
 }
 
-// drainLocked flushes deliverable queued events. It is called with ch.mu
-// held and releases it before returning. Delivery happens outside the lock
-// (present may re-enter forward on this same channel via port graphs), so
-// events arriving concurrently are appended behind the batch being flushed,
-// preserving FIFO per direction. Maximal consecutive runs headed to the
-// same end are replayed as one batch, so a batch that was buffered whole by
-// a held channel leaves it whole, in order, on Resume.
+// drainLocked replays deliverable queued events one at a time, in queue
+// order, then republishes pass if the channel is a plain pipe (rule 4). It
+// is called with ch.mu held and releases it. Delivery happens outside the
+// lock, so events arriving meanwhile (including through a cycle back into
+// this channel) queue behind the ones being replayed.
 func (ch *Channel) drainLocked() {
-	var run []Event // drain-local scratch; reconfig path, allocation is fine
-	for {
-		if ch.held || len(ch.queue) == 0 {
-			ch.mu.Unlock()
-			return
-		}
-		// Find the first deliverable event (its destination end plugged).
-		idx := -1
-		for i, qe := range ch.queue {
-			if ch.ends[qe.dstEnd] != nil {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			ch.mu.Unlock()
-			return
-		}
-		dstEnd := ch.queue[idx].dstEnd
-		end := idx + 1
-		for end < len(ch.queue) && ch.queue[end].dstEnd == dstEnd {
-			end++
-		}
-		run = run[:0]
-		for _, qe := range ch.queue[idx:end] {
-			run = append(run, qe.event)
-		}
-		ch.queue = append(ch.queue[:idx:idx], ch.queue[end:]...)
-		dst := ch.ends[dstEnd]
+	if ch.draining {
 		ch.mu.Unlock()
-		dst.deliverSlice(run, nil)
+		return
+	}
+	ch.draining = true
+	for !ch.held {
+		ce := ch.ends
+		i := 0
+		for i < len(ch.queue) && ce.end(ch.queue[i].toProv) == nil {
+			i++
+		}
+		if i == len(ch.queue) {
+			break
+		}
+		// Take event i out, shifting the undeliverable events ahead of it
+		// (usually none) up by one so the queue front stays O(1).
+		qe := ch.queue[i]
+		copy(ch.queue[1:i+1], ch.queue[:i])
+		ch.queue[0] = queuedEvent{}
+		ch.queue = ch.queue[1:]
+		ce.refs.Add(1)
+		ch.mu.Unlock()
+		ce.end(qe.toProv).deliver(qe.event, nil)
+		ce.refs.Add(-1)
 		ch.mu.Lock()
 	}
+	ch.draining = false
+	if ch.plainLocked() {
+		ch.pass.Store(ch.ends)
+	}
+	ch.mu.Unlock()
 }
 
 // Unplug detaches the channel from endpoint half p. Events heading to the
-// unplugged end are queued until a new half is plugged in. It returns an
-// error if p is not a current endpoint.
+// unplugged end are queued until a new half is plugged in. When Unplug
+// returns, no event is still in flight toward p. It returns an error if p
+// is not a current endpoint.
 func (ch *Channel) Unplug(p *Port) error {
 	if p == nil {
 		return fmt.Errorf("core: Unplug: nil port")
 	}
 	ch.mu.Lock()
-	slot := -1
-	for i, e := range ch.ends {
-		if e != nil && e.pair == p.pair && e.face == p.face {
-			slot = i
-			break
-		}
-	}
-	if slot < 0 {
+	prov, req := ch.ends.prov, ch.ends.req
+	switch p {
+	case prov:
+		prov = nil
+	case req:
+		req = nil
+	default:
 		ch.mu.Unlock()
 		return fmt.Errorf("core: Unplug: %s is not an endpoint of this channel", p)
 	}
-	ch.ends[slot] = nil
-	ch.updatePassLocked()
-	ch.mu.Unlock()
+	ch.retireLocked(prov, req)
 	p.pair.detachChannel(p.face, ch)
 	return nil
 }
@@ -327,39 +264,28 @@ func (ch *Channel) Plug(p *Port) error {
 		return fmt.Errorf("core: Plug: nil port")
 	}
 	ch.mu.Lock()
-	slot := -1
-	other := -1
-	for i, e := range ch.ends {
-		if e == nil {
-			slot = i
-		} else {
-			other = i
-		}
+	prov, req := ch.ends.prov, ch.ends.req
+	slot, other := &req, prov
+	if p.providerLike() {
+		slot, other = &prov, req
 	}
-	if slot < 0 {
+	var err error
+	switch {
+	case prov != nil && req != nil:
+		err = fmt.Errorf("core: Plug: channel has no free end")
+	case p.Type() != ch.typ:
+		err = fmt.Errorf("core: Plug: port type mismatch: channel carries %s, port is %s", ch.typ.Name(), p)
+	case *slot != nil:
+		err = fmt.Errorf("core: Plug: ports are not complementary: %s and %s", *slot, p)
+	case other != nil && other.pair == p.pair:
+		err = fmt.Errorf("core: Plug: cannot connect the two halves of the same port %s", p)
+	}
+	if err != nil {
 		ch.mu.Unlock()
-		return fmt.Errorf("core: Plug: channel has no free end")
+		return err
 	}
-	if other >= 0 {
-		o := ch.ends[other]
-		if o.Type() != p.Type() {
-			ch.mu.Unlock()
-			return fmt.Errorf("core: Plug: port type mismatch: %s vs %s", o, p)
-		}
-		if o.providerLike() == p.providerLike() {
-			ch.mu.Unlock()
-			return fmt.Errorf("core: Plug: ports are not complementary: %s and %s", o, p)
-		}
-		if o.pair == p.pair {
-			ch.mu.Unlock()
-			return fmt.Errorf("core: Plug: cannot connect the two halves of the same port %s", p)
-		}
-	} else if p.Type() != ch.typ {
-		ch.mu.Unlock()
-		return fmt.Errorf("core: Plug: port type mismatch: channel carries %s, port is %s", ch.typ.Name(), p)
-	}
-	ch.ends[slot] = p
-	ch.updatePassLocked()
+	*slot = p
+	ch.ends = &chanEnds{prov: prov, req: req}
 	p.pair.attachChannel(p.face, ch)
 	ch.drainLocked()
 	return nil
@@ -369,13 +295,10 @@ func (ch *Channel) Plug(p *Port) error {
 // events. Use Hold+Unplug+Plug+Resume to move a live channel without loss.
 func (ch *Channel) Disconnect() {
 	ch.mu.Lock()
-	var ends [2]*Port
-	copy(ends[:], ch.ends[:])
-	ch.ends[0], ch.ends[1] = nil, nil
+	ends := ch.ends
 	ch.queue = nil
-	ch.updatePassLocked()
-	ch.mu.Unlock()
-	for _, e := range ends {
+	ch.retireLocked(nil, nil)
+	for _, e := range [2]*Port{ends.prov, ends.req} {
 		if e != nil {
 			e.pair.detachChannel(e.face, ch)
 		}

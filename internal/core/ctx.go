@@ -85,44 +85,6 @@ func (x *Ctx) Trigger(ev Event, p *Port) {
 // any component.
 func TriggerOn(p *Port, ev Event) error { return triggerFrom(p, ev, nil) }
 
-// TriggerBatch sends a slice of events through a port in scope as one
-// batch, in order. Compared to a Trigger loop, a batch of same-typed events
-// pays the routing-plan lookup once and crosses every attached channel as a
-// unit: a held channel buffers the whole batch contiguously, and fan-out
-// destinations are enqueued and scheduled with batched lock acquisitions
-// (the high-rate producer path).
-func (x *Ctx) TriggerBatch(evs []Event, p *Port) {
-	x.c.stats.triggers.Add(uint64(len(evs)))
-	if err := triggerBatchFrom(p, evs, x.c.curWorker.Load()); err != nil {
-		panic(err)
-	}
-}
-
-// TriggerBatchOn is TriggerOn for a slice of events: the unguarded batch
-// entry point for runtime bridges injecting event bursts from outside any
-// component.
-func TriggerBatchOn(p *Port, evs []Event) error { return triggerBatchFrom(p, evs, nil) }
-
-// triggerBatchFrom validates every event of a batch up front, then delivers
-// the batch in slice order.
-func triggerBatchFrom(p *Port, evs []Event, hint *worker) error {
-	if p == nil {
-		return fmt.Errorf("core: trigger: nil port")
-	}
-	d := p.crossDirection()
-	for _, ev := range evs {
-		if err := checkEvent(ev); err != nil {
-			return err
-		}
-		if p.pair.typ != ControlPortType && !p.pair.typ.AllowsValue(ev, d) {
-			return fmt.Errorf("core: trigger: port type %s does not allow %T in direction %s",
-				p.pair.typ.Name(), ev, d)
-		}
-	}
-	p.deliverSlice(evs, hint)
-	return nil
-}
-
 // triggerFrom validates and delivers an event, carrying the scheduler
 // locality hint of the triggering execution context (nil outside workers).
 func triggerFrom(p *Port, ev Event, hint *worker) error {

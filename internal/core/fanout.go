@@ -26,13 +26,17 @@ type fanoutEntry struct {
 	item workItem
 }
 
-// fanoutBatch accumulates the enqueues produced while one event (or one
-// slice of events) fans out through a delivery plan, then flushes them
-// grouped per destination component. Entries are appended in delivery
-// order, which flush preserves per destination, so FIFO-per-channel
-// ordering is exactly what the unbatched path produced.
+// fanoutBatch accumulates the enqueues produced while one event fans out
+// through a delivery plan, then flushes them grouped per destination
+// component. Entries are appended in delivery order, which flush preserves
+// per destination, so FIFO-per-channel ordering is exactly what the
+// unbatched path produced.
 type fanoutBatch struct {
 	entries []fanoutEntry
+	// refs are the channel snapshots the collected deliveries crossed, each
+	// referenced once per crossing; flush drops them after its enqueues, so
+	// a Hold or Unplug waits for the batch (see Channel).
+	refs []*chanEnds
 	// ready collects the components that transitioned idle→ready during
 	// flush, in readiness order, for one batched scheduler submission.
 	ready []*Component
@@ -66,6 +70,11 @@ func (b *fanoutBatch) flush(hint *worker) {
 		dest.enqueueRun(ents[i:j], b)
 		i = j
 	}
+	for _, ce := range b.refs {
+		ce.refs.Add(-1)
+	}
+	clear(b.refs)
+	b.refs = b.refs[:0]
 	ready := b.ready
 	for i := 0; i < len(ready); {
 		rt := ready[i].rt

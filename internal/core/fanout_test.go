@@ -12,8 +12,8 @@ import (
 // with channel Hold/Resume and hot swap, and the adaptive steal batch
 // policy. The concurrency tests here are the per-channel ordering oracle
 // for the batched path: every client must observe the exact trigger
-// sequence — no loss, no duplication, no reordering — no matter how the
-// broadcast is chopped into batches or interrupted by reconfiguration.
+// sequence — no loss, no duplication, no reordering — however the
+// broadcast is interrupted by reconfiguration.
 
 type fanEvent struct{ Seq int }
 
@@ -69,28 +69,27 @@ func fanWorld(t *testing.T, rt *Runtime, n int) (srvPort *Port, rootCtx *Ctx, cl
 	return
 }
 
-// assertFullSequence checks a client observed exactly seqs 0..total-1 in
-// order.
-func assertFullSequence(t *testing.T, client int, got []int, total int) {
+// assertFullSequence is the ordering oracle: who observed exactly
+// first, first+1, ..., first+total-1, in order.
+func assertFullSequence(t *testing.T, who string, got []int, first, total int) {
 	t.Helper()
 	if len(got) != total {
-		t.Fatalf("client %d: received %d events, want %d (loss or duplication)", client, len(got), total)
+		t.Fatalf("%s: received %d events, want %d (loss or duplication)", who, len(got), total)
 	}
 	for j, s := range got {
-		if s != j {
-			t.Fatalf("client %d: position %d holds seq %d (reordered)", client, j, s)
+		if s != first+j {
+			t.Fatalf("%s: position %d holds seq %d, want %d (reordered)", who, j, s, first+j)
 		}
 	}
 }
 
 // TestHoldResumeDuringBatchedFanout flaps Hold/Resume on a subset of the
-// channels while a broadcast storm of event batches is in flight. Held
-// channels must buffer each batch whole and Resume must replay it in order,
-// so every client still observes the unbroken trigger sequence.
+// channels while a broadcast storm is in flight on the batched fan-out
+// path. Held channels must queue every event and Resume must replay them in
+// order, so every client still observes the unbroken trigger sequence.
 func TestHoldResumeDuringBatchedFanout(t *testing.T) {
 	rt := newTestRuntime(t)
 	const nClients = 8
-	const batch = 4
 	const total = 2000
 	srvPort, _, _, chans, recs := fanWorld(t, rt, nClients)
 
@@ -114,13 +113,8 @@ func TestHoldResumeDuringBatchedFanout(t *testing.T) {
 		}
 	}()
 
-	evs := make([]Event, batch)
-	for seq := 0; seq < total; {
-		for k := range evs {
-			evs[k] = fanEvent{Seq: seq}
-			seq++
-		}
-		if err := TriggerBatchOn(srvPort, evs); err != nil {
+	for seq := 0; seq < total; seq++ {
+		if err := TriggerOn(srvPort, fanEvent{Seq: seq}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,31 +126,25 @@ func TestHoldResumeDuringBatchedFanout(t *testing.T) {
 	waitQuiet(t, rt)
 
 	for i, rec := range recs {
-		assertFullSequence(t, i, rec.snapshot(), total)
+		assertFullSequence(t, fmt.Sprintf("client %d", i), rec.snapshot(), 0, total)
 	}
 }
 
-// TestSwapDuringBatchedFanout hot-swaps one client while batched broadcasts
-// are in flight. The swap recipe (hold, unplug, migrate queued events,
-// resume) must neither lose nor duplicate nor reorder any event, for the
-// swapped slot or for the bystander clients.
+// TestSwapDuringBatchedFanout hot-swaps one client while broadcasts on the
+// batched fan-out path are in flight. The swap recipe (hold, unplug,
+// migrate queued events, resume) must neither lose nor duplicate nor
+// reorder any event, for the swapped slot or for the bystander clients.
 func TestSwapDuringBatchedFanout(t *testing.T) {
 	rt := newTestRuntime(t)
 	const nClients = 4
-	const batch = 4
 	const total = 1600
 	srvPort, rootCtx, clients, _, recs := fanWorld(t, rt, nClients)
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		evs := make([]Event, batch)
-		for seq := 0; seq < total; {
-			for k := range evs {
-				evs[k] = fanEvent{Seq: seq}
-				seq++
-			}
-			if err := TriggerBatchOn(srvPort, evs); err != nil {
+		for seq := 0; seq < total; seq++ {
+			if err := TriggerOn(srvPort, fanEvent{Seq: seq}); err != nil {
 				panic(err)
 			}
 			if seq == total/2 {
@@ -172,41 +160,7 @@ func TestSwapDuringBatchedFanout(t *testing.T) {
 	waitQuiet(t, rt)
 
 	for i, rec := range recs {
-		assertFullSequence(t, i, rec.snapshot(), total)
-	}
-}
-
-// TestTriggerBatchHeterogeneous checks the per-event fallback of a mixed
-// batch still delivers everything in order.
-func TestTriggerBatchHeterogeneous(t *testing.T) {
-	rt := newTestRuntime(t)
-	var mu sync.Mutex
-	var got []Event
-	var port *Port
-	rt.MustBootstrap("Main", SetupFunc(func(ctx *Ctx) {
-		srv := ctx.Create("server", SetupFunc(func(sx *Ctx) {
-			port = sx.Provides(pingPongPort)
-		}))
-		cli := ctx.Create("cli", SetupFunc(func(cx *Ctx) {
-			p := cx.Requires(pingPongPort)
-			Subscribe(cx, p, func(ev pong) {
-				mu.Lock()
-				got = append(got, ev)
-				mu.Unlock()
-			})
-		}))
-		ctx.Connect(srv.Provided(pingPongPort), cli.Required(pingPongPort))
-	}))
-	waitQuiet(t, rt)
-
-	if err := TriggerBatchOn(port, []Event{pong{N: 1}, pong{N: 2}, pong{N: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	waitQuiet(t, rt)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 3 {
-		t.Fatalf("received %d events, want 3", len(got))
+		assertFullSequence(t, fmt.Sprintf("client %d", i), rec.snapshot(), 0, total)
 	}
 }
 

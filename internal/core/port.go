@@ -309,38 +309,6 @@ func (p *Port) deliver(ev Event, from *worker) {
 	releaseFanoutBatch(b)
 }
 
-// deliverSlice presents a slice of events at half p as one batch, in slice
-// order. When the events share one dynamic type (the high-rate producer
-// case) the routing plan is looked up once and every attached channel
-// observes the slice as an atomic batch — a held channel buffers it whole,
-// in order. Heterogeneous slices fall back to per-event delivery, which
-// preserves order all the same.
-func (p *Port) deliverSlice(evs []Event, from *worker) {
-	switch len(evs) {
-	case 0:
-		return
-	case 1:
-		p.deliver(evs[0], from)
-		return
-	}
-	dynT := reflect.TypeOf(evs[0])
-	for _, ev := range evs[1:] {
-		if reflect.TypeOf(ev) != dynT {
-			for _, e := range evs {
-				p.deliver(e, from)
-			}
-			return
-		}
-	}
-	pp := p.pair
-	dst := p.twin()
-	plan := pp.planFor(dst, dynT)
-	b := acquireFanoutBatch(from)
-	plan.runSliceInto(evs, dst, from, b)
-	b.flush(from)
-	releaseFanoutBatch(b)
-}
-
 // deliverInto is deliver inside an ongoing batch collection: the event
 // crossed a channel of a plan already being batched, so its own fan-out
 // joins the same batch instead of flushing separately.
@@ -348,18 +316,6 @@ func (p *Port) deliverInto(ev Event, from *worker, b *fanoutBatch) {
 	pp := p.pair
 	dst := p.twin()
 	pp.planFor(dst, reflect.TypeOf(ev)).runInto(ev, dst, from, b)
-}
-
-// deliverSliceInto is deliverSlice inside an ongoing batch collection. The
-// caller guarantees the slice is homogeneous (checked once at the top-level
-// deliverSlice).
-func (p *Port) deliverSliceInto(evs []Event, from *worker, b *fanoutBatch) {
-	if len(evs) == 0 {
-		return
-	}
-	pp := p.pair
-	dst := p.twin()
-	pp.planFor(dst, reflect.TypeOf(evs[0])).runSliceInto(evs, dst, from, b)
 }
 
 // planFor returns the delivery plan for events of dynamic type dynT
@@ -386,7 +342,7 @@ func (plan *routePlan) run(ev Event, dst *Port, from *worker) {
 		d.dest.enqueue(workItem{event: ev, subs: d.subs, control: d.control, via: dst}, from)
 	}
 	for _, ch := range plan.chans {
-		ch.forward(ev, dst, from)
+		ch.forward(ev, dst, from, nil)
 	}
 }
 
@@ -399,23 +355,7 @@ func (plan *routePlan) runInto(ev Event, dst *Port, from *worker, b *fanoutBatch
 		b.add(d.dest, workItem{event: ev, subs: d.subs, control: d.control, via: dst})
 	}
 	for _, ch := range plan.chans {
-		ch.forwardInto(ev, dst, from, b)
-	}
-}
-
-// runSliceInto executes a delivery plan for a homogeneous event slice into
-// a batch. Per delivery, the slice's items are emitted adjacently (one
-// queue-lock acquisition at flush); per channel, the slice crosses as an
-// atomic batch.
-func (plan *routePlan) runSliceInto(evs []Event, dst *Port, from *worker, b *fanoutBatch) {
-	for i := range plan.deliveries {
-		d := &plan.deliveries[i]
-		for _, ev := range evs {
-			b.add(d.dest, workItem{event: ev, subs: d.subs, control: d.control, via: dst})
-		}
-	}
-	for _, ch := range plan.chans {
-		ch.forwardSlice(evs, dst, from, b)
+		ch.forward(ev, dst, from, b)
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // State transfer interfaces for component hot-swap (§2.6 of the paper: "c2
 // is initialized with the state dumped by c1").
@@ -20,15 +23,17 @@ type StateLoader interface {
 
 // Swap replaces subcomponent old with a fresh instance of def, following
 // the paper's reconfiguration recipe: every channel connected to old's
-// ports (in the parent's scope) is put on hold and unplugged; old is
-// passivated; the new component is created and the channels are plugged
-// into its corresponding ports and resumed; state is transferred when both
+// ports (in the parent's scope) is put on hold; old is passivated and a
+// handler it is running elsewhere is waited out; the channels are unplugged,
+// the new component is created and the channels are plugged into its
+// corresponding ports and resumed; state is transferred when both
 // definitions support it (old implements StateDumper, def implements
 // StateLoader); the new component is started and old is destroyed.
 //
 // No event is dropped: events that arrive during the swap wait in the held
 // channels and are delivered to the replacement, in order, on resume.
-// Events already executed by old are reflected in the transferred state.
+// Events already executed by old are reflected in the transferred state,
+// and what they emitted leaves through the held channels.
 // For a fully quiescent swap, put the channels on hold and drain old before
 // calling Swap; Swap itself is safe against concurrent traffic.
 //
@@ -40,9 +45,6 @@ func (x *Ctx) Swap(old *Component, name string, def Definition) (*Component, err
 		return nil, fmt.Errorf("core: Swap: %v is not a subcomponent of %s", old, x.c.Path())
 	}
 
-	var moves []movedChannel
-
-	// 1. Hold and unplug every channel attached to old's outer halves.
 	old.mu.Lock()
 	type portEntry struct {
 		pp       *portPair
@@ -57,25 +59,36 @@ func (x *Ctx) Swap(old *Component, name string, def Definition) (*Component, err
 	}
 	old.mu.Unlock()
 
+	// 1. Hold every channel attached to old's outer halves.
+	var moves []movedChannel
 	for _, e := range entries {
 		e.pp.mu.RLock()
 		chans := append([]*Channel(nil), e.pp.chans[outer-1]...)
 		e.pp.mu.RUnlock()
 		for _, ch := range chans {
 			ch.Hold()
-			if err := ch.Unplug(e.pp.half(outer)); err != nil {
-				// Restore what we already moved and bail out.
-				x.undoSwapHolds(moves, old)
-				return nil, fmt.Errorf("core: Swap: unplug: %w", err)
-			}
-			moves = append(moves, movedChannel{ch: ch, pt: e.pp.typ, provided: e.provided})
+			moves = append(moves, movedChannel{ch: ch, pt: e.pp.typ, provided: e.provided, oldHalf: e.pp.half(outer)})
 		}
 	}
 
-	// 2. Passivate the old component.
+	// 2. Passivate old and let it finish a handler it is running on another
+	// worker: Stop heads its control queue, so it executes no further main
+	// event, and what it emitted waits in the held channels. The caller's
+	// own handler is the one running under a single worker or the
+	// simulation, so this never waits there.
 	old.Control().present(Stop{})
+	for old.sched.Load() == schedBusy {
+		runtime.Gosched()
+	}
 
-	// 3. Create the replacement and replug the channels.
+	// 3. Unplug the channels from old, create the replacement and replug
+	// them into it.
+	for _, m := range moves {
+		if err := m.ch.Unplug(m.oldHalf); err != nil {
+			x.undoSwapHolds(moves, old)
+			return nil, fmt.Errorf("core: Swap: unplug: %w", err)
+		}
+	}
 	repl := x.Create(name, def)
 	for _, m := range moves {
 		var half *Port
@@ -144,22 +157,16 @@ type movedChannel struct {
 	ch       *Channel
 	pt       *PortType
 	provided bool
+	oldHalf  *Port
 }
 
-// undoSwapHolds replugs already-moved channels back into old, resumes every
+// undoSwapHolds replugs unplugged channels back into old, resumes every
 // held channel, and reactivates old, restoring the pre-Swap state after a
-// failure. (Presenting Start to an already-active component is a no-op.)
+// failure. (Plugging a channel that was never unplugged fails harmlessly;
+// presenting Start to an already-active component is a no-op.)
 func (x *Ctx) undoSwapHolds(moves []movedChannel, old *Component) {
 	for _, m := range moves {
-		var half *Port
-		if m.provided {
-			half = old.Provided(m.pt)
-		} else {
-			half = old.Required(m.pt)
-		}
-		if half != nil {
-			_ = m.ch.Plug(half)
-		}
+		_ = m.ch.Plug(m.oldHalf)
 		m.ch.Resume()
 	}
 	old.Control().present(Start{})

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -33,22 +35,25 @@ func (c *collector) snapshot() []int {
 	return out
 }
 
-func TestChannelHoldQueuesBothDirections(t *testing.T) {
-	rt := newTestRuntime(t)
-	srv := &echoServer{}
-	col := &collector{}
-	var ch *Channel
+// channelWorld connects an echo server to a collector and returns the
+// channel with the collector's component.
+func channelWorld(t *testing.T, rt *Runtime) (srv *echoServer, col *collector, colComp *Component, ch *Channel) {
+	t.Helper()
+	srv, col = &echoServer{}, &collector{}
 	rt.MustBootstrap("Main", SetupFunc(func(ctx *Ctx) {
 		s := ctx.Create("server", srv)
-		c := ctx.Create("col", col)
-		ch = ctx.Connect(s.Provided(pingPongPort), c.Required(pingPongPort))
+		colComp = ctx.Create("col", col)
+		ch = ctx.Connect(s.Provided(pingPongPort), colComp.Required(pingPongPort))
 	}))
 	waitQuiet(t, rt)
+	return
+}
+
+func TestChannelHoldQueuesBothDirections(t *testing.T) {
+	rt := newTestRuntime(t)
+	srv, col, _, ch := channelWorld(t, rt)
 
 	ch.Hold()
-	if !ch.Held() {
-		t.Fatalf("channel must report held")
-	}
 	col.ctx.Trigger(ping{N: 1}, col.port)
 	srv.ctx.Trigger(pong{N: 2}, srv.port)
 	waitQuiet(t, rt)
@@ -58,8 +63,11 @@ func TestChannelHoldQueuesBothDirections(t *testing.T) {
 	if len(col.snapshot()) != 0 {
 		t.Fatalf("held channel forwarded an indication")
 	}
-	if ch.QueuedLen() != 2 {
-		t.Fatalf("channel queued %d events, want 2", ch.QueuedLen())
+	ch.mu.Lock()
+	held, queued := ch.held, len(ch.queue)
+	ch.mu.Unlock()
+	if !held || queued != 2 {
+		t.Fatalf("channel held=%v with %d events queued, want held with 2", held, queued)
 	}
 
 	ch.Resume()
@@ -76,15 +84,7 @@ func TestChannelHoldQueuesBothDirections(t *testing.T) {
 
 func TestChannelResumePreservesFIFO(t *testing.T) {
 	rt := newTestRuntime(t)
-	srv := &echoServer{}
-	col := &collector{}
-	var ch *Channel
-	rt.MustBootstrap("Main", SetupFunc(func(ctx *Ctx) {
-		s := ctx.Create("server", srv)
-		c := ctx.Create("col", col)
-		ch = ctx.Connect(s.Provided(pingPongPort), c.Required(pingPongPort))
-	}))
-	waitQuiet(t, rt)
+	srv, col, _, ch := channelWorld(t, rt)
 
 	ch.Hold()
 	const n = 50
@@ -94,15 +94,7 @@ func TestChannelResumePreservesFIFO(t *testing.T) {
 	waitQuiet(t, rt)
 	ch.Resume()
 	waitQuiet(t, rt)
-	got := col.snapshot()
-	if len(got) != n {
-		t.Fatalf("collector got %d pongs, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("FIFO violated at %d: got %d", i, v)
-		}
-	}
+	assertFullSequence(t, "collector", col.snapshot(), 0, n)
 }
 
 func TestUnplugPlugMovesChannel(t *testing.T) {
@@ -144,9 +136,7 @@ func TestUnplugPlugMovesChannel(t *testing.T) {
 	if srv2.seen.Load() != 1 {
 		t.Fatalf("s2 saw %d pings after plug+resume, want 1 (no drop)", srv2.seen.Load())
 	}
-	if len(col.snapshot()) != 2 {
-		t.Fatalf("collector got %d pongs, want 2", len(col.snapshot()))
-	}
+	assertFullSequence(t, "collector", col.snapshot(), 1, 2)
 }
 
 func TestUnplugErrors(t *testing.T) {
@@ -181,18 +171,12 @@ func TestUnplugErrors(t *testing.T) {
 
 func TestDisconnectDetachesBothEnds(t *testing.T) {
 	rt := newTestRuntime(t)
-	srv := &echoServer{}
-	col := &collector{}
-	var ch *Channel
-	rt.MustBootstrap("Main", SetupFunc(func(ctx *Ctx) {
-		s := ctx.Create("s", srv)
-		c := ctx.Create("col", col)
-		ch = ctx.Connect(s.Provided(pingPongPort), c.Required(pingPongPort))
-	}))
-	waitQuiet(t, rt)
+	srv, col, _, ch := channelWorld(t, rt)
 	ch.Disconnect()
-	a, b := ch.Ends()
-	if a != nil || b != nil {
+	ch.mu.Lock()
+	ends := ch.ends
+	ch.mu.Unlock()
+	if ends.prov != nil || ends.req != nil {
 		t.Fatalf("ends not cleared after disconnect")
 	}
 	col.ctx.Trigger(ping{N: 1}, col.port)
@@ -212,12 +196,20 @@ type counterServer struct {
 	count int // guarded by handler serialization
 	label string
 	mu    sync.Mutex
+	// gate, when set, makes the ping handler signal entered and then block
+	// until gate is closed, before it counts.
+	entered chan struct{}
+	gate    chan struct{}
 }
 
 func (s *counterServer) Setup(ctx *Ctx) {
 	s.ctx = ctx
 	s.port = ctx.Provides(pingPongPort)
 	Subscribe(ctx, s.port, func(p ping) {
+		if s.gate != nil {
+			s.entered <- struct{}{}
+			<-s.gate
+		}
 		s.mu.Lock()
 		s.count++
 		n := s.count
@@ -317,16 +309,131 @@ func TestSwapDoesNotDropConcurrentTraffic(t *testing.T) {
 	}
 	<-done
 	waitQuiet(t, rt)
-	got := col.snapshot()
-	if len(got) != total {
-		t.Fatalf("got %d pongs, want %d (no drops across swap)", len(got), total)
+	// The counter continues across the swap (state transfer), with no pong
+	// lost or reordered.
+	assertFullSequence(t, "collector", col.snapshot(), 1, total)
+}
+
+// TestSwapWaitsForRunningHandler swaps a component while its handler is
+// still running on a worker: Swap must dump the state only after the
+// handler returned, so the replacement continues from the updated count.
+func TestSwapWaitsForRunningHandler(t *testing.T) {
+	rt := newTestRuntime(t)
+	old := &counterServer{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	col := &collector{}
+	var oldComp *Component
+	var rootCtx *Ctx
+	rt.MustBootstrap("Main", SetupFunc(func(ctx *Ctx) {
+		rootCtx = ctx
+		oldComp = ctx.Create("v1", old)
+		c := ctx.Create("col", col)
+		ctx.Connect(oldComp.Provided(pingPongPort), c.Required(pingPongPort))
+	}))
+	waitQuiet(t, rt)
+
+	col.ctx.Trigger(ping{}, col.port)
+	<-old.entered
+	time.AfterFunc(10*time.Millisecond, func() { close(old.gate) })
+	repl := &counterServer{}
+	if _, err := rootCtx.Swap(oldComp, "v2", repl); err != nil {
+		t.Fatalf("swap: %v", err)
 	}
-	// The counter is strictly increasing across the swap (state transfer).
-	for i := 1; i < len(got); i++ {
-		if got[i] != got[i-1]+1 {
-			t.Fatalf("counter not contiguous at %d: %d -> %d", i, got[i-1], got[i])
+	if got := repl.DumpState(); got != 1 {
+		t.Fatalf("replacement loaded count %v, want 1 (state dumped while old's handler ran)", got)
+	}
+	waitQuiet(t, rt)
+	assertFullSequence(t, "collector", col.snapshot(), 1, 1)
+}
+
+// waitBlockedIn waits until a goroutine with fn on its stack is parked on a
+// sync.Mutex.
+func waitBlockedIn(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, fn) {
+				return
+			}
 		}
 	}
+	t.Fatalf("no goroutine blocked on a mutex in %s", fn)
+}
+
+// TestUnplugWaitsForInFlightDelivery pins rule 3 of the channel state rule:
+// a pass-through delivery stalled on the destination's queue lock holds
+// Unplug until it lands, so nothing reaches the detached half after Unplug
+// returns.
+func TestUnplugWaitsForInFlightDelivery(t *testing.T) {
+	rt := newTestRuntime(t)
+	srv, col, colComp, ch := channelWorld(t, rt)
+
+	colComp.qmu.Lock()
+	delivered := make(chan struct{})
+	go func() {
+		_ = TriggerOn(srv.port, pong{N: 1})
+		close(delivered)
+	}()
+	waitBlockedIn(t, "(*Component).enqueue")
+	unplugged := make(chan struct{})
+	go func() {
+		_ = ch.Unplug(colComp.Required(pingPongPort))
+		close(unplugged)
+	}()
+	select {
+	case <-unplugged:
+		t.Errorf("Unplug returned while a delivery to the unplugged end was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	colComp.qmu.Unlock()
+	<-unplugged
+	<-delivered
+	waitQuiet(t, rt)
+	assertFullSequence(t, "old end", col.snapshot(), 1, 1)
+}
+
+// TestDrainIsNotOvertaken pins rule 4: while Resume replays the held
+// queue, a new event queues behind it instead of passing through, so the
+// destination sees the held events and the new one in trigger order.
+func TestDrainIsNotOvertaken(t *testing.T) {
+	rt := newTestRuntime(t)
+	srv, col, colComp, ch := channelWorld(t, rt)
+
+	ch.Hold()
+	for i := 0; i < 10; i++ {
+		if err := TriggerOn(srv.port, pong{N: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	colComp.qmu.Lock()
+	resumed := make(chan struct{})
+	go func() {
+		ch.Resume()
+		close(resumed)
+	}()
+	waitBlockedIn(t, "(*Channel).drainLocked")
+	sent := make(chan struct{})
+	go func() {
+		_ = TriggerOn(srv.port, pong{N: 10})
+		close(sent)
+	}()
+	select {
+	case <-sent:
+	case <-time.After(time.Second):
+		t.Errorf("e10 waited on the destination's queue lock instead of queueing behind the drain")
+	}
+	ch.mu.Lock()
+	n := len(ch.queue)
+	queuedLast := n > 0 && ch.queue[n-1].event == pong{N: 10}
+	ch.mu.Unlock()
+	if !queuedLast {
+		t.Errorf("e10 is not queued in the channel behind the drain (queue length %d)", n)
+	}
+	colComp.qmu.Unlock()
+	<-resumed
+	<-sent
+	waitQuiet(t, rt)
+	assertFullSequence(t, "collector", col.snapshot(), 0, 11)
 }
 
 func TestSwapRejectsIncompatibleReplacement(t *testing.T) {
