@@ -106,8 +106,10 @@ ci-local: vet build
 	$(GO) test -run 'TCPSteadyStateAllocs' -count=1 ./internal/network/
 	$(GO) test -run 'SteadyStateNoGobFallback' -count=1 ./internal/cats/
 	$(GO) test -run 'WALAppendSteadyStateAllocs|WALGroupSyncAllocs|VersionStringAlloc' -count=1 ./internal/kvstore/
-	$(GO) test -run 'MetricsEndpoint|MetricsWriter|RegisteredMetricsSources' -count=1 ./internal/web/
+	$(GO) test -run 'MetricsEndpoint|MetricsWriter|RegisteredMetricsSources|RollupWriter|Parse' -count=1 ./internal/web/...
 	$(GO) test -run 'PhaseMetricsExposition' -count=1 ./internal/abd/
+	$(GO) test -run 'FederatorMergesFamilies' -count=1 ./internal/monitor/
+	$(GO) test -run 'MetricsExpositionWellFormed|RollupIsUnlabeledExposition' -count=1 ./internal/cats/
 	$(GO) test -race -run 'TestActivationEndHook' -count=1 ./internal/core/
 	$(GO) test -run 'TestZeroDelayDeliveredDirectly' -count=1 ./internal/timer/
 	$(GO) test -run 'TestWarmGetsIssueNoTimerRequests|TestLoneGetFlushesInFoundActivation|TestShrunkBudgetRearmsEarlier|TestBackstopFlushesWhenQueueNeverDrains|TestBatchChurnStress|TestCoordinatorCoalescesConcurrentOps' -count=1 ./internal/abd/

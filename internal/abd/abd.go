@@ -451,7 +451,6 @@ func (a *ABD) beginAttempt(o *op) {
 	now := a.ctx.Now()
 	o.attemptAt, o.phaseSentAt = now, now
 	o.deadline = a.attemptBudget(o)
-	deadlineGauge.Store(uint64(o.deadline))
 	a.setDeadline(o, now.Add(o.deadline/hedgeStageDiv))
 	a.ctx.Trigger(router.FindSuccessor{
 		ReqID: o.id,
@@ -488,7 +487,6 @@ func (a *ABD) handleFound(f router.FoundSuccessor) {
 	// Cold groups keep the ceiling budget and skip the re-arm entirely.
 	if b := a.attemptBudget(o); b < o.deadline {
 		o.deadline = b
-		deadlineGauge.Store(uint64(b))
 		o.attemptAt = a.ctx.Now()
 		a.setDeadline(o, o.attemptAt.Add(b/hedgeStageDiv))
 	}

@@ -30,16 +30,12 @@ var (
 // Gray-failure resilience counters (see adaptive.go): attempt retries,
 // hedged phase resends and the hedges whose duplicate ack arrived first,
 // replica-side load sheds, and shed-triggered phase redeliveries.
-// deadlineGauge holds the most recently computed adaptive attempt budget
-// in nanoseconds — a coarse, last-writer-wins view of what the estimators
-// currently produce.
 var (
 	retriesTotal      atomic.Uint64
 	hedgesTotal       atomic.Uint64
 	hedgeWinsTotal    atomic.Uint64
 	shedsTotal        atomic.Uint64
 	redeliveriesTotal atomic.Uint64
-	deadlineGauge     atomic.Uint64
 )
 
 // ResilienceMetrics is a snapshot of the process-wide gray-failure
@@ -207,8 +203,6 @@ func init() {
 		m.Counter("cats_abd_sheds_total", r.Sheds)
 		m.Header("cats_abd_redeliveries_total", "counter", "Shed quorum phases re-offered after the retry-after hint.")
 		m.Counter("cats_abd_redeliveries_total", r.Redeliveries)
-		m.Header("cats_abd_adaptive_deadline_seconds", "gauge", "Most recently computed adaptive attempt budget.")
-		m.Gauge("cats_abd_adaptive_deadline_seconds", float64(deadlineGauge.Load())/1e9)
 		writePhaseMetrics(m)
 	})
 }

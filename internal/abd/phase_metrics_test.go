@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/web"
+	"repro/internal/web/promtest"
 )
 
 // TestPhaseMetricsExposition is the golden exposition test for the
@@ -39,35 +41,17 @@ func TestPhaseMetricsExposition(t *testing.T) {
 		}
 	}
 
-	// Buckets must be cumulative: the +Inf bucket equals _count.
-	if !bucketMatchesCount(out, `phase="read",outcome="ok"`) {
-		t.Fatalf("+Inf bucket != count for read/ok:\n%s", out)
-	}
-
-	// The full registered exposition (what /metrics serves) carries the
-	// same families through the "abd" source.
+	// The node's full exposition (what /metrics serves) carries the same
+	// families through the "abd" source, well-formed: cumulative buckets,
+	// +Inf equal to _count.
 	var full strings.Builder
-	if err := web.WriteRegisteredMetrics(&full); err != nil {
-		t.Fatalf("WriteRegisteredMetrics: %v", err)
+	if err := web.WriteNodeMetrics(web.NewMetricsWriter(&full), core.MetricsSnapshot{}); err != nil {
+		t.Fatalf("WriteNodeMetrics: %v", err)
 	}
+	promtest.Check(t, full.String())
 	for _, want := range []string{"cats_abd_phase_seconds_bucket", "cats_abd_phase_exemplar"} {
 		if !strings.Contains(full.String(), want) {
 			t.Fatalf("/metrics exposition missing %s", want)
 		}
 	}
-}
-
-// bucketMatchesCount extracts the +Inf bucket and _count lines for the
-// given label set and reports whether they agree.
-func bucketMatchesCount(out, labels string) bool {
-	var inf, count string
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "cats_abd_phase_seconds_bucket{"+labels+`,le="+Inf"}`) {
-			inf = line[strings.LastIndex(line, " ")+1:]
-		}
-		if strings.HasPrefix(line, "cats_abd_phase_seconds_count{"+labels+"}") {
-			count = line[strings.LastIndex(line, " ")+1:]
-		}
-	}
-	return inf != "" && inf == count
 }

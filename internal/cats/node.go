@@ -11,7 +11,6 @@ package cats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -315,9 +314,9 @@ func (n *Node) Setup(ctx *core.Ctx) {
 	ctx.Connect(n.pgP, abdC.Provided(abd.PutGetPortType))
 	ctx.Connect(n.rtP, routC.Provided(router.PortType))
 
-	// Runtime telemetry producer: surfaces scheduler/component/network
-	// counters through the same Status abstraction the protocol children
-	// use, so the monitor server aggregates them without special-casing.
+	// Runtime telemetry producer: surfaces the node's /metrics counters and
+	// gauges through the same Status abstraction the protocol children use,
+	// so the monitor server aggregates them without special-casing.
 	rtsC := ctx.Create("rtstat", monitor.NewRuntimeStatus())
 
 	// Status surfaces.
@@ -486,28 +485,9 @@ func (n *Node) respond(webReqID uint64, code int, body string) {
 
 // renderStatus renders the node status page.
 func (n *Node) renderStatus(snaps []status.Response) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "<html><head><title>CATS node %s</title></head><body>", n.cfg.Self)
-	fmt.Fprintf(&b, "<h1>CATS node %s</h1>", n.cfg.Self)
-	fmt.Fprintf(&b, "<p>joined=%v replication=%d</p><ul>", n.joined, n.cfg.ReplicationDegree)
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Component < snaps[j].Component })
-	for _, s := range snaps {
-		fmt.Fprintf(&b, "<li><b>%s</b>: ", s.Component)
-		keys := make([]string, 0, len(s.Metrics))
-		for k := range s.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%s=%d", k, s.Metrics[k])
-		}
-		b.WriteString("</li>")
-	}
-	b.WriteString("</ul></body></html>")
-	return b.String()
+	return fmt.Sprintf("<html><head><title>CATS node %[1]s</title></head><body><h1>CATS node %[1]s</h1>"+
+		"<p>joined=%[2]v replication=%[3]d</p>%[4]s</body></html>",
+		n.cfg.Self, n.joined, n.cfg.ReplicationDegree, status.HTMLList(snaps))
 }
 
 // queryParam extracts a parameter from a raw query string without

@@ -220,7 +220,7 @@ func TestMonitorReportingFlow(t *testing.T) {
 		for _, s := range v.Snapshots {
 			if s.Component == "runtime" {
 				hasRuntime = true
-				if s.Metrics["sched.executed"] <= 0 {
+				if s.Metrics["cats_scheduler_executed_total"] <= 0 {
 					t.Fatalf("runtime snapshot for %s has no executed events: %v", name, s.Metrics)
 				}
 			}

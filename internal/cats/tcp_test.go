@@ -79,7 +79,14 @@ func bootTCPCluster(t *testing.T) []*tcpClient {
 		}
 	}))
 
-	// Wait for ring convergence over real sockets.
+	waitTCPRing(t, peers)
+	return clients
+}
+
+// waitTCPRing waits until every peer has joined the ring over real sockets,
+// then gives the membership tables a second to fill.
+func waitTCPRing(t *testing.T, peers []*Peer) {
+	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		joined := 0
@@ -88,16 +95,15 @@ func bootTCPCluster(t *testing.T) []*tcpClient {
 				joined++
 			}
 		}
-		if joined == n {
+		if joined == len(peers) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("ring did not converge over TCP: %d/%d joined", joined, n)
+			t.Fatalf("ring did not converge over TCP: %d/%d joined", joined, len(peers))
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 	time.Sleep(time.Second) // membership tables
-	return clients
 }
 
 // TestProductionTCPCluster performs linearizable puts and gets across

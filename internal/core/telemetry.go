@@ -21,7 +21,8 @@ import (
 // Bucket i counts sampled handler executions with duration in
 // [2^(i-1), 2^i) nanoseconds (bucket 0 counts 0ns, i.e. sub-resolution
 // executions); the last bucket absorbs everything ≥ 2^(LatencyBuckets-2) ns
-// (~4.2 s), far beyond any sane handler.
+// (2^31 ns ≈ 2.1 s), far beyond any sane handler, and so has no finite
+// upper bound.
 const LatencyBuckets = 33
 
 // latHistogram is the per-component sampled handler-latency histogram:
@@ -66,7 +67,8 @@ type LatencyStats struct {
 	Samples uint64
 	// SumNanos is the summed duration of all samples, in nanoseconds.
 	SumNanos uint64
-	// Buckets[i] counts samples with duration < BucketBoundNS(i).
+	// Buckets[i] counts samples with duration < BucketBoundNS(i), except
+	// the last bucket, which has no upper bound (see LatencyBuckets).
 	Buckets [LatencyBuckets]uint64
 }
 
@@ -183,8 +185,6 @@ type RouteCacheStats struct {
 	Builds uint64
 	// Resets counts table resets forced by the capacity cap.
 	Resets uint64
-	// Capacity is the per-table plan cap that triggers a reset.
-	Capacity int
 }
 
 // TraceStats describes the event-trace sink attached to a runtime.
@@ -248,9 +248,8 @@ func (rt *Runtime) MetricsSnapshot() MetricsSnapshot {
 	rt.compMu.Unlock()
 
 	snap.RouteCache = RouteCacheStats{
-		Builds:   rt.routePlanBuilds.Load(),
-		Resets:   rt.routeCacheResets.Load(),
-		Capacity: routeCacheCap,
+		Builds: rt.routePlanBuilds.Load(),
+		Resets: rt.routeCacheResets.Load(),
 	}
 	snap.Components = make([]ComponentStats, 0, len(comps))
 	for _, c := range comps {

@@ -320,7 +320,7 @@ func TestSelfOnlyViewSyncsImmediately(t *testing.T) {
 // through the web metrics registry.
 func TestHandoffMetricsExposed(t *testing.T) {
 	var b strings.Builder
-	if err := web.WriteRegisteredMetrics(&b); err != nil {
+	if err := web.WriteNodeMetrics(web.NewMetricsWriter(&b), core.MetricsSnapshot{}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -172,7 +172,6 @@ func Open(dir string, opts Options) (*Store, error) {
 				return nil, err
 			}
 			s.recovery.TornTails++
-			walTruncationsTotal.Add(1)
 		}
 		if _, err := f.Seek(valid, 0); err != nil {
 			f.Close()
@@ -298,8 +297,7 @@ func (d *durability) shutdown(crash bool) error {
 // long log and recovery replays more.
 func (d *durability) maybeSnapshot(si int, m map[string]record) {
 	entries := sortedShardEntries(m)
-	bytes, err := writeSnapshot(d.dir, si, entries)
-	if err != nil {
+	if err := writeSnapshot(d.dir, si, entries); err != nil {
 		walErrorsTotal.Add(1)
 		return
 	}
@@ -316,6 +314,4 @@ func (d *durability) maybeSnapshot(si int, m map[string]record) {
 	}
 	ws.mu.Unlock()
 	snapshotsTotal.Add(1)
-	snapshotLastEntries.Store(uint64(len(entries)))
-	snapshotLastBytes.Store(uint64(bytes))
 }

@@ -15,7 +15,6 @@ import (
 )
 
 var (
-	storesTotal    atomic.Uint64
 	readsTotal     atomic.Uint64
 	appliesTotal   atomic.Uint64
 	rejectedTotal  atomic.Uint64
@@ -23,23 +22,18 @@ var (
 
 	// WAL + snapshot counters (durable stores only). Appends/bytes/syncs
 	// count the live write path; replays counts records replayed during
-	// Open; truncations counts torn tails cut off during recovery.
-	walAppendsTotal     atomic.Uint64
-	walBytesTotal       atomic.Uint64
-	walSyncsTotal       atomic.Uint64
-	walReplaysTotal     atomic.Uint64
-	walTruncationsTotal atomic.Uint64
-	walErrorsTotal      atomic.Uint64
-	snapshotsTotal      atomic.Uint64
-	snapshotLastEntries atomic.Uint64
-	snapshotLastBytes   atomic.Uint64
-	durableStoresOpen   atomic.Uint64
+	// Open.
+	walAppendsTotal   atomic.Uint64
+	walBytesTotal     atomic.Uint64
+	walSyncsTotal     atomic.Uint64
+	walReplaysTotal   atomic.Uint64
+	walErrorsTotal    atomic.Uint64
+	snapshotsTotal    atomic.Uint64
+	durableStoresOpen atomic.Uint64
 )
 
 // Metrics is a snapshot of the process-wide kvstore counters.
 type Metrics struct {
-	// Stores is the number of stores created in this process.
-	Stores uint64
 	// Reads is the number of Read calls across all stores.
 	Reads uint64
 	// Applies is the number of writes that advanced a register version.
@@ -57,16 +51,10 @@ type Metrics struct {
 	WALSyncs uint64
 	// WALReplays is the number of records replayed from WAL tails at Open.
 	WALReplays uint64
-	// WALTruncations is the number of torn tails truncated at Open.
-	WALTruncations uint64
 	// WALErrors is the number of append/sync/snapshot I/O failures.
 	WALErrors uint64
 	// Snapshots is the number of shard snapshots written.
 	Snapshots uint64
-	// SnapshotLastEntries is the entry count of the most recent snapshot.
-	SnapshotLastEntries uint64
-	// SnapshotLastBytes is the byte size of the most recent snapshot.
-	SnapshotLastBytes uint64
 	// DurableStoresOpen is the number of durable stores currently open.
 	DurableStoresOpen uint64
 }
@@ -74,7 +62,6 @@ type Metrics struct {
 // GlobalMetrics snapshots the process-wide kvstore counters.
 func GlobalMetrics() Metrics {
 	m := Metrics{
-		Stores:   storesTotal.Load(),
 		Reads:    readsTotal.Load(),
 		Applies:  appliesTotal.Load(),
 		Rejected: rejectedTotal.Load(),
@@ -86,11 +73,8 @@ func GlobalMetrics() Metrics {
 	m.WALBytes = walBytesTotal.Load()
 	m.WALSyncs = walSyncsTotal.Load()
 	m.WALReplays = walReplaysTotal.Load()
-	m.WALTruncations = walTruncationsTotal.Load()
 	m.WALErrors = walErrorsTotal.Load()
 	m.Snapshots = snapshotsTotal.Load()
-	m.SnapshotLastEntries = snapshotLastEntries.Load()
-	m.SnapshotLastBytes = snapshotLastBytes.Load()
 	m.DurableStoresOpen = durableStoresOpen.Load()
 	return m
 }
@@ -98,8 +82,6 @@ func GlobalMetrics() Metrics {
 func init() {
 	web.RegisterMetricsSource("kvstore", func(m *web.MetricsWriter) {
 		s := GlobalMetrics()
-		m.Header("cats_kvstore_stores_total", "counter", "Stores created in this process.")
-		m.Counter("cats_kvstore_stores_total", s.Stores)
 		m.Header("cats_kvstore_reads_total", "counter", "Register reads across all stores.")
 		m.Counter("cats_kvstore_reads_total", s.Reads)
 		m.Header("cats_kvstore_applies_total", "counter", "Writes that advanced a register version.")
@@ -118,16 +100,10 @@ func init() {
 		m.Counter("cats_wal_syncs_total", s.WALSyncs)
 		m.Header("cats_wal_replays_total", "counter", "Records replayed from WAL tails during recovery.")
 		m.Counter("cats_wal_replays_total", s.WALReplays)
-		m.Header("cats_wal_truncations_total", "counter", "Torn WAL tails truncated during recovery.")
-		m.Counter("cats_wal_truncations_total", s.WALTruncations)
 		m.Header("cats_wal_errors_total", "counter", "WAL append/sync/snapshot I/O failures.")
 		m.Counter("cats_wal_errors_total", s.WALErrors)
 		m.Header("cats_wal_snapshots_total", "counter", "Shard snapshots written.")
 		m.Counter("cats_wal_snapshots_total", s.Snapshots)
-		m.Header("cats_snapshot_last_entries", "gauge", "Entry count of the most recent shard snapshot.")
-		m.Gauge("cats_snapshot_last_entries", float64(s.SnapshotLastEntries))
-		m.Header("cats_snapshot_last_bytes", "gauge", "Byte size of the most recent shard snapshot.")
-		m.Gauge("cats_snapshot_last_bytes", float64(s.SnapshotLastBytes))
 		m.Header("cats_wal_open_stores", "gauge", "Durable stores currently open in this process.")
 		m.Gauge("cats_wal_open_stores", float64(s.DurableStoresOpen))
 	})

@@ -30,12 +30,12 @@ func snapPath(dir string, shard int) string {
 // writeSnapshot persists entries (sorted by key for byte-stable output)
 // using the same framed record encoding as the WAL, via temp file +
 // fsync + rename + directory fsync.
-func writeSnapshot(dir string, shard int, entries []Entry) (bytes int64, err error) {
+func writeSnapshot(dir string, shard int, entries []Entry) error {
 	sortEntries(entries)
 	tmp := snapPath(dir, shard) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer os.Remove(tmp) // no-op after a successful rename
 	buf := walBufPool.Get().(*walBuf)
@@ -43,8 +43,7 @@ func writeSnapshot(dir string, shard int, entries []Entry) (bytes int64, err err
 	for _, e := range entries {
 		buf.b = appendFrame(buf.b, e.Key, e.Version, e.Value)
 	}
-	n, err := f.Write(buf.b)
-	bytes = int64(n)
+	_, err = f.Write(buf.b)
 	walBufPool.Put(buf)
 	if err == nil {
 		err = f.Sync()
@@ -53,12 +52,12 @@ func writeSnapshot(dir string, shard int, entries []Entry) (bytes int64, err err
 		err = cerr
 	}
 	if err != nil {
-		return bytes, err
+		return err
 	}
 	if err := os.Rename(tmp, snapPath(dir, shard)); err != nil {
-		return bytes, err
+		return err
 	}
-	return bytes, syncDir(dir)
+	return syncDir(dir)
 }
 
 // loadSnapshot reads shard i's snapshot, if present, applying every

@@ -118,7 +118,6 @@ func New() *Store {
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]record)
 	}
-	storesTotal.Add(1)
 	return s
 }
 

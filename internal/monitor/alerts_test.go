@@ -46,7 +46,7 @@ func newAlertWorld(t *testing.T) *alertWorld {
 	w := &alertWorld{
 		sim: sim,
 		rtm: &mutableRuntime{metrics: map[string]int64{
-			"net.dropped": 0, "faults": 0, "net.reconnects": 0,
+			"cats_network_dropped_full_total": 0, "cats_runtime_faults_total": 0, "cats_network_reconnects_total": 0,
 		}},
 		srv: &serverNode{self: addr(0), sim: sim, emu: emu},
 	}
@@ -98,9 +98,9 @@ func TestAlertsGolden(t *testing.T) {
 	}
 
 	// One period of growth: queue drops, handler faults, a reconnect storm.
-	w.rtm.metrics["net.dropped"] = 12
-	w.rtm.metrics["faults"] = 4
-	w.rtm.metrics["net.reconnects"] = 7
+	w.rtm.metrics["cats_network_dropped_full_total"] = 12
+	w.rtm.metrics["cats_runtime_faults_total"] = 4
+	w.rtm.metrics["cats_network_reconnects_total"] = 7
 	w.sim.Run(time.Second)
 
 	got := w.alertsPage(t, 2)
@@ -132,13 +132,13 @@ func TestAlertThresholds(t *testing.T) {
 	if len(rules) != 4 {
 		t.Fatalf("default rule count %d, want 4", len(rules))
 	}
-	prev := map[string]int64{"net.dropped": 5, "faults": 2, "net.reconnects": 10}
+	prev := map[string]int64{"cats_network_dropped_full_total": 5, "cats_runtime_faults_total": 2, "cats_network_reconnects_total": 10}
 
-	quiet := map[string]int64{"net.dropped": 5, "faults": 2, "net.reconnects": 14}
+	quiet := map[string]int64{"cats_network_dropped_full_total": 5, "cats_runtime_faults_total": 2, "cats_network_reconnects_total": 14}
 	if got := EvaluateAlerts(rules, "n", prev, quiet); len(got) != 0 {
 		t.Fatalf("sub-threshold deltas fired: %+v", got)
 	}
-	noisy := map[string]int64{"net.dropped": 6, "faults": 3, "net.reconnects": 15}
+	noisy := map[string]int64{"cats_network_dropped_full_total": 6, "cats_runtime_faults_total": 3, "cats_network_reconnects_total": 15}
 	got := EvaluateAlerts(rules, "n", prev, noisy)
 	if len(got) != 3 {
 		t.Fatalf("want three rules firing, got %+v", got)
@@ -151,20 +151,20 @@ func TestAlertThresholds(t *testing.T) {
 
 	// Deque depth: a single high period is a burst, not sustained.
 	burst := EvaluateAlerts(rules, "n",
-		map[string]int64{"sched.max_depth_hwm": 10},
-		map[string]int64{"sched.max_depth_hwm": 500})
+		map[string]int64{"cats_scheduler_max_deque_depth": 10},
+		map[string]int64{"cats_scheduler_max_deque_depth": 500})
 	if len(burst) != 0 {
 		t.Fatalf("one-period depth burst fired: %+v", burst)
 	}
 	sustained := EvaluateAlerts(rules, "n",
-		map[string]int64{"sched.max_depth_hwm": 300},
-		map[string]int64{"sched.max_depth_hwm": 260})
+		map[string]int64{"cats_scheduler_max_deque_depth": 300},
+		map[string]int64{"cats_scheduler_max_deque_depth": 260})
 	if len(sustained) != 1 || sustained[0].Rule != "deque-depth-sustained" {
 		t.Fatalf("sustained depth: %+v, want deque-depth-sustained", sustained)
 	}
 	edge := EvaluateAlerts(rules, "n",
-		map[string]int64{"sched.max_depth_hwm": 300},
-		map[string]int64{"sched.max_depth_hwm": 255})
+		map[string]int64{"cats_scheduler_max_deque_depth": 300},
+		map[string]int64{"cats_scheduler_max_deque_depth": 255})
 	if len(edge) != 0 {
 		t.Fatalf("below-threshold depth fired: %+v", edge)
 	}
@@ -177,12 +177,12 @@ func TestAlertThresholds(t *testing.T) {
 // reported all-time max never decreases.
 func TestDequeDepthAlertGolden(t *testing.T) {
 	w := newAlertWorld(t)
-	w.rtm.metrics["sched.max_depth"] = 0
+	w.rtm.metrics["cats_scheduler_max_deque_depth"] = 0
 	w.sim.Run(1100 * time.Millisecond) // baseline rounds
 
 	// The node's max-depth HWM jumps to 600 and, being an all-time max,
 	// stays there. Two reporting periods later the alert is firing.
-	w.rtm.metrics["sched.max_depth"] = 600
+	w.rtm.metrics["cats_scheduler_max_deque_depth"] = 600
 	w.sim.Run(2 * time.Second)
 	got := w.alertsPage(t, 1)
 	want := "CATS alerts: 1 firing\n" +
@@ -196,7 +196,7 @@ func TestDequeDepthAlertGolden(t *testing.T) {
 	// (all-time max), but the server-side decayed mark only tracks fresh
 	// reports of the same magnitude. Simulate the drain by the node
 	// reporting a low current depth again.
-	w.rtm.metrics["sched.max_depth"] = 0
+	w.rtm.metrics["cats_scheduler_max_deque_depth"] = 0
 	// 600 → 300 → 150: two periods later the mark is under 256 in both
 	// compared rollups.
 	w.sim.Run(2 * time.Second)

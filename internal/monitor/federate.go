@@ -42,9 +42,11 @@ type scrapeResult struct {
 }
 
 // Scrape fetches host/metrics from every target (node name → host:port),
-// in parallel, and returns the merged exposition: each node's samples
-// labeled with its name, failed nodes recorded as comments so the output
-// still says who was unreachable. Output order is sorted by node name.
+// in parallel, and returns the merged exposition: failed nodes recorded as
+// comments so the output still says who was unreachable, then one group per
+// metric family — its HELP/TYPE header once, followed by every node's
+// samples labeled with the node's name, nodes sorted by name. Families keep
+// the order in which they first appear.
 func (f *Federator) Scrape(targets map[string]string) string {
 	names := make([]string, 0, len(targets))
 	for n := range targets {
@@ -66,14 +68,79 @@ func (f *Federator) Scrape(targets map[string]string) string {
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "# CATS federation: %d nodes\n", len(names))
+	var merged []*familyBlock
+	byName := make(map[string]*familyBlock)
 	for _, r := range results {
 		if r.err != nil {
 			fmt.Fprintf(&b, "# node %s: scrape failed: %v\n", r.node, r.err)
 			continue
 		}
-		b.WriteString(InjectNodeLabel(string(r.body), r.node))
+		for _, fam := range splitFamilies(string(r.body)) {
+			m, ok := byName[fam.name]
+			if !ok {
+				m = &familyBlock{name: fam.name, header: fam.header}
+				byName[fam.name] = m
+				merged = append(merged, m)
+			}
+			m.samples += InjectNodeLabel(fam.samples, r.node)
+		}
+	}
+	for _, m := range merged {
+		b.WriteString(m.header)
+		b.WriteString(m.samples)
 	}
 	return b.String()
+}
+
+// familyBlock is one metric family's lines of an exposition.
+type familyBlock struct {
+	name            string
+	histogram       bool
+	header, samples string
+}
+
+// splitFamilies cuts an exposition into family blocks. A HELP or TYPE line
+// names its family; a sample belongs to the family it is named after, or to
+// the histogram whose _bucket, _sum or _count series it is. Other comments
+// are dropped.
+func splitFamilies(body string) []*familyBlock {
+	var out []*familyBlock
+	var cur *familyBlock
+	for _, line := range strings.Split(body, "\n") {
+		var name string
+		var fields []string
+		header := strings.HasPrefix(line, "#")
+		if header {
+			fields = strings.Fields(line)
+			if len(fields) < 3 || (fields[1] != "HELP" && fields[1] != "TYPE") {
+				continue
+			}
+			name = fields[2]
+		} else if end := strings.IndexAny(line, "{ "); end > 0 {
+			name = line[:end]
+		} else {
+			continue
+		}
+		same := cur != nil && (name == cur.name || !header && cur.histogram && isHistogramSeries(name, cur.name))
+		if !same {
+			cur = &familyBlock{name: name}
+			out = append(out, cur)
+		}
+		if header {
+			cur.header += line + "\n"
+			if fields[1] == "TYPE" && len(fields) == 4 && fields[3] == "histogram" {
+				cur.histogram = true
+			}
+		} else {
+			cur.samples += line + "\n"
+		}
+	}
+	return out
+}
+
+func isHistogramSeries(sample, family string) bool {
+	suffix, ok := strings.CutPrefix(sample, family)
+	return ok && (suffix == "_bucket" || suffix == "_sum" || suffix == "_count")
 }
 
 func (f *Federator) fetch(url string) ([]byte, error) {

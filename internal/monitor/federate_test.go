@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/web"
+	"repro/internal/web/promtest"
 )
 
 func TestInjectNodeLabel(t *testing.T) {
@@ -66,6 +67,47 @@ func TestFederatorScrape(t *testing.T) {
 	// node-a's samples come before node-b's (sorted merge).
 	if strings.Index(out, "node-a") > strings.Index(out, `node="node-b"`) {
 		t.Fatalf("nodes not sorted:\n%s", out)
+	}
+}
+
+// TestFederatorMergesFamilies scrapes two nodes exposing the same families
+// — a counter and a histogram — and checks the merge is one well-formed
+// exposition: each family's HELP/TYPE once, then both nodes' samples.
+func TestFederatorMergesFamilies(t *testing.T) {
+	body := "# HELP cats_x_total X.\n" +
+		"# TYPE cats_x_total counter\n" +
+		"cats_x_total 3\n" +
+		"# HELP cats_h_seconds H.\n" +
+		"# TYPE cats_h_seconds histogram\n" +
+		"cats_h_seconds_bucket{le=\"0.5\"} 1\n" +
+		"cats_h_seconds_bucket{le=\"+Inf\"} 2\n" +
+		"cats_h_seconds_sum 1.5\n" +
+		"cats_h_seconds_count 2\n"
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(body))
+	}))
+	defer srv.Close()
+	host := strings.TrimPrefix(srv.URL, "http://")
+
+	out := NewFederator(time.Second).Scrape(map[string]string{"node-a": host, "node-b": host})
+	promtest.Check(t, out)
+	want := "# CATS federation: 2 nodes\n" +
+		"# HELP cats_x_total X.\n" +
+		"# TYPE cats_x_total counter\n" +
+		"cats_x_total{node=\"node-a\"} 3\n" +
+		"cats_x_total{node=\"node-b\"} 3\n" +
+		"# HELP cats_h_seconds H.\n" +
+		"# TYPE cats_h_seconds histogram\n" +
+		"cats_h_seconds_bucket{node=\"node-a\",le=\"0.5\"} 1\n" +
+		"cats_h_seconds_bucket{node=\"node-a\",le=\"+Inf\"} 2\n" +
+		"cats_h_seconds_sum{node=\"node-a\"} 1.5\n" +
+		"cats_h_seconds_count{node=\"node-a\"} 2\n" +
+		"cats_h_seconds_bucket{node=\"node-b\",le=\"0.5\"} 1\n" +
+		"cats_h_seconds_bucket{node=\"node-b\",le=\"+Inf\"} 2\n" +
+		"cats_h_seconds_sum{node=\"node-b\"} 1.5\n" +
+		"cats_h_seconds_count{node=\"node-b\"} 2\n"
+	if out != want {
+		t.Fatalf("merged exposition:\ngot:\n%s\nwant:\n%s", out, want)
 	}
 }
 

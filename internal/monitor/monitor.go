@@ -247,23 +247,7 @@ func (s *Server) handleWeb(r web.Request) {
 	fmt.Fprintf(&b, "<h1>Global view: %d nodes</h1>", len(s.views))
 	for _, name := range s.nodeNames() {
 		v := s.views[name]
-		fmt.Fprintf(&b, "<h2>%s</h2><ul>", v.Node)
-		for _, snap := range v.Snapshots {
-			fmt.Fprintf(&b, "<li><b>%s</b>: ", snap.Component)
-			keys := make([]string, 0, len(snap.Metrics))
-			for k := range snap.Metrics {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for i, k := range keys {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				fmt.Fprintf(&b, "%s=%d", k, snap.Metrics[k])
-			}
-			b.WriteString("</li>")
-		}
-		b.WriteString("</ul>")
+		fmt.Fprintf(&b, "<h2>%s</h2>%s", v.Node, status.HTMLList(v.Snapshots))
 	}
 	b.WriteString("</body></html>")
 	s.ctx.Trigger(web.Response{

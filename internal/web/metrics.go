@@ -1,7 +1,8 @@
-// Prometheus text exposition (format 0.0.4) for the runtime telemetry
-// snapshot and the process-wide network counters. Hand-rolled rather than
-// depending on a client library: the format is a few lines of escaping rules,
-// and the repo's dependency budget is the standard library.
+// Prometheus text exposition (format 0.0.4) of a node's metrics: the
+// runtime telemetry snapshot, the process-wide network and span-ring
+// counters, and the sources other packages register. Hand-rolled rather
+// than depending on a client library: the format is a few lines of
+// escaping rules, and the repo's dependency budget is the standard library.
 package web
 
 import (
@@ -20,31 +21,28 @@ import (
 // format version 0.0.4.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// The tracing package is dependency-free by design, so web registers its
-// exposition on its behalf (tracing cannot import the registry without a
-// cycle).
-func init() {
-	RegisterMetricsSource("tracing", func(m *MetricsWriter) {
-		recorded, dropped := tracing.Stats()
-		m.Header("cats_tracing_spans_recorded_total", "counter", "Spans recorded into the process span ring.")
-		m.Counter("cats_tracing_spans_recorded_total", recorded)
-		m.Header("cats_tracing_spans_dropped_total", "counter", "Spans evicted by span-ring wrap-around.")
-		m.Counter("cats_tracing_spans_dropped_total", dropped)
-		m.Header("cats_tracing_sample_every", "gauge", "Trace sampling period (0 = tracing disabled).")
-		m.Gauge("cats_tracing_sample_every", float64(tracing.SampleEvery()))
-	})
-}
-
-// MetricsWriter emits metric families in the Prometheus text exposition
-// format: a HELP/TYPE header per family followed by one sample line per
-// (name, label set). Label values are escaped per the format spec.
+// MetricsWriter emits metric families to one of two sinks. The text sink
+// writes the Prometheus text exposition format: a HELP/TYPE header per
+// family followed by one sample line per (name, label set), label values
+// escaped per the format spec. The rollup sink is the monitor's view of the
+// same families: it keeps every unlabeled sample of a counter or gauge
+// family under the family name and skips labeled samples and histograms —
+// the full breakdown stays on the node's own /metrics endpoint.
 type MetricsWriter struct {
-	w   io.Writer
-	err error
+	w      io.Writer
+	rollup map[string]int64
+	typ    string // TYPE of the family being written (rollup sink)
+	err    error
 }
 
 // NewMetricsWriter wraps w for exposition output.
 func NewMetricsWriter(w io.Writer) *MetricsWriter { return &MetricsWriter{w: w} }
+
+// NewRollupWriter returns a writer that stores the unlabeled counter and
+// gauge samples it is given into rollup.
+func NewRollupWriter(rollup map[string]int64) *MetricsWriter {
+	return &MetricsWriter{rollup: rollup}
+}
 
 // Err returns the first write error, if any.
 func (m *MetricsWriter) Err() error { return m.err }
@@ -59,7 +57,23 @@ func (m *MetricsWriter) printf(format string, args ...any) {
 // Header writes the HELP and TYPE lines for a metric family. typ is
 // "counter", "gauge", or "histogram".
 func (m *MetricsWriter) Header(name, typ, help string) {
+	if m.rollup != nil {
+		m.typ = typ
+		return
+	}
 	m.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// keep stores an unlabeled counter or gauge sample in the rollup sink and
+// reports whether the writer has one.
+func (m *MetricsWriter) keep(name string, value int64, kv []string) bool {
+	if m.rollup == nil {
+		return false
+	}
+	if len(kv) == 0 && m.typ != "histogram" {
+		m.rollup[name] = value
+	}
+	return true
 }
 
 // escapeLabel escapes a label value per the exposition format: backslash,
@@ -89,22 +103,34 @@ func formatLabels(kv []string) string {
 
 // Counter writes one counter sample. kv is alternating label key/value pairs.
 func (m *MetricsWriter) Counter(name string, value uint64, kv ...string) {
+	if m.keep(name, int64(value), kv) {
+		return
+	}
 	m.printf("%s%s %d\n", name, formatLabels(kv), value)
 }
 
-// Gauge writes one gauge sample.
+// Gauge writes one gauge sample. The rollup sink truncates the value to an
+// integer; every unlabeled gauge a node exposes is integer-valued.
 func (m *MetricsWriter) Gauge(name string, value float64, kv ...string) {
+	if m.keep(name, int64(value), kv) {
+		return
+	}
 	m.printf("%s%s %g\n", name, formatLabels(kv), value)
 }
 
 // Histogram writes a full Prometheus histogram from the core power-of-two
 // latency stats: cumulative `le` buckets in seconds, then _sum and _count.
+// The last core bucket has no finite upper bound (it absorbs every sample
+// past the one before it), so its samples appear only under le="+Inf".
 func (m *MetricsWriter) Histogram(name string, ls core.LatencyStats, kv ...string) {
+	if m.rollup != nil {
+		return
+	}
 	var cum uint64
-	for i := 0; i < core.LatencyBuckets; i++ {
+	for i := 0; i < core.LatencyBuckets-1; i++ {
 		cum += ls.Buckets[i]
-		if ls.Buckets[i] == 0 && i < core.LatencyBuckets-1 {
-			continue // sparse output: skip empty non-terminal buckets
+		if ls.Buckets[i] == 0 {
+			continue // sparse output: skip empty buckets
 		}
 		le := float64(core.BucketBoundNS(i)) / 1e9
 		lkv := append(append([]string{}, kv...), "le", fmt.Sprintf("%g", le))
@@ -135,9 +161,32 @@ func RegisterMetricsSource(name string, fn func(*MetricsWriter)) {
 	sources[name] = fn
 }
 
-// WriteRegisteredMetrics renders every registered source, in name order so
+// WriteNodeMetrics renders everything a node exposes — the runtime
+// snapshot, the process-wide network and span-ring counters, and every
+// registered source — into m. The web bridge serves it as /metrics through
+// the text sink; the monitor's RuntimeStatus reports it through the rollup
+// sink.
+func WriteNodeMetrics(m *MetricsWriter, s core.MetricsSnapshot) error {
+	writeRuntimeMetrics(m, s)
+	writeNetworkMetrics(m, network.GlobalMetrics())
+	writeTracingMetrics(m)
+	writeRegisteredMetrics(m)
+	return m.Err()
+}
+
+// writeTracingMetrics renders the process span ring's counters. The tracing
+// package is dependency-free by design, so web renders them on its behalf.
+func writeTracingMetrics(m *MetricsWriter) {
+	recorded, _ := tracing.Stats()
+	m.Header("cats_tracing_spans_recorded_total", "counter", "Spans recorded into the process span ring.")
+	m.Counter("cats_tracing_spans_recorded_total", recorded)
+	m.Header("cats_tracing_sample_every", "gauge", "Trace sampling period (0 = tracing disabled).")
+	m.Gauge("cats_tracing_sample_every", float64(tracing.SampleEvery()))
+}
+
+// writeRegisteredMetrics renders every registered source, in name order so
 // scrapes are deterministic.
-func WriteRegisteredMetrics(w io.Writer) error {
+func writeRegisteredMetrics(m *MetricsWriter) {
 	sourceMu.Lock()
 	names := make([]string, 0, len(sources))
 	for n := range sources {
@@ -149,19 +198,15 @@ func WriteRegisteredMetrics(w io.Writer) error {
 		fns = append(fns, sources[n])
 	}
 	sourceMu.Unlock()
-	m := NewMetricsWriter(w)
 	for _, fn := range fns {
 		fn(m)
 	}
-	return m.Err()
 }
 
-// WriteRuntimeMetrics renders a core telemetry snapshot as the
-// cats_scheduler_*, cats_component_*, cats_routecache_*, and cats_trace_*
-// series.
-func WriteRuntimeMetrics(w io.Writer, s core.MetricsSnapshot) error {
-	m := NewMetricsWriter(w)
-
+// writeRuntimeMetrics renders a core telemetry snapshot as the
+// cats_runtime_*, cats_scheduler_*, cats_component_*, cats_routecache_*,
+// and cats_trace_* series.
+func writeRuntimeMetrics(m *MetricsWriter, s core.MetricsSnapshot) {
 	m.Header("cats_runtime_components_live", "gauge", "Components currently alive.")
 	m.Gauge("cats_runtime_components_live", float64(s.LiveComponents))
 	m.Header("cats_runtime_components_total", "counter", "Components ever created.")
@@ -177,8 +222,6 @@ func WriteRuntimeMetrics(w io.Writer, s core.MetricsSnapshot) error {
 	m.Counter("cats_scheduler_local_pops_total", s.Scheduler.LocalPops)
 	m.Header("cats_scheduler_steals_total", "counter", "Successful batch steals.")
 	m.Counter("cats_scheduler_steals_total", s.Scheduler.Steals)
-	m.Header("cats_scheduler_steal_misses_total", "counter", "Steal attempts that found nothing.")
-	m.Counter("cats_scheduler_steal_misses_total", s.Scheduler.StealMisses)
 	m.Header("cats_scheduler_stolen_total", "counter", "Components claimed by steals.")
 	m.Counter("cats_scheduler_stolen_total", s.Scheduler.Stolen)
 	m.Header("cats_scheduler_steal_shrinks_total", "counter", "Steals shrunk below half by the adaptive batch policy.")
@@ -202,15 +245,7 @@ func WriteRuntimeMetrics(w io.Writer, s core.MetricsSnapshot) error {
 	m.Counter("cats_routecache_builds_total", s.RouteCache.Builds)
 	m.Header("cats_routecache_resets_total", "counter", "Route-table resets forced by the capacity cap.")
 	m.Counter("cats_routecache_resets_total", s.RouteCache.Resets)
-	m.Header("cats_routecache_capacity", "gauge", "Per-table plan cap.")
-	m.Gauge("cats_routecache_capacity", float64(s.RouteCache.Capacity))
 
-	m.Header("cats_trace_enabled", "gauge", "Whether an event-trace sink is attached.")
-	if s.Trace.Enabled {
-		m.Gauge("cats_trace_enabled", 1)
-	} else {
-		m.Gauge("cats_trace_enabled", 0)
-	}
 	m.Header("cats_trace_records_total", "counter", "Trace records written.")
 	m.Counter("cats_trace_records_total", s.Trace.Records)
 
@@ -246,36 +281,19 @@ func WriteRuntimeMetrics(w io.Writer, s core.MetricsSnapshot) error {
 	m.Header("cats_component_handler_latency_seconds", "histogram",
 		"Sampled handler execution latency, all components.")
 	m.Histogram("cats_component_handler_latency_seconds", agg)
-
-	return m.Err()
 }
 
-// WriteNetworkMetrics renders the process-wide network counters as the
+// writeNetworkMetrics renders the process-wide network counters as the
 // cats_network_* series.
-func WriteNetworkMetrics(w io.Writer, n network.Metrics) error {
-	m := NewMetricsWriter(w)
+func writeNetworkMetrics(m *MetricsWriter, n network.Metrics) {
 	m.Header("cats_network_sent_total", "counter", "Messages enqueued for transmission.")
 	m.Counter("cats_network_sent_total", n.Sent)
-	m.Header("cats_network_received_total", "counter", "Messages delivered to the Network port.")
-	m.Counter("cats_network_received_total", n.Received)
 	m.Header("cats_network_dropped_full_total", "counter", "Messages dropped on full send queues.")
 	m.Counter("cats_network_dropped_full_total", n.DroppedFull)
-	m.Header("cats_network_send_errors_total", "counter", "Encode, dial, and write failures.")
-	m.Counter("cats_network_send_errors_total", n.SendErrors)
 	m.Header("cats_network_encoded_msgs_total", "counter", "Messages serialized by the codec.")
 	m.Counter("cats_network_encoded_msgs_total", n.EncodedMsgs)
 	m.Header("cats_network_encoded_bytes_total", "counter", "Payload bytes produced by the codec.")
 	m.Counter("cats_network_encoded_bytes_total", n.EncodedBytes)
-	m.Header("cats_network_decoded_msgs_total", "counter", "Messages deserialized by the codec.")
-	m.Counter("cats_network_decoded_msgs_total", n.DecodedMsgs)
-	m.Header("cats_network_compressed_msgs_total", "counter", "Messages zlib-compressed on encode.")
-	m.Counter("cats_network_compressed_msgs_total", n.CompressedMsgs)
-	m.Header("cats_network_compressed_bytes_in_total", "counter", "Uncompressed bytes fed into zlib.")
-	m.Counter("cats_network_compressed_bytes_in_total", n.CompressedIn)
-	m.Header("cats_network_compressed_bytes_out_total", "counter", "Compressed bytes out of zlib.")
-	m.Counter("cats_network_compressed_bytes_out_total", n.CompressedOut)
-	m.Header("cats_network_decompressed_msgs_total", "counter", "Messages zlib-decompressed on decode.")
-	m.Counter("cats_network_decompressed_msgs_total", n.DecompressedMsgs)
 	m.Header("cats_network_reconnects_total", "counter", "Successful redials of a peer after a failure.")
 	m.Counter("cats_network_reconnects_total", n.Reconnects)
 	m.Header("cats_network_requeued_total", "counter", "Frames carried across a broken write for redelivery.")
@@ -299,5 +317,4 @@ func WriteNetworkMetrics(w io.Writer, n network.Metrics) error {
 	m.Gauge("cats_network_peers", float64(n.PeersUp), "state", "up")
 	m.Gauge("cats_network_peers", float64(n.PeersBackoff), "state", "backoff")
 	m.Gauge("cats_network_peers", float64(n.PeersDown), "state", "down")
-	return m.Err()
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/network"
+	"repro/internal/web/promtest"
 )
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -48,7 +49,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cats_routecache_builds_total",
 		"cats_routecache_resets_total",
 		"cats_network_sent_total",
-		"cats_network_compressed_bytes_out_total",
 		"cats_network_reconnects_total",
 		"cats_network_requeued_total",
 		"cats_network_abandoned_total",
@@ -58,7 +58,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`cats_network_peers{state="backoff"}`,
 		"cats_runtime_components_live",
 		"cats_tracing_spans_recorded_total",
-		"cats_tracing_spans_dropped_total",
 		"cats_tracing_sample_every",
 	} {
 		if !strings.Contains(body, series) {
@@ -69,16 +68,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !strings.Contains(body, `cats_component_handled_total{component="`) {
 		t.Fatalf("no labeled component series in:\n%s", body)
 	}
-	// Exposition format sanity: every non-comment line is "name{labels} value"
-	// or "name value".
-	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if len(strings.Fields(line)) != 2 {
-			t.Fatalf("malformed sample line %q", line)
-		}
-	}
+	promtest.Check(t, body)
 }
 
 func TestDebugRuntimeJSON(t *testing.T) {
@@ -210,6 +200,54 @@ func TestMetricsWriterHistogram(t *testing.T) {
 	}
 }
 
+// TestMetricsWriterHistogramOverflow: the last core bucket holds every
+// sample from 2^31 ns up, so it has no finite bound — a 10 s sample is
+// counted only under le="+Inf", never under the last finite bound.
+func TestMetricsWriterHistogramOverflow(t *testing.T) {
+	var ls core.LatencyStats
+	ls.Samples = 1
+	ls.SumNanos = uint64(10 * time.Second)
+	ls.Buckets[core.LatencyBuckets-1] = 1
+
+	var sb strings.Builder
+	NewMetricsWriter(&sb).Histogram("x_seconds", ls)
+	want := `x_seconds_bucket{le="+Inf"} 1` + "\n" +
+		"x_seconds_sum 10\n" +
+		"x_seconds_count 1\n"
+	if sb.String() != want {
+		t.Fatalf("overflow sample:\ngot:\n%s\nwant:\n%s", sb.String(), want)
+	}
+}
+
+// TestRollupWriter pins the rollup sink's rule: every unlabeled counter and
+// gauge sample under its family name; labeled samples and histograms —
+// including a histogram written sample by sample — are skipped.
+func TestRollupWriter(t *testing.T) {
+	got := map[string]int64{}
+	m := NewRollupWriter(got)
+	m.Header("a_total", "counter", "A.")
+	m.Counter("a_total", 42)
+	m.Counter("a_total", 7, "component", "x")
+	m.Header("depth", "gauge", "D.")
+	m.Gauge("depth", 3)
+	m.Gauge("depth", 9, "worker", "0")
+	var ls core.LatencyStats
+	ls.Samples, ls.Buckets[3] = 1, 1
+	m.Header("lat_seconds", "histogram", "L.")
+	m.Histogram("lat_seconds", ls)
+	m.Header("size", "histogram", "S.")
+	m.Counter("size_bucket", 1, "le", "+Inf")
+	m.Counter("size_sum", 4)
+	m.Counter("size_count", 1)
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{"a_total": 42, "depth": 3}
+	if len(got) != len(want) || got["a_total"] != 42 || got["depth"] != 3 {
+		t.Fatalf("rollup %v, want %v", got, want)
+	}
+}
+
 // fmtSscanLast parses the trailing value of an exposition sample line.
 func fmtSscanLast(line string, v *float64) (int, error) {
 	fields := strings.Fields(line)
@@ -228,7 +266,7 @@ func TestRegisteredMetricsSources(t *testing.T) {
 	})
 
 	var b strings.Builder
-	if err := WriteRegisteredMetrics(&b); err != nil {
+	if err := WriteNodeMetrics(NewMetricsWriter(&b), core.MetricsSnapshot{}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -245,7 +283,7 @@ func TestRegisteredMetricsSources(t *testing.T) {
 		m.Gauge("ztest_a", 9)
 	})
 	b.Reset()
-	if err := WriteRegisteredMetrics(&b); err != nil {
+	if err := WriteNodeMetrics(NewMetricsWriter(&b), core.MetricsSnapshot{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "ztest_a 9") || strings.Contains(b.String(), "ztest_a 1") {

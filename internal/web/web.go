@@ -155,23 +155,14 @@ func (b *Bridge) mux() http.Handler {
 	return mux
 }
 
-// serveMetrics renders the runtime telemetry snapshot and the process-wide
-// network counters in the Prometheus text exposition format. It runs on the
-// HTTP goroutine: MetricsSnapshot is safe to call from outside component
-// handlers, and aggregation cost is proportional to live components, which is
-// fine at scrape frequency.
+// serveMetrics renders the node's metrics (WriteNodeMetrics) in the
+// Prometheus text exposition format. It runs on the HTTP goroutine:
+// MetricsSnapshot is safe to call from outside component handlers, and
+// aggregation cost is proportional to live components, which is fine at
+// scrape frequency.
 func (b *Bridge) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := b.ctx.Runtime().MetricsSnapshot()
 	var buf bytes.Buffer
-	if err := WriteRuntimeMetrics(&buf, snap); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if err := WriteNetworkMetrics(&buf, network.GlobalMetrics()); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if err := WriteRegisteredMetrics(&buf); err != nil {
+	if err := WriteNodeMetrics(NewMetricsWriter(&buf), b.ctx.Runtime().MetricsSnapshot()); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
