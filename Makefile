@@ -17,7 +17,8 @@ help:
 	@echo "  test            go test ./..."
 	@echo "  test-race       go test -race ./... (deque/routing-cache stress tests)"
 	@echo "  core-stress     internal/core 50x at -cpu 1,2,4 and 10x under -race: the"
-	@echo "                  hold/unplug/resume and swap ordering tests are concurrent"
+	@echo "                  hold/unplug/resume and swap ordering tests are concurrent;"
+	@echo "                  plus the WAL group-commit vs checkpoint race, 20x under -race"
 	@echo "  bench           full benchmark sweep (macro experiments included)"
 	@echo "  bench-dispatch  hot-path microbenchmarks only: dispatch, fan-out,"
 	@echo "                  ping-pong, deque. Pinned -benchtime $(BENCHTIME) -cpu $(BENCHCPU);"
@@ -27,7 +28,7 @@ help:
 	@echo "  scenarios       catssim run gate: every gate scenario at its registered"
 	@echo "                  seeds, twice each in fresh processes, reports byte-identical"
 	@echo "                  and named invariants held (catssim list gate)"
-	@echo "  fuzz            binary frame decoder fuzz targets, 30s each"
+	@echo "  fuzz            binary frame and WAL decoder fuzz targets, 30s each"
 	@echo "  ci              vet + build + test-race"
 	@echo "  ci-local        local mirror of the CI jobs: lint (without staticcheck and"
 	@echo "                  govulncheck), test, core-stress, alloc, kvbench, scenarios, fuzz"
@@ -53,6 +54,7 @@ test-race:
 core-stress:
 	$(GO) test -count=50 -cpu 1,2,4 ./internal/core
 	$(GO) test -race -count=10 ./internal/core
+	$(GO) test -race -count=20 -run 'TestGroupSyncRacesCheckpoint' ./internal/kvstore
 
 # Full benchmark sweep (experiment macro-benchmarks take seconds per run).
 bench:
@@ -83,11 +85,13 @@ scenarios:
 # Binary frame decoder fuzz targets (also run as 30s smoke in CI): the
 # payload decoder must never panic or mis-frame on arbitrary bytes, the
 # WireReader must latch at the first out-of-bounds read, and the framing
-# layer must keep control prefixes and legal lengths disjoint.
+# layer must keep control prefixes and legal lengths disjoint. The WAL
+# segment and snapshot decoders must keep their valid prefix replayable.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePayload' -fuzztime 30s ./internal/network/
 	$(GO) test -run '^$$' -fuzz 'FuzzWireReader' -fuzztime 30s ./internal/network/
 	$(GO) test -run '^$$' -fuzz 'FuzzFramePrefix' -fuzztime 30s ./internal/network/
+	$(GO) test -run '^$$' -fuzz 'FuzzReplayWAL' -fuzztime 30s ./internal/kvstore/
 
 ci: vet build test-race
 

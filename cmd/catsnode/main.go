@@ -45,10 +45,10 @@ func main() {
 		pprofOn    = flag.Bool("pprof", false, "expose /debug/pprof/ on the web listener")
 		traceEvery = flag.Int("trace-sample", 64, "trace one operation in N (rounded up to a power of two; 1: every op, 0: tracing off)")
 
-		dataDir    = flag.String("data-dir", "", "durable storage directory: per-shard WAL + snapshots, replayed on boot (empty: memory only)")
+		dataDir    = flag.String("data-dir", "", "durable storage directory: WAL + snapshot, replayed on boot (empty: memory only)")
 		walSync    = flag.String("wal-sync", "always", "WAL sync policy: always | interval | never (with -data-dir)")
 		walSyncInt = flag.Duration("wal-sync-interval", kvstore.DefaultSyncEvery, "group-fsync period for -wal-sync=interval")
-		snapBytes  = flag.Int64("snapshot-bytes", kvstore.DefaultSnapshotBytes, "per-shard WAL size that triggers a snapshot and log truncation")
+		snapBytes  = flag.Int64("snapshot-bytes", kvstore.DefaultSnapshotBytes, "WAL size that triggers a checkpoint: snapshot the store, start a fresh log, delete the old one")
 	)
 	flag.Parse()
 	tracing.SetSampleEvery(*traceEvery)

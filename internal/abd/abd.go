@@ -272,6 +272,12 @@ type ABD struct {
 	pendOrder  []network.Address
 	flushArmed bool
 
+	// Replica-side scratch for serving a frame's writes with one store
+	// call: the indices of the writes that passed the epoch gate, and
+	// their entries (batch.go).
+	servedIdx  []int
+	writeBatch []kvstore.Entry
+
 	// deadlines holds every in-flight attempt's next attempt-timer
 	// instant; dlTimer is the one armed Timer request (0: none) and
 	// dlArmedAt the instant it fires at (deadline.go).

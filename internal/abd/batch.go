@@ -1,6 +1,7 @@
 package abd
 
 import (
+	"repro/internal/kvstore"
 	"repro/internal/network"
 	"repro/internal/timer"
 	"repro/internal/tracing"
@@ -219,18 +220,26 @@ func (a *ABD) handleOpBatch(m opBatchMsg) {
 			Found:   found,
 		})
 	}
-	for _, w := range m.Writes {
-		if !a.serveEpoch(m, w.Context, "serve.write", w.OpID, w.Attempt, w.Epoch) {
-			continue
+	a.servedIdx = a.servedIdx[:0]
+	for i := range m.Writes {
+		w := &m.Writes[i]
+		if a.serveEpoch(m, w.Context, "serve.write", w.OpID, w.Attempt, w.Epoch) {
+			a.servedIdx = append(a.servedIdx, i)
 		}
-		// The ack entry is the durability promise: on a durable store
-		// ApplyDurable returns only after the write is in the shard's WAL
-		// (fsynced under sync=always). No WAL append, no ack entry — the
-		// coordinator retries or fails the op, but never reports a write
-		// stored that a restart would lose.
-		if _, err := a.store.ApplyDurable(w.Key, w.Version, w.Value); err != nil {
+	}
+	// The ack entries are the durability promise: on a durable store
+	// applyWrites returns only after every write of the frame is in the
+	// WAL (fsynced under sync=always). No WAL append, no ack entry — the
+	// coordinator retries or fails the op, but never reports a write
+	// stored that a restart would lose.
+	err := a.applyWrites(m.Writes, a.servedIdx)
+	if err != nil {
+		a.ctx.Log().Warn("abd: wal append failed; batched writes not acked", "writes", len(a.servedIdx), "err", err)
+	}
+	for _, i := range a.servedIdx {
+		w := &m.Writes[i]
+		if err != nil {
 			a.recordServe(w.Context, "serve.write", w.OpID, w.Attempt, "wal-error")
-			a.ctx.Log().Warn("abd: wal append failed; batched write not acked", "key", w.Key, "err", err)
 			continue
 		}
 		a.recordServe(w.Context, "serve.write", w.OpID, w.Attempt, "ok")
@@ -245,6 +254,23 @@ func (a *ABD) handleOpBatch(m opBatchMsg) {
 		ReadAcks:  readAcks,
 		WriteAcks: writeAcks,
 	}, a.net)
+}
+
+// applyWrites applies writes[i] for every i in served with one store
+// call, through a scratch batch kept on the ABD struct so the serve loop
+// allocates nothing for it.
+func (a *ABD) applyWrites(writes []writePhase, served []int) error {
+	if len(served) == 0 {
+		return nil
+	}
+	a.writeBatch = a.writeBatch[:0]
+	for _, i := range served {
+		w := &writes[i]
+		a.writeBatch = append(a.writeBatch, kvstore.Entry{Key: w.Key, Version: w.Version, Value: w.Value})
+	}
+	err := a.store.ApplyBatch(a.writeBatch, nil)
+	clear(a.writeBatch) // the store keeps what it applied; drop the frame's references
+	return err
 }
 
 // handleOpBatchAck fans a batch ack back into the per-op quorum state

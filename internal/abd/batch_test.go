@@ -331,3 +331,40 @@ func TestBatchChurnStress(t *testing.T) {
 		t.Fatalf("stress run never coalesced: %d phases in %d frames", batched, batches)
 	}
 }
+
+// A replica serves a frame's writes with one store call through scratch
+// kept on the ABD struct: on a memory store (every simulation and the
+// in-memory benchmarks) that call allocates nothing, so batching the
+// store apply adds no allocation to the serve loop.
+func TestServeWritesMemoryStoreZeroAlloc(t *testing.T) {
+	a := New(Config{Store: NewStore()})
+	writes := make([]writePhase, 16)
+	served := make([]int, 0, len(writes))
+	value := make([]byte, 64)
+	for i := range writes {
+		writes[i] = writePhase{OpID: uint64(i), Key: fmt.Sprintf("w-%d", i), Value: value}
+		if i%4 != 3 { // every fourth write failed its epoch gate
+			served = append(served, i)
+		}
+	}
+	seq := uint64(0)
+	serve := func() {
+		seq++
+		for i := range writes {
+			writes[i].Version = Version{Seq: seq, Writer: 1}
+		}
+		if err := a.applyWrites(writes, served); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serve()
+	if allocs := testing.AllocsPerRun(200, serve); allocs > 0 {
+		t.Fatalf("serving a frame's writes allocates %.1f objects, want 0", allocs)
+	}
+	if v, _, ok := a.store.Read("w-0"); !ok || v.Seq != seq {
+		t.Fatalf("w-0 at %v (found %v), want seq %d", v, ok, seq)
+	}
+	if _, _, ok := a.store.Read("w-3"); ok {
+		t.Fatal("a write that failed its epoch gate was applied")
+	}
+}

@@ -96,8 +96,8 @@ type NodeConfig struct {
 	DeadlineCeil  time.Duration
 	ShedServeRate int
 
-	// DataDir, when set, makes the register store durable: per-shard
-	// write-ahead logs + snapshots live under this directory and are
+	// DataDir, when set, makes the register store durable: its
+	// write-ahead log + snapshot live under this directory and are
 	// replayed — synchronously, before any component starts — when the
 	// node boots, so ABD phases and handoff pulls serve recovered state
 	// after a whole-process restart. Empty keeps the store memory-only.
@@ -108,8 +108,8 @@ type NodeConfig struct {
 	// WALSyncEvery is the group-commit period under kvstore.SyncInterval
 	// (default kvstore.DefaultSyncEvery).
 	WALSyncEvery time.Duration
-	// WALSnapshotBytes is the per-shard WAL size that triggers a snapshot
-	// + log truncation (0: kvstore default; negative: never snapshot).
+	// WALSnapshotBytes is the WAL size that triggers a checkpoint: snapshot
+	// + log rotation (0: kvstore default; negative: never checkpoint).
 	WALSnapshotBytes int64
 }
 

@@ -417,14 +417,14 @@ func Churn(seed int64, cfg ChurnConfig, simOpts ...simulation.SimOption) ChurnRe
 		if !ok || p.Node == nil {
 			continue
 		}
-		st := p.Node.ABD.Store().Stats()
-		res.StoreKeys += st.Keys
-		res.StoreShardsInUse += st.NonEmptyShards
-		if st.Keys > 0 {
-			for _, n := range st.PerShard {
-				if share := float64(n) / float64(st.Keys); share > res.StoreMaxShardShare {
-					res.StoreMaxShardShare = share
-				}
+		store := p.Node.ABD.Store()
+		keys := store.Len()
+		res.StoreKeys += keys
+		for i := 0; i < store.NumShards(); i++ {
+			n := store.ShardLen(i)
+			if n > 0 {
+				res.StoreShardsInUse++
+				res.StoreMaxShardShare = max(res.StoreMaxShardShare, float64(n)/float64(keys))
 			}
 		}
 	}

@@ -20,7 +20,8 @@
 // linearizability and lost acknowledged writes.
 //
 // Both phases are driven by the deterministic simulation, and phase 1
-// writes files at virtual-time-ordered points, so a (phase 1; phase 2)
+// writes files at virtual-time-ordered points (a checkpoint's background
+// half settles before the kill), so a (phase 1; phase 2)
 // pair from one seed produces byte-identical phase-2 reports — `catssim
 // run recovery` runs each seed's pair twice and compares them.
 package experiments
@@ -58,9 +59,9 @@ type RecoveryConfig struct {
 	CrashDown time.Duration // node outage length; exceeds suspicion so groups reconfigure (default 8s)
 	Tail      time.Duration // phase-2 settle time before the audit reads (default 25s)
 
-	// SnapshotBytes is the per-shard WAL size triggering a snapshot in
-	// phase 1 (default 1 KiB — small, so the short scenario exercises the
-	// snapshot + truncate + recover path, not just WAL replay).
+	// SnapshotBytes is the WAL size triggering a checkpoint in phase 1
+	// (default 1 KiB — small, so the short scenario exercises the
+	// snapshot + rotate + recover path, not just WAL replay).
 	SnapshotBytes int64
 }
 
@@ -158,7 +159,7 @@ func RecoveryCrash(seed int64, cfg RecoveryConfig, dir string) error {
 
 	// Workload: OpsPerKey ops per key, first always a put, put-biased
 	// after that so most keys accumulate several acked versions before
-	// the kill. Values carry padding so shard WALs cross the snapshot
+	// the kill. Values carry padding so the WALs cross the checkpoint
 	// threshold during the run.
 	type schedOp struct {
 		at time.Duration
@@ -202,7 +203,15 @@ func RecoveryCrash(seed int64, cfg RecoveryConfig, dir string) error {
 	// lives in this process — with no warning and no cleanup. Everything
 	// the disk has at this virtual-time point (fsynced WAL appends,
 	// renamed snapshots, the history log) is all phase 2 gets.
+	// Checkpoints finish in the background; the kill lands once the last
+	// one has settled, so the on-disk layout is a function of the seed
+	// (crashes mid-checkpoint are kvstore's crash-point tests).
 	sim.ScheduleAt(cfg.KillAt, "recovery:sigkill", func() {
+		for _, ref := range host.AliveNodes() {
+			if p, ok := host.Peer(ref.Key); ok && p.Node != nil && p.Node.Store() != nil {
+				p.Node.Store().WaitCheckpoint()
+			}
+		}
 		syscall.Kill(os.Getpid(), syscall.SIGKILL)
 		select {} // unreachable: SIGKILL cannot be caught or outrun
 	})

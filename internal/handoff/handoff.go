@@ -11,6 +11,7 @@
 package handoff
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -154,6 +155,9 @@ type Handoff struct {
 	rounds, partials, abandoned uint64
 	pullsServed, pushesSent     uint64
 	keysIn, bytesIn             uint64
+
+	// applied receives ApplyBatch's per-entry verdicts for a chunk.
+	applied []bool
 }
 
 // New creates a handoff component definition. Store must be the same
@@ -435,19 +439,19 @@ func (h *Handoff) handlePullReq(m pullReqMsg) {
 // current sync round.
 func (h *Handoff) handleItems(m itemsMsg) {
 	applied, bytes := 0, 0
-	for _, e := range m.Items {
-		// ApplyDurable keeps transferred ranges on the same durability
-		// path as replica writes: a handed-off entry is in the WAL before
-		// it counts toward the sync round, so a restart mid-handoff
-		// replays it instead of silently shrinking the covered range.
-		ok, err := h.cfg.Store.ApplyDurable(e.Key, e.Version, e.Value)
-		if err != nil {
-			h.ctx.Log().Warn("handoff: wal append failed; transfer entry dropped", "key", e.Key, "err", err)
-			continue
-		}
-		if ok {
-			applied++
-			bytes += len(e.Value)
+	// One ApplyBatch per chunk keeps transferred ranges on the same
+	// durability path as replica writes: a handed-off entry is in the WAL
+	// before it counts toward the sync round, so a restart mid-handoff
+	// replays it instead of silently shrinking the covered range.
+	h.applied = slices.Grow(h.applied[:0], len(m.Items))[:len(m.Items)]
+	if err := h.cfg.Store.ApplyBatch(m.Items, h.applied); err != nil {
+		h.ctx.Log().Warn("handoff: wal append failed; transfer chunk dropped", "entries", len(m.Items), "err", err)
+	} else {
+		for i, ok := range h.applied {
+			if ok {
+				applied++
+				bytes += len(m.Items[i].Value)
+			}
 		}
 	}
 	if applied > 0 {

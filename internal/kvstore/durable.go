@@ -1,57 +1,52 @@
-// Durable store lifecycle: Open recovers a store from its data
-// directory (per-shard snapshot + WAL tail) before returning, so by the
-// time any component — ABD replica, handoff, epoch rejoin — can reach
-// the store, every shard has been replayed. Close flushes and releases
-// the logs; Crash models power loss by truncating each log back to its
-// durable (fsynced) watermark, which is what makes the sync-policy loss
-// windows unit-testable without real power cuts.
+// Durable store lifecycle: Open replays the snapshot and every log segment
+// before returning, so no component — ABD replica, handoff, epoch rejoin —
+// can reach a half-recovered store. A checkpoint bounds the log without
+// stopping writes: it rotates to a fresh segment, snapshots the store in
+// the background, then deletes the old segment. Close flushes and releases
+// the log; Crash models power loss by truncating each segment back to its
+// durable (fsynced) watermark, which makes the sync-policy loss windows
+// unit-testable without real power cuts.
 package kvstore
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
-
-	"repro/internal/ident"
 )
 
 // SyncPolicy controls when WAL appends are fsynced.
 type SyncPolicy int
 
 const (
-	// SyncNever leaves flushing to the OS: fastest, loses everything
-	// since the last snapshot on power loss (not on process death — the
-	// page cache survives a SIGKILL).
+	// SyncNever leaves flushing to the OS: fastest; power loss (not
+	// process death) loses everything since the last snapshot.
 	SyncNever SyncPolicy = iota
-	// SyncInterval group-commits: a background syncer fsyncs dirty
-	// shard logs every SyncEvery, bounding the power-loss window.
+	// SyncInterval group-commits: a background syncer fsyncs the log
+	// every SyncEvery, bounding the power-loss window.
 	SyncInterval
-	// SyncAlways fsyncs every append before it is acknowledged.
+	// SyncAlways fsyncs every batch before it is acknowledged.
 	SyncAlways
 )
 
+var syncNames = [...]string{SyncNever: "never", SyncInterval: "interval", SyncAlways: "always"}
+
 // String returns the flag spelling of the policy.
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	default:
-		return "never"
+	if p < 0 || int(p) >= len(syncNames) {
+		p = SyncNever
 	}
+	return syncNames[p]
 }
 
 // ParseSyncPolicy parses the flag spelling of a sync policy.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "never":
-		return SyncNever, nil
+	for p, name := range syncNames {
+		if s == name {
+			return SyncPolicy(p), nil
+		}
 	}
 	return SyncNever, fmt.Errorf("kvstore: unknown sync policy %q (want always|interval|never)", s)
 }
@@ -59,259 +54,285 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 const (
 	// DefaultSyncEvery is the group-commit period under SyncInterval.
 	DefaultSyncEvery = 5 * time.Millisecond
-	// DefaultSnapshotBytes is the per-shard WAL size that triggers a
-	// snapshot + log truncation.
-	DefaultSnapshotBytes = 4 << 20
+	// DefaultSnapshotBytes is the log size that triggers a checkpoint.
+	DefaultSnapshotBytes = 64 << 20
 )
 
 // Options configures a durable store opened with Open.
 type Options struct {
-	// Sync is the WAL fsync policy (default SyncNever).
-	Sync SyncPolicy
-	// SyncEvery is the group-commit period under SyncInterval
-	// (default DefaultSyncEvery).
-	SyncEvery time.Duration
-	// SnapshotBytes triggers a per-shard snapshot + log truncation once
-	// a shard's WAL exceeds it. 0 means DefaultSnapshotBytes; negative
-	// disables snapshotting.
-	SnapshotBytes int64
-	// OnShardRecovered, when set, observes recovery progress: it is
-	// called once per shard, in shard order, during Open — before Open
-	// returns and therefore before any read or write can be served from
-	// the store. Tests use it to pin the replay-before-serve ordering.
+	Sync          SyncPolicy    // WAL fsync policy (default SyncNever)
+	SyncEvery     time.Duration // group-commit period under SyncInterval (default DefaultSyncEvery)
+	SnapshotBytes int64         // log size that triggers a checkpoint (0: DefaultSnapshotBytes; <0: never)
+	// OnShardRecovered, when set, is called once per shard, in shard
+	// order, during Open — before Open returns and therefore before any
+	// read or write can be served from the store. Tests use it to pin the
+	// replay-before-serve ordering. The log is shared, so tornTail is the
+	// same for every shard: whether any segment had a torn tail.
 	OnShardRecovered func(shard, snapshotEntries, walEntries int, tornTail bool)
 }
 
-// durability is the store's durable state: one walShard per map shard
-// plus the group-commit syncer.
+// durability is the store's durable state: the log segments, the
+// checkpoint machinery and the maintenance goroutine.
 type durability struct {
 	dir           string
-	syncAlways    bool
+	policy        SyncPolicy
 	snapshotBytes int64
-	shards        [ShardCount]walShard
+
+	// inflight is held shared by a batch from gate to install, and
+	// exclusively by a checkpoint while it swaps segments and cuts the store.
+	inflight sync.RWMutex
+	// mu guards the segments, oldest first, and serializes appends to the
+	// last one, generation gen.
+	mu   sync.Mutex
+	segs []*segment
+	gen  uint64
+
+	// ckpt is the one-checkpoint token, returned by the maintenance
+	// goroutine when the checkpoint jobs handed it is done.
+	ckpt chan struct{}
+	jobs chan checkpointJob
 
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
 }
 
-// RecoveryStats describes what Open rebuilt from disk.
-type RecoveryStats struct {
-	// SnapshotsLoaded is the number of shards that had a snapshot file.
-	SnapshotsLoaded int
-	// SnapshotEntries is the total records loaded from snapshots.
-	SnapshotEntries int
-	// WALEntries is the total records replayed from WAL tails.
-	WALEntries int
-	// TornTails is the number of shard logs whose final record was
-	// detected torn via CRC/length and truncated away.
-	TornTails int
-	// Keys is the number of distinct keys resident after recovery.
-	Keys int
+// checkpointJob is the background half of one checkpoint.
+type checkpointJob struct {
+	cut []Entry
+	old []*segment
 }
 
-// Open creates (or recovers) a durable store rooted at dir. Every shard's
-// snapshot and WAL tail is replayed synchronously before Open returns:
-// recovery strictly precedes service. A torn final WAL record is detected
-// by CRC, counted, and truncated; everything before it is kept.
-func Open(dir string, opts Options) (*Store, error) {
+// RecoveryStats describes what Open rebuilt from disk.
+type RecoveryStats struct {
+	SnapshotsLoaded int // 1 when a snapshot file was loaded
+	SnapshotEntries int // records loaded from the snapshot
+	WALEntries      int // records replayed from log segments
+	TornTails       int // segments whose torn final record was truncated away
+	Keys            int // distinct keys resident after recovery
+}
+
+// Open creates (or recovers) a durable store rooted at dir, replaying the
+// snapshot and every log segment before it returns. A torn final record is
+// detected by CRC, counted, and truncated; everything before it is kept.
+func Open(dir string, opts Options) (_ *Store, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	if opts.SnapshotBytes == 0 {
 		opts.SnapshotBytes = DefaultSnapshotBytes
 	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = DefaultSyncEvery
-	}
 	s := New()
-	d := &durability{
-		dir:           dir,
-		syncAlways:    opts.Sync == SyncAlways,
-		snapshotBytes: opts.SnapshotBytes,
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
+	d := &durability{dir: dir, policy: opts.Sync, snapshotBytes: opts.SnapshotBytes,
+		ckpt: make(chan struct{}, 1), jobs: make(chan checkpointJob, 1),
+		stop: make(chan struct{}), done: make(chan struct{})}
+	defer func() {
+		for i := 0; err != nil && i < len(d.segs); i++ {
+			d.segs[i].f.Close() // a failed Open releases what it opened
+		}
+	}()
+	var snapN, walN [ShardCount]int
+	counts := &snapN
+	// recovered inserts through the same version gate as live writes, so
+	// records duplicated in the snapshot and a retired segment, or
+	// replayed out of order, cannot regress a register.
+	recovered := func(key string, v Version, value []byte) {
+		si, _, _ := s.set(Entry{Key: key, Version: v, Value: value})
+		counts[si]++
 	}
-	for si := 0; si < ShardCount; si++ {
-		sh := &s.shards[si]
-		// applyRecovered inserts through the same version gate as live
-		// writes, so duplicated records (snapshot ∩ un-truncated log) and
-		// out-of-order tails cannot regress a register.
-		applyRecovered := func(key string, v Version, value []byte) {
-			if v.IsZero() {
-				return
-			}
-			h := ident.KeyOfString(key)
-			if cur, ok := sh.m[key]; ok && !cur.version.Less(v) {
-				return
-			}
-			sh.m[key] = record{version: v, value: value, hash: h}
+	rec := &s.recovery
+	n, loaded, err := loadSnapshot(dir, recovered)
+	if err != nil {
+		return nil, err
+	}
+	if loaded {
+		rec.SnapshotsLoaded, rec.SnapshotEntries = 1, n
+	}
+	counts = &walN
+	paths, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil {
+		return nil, err
+	}
+	// Fixed-width hex names make the glob's lexical order generation
+	// order. Anything else is refused: a directory in another layout must
+	// not be mistaken for an empty store.
+	for _, p := range paths {
+		if _, err := fmt.Sscanf(filepath.Base(p), "%016x.wal", &d.gen); err != nil || segmentPath(dir, d.gen) != p {
+			return nil, fmt.Errorf("kvstore: %s is not a log segment", p)
 		}
-		snapEntries, loaded, err := loadSnapshot(dir, si, applyRecovered)
+		w, n, torn, err := recoverSegment(p, recovered)
 		if err != nil {
 			return nil, err
 		}
-		if loaded {
-			s.recovery.SnapshotsLoaded++
-			s.recovery.SnapshotEntries += snapEntries
-		}
-		f, err := os.OpenFile(walPath(dir, si), os.O_CREATE|os.O_RDWR, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		valid, walEntries, torn, err := replayWAL(f, applyRecovered)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
+		d.segs = append(d.segs, w)
+		rec.WALEntries += n
 		if torn {
-			// Truncate the torn tail so the next append starts at a
-			// whole-record boundary.
-			if err := f.Truncate(valid); err != nil {
-				f.Close()
-				return nil, err
-			}
-			s.recovery.TornTails++
-		}
-		if _, err := f.Seek(valid, 0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		ws := &d.shards[si]
-		ws.f = f
-		ws.appended = valid
-		ws.durable = valid
-		s.recovery.WALEntries += walEntries
-		walReplaysTotal.Add(uint64(walEntries))
-		shardKeysTotal[si].Add(uint64(len(sh.m)))
-		if opts.OnShardRecovered != nil {
-			opts.OnShardRecovered(si, snapEntries, walEntries, torn)
+			rec.TornTails++
 		}
 	}
-	s.recovery.Keys = s.Len()
+	if len(d.segs) == 0 {
+		d.gen = 1
+		w, err := openSegment(dir, d.gen)
+		if err != nil {
+			return nil, err
+		}
+		d.segs = []*segment{w}
+	}
+	walReplaysTotal.Add(uint64(rec.WALEntries))
+	for si := range s.shards {
+		shardKeysTotal[si].Add(uint64(len(s.shards[si].m)))
+		if opts.OnShardRecovered != nil {
+			opts.OnShardRecovered(si, snapN[si], walN[si], rec.TornTails > 0)
+		}
+	}
+	rec.Keys = s.Len()
 	s.dur = d
 	durableStoresOpen.Add(1)
-	if opts.Sync == SyncInterval {
-		go d.syncLoop(opts.SyncEvery)
-	} else {
-		close(d.done)
-	}
+	go d.maintain(opts)
 	return s, nil
 }
 
-// syncLoop is the group-commit ticker: every period, fsync each shard
-// log with unflushed appends.
-func (d *durability) syncLoop(every time.Duration) {
+// maintain is the store's background goroutine: the group-commit ticker
+// under SyncInterval, and the background half of checkpoints.
+func (d *durability) maintain(opts Options) {
 	defer close(d.done)
-	t := time.NewTicker(every)
-	defer t.Stop()
+	var tick <-chan time.Time
+	if opts.Sync == SyncInterval {
+		if opts.SyncEvery <= 0 {
+			opts.SyncEvery = DefaultSyncEvery
+		}
+		t := time.NewTicker(opts.SyncEvery)
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
 		case <-d.stop:
 			return
-		case <-t.C:
-			for i := range d.shards {
-				d.shards[i].groupSync()
-			}
+		case <-tick:
+			d.groupSync()
+		case job := <-d.jobs:
+			d.finishCheckpoint(job)
+			<-d.ckpt
 		}
 	}
 }
 
-// Durable reports whether the store was opened with a data directory.
-func (s *Store) Durable() bool { return s.dur != nil }
-
-// Dir returns the store's data directory ("" for memory-only stores).
-func (s *Store) Dir() string {
-	if s.dur == nil {
-		return ""
+// checkpoint runs on the batch whose append crossed the threshold, once it
+// has left the exclusion. It waits out a checkpoint in flight, so at most
+// one old segment is ever retiring, rotates, and leaves the snapshot to
+// the maintenance goroutine while appends continue.
+func (s *Store) checkpoint() {
+	d := s.dur
+	d.ckpt <- struct{}{}
+	if job, ok := s.rotate(); ok {
+		snapshotsTotal.Add(1)
+		d.jobs <- job
+		return
 	}
-	return s.dur.dir
+	<-d.ckpt
 }
 
-// Recovery returns what Open rebuilt from disk (zero for memory-only
-// stores or stores opened over an empty directory).
+// rotate opens a fresh segment, then, with batches excluded only for the
+// swap and the cut, makes it the append target and copies every record
+// header (not the value) out of the shards. The cut holds every record of
+// the old segments and none after them: a checkpoint is a function of the
+// history, the same at every run of it.
+func (s *Store) rotate() (job checkpointJob, ok bool) {
+	d := s.dur
+	d.mu.Lock()
+	cur := d.segs[len(d.segs)-1]
+	due := cur.f != nil && cur.appended >= d.snapshotBytes
+	d.mu.Unlock()
+	if !due {
+		return job, false
+	}
+	next, err := openSegment(d.dir, d.gen+1)
+	if err != nil {
+		walErrorsTotal.Add(1)
+		return job, false
+	}
+	d.inflight.Lock()
+	d.mu.Lock()
+	job.old, d.segs = d.segs, []*segment{next}
+	d.gen++
+	d.mu.Unlock()
+	job.cut = s.collect(0, 0)
+	d.inflight.Unlock()
+	return job, true
+}
+
+// finishCheckpoint writes the cut as the snapshot and, once it is durable,
+// deletes the segments it covers. A failed snapshot keeps them for the next
+// checkpoint: recovery replays more, nothing is lost.
+func (d *durability) finishCheckpoint(job checkpointJob) {
+	if d.policy == SyncInterval {
+		for _, w := range job.old {
+			d.flush(w)
+		}
+	}
+	if err := writeSnapshot(d.dir, job.cut); err != nil {
+		walErrorsTotal.Add(1)
+		d.mu.Lock()
+		d.segs = append(job.old, d.segs...)
+		d.mu.Unlock()
+		return
+	}
+	for _, w := range job.old {
+		w.f.Close()
+		os.Remove(w.path)
+	}
+}
+
+// WaitCheckpoint blocks until no checkpoint is in flight: the snapshot
+// of the last one is durable and the segments it covers are deleted.
+func (s *Store) WaitCheckpoint() {
+	if s.dur != nil {
+		s.dur.ckpt <- struct{}{}
+		<-s.dur.ckpt
+	}
+}
+
+// Recovery returns what Open rebuilt from disk (zero for memory stores).
 func (s *Store) Recovery() RecoveryStats { return s.recovery }
 
-// Close flushes every shard log and releases the files. The store must
-// not be used afterwards; appends fail with an error. Memory-only
-// stores close trivially.
-func (s *Store) Close() error {
-	if s.dur == nil {
+// Close waits out an in-flight checkpoint, flushes the log and releases
+// its files; later appends fail. Memory-only stores close trivially.
+func (s *Store) Close() error { return s.shutdown(false) }
+
+// Crash models power loss for tests and chaos scenarios: once an
+// in-flight checkpoint has finished, each log segment is truncated back
+// to its durable (fsynced) watermark — un-synced appends are lost,
+// exactly the loss window the sync policy bought — and the files are
+// released without flushing. Under SyncAlways the truncation is a no-op.
+func (s *Store) Crash() error { return s.shutdown(true) }
+
+func (s *Store) shutdown(crash bool) (err error) {
+	d := s.dur
+	if d == nil {
 		return nil
 	}
-	return s.dur.shutdown(false)
-}
-
-// Crash models power loss for tests and chaos scenarios: each shard log
-// is truncated back to its durable (fsynced) watermark — un-synced
-// appends are lost, exactly the loss window the sync policy bought —
-// and the files are released without flushing. Under SyncAlways the
-// truncation is a no-op.
-func (s *Store) Crash() error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.shutdown(true)
-}
-
-func (d *durability) shutdown(crash bool) error {
-	var err error
 	d.stopOnce.Do(func() {
+		d.ckpt <- struct{}{}
+		defer func() { <-d.ckpt }()
 		close(d.stop)
 		<-d.done
-		for i := range d.shards {
-			ws := &d.shards[i]
-			ws.mu.Lock()
-			if ws.f == nil {
-				ws.mu.Unlock()
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		for _, w := range d.segs {
+			if w.f == nil {
 				continue
 			}
 			if crash {
-				if terr := ws.f.Truncate(ws.durable); terr != nil && err == nil {
-					err = terr
-				}
-			} else if ws.dirty {
-				if serr := ws.f.Sync(); serr != nil && err == nil {
-					err = serr
-				} else {
-					ws.durable = ws.appended
-					ws.dirty = false
-					walSyncsTotal.Add(1)
-				}
+				err = errors.Join(err, w.f.Truncate(w.durable))
+			} else if w.appended > w.durable {
+				err = errors.Join(err, w.f.Sync())
+				walSyncsTotal.Add(1)
 			}
-			if cerr := ws.f.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-			ws.f = nil
-			ws.mu.Unlock()
+			err = errors.Join(err, w.f.Close())
+			w.f = nil
 		}
 		durableStoresOpen.Add(^uint64(0))
 	})
 	return err
-}
-
-// maybeSnapshot writes shard si's map as a snapshot and truncates its
-// log. Called with the shard's map lock held (the map cannot change
-// under the snapshot) right after the append that crossed the
-// threshold. Errors leave the log intact — worst case the shard keeps a
-// long log and recovery replays more.
-func (d *durability) maybeSnapshot(si int, m map[string]record) {
-	entries := sortedShardEntries(m)
-	if err := writeSnapshot(d.dir, si, entries); err != nil {
-		walErrorsTotal.Add(1)
-		return
-	}
-	ws := &d.shards[si]
-	ws.mu.Lock()
-	if ws.f != nil {
-		if err := ws.f.Truncate(0); err == nil {
-			if _, err := ws.f.Seek(0, 0); err == nil {
-				ws.appended = 0
-				ws.durable = 0
-				ws.dirty = false
-			}
-		}
-	}
-	ws.mu.Unlock()
-	snapshotsTotal.Add(1)
 }

@@ -1,18 +1,15 @@
 // Package kvstore holds the versioned register store shared by the
 // replication layer (internal/abd) and the state-handoff component
-// (internal/handoff). It was factored out of internal/abd when handoff
-// arrived: both components live on different scheduler workers inside one
-// node and touch the same records, so the store is lock-protected, and
-// handoff needs deterministic whole-store and key-range iteration that the
-// replica read/write path never did.
+// (internal/handoff). Both live on different scheduler workers inside one
+// node and touch the same records, so the store is lock-protected, and it
+// offers the deterministic whole-store and key-range iteration handoff
+// needs.
 //
-// The store is sharded into ShardCount independent segments, each guarded
-// by its own mutex, partitioned by the top bits of the key's ring hash.
-// Sharding by ring position (not by string hash) means a ring interval maps
-// to a contiguous run of shards, so range iteration — the handoff pull path
-// — touches only the shards overlapping the interval instead of scanning
-// the whole store, and the replica and handoff components of one node stop
-// contending on a single lock under load.
+// The store is sharded into ShardCount segments, each guarded by its own
+// mutex and partitioned by the top bits of the key's ring hash, so a ring
+// interval maps to a contiguous run of shards: range iteration touches
+// only the shards overlapping the interval, and the replica and handoff
+// components of one node do not contend on one lock.
 package kvstore
 
 import (
@@ -68,17 +65,15 @@ type record struct {
 	hash    ident.Key
 }
 
-// ShardCount is the number of lock-striped segments per store. It is a
-// power of two so the shard of a key is its top hash bits; 16 shards keep
-// per-shard maps small at millions of keys while bounding the fixed
-// footprint of the many short-lived stores simulations create.
+// ShardCount is the number of lock-striped segments per store: a power of
+// two, so a key's shard is its top hash bits, and small, because
+// simulations create many short-lived stores.
 const ShardCount = 16
 
-// shardShift selects the top log2(ShardCount) bits of the 64-bit ring key.
-const shardShift = 64 - 4
-
-// shardSpan is the width of one shard's contiguous ring interval.
-const shardSpan = uint64(1) << shardShift
+const (
+	shardShift = 64 - 4                  // selects the top log2(ShardCount) bits of the ring key
+	shardSpan  = uint64(1) << shardShift // width of one shard's contiguous ring interval
+)
 
 // ShardOf returns the shard index owning the given ring position.
 func ShardOf(h ident.Key) int { return int(uint64(h) >> shardShift) }
@@ -98,15 +93,13 @@ type shard struct {
 
 // Store is a node-local versioned key-value store: the register memory of
 // one replica. It applies writes only when they advance the version, which
-// makes replica application idempotent and order-insensitive — handoff
-// transfers reuse Apply, so receiving the same range twice (or a range
-// older than local state) is harmless. The striped locks make it safe to
-// share between the ABD replica and the handoff component of one node.
+// makes application idempotent and order-insensitive: receiving a handoff
+// range twice, or one older than local state, is harmless.
 type Store struct {
 	shards [ShardCount]shard
 
 	// dur is nil for memory-only stores (New); durable stores (Open)
-	// append every accepted write to the shard's WAL before it lands in
+	// append every accepted write to the store's WAL before it lands in
 	// the map — the map is the memtable, the log is the truth.
 	dur      *durability
 	recovery RecoveryStats
@@ -121,8 +114,7 @@ func New() *Store {
 	return s
 }
 
-// NumShards returns the number of segments (ShardCount; method form for
-// callers iterating shards).
+// NumShards returns ShardCount, for callers iterating shards.
 func (s *Store) NumShards() int { return ShardCount }
 
 // Read returns the stored version and value for key (zero version when
@@ -137,65 +129,108 @@ func (s *Store) Read(key string) (Version, []byte, bool) {
 }
 
 // Apply stores (version, value) under key iff version advances the stored
-// one. Zero-version writes are rejected: they denote "never written" and
-// must not materialize a record. It reports whether the write was applied.
-// On a durable store a WAL failure drops the write (reported false);
-// callers that must distinguish "version-rejected" from "not durable" —
-// the replica ack paths — use ApplyDurable.
+// one; zero versions ("never written") are rejected. It reports whether
+// the write was applied, false on a WAL failure too: ack paths, which must
+// tell "version-rejected" from "not durable", use ApplyBatch.
 func (s *Store) Apply(key string, v Version, value []byte) bool {
 	ok, _ := s.ApplyDurable(key, v, value)
 	return ok
 }
 
-// ApplyDurable is Apply with the durability verdict: on a durable store
-// the write is appended (and, under SyncAlways, fsynced) to the shard's
-// WAL before it is materialized in the memtable, so when ApplyDurable
-// returns (true, nil) the write is on disk and safe to acknowledge. A
-// non-nil error means the write is neither applied nor durable and must
-// not be acked.
+// ApplyDurable is ApplyBatch with a batch of one.
 func (s *Store) ApplyDurable(key string, v Version, value []byte) (bool, error) {
-	if v.IsZero() {
-		return false, nil
+	es := [1]Entry{{Key: key, Version: v, Value: value}}
+	var ok [1]bool
+	err := s.ApplyBatch(es[:], ok[:])
+	return ok[0], err
+}
+
+// ApplyBatch applies es in order as Apply would — a replica's writes from
+// one quorum frame, or one handoff chunk — with one durability verdict.
+// On a durable store it gates each entry under its shard lock, frames the
+// ones that pass into one pooled buffer appended to the log with one
+// write (and, under SyncAlways, one fsync), then installs each entry with
+// the gate re-checked, so a newer version installed meanwhile is never
+// regressed. A nil error means every applied entry is on disk and may be
+// acknowledged, and applied, when non-nil, receives the per-entry
+// verdicts; an error means none is applied. Neither path allocates.
+func (s *Store) ApplyBatch(es []Entry, applied []bool) error {
+	d := s.dur
+	if d == nil {
+		s.install(es, applied)
+		return nil
 	}
-	h := ident.KeyOfString(key)
-	si := ShardOf(h)
-	sh := &s.shards[si]
-	sh.mu.Lock()
-	cur, ok := sh.m[key]
-	if ok && !cur.version.Less(v) {
-		sh.mu.Unlock()
-		rejectedTotal.Add(1)
-		return false, nil
-	}
-	needSnap := false
-	if s.dur != nil {
-		var err error
-		needSnap, err = s.dur.shards[si].append(key, v, value, s.dur.syncAlways, s.dur.snapshotBytes)
-		if err != nil {
-			sh.mu.Unlock()
-			return false, err
+	d.inflight.RLock()
+	buf := walBufPool.Get().(*walBuf)
+	b, n := buf.b[:0], 0
+	for i := range es {
+		if e := &es[i]; s.admits(e) {
+			b = appendFrame(b, e.Key, e.Version, e.Value)
+			n++
 		}
 	}
-	sh.m[key] = record{version: v, value: value, hash: h}
-	if needSnap {
-		s.dur.maybeSnapshot(si, sh.m)
+	due, err := d.write(b, n)
+	buf.b = b
+	walBufPool.Put(buf)
+	if err == nil {
+		s.install(es, applied)
 	}
+	d.inflight.RUnlock()
+	if due {
+		s.checkpoint()
+	}
+	return err
+}
+
+// admits reports whether e would pass the version gate right now.
+func (s *Store) admits(e *Entry) bool {
+	sh := &s.shards[ShardOf(ident.KeyOfString(e.Key))]
+	sh.mu.Lock()
+	cur, ok := sh.m[e.Key]
 	sh.mu.Unlock()
-	appliesTotal.Add(1)
-	if !ok {
-		shardKeysTotal[si].Add(1)
+	return !e.Version.IsZero() && (!ok || cur.version.Less(e.Version))
+}
+
+// install puts each entry through the version gate, counting the verdicts.
+func (s *Store) install(es []Entry, applied []bool) {
+	for i := range es {
+		si, ok, fresh := s.set(es[i])
+		if ok {
+			appliesTotal.Add(1)
+		} else if !es[i].Version.IsZero() {
+			rejectedTotal.Add(1)
+		}
+		if fresh {
+			shardKeysTotal[si].Add(1)
+		}
+		if applied != nil {
+			applied[i] = ok
+		}
 	}
-	return true, nil
+}
+
+// set is the version gate every path shares, recovery included: it
+// stores e iff e advances the stored version, and reports e's shard,
+// whether e was stored, and whether its key is new.
+func (s *Store) set(e Entry) (si int, applied, fresh bool) {
+	h := ident.KeyOfString(e.Key)
+	si = ShardOf(h)
+	sh := &s.shards[si]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	cur, ok := sh.m[e.Key]
+	if e.Version.IsZero() || ok && !cur.version.Less(e.Version) {
+		return si, false, false
+	}
+	sh.m[e.Key] = record{version: e.Version, value: e.Value, hash: h}
+	return si, true, !ok
 }
 
 // Len returns the number of keys stored.
 func (s *Store) Len() int {
 	n := 0
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
+		n += s.ShardLen(i)
 	}
 	return n
 }
@@ -208,70 +243,24 @@ func (s *Store) ShardLen(i int) int {
 	return len(sh.m)
 }
 
-// Stats snapshots the per-shard key counts (telemetry, chaos reports).
-func (s *Store) Stats() StoreStats {
-	var st StoreStats
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		st.PerShard[i] = len(sh.m)
-		sh.mu.Unlock()
-		st.Keys += st.PerShard[i]
-		if st.PerShard[i] > 0 {
-			st.NonEmptyShards++
-		}
-	}
-	return st
-}
-
-// StoreStats is a point-in-time occupancy snapshot of one store.
-type StoreStats struct {
-	Keys           int
-	NonEmptyShards int
-	PerShard       [ShardCount]int
-}
-
 // Keys returns all stored keys (status/debugging).
 func (s *Store) Keys() []string {
-	out := make([]string, 0, s.Len())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k := range sh.m {
-			out = append(out, k)
-		}
-		sh.mu.Unlock()
+	var out []string
+	for _, e := range s.collect(0, 0) {
+		out = append(out, e.Key)
 	}
 	return out
 }
 
 // ShardEntries returns shard i's records, sorted by key — the unit of
 // deterministic per-partition iteration handoff chunks transfers by.
-func (s *Store) ShardEntries(i int) []Entry {
-	sh := &s.shards[i]
-	sh.mu.Lock()
-	out := make([]Entry, 0, len(sh.m))
-	for k, r := range sh.m {
-		out = append(out, Entry{Key: k, Version: r.version, Value: r.value})
-	}
-	sh.mu.Unlock()
-	sortEntries(out)
-	return out
-}
+func (s *Store) ShardEntries(i int) []Entry { return s.ShardEntriesInRange(i, 0, 0) }
 
 // ShardEntriesInRange returns shard i's records whose ring hash falls in
 // (from, to], sorted by key. When from == to the interval is the whole
 // ring.
 func (s *Store) ShardEntriesInRange(i int, from, to ident.Key) []Entry {
-	sh := &s.shards[i]
-	sh.mu.Lock()
-	var out []Entry
-	for k, r := range sh.m {
-		if r.hash.InHalfOpenInterval(from, to) {
-			out = append(out, Entry{Key: k, Version: r.version, Value: r.value})
-		}
-	}
-	sh.mu.Unlock()
+	out := s.appendShard(nil, i, from, to)
 	sortEntries(out)
 	return out
 }
@@ -279,17 +268,40 @@ func (s *Store) ShardEntriesInRange(i int, from, to ident.Key) []Entry {
 // Entries returns every stored record, sorted by key. The sort makes
 // iteration deterministic — handoff transfers derived from it must be
 // byte-identical across simulation runs of one seed.
-func (s *Store) Entries() []Entry {
-	out := make([]Entry, 0, s.Len())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k, r := range sh.m {
+func (s *Store) Entries() []Entry { return s.EntriesInRange(0, 0) }
+
+// EntriesInRange returns the stored records whose hashed key falls in the
+// ring interval (from, to], sorted by key — the "covered key range" a
+// handoff pull assembles. When from == to the interval is the whole ring.
+// Only shards overlapping the interval are scanned.
+func (s *Store) EntriesInRange(from, to ident.Key) []Entry {
+	out := s.collect(from, to)
+	sortEntries(out)
+	return out
+}
+
+// collect returns the records in (from, to], unsorted.
+func (s *Store) collect(from, to ident.Key) []Entry {
+	var out []Entry
+	if from == to {
+		out = make([]Entry, 0, s.Len())
+	}
+	for _, i := range ShardsInRange(from, to) {
+		out = s.appendShard(out, i, from, to)
+	}
+	return out
+}
+
+// appendShard appends shard i's records in (from, to] to out.
+func (s *Store) appendShard(out []Entry, i int, from, to ident.Key) []Entry {
+	sh := &s.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for k, r := range sh.m {
+		if from == to || r.hash.InHalfOpenInterval(from, to) {
 			out = append(out, Entry{Key: k, Version: r.version, Value: r.value})
 		}
-		sh.mu.Unlock()
 	}
-	sortEntries(out)
 	return out
 }
 
@@ -319,26 +331,6 @@ func shardOverlaps(i int, from, to ident.Key) bool {
 	}
 	// Arc wraps: (from, 2^64) ∪ [0, to].
 	return hi > from || lo <= to
-}
-
-// EntriesInRange returns the stored records whose hashed key falls in the
-// ring interval (from, to], sorted by key — the "covered key range" a
-// handoff pull assembles. When from == to the interval is the whole ring.
-// Only shards overlapping the interval are scanned.
-func (s *Store) EntriesInRange(from, to ident.Key) []Entry {
-	var out []Entry
-	for _, i := range ShardsInRange(from, to) {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k, r := range sh.m {
-			if r.hash.InHalfOpenInterval(from, to) {
-				out = append(out, Entry{Key: k, Version: r.version, Value: r.value})
-			}
-		}
-		sh.mu.Unlock()
-	}
-	sortEntries(out)
-	return out
 }
 
 func sortEntries(out []Entry) {

@@ -101,8 +101,8 @@ func TestShardPartitioning(t *testing.T) {
 	if total != n || len(seen) != n {
 		t.Fatalf("shards cover %d keys (%d distinct), want %d", total, len(seen), n)
 	}
-	if st := s.Stats(); st.Keys != n || st.NonEmptyShards == 0 {
-		t.Fatalf("stats %+v", st)
+	if s.Len() != n {
+		t.Fatalf("Len %d, want %d", s.Len(), n)
 	}
 }
 

@@ -1,29 +1,26 @@
-// Write-ahead log: the durability layer under the sharded store. Each of
-// the ShardCount ring-span shards owns one append-only log file; the
-// in-memory shard maps act as memtables in front of them. A write is
-// framed, appended to its shard's log, and only then materialized in the
-// map — so an acknowledged write is on disk before the ack leaves the
-// node (under SyncAlways it is also fsynced; under SyncInterval a
-// background group-commit bounds the loss window; under SyncNever the OS
-// decides).
+// Write-ahead log: the durability layer under the sharded store. A durable
+// store keeps one log for all of its shards, the shard maps acting as
+// memtables in front of it. Replay passes every record through the
+// version gate, so records for different keys commute: log order across
+// shards never mattered, and one log serves them all.
 //
-// Frame layout, designed for cheap torn-tail detection:
+// A batch (Store.ApplyBatch) is framed into one pooled buffer and appended
+// with one write before any of it is materialized, so an acknowledged
+// write is in the log before the ack leaves the node. Under SyncAlways the
+// batch also waits for one fsync; under SyncInterval a background group
+// commit bounds the loss window; under SyncNever the OS decides. Frames
+// are built for cheap torn-tail detection:
 //
 //	[4B little-endian payload length][4B little-endian CRC32(payload)][payload]
 //
-// Payload encoding is hand-rolled (uvarint key length, key bytes, uvarint
-// seq, uvarint writer, uvarint value length, value bytes) into pooled
-// scratch buffers — the same pooled-buffer idiom as the codec hot path —
-// so a steady-state append allocates nothing beyond the entry payload the
-// caller already owns.
+// with a hand-rolled payload (uvarint key length, key, uvarint seq,
+// uvarint writer, uvarint value length, value).
 //
-// Recovery replays snapshot + WAL tail per shard (see snapshot.go and
-// Open in durable.go). A torn final record — short header, short payload,
-// or CRC mismatch — marks the end of the usable log: the file is
-// truncated back to the last whole record and replay stops. Records are
-// applied through the same version gate as live writes, so replaying a
-// log that overlaps a snapshot (crash between snapshot rename and log
-// truncation) is harmless.
+// The log is a sequence of segment files named by hex generation. Appends
+// go to the newest; a checkpoint (durable.go) rotates to a fresh one and
+// deletes the old once a snapshot covers it. Recovery loads the snapshot,
+// then replays the segments in order, truncating a torn final record
+// (short header, short payload, CRC mismatch) off a segment.
 package kvstore
 
 import (
@@ -34,22 +31,17 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
-const (
-	// frameHeader is [len u32le][crc u32le].
-	frameHeader = 8
-	// maxFrame bounds a single record so a corrupt length field cannot
-	// drive replay into a multi-gigabyte read.
-	maxFrame = 64 << 20
-)
+// frameHeader is [len u32le][crc u32le].
+const frameHeader = 8
 
-// errWALClosed is returned by appends after Close or Crash.
+// errWALClosed fails appends after Close, Crash or an unrewindable write.
 var errWALClosed = errors.New("kvstore: wal closed")
 
-// walBuf is a pooled encode scratch buffer (pointer-to-struct so Put does
-// not allocate an interface box).
+// walBuf is a pooled encode buffer (a pointer, so Put boxes nothing).
 type walBuf struct{ b []byte }
 
 var walBufPool = sync.Pool{New: func() any { return &walBuf{b: make([]byte, 0, 512)} }}
@@ -71,150 +63,191 @@ func appendFrame(b []byte, key string, v Version, value []byte) []byte {
 	return b
 }
 
+// errBadRecord reports a CRC-valid payload that does not parse.
+var errBadRecord = errors.New("kvstore: wal record: bad encoding")
+
 // decodePayload parses one record payload. The returned key and value
 // alias freshly allocated memory (replay-only path; never hot).
 func decodePayload(p []byte) (key string, v Version, value []byte, err error) {
 	kl, n := binary.Uvarint(p)
 	if n <= 0 || uint64(len(p)-n) < kl {
-		return "", Version{}, nil, errors.New("kvstore: wal record: bad key length")
+		return "", Version{}, nil, errBadRecord
 	}
-	p = p[n:]
-	key = string(p[:kl])
-	p = p[kl:]
-	if v.Seq, n = binary.Uvarint(p); n <= 0 {
-		return "", Version{}, nil, errors.New("kvstore: wal record: bad seq")
+	key, p = string(p[n:n+int(kl)]), p[n+int(kl):]
+	if v.Seq, n = binary.Uvarint(p); n > 0 {
+		p = p[n:]
+		if v.Writer, n = binary.Uvarint(p); n > 0 {
+			p = p[n:]
+		}
 	}
-	p = p[n:]
-	if v.Writer, n = binary.Uvarint(p); n <= 0 {
-		return "", Version{}, nil, errors.New("kvstore: wal record: bad writer")
+	vl, m := binary.Uvarint(p)
+	if n <= 0 || m <= 0 || uint64(len(p)-m) != vl {
+		return "", Version{}, nil, errBadRecord
 	}
-	p = p[n:]
-	vl, n := binary.Uvarint(p)
-	if n <= 0 || uint64(len(p)-n) != vl {
-		return "", Version{}, nil, errors.New("kvstore: wal record: bad value length")
-	}
-	value = append([]byte(nil), p[n:]...)
-	return key, v, value, nil
+	return key, v, append([]byte(nil), p[m:]...), nil
 }
 
-// walShard is the durable half of one shard: its log file plus the
-// appended/durable byte watermarks. appended is how far the log has been
-// written; durable is how far it has been fsynced — the watermark a
-// simulated power-loss crash truncates back to (see Store.Crash). Guarded
-// by its own mutex because the group-commit syncer touches it from
-// outside the shard's map lock.
-type walShard struct {
-	mu       sync.Mutex
-	f        *os.File
+// logFile is what a segment needs of its *os.File; tests inject faults.
+type logFile interface {
+	io.Writer
+	io.Seeker
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+// segment is one log file and its watermarks: appended is how far it has
+// been written, durable how far fsynced — the mark Store.Crash truncates
+// back to. An open segment is never cut below appended, so a watermark
+// raised after an unlocked fsync cannot pass the end of the file it was
+// measured on. Guarded by durability.mu.
+type segment struct {
+	f        logFile
+	path     string
 	appended int64
 	durable  int64
-	dirty    bool // bytes appended since the last fsync
 }
 
-// append frames and writes one record, honoring the sync policy. Called
-// with the owning shard's map lock held, so records within a shard are
-// totally ordered. Reports whether the shard's log has grown past the
-// snapshot threshold.
-func (w *walShard) append(key string, v Version, value []byte, sync bool, snapshotBytes int64) (needSnap bool, err error) {
-	buf := walBufPool.Get().(*walBuf)
-	buf.b = appendFrame(buf.b[:0], key, v, value)
-	w.mu.Lock()
+func segmentPath(dir string, gen uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("%016x.wal", gen))
+}
+
+// openSegment creates segment gen, its directory entry durable at once.
+func openSegment(dir string, gen uint64) (*segment, error) {
+	path := segmentPath(dir, gen)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &segment{f: f, path: path}, nil
+}
+
+// recoverSegment replays a segment and cuts a torn tail off, for appends.
+func recoverSegment(path string, apply func(key string, v Version, value []byte)) (w *segment, entries int, torn bool, err error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, false, err
+	}
+	w = &segment{f: f, path: path}
+	w.appended, entries, torn = replayWAL(f, fi.Size(), apply)
+	w.durable = w.appended
+	return w, entries, torn, rewind(w)
+}
+
+// write appends a batch of framed records under the sync policy and
+// reports whether the log has grown past the checkpoint threshold.
+func (d *durability) write(b []byte, records int) (due bool, err error) {
+	if records == 0 {
+		return false, nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	w := d.segs[len(d.segs)-1]
 	if w.f == nil {
-		w.mu.Unlock()
-		walBufPool.Put(buf)
 		return false, errWALClosed
 	}
-	n, err := w.f.Write(buf.b)
+	n, err := w.f.Write(b)
 	if err != nil {
-		// A short write leaves a torn tail; recovery's CRC check will
-		// truncate it. Do not advance the watermark past known-good bytes.
-		w.mu.Unlock()
-		walBufPool.Put(buf)
 		walErrorsTotal.Add(1)
+		rewind(w)
 		return false, fmt.Errorf("kvstore: wal append: %w", err)
 	}
 	w.appended += int64(n)
-	w.dirty = true
-	if sync {
+	if d.policy == SyncAlways {
 		if err := w.f.Sync(); err != nil {
-			w.mu.Unlock()
-			walBufPool.Put(buf)
 			walErrorsTotal.Add(1)
 			return false, fmt.Errorf("kvstore: wal sync: %w", err)
 		}
 		w.durable = w.appended
-		w.dirty = false
 		walSyncsTotal.Add(1)
 	}
-	needSnap = snapshotBytes > 0 && w.appended >= snapshotBytes
-	w.mu.Unlock()
-	walBufPool.Put(buf)
-	walAppendsTotal.Add(1)
+	walAppendsTotal.Add(uint64(records))
 	walBytesTotal.Add(uint64(n))
-	return needSnap, nil
+	return d.snapshotBytes > 0 && w.appended >= d.snapshotBytes, nil
 }
 
-// groupSync fsyncs the log if it has unflushed appends — one round of the
-// group-commit policy. The fsync itself runs outside the lock so appends
-// keep flowing; everything written before the fsync started is then known
-// durable.
-func (w *walShard) groupSync() {
-	w.mu.Lock()
-	if !w.dirty || w.f == nil {
-		w.mu.Unlock()
+// rewind cuts w back to appended, file offset included. Torn bytes left by
+// a failed or short write would otherwise precede the next append, and
+// recovery, stopping at the first torn frame, would drop every later,
+// acknowledged record. A log that cannot be rewound is closed instead.
+func rewind(w *segment) error {
+	err := w.f.Truncate(w.appended)
+	if err == nil {
+		_, err = w.f.Seek(w.appended, io.SeekStart)
+	}
+	if err != nil {
+		w.f.Close()
+		w.f = nil
+	}
+	return err
+}
+
+// groupSync is one round of the group-commit policy: fsync the current
+// segment if it has unflushed appends.
+func (d *durability) groupSync() {
+	d.mu.Lock()
+	w := d.segs[len(d.segs)-1]
+	d.mu.Unlock()
+	d.flush(w)
+}
+
+// flush fsyncs w if it has unsynced appends, outside the lock so appends
+// keep flowing. Only the maintenance goroutine calls it, and only it
+// retires segments, so w cannot be closed underneath.
+func (d *durability) flush(w *segment) {
+	d.mu.Lock()
+	if w.appended == w.durable || w.f == nil {
+		d.mu.Unlock()
 		return
 	}
-	target := w.appended
-	f := w.f
-	w.mu.Unlock()
+	target, f := w.appended, w.f
+	d.mu.Unlock()
 	if err := f.Sync(); err != nil {
 		walErrorsTotal.Add(1)
 		return
 	}
 	walSyncsTotal.Add(1)
-	w.mu.Lock()
-	if target > w.durable {
-		w.durable = target
-	}
-	w.dirty = w.appended > w.durable
-	w.mu.Unlock()
+	d.mu.Lock()
+	w.durable = max(w.durable, target)
+	d.mu.Unlock()
 }
 
-// replayWAL scans the log from the start, applying every whole,
-// CRC-valid record, and returns the byte offset of the end of the last
-// good record. torn reports whether a trailing partial or corrupt record
-// was found (the caller truncates the file back to valid).
-func replayWAL(f io.ReadSeeker, apply func(key string, v Version, value []byte)) (valid int64, entries int, torn bool, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, false, err
-	}
-	r := bufio.NewReaderSize(f, 1<<16)
+// replayWAL applies every whole, CRC-valid record in the size bytes of r
+// and returns the end of the last good one; torn reports a partial or
+// corrupt record after it. A frame longer than what is left of the input
+// is torn unread, so a corrupt length cannot drive a large allocation.
+func replayWAL(r io.Reader, size int64, apply func(key string, v Version, value []byte)) (valid int64, entries int, torn bool) {
+	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [frameHeader]byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return valid, entries, false, nil // clean end
-			}
-			return valid, entries, true, nil // partial header: torn tail
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return valid, entries, err != io.EOF // partial header: torn tail
 		}
 		n := binary.LittleEndian.Uint32(hdr[:4])
-		want := binary.LittleEndian.Uint32(hdr[4:])
-		if n == 0 || n > maxFrame {
-			return valid, entries, true, nil
+		if n == 0 || int64(n) > size-valid-frameHeader {
+			return valid, entries, true
 		}
+		// A short payload is a torn tail; a CRC mismatch, bit rot or a
+		// torn rewrite.
 		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return valid, entries, true, nil // partial payload: torn tail
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			return valid, entries, true, nil // bit rot or torn rewrite
+		if _, err := io.ReadFull(br, payload); err != nil || crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:]) {
+			return valid, entries, true
 		}
 		key, v, value, err := decodePayload(payload)
 		if err != nil {
-			return valid, entries, true, nil
+			return valid, entries, true
 		}
 		apply(key, v, value)
-		valid += int64(frameHeader + int64(n))
+		valid += frameHeader + int64(n)
 		entries++
 	}
 }

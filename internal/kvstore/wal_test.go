@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"repro/internal/ident"
 )
 
 func mustOpen(t *testing.T, dir string, opts Options) *Store {
@@ -36,9 +34,6 @@ func expectValue(t *testing.T, s *Store, key string, v Version, value string) {
 func TestWALRecoverRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{Sync: SyncAlways})
-	if !s.Durable() || s.Dir() != dir {
-		t.Fatalf("Durable()=%v Dir()=%q, want durable store at %q", s.Durable(), s.Dir(), dir)
-	}
 	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	for i, k := range keys {
 		if ok, err := s.ApplyDurable(k, Version{Seq: 1, Writer: 7}, []byte("v1-"+k)); !ok || err != nil {
@@ -104,38 +99,25 @@ func TestWALCorruptTailTruncated(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
-			// Both keys hash into some shard(s); tear every non-empty log.
-			torn := 0
-			for si := 0; si < ShardCount; si++ {
-				p := walPath(dir, si)
-				if fi, err := os.Stat(p); err == nil && fi.Size() > 0 {
-					tc.tear(t, p)
-					torn++
-				}
-			}
-			if torn == 0 {
-				t.Fatal("no non-empty shard logs to tear")
-			}
+			// Every shard's records share the store's one log.
+			tc.tear(t, onlySegment(t, dir))
 
 			r := mustOpen(t, dir, Options{Sync: SyncAlways})
 			defer r.Close()
 			rec := r.Recovery()
-			if rec.TornTails != torn {
-				t.Fatalf("recovery = %+v, want %d torn tails", rec, torn)
+			if rec.TornTails != 1 {
+				t.Fatalf("recovery = %+v, want 1 torn tail", rec)
 			}
+			expectValue(t, r, "kept-a", good, "survives")
 			if tc.name == "crc-mismatch" {
-				// The flipped byte corrupts the last whole record; the rest
-				// survive. Either kept key may be the victim depending on
-				// shard/order, so just assert the store is smaller by the
-				// number of torn logs and every surviving value is intact.
-				if rec.Keys != 2-torn && rec.Keys != 2 {
-					t.Fatalf("recovery keys = %d after crc tear (torn=%d)", rec.Keys, torn)
+				// The flipped byte corrupts the last record, kept-b's.
+				if _, _, ok := r.Read("kept-b"); ok || rec.Keys != 1 {
+					t.Fatalf("recovery = %+v, kept-b present=%v; want only kept-a", rec, ok)
 				}
 			} else {
 				if rec.Keys != 2 {
 					t.Fatalf("recovery keys = %d, want 2 (tears were pure junk tails)", rec.Keys)
 				}
-				expectValue(t, r, "kept-a", good, "survives")
 				expectValue(t, r, "kept-b", good, "survives")
 			}
 			// The torn bytes are gone from disk: a second recovery sees a
@@ -150,6 +132,16 @@ func TestWALCorruptTailTruncated(t *testing.T) {
 			}
 		})
 	}
+}
+
+// onlySegment returns the path of the data directory's one log segment.
+func onlySegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("log segments = %v (err %v), want exactly one", segs, err)
+	}
+	return segs[0]
 }
 
 func appendJunk(t *testing.T, path string, junk []byte) {
@@ -176,27 +168,28 @@ func flipLastByte(t *testing.T, path string) {
 	}
 }
 
-// Once a shard's log crosses SnapshotBytes, the shard is snapshotted and
-// its log truncated; recovery then loads snapshot + (short) tail and the
-// data directory stays bounded.
+// Once the log crosses SnapshotBytes, a checkpoint snapshots the store,
+// rotates the log and deletes the old segment; recovery then loads
+// snapshot + (short) tail and the data directory stays bounded: one
+// snapshot, one log.
 func TestSnapshotTruncatesLogAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{Sync: SyncAlways, SnapshotBytes: 256})
 	val := bytes.Repeat([]byte("x"), 64)
-	// Same key over and over: all appends land in one shard, the log
-	// grows past 256B repeatedly, and each snapshot holds one entry.
+	// Same key over and over: the log grows past 256B repeatedly, and
+	// each snapshot holds one entry.
 	for seq := uint64(1); seq <= 40; seq++ {
 		if ok, err := s.ApplyDurable("hot", Version{Seq: seq, Writer: 1}, val); !ok || err != nil {
 			t.Fatalf("apply seq %d: ok=%v err=%v", seq, ok, err)
 		}
 	}
-	si := ShardOf(ident.KeyOfString("hot"))
+	s.WaitCheckpoint()
 	snaps, err := filepath.Glob(filepath.Join(dir, "*.snap"))
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("snapshots on disk = %v (err %v), want exactly one", snaps, err)
 	}
-	if fi, err := os.Stat(walPath(dir, si)); err != nil || fi.Size() >= 256+int64(len(val)) {
-		t.Fatalf("wal size = %v (err %v): log not truncated after snapshot", fi, err)
+	if fi, err := os.Stat(onlySegment(t, dir)); err != nil || fi.Size() >= 256+int64(len(val)) {
+		t.Fatalf("wal size = %v (err %v): log not rotated after snapshot", fi, err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
