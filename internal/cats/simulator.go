@@ -245,11 +245,13 @@ func (s *Simulator) bump(f func(m *Metrics)) {
 }
 
 // OpHistory returns the completed operations captured under RecordOps, in
-// completion order.
+// completion order. The history is append-only, so the result is the
+// recorded prefix itself, not a copy: callers must not write to it.
 func (s *Simulator) OpHistory() []OpRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]OpRecord(nil), s.history...)
+	n := len(s.history)
+	return s.history[:n:n]
 }
 
 // UnresolvedOps returns the recorded operations still awaiting a response

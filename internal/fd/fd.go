@@ -6,6 +6,7 @@
 package fd
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -77,6 +78,8 @@ type intervalTimeout struct {
 
 // monitorState tracks one monitored node.
 type monitorState struct {
+	node        network.Address
+	key         string // node.String(), formatted once: the round order
 	lastSeq     uint64
 	outstanding bool
 	misses      int
@@ -119,6 +122,10 @@ type Ping struct {
 		pingsSent, pongsSent, suspects, restores uint64
 		downHints, upHints, slowHints            uint64
 	}
+
+	// order holds the monitored states sorted by key, so a ping round
+	// visits nodes in address order without sorting or formatting.
+	order []*monitorState
 }
 
 // NewPing creates a failure-detector component definition.
@@ -177,35 +184,37 @@ func (p *Ping) handleMonitor(m Monitor) {
 	if _, ok := p.mon[m.Node]; ok {
 		return
 	}
-	st := &monitorState{}
+	st := &monitorState{node: m.Node, key: m.Node.String()}
 	p.mon[m.Node] = st
+	i := sort.Search(len(p.order), func(i int) bool { return p.order[i].key >= st.key })
+	p.order = slices.Insert(p.order, i, st)
 	p.sendPing(m.Node, st)
 }
 
 func (p *Ping) handleStopMonitor(m StopMonitor) {
+	st, ok := p.mon[m.Node]
+	if !ok {
+		return
+	}
 	delete(p.mon, m.Node)
+	i := slices.Index(p.order, st)
+	p.order = slices.Delete(p.order, i, i+1)
 }
 
 // handleInterval runs one ping round: count misses, raise suspicions, and
 // send the next round of pings. Nodes are visited in address order so the
 // message sequence is deterministic under the simulation scheduler.
 func (p *Ping) handleInterval(intervalTimeout) {
-	nodes := make([]network.Address, 0, len(p.mon))
-	for node := range p.mon {
-		nodes = append(nodes, node)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].String() < nodes[j].String() })
-	for _, node := range nodes {
-		st := p.mon[node]
+	for _, st := range p.order {
 		if st.outstanding {
 			st.misses++
 			if !st.suspected && st.misses >= p.cfg.SuspectAfterMisses {
 				st.suspected = true
 				p.stat.suspects++
-				p.ctx.Trigger(Suspect{Node: node}, p.fd)
+				p.ctx.Trigger(Suspect{Node: st.node}, p.fd)
 			}
 		}
-		p.sendPing(node, st)
+		p.sendPing(st.node, st)
 	}
 }
 

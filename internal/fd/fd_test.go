@@ -1,6 +1,8 @@
 package fd
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -207,5 +209,113 @@ func TestStatusPortReports(t *testing.T) {
 	}
 	if got.Metrics["monitored"] != 1 || got.Metrics["pings"] == 0 {
 		t.Fatalf("status metrics: %+v", got.Metrics)
+	}
+}
+
+// pingSink is the Network provider of a lone detector: it swallows pings,
+// recording their destinations while record is set.
+type pingSink struct {
+	record bool
+	to     []network.Address
+}
+
+func (s *pingSink) Setup(ctx *core.Ctx) {
+	core.Subscribe(ctx, ctx.Provides(network.PortType), func(m pingMsg) {
+		if s.record {
+			s.to = append(s.to, m.Destination())
+		}
+	})
+}
+
+// newPingRig wires one detector to a pingSink and a simulated timer that
+// never fires (the simulation is only settled), so tests drive ping rounds
+// by calling handleInterval.
+func newPingRig(t *testing.T, cfg Config) (*simulation.Simulation, *Ping, *core.Ctx, *core.Port, *pingSink) {
+	t.Helper()
+	sim := simulation.New(5)
+	p, sink := NewPing(cfg), &pingSink{}
+	var cx *core.Ctx
+	var fdPort *core.Port
+	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
+		cx = ctx
+		fdC := ctx.Create("fd", p)
+		ctx.Connect(ctx.Create("net", sink).Provided(network.PortType), fdC.Required(network.PortType))
+		ctx.Connect(ctx.Create("timer", simulation.NewTimer(sim)).Provided(timer.PortType), fdC.Required(timer.PortType))
+		fdPort = fdC.Provided(PortType)
+	}))
+	sim.Settle()
+	return sim, p, cx, fdPort, sink
+}
+
+// TestPingRoundAllocs: a ping round over N monitored nodes allocates at
+// most the N boxed pings — no sort buffer and no Address.String call
+// (each would allocate).
+func TestPingRoundAllocs(t *testing.T) {
+	const n = 64
+	sim, p, cx, fdPort, _ := newPingRig(t, Config{Self: addr(0), SuspectAfterMisses: 1 << 30})
+	for i := 1; i <= n; i++ {
+		cx.Trigger(Monitor{Node: addr(i)}, fdPort)
+	}
+	sim.Settle()
+	allocs := testing.AllocsPerRun(20, func() {
+		p.handleInterval(intervalTimeout{})
+		sim.Settle()
+	})
+	if allocs > n {
+		t.Fatalf("ping round over %d nodes: %.1f allocs, want <= %d", n, allocs, n)
+	}
+}
+
+// TestPingRoundOrderUnderMonitorChurn interleaves Monitor and StopMonitor
+// on addresses whose string order differs from their field order (port 9
+// vs 10, bracketed IPv6 hosts) and checks every round pings in the order
+// of sorting the monitored set by String().
+func TestPingRoundOrderUnderMonitorChurn(t *testing.T) {
+	sim, p, cx, fdPort, sink := newPingRig(t, Config{Self: addr(0)})
+	a := network.Address{Host: "10.0.0.1", Port: 9}
+	b := network.Address{Host: "10.0.0.1", Port: 10}
+	c := network.Address{Host: "::1", Port: 7}
+	d := network.Address{Host: "fd", Port: 3}
+	e := network.Address{Host: "2001:db8::2", Port: 10}
+	f := network.Address{Host: "10.0.0.2", Port: 9}
+	g := network.Address{Host: "fd", Port: 100}
+	monitored := map[network.Address]bool{}
+	monitor := func(ns ...network.Address) {
+		for _, n := range ns {
+			cx.Trigger(Monitor{Node: n}, fdPort)
+			monitored[n] = true
+		}
+	}
+	stop := func(ns ...network.Address) {
+		for _, n := range ns {
+			cx.Trigger(StopMonitor{Node: n}, fdPort)
+			delete(monitored, n)
+		}
+	}
+	rounds := []func(){
+		func() { monitor(a, b, c) },
+		func() { monitor(d); stop(b); monitor(e, b); stop(b) },
+		func() { stop(a); monitor(b, f); stop(d, addr(42)); monitor(g) },
+		func() { stop(c); monitor(a); stop(e, g); monitor(c) },
+	}
+	for i, round := range rounds {
+		round()
+		sim.Settle()
+
+		want := make([]network.Address, 0, len(monitored))
+		for n := range monitored {
+			want = append(want, n)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].String() < want[j].String() })
+		sink.record, sink.to = true, nil
+		p.handleInterval(intervalTimeout{})
+		sim.Settle()
+		sink.record = false
+		if !slices.Equal(sink.to, want) {
+			t.Fatalf("step %d: ping order %v, want %v", i, sink.to, want)
+		}
+		if p.Monitored() != len(want) {
+			t.Fatalf("step %d: monitoring %d nodes, want %d", i, p.Monitored(), len(want))
+		}
 	}
 }

@@ -338,19 +338,22 @@ func (e *NetworkEmulator) send(m network.Message) {
 		d += extra
 		e.slowDelayed++
 	}
-	e.sim.ScheduleAt(d, fmt.Sprintf("net:%s->%s", src, dst), func() {
-		if e.down[dst] {
-			e.churnDropped++ // crashed while the message was in flight
-			return
-		}
-		t, ok := e.nodes[dst]
-		if !ok {
-			e.unroutable++
-			return
-		}
-		e.delivered++
-		_ = core.TriggerOn(t.port, m)
-	})
+	e.sim.push(d, entry{emu: e, dst: dst, msg: m})
+}
+
+// deliver hands m to dst's transport when its delivery event fires.
+func (e *NetworkEmulator) deliver(dst network.Address, m network.Message) {
+	if e.down[dst] {
+		e.churnDropped++ // crashed while the message was in flight
+		return
+	}
+	t, ok := e.nodes[dst]
+	if !ok {
+		e.unroutable++
+		return
+	}
+	e.delivered++
+	_ = core.TriggerOn(t.port, m)
 }
 
 // EmulatedTransport is one node's Network provider inside the emulator.

@@ -1,7 +1,6 @@
 package simulation
 
 import (
-	"container/heap"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/network"
 )
 
 // SimScheduler is the deterministic single-threaded component scheduler: a
@@ -19,6 +19,7 @@ import (
 // execution order.
 type SimScheduler struct {
 	ready    []*core.Component
+	head     int // next ready index drain executes
 	executed uint64
 	maxReady int
 }
@@ -30,8 +31,8 @@ var _ core.SchedulerMetricsSource = (*SimScheduler)(nil)
 // simulation goroutine (component handlers run inline during drain).
 func (s *SimScheduler) Schedule(c *core.Component) {
 	s.ready = append(s.ready, c)
-	if len(s.ready) > s.maxReady {
-		s.maxReady = len(s.ready)
+	if d := len(s.ready) - s.head; d > s.maxReady {
+		s.maxReady = d
 	}
 }
 
@@ -48,7 +49,7 @@ func (s *SimScheduler) SchedulerMetrics() core.SchedulerStats {
 			Executed:      s.executed,
 			LocalPops:     s.executed,
 			MaxDequeDepth: int64(s.maxReady),
-			DequeDepth:    int64(len(s.ready)),
+			DequeDepth:    int64(len(s.ready) - s.head),
 		}},
 	}
 }
@@ -60,62 +61,97 @@ func (s *SimScheduler) Start() {}
 func (s *SimScheduler) Stop() {}
 
 // drain executes ready components one event at a time until quiescence and
-// returns the number of events executed.
+// returns the number of events executed. It walks the ready list by index
+// and resets it at the end, so its backing array is reused across drains.
 func (s *SimScheduler) drain() uint64 {
 	var n uint64
-	for len(s.ready) > 0 {
-		c := s.ready[0]
-		s.ready = s.ready[1:]
+	for s.head < len(s.ready) {
+		c := s.ready[s.head]
+		s.head++
 		if c.ExecuteOne() {
 			n++
 		}
 	}
+	s.ready, s.head = s.ready[:0], 0
 	s.executed += n
 	return n
 }
 
 // ScheduledEvent is a handle on a future discrete event, for cancellation.
 type ScheduledEvent struct {
-	at        time.Time
-	seq       uint64
 	tag       string
 	fire      func()
 	cancelled bool
-	index     int // heap index, -1 when popped
 }
 
 // Cancel prevents the event from firing. Safe to call after it fired.
 func (e *ScheduledEvent) Cancel() { e.cancelled = true }
 
-// eventHeap orders events by (time, insertion sequence) so simultaneous
-// events fire in scheduling order — the determinism invariant.
-type eventHeap []*ScheduledEvent
+// entry is one pending discrete event: a scheduled callback (ev), or an
+// emulated message delivery (emu, dst, msg) that needs no handle or closure.
+// at is virtual nanoseconds since simEpoch.
+type entry struct {
+	at  int64
+	seq uint64
+	ev  *ScheduledEvent
+	emu *NetworkEmulator
+	dst network.Address
+	msg network.Message
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+// before orders entries by (time, insertion sequence), so simultaneous
+// events fire in scheduling order — the determinism invariant.
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// tag returns the entry's trace tag; a delivery's is formatted here, so
+// only when traced.
+func (e *entry) tag() string {
+	if e.ev != nil {
+		return e.ev.tag
 	}
-	return h[i].seq < h[j].seq
+	return fmt.Sprintf("net:%s->%s", e.msg.Source(), e.dst)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*ScheduledEvent)
-	e.index = len(*h)
+
+// eventHeap is a binary min-heap of entries held by value.
+type eventHeap []entry
+
+func (h *eventHeap) push(e entry) {
 	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// pop removes the minimum entry; the caller has read it from (*h)[0].
+func (h *eventHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = entry{}
+	q = q[:n]
+	for i := 0; ; {
+		m, l := i, 2*i+1
+		if l < n && q[l].before(&q[m]) {
+			m = l
+		}
+		if r := l + 1; r < n && q[r].before(&q[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
 }
 
 // Stats summarizes a simulation run.
@@ -225,20 +261,30 @@ func (s *Simulation) Now() time.Time { return s.clock.Now() }
 // ScheduleAt schedules fire to run at the given delay of virtual time from
 // now. A zero or negative delay fires at the current instant, after all
 // currently ready components have drained. Returns a cancellable handle.
+// tag is only read by a WithTrace hook.
 func (s *Simulation) ScheduleAt(delay time.Duration, tag string, fire func()) *ScheduledEvent {
-	if delay < 0 {
-		delay = 0
-	}
-	s.seq++
-	e := &ScheduledEvent{
-		at:   s.clock.Now().Add(delay),
-		seq:  s.seq,
-		tag:  tag,
-		fire: fire,
-	}
-	heap.Push(&s.pq, e)
+	e := &ScheduledEvent{tag: tag, fire: fire}
+	s.requeue(e, delay)
 	return e
 }
+
+// requeue pushes the handle e to fire after delay, as a fresh event in
+// scheduling order; a periodic timer re-arms its own handle this way.
+func (s *Simulation) requeue(e *ScheduledEvent, delay time.Duration) {
+	s.push(delay, entry{ev: e})
+}
+
+// push queues e to fire delay from now (a negative delay counts as zero),
+// after every event already queued for that instant.
+func (s *Simulation) push(delay time.Duration, e entry) {
+	s.seq++
+	e.at, e.seq = int64(s.clock.Now().Sub(simEpoch)+max(delay, 0)), s.seq
+	s.pq.push(e)
+}
+
+// tracing reports whether a WithTrace hook reads event tags, so callers
+// format tags only when someone will see them.
+func (s *Simulation) tracing() bool { return s.trace != nil }
 
 // Pending returns the number of events in the discrete-event queue
 // (including cancelled ones not yet popped).
@@ -252,7 +298,7 @@ func (s *Simulation) Pending() int { return len(s.pq) }
 // once a periodic timer has been armed — Settle always terminates.
 func (s *Simulation) Settle() uint64 { return s.sched.drain() }
 
-// Halt makes Run return after the current event completes.
+// Halt makes the current Run return after the current event completes.
 func (s *Simulation) Halt() { s.halt = true }
 
 // Run executes the simulation for at most limit virtual time (limit <= 0
@@ -263,37 +309,37 @@ func (s *Simulation) Halt() { s.halt = true }
 func (s *Simulation) Run(limit time.Duration) Stats {
 	start := s.clock.Now()
 	wallStart := time.Now()
-	var endT time.Time
-	if limit > 0 {
-		endT = start.Add(limit)
-	}
+	end := int64(start.Sub(simEpoch) + limit)
 	var handlerExecs uint64
 	firedBefore := s.fired
 
 	handlerExecs += s.sched.drain()
-	for !s.halt {
-		if len(s.pq) == 0 {
-			break
-		}
+	for !s.halt && len(s.pq) > 0 {
 		next := s.pq[0]
-		if !endT.IsZero() && next.at.After(endT) {
+		if limit > 0 && next.at > end {
 			break
 		}
-		heap.Pop(&s.pq)
-		if next.cancelled {
+		s.pq.pop()
+		if next.ev != nil && next.ev.cancelled {
 			continue
 		}
-		s.clock.set(next.at)
-		if s.trace != nil {
-			s.trace(next.at, next.tag)
+		at := simEpoch.Add(time.Duration(next.at))
+		s.clock.set(at)
+		if s.tracing() {
+			s.trace(at, next.tag())
 		}
 		s.fired++
-		next.fire()
+		if next.ev != nil {
+			next.ev.fire()
+		} else {
+			next.emu.deliver(next.dst, next.msg)
+		}
 		handlerExecs += s.sched.drain()
 	}
-	if !endT.IsZero() && !s.halt {
-		s.clock.set(endT)
+	if limit > 0 && !s.halt {
+		s.clock.set(simEpoch.Add(time.Duration(end)))
 	}
+	s.halt = false
 	return Stats{
 		SimulatedDuration: s.clock.Now().Sub(start),
 		WallDuration:      time.Since(wallStart),

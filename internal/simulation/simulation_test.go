@@ -2,6 +2,7 @@ package simulation
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,6 +120,11 @@ func TestHaltStopsRun(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("halt ignored: %d events fired", count)
 	}
+	// Halt stops one Run only: the next Run fires the remaining events.
+	s.Run(0)
+	if count != 10 {
+		t.Fatalf("second run after halt: %d events fired, want 10", count)
+	}
 }
 
 func TestSelfSchedulingEventChain(t *testing.T) {
@@ -232,6 +238,39 @@ func TestSimulatedTimerCancel(t *testing.T) {
 	}
 }
 
+// TestTimerTraceTags: under WithTrace, timer events carry the timeout:N and
+// periodic:N tags, the periodic one on every re-armed period.
+func TestTimerTraceTags(t *testing.T) {
+	var tags []string
+	s := New(7, WithTrace(func(at time.Time, tag string) {
+		tags = append(tags, fmt.Sprintf("%v %s", at.Sub(simEpoch), tag))
+	}))
+	var port *core.Port
+	var cx *core.Ctx
+	s.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
+		tm := ctx.Create("timer", NewTimer(s))
+		c := ctx.Create("c", core.SetupFunc(func(inner *core.Ctx) {
+			cx = inner
+			port = inner.Requires(timer.PortType)
+			core.Subscribe(inner, port, func(tick) {})
+		}))
+		ctx.Connect(tm.Provided(timer.PortType), c.Required(timer.PortType))
+	}))
+	s.Settle()
+	p, o := timer.NextID(), timer.NextID()
+	cx.Trigger(timer.SchedulePeriodic{Delay: 10 * time.Millisecond, Period: 10 * time.Millisecond, Timeout: tick{Timeout: timer.Timeout{ID: p}}}, port)
+	cx.Trigger(timer.ScheduleTimeout{Delay: 15 * time.Millisecond, Timeout: tick{Timeout: timer.Timeout{ID: o}}}, port)
+	s.Run(25 * time.Millisecond)
+	want := []string{
+		fmt.Sprintf("10ms periodic:%d", p),
+		fmt.Sprintf("15ms timeout:%d", o),
+		fmt.Sprintf("20ms periodic:%d", p),
+	}
+	if strings.Join(tags, "|") != strings.Join(want, "|") {
+		t.Fatalf("trace tags %q, want %q", tags, want)
+	}
+}
+
 // --- network emulator ----------------------------------------------------------
 
 // simNode owns an emulated transport; counts received notes.
@@ -282,6 +321,34 @@ func TestEmulatedDeliveryWithLatency(t *testing.T) {
 	delivered, _, _, _ := emu.Stats()
 	if delivered != 1 {
 		t.Fatalf("delivered %d", delivered)
+	}
+}
+
+// TestEmulatedDeliveryZeroAlloc: once warm, a message sent through one
+// node's emulated transport and delivered to another's (no codec) allocates
+// nothing — no handle, closure, tag or copy of the message.
+func TestEmulatedDeliveryZeroAlloc(t *testing.T) {
+	s := New(3)
+	emu := NewNetworkEmulator(s)
+	var from *core.Port
+	got := 0
+	s.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
+		a := ctx.Create("a", emu.Transport(addr(1)))
+		b := ctx.Create("b", emu.Transport(addr(2)))
+		from = a.Provided(network.PortType)
+		core.Subscribe(ctx, b.Provided(network.PortType), func(note) { got++ })
+	}))
+	s.Run(0)
+	var m network.Message = note{Header: network.NewHeader(addr(1), addr(2))}
+	allocs := testing.AllocsPerRun(200, func() {
+		_ = core.TriggerOn(from, m)
+		s.Run(0)
+	})
+	if got != 201 {
+		t.Fatalf("delivered %d notes, want 201", got)
+	}
+	if allocs != 0 {
+		t.Fatalf("emulated send->deliver: %.1f allocs, want 0", allocs)
 	}
 }
 
@@ -405,6 +472,18 @@ func TestDeterministicSameSeedSameTrace(t *testing.T) {
 		if t1[i] != t2[i] {
 			t.Fatalf("traces diverge at %d: %q vs %q", i, t1[i], t2[i])
 		}
+	}
+}
+
+// TestTracedScenarioPinned pins the trace of seed 42 — virtual instants and
+// tags, including the net:src->dst tags formatted at delivery time — to the
+// digest the scenario has always produced.
+func TestTracedScenarioPinned(t *testing.T) {
+	tr := runTracedScenario(42)
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(strings.Join(tr, "\n")))
+	if got, want := fmt.Sprintf("%016x/%d", h.Sum64(), len(tr)), "61ca54124fa56098/140"; got != want {
+		t.Fatalf("trace digest %s, want %s", got, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package simulation
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/timer"
@@ -16,12 +15,7 @@ type Timer struct {
 	port *core.Port
 
 	oneShot map[timer.ID]*ScheduledEvent
-	period  map[timer.ID]*periodic
-}
-
-type periodic struct {
-	ev        *ScheduledEvent
-	cancelled bool
+	period  map[timer.ID]*ScheduledEvent
 }
 
 // NewTimer creates a simulated timer component definition bound to sim.
@@ -29,7 +23,7 @@ func NewTimer(sim *Simulation) *Timer {
 	return &Timer{
 		sim:     sim,
 		oneShot: make(map[timer.ID]*ScheduledEvent),
-		period:  make(map[timer.ID]*periodic),
+		period:  make(map[timer.ID]*ScheduledEvent),
 	}
 }
 
@@ -42,66 +36,59 @@ func (t *Timer) Setup(ctx *core.Ctx) {
 	t.port = ctx.Provides(timer.PortType)
 	core.Subscribe(ctx, t.port, t.handleSchedule)
 	core.Subscribe(ctx, t.port, t.handlePeriodic)
-	core.Subscribe(ctx, t.port, func(c timer.CancelTimeout) {
-		if ev, ok := t.oneShot[c.ID]; ok {
-			ev.Cancel()
-			delete(t.oneShot, c.ID)
-		}
-	})
-	core.Subscribe(ctx, t.port, func(c timer.CancelPeriodic) {
-		if p, ok := t.period[c.ID]; ok {
-			p.cancelled = true
-			if p.ev != nil {
-				p.ev.Cancel()
-			}
-			delete(t.period, c.ID)
-		}
-	})
+	core.Subscribe(ctx, t.port, func(c timer.CancelTimeout) { cancel(t.oneShot, c.ID) })
+	core.Subscribe(ctx, t.port, func(c timer.CancelPeriodic) { cancel(t.period, c.ID) })
 	core.Subscribe(ctx, ctx.Control(), func(core.Stop) { t.cancelAll() })
+}
+
+// tag formats a trace tag, only when a WithTrace hook will read it.
+func (t *Timer) tag(kind string, id timer.ID) string {
+	if !t.sim.tracing() {
+		return ""
+	}
+	return fmt.Sprintf("%s:%d", kind, id)
 }
 
 func (t *Timer) handleSchedule(st timer.ScheduleTimeout) {
 	id := st.Timeout.TimeoutID()
 	ev := st.Timeout
-	t.oneShot[id] = t.sim.ScheduleAt(st.Delay, fmt.Sprintf("timeout:%d", id), func() {
+	t.oneShot[id] = t.sim.ScheduleAt(st.Delay, t.tag("timeout", id), func() {
 		delete(t.oneShot, id)
 		_ = core.TriggerOn(t.port, ev)
 	})
 }
 
+// handlePeriodic arms one handle that re-queues itself every period until
+// cancelled; a cancelled handle is skipped when popped, so it never re-arms.
 func (t *Timer) handlePeriodic(sp timer.SchedulePeriodic) {
 	id := sp.Timeout.TimeoutID()
 	period := sp.Period
 	if period <= 0 {
 		period = 1
 	}
-	p := &periodic{}
-	t.period[id] = p
 	ev := sp.Timeout
-	var arm func(delay time.Duration)
-	arm = func(delay time.Duration) {
-		p.ev = t.sim.ScheduleAt(delay, fmt.Sprintf("periodic:%d", id), func() {
-			if p.cancelled {
-				return
-			}
-			arm(period)
-			_ = core.TriggerOn(t.port, ev)
-		})
+	var h *ScheduledEvent
+	h = t.sim.ScheduleAt(sp.Delay, t.tag("periodic", id), func() {
+		t.sim.requeue(h, period)
+		_ = core.TriggerOn(t.port, ev)
+	})
+	t.period[id] = h
+}
+
+// cancel cancels and forgets timer id in m, if it is armed.
+func cancel(m map[timer.ID]*ScheduledEvent, id timer.ID) {
+	if ev, ok := m[id]; ok {
+		ev.Cancel()
+		delete(m, id)
 	}
-	arm(sp.Delay)
 }
 
 func (t *Timer) cancelAll() {
-	for id, ev := range t.oneShot {
-		ev.Cancel()
-		delete(t.oneShot, id)
+	for id := range t.oneShot {
+		cancel(t.oneShot, id)
 	}
-	for id, p := range t.period {
-		p.cancelled = true
-		if p.ev != nil {
-			p.ev.Cancel()
-		}
-		delete(t.period, id)
+	for id := range t.period {
+		cancel(t.period, id)
 	}
 }
 
