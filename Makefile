@@ -78,9 +78,11 @@ kvbench-smoke:
 
 # Local mirror of the CI scenarios job: every gate entry of the catssim
 # registry, each seed twice in fresh processes, reports diffed and the
-# named invariants checked by catssim itself. Reports go to stdout.
+# named invariants checked by catssim itself. Reports go to stdout. The
+# simulation example exits 1 unless its two same-seed runs match.
 scenarios:
 	$(GO) run ./cmd/catssim run gate
+	$(GO) run ./examples/simulation
 
 # Binary frame decoder fuzz targets (also run as 30s smoke in CI): the
 # payload decoder must never panic or mis-frame on arbitrary bytes, the

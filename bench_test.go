@@ -455,39 +455,29 @@ func (s *swapTarget) LoadState(state any) { s.state = state.(int) }
 // operation driven through a simulated 5-node cluster (simulator + full
 // protocol stack, virtual network).
 func BenchmarkABDOperation(b *testing.B) {
-	sim := simulation.New(7)
-	emu := simulation.NewNetworkEmulator(sim,
-		simulation.WithLatency(simulation.ConstantLatency(time.Millisecond)))
-	host := cats.NewSimulator(cats.SimEnv{Sim: sim, Emu: emu}, cats.NodeConfig{
-		ReplicationDegree: 3,
-		FDInterval:        time.Second,
-		StabilizePeriod:   time.Second,
-		CyclonPeriod:      2 * time.Second,
-		OpTimeout:         2 * time.Second,
-	})
-	var exp *core.Port
-	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
-		c := ctx.Create("simulator", host)
-		exp = c.Provided(cats.ExperimentPortType)
-	}))
-	sim.Run(0)
+	c := cats.NewSimCluster(7, cats.NodeConfig{
+		FDInterval:      time.Second,
+		StabilizePeriod: time.Second,
+		CyclonPeriod:    2 * time.Second,
+		OpTimeout:       2 * time.Second,
+	}, "", []simulation.EmulatorOption{simulation.WithLatency(simulation.ConstantLatency(time.Millisecond))})
+	var keys []ident.Key
 	for i := 0; i < 5; i++ {
-		_ = core.TriggerOn(exp, cats.JoinNode{Key: ident.Key(uint64(i+1) << 60)})
-		sim.Run(time.Second)
+		keys = append(keys, ident.Key(uint64(i+1)<<60))
 	}
-	sim.Run(30 * time.Second)
+	c.Join(keys)
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.TriggerOn(exp, cats.OpPut{
+		_ = core.TriggerOn(c.Exp, cats.OpPut{
 			NodeKey: ident.Key(uint64(i)),
 			Key:     fmt.Sprintf("bench-%d", i%64),
 			Value:   []byte("value"),
 		})
-		sim.Run(10 * time.Second)
+		c.Sim.Run(10 * time.Second)
 	}
 	b.StopTimer()
-	m := host.Metrics()
+	m := c.Host.Metrics()
 	if m.PutsFailed > 0 {
 		b.Fatalf("%d puts failed", m.PutsFailed)
 	}

@@ -251,6 +251,34 @@ func TestSabotageTable(t *testing.T) {
 	}
 }
 
+// TestGateDigestsPinned pins run identity: the handler-trace digest of the
+// sim entry at seed 7 and of chaos-durable at seed 5. A change that keeps
+// both runs of a seed equal to each other can still move every report;
+// this catches it. The digests cover every handler execution, so any
+// change to component paths, RNG streams or dispatch order moves them.
+// For example, booting the durable cluster under CatsSimulationMain
+// instead of CatsRecoveryMain re-seeds every component RNG, and
+// chaos-durable then reads records=23071 digest=de4ed5d74a332f2f.
+func TestGateDigestsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seed int64
+		want string
+	}{
+		{"sim", 7, "trace: records=269916 digest=809ff05b6100957e"},
+		{"chaos-durable", 5, "trace: records=23142 digest=5a28d04db46a2a9e"},
+	} {
+		e := registry[slices.IndexFunc(registry, func(e *entry) bool { return e.name == tc.name })]
+		var out bytes.Buffer
+		if _, err := e.run(&out, tc.seed, t.TempDir()); err != nil {
+			t.Fatalf("%s seed=%d: %v", tc.name, tc.seed, err)
+		}
+		if !strings.Contains(out.String(), "  "+tc.want+"\n") {
+			t.Errorf("%s seed=%d: report lacks %q:\n%s", tc.name, tc.seed, tc.want, out.String())
+		}
+	}
+}
+
 // fakeRegistry is what the runner tests' child processes run.
 var fakeRegistry = []*entry{
 	{

@@ -27,7 +27,7 @@ func runLocal(w io.Writer, seed int64, _ string) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	host := cats.NewSimulator(cats.LoopbackEnv{Registry: network.NewLoopbackRegistry()}, simNodeConfig)
+	host := cats.NewSimulator(cats.LoopbackEnv{Registry: network.NewLoopbackRegistry()}, simTimings)
 	rt := core.New()
 	defer rt.Shutdown()
 	var exp *core.Port

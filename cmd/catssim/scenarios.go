@@ -141,13 +141,12 @@ const (
 	simTail                               = 10 * time.Second
 )
 
-// simNodeConfig is the node timing template of the sim and local entries.
-var simNodeConfig = cats.NodeConfig{
-	ReplicationDegree: 3,
+// simTimings are the node timings the sim and local entries change from
+// the shipped NodeConfig.
+var simTimings = cats.NodeConfig{
 	FDInterval:        200 * time.Millisecond,
 	StabilizePeriod:   300 * time.Millisecond,
 	CyclonPeriod:      500 * time.Millisecond,
-	OpTimeout:         time.Second,
 	RouterEntryTTL:    10 * time.Second,
 	RouterSweepPeriod: 2 * time.Second,
 }
@@ -217,24 +216,17 @@ func runSim(w io.Writer, seed int64, _ string) (any, error) {
 		return nil, err
 	}
 	digest := newTraceDigest()
-	sim := simulation.New(seed, simulation.WithTraceSink(digest))
-	emu := simulation.NewNetworkEmulator(sim,
-		simulation.WithLatency(simulation.UniformLatency(time.Millisecond, 10*time.Millisecond)))
-	host := cats.NewSimulator(cats.SimEnv{Sim: sim, Emu: emu}, simNodeConfig)
-	var exp *core.Port
-	sim.Runtime().MustBootstrap("CatsSimulationMain", core.SetupFunc(func(ctx *core.Ctx) {
-		c := ctx.Create("simulator", host)
-		exp = c.Provided(cats.ExperimentPortType)
-	}))
-	sim.Run(0)
-	end := scenario.ExecuteSimulated(sim, sched, exp)
-	stats := sim.Run(end + simTail)
-	report(w, host.Metrics(), host.AliveCount())
+	c := cats.NewSimCluster(seed, simTimings, "",
+		[]simulation.EmulatorOption{simulation.WithLatency(simulation.UniformLatency(time.Millisecond, 10*time.Millisecond))},
+		simulation.WithTraceSink(digest))
+	end := scenario.ExecuteSimulated(c.Sim, sched, c.Exp)
+	stats := c.Sim.Run(end + simTail)
+	report(w, c.Host.Metrics(), c.Host.AliveCount())
 	fmt.Fprintf(w, "  simulated=%v discrete-events=%d handler-execs=%d\n",
 		stats.SimulatedDuration, stats.DiscreteEvents, stats.HandlerExecutions)
 	fmt.Fprintf(os.Stderr, "  wall=%v compression=%.2fx\n", stats.WallDuration, stats.Compression())
 	fmt.Fprintf(w, "  trace: records=%d digest=%016x\n", digest.n, digest.h.Sum64())
-	return simResult{Metrics: host.Metrics(), TraceRecords: digest.n}, nil
+	return simResult{Metrics: c.Host.Metrics(), TraceRecords: digest.n}, nil
 }
 
 func report(w io.Writer, m cats.Metrics, alive int) {

@@ -3,13 +3,14 @@
 // a churn process of interleaved joins and failures, and a lookup process
 // — composed sequentially and in parallel with the scenario DSL, executed
 // against the CATS simulator in virtual time, twice, to demonstrate
-// reproducibility.
+// reproducibility. It exits 1 if the two runs differ.
 //
 // Run: go run ./examples/simulation
 package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/cats"
@@ -72,32 +73,23 @@ func buildScenario() *scenario.Scenario {
 // runOnce executes the scenario with one seed and returns the metrics and
 // run stats.
 func runOnce(seed int64) (cats.Metrics, simulation.Stats) {
-	sim := simulation.New(seed)
-	emu := simulation.NewNetworkEmulator(sim,
-		simulation.WithLatency(simulation.UniformLatency(time.Millisecond, 10*time.Millisecond)))
-	host := cats.NewSimulator(cats.SimEnv{Sim: sim, Emu: emu}, cats.NodeConfig{
-		ReplicationDegree: 3,
+	c := cats.NewSimCluster(seed, cats.NodeConfig{
 		FDInterval:        200 * time.Millisecond,
 		StabilizePeriod:   300 * time.Millisecond,
 		CyclonPeriod:      500 * time.Millisecond,
-		OpTimeout:         time.Second,
 		RouterEntryTTL:    10 * time.Second,
 		RouterSweepPeriod: 2 * time.Second,
+	}, "", []simulation.EmulatorOption{
+		simulation.WithLatency(simulation.UniformLatency(time.Millisecond, 10*time.Millisecond)),
 	})
-	var exp *core.Port
-	sim.Runtime().MustBootstrap("CatsSimulationMain", core.SetupFunc(func(ctx *core.Ctx) {
-		c := ctx.Create("simulator", host)
-		exp = c.Provided(cats.ExperimentPortType)
-	}))
-	sim.Run(0)
 
 	sched, err := buildScenario().Generate(seed)
 	if err != nil {
 		panic(err)
 	}
-	end := scenario.ExecuteSimulated(sim, sched, exp)
-	stats := sim.Run(end + 30*time.Second) // scenario + convergence tail
-	return host.Metrics(), stats
+	end := scenario.ExecuteSimulated(c.Sim, sched, c.Exp)
+	stats := c.Sim.Run(end + 30*time.Second) // scenario + convergence tail
+	return c.Host.Metrics(), stats
 }
 
 func main() {
@@ -127,4 +119,7 @@ func main() {
 	m3, _ := runOnce(seed + 1)
 	fmt.Printf("  different seed: joins=%d fails=%d lookups=%d (a different run)\n",
 		m3.Joins, m3.Fails, m3.Lookups)
+	if !same {
+		os.Exit(1)
+	}
 }

@@ -10,69 +10,46 @@ import (
 	"repro/internal/simulation"
 )
 
-// simCluster is a deterministic whole-system CATS deployment in one
-// simulation.
-type simCluster struct {
-	sim  *simulation.Simulation
-	emu  *simulation.NetworkEmulator
-	host *Simulator
-	exp  *core.Port // experiment port (outer)
+// fastTimings are the node timings of the simulated small test clusters,
+// as changes from the NodeConfig defaults.
+var fastTimings = NodeConfig{
+	StabilizePeriod: 200 * time.Millisecond,
+	CyclonPeriod:    300 * time.Millisecond,
+	OpTimeout:       500 * time.Millisecond,
 }
 
-// fastNodeConfig returns node timings suited to simulated small clusters.
-func fastNodeConfig() NodeConfig {
-	return NodeConfig{
-		ReplicationDegree: 3,
-		SuccessorListSize: 4,
-		FDInterval:        100 * time.Millisecond,
-		StabilizePeriod:   200 * time.Millisecond,
-		CyclonPeriod:      300 * time.Millisecond,
-		OpTimeout:         500 * time.Millisecond,
-	}
-}
-
-func newSimCluster(t *testing.T, seed int64, cfg NodeConfig) *simCluster {
-	t.Helper()
-	sim := simulation.New(seed)
-	emu := simulation.NewNetworkEmulator(sim,
-		simulation.WithLatency(simulation.UniformLatency(time.Millisecond, 5*time.Millisecond)))
-	host := NewSimulator(SimEnv{Sim: sim, Emu: emu}, cfg)
-	var exp *core.Port
-	sim.Runtime().MustBootstrap("CatsSimulationMain", core.SetupFunc(func(ctx *core.Ctx) {
-		c := ctx.Create("simulator", host)
-		exp = c.Provided(ExperimentPortType)
-	}))
-	sim.Settle()
-	return &simCluster{sim: sim, emu: emu, host: host, exp: exp}
+// testLAN is the test clusters' emulated network.
+var testLAN = []simulation.EmulatorOption{
+	simulation.WithLatency(simulation.UniformLatency(time.Millisecond, 5*time.Millisecond)),
 }
 
 // join boots n nodes with distinct spaced keys and runs the simulation
 // until the ring converges.
-func (c *simCluster) join(t *testing.T, n int) []ident.Key {
+func join(t *testing.T, c *SimCluster, n int) []ident.Key {
 	t.Helper()
 	keys := make([]ident.Key, 0, n)
 	for i := 0; i < n; i++ {
 		k := ident.Key(uint64(i)*1000 + 17)
 		keys = append(keys, k)
-		if err := core.TriggerOn(c.exp, JoinNode{Key: k}); err != nil {
+		if err := core.TriggerOn(c.Exp, JoinNode{Key: k}); err != nil {
 			t.Fatal(err)
 		}
-		c.sim.Run(time.Second) // stagger joins
+		c.Sim.Run(time.Second) // stagger joins
 	}
-	c.sim.Run(20 * time.Second) // converge
+	c.Sim.Run(20 * time.Second) // converge
 	return keys
 }
 
 // requireConverged asserts every node's successor matches the global ring
 // order.
-func (c *simCluster) requireConverged(t *testing.T) {
+func requireConverged(t *testing.T, c *SimCluster) {
 	t.Helper()
-	refs := c.host.AliveNodes()
+	refs := c.Host.AliveNodes()
 	if len(refs) < 2 {
 		return
 	}
 	for i, ref := range refs {
-		h := c.host.peers[ref.Key]
+		h := c.Host.peers[ref.Key]
 		succs := h.peer.Node.Ring.Succs()
 		if len(succs) == 0 {
 			t.Fatalf("node %s has no successors", ref)
@@ -88,15 +65,15 @@ func (c *simCluster) requireConverged(t *testing.T) {
 }
 
 func TestClusterBootAndRingConvergence(t *testing.T) {
-	c := newSimCluster(t, 42, fastNodeConfig())
-	c.join(t, 8)
-	if c.host.AliveCount() != 8 {
-		t.Fatalf("alive %d, want 8", c.host.AliveCount())
+	c := NewSimCluster(42, fastTimings, "", testLAN)
+	join(t, c, 8)
+	if c.Host.AliveCount() != 8 {
+		t.Fatalf("alive %d, want 8", c.Host.AliveCount())
 	}
-	c.requireConverged(t)
+	requireConverged(t, c)
 	// Every router's membership table must hold all other nodes.
-	for _, ref := range c.host.AliveNodes() {
-		h := c.host.peers[ref.Key]
+	for _, ref := range c.Host.AliveNodes() {
+		h := c.Host.peers[ref.Key]
 		if got := h.peer.Node.Router.TableSize(); got != 7 {
 			t.Fatalf("node %s router table %d, want 7", ref, got)
 		}
@@ -104,26 +81,26 @@ func TestClusterBootAndRingConvergence(t *testing.T) {
 }
 
 func TestPutGetAcrossNodes(t *testing.T) {
-	c := newSimCluster(t, 7, fastNodeConfig())
-	keys := c.join(t, 5)
-	c.requireConverged(t)
+	c := NewSimCluster(7, fastTimings, "", testLAN)
+	keys := join(t, c, 5)
+	requireConverged(t, c)
 
 	// Put through one node, get through every node.
-	if err := core.TriggerOn(c.exp, OpPut{NodeKey: keys[0], Key: "color", Value: []byte("indigo")}); err != nil {
+	if err := core.TriggerOn(c.Exp, OpPut{NodeKey: keys[0], Key: "color", Value: []byte("indigo")}); err != nil {
 		t.Fatal(err)
 	}
-	c.sim.Run(5 * time.Second)
-	m := c.host.Metrics()
+	c.Sim.Run(5 * time.Second)
+	m := c.Host.Metrics()
 	if m.PutsOK != 1 {
 		t.Fatalf("puts ok %d (failed %d), want 1", m.PutsOK, m.PutsFailed)
 	}
 	for _, k := range keys {
-		if err := core.TriggerOn(c.exp, OpGet{NodeKey: k, Key: "color"}); err != nil {
+		if err := core.TriggerOn(c.Exp, OpGet{NodeKey: k, Key: "color"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.sim.Run(5 * time.Second)
-	m = c.host.Metrics()
+	c.Sim.Run(5 * time.Second)
+	m = c.Host.Metrics()
 	if m.GetsOK != 5 {
 		t.Fatalf("gets ok %d (failed %d), want 5", m.GetsOK, m.GetsFailed)
 	}
@@ -131,8 +108,8 @@ func TestPutGetAcrossNodes(t *testing.T) {
 	// The value is replicated on the responsible group: at least a quorum
 	// of stores hold it.
 	replicas := 0
-	for _, ref := range c.host.AliveNodes() {
-		h := c.host.peers[ref.Key]
+	for _, ref := range c.Host.AliveNodes() {
+		h := c.Host.peers[ref.Key]
 		if _, _, ok := h.peer.Node.ABD.Store().Read("color"); ok {
 			replicas++
 		}
@@ -143,87 +120,87 @@ func TestPutGetAcrossNodes(t *testing.T) {
 }
 
 func TestGetMissingKeyNotFound(t *testing.T) {
-	c := newSimCluster(t, 9, fastNodeConfig())
-	keys := c.join(t, 3)
-	if err := core.TriggerOn(c.exp, OpGet{NodeKey: keys[1], Key: "ghost"}); err != nil {
+	c := NewSimCluster(9, fastTimings, "", testLAN)
+	keys := join(t, c, 3)
+	if err := core.TriggerOn(c.Exp, OpGet{NodeKey: keys[1], Key: "ghost"}); err != nil {
 		t.Fatal(err)
 	}
-	c.sim.Run(5 * time.Second)
-	m := c.host.Metrics()
+	c.Sim.Run(5 * time.Second)
+	m := c.Host.Metrics()
 	if m.GetsOK != 1 {
 		t.Fatalf("get of missing key should succeed with not-found: %+v", m)
 	}
 }
 
 func TestRingRepairsAfterCrash(t *testing.T) {
-	c := newSimCluster(t, 11, fastNodeConfig())
-	keys := c.join(t, 6)
-	c.requireConverged(t)
+	c := NewSimCluster(11, fastTimings, "", testLAN)
+	keys := join(t, c, 6)
+	requireConverged(t, c)
 
 	// Crash one node; the ring must reconverge without it.
-	if err := core.TriggerOn(c.exp, FailNode{Key: keys[2]}); err != nil {
+	if err := core.TriggerOn(c.Exp, FailNode{Key: keys[2]}); err != nil {
 		t.Fatal(err)
 	}
-	c.sim.Run(30 * time.Second)
-	if c.host.AliveCount() != 5 {
-		t.Fatalf("alive %d, want 5", c.host.AliveCount())
+	c.Sim.Run(30 * time.Second)
+	if c.Host.AliveCount() != 5 {
+		t.Fatalf("alive %d, want 5", c.Host.AliveCount())
 	}
-	c.requireConverged(t)
+	requireConverged(t, c)
 }
 
 func TestDataSurvivesCrashWithReplication(t *testing.T) {
-	c := newSimCluster(t, 13, fastNodeConfig())
-	keys := c.join(t, 6)
-	c.requireConverged(t)
+	c := NewSimCluster(13, fastTimings, "", testLAN)
+	keys := join(t, c, 6)
+	requireConverged(t, c)
 
-	if err := core.TriggerOn(c.exp, OpPut{NodeKey: keys[0], Key: "durable", Value: []byte("v1")}); err != nil {
+	if err := core.TriggerOn(c.Exp, OpPut{NodeKey: keys[0], Key: "durable", Value: []byte("v1")}); err != nil {
 		t.Fatal(err)
 	}
-	c.sim.Run(5 * time.Second)
+	c.Sim.Run(5 * time.Second)
 
 	// Crash the node responsible for the key's successor position.
-	h := c.host.resolve(ident.KeyOfString("durable"))
+	h := c.Host.resolve(ident.KeyOfString("durable"))
 	if h == nil {
 		t.Fatal("no responsible node")
 	}
-	if err := core.TriggerOn(c.exp, FailNode{Key: h.ref.Key}); err != nil {
+	if err := core.TriggerOn(c.Exp, FailNode{Key: h.ref.Key}); err != nil {
 		t.Fatal(err)
 	}
-	c.sim.Run(30 * time.Second)
+	c.Sim.Run(30 * time.Second)
 
 	// A read from any surviving node still returns the value (quorum of
 	// the original group survives).
-	survivor := c.host.AliveNodes()[0]
-	if err := core.TriggerOn(c.exp, OpGet{NodeKey: survivor.Key, Key: "durable"}); err != nil {
+	survivor := c.Host.AliveNodes()[0]
+	if err := core.TriggerOn(c.Exp, OpGet{NodeKey: survivor.Key, Key: "durable"}); err != nil {
 		t.Fatal(err)
 	}
-	c.sim.Run(10 * time.Second)
-	m := c.host.Metrics()
+	c.Sim.Run(10 * time.Second)
+	m := c.Host.Metrics()
 	if m.GetsOK != 1 || m.GetsFailed != 0 {
 		t.Fatalf("get after crash: %+v", m)
 	}
 }
 
 func TestLookupResolvesGroups(t *testing.T) {
-	c := newSimCluster(t, 17, fastNodeConfig())
-	keys := c.join(t, 5)
-	c.requireConverged(t)
+	c := NewSimCluster(17, fastTimings, "", testLAN)
+	keys := join(t, c, 5)
+	requireConverged(t, c)
 	for i := 0; i < 10; i++ {
-		if err := core.TriggerOn(c.exp, OpLookup{NodeKey: keys[i%len(keys)], Target: ident.Key(i * 777)}); err != nil {
+		if err := core.TriggerOn(c.Exp, OpLookup{NodeKey: keys[i%len(keys)], Target: ident.Key(i * 777)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.sim.Run(5 * time.Second)
-	m := c.host.Metrics()
+	c.Sim.Run(5 * time.Second)
+	m := c.Host.Metrics()
 	if m.Lookups != 10 || m.LookupsEmpty != 0 {
 		t.Fatalf("lookups %d (empty %d), want 10 (0)", m.Lookups, m.LookupsEmpty)
 	}
 }
 
 func TestSequentialReadsObserveLatestWrite(t *testing.T) {
-	c := newSimCluster(t, 19, fastNodeConfig())
-	keys := c.join(t, 5)
-	c.requireConverged(t)
+	c := NewSimCluster(19, fastTimings, "", testLAN)
+	keys := join(t, c, 5)
+	requireConverged(t, c)
 
 	// A chain of writes through different coordinators; after each write
 	// completes, a read through yet another coordinator must see it.
@@ -231,21 +208,21 @@ func TestSequentialReadsObserveLatestWrite(t *testing.T) {
 		writer := keys[i%len(keys)]
 		reader := keys[(i+2)%len(keys)]
 		val := []byte(fmt.Sprintf("v%d", i))
-		if err := core.TriggerOn(c.exp, OpPut{NodeKey: writer, Key: "chain", Value: val}); err != nil {
+		if err := core.TriggerOn(c.Exp, OpPut{NodeKey: writer, Key: "chain", Value: val}); err != nil {
 			t.Fatal(err)
 		}
-		c.sim.Run(3 * time.Second)
-		if err := core.TriggerOn(c.exp, OpGet{NodeKey: reader, Key: "chain"}); err != nil {
+		c.Sim.Run(3 * time.Second)
+		if err := core.TriggerOn(c.Exp, OpGet{NodeKey: reader, Key: "chain"}); err != nil {
 			t.Fatal(err)
 		}
-		c.sim.Run(3 * time.Second)
+		c.Sim.Run(3 * time.Second)
 	}
-	m := c.host.Metrics()
+	m := c.Host.Metrics()
 	if m.PutsOK != 10 || m.GetsOK != 10 || m.PutsFailed+m.GetsFailed > 0 {
 		t.Fatalf("chain metrics: %+v", m)
 	}
 	// Verify the final version on the replicas is the last write.
-	h := c.host.resolve(ident.KeyOfString("chain"))
+	h := c.Host.resolve(ident.KeyOfString("chain"))
 	_, val, ok := h.peer.Node.ABD.Store().Read("chain")
 	if !ok || string(val) != "v9" {
 		t.Fatalf("final stored value %q ok=%v, want v9", val, ok)
@@ -254,17 +231,17 @@ func TestSequentialReadsObserveLatestWrite(t *testing.T) {
 
 func TestDeterministicClusterRuns(t *testing.T) {
 	run := func(seed int64) Metrics {
-		c := newSimCluster(t, seed, fastNodeConfig())
-		keys := c.join(t, 5)
+		c := NewSimCluster(seed, fastTimings, "", testLAN)
+		keys := join(t, c, 5)
 		for i := 0; i < 20; i++ {
-			_ = core.TriggerOn(c.exp, OpPut{NodeKey: keys[i%5], Key: fmt.Sprintf("k%d", i), Value: []byte("v")})
+			_ = core.TriggerOn(c.Exp, OpPut{NodeKey: keys[i%5], Key: fmt.Sprintf("k%d", i), Value: []byte("v")})
 		}
-		c.sim.Run(10 * time.Second)
+		c.Sim.Run(10 * time.Second)
 		for i := 0; i < 20; i++ {
-			_ = core.TriggerOn(c.exp, OpGet{NodeKey: keys[(i+1)%5], Key: fmt.Sprintf("k%d", i)})
+			_ = core.TriggerOn(c.Exp, OpGet{NodeKey: keys[(i+1)%5], Key: fmt.Sprintf("k%d", i)})
 		}
-		c.sim.Run(10 * time.Second)
-		return c.host.Metrics()
+		c.Sim.Run(10 * time.Second)
+		return c.Host.Metrics()
 	}
 	m1 := run(123)
 	m2 := run(123)

@@ -23,8 +23,8 @@ import (
 func TestRollupIsUnlabeledExposition(t *testing.T) {
 	c, probe := newWebWorldViaBoot(t)
 	probe.ctx.Trigger(web.Request{ReqID: 1, Path: "/put", Query: "key=color&value=teal"}, probe.target)
-	c.sim.Run(2 * time.Second)
-	snap := c.sim.Runtime().MetricsSnapshot()
+	c.Sim.Run(2 * time.Second)
+	snap := c.Sim.Runtime().MetricsSnapshot()
 
 	// The process-wide counters are shared with every other test's runtime:
 	// retry until the expositions taken before and after the rollup agree.

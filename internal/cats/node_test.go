@@ -31,7 +31,7 @@ func (p *webProbe) Setup(ctx *core.Ctx) {
 func TestNodeWebStatusPage(t *testing.T) {
 	c, probe := newWebWorldViaBoot(t)
 	probe.ctx.Trigger(web.Request{ReqID: 1, Path: "/status"}, probe.target)
-	c.sim.Run(time.Second)
+	c.Sim.Run(time.Second)
 	if len(probe.resps) != 1 {
 		t.Fatalf("responses: %d", len(probe.resps))
 	}
@@ -46,12 +46,12 @@ func TestNodeWebStatusPage(t *testing.T) {
 func TestNodeWebPutGet(t *testing.T) {
 	c, probe := newWebWorldViaBoot(t)
 	probe.ctx.Trigger(web.Request{ReqID: 1, Path: "/put", Query: "key=color&value=teal"}, probe.target)
-	c.sim.Run(2 * time.Second)
+	c.Sim.Run(2 * time.Second)
 	if len(probe.resps) != 1 || probe.resps[0].Status != 200 || probe.resps[0].Body != "ok" {
 		t.Fatalf("put response: %+v", probe.resps)
 	}
 	probe.ctx.Trigger(web.Request{ReqID: 2, Path: "/get", Query: "key=color"}, probe.target)
-	c.sim.Run(2 * time.Second)
+	c.Sim.Run(2 * time.Second)
 	if len(probe.resps) != 2 || probe.resps[1].Body != "teal" {
 		t.Fatalf("get response: %+v", probe.resps)
 	}
@@ -60,22 +60,22 @@ func TestNodeWebPutGet(t *testing.T) {
 func TestNodeWebErrors(t *testing.T) {
 	c, probe := newWebWorldViaBoot(t)
 	probe.ctx.Trigger(web.Request{ReqID: 1, Path: "/get", Query: "key=nope"}, probe.target)
-	c.sim.Run(2 * time.Second)
+	c.Sim.Run(2 * time.Second)
 	if probe.resps[0].Status != 404 {
 		t.Fatalf("missing key: %+v", probe.resps[0])
 	}
 	probe.ctx.Trigger(web.Request{ReqID: 2, Path: "/get", Query: ""}, probe.target)
-	c.sim.Run(time.Second)
+	c.Sim.Run(time.Second)
 	if probe.resps[1].Status != 400 {
 		t.Fatalf("missing param: %+v", probe.resps[1])
 	}
 	probe.ctx.Trigger(web.Request{ReqID: 3, Path: "/bogus"}, probe.target)
-	c.sim.Run(time.Second)
+	c.Sim.Run(time.Second)
 	if probe.resps[2].Status != 404 {
 		t.Fatalf("bogus path: %+v", probe.resps[2])
 	}
 	probe.ctx.Trigger(web.Request{ReqID: 4, Path: "/put", Query: "value=x"}, probe.target)
-	c.sim.Run(time.Second)
+	c.Sim.Run(time.Second)
 	if probe.resps[3].Status != 400 {
 		t.Fatalf("put without key: %+v", probe.resps[3])
 	}
@@ -83,12 +83,11 @@ func TestNodeWebErrors(t *testing.T) {
 
 // newWebWorldViaBoot rebuilds the web world without relying on root-ctx
 // capture: the probe is created inside the bootstrap Setup.
-func newWebWorldViaBoot(t *testing.T) (*simCluster, *webProbe) {
+func newWebWorldViaBoot(t *testing.T) (*SimCluster, *webProbe) {
 	t.Helper()
 	sim := simulation.New(33)
-	emu := simulation.NewNetworkEmulator(sim,
-		simulation.WithLatency(simulation.UniformLatency(time.Millisecond, 5*time.Millisecond)))
-	host := NewSimulator(SimEnv{Sim: sim, Emu: emu}, fastNodeConfig())
+	emu := simulation.NewNetworkEmulator(sim, testLAN...)
+	host := NewSimulator(SimEnv{Sim: sim, Emu: emu}, fastTimings)
 	probe := &webProbe{}
 	var exp *core.Port
 	var rootCtx *core.Ctx
@@ -100,11 +99,11 @@ func newWebWorldViaBoot(t *testing.T) (*simCluster, *webProbe) {
 		probeC = ctx.Create("probe", probe)
 	}))
 	sim.Settle()
-	c := &simCluster{sim: sim, emu: emu, host: host, exp: exp}
-	keys := c.join(t, 3)
-	h := c.host.peers[keys[0]]
+	c := &SimCluster{Sim: sim, Emu: emu, Host: host, Exp: exp}
+	keys := join(t, c, 3)
+	h := c.Host.peers[keys[0]]
 	rootCtx.Connect(h.comp.Provided(web.PortType), probeC.Required(web.PortType))
-	c.sim.Run(time.Second)
+	c.Sim.Run(time.Second)
 	return c, probe
 }
 
@@ -116,7 +115,7 @@ func TestBootstrapServerJoinFlow(t *testing.T) {
 		simulation.WithLatency(simulation.ConstantLatency(2*time.Millisecond)))
 	bsAddr := network.Address{Host: "bootstrap", Port: 1}
 
-	cfg := fastNodeConfig()
+	cfg := fastTimings
 	cfg.BootstrapServer = bsAddr
 
 	var peers []*Peer
@@ -173,7 +172,7 @@ func TestMonitorReportingFlow(t *testing.T) {
 		simulation.WithLatency(simulation.ConstantLatency(2*time.Millisecond)))
 	monAddr := network.Address{Host: "monitor", Port: 1}
 
-	cfg := fastNodeConfig()
+	cfg := fastTimings
 	cfg.MonitorServer = monAddr
 	cfg.MonitorPeriod = time.Second
 

@@ -203,8 +203,10 @@ type Simulator struct {
 }
 
 // NewSimulator creates a simulator host definition. Defaults provides the
-// per-node configuration template (Self and Seeds are filled in per node).
+// per-node configuration template (Self and Seeds are filled in per node);
+// its zero fields take the NodeConfig defaults.
 func NewSimulator(env Env, defaults NodeConfig) *Simulator {
+	defaults.applyDefaults()
 	return &Simulator{
 		Env:      env,
 		Defaults: defaults,

@@ -26,12 +26,12 @@ type ChurnConfig struct {
 	Nodes     int           // cluster size (default 6)
 	Keys      int           // distinct data keys under test (default 6)
 	OpsPerKey int           // put/get operations per key, excluding the final audit read (default 10)
-	Crashes   int           // sequential crash→restart cycles (default 4)
+	Crashes   int           // sequential crash→restart cycles (default 3)
 	Flaps     int           // symmetric link flaps (default 4)
-	CrashDown time.Duration // how long a crashed node stays off the network (default 1200ms)
+	CrashDown time.Duration // how long a crashed node stays off the network (default 8s)
 	FlapDown  time.Duration // how long a flapped link stays down (default 900ms)
-	OpWindow  time.Duration // virtual-time window the workload and churn are spread over (default 40s)
-	Tail      time.Duration // settle time after the window before the audit reads (default 20s)
+	OpWindow  time.Duration // virtual-time window the workload and churn are spread over (default 60s)
+	Tail      time.Duration // settle time after the window before the audit reads (default 25s)
 
 	// DataDir, when non-empty, runs every node on a durable store
 	// (per-node WAL + snapshots under this root, sync=always) so the
@@ -134,6 +134,20 @@ type ChurnResult struct {
 	Timelines       []tracing.Timeline
 }
 
+// chaosTimings are simTimings with a 6s suspicion threshold, 3 silent 2s
+// rounds. The chaos and recovery crash windows exceed it, so crashed nodes
+// are evicted, groups reconfigure, and handoff must carry state across. In
+// a durable cluster acks are fsync-gated (sync=always) and a WAL over
+// snapshotBytes checkpoints; a memory-only cluster ignores both.
+func chaosTimings(snapshotBytes int64) cats.NodeConfig {
+	cfg := simTimings
+	cfg.FDInterval = 2 * time.Second
+	cfg.FDSuspectAfterMisses = 3
+	cfg.WALSync = kvstore.SyncAlways
+	cfg.WALSnapshotBytes = snapshotBytes
+	return cfg
+}
+
 // HistoryAudit is the client-history verdict every fault-injection
 // scenario reports: op outcome counts, per-key linearizability of the
 // recorded history, and the lost-acknowledged-write audit.
@@ -213,6 +227,100 @@ func auditHistory(host *cats.Simulator, auditFrom int, keys []string) HistoryAud
 	return a
 }
 
+// traceEveryOp samples every operation into a private span ring of the
+// given size, so a report can cite any op's timeline; restore puts the
+// process-wide ring and sampling rate back.
+func traceEveryOp(size int) (ring *tracing.Ring, restore func()) {
+	ring = tracing.NewRing(size)
+	prevRing := tracing.SwapDefault(ring)
+	prevSample := tracing.SetSampleEvery(1)
+	return ring, func() {
+		tracing.SetSampleEvery(prevSample)
+		tracing.SwapDefault(prevRing)
+	}
+}
+
+// scheduleKeyOps schedules opsPerKey operations per key at coordinators
+// drawn at random, spread uniformly over window. The first op of a key is
+// a put in the window's first quarter, so every key exists; after that a
+// putFrac share are puts. Value i of key k is "v-k-i", suffixed "-"+pad
+// when pad is set. Ops can land mid-fault: coordinators may be isolated,
+// quorum members unreachable — that is the point.
+func scheduleKeyOps(c *cats.SimCluster, rng *rand.Rand, tag string, keys []string, opsPerKey int, window time.Duration, putFrac float64, pad string) {
+	type op struct {
+		at time.Duration
+		ev core.Event
+	}
+	var ops []op
+	for k, key := range keys {
+		for i := 0; i < opsPerKey; i++ {
+			at := time.Duration(rng.Int63n(int64(window)))
+			if i == 0 {
+				at = time.Duration(rng.Int63n(int64(window) / 4))
+			}
+			node := ident.Key(rng.Uint64())
+			if i == 0 || rng.Float64() < putFrac {
+				val := "v-" + strconv.Itoa(k) + "-" + strconv.Itoa(i)
+				if pad != "" {
+					val += "-" + pad
+				}
+				ops = append(ops, op{at, cats.OpPut{NodeKey: node, Key: key, Value: []byte(val)}})
+			} else {
+				ops = append(ops, op{at, cats.OpGet{NodeKey: node, Key: key}})
+			}
+		}
+	}
+	sort.SliceStable(ops, func(i, j int) bool { return ops[i].at < ops[j].at })
+	for _, o := range ops {
+		c.Schedule(o.at, tag+":op", o.ev)
+	}
+}
+
+// scheduleCrashes schedules n crash→restart cycles of random nodes, one
+// per equal slice of span, each dark for down. Windows shorter than a
+// slice never overlap, so at most one replica per group is dark at a time
+// (replication 3 tolerates one).
+func scheduleCrashes(c *cats.SimCluster, rng *rand.Rand, tag string, n int, span, down time.Duration) {
+	refs := c.Host.AliveNodes()
+	spacing := span / time.Duration(n+1)
+	for i := 0; i < n; i++ {
+		at := spacing*time.Duration(i+1) + time.Duration(rng.Int63n(int64(spacing)/4))
+		victim := refs[rng.Intn(len(refs))].Addr
+		c.Sim.ScheduleAt(at, tag+":crash", func() { c.Emu.Crash(victim) })
+		c.Sim.ScheduleAt(at+down, tag+":restart", func() { c.Emu.Restart(victim) })
+	}
+}
+
+// scheduleFlaps schedules n symmetric link outages between random node
+// pairs at random points of [from, from+span), each healing after down.
+// A draw that pairs a node with itself is skipped.
+func scheduleFlaps(c *cats.SimCluster, rng *rand.Rand, tag string, n int, from, span, down time.Duration) {
+	refs := c.Host.AliveNodes()
+	for i := 0; i < n; i++ {
+		at := from + time.Duration(rng.Int63n(int64(span)))
+		a := refs[rng.Intn(len(refs))].Addr
+		b := refs[rng.Intn(len(refs))].Addr
+		if a == b {
+			continue
+		}
+		c.Sim.ScheduleAt(at, tag+":flap", func() {
+			c.Emu.FlapLink(a, b, down)
+			c.Emu.FlapLink(b, a, down)
+		})
+	}
+}
+
+// scheduleAudit schedules one read per key at a random coordinator, at
+// the current instant, and returns the history index the audit reads
+// start from.
+func scheduleAudit(c *cats.SimCluster, rng *rand.Rand, tag string, keys []string) int {
+	from := len(c.Host.OpHistory())
+	for _, key := range keys {
+		c.Schedule(0, tag+":audit", cats.OpGet{NodeKey: ident.Key(rng.Uint64()), Key: key})
+	}
+	return from
+}
+
 // TimelineDigest folds assembled timelines into one FNV-1a fingerprint.
 // Under the deterministic simulation a seed fixes the spans, their IDs,
 // and their virtual timestamps, so the digest is byte-stable across
@@ -271,135 +379,54 @@ func (r ChurnResult) ViolationTimelines() []tracing.Timeline {
 func Churn(seed int64, cfg ChurnConfig, simOpts ...simulation.SimOption) ChurnResult {
 	cfg.applyDefaults()
 
-	// Trace every operation into a private ring for the run's duration:
-	// the violation report must be able to cite any op's timeline, and the
-	// process-wide ring and sampling rate must come back untouched.
-	ring := tracing.NewRing(1 << 16)
-	prevRing := tracing.SwapDefault(ring)
-	prevSample := tracing.SetSampleEvery(1)
-	defer func() {
-		tracing.SetSampleEvery(prevSample)
-		tracing.SwapDefault(prevRing)
-	}()
+	// The violation report must be able to cite any op's timeline.
+	ring, restore := traceEveryOp(1 << 16)
+	defer restore()
 
-	nodeCfg := simNodeConfig()
-	// Suspicion threshold: 3 consecutive silent 2s rounds. Crash windows
-	// (default 8s) overlap more than three round starts, so crashed nodes
-	// are genuinely evicted and must hand state off and rejoin.
-	nodeCfg.FDInterval = 2 * time.Second
-	nodeCfg.FDSuspectAfterMisses = 3
+	// A durable run snapshots every 4 KiB of WAL, so even a short run
+	// truncates logs under churn.
+	nodeCfg := chaosTimings(1 << 12)
 
 	handoffBefore := handoff.GlobalMetrics()
 	kvBefore := kvstore.GlobalMetrics()
 
-	var (
-		sim  *simulation.Simulation
-		emu  *simulation.NetworkEmulator
-		host *cats.Simulator
-		exp  *core.Port
-	)
-	if cfg.DataDir != "" {
-		// Durable chaos: WALs fsync on every ack and snapshots roll
-		// aggressively so even a short run truncates logs under churn.
-		nodeCfg.WALSync = kvstore.SyncAlways
-		nodeCfg.WALSnapshotBytes = 1 << 12
-		sim, emu, host, exp = buildDurableSimCluster(seed, spreadKeys(cfg.Nodes), nodeCfg, cfg.DataDir, nil, simOpts...)
-	} else {
-		sim, emu, host, exp = buildSimCluster(seed, cfg.Nodes, nodeCfg, simOpts...)
-	}
-	host.RecordOps = true
-
-	refs := host.AliveNodes()
+	c := cats.NewSimCluster(seed, nodeCfg, cfg.DataDir, simLAN(), simOpts...)
+	c.Host.RecordOps = true
+	c.Join(spreadKeys(cfg.Nodes))
 	rng := rand.New(rand.NewSource(seed ^ 0x6368726e)) // "chrn"
 
-	// Workload: OpsPerKey operations per key (first is always a put so
-	// every key exists), issued at coordinators drawn at random, spread
-	// uniformly over the window. Ops can land mid-fault: coordinators may
-	// be isolated, quorum members unreachable — that is the point.
-	type schedOp struct {
-		at time.Duration
-		ev core.Event
+	keys := make([]string, cfg.Keys)
+	for k := range keys {
+		keys[k] = "churn-" + string(rune('a'+k%26)) + "-" + strconv.Itoa(k)
 	}
-	var ops []schedOp
-	keyName := func(i int) string { return "churn-" + string(rune('a'+i%26)) + "-" + strconv.Itoa(i) }
-	for k := 0; k < cfg.Keys; k++ {
-		key := keyName(k)
-		for i := 0; i < cfg.OpsPerKey; i++ {
-			at := time.Duration(rng.Int63n(int64(cfg.OpWindow)))
-			if i == 0 {
-				at = time.Duration(rng.Int63n(int64(cfg.OpWindow) / 4)) // seed write early
-			}
-			node := ident.Key(rng.Uint64())
-			if i == 0 || rng.Float64() < 0.5 {
-				val := []byte("v-" + strconv.Itoa(k) + "-" + strconv.Itoa(i))
-				ops = append(ops, schedOp{at, cats.OpPut{NodeKey: node, Key: key, Value: val}})
-			} else {
-				ops = append(ops, schedOp{at, cats.OpGet{NodeKey: node, Key: key}})
-			}
-		}
-	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].at < ops[j].at })
-	for _, op := range ops {
-		ev := op.ev
-		sim.ScheduleAt(op.at, "churn:op", func() { _ = core.TriggerOn(exp, ev) })
-	}
+	scheduleKeyOps(c, rng, "churn", keys, cfg.OpsPerKey, cfg.OpWindow, 0.5, "")
+	scheduleCrashes(c, rng, "churn", cfg.Crashes, cfg.OpWindow, cfg.CrashDown)
 
-	// Crash-restart churn: sequential, non-overlapping windows so at most
-	// one replica per group is dark at a time (replication 3 tolerates 1).
-	spacing := cfg.OpWindow / time.Duration(cfg.Crashes+1)
-	for i := 0; i < cfg.Crashes; i++ {
-		at := spacing*time.Duration(i+1) + time.Duration(rng.Int63n(int64(spacing)/4))
-		victim := refs[rng.Intn(len(refs))].Addr
-		sim.ScheduleAt(at, "churn:crash", func() { emu.Crash(victim) })
-		sim.ScheduleAt(at+cfg.CrashDown, "churn:restart", func() { emu.Restart(victim) })
-	}
-
-	// Link flaps: symmetric src↔dst outages that heal by virtual-time
-	// expiry, plus one partition that is explicitly healed.
-	for i := 0; i < cfg.Flaps; i++ {
-		at := time.Duration(rng.Int63n(int64(cfg.OpWindow)))
-		a := refs[rng.Intn(len(refs))].Addr
-		b := refs[rng.Intn(len(refs))].Addr
-		if a == b {
-			continue
-		}
-		down := cfg.FlapDown
-		sim.ScheduleAt(at, "churn:flap", func() {
-			emu.FlapLink(a, b, down)
-			emu.FlapLink(b, a, down)
-		})
-	}
+	// Link flaps heal by virtual-time expiry; one partition is explicitly
+	// healed.
+	scheduleFlaps(c, rng, "churn", cfg.Flaps, 0, cfg.OpWindow, cfg.FlapDown)
 	partAt := cfg.OpWindow / 2
+	refs := c.Host.AliveNodes()
 	isolated := refs[rng.Intn(len(refs))].Addr
-	sim.ScheduleAt(partAt, "churn:partition", func() { emu.Partition(1, isolated) })
-	sim.ScheduleAt(partAt+cfg.FlapDown, "churn:heal", func() { emu.Heal() })
+	c.Sim.ScheduleAt(partAt, "churn:partition", func() { c.Emu.Partition(1, isolated) })
+	c.Sim.ScheduleAt(partAt+cfg.FlapDown, "churn:heal", func() { c.Emu.Heal() })
 
-	mainStats := sim.Run(cfg.OpWindow + cfg.Tail)
+	mainStats := c.Sim.Run(cfg.OpWindow + cfg.Tail)
 
 	// Audit phase: every fault has healed and in-flight ops have resolved
 	// or timed out; one read per key must observe some acknowledged value.
-	preAudit := len(host.OpHistory())
-	keys := make([]string, 0, cfg.Keys)
-	for k := 0; k < cfg.Keys; k++ {
-		keys = append(keys, keyName(k))
-	}
-	for _, key := range keys {
-		k := key
-		sim.ScheduleAt(0, "churn:audit", func() {
-			_ = core.TriggerOn(exp, cats.OpGet{NodeKey: ident.Key(rng.Uint64()), Key: k})
-		})
-	}
-	auditStats := sim.Run(nodeCfg.OpTimeout * 3)
+	preAudit := scheduleAudit(c, rng, "churn", keys)
+	auditStats := c.Sim.Run(nodeCfg.OpTimeout * 3)
 
 	res := ChurnResult{
 		Nodes:             cfg.Nodes,
 		Keys:              cfg.Keys,
-		HistoryAudit:      auditHistory(host, preAudit, keys),
+		HistoryAudit:      auditHistory(c.Host, preAudit, keys),
 		SimulatedDuration: mainStats.SimulatedDuration + auditStats.SimulatedDuration,
 		DiscreteEvents:    mainStats.DiscreteEvents + auditStats.DiscreteEvents,
 		HandlerExecutions: mainStats.HandlerExecutions + auditStats.HandlerExecutions,
 	}
-	res.Crashes, res.Restarts, res.Flaps, res.ChurnDropped = emu.ChurnStats()
+	res.Crashes, res.Restarts, res.Flaps, res.ChurnDropped = c.Emu.ChurnStats()
 	handoffAfter := handoff.GlobalMetrics()
 	res.HandoffKeys = handoffAfter.Keys - handoffBefore.Keys
 	res.HandoffBytes = handoffAfter.Bytes - handoffBefore.Bytes
@@ -412,8 +439,8 @@ func Churn(seed int64, cfg ChurnConfig, simOpts ...simulation.SimOption) ChurnRe
 	res.WALSnapshots = kvAfter.Snapshots - kvBefore.Snapshots
 	res.WALErrors = kvAfter.WALErrors - kvBefore.WALErrors
 
-	for _, ref := range host.AliveNodes() {
-		p, ok := host.Peer(ref.Key)
+	for _, ref := range c.Host.AliveNodes() {
+		p, ok := c.Host.Peer(ref.Key)
 		if !ok || p.Node == nil {
 			continue
 		}

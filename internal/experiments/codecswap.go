@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"math/rand"
-	"sort"
 	"strconv"
 	"time"
 
 	"repro/internal/cats"
-	"repro/internal/core"
-	"repro/internal/ident"
 	"repro/internal/simulation"
 	"repro/internal/tracing"
 )
@@ -82,53 +79,24 @@ type CodecSwapResult struct {
 func CodecSwap(seed int64, cfg CodecSwapConfig, simOpts ...simulation.SimOption) CodecSwapResult {
 	cfg.applyDefaults()
 
-	ring := tracing.NewRing(1 << 14)
-	prevRing := tracing.SwapDefault(ring)
-	prevSample := tracing.SetSampleEvery(1)
-	defer func() {
-		tracing.SetSampleEvery(prevSample)
-		tracing.SwapDefault(prevRing)
-	}()
+	ring, restore := traceEveryOp(1 << 14)
+	defer restore()
 
 	// Every frame round-trips through the sender's codec, starting on gob
 	// for all nodes; swaps move individual nodes to binary and gob+zlib
 	// mid-run, so both formats cross the wire within one scenario.
-	sim, emu, host, exp := buildSimClusterEmu(seed, cfg.Nodes, simNodeConfig(),
-		[]simulation.EmulatorOption{simulation.WithEmulatedCodec("gob")}, simOpts...)
-	host.RecordOps = true
-
-	refs := host.AliveNodes()
+	c := cats.NewSimCluster(seed, simTimings, "", simLAN(simulation.WithEmulatedCodec("gob")), simOpts...)
+	c.Host.RecordOps = true
+	c.Join(spreadKeys(cfg.Nodes))
+	refs := c.Host.AliveNodes()
 	rng := rand.New(rand.NewSource(seed ^ 0x63647377)) // "cdsw"
 
-	// Workload: same shape as the churn scenario — first op per key is a
-	// put, the rest a put/get mix at random coordinators over the window.
-	type schedOp struct {
-		at time.Duration
-		ev core.Event
+	// Workload: same shape as the churn scenario.
+	keys := make([]string, cfg.Keys)
+	for k := range keys {
+		keys[k] = "swap-" + strconv.Itoa(k)
 	}
-	var ops []schedOp
-	keyName := func(i int) string { return "swap-" + strconv.Itoa(i) }
-	for k := 0; k < cfg.Keys; k++ {
-		key := keyName(k)
-		for i := 0; i < cfg.OpsPerKey; i++ {
-			at := time.Duration(rng.Int63n(int64(cfg.OpWindow)))
-			if i == 0 {
-				at = time.Duration(rng.Int63n(int64(cfg.OpWindow) / 4))
-			}
-			node := ident.Key(rng.Uint64())
-			if i == 0 || rng.Float64() < 0.5 {
-				val := []byte("v-" + strconv.Itoa(k) + "-" + strconv.Itoa(i))
-				ops = append(ops, schedOp{at, cats.OpPut{NodeKey: node, Key: key, Value: val}})
-			} else {
-				ops = append(ops, schedOp{at, cats.OpGet{NodeKey: node, Key: key}})
-			}
-		}
-	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].at < ops[j].at })
-	for _, op := range ops {
-		ev := op.ev
-		sim.ScheduleAt(op.at, "codecswap:op", func() { _ = core.TriggerOn(exp, ev) })
-	}
+	scheduleKeyOps(c, rng, "codecswap", keys, cfg.OpsPerKey, cfg.OpWindow, 0.5, "")
 
 	// Live swaps under traffic: each picks a node and moves it to the next
 	// codec in the rotation. Spread over the middle of the window so plenty
@@ -138,49 +106,29 @@ func CodecSwap(seed int64, cfg CodecSwapConfig, simOpts ...simulation.SimOption)
 		at := cfg.OpWindow/8 + time.Duration(rng.Int63n(int64(cfg.OpWindow)*3/4))
 		victim := refs[rng.Intn(len(refs))].Addr
 		name := rotation[i%len(rotation)]
-		sim.ScheduleAt(at, "codecswap:swap", func() { emu.SwapCodec(victim, name) })
+		c.Sim.ScheduleAt(at, "codecswap:swap", func() { c.Emu.SwapCodec(victim, name) })
 	}
 
 	// Link flaps overlapping the swaps: the emulator analog of a TCP
 	// connection breaking and redialing mid-swap.
-	for i := 0; i < cfg.Flaps; i++ {
-		at := cfg.OpWindow/8 + time.Duration(rng.Int63n(int64(cfg.OpWindow)*3/4))
-		a := refs[rng.Intn(len(refs))].Addr
-		b := refs[rng.Intn(len(refs))].Addr
-		if a == b {
-			continue
-		}
-		down := cfg.FlapDown
-		sim.ScheduleAt(at, "codecswap:flap", func() {
-			emu.FlapLink(a, b, down)
-			emu.FlapLink(b, a, down)
-		})
-	}
+	scheduleFlaps(c, rng, "codecswap", cfg.Flaps, cfg.OpWindow/8, cfg.OpWindow*3/4, cfg.FlapDown)
 
-	mainStats := sim.Run(cfg.OpWindow + cfg.Tail)
+	mainStats := c.Sim.Run(cfg.OpWindow + cfg.Tail)
 
 	// Audit: one read per key after everything settles.
-	preAudit := len(host.OpHistory())
-	keys := make([]string, cfg.Keys)
-	for k := range keys {
-		key := keyName(k)
-		keys[k] = key
-		sim.ScheduleAt(0, "codecswap:audit", func() {
-			_ = core.TriggerOn(exp, cats.OpGet{NodeKey: ident.Key(rng.Uint64()), Key: key})
-		})
-	}
-	auditStats := sim.Run(simNodeConfig().OpTimeout * 3)
+	preAudit := scheduleAudit(c, rng, "codecswap", keys)
+	auditStats := c.Sim.Run(simTimings.OpTimeout * 3)
 
 	res := CodecSwapResult{
 		Nodes:             cfg.Nodes,
 		Keys:              cfg.Keys,
-		HistoryAudit:      auditHistory(host, preAudit, keys),
+		HistoryAudit:      auditHistory(c.Host, preAudit, keys),
 		SimulatedDuration: mainStats.SimulatedDuration + auditStats.SimulatedDuration,
 		DiscreteEvents:    mainStats.DiscreteEvents + auditStats.DiscreteEvents,
 		HandlerExecutions: mainStats.HandlerExecutions + auditStats.HandlerExecutions,
 	}
-	res.CodecSwaps, res.BinaryFrames, res.GobFrames, res.CodecErrors = emu.CodecStats()
-	_, _, res.Flaps, _ = emu.ChurnStats()
+	res.CodecSwaps, res.BinaryFrames, res.GobFrames, res.CodecErrors = c.Emu.CodecStats()
+	_, _, res.Flaps, _ = c.Emu.ChurnStats()
 
 	res.TraceDigest = TimelineDigest(tracing.Assemble(ring.Snapshot()))
 	return res

@@ -32,18 +32,22 @@ import (
 	"repro/internal/simulation"
 )
 
-// simNodeConfig returns the node timings used by the simulation
-// experiments (scaled to keep protocol traffic realistic but cheap).
-func simNodeConfig() cats.NodeConfig {
-	return cats.NodeConfig{
-		ReplicationDegree: 3,
-		FDInterval:        time.Second,
-		StabilizePeriod:   time.Second,
-		CyclonPeriod:      2 * time.Second,
-		OpTimeout:         2 * time.Second,
-		RouterEntryTTL:    30 * time.Second,
-		RouterSweepPeriod: 10 * time.Second,
-	}
+// simTimings are the node timings every simulated experiment changes
+// from the shipped NodeConfig: protocol traffic realistic but cheap.
+var simTimings = cats.NodeConfig{
+	FDInterval:        time.Second,
+	StabilizePeriod:   time.Second,
+	CyclonPeriod:      2 * time.Second,
+	OpTimeout:         2 * time.Second,
+	RouterSweepPeriod: 10 * time.Second,
+}
+
+// simLAN is the emulated network of every simulated experiment, uniform
+// 0.5–2ms one-way latency, followed by opts.
+func simLAN(opts ...simulation.EmulatorOption) []simulation.EmulatorOption {
+	return append([]simulation.EmulatorOption{
+		simulation.WithLatency(simulation.UniformLatency(500*time.Microsecond, 2*time.Millisecond)),
+	}, opts...)
 }
 
 // spreadKeys returns n node keys spread evenly around the 2^64 ring.
@@ -54,37 +58,6 @@ func spreadKeys(n int) []ident.Key {
 		keys[i] = ident.Key(uint64(i)*step + 12345)
 	}
 	return keys
-}
-
-// buildSimCluster boots a simulated CATS deployment of n nodes and runs it
-// to convergence. It returns the simulation, the network emulator (for
-// fault injection), and the simulator host.
-func buildSimCluster(seed int64, n int, cfg cats.NodeConfig, opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, *cats.Simulator, *core.Port) {
-	return buildSimClusterEmu(seed, n, cfg, nil, opts...)
-}
-
-// buildSimClusterEmu is buildSimCluster with extra emulator options (e.g.
-// a wire-codec round-trip model).
-func buildSimClusterEmu(seed int64, n int, cfg cats.NodeConfig, emuOpts []simulation.EmulatorOption, opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, *cats.Simulator, *core.Port) {
-	sim := simulation.New(seed, opts...)
-	emu := simulation.NewNetworkEmulator(sim,
-		append([]simulation.EmulatorOption{
-			simulation.WithLatency(simulation.UniformLatency(500*time.Microsecond, 2*time.Millisecond)),
-		}, emuOpts...)...)
-	host := cats.NewSimulator(cats.SimEnv{Sim: sim, Emu: emu}, cfg)
-	var exp *core.Port
-	sim.Runtime().MustBootstrap("CatsSimulationMain", core.SetupFunc(func(ctx *core.Ctx) {
-		c := ctx.Create("simulator", host)
-		exp = c.Provided(cats.ExperimentPortType)
-	}))
-	sim.Run(0)
-	// Stagger joins in virtual time so join traffic doesn't stampede.
-	for _, k := range spreadKeys(n) {
-		_ = core.TriggerOn(exp, cats.JoinNode{Key: k})
-		sim.Run(50 * time.Millisecond)
-	}
-	sim.Run(60 * time.Second) // converge: stabilization + gossip rounds
-	return sim, emu, host, exp
 }
 
 // Table1Result is one row of the paper's Table 1 reproduction.
@@ -103,7 +76,8 @@ type Table1Result struct {
 // The setup phase (boot + convergence) is excluded from the measurement,
 // as the paper reports steady-state simulation.
 func Table1(seed int64, peers int, simTime time.Duration) Table1Result {
-	sim, _, host, exp := buildSimCluster(seed, peers, simNodeConfig())
+	c := cats.NewSimCluster(seed, simTimings, "", simLAN())
+	c.Join(spreadKeys(peers))
 
 	// Lookup workload: `peers` lookups per simulated second in aggregate.
 	lookups := scenario.NewProcess("lookups").
@@ -121,10 +95,9 @@ func Table1(seed int64, peers int, simTime time.Duration) Table1Result {
 	if err != nil {
 		panic(err)
 	}
-	scenario.ExecuteSimulated(sim, sched, exp)
+	scenario.ExecuteSimulated(c.Sim, sched, c.Exp)
 
-	stats := sim.Run(simTime)
-	_ = host
+	stats := c.Sim.Run(simTime)
 	return Table1Result{
 		Peers:             peers,
 		SimulatedDuration: stats.SimulatedDuration,
@@ -292,9 +265,10 @@ type ScalingResult struct {
 // Each node contributes independent capacity in the emulated network, so
 // the measured shape isolates the protocol stack's scalability.
 func Scaling(seed int64, n, clientsPerNode, opsPerNode int) ScalingResult {
-	sim, _, host, exp := buildSimCluster(seed, n, simNodeConfig())
+	c := cats.NewSimCluster(seed, simTimings, "", simLAN())
+	c.Join(spreadKeys(n))
 	target := uint64(opsPerNode * n)
-	_ = core.TriggerOn(exp, cats.StartLoad{
+	_ = core.TriggerOn(c.Exp, cats.StartLoad{
 		Clients:      clientsPerNode * n,
 		TotalOps:     int(target),
 		ValueSize:    1024,
@@ -304,10 +278,10 @@ func Scaling(seed int64, n, clientsPerNode, opsPerNode int) ScalingResult {
 	// Run in bounded virtual-time slices until the load drains (the
 	// cluster's periodic protocol timers re-arm forever, so an unbounded
 	// run would never return).
-	for i := 0; i < 10_000 && host.Metrics().LoadDone < target; i++ {
-		sim.Run(time.Second)
+	for i := 0; i < 10_000 && c.Host.Metrics().LoadDone < target; i++ {
+		c.Sim.Run(time.Second)
 	}
-	m := host.Metrics()
+	m := c.Host.Metrics()
 	var mean time.Duration
 	if m.LoadDone > 0 {
 		mean = m.LoadLatencySum / time.Duration(m.LoadDone)

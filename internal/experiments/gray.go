@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/abd"
 	"repro/internal/cats"
-	"repro/internal/core"
 	"repro/internal/ident"
 	"repro/internal/network"
 	"repro/internal/simulation"
@@ -124,15 +123,10 @@ func keyOwnedBy(nodeKeys []ident.Key, idx int, prefix string) string {
 func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResult {
 	cfg.applyDefaults()
 
-	ring := tracing.NewRing(1 << 16)
-	prevRing := tracing.SwapDefault(ring)
-	prevSample := tracing.SetSampleEvery(1)
-	defer func() {
-		tracing.SetSampleEvery(prevSample)
-		tracing.SwapDefault(prevRing)
-	}()
+	ring, restore := traceEveryOp(1 << 16)
+	defer restore()
 
-	nodeCfg := simNodeConfig()
+	nodeCfg := simTimings
 	// A 2ms deadline floor keeps adaptive budgets meaningful at the
 	// emulator's sub-millisecond latencies (the default floor, OpTimeout/20
 	// = 100ms, would swamp them), and the serve-rate cap arms admission
@@ -142,10 +136,10 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 
 	resBefore := abd.GlobalResilienceMetrics()
 
-	sim, emu, host, exp := buildSimCluster(seed, cfg.Nodes, nodeCfg, simOpts...)
-	host.RecordOps = true
-
 	nodeKeys := spreadKeys(cfg.Nodes)
+	c := cats.NewSimCluster(seed, nodeCfg, "", simLAN(), simOpts...)
+	c.Host.RecordOps = true
+	c.Join(nodeKeys)
 	rng := rand.New(rand.NewSource(seed ^ 0x67726179)) // "gray"
 
 	// Geometry: the hedge group is the replica group of a key owned by
@@ -158,7 +152,7 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 	hCoord := nodeKeys[hIdx]
 	slowA := ident.NodeRef{Key: nodeKeys[(hIdx+1)%n]}
 	slowB := ident.NodeRef{Key: nodeKeys[(hIdx+2)%n]}
-	var slowAddrA, slowAddrB = refAddr(host, slowA.Key), refAddr(host, slowB.Key)
+	var slowAddrA, slowAddrB = refAddr(c.Host, slowA.Key), refAddr(c.Host, slowB.Key)
 
 	// Phase 1 — warm-up: paced ops on the hedge key from the hedge
 	// coordinator, so its estimators for the group members converge well
@@ -168,9 +162,9 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 		at := time.Duration(i) * warmSpacing
 		if i == 0 || i%4 == 0 {
 			val := []byte("warm-" + strconv.Itoa(i))
-			scheduleOp(sim, exp, at, cats.OpPut{NodeKey: hCoord, Key: hedgeKey, Value: val})
+			c.Schedule(at, "gray:op", cats.OpPut{NodeKey: hCoord, Key: hedgeKey, Value: val})
 		} else {
-			scheduleOp(sim, exp, at, cats.OpGet{NodeKey: hCoord, Key: hedgeKey})
+			c.Schedule(at, "gray:op", cats.OpGet{NodeKey: hCoord, Key: hedgeKey})
 		}
 	}
 	warmEnd := time.Duration(cfg.WarmOps) * warmSpacing
@@ -185,11 +179,11 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 	for i := 0; i < cfg.Pulses; i++ {
 		at := warmEnd + time.Second + time.Duration(i)*pulseSpacing
 		extra, plen := cfg.SlowExtra, cfg.PulseLen
-		sim.ScheduleAt(at, "gray:pulse", func() {
-			emu.SlowNode(slowAddrA, extra, plen)
-			emu.SlowNode(slowAddrB, extra, plen)
+		c.Sim.ScheduleAt(at, "gray:pulse", func() {
+			c.Emu.SlowNode(slowAddrA, extra, plen)
+			c.Emu.SlowNode(slowAddrB, extra, plen)
 		})
-		scheduleOp(sim, exp, at, cats.OpGet{NodeKey: hCoord, Key: hedgeKey})
+		c.Schedule(at, "gray:op", cats.OpGet{NodeKey: hCoord, Key: hedgeKey})
 	}
 	pulseEnd := warmEnd + time.Second + time.Duration(cfg.Pulses)*pulseSpacing
 
@@ -208,29 +202,25 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 		key := burstKeys[i%len(burstKeys)]
 		if i < len(burstKeys) || rng.Float64() < 0.5 {
 			val := []byte("burst-" + strconv.Itoa(i))
-			scheduleOp(sim, exp, burstAt, cats.OpPut{NodeKey: bCoord, Key: key, Value: val})
+			c.Schedule(burstAt, "gray:op", cats.OpPut{NodeKey: bCoord, Key: key, Value: val})
 		} else {
-			scheduleOp(sim, exp, burstAt, cats.OpGet{NodeKey: bCoord, Key: key})
+			c.Schedule(burstAt, "gray:op", cats.OpGet{NodeKey: bCoord, Key: key})
 		}
 	}
 
-	mainStats := sim.Run(burstAt + cfg.Tail)
+	mainStats := c.Sim.Run(burstAt + cfg.Tail)
 
 	// Audit: one read per key must observe an acknowledged value.
-	preAudit := len(host.OpHistory())
+	preAudit := len(c.Host.OpHistory())
 	auditKeys := append([]string{hedgeKey}, burstKeys...)
 	for i, key := range auditKeys {
-		k := key
-		coord := nodeKeys[i%n]
-		sim.ScheduleAt(0, "gray:audit", func() {
-			_ = core.TriggerOn(exp, cats.OpGet{NodeKey: coord, Key: k})
-		})
+		c.Schedule(0, "gray:audit", cats.OpGet{NodeKey: nodeKeys[i%n], Key: key})
 	}
-	auditStats := sim.Run(nodeCfg.OpTimeout * 4)
+	auditStats := c.Sim.Run(nodeCfg.OpTimeout * 4)
 
 	res := GrayResult{
 		Nodes:             cfg.Nodes,
-		HistoryAudit:      auditHistory(host, preAudit, auditKeys),
+		HistoryAudit:      auditHistory(c.Host, preAudit, auditKeys),
 		SimulatedDuration: mainStats.SimulatedDuration + auditStats.SimulatedDuration,
 		DiscreteEvents:    mainStats.DiscreteEvents + auditStats.DiscreteEvents,
 		HandlerExecutions: mainStats.HandlerExecutions + auditStats.HandlerExecutions,
@@ -241,9 +231,9 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 	res.HedgeWins = resAfter.HedgeWins - resBefore.HedgeWins
 	res.Sheds = resAfter.Sheds - resBefore.Sheds
 	res.Redeliveries = resAfter.Redeliveries - resBefore.Redeliveries
-	res.SlowWindows, res.SlowDelayed = emu.GrayStats()
-	for _, ref := range host.AliveNodes() {
-		if p, ok := host.Peer(ref.Key); ok && p.Node != nil {
+	res.SlowWindows, res.SlowDelayed = c.Emu.GrayStats()
+	for _, ref := range c.Host.AliveNodes() {
+		if p, ok := c.Host.Peer(ref.Key); ok && p.Node != nil {
 			res.SlowHints += p.Node.FD.SlowHints()
 		}
 	}
@@ -255,11 +245,6 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 	}
 	res.TraceDigest = TimelineDigest(res.Timelines)
 	return res
-}
-
-// scheduleOp schedules one experiment op at a virtual-time offset.
-func scheduleOp(sim *simulation.Simulation, exp *core.Port, at time.Duration, ev core.Event) {
-	sim.ScheduleAt(at, "gray:op", func() { _ = core.TriggerOn(exp, ev) })
 }
 
 // refAddr resolves a node key to its emulated transport address.
@@ -332,7 +317,7 @@ type HedgeBenchResult struct {
 func HedgeBench(seed int64, cfg HedgeBenchConfig) HedgeBenchResult {
 	cfg.applyDefaults()
 	var res HedgeBenchResult
-	res.Off = hedgeArm(seed, cfg, simNodeConfig().OpTimeout)
+	res.Off = hedgeArm(seed, cfg, simTimings.OpTimeout)
 	mid := abd.GlobalResilienceMetrics()
 	res.On = hedgeArm(seed, cfg, 2*time.Millisecond)
 	resAfter := abd.GlobalResilienceMetrics()
@@ -347,24 +332,24 @@ func HedgeBench(seed int64, cfg HedgeBenchConfig) HedgeBenchResult {
 // hedgeArm runs one arm of the A/B: same seed, same pulse schedule, only
 // the adaptive-deadline floor differs.
 func hedgeArm(seed int64, cfg HedgeBenchConfig, deadlineFloor time.Duration) HedgeArm {
-	nodeCfg := simNodeConfig()
+	nodeCfg := simTimings
 	nodeCfg.DeadlineFloor = deadlineFloor
 
-	sim, emu, host, exp := buildSimCluster(seed, 2, nodeCfg)
-	host.RecordOps = true
-
 	nodeKeys := spreadKeys(2)
+	c := cats.NewSimCluster(seed, nodeCfg, "", simLAN())
+	c.Host.RecordOps = true
+	c.Join(nodeKeys)
 	// Coordinator: node 0. Straggler: node 1. Every key's replica group is
 	// both nodes, so any key works; the coordinator's self-phase acks
 	// instantly and the remote is the lone straggler.
 	coord := nodeKeys[0]
-	slowAddr := refAddr(host, nodeKeys[1])
+	slowAddr := refAddr(c.Host, nodeKeys[1])
 	key := "hedge-bench"
 
 	warmSpacing := 150 * time.Millisecond
-	scheduleOp(sim, exp, 0, cats.OpPut{NodeKey: coord, Key: key, Value: []byte("seed")})
+	c.Schedule(0, "hedge:op", cats.OpPut{NodeKey: coord, Key: key, Value: []byte("seed")})
 	for i := 1; i < cfg.WarmOps; i++ {
-		scheduleOp(sim, exp, time.Duration(i)*warmSpacing, cats.OpGet{NodeKey: coord, Key: key})
+		c.Schedule(time.Duration(i)*warmSpacing, "hedge:op", cats.OpGet{NodeKey: coord, Key: key})
 	}
 	warmEnd := time.Duration(cfg.WarmOps) * warmSpacing
 
@@ -372,14 +357,14 @@ func hedgeArm(seed int64, cfg HedgeBenchConfig, deadlineFloor time.Duration) Hed
 	for i := 0; i < cfg.Ops; i++ {
 		at := warmEnd + time.Second + time.Duration(i)*pulseSpacing
 		extra, plen := cfg.SlowExtra, cfg.PulseLen
-		sim.ScheduleAt(at, "hedge:pulse", func() { emu.SlowNode(slowAddr, extra, plen) })
-		scheduleOp(sim, exp, at, cats.OpGet{NodeKey: coord, Key: key})
+		c.Sim.ScheduleAt(at, "hedge:pulse", func() { c.Emu.SlowNode(slowAddr, extra, plen) })
+		c.Schedule(at, "hedge:op", cats.OpGet{NodeKey: coord, Key: key})
 	}
 
 	preMeasure := cfg.WarmOps // history index where the pulsed ops start
-	sim.Run(warmEnd + time.Second + time.Duration(cfg.Ops)*pulseSpacing + nodeCfg.OpTimeout*4)
+	c.Sim.Run(warmEnd + time.Second + time.Duration(cfg.Ops)*pulseSpacing + nodeCfg.OpTimeout*4)
 
-	history := host.OpHistory()
+	history := c.Host.OpHistory()
 	var lat []time.Duration
 	arm := HedgeArm{}
 	for _, r := range history {

@@ -39,12 +39,9 @@ import (
 	"time"
 
 	"repro/internal/cats"
-	"repro/internal/core"
 	"repro/internal/handoff"
 	"repro/internal/ident"
-	"repro/internal/kvstore"
 	"repro/internal/linear"
-	"repro/internal/simulation"
 )
 
 // RecoveryConfig parameterizes the crash-restart recovery scenario.
@@ -98,46 +95,6 @@ func (c *RecoveryConfig) applyDefaults() {
 	}
 }
 
-// recoveryNodeConfig is the shared per-node template: churn timings plus
-// durability. Phase 1 runs sync=always — the scenario's promise is "no
-// acked write lost", so acks must be fsync-gated.
-func recoveryNodeConfig(snapshotBytes int64) cats.NodeConfig {
-	cfg := simNodeConfig()
-	cfg.FDInterval = 2 * time.Second
-	cfg.FDSuspectAfterMisses = 3
-	cfg.WALSync = kvstore.SyncAlways
-	cfg.WALSnapshotBytes = snapshotBytes
-	return cfg
-}
-
-// buildDurableSimCluster mirrors buildSimCluster but configures the host
-// (durable data root, op recording, history sink) BEFORE any node joins,
-// and joins an explicit key list — phase 2 must rejoin exactly the keys
-// that have state on disk, not a fresh spread.
-func buildDurableSimCluster(seed int64, keys []ident.Key, cfg cats.NodeConfig, root string, sink func(cats.OpRecord), opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, *cats.Simulator, *core.Port) {
-	sim := simulation.New(seed, opts...)
-	emu := simulation.NewNetworkEmulator(sim,
-		simulation.WithLatency(simulation.UniformLatency(500*time.Microsecond, 2*time.Millisecond)))
-	host := cats.NewSimulator(cats.SimEnv{Sim: sim, Emu: emu}, cfg)
-	host.RecordOps = true
-	host.DataDirRoot = root
-	host.OpSink = sink
-	var exp *core.Port
-	sim.Runtime().MustBootstrap("CatsRecoveryMain", core.SetupFunc(func(ctx *core.Ctx) {
-		c := ctx.Create("simulator", host)
-		exp = c.Provided(cats.ExperimentPortType)
-	}))
-	sim.Run(0)
-	for _, k := range keys {
-		_ = core.TriggerOn(exp, cats.JoinNode{Key: k})
-		sim.Run(50 * time.Millisecond)
-	}
-	sim.Run(60 * time.Second)
-	return sim, emu, host, exp
-}
-
-func recoveryKeyName(i int) string { return "rec-" + string(rune('a'+i%26)) + "-" + strconv.Itoa(i) }
-
 // RecoveryCrash runs phase 1. On the happy path it does not return: the
 // scheduled SIGKILL tears the process down mid-churn with exit code 137.
 // Returning (with an error) means the kill never fired — callers must
@@ -152,52 +109,25 @@ func RecoveryCrash(seed int64, cfg RecoveryConfig, dir string) error {
 		return err
 	}
 
-	nodeCfg := recoveryNodeConfig(cfg.SnapshotBytes)
-	sim, emu, host, exp := buildDurableSimCluster(seed, spreadKeys(cfg.Nodes), nodeCfg, dir, histLog.append)
-	refs := host.AliveNodes()
+	// Acks are fsync-gated: the scenario's promise is "no acked write lost".
+	c := cats.NewSimCluster(seed, chaosTimings(cfg.SnapshotBytes), dir, simLAN())
+	c.Host.RecordOps = true
+	c.Host.OpSink = histLog.append
+	c.Join(spreadKeys(cfg.Nodes))
 	rng := rand.New(rand.NewSource(seed ^ 0x72656376)) // "recv"
 
-	// Workload: OpsPerKey ops per key, first always a put, put-biased
-	// after that so most keys accumulate several acked versions before
-	// the kill. Values carry padding so the WALs cross the checkpoint
-	// threshold during the run.
-	type schedOp struct {
-		at time.Duration
-		ev core.Event
+	// Workload: put-biased after each key's first put, so most keys
+	// accumulate several acked versions before the kill. Values carry
+	// padding so the WALs cross the checkpoint threshold during the run.
+	keys := make([]string, cfg.Keys)
+	for k := range keys {
+		keys[k] = "rec-" + string(rune('a'+k%26)) + "-" + strconv.Itoa(k)
 	}
-	var ops []schedOp
-	pad := strings.Repeat("x", cfg.ValuePad)
-	for k := 0; k < cfg.Keys; k++ {
-		key := recoveryKeyName(k)
-		for i := 0; i < cfg.OpsPerKey; i++ {
-			at := time.Duration(rng.Int63n(int64(cfg.OpWindow)))
-			if i == 0 {
-				at = time.Duration(rng.Int63n(int64(cfg.OpWindow) / 4))
-			}
-			node := ident.Key(rng.Uint64())
-			if i == 0 || rng.Float64() < 0.6 {
-				val := []byte("v-" + strconv.Itoa(k) + "-" + strconv.Itoa(i) + "-" + pad)
-				ops = append(ops, schedOp{at, cats.OpPut{NodeKey: node, Key: key, Value: val}})
-			} else {
-				ops = append(ops, schedOp{at, cats.OpGet{NodeKey: node, Key: key}})
-			}
-		}
-	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].at < ops[j].at })
-	for _, op := range ops {
-		ev := op.ev
-		sim.ScheduleAt(op.at, "recovery:op", func() { _ = core.TriggerOn(exp, ev) })
-	}
+	scheduleKeyOps(c, rng, "recovery", keys, cfg.OpsPerKey, cfg.OpWindow, 0.6, strings.Repeat("x", cfg.ValuePad))
 
 	// Individual-node churn before the kill, so the full-process restart
 	// lands on a cluster already mid-reconfiguration.
-	spacing := cfg.KillAt / time.Duration(cfg.Crashes+1)
-	for i := 0; i < cfg.Crashes; i++ {
-		at := spacing*time.Duration(i+1) + time.Duration(rng.Int63n(int64(spacing)/4))
-		victim := refs[rng.Intn(len(refs))].Addr
-		sim.ScheduleAt(at, "recovery:crash", func() { emu.Crash(victim) })
-		sim.ScheduleAt(at+cfg.CrashDown, "recovery:restart", func() { emu.Restart(victim) })
-	}
+	scheduleCrashes(c, rng, "recovery", cfg.Crashes, cfg.KillAt, cfg.CrashDown)
 
 	// The point of the exercise: kill the whole cluster — every node
 	// lives in this process — with no warning and no cleanup. Everything
@@ -206,9 +136,9 @@ func RecoveryCrash(seed int64, cfg RecoveryConfig, dir string) error {
 	// Checkpoints finish in the background; the kill lands once the last
 	// one has settled, so the on-disk layout is a function of the seed
 	// (crashes mid-checkpoint are kvstore's crash-point tests).
-	sim.ScheduleAt(cfg.KillAt, "recovery:sigkill", func() {
-		for _, ref := range host.AliveNodes() {
-			if p, ok := host.Peer(ref.Key); ok && p.Node != nil && p.Node.Store() != nil {
+	c.Sim.ScheduleAt(cfg.KillAt, "recovery:sigkill", func() {
+		for _, ref := range c.Host.AliveNodes() {
+			if p, ok := c.Host.Peer(ref.Key); ok && p.Node != nil && p.Node.Store() != nil {
 				p.Node.Store().WaitCheckpoint()
 			}
 		}
@@ -216,7 +146,7 @@ func RecoveryCrash(seed int64, cfg RecoveryConfig, dir string) error {
 		select {} // unreachable: SIGKILL cannot be caught or outrun
 	})
 
-	sim.Run(cfg.OpWindow + cfg.Tail)
+	c.Sim.Run(cfg.OpWindow + cfg.Tail)
 	return fmt.Errorf("recovery: scheduled SIGKILL at %v never fired (ran %v)", cfg.KillAt, cfg.OpWindow+cfg.Tail)
 }
 
@@ -278,12 +208,13 @@ func RecoveryRecover(seed int64, cfg RecoveryConfig, dir string) (RecoveryResult
 
 	// Phase 2 keeps sync=always for symmetry (cheap at audit volume);
 	// recovery itself is policy-independent.
-	nodeCfg := recoveryNodeConfig(cfg.SnapshotBytes)
-	sim, _, host, exp := buildDurableSimCluster(seed^0x7265636f, nodeKeys, nodeCfg, dir, nil) // "reco"
+	c := cats.NewSimCluster(seed^0x7265636f, chaosTimings(cfg.SnapshotBytes), dir, simLAN()) // "reco"
+	c.Host.RecordOps = true
+	c.Join(nodeKeys)
 
 	// Sum what Open rebuilt, per node, before any audit traffic.
-	for _, ref := range host.AliveNodes() {
-		p, ok := host.Peer(ref.Key)
+	for _, ref := range c.Host.AliveNodes() {
+		p, ok := c.Host.Peer(ref.Key)
 		if !ok || p.Node == nil || p.Node.Store() == nil {
 			continue
 		}
@@ -309,14 +240,8 @@ func RecoveryRecover(seed int64, cfg RecoveryConfig, dir string) (RecoveryResult
 	}
 	sort.Strings(sortedKeys)
 	res.Keys = len(sortedKeys)
-	rng := rand.New(rand.NewSource(seed ^ 0x61756474)) // "audt"
-	for _, key := range sortedKeys {
-		k := key
-		sim.ScheduleAt(0, "recovery:audit", func() {
-			_ = core.TriggerOn(exp, cats.OpGet{NodeKey: ident.Key(rng.Uint64()), Key: k})
-		})
-	}
-	stats := sim.Run(nodeCfg.OpTimeout * 3)
+	scheduleAudit(c, rand.New(rand.NewSource(seed^0x61756474)), "recovery", sortedKeys) // "audt"
+	stats := c.Sim.Run(simTimings.OpTimeout * 3)
 	res.SimulatedDuration = stats.SimulatedDuration
 	res.DiscreteEvents = stats.DiscreteEvents
 	res.HandlerExecutions = stats.HandlerExecutions
@@ -326,9 +251,9 @@ func RecoveryRecover(seed int64, cfg RecoveryConfig, dir string) (RecoveryResult
 	res.HandoffTransfers = handoffAfter.Transfers - handoffBefore.Transfers
 	res.MaxEpoch = handoffAfter.Epoch
 
-	m := host.Metrics()
+	m := c.Host.Metrics()
 	res.AuditOKGets, res.AuditFailed = m.GetsOK, m.GetsFailed
-	audit := host.OpHistory()
+	audit := c.Host.OpHistory()
 
 	// Combined linearizability history. The two phases run on separate
 	// virtual clocks, but phase 2 is strictly after phase 1 in real

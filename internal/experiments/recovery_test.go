@@ -23,36 +23,34 @@ func TestRecoveryFullClusterRestart(t *testing.T) {
 	root := t.TempDir()
 	keys := spreadKeys(4)
 
-	cfg := recoveryNodeConfig(1 << 10)
-	sim, _, host, exp := buildDurableSimCluster(11, keys, cfg, root, nil)
+	cfg := chaosTimings(1 << 10)
+	c := cats.NewSimCluster(11, cfg, root, simLAN())
+	c.Join(keys)
 
 	const nkeys = 6
 	for k := 0; k < nkeys; k++ {
 		for seq := 0; seq < 3; seq++ {
-			key, val := "restart-"+strconv.Itoa(k), []byte("val-"+strconv.Itoa(k)+"-"+strconv.Itoa(seq))
-			kk, ss := k, seq
-			sim.ScheduleAt(time.Duration(k*300+seq*900)*time.Millisecond, "test:put", func() {
-				_ = core.TriggerOn(exp, cats.OpPut{
-					NodeKey: ident.Key(uint64(kk*7+ss) * 1e15),
-					Key:     key, Value: val,
-				})
+			c.Schedule(time.Duration(k*300+seq*900)*time.Millisecond, "test:put", cats.OpPut{
+				NodeKey: ident.Key(uint64(k*7+seq) * 1e15),
+				Key:     "restart-" + strconv.Itoa(k),
+				Value:   []byte("val-" + strconv.Itoa(k) + "-" + strconv.Itoa(seq)),
 			})
 		}
 	}
-	sim.Run(20 * time.Second)
-	if m := host.Metrics(); m.PutsOK == 0 {
-		t.Fatalf("no put was acked before the restart: %+v", m)
+	c.Sim.Run(20 * time.Second)
+	acked := c.Host.Metrics().PutsOK
+	if acked == 0 {
+		t.Fatalf("no put was acked before the restart: %+v", c.Host.Metrics())
 	}
-	acked := host.Metrics().PutsOK
 
 	// Whole-cluster stop: destroy every node. The Stop cascade closes
 	// each durable store, releasing the WAL files for the next cluster.
-	for _, ref := range host.AliveNodes() {
-		_ = core.TriggerOn(exp, cats.FailNode{Key: ref.Key})
+	for _, ref := range c.Host.AliveNodes() {
+		_ = core.TriggerOn(c.Exp, cats.FailNode{Key: ref.Key})
 	}
-	sim.Run(time.Second)
-	if host.AliveCount() != 0 {
-		t.Fatalf("cluster still has %d alive nodes after destroy-all", host.AliveCount())
+	c.Sim.Run(time.Second)
+	if c.Host.AliveCount() != 0 {
+		t.Fatalf("cluster still has %d alive nodes after destroy-all", c.Host.AliveCount())
 	}
 
 	// A different process would discover membership from the directories;
@@ -62,10 +60,11 @@ func TestRecoveryFullClusterRestart(t *testing.T) {
 		t.Fatalf("discoverNodeDirs = %v, %v; want %d keys", nodeKeys, err, len(keys))
 	}
 
-	sim2, _, host2, exp2 := buildDurableSimCluster(12, nodeKeys, cfg, root, nil)
+	c2 := cats.NewSimCluster(12, cfg, root, simLAN())
+	c2.Join(nodeKeys)
 	recoveredKeys, walReplayed, snapEntries := 0, 0, 0
-	for _, ref := range host2.AliveNodes() {
-		p, ok := host2.Peer(ref.Key)
+	for _, ref := range c2.Host.AliveNodes() {
+		p, ok := c2.Host.Peer(ref.Key)
 		if !ok || p.Node == nil {
 			t.Fatalf("no peer for recovered node %v", ref)
 		}
@@ -83,14 +82,10 @@ func TestRecoveryFullClusterRestart(t *testing.T) {
 	}
 
 	for k := 0; k < nkeys; k++ {
-		key := "restart-" + strconv.Itoa(k)
-		kk := k
-		sim2.ScheduleAt(0, "test:get", func() {
-			_ = core.TriggerOn(exp2, cats.OpGet{NodeKey: ident.Key(uint64(kk) * 1e17), Key: key})
-		})
+		c2.Schedule(0, "test:get", cats.OpGet{NodeKey: ident.Key(uint64(k) * 1e17), Key: "restart-" + strconv.Itoa(k)})
 	}
-	sim2.Run(10 * time.Second)
-	m2 := host2.Metrics()
+	c2.Sim.Run(10 * time.Second)
+	m2 := c2.Host.Metrics()
 	if m2.GetsOK != nkeys || m2.GetsFailed != 0 {
 		t.Fatalf("audit after restart: gets ok=%d failed=%d, want %d/0", m2.GetsOK, m2.GetsFailed, nkeys)
 	}
