@@ -118,7 +118,7 @@ ci-local: vet build
 	$(GO) test -run 'MetricsExpositionWellFormed|RollupIsUnlabeledExposition' -count=1 ./internal/cats/
 	$(GO) test -race -run 'TestActivationEndHook' -count=1 ./internal/core/
 	$(GO) test -run 'TestZeroDelayDeliveredDirectly' -count=1 ./internal/timer/
-	$(GO) test -run 'TestWarmGetsIssueNoTimerRequests|TestLoneGetFlushesInFoundActivation|TestShrunkBudgetRearmsEarlier|TestBackstopFlushesWhenQueueNeverDrains|TestBatchChurnStress|TestCoordinatorCoalescesConcurrentOps' -count=1 ./internal/abd/
+	$(GO) test -run 'TestWarmGetsIssueNoTimerRequests|TestLoneGetFlushesInRequestActivation|TestLoneGetCoordinatorExecutions|TestShrunkBudgetRearmsEarlier|TestBackstopFlushesWhenQueueNeverDrains|TestBatchChurnStress|TestCoordinatorCoalescesConcurrentOps' -count=1 ./internal/abd/
 	$(MAKE) kvbench-smoke
 	$(MAKE) scenarios
 	$(MAKE) fuzz

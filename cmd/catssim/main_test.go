@@ -258,15 +258,15 @@ func TestSabotageTable(t *testing.T) {
 // change to component paths, RNG streams or dispatch order moves them.
 // For example, booting the durable cluster under CatsSimulationMain
 // instead of CatsRecoveryMain re-seeds every component RNG, and
-// chaos-durable then reads records=23071 digest=de4ed5d74a332f2f.
+// chaos-durable then reads records=22951 digest=a290cee3a5d194c7.
 func TestGateDigestsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		seed int64
 		want string
 	}{
-		{"sim", 7, "trace: records=269916 digest=809ff05b6100957e"},
-		{"chaos-durable", 5, "trace: records=23142 digest=5a28d04db46a2a9e"},
+		{"sim", 7, "trace: records=270663 digest=360bf9661ee89cde"},
+		{"chaos-durable", 5, "trace: records=23029 digest=07989c8479da90a3"},
 	} {
 		e := registry[slices.IndexFunc(registry, func(e *entry) bool { return e.name == tc.name })]
 		var out bytes.Buffer

@@ -240,6 +240,11 @@ type ABD struct {
 	store *Store
 	ops   map[uint64]*op
 	seq   uint64
+	// table is the router's latest pushed membership view (sorted by key,
+	// self included, never mutated) and tableEpoch the group-view epoch it
+	// was published under: every attempt resolves its group against it.
+	table      []ident.NodeRef
+	tableEpoch uint64
 	// ids mints trace and span IDs; nodeName labels this node's spans.
 	ids      *tracing.IDSource
 	nodeName string
@@ -361,7 +366,7 @@ func (a *ABD) Setup(ctx *core.Ctx) {
 
 	core.Subscribe(ctx, a.pg, a.handleGet)
 	core.Subscribe(ctx, a.pg, a.handlePut)
-	core.Subscribe(ctx, a.rout, a.handleFound)
+	core.Subscribe(ctx, a.rout, a.handleTable)
 	core.Subscribe(ctx, a.hop, a.handleSyncStarted)
 	core.Subscribe(ctx, a.hop, a.handleSynced)
 	core.Subscribe(ctx, a.net, a.handleNack)
@@ -421,6 +426,11 @@ func (a *ABD) handleSynced(s handoff.Synced) {
 	}
 }
 
+// handleTable adopts the router's newest membership view.
+func (a *ABD) handleTable(t router.Table) {
+	a.table, a.tableEpoch = t.Members, t.Epoch
+}
+
 // --- coordinator: client requests ---------------------------------------------
 
 func (a *ABD) handleGet(g GetRequest) {
@@ -440,11 +450,15 @@ func (a *ABD) startOp(o *op) {
 	a.beginAttempt(o)
 }
 
-// beginAttempt (re)runs an operation attempt from group resolution. The
-// attempt budget is adaptive — derived from the group's per-peer latency
-// estimators (the previous attempt's group on retries; the ceiling when
-// no history exists) — and the attempt timer fires in two stages: the
-// hedge checkpoint at budget/hedgeStageDiv, then the retry deadline.
+// beginAttempt (re)runs an operation attempt: it resolves the replica
+// group from the router's pushed table and starts phase 1 (read round) in
+// the same activation. The attempt budget is adaptive — derived from the
+// group's per-peer latency estimators (the previous attempt's group on
+// retries; the ceiling when no history exists) — and the attempt timer
+// fires in two stages: the hedge checkpoint at budget/hedgeStageDiv, then
+// the retry deadline. The attempt runs in the freshest epoch this node
+// knows: the table's epoch, nack hints, and the replica-side view all feed
+// in.
 func (a *ABD) beginAttempt(o *op) {
 	o.phase = phaseRoute
 	o.attempt++
@@ -458,46 +472,24 @@ func (a *ABD) beginAttempt(o *op) {
 	o.attemptAt, o.phaseSentAt = now, now
 	o.deadline = a.attemptBudget(o)
 	a.setDeadline(o, now.Add(o.deadline/hedgeStageDiv))
-	a.ctx.Trigger(router.FindSuccessor{
-		ReqID: o.id,
-		Key:   ident.KeyOfString(o.key),
-		Count: a.cfg.ReplicationDegree,
-	}, a.rout)
-}
-
-// handleFound starts phase 1 (read round) once the replica group is known.
-// The attempt runs in the freshest epoch this node knows: the router's
-// resolution epoch, nack hints, and the replica-side view all feed in.
-func (a *ABD) handleFound(f router.FoundSuccessor) {
-	o, ok := a.ops[f.ReqID]
-	if !ok || o.phase != phaseRoute {
-		return
+	group := ident.SuccessorsOf(a.table, ident.KeyOfString(o.key), a.cfg.ReplicationDegree)
+	if len(group) == 0 {
+		return // wait for timeout → retry; no membership table yet
 	}
-	if len(f.Group) == 0 {
-		return // wait for timeout → retry; membership not converged yet
-	}
-	o.group = f.Group
-	o.epoch = f.Epoch
-	if a.epochFloor > o.epoch {
-		o.epoch = a.epochFloor
-	}
-	if a.localEpoch > o.epoch {
-		o.epoch = a.localEpoch
-	}
-	o.quorum = len(f.Group)/2 + 1
+	o.group = group
+	o.epoch = max(a.tableEpoch, a.epochFloor, a.localEpoch)
+	o.quorum = len(group)/2 + 1
 	a.endPhase(o, outcomeOK)
-	// The budget computed at beginAttempt used the previous attempt's group
-	// (the ceiling for a fresh op). Now that the group is resolved, re-arm
-	// the attempt timer against its actual latency estimates — this is what
-	// makes attempt budgets adaptive on FIRST attempts, not just retries.
-	// Cold groups keep the ceiling budget and skip the re-arm entirely.
+	// The budget above used the previous attempt's group (the ceiling for
+	// a fresh op). Now that the group is resolved, re-arm the attempt timer
+	// against its actual latency estimates — this is what makes attempt
+	// budgets adaptive on FIRST attempts, not just retries. Cold groups
+	// keep the ceiling budget and skip the re-arm entirely.
 	if b := a.attemptBudget(o); b < o.deadline {
 		o.deadline = b
-		o.attemptAt = a.ctx.Now()
-		a.setDeadline(o, o.attemptAt.Add(b/hedgeStageDiv))
+		a.setDeadline(o, now.Add(b/hedgeStageDiv))
 	}
 	o.phase = phaseRead
-	o.phaseSentAt = a.ctx.Now()
 	for _, n := range o.group {
 		a.sendRead(n.Addr, readPhase{
 			Context: o.wireCtx(),

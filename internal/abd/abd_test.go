@@ -2,6 +2,8 @@ package abd
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,8 +21,10 @@ func nodeRef(i int) ident.NodeRef {
 	return ident.NodeRef{Key: ident.Key(i * 1000), Addr: addr(i)}
 }
 
-// stubRouter answers every FindSuccessor with a fixed group — isolating
-// the ABD quorum machinery from ring/membership convergence.
+// stubRouter publishes one fixed membership table at Start — isolating
+// the ABD quorum machinery from ring/membership convergence. Tests push
+// later tables with core.TriggerOn(port, ...). A nil group publishes
+// nothing.
 type stubRouter struct {
 	group []ident.NodeRef
 	port  *core.Port
@@ -28,13 +32,18 @@ type stubRouter struct {
 
 func (s *stubRouter) Setup(ctx *core.Ctx) {
 	s.port = ctx.Provides(router.PortType)
-	core.Subscribe(ctx, s.port, func(f router.FindSuccessor) {
-		g := s.group
-		if f.Count < len(g) {
-			g = g[:f.Count]
+	core.Subscribe(ctx, ctx.Control(), func(core.Start) {
+		if s.group != nil {
+			ctx.Trigger(table(s.group...), s.port)
 		}
-		ctx.Trigger(router.FoundSuccessor{ReqID: f.ReqID, Key: f.Key, Group: g}, s.port)
 	})
+}
+
+// table is the router.Table for members: a sorted copy at epoch 0.
+func table(members ...ident.NodeRef) router.Table {
+	sorted := append([]ident.NodeRef(nil), members...)
+	ident.SortByKey(sorted)
+	return router.Table{Members: sorted}
 }
 
 // abdNode is one replica/coordinator: ABD + stub router + transport +
@@ -46,6 +55,7 @@ type abdNode struct {
 	emu   *simulation.NetworkEmulator
 	store *Store        // optional pre-built (e.g. recovered) store
 	tweak func(*Config) // optional config override (shed/hedge knobs)
+	rt    *stubRouter   // preset before boot to publish other than group
 
 	ctx     *core.Ctx
 	ABD     *ABD
@@ -60,7 +70,10 @@ func (n *abdNode) Setup(ctx *core.Ctx) {
 	n.ctx = ctx
 	tr := ctx.Create("net", n.emu.Transport(n.self.Addr))
 	tm := ctx.Create("timer", simulation.NewTimer(n.sim))
-	rt := ctx.Create("router", &stubRouter{group: n.group})
+	if n.rt == nil {
+		n.rt = &stubRouter{group: n.group}
+	}
+	rt := ctx.Create("router", n.rt)
 	cfg := Config{
 		Self:              n.self,
 		ReplicationDegree: len(n.group),
@@ -107,7 +120,14 @@ func newABDWorld(t *testing.T, n int, seed int64) (*simulation.Simulation, *simu
 // newABDWorldCfg is newABDWorld with a per-node config override.
 func newABDWorldCfg(t *testing.T, n int, seed int64, tweak func(*Config)) (*simulation.Simulation, *simulation.NetworkEmulator, []*abdNode) {
 	t.Helper()
-	sim := simulation.New(seed)
+	return newABDWorldWith(t, n, seed, func(nd *abdNode) { nd.tweak = tweak })
+}
+
+// newABDWorldWith is newABDWorld with a hook that adjusts each node before
+// the world boots, and simulation options.
+func newABDWorldWith(t *testing.T, n int, seed int64, adjust func(*abdNode), opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, []*abdNode) {
+	t.Helper()
+	sim := simulation.New(seed, opts...)
 	emu := simulation.NewNetworkEmulator(sim,
 		simulation.WithLatency(simulation.UniformLatency(time.Millisecond, 5*time.Millisecond)))
 	group := make([]ident.NodeRef, n)
@@ -116,7 +136,8 @@ func newABDWorldCfg(t *testing.T, n int, seed int64, tweak func(*Config)) (*simu
 	}
 	nodes := make([]*abdNode, n)
 	for i := range nodes {
-		nodes[i] = &abdNode{self: group[i], group: group, sim: sim, emu: emu, tweak: tweak}
+		nodes[i] = &abdNode{self: group[i], group: group, sim: sim, emu: emu}
+		adjust(nodes[i])
 	}
 	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
 		for i, nd := range nodes {
@@ -336,5 +357,98 @@ func TestConfigDefaultsABD(t *testing.T) {
 	c.applyDefaults()
 	if c.ReplicationDegree != 3 || c.OpTimeout != time.Second || c.MaxRetries != 5 {
 		t.Fatalf("defaults: %+v", c)
+	}
+}
+
+// TestTableSwapRedirectsNextOp: once the router pushes a new table, the
+// coordinator's next operation sends its read phase to the group resolved
+// from that table, and to no member of the old one.
+func TestTableSwapRedirectsNextOp(t *testing.T) {
+	sink := &traceSink{}
+	three := func(c *Config) { c.ReplicationDegree = 3 }
+	sim, _, nodes := newABDWorldWith(t, 6, 21, func(nd *abdNode) { nd.tweak = three }, simulation.WithTraceSink(sink))
+	coord := nodes[0]
+	served := func() []ident.NodeRef {
+		var out []ident.NodeRef
+		for _, r := range sink.recs {
+			if r.Event != reflect.TypeOf(opBatchMsg{}) {
+				continue
+			}
+			for _, nd := range nodes {
+				if r.Component.Path() == nd.ctx.Self().Path()+"/abd" {
+					out = append(out, nd.self)
+				}
+			}
+		}
+		ident.SortByKey(out)
+		return out
+	}
+
+	oldGroup := ident.SuccessorsOf(table(coord.group...).Members, ident.KeyOfString("k"), 3)
+	ident.SortByKey(oldGroup)
+	var newGroup []ident.NodeRef
+	for _, nd := range nodes {
+		if !slices.Contains(oldGroup, nd.self) {
+			newGroup = append(newGroup, nd.self)
+		}
+	}
+
+	sink.recs = nil
+	coord.get(1, "k")
+	sim.Run(time.Second)
+	if got := served(); !slices.Equal(got, oldGroup) {
+		t.Fatalf("read phase before the swap served by %v, want %v", got, oldGroup)
+	}
+
+	if err := core.TriggerOn(coord.rt.port, table(newGroup...)); err != nil {
+		t.Fatal(err)
+	}
+	sim.Settle()
+	sink.recs = nil
+	coord.get(2, "k")
+	sim.Run(time.Second)
+	if got := served(); !slices.Equal(got, newGroup) {
+		t.Fatalf("read phase after the swap served by %v, want %v", got, newGroup)
+	}
+	if len(coord.gets) != 2 || coord.gets[1].Err != "" {
+		t.Fatalf("gets: %+v", coord.gets)
+	}
+}
+
+// TestOpBeforeFirstTableRetries: an operation issued before the router
+// has pushed any table resolves an empty group, sends nothing, times out
+// and retries; the retry after the table arrives completes it.
+func TestOpBeforeFirstTableRetries(t *testing.T) {
+	sim, _, nodes := newABDWorldWith(t, 3, 22, func(nd *abdNode) {
+		if nd.self == nodeRef(1) {
+			nd.rt = &stubRouter{} // publishes nothing at Start
+		}
+	})
+	coord := nodes[0]
+	coord.put(1, "k", "v")
+	sim.Run(400 * time.Millisecond) // past the 300ms first-attempt deadline
+	if len(coord.puts) != 0 {
+		t.Fatalf("put completed without a table: %+v", coord.puts)
+	}
+	if _, _, retries, _ := coord.ABD.Stats(); retries == 0 {
+		t.Fatal("no retry before the first table")
+	}
+	for _, nd := range nodes {
+		if nd.ABD.Store().Len() != 0 {
+			t.Fatalf("%v stored a write sent without a group", nd.self)
+		}
+	}
+
+	if err := core.TriggerOn(coord.rt.port, table(coord.group...)); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(2 * time.Second)
+	if len(coord.puts) != 1 || coord.puts[0].Err != "" {
+		t.Fatalf("put after the table arrived: %+v", coord.puts)
+	}
+	coord.get(2, "k")
+	sim.Run(time.Second)
+	if len(coord.gets) != 1 || string(coord.gets[0].Value) != "v" {
+		t.Fatalf("get: %+v", coord.gets)
 	}
 }

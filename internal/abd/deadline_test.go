@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -165,12 +166,10 @@ type traceSink struct{ recs []core.TraceRecord }
 
 func (s *traceSink) Record(r core.TraceRecord) { s.recs = append(s.recs, r) }
 
-// TestLoneGetFlushesInFoundActivation: a get on an idle coordinator sends
-// its read phase from the very activation that resolved the group. After
-// ABD runs FoundSuccessor, the coordinator's transport handles the
-// opBatchMsg before ABD runs anything else, and no flush timeout is ever
-// executed.
-func TestLoneGetFlushesInFoundActivation(t *testing.T) {
+// loneGetTrace warms a 3-node group with one put, then records every
+// handler execution of one lone get issued at nodes[0].
+func loneGetTrace(t *testing.T) (*epochNode, []core.TraceRecord) {
+	t.Helper()
 	sink := &traceSink{}
 	sim, _, nodes, _ := newBatchWorld(t, 3, 52, simulation.WithTraceSink(sink))
 	coord := nodes[0]
@@ -183,22 +182,31 @@ func TestLoneGetFlushesInFoundActivation(t *testing.T) {
 	if len(coord.gets) != 1 || coord.gets[0].Err != "" {
 		t.Fatalf("get: %+v", coord.gets)
 	}
+	return coord, sink.recs
+}
 
+// TestLoneGetFlushesInRequestActivation: a get on an idle coordinator
+// resolves its group from the pushed router table and sends its read
+// phase from the very activation that ran the GetRequest. After ABD runs
+// the request, the coordinator's transport handles the opBatchMsg before
+// ABD runs anything else, and no flush timeout is ever executed.
+func TestLoneGetFlushesInRequestActivation(t *testing.T) {
+	coord, recs := loneGetTrace(t)
 	netPath := coord.ctx.Self().Path() + "/net"
-	foundT, batchT, flushT := reflect.TypeOf(router.FoundSuccessor{}), reflect.TypeOf(opBatchMsg{}), reflect.TypeOf(flushTimeout{})
-	found := -1
-	for i, r := range sink.recs {
+	reqT, batchT, flushT := reflect.TypeOf(GetRequest{}), reflect.TypeOf(opBatchMsg{}), reflect.TypeOf(flushTimeout{})
+	req := -1
+	for i, r := range recs {
 		if r.Component == coord.abdC && r.Event == flushT {
 			t.Fatalf("coordinator executed a flush timeout for a lone get (record %d)", i)
 		}
-		if found < 0 && r.Component == coord.abdC && r.Event == foundT {
-			found = i
+		if req < 0 && r.Component == coord.abdC && r.Event == reqT {
+			req = i
 		}
 	}
-	if found < 0 {
-		t.Fatal("coordinator never resolved the group")
+	if req < 0 {
+		t.Fatal("coordinator never ran the get request")
 	}
-	for _, r := range sink.recs[found+1:] {
+	for _, r := range recs[req+1:] {
 		if r.Component == coord.abdC {
 			t.Fatalf("ABD ran %s before the read phase reached its transport", r.Event)
 		}
@@ -207,6 +215,25 @@ func TestLoneGetFlushesInFoundActivation(t *testing.T) {
 		}
 	}
 	t.Fatal("the read phase never reached the coordinator's transport")
+}
+
+// TestLoneGetCoordinatorExecutions pins how many handler executions a warm
+// lone get costs on the coordinator's node: the request, the deadline
+// timer arm, three read-phase sends, the node's own replica serve and ack
+// send, three ack handlers, the response and the deadline sweep. Resolving the group by a FindSuccessor/FoundSuccessor
+// exchange with the router cost two more (14).
+func TestLoneGetCoordinatorExecutions(t *testing.T) {
+	coord, recs := loneGetTrace(t)
+	node := coord.ctx.Self().Path()
+	var execs []string
+	for _, r := range recs {
+		if p := r.Component.Path(); p == node || strings.HasPrefix(p, node+"/") {
+			execs = append(execs, fmt.Sprintf("%s %v", p, r.Event))
+		}
+	}
+	if len(execs) != 12 {
+		t.Fatalf("%d coordinator-side handler executions, want 12:\n%s", len(execs), strings.Join(execs, "\n"))
+	}
 }
 
 // TestShrunkBudgetRearmsEarlier: a fresh attempt arms the ceiling

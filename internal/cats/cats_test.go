@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ident"
+	"repro/internal/router"
 	"repro/internal/simulation"
 )
 
@@ -255,5 +256,32 @@ func TestDeterministicClusterRuns(t *testing.T) {
 	}
 	if m1.PutsOK != 20 || m1.GetsOK != 20 {
 		t.Fatalf("ops failed: %+v", m1)
+	}
+}
+
+// TestStrayFoundSuccessorLeavesGetPending: a FoundSuccessor answering some
+// other caller of a node's Router port reaches the host too. One whose
+// ReqID collides with a pending get must neither complete that get nor
+// count as a lookup.
+func TestStrayFoundSuccessorLeavesGetPending(t *testing.T) {
+	c := NewSimCluster(19, fastTimings, "", testLAN)
+	keys := join(t, c, 3)
+	if err := core.TriggerOn(c.Exp, OpGet{NodeKey: keys[0], Key: "k"}); err != nil {
+		t.Fatal(err)
+	}
+	c.Sim.Settle() // the get is issued, its quorum phases still in flight
+	if len(c.Host.pending) != 1 {
+		t.Fatalf("pending ops %d, want the one get", len(c.Host.pending))
+	}
+	var id uint64
+	for id = range c.Host.pending {
+	}
+	h := c.Host.peerOf(keys[0])
+	if err := core.TriggerOn(h.route, router.FindSuccessor{ReqID: id, Key: 1, Count: 3}); err != nil {
+		t.Fatal(err)
+	}
+	c.Sim.Run(5 * time.Second)
+	if m := c.Host.Metrics(); m.Lookups != 0 || m.GetsOK != 1 {
+		t.Fatalf("lookups %d gets ok %d, want 0 and 1", m.Lookups, m.GetsOK)
 	}
 }

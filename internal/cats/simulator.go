@@ -524,9 +524,12 @@ func (s *Simulator) loadOpDone(op *pendingOp) {
 	s.issueLoadOp()
 }
 
+// handleFound completes an OpLookup. FoundSuccessor is an indication, so
+// answers to any other caller of the node's Router port arrive here too:
+// only a pending lookup may be completed by one.
 func (s *Simulator) handleFound(f router.FoundSuccessor) {
 	op, ok := s.pending[f.ReqID]
-	if !ok {
+	if !ok || op.kind != "lookup" {
 		return
 	}
 	delete(s.pending, f.ReqID)

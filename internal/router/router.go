@@ -4,12 +4,13 @@
 // the replica group responsible for a key locally, in one hop, with no
 // routing round-trips. Entries not refreshed within a TTL are aged out, so
 // the table tracks churn. The router also tracks the ring's group-view
-// epoch and stamps it on FoundSuccessor answers, so quorum operations
-// start in the epoch the group was resolved under.
+// epoch. Every change to the membership or the epoch is pushed to
+// subscribers as one Table indication, so the replication layer resolves
+// each key's group inline, against the latest table it holds, without a
+// request/response exchange per operation.
 package router
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -41,10 +42,21 @@ type FoundSuccessor struct {
 	Epoch uint64
 }
 
+// Table is the router's published membership view: Members is sorted by
+// key, deduplicated and includes self; Epoch is the ring group-view epoch
+// the view was taken under. It is triggered whenever either changes, and a
+// published Members slice is never mutated afterwards, so subscribers keep
+// and read it without copying.
+type Table struct {
+	Members []ident.NodeRef
+	Epoch   uint64
+}
+
 // PortType is the Router service abstraction.
 var PortType = core.NewPortType("Router",
 	core.Request[FindSuccessor](),
 	core.Indication[FoundSuccessor](),
+	core.Indication[Table](),
 )
 
 type sweepTimeout struct{ timer.Timeout }
@@ -81,15 +93,18 @@ type Router struct {
 	fdp  *core.Port
 	tmr  *core.Port
 
-	// mu guards table: handlers mutate it on a scheduler worker while the
-	// handoff component calls Members() from its own worker.
-	mu    sync.Mutex
+	// table and epoch are handler state. dirty marks a change to either
+	// that subscribers have not seen: a new key, a changed address, an
+	// eviction or a higher epoch (a plain refresh is not a change).
 	table map[ident.Key]tableEntry
+	epoch uint64
+	dirty bool
 	tid   timer.ID
 
-	// epoch is the latest ring group-view epoch observed; atomic because
-	// status pollers and the handoff component read it cross-worker.
-	epoch atomic.Uint64
+	// snap is the last published Table. Readers on other workers
+	// (handoff's Members, status, benchmark readiness polls) load it
+	// instead of locking the table.
+	snap atomic.Pointer[Table]
 
 	resolved, unresolved uint64
 }
@@ -102,7 +117,9 @@ type tableEntry struct {
 // New creates a one-hop router component definition.
 func New(cfg Config) *Router {
 	cfg.applyDefaults()
-	return &Router{cfg: cfg, table: make(map[ident.Key]tableEntry)}
+	r := &Router{cfg: cfg, table: make(map[ident.Key]tableEntry)}
+	r.snap.Store(&Table{Members: []ident.NodeRef{cfg.Self}})
+	return r
 }
 
 var _ core.Definition = (*Router)(nil)
@@ -133,6 +150,7 @@ func (r *Router) Setup(ctx *core.Ctx) {
 	core.Subscribe(ctx, r.fdp, r.handleSuspect)
 	core.Subscribe(ctx, r.tmr, r.handleSweep)
 	core.Subscribe(ctx, ctx.Control(), func(core.Start) {
+		ctx.Trigger(*r.snap.Load(), r.rout)
 		r.tid = timer.NextID()
 		ctx.Trigger(timer.SchedulePeriodic{
 			Delay:   r.cfg.SweepPeriod,
@@ -145,21 +163,40 @@ func (r *Router) Setup(ctx *core.Ctx) {
 	})
 }
 
-// handleFind resolves the responsible group from the local table plus
-// self — the one-hop path, no network round-trip.
+// handleFind resolves the responsible group from the published table —
+// the one-hop path, no network round-trip.
 func (r *Router) handleFind(f FindSuccessor) {
 	count := f.Count
 	if count <= 0 {
 		count = 1
 	}
-	members := r.Members()
-	group := ident.SuccessorsOf(members, f.Key, count)
+	t := r.snap.Load()
+	group := ident.SuccessorsOf(t.Members, f.Key, count)
 	if len(group) == 0 {
 		r.unresolved++
 	} else {
 		r.resolved++
 	}
-	r.ctx.Trigger(FoundSuccessor{ReqID: f.ReqID, Key: f.Key, Group: group, Epoch: r.Epoch()}, r.rout)
+	r.ctx.Trigger(FoundSuccessor{ReqID: f.ReqID, Key: f.Key, Group: group, Epoch: t.Epoch}, r.rout)
+}
+
+// publish rebuilds the snapshot and triggers it as a Table when a handler
+// changed the membership or the epoch. Every mutating handler ends here,
+// so a burst of learns costs one rebuild.
+func (r *Router) publish() {
+	if !r.dirty {
+		return
+	}
+	r.dirty = false
+	members := make([]ident.NodeRef, 0, len(r.table)+1)
+	members = append(members, r.cfg.Self)
+	for _, e := range r.table {
+		members = append(members, e.node)
+	}
+	ident.SortByKey(members)
+	t := &Table{Members: ident.Dedup(members), Epoch: r.epoch}
+	r.snap.Store(t)
+	r.ctx.Trigger(*t, r.rout)
 }
 
 // handleNeighbors refreshes the table from the node's own ring
@@ -171,6 +208,7 @@ func (r *Router) handleNeighbors(n ring.NeighborsChanged) {
 	for _, s := range n.Succs {
 		r.learn(s)
 	}
+	r.publish()
 }
 
 // handleGroupView tracks the ring's epoch-versioned view: the membership
@@ -180,9 +218,11 @@ func (r *Router) handleGroupView(v ring.GroupView) {
 	for _, m := range v.Members {
 		r.learn(m)
 	}
-	if v.Epoch > r.epoch.Load() {
-		r.epoch.Store(v.Epoch)
+	if v.Epoch > r.epoch {
+		r.epoch = v.Epoch
+		r.dirty = true
 	}
+	r.publish()
 }
 
 // handleSample refreshes the table from the peer-sampling stream.
@@ -190,68 +230,58 @@ func (r *Router) handleSample(s cyclon.PeersSample) {
 	for _, p := range s.Peers {
 		r.learn(p)
 	}
+	r.publish()
 }
 
 func (r *Router) learn(n ident.NodeRef) {
 	if n.IsZero() || n.Addr == r.cfg.Self.Addr {
 		return
 	}
-	r.mu.Lock()
+	if old, ok := r.table[n.Key]; !ok || old.node.Addr != n.Addr {
+		r.dirty = true
+	}
 	r.table[n.Key] = tableEntry{node: n, seen: r.ctx.Now()}
-	r.mu.Unlock()
 }
 
 // handleSuspect evicts a suspected node immediately, so replica groups
 // stop including nodes the failure detector believes dead (the TTL sweep
 // is only the backstop for nodes nobody monitors).
 func (r *Router) handleSuspect(s fd.Suspect) {
-	r.mu.Lock()
 	for k, e := range r.table {
 		if e.node.Addr == s.Node {
 			delete(r.table, k)
+			r.dirty = true
 		}
 	}
-	r.mu.Unlock()
+	r.publish()
 }
 
 // handleSweep ages out entries not refreshed within the TTL.
 func (r *Router) handleSweep(sweepTimeout) {
 	cutoff := r.ctx.Now().Add(-r.cfg.EntryTTL)
-	r.mu.Lock()
 	for k, e := range r.table {
 		if e.seen.Before(cutoff) {
 			delete(r.table, k)
+			r.dirty = true
 		}
 	}
-	r.mu.Unlock()
+	r.publish()
 }
 
-// TableSize returns the membership table occupancy (tests, status).
-func (r *Router) TableSize() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.table)
-}
+// TableSize returns the published table's occupancy, self excluded
+// (tests, status, benchmark readiness).
+func (r *Router) TableSize() int { return len(r.snap.Load().Members) - 1 }
 
 // Stats returns resolution counters.
 func (r *Router) Stats() (resolved, unresolved uint64) {
 	return r.resolved, r.unresolved
 }
 
-// Epoch returns the latest ring group-view epoch the router has observed.
-func (r *Router) Epoch() uint64 { return r.epoch.Load() }
+// Epoch returns the published ring group-view epoch.
+func (r *Router) Epoch() uint64 { return r.snap.Load().Epoch }
 
-// Members returns the current membership view including self, sorted and
-// deduplicated. Safe to call from outside the component (handoff uses it
-// to pick pull targets).
-func (r *Router) Members() []ident.NodeRef {
-	r.mu.Lock()
-	members := make([]ident.NodeRef, 0, len(r.table)+1)
-	members = append(members, r.cfg.Self)
-	for _, e := range r.table {
-		members = append(members, e.node)
-	}
-	r.mu.Unlock()
-	ident.SortByKey(members)
-	return ident.Dedup(members)
-}
+// Members returns the published membership view including self, sorted
+// and deduplicated. Safe to call from outside the component (handoff uses
+// it to pick pull targets); the slice is shared, so callers must not
+// write to it.
+func (r *Router) Members() []ident.NodeRef { return r.snap.Load().Members }
