@@ -66,30 +66,30 @@ func waitQuiet(t *testing.T, rt *Runtime) {
 
 func TestEventTypeExactMatch(t *testing.T) {
 	et := TypeOf[ping]()
-	if !et.AcceptsValue(ping{1}) {
+	if !et.Accepts(DynamicTypeOf(ping{1})) {
 		t.Errorf("TypeOf[ping] must accept ping value")
 	}
-	if et.AcceptsValue(pong{1}) {
+	if et.Accepts(DynamicTypeOf(pong{1})) {
 		t.Errorf("TypeOf[ping] must not accept pong value")
 	}
 }
 
 func TestEventTypeInterfaceMatch(t *testing.T) {
 	et := TypeOf[testMsg]()
-	if !et.AcceptsValue(dataMsg{baseMsg{"a"}, 1}) {
+	if !et.Accepts(DynamicTypeOf(dataMsg{baseMsg{"a"}, 1})) {
 		t.Errorf("interface event type must accept implementing struct")
 	}
-	if !et.AcceptsValue(baseMsg{"a"}) {
+	if !et.Accepts(DynamicTypeOf(baseMsg{"a"})) {
 		t.Errorf("interface event type must accept base struct")
 	}
-	if et.AcceptsValue(ping{}) {
+	if et.Accepts(DynamicTypeOf(ping{})) {
 		t.Errorf("interface event type must not accept non-implementing struct")
 	}
 }
 
 func TestEventTypeNilSafety(t *testing.T) {
 	var et EventType
-	if et.AcceptsValue(ping{}) {
+	if et.Accepts(DynamicTypeOf(ping{})) {
 		t.Errorf("zero EventType must accept nothing")
 	}
 	if et.String() == "" {
@@ -98,22 +98,22 @@ func TestEventTypeNilSafety(t *testing.T) {
 }
 
 func TestPortTypeDirectionFiltering(t *testing.T) {
-	if !pingPongPort.AllowsValue(ping{}, Negative) {
+	if !pingPongPort.Allows(DynamicTypeOf(ping{}), Negative) {
 		t.Errorf("ping must pass in negative direction")
 	}
-	if pingPongPort.AllowsValue(ping{}, Positive) {
+	if pingPongPort.Allows(DynamicTypeOf(ping{}), Positive) {
 		t.Errorf("ping must not pass in positive direction")
 	}
-	if !pingPongPort.AllowsValue(pong{}, Positive) {
+	if !pingPongPort.Allows(DynamicTypeOf(pong{}), Positive) {
 		t.Errorf("pong must pass in positive direction")
 	}
-	if pingPongPort.AllowsValue(pong{}, Negative) {
+	if pingPongPort.Allows(DynamicTypeOf(pong{}), Negative) {
 		t.Errorf("pong must not pass in negative direction")
 	}
 }
 
 func TestPortTypeSubtypePass(t *testing.T) {
-	if !msgPort.AllowsValue(dataMsg{baseMsg{"x"}, 1}, Negative) {
+	if !msgPort.Allows(DynamicTypeOf(dataMsg{baseMsg{"x"}, 1}), Negative) {
 		t.Errorf("dataMsg must pass where testMsg is allowed")
 	}
 }

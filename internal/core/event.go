@@ -61,12 +61,6 @@ func (et EventType) Accepts(dyn EventType) bool {
 	return dyn.t.AssignableTo(et.t)
 }
 
-// AcceptsValue reports whether the concrete event value ev may be handled
-// where events of type et are expected.
-func (et EventType) AcceptsValue(ev Event) bool {
-	return et.Accepts(DynamicTypeOf(ev))
-}
-
 // String returns the name of the underlying Go type.
 func (et EventType) String() string {
 	if et.t == nil {

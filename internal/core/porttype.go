@@ -99,12 +99,6 @@ func (pt *PortType) Allows(dyn EventType, d Direction) bool {
 	return false
 }
 
-// AllowsValue reports whether the concrete event ev may traverse a port of
-// this type in direction d.
-func (pt *PortType) AllowsValue(ev Event, d Direction) bool {
-	return pt.Allows(DynamicTypeOf(ev), d)
-}
-
 // set returns the event-type set for direction d.
 func (pt *PortType) set(d Direction) []EventType {
 	if d == Positive {

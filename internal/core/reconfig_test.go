@@ -546,7 +546,7 @@ func TestPropertyEventTypeLaws(t *testing.T) {
 	iface := TypeOf[testMsg]()
 	for _, ev := range events {
 		_, isMsg := ev.(testMsg)
-		if got := iface.AcceptsValue(ev); got != isMsg {
+		if got := iface.Accepts(DynamicTypeOf(ev)); got != isMsg {
 			t.Errorf("interface acceptance for %T = %v, want %v", ev, got, isMsg)
 		}
 	}

@@ -161,7 +161,7 @@ func TestSubscriptionAccessors(t *testing.T) {
 	if sub.Port() != p && sub.Port().pair != p.pair {
 		t.Fatalf("subscription port accessor")
 	}
-	if !sub.EventType().AcceptsValue(ping{}) {
+	if !sub.EventType().Accepts(DynamicTypeOf(ping{})) {
 		t.Fatalf("subscription event type accessor")
 	}
 	if sub.String() == "" {
