@@ -258,15 +258,15 @@ func TestSabotageTable(t *testing.T) {
 // change to component paths, RNG streams or dispatch order moves them.
 // For example, booting the durable cluster under CatsSimulationMain
 // instead of CatsRecoveryMain re-seeds every component RNG, and
-// chaos-durable then reads records=22951 digest=a290cee3a5d194c7.
+// chaos-durable then reads records=22953 digest=7d3021a89920c34e.
 func TestGateDigestsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		seed int64
 		want string
 	}{
-		{"sim", 7, "trace: records=270663 digest=360bf9661ee89cde"},
-		{"chaos-durable", 5, "trace: records=23029 digest=07989c8479da90a3"},
+		{"sim", 7, "trace: records=273699 digest=fbb7daa85977ca32"},
+		{"chaos-durable", 5, "trace: records=22889 digest=8ef71ac81ae3df5c"},
 	} {
 		e := registry[slices.IndexFunc(registry, func(e *entry) bool { return e.name == tc.name })]
 		var out bytes.Buffer

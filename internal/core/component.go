@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -97,6 +98,12 @@ type Component struct {
 	// a handler, and read at the end of an activation, so every access is
 	// ordered by the component's handler exclusivity.
 	onActEnd func(idle bool)
+
+	// rand is the component's random source (Ctx.Rand), asked of the
+	// runtime's provider on first use and kept, so each handler draw
+	// continues one stream. Like onActEnd it is touched only from Setup
+	// and handlers, so handler exclusivity orders every access.
+	rand *rand.Rand
 
 	ctx *Ctx
 }

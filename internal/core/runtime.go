@@ -88,8 +88,11 @@ func WithFaultPolicy(p FaultPolicy) Option {
 }
 
 // WithRandProvider selects the per-component random source provider. The
-// simulation runtime injects deterministic seeded sources; the default is a
-// single mutex-protected time-seeded source shared by all components.
+// runtime calls it once per component, on the component's first Ctx.Rand,
+// and hands out that source from then on, so a provider that builds a new
+// seeded source per call still gives each component one continuing stream.
+// The simulation runtime injects deterministic seeded sources; the default is
+// a single mutex-protected time-seeded source shared by all components.
 func WithRandProvider(f func(*Component) *rand.Rand) Option {
 	return func(rt *Runtime) { rt.randFn = f }
 }
@@ -196,8 +199,14 @@ func (rt *Runtime) Clock() Clock { return rt.clock }
 // Logger returns the runtime's logger.
 func (rt *Runtime) Logger() *slog.Logger { return rt.logger }
 
-// randFor hands out the random source for a component.
-func (rt *Runtime) randFor(c *Component) *rand.Rand { return rt.randFn(c) }
+// randFor hands out the random source for a component: the provider is
+// called once per component, on its first draw, and the source is kept.
+func (rt *Runtime) randFor(c *Component) *rand.Rand {
+	if c.rand == nil {
+		c.rand = rt.randFn(c)
+	}
+	return c.rand
+}
 
 // LiveComponents returns the number of live (created, not destroyed)
 // components.

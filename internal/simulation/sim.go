@@ -229,6 +229,8 @@ func New(seed int64, opts ...SimOption) *Simulation {
 		core.WithClock(s.clock),
 		core.WithLogger(quiet),
 		core.WithFaultPolicy(core.HaltOnFault),
+		// The runtime asks once per component and keeps the source, so
+		// each component draws one stream seeded by the seed and its path.
 		core.WithRandProvider(func(c *core.Component) *rand.Rand {
 			h := fnv.New64a()
 			_, _ = h.Write([]byte(c.Path()))

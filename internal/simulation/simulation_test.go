@@ -459,6 +459,45 @@ func runTracedScenario(seed int64) []string {
 	return trace
 }
 
+// drawRands boots components "a" and "b" under a simulation seeded with
+// seed; each makes n draws in its Setup, one Ctx.Rand call per draw.
+func drawRands(seed int64, n int) (a, b []int64) {
+	s := New(seed)
+	draw := func(out *[]int64) core.SetupFunc {
+		return func(cx *core.Ctx) {
+			for i := 0; i < n; i++ {
+				*out = append(*out, cx.Rand().Int63())
+			}
+		}
+	}
+	s.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
+		ctx.Create("a", draw(&a))
+		ctx.Create("b", draw(&b))
+	}))
+	return a, b
+}
+
+// TestRandStreamPerComponent pins the Ctx.Rand contract under simulation:
+// successive calls continue one stream (they do not restart it), the seed
+// repeats every stream, and components with different paths draw
+// different streams.
+func TestRandStreamPerComponent(t *testing.T) {
+	a, b := drawRands(7, 8)
+	if a[0] == a[1] {
+		t.Fatalf("two draws in one component both returned %d: the stream restarts per call", a[0])
+	}
+	a2, b2 := drawRands(7, 8)
+	if fmt.Sprint(a, b) != fmt.Sprint(a2, b2) {
+		t.Fatalf("same seed, different draws: %v %v vs %v %v", a, b, a2, b2)
+	}
+	if fmt.Sprint(a) == fmt.Sprint(b) {
+		t.Fatalf("components a and b drew the same stream %v", a)
+	}
+	if c, _ := drawRands(8, 8); fmt.Sprint(a) == fmt.Sprint(c) {
+		t.Fatalf("seeds 7 and 8 gave component a the same stream %v", a)
+	}
+}
+
 func TestDeterministicSameSeedSameTrace(t *testing.T) {
 	t1 := runTracedScenario(42)
 	t2 := runTracedScenario(42)
