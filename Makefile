@@ -108,7 +108,7 @@ ci-local: vet build
 	$(GO) test -race -count=1 ./...
 	$(MAKE) core-stress
 	$(GO) test -run 'ZeroAlloc' -count=1 .
-	$(GO) test -run 'ZeroAlloc|Pooled' -count=1 ./internal/network/ ./internal/abd/ ./internal/handoff/ ./internal/fd/ ./internal/cyclon/ ./internal/ring/ ./internal/bootstrap/ ./internal/monitor/
+	$(GO) test -run 'ZeroAlloc|Pooled' -count=1 ./internal/network/ ./internal/abd/ ./internal/handoff/ ./internal/fd/ ./internal/cyclon/ ./internal/ring/ ./internal/bootstrap/ ./internal/monitor/ ./internal/simulation/
 	$(GO) test -run 'TCPSteadyStateAllocs' -count=1 ./internal/network/
 	$(GO) test -run 'SteadyStateNoGobFallback' -count=1 ./internal/cats/
 	$(GO) test -run 'WALAppendSteadyStateAllocs|WALGroupSyncAllocs|VersionStringAlloc' -count=1 ./internal/kvstore/

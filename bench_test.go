@@ -47,7 +47,7 @@ func BenchmarkC1OperationLatency(b *testing.B) {
 	for _, repl := range []int{3, 5} {
 		b.Run(fmt.Sprintf("replication=%d", repl), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := experiments.Latency(8, repl, 1024, 300, experiments.CodecStream)
+				r := experiments.Latency(8, repl, 1024, 300, "binary")
 				b.ReportMetric(float64(r.Mean.Microseconds()), "mean-us/op")
 				b.ReportMetric(float64(r.P99.Microseconds()), "p99-us/op")
 				b.ReportMetric(100*r.SubMilli, "%sub-ms")
@@ -343,8 +343,10 @@ func BenchmarkSchedulerWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkNetworkSerialization measures the gob codec with and without
-// zlib compression for a 1 KiB message (the pluggable-codec design).
+// BenchmarkNetworkSerialization measures an encode + decode of a 1 KiB
+// message through each registered wire codec (the pluggable-codec design).
+// The message has no binary wire encoding, so the binary row measures that
+// codec's gob fallback.
 func BenchmarkNetworkSerialization(b *testing.B) {
 	payload := make([]byte, 1024)
 	for i := range payload {
@@ -354,30 +356,21 @@ func BenchmarkNetworkSerialization(b *testing.B) {
 		Header:  network.NewHeader(network.Address{Host: "a", Port: 1}, network.Address{Host: "b", Port: 2}),
 		Payload: payload,
 	}
-	for _, compress := range []bool{false, true} {
-		name := "gob"
-		if compress {
-			name = "gob+zlib"
-		}
+	for _, name := range network.CodecNames() {
+		codec, _ := network.CodecByName(name)
 		b.Run(name, func(b *testing.B) {
-			codec := network.Codec{Compress: compress}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := codec.RoundTrip(msg); err != nil {
+				payload, err := codec.Encode(msg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := network.DecodePayload(payload); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	b.Run("gob-stream", func(b *testing.B) {
-		codec := network.NewStreamCodec()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := codec.RoundTrip(msg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 type benchNetMsg struct {

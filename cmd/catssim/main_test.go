@@ -67,7 +67,7 @@ func TestListStable(t *testing.T) {
 chaos          gate   3,77,4242                  quorum ops through crash-restart churn past suspicion, link flaps and a healed partition
 chaos-long     gate   11                         chaos with outages twice the suspicion threshold: eviction, ring repair, rejoin
 chaos-durable  gate   5                          chaos on WAL-backed stores (sync=always, small snapshot threshold)
-gray           gate   3,77,4242                  straggler pulses and an overload burst: hedges and sheds must engage
+gray           gate   3,77,4242                  straggler pulses and a same-instant op burst: hedges must engage
 codecswap      gate   1,9,451                    live wire-codec swaps (gob, binary, gob+zlib) and link flaps under quorum traffic
 recovery       gate   3,21,99                    SIGKILL a durable cluster mid-churn, rebuild it from WAL + snapshots in a new process
 hedge          gate   2012                       hedged quorum phases vs a fixed deadline under a pulsed gray replica (virtual-time p99)
@@ -126,7 +126,7 @@ var sabotageTable = []struct {
 	})},
 	{"gray", experiments.GrayResult{
 		HistoryAudit: experiments.HistoryAudit{Linearizable: true},
-		SlowWindows:  1, SlowDelayed: 1, Hedges: 1, HedgeWins: 1, Sheds: 1,
+		SlowWindows:  1, SlowDelayed: 1, Hedges: 1, HedgeWins: 1,
 	}, map[string]string{
 		"Linearizable":    "linearizable",
 		"LostAckedWrites": "no-lost-acked-writes",
@@ -134,7 +134,6 @@ var sabotageTable = []struct {
 		"SlowDelayed":     "gray-faults-injected",
 		"Hedges":          "hedges-fired",
 		"HedgeWins":       "hedges-fired",
-		"Sheds":           "load-shed",
 	}},
 	{"codecswap", experiments.CodecSwapResult{
 		HistoryAudit: experiments.HistoryAudit{Linearizable: true},

@@ -72,10 +72,10 @@ func runLatency(w io.Writer, _ int64, _ string) (any, error) {
 	fmt.Fprintf(w, "%6s %5s %13s %10s  %10s  %10s  %10s  %10s  %8s\n",
 		"Nodes", "Repl", "Codec", "ValueSize", "Mean", "P50", "P99", "Max", "<1ms")
 	for _, r := range []experiments.LatencyResult{
-		experiments.Latency(8, 3, 1024, ops, experiments.CodecStream),
-		experiments.Latency(8, 5, 1024, ops, experiments.CodecStream),
-		experiments.Latency(8, 5, 1024, ops, experiments.CodecPerMessage),
-		experiments.Latency(8, 5, 1024, ops, experiments.CodecPerMessageZlib),
+		experiments.Latency(8, 3, 1024, ops, "binary"),
+		experiments.Latency(8, 5, 1024, ops, "binary"),
+		experiments.Latency(8, 5, 1024, ops, "gob"),
+		experiments.Latency(8, 5, 1024, ops, "gob+zlib"),
 	} {
 		fmt.Fprintf(w, "%6d %5d %13s %10d  %10v  %10v  %10v  %10v  %7.1f%%\n",
 			r.Nodes, r.Replication, r.Codec, r.ValueSize,

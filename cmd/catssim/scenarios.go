@@ -57,14 +57,13 @@ var registry = []*entry{
 	},
 	{
 		name: "gray", attrs: []string{"gate"}, seeds: []int64{3, 77, 4242},
-		doc: "straggler pulses and an overload burst: hedges and sheds must engage",
+		doc: "straggler pulses and a same-instant op burst: hedges must engage",
 		run: runGray,
 		checks: []check{
 			inv("linearizable", func(r experiments.GrayResult) bool { return r.Linearizable }),
 			inv("no-lost-acked-writes", func(r experiments.GrayResult) bool { return r.LostAckedWrites == 0 }),
 			inv("gray-faults-injected", func(r experiments.GrayResult) bool { return r.SlowWindows > 0 && r.SlowDelayed > 0 }),
 			inv("hedges-fired", func(r experiments.GrayResult) bool { return r.Hedges > 0 && r.HedgeWins > 0 }),
-			inv("load-shed", func(r experiments.GrayResult) bool { return r.Sheds > 0 }),
 		},
 	},
 	{
@@ -83,7 +82,7 @@ var registry = []*entry{
 		name: "recovery", attrs: []string{"gate"}, seeds: []int64{3, 21, 99}, durable: true,
 		doc: "SIGKILL a durable cluster mid-churn, rebuild it from WAL + snapshots in a new process",
 		crash: func(seed int64, dir string) error {
-			return experiments.RecoveryCrash(seed, experiments.RecoveryConfig{}, dir)
+			return experiments.RecoveryCrash(seed, dir)
 		},
 		run: runRecover,
 		checks: []check{
@@ -316,17 +315,17 @@ func explain(nonLinearizableKey string, lostKeys []string) {
 }
 
 // runGray runs the gray-failure scenario (experiments.Gray). An inert run
-// — faults injected but no hedges or sheds — fails its invariants: it
+// — faults injected but no hedges — fails its invariants: it
 // would mean the gate stopped exercising the code it exists to protect.
 func runGray(w io.Writer, seed int64, _ string) (any, error) {
-	r := experiments.Gray(seed, experiments.GrayConfig{})
+	r := experiments.Gray(seed)
 	fmt.Fprintf(w, "catssim gray: seed=%d nodes=%d simulated=%v events=%d execs=%d\n",
 		seed, r.Nodes, r.SimulatedDuration, r.DiscreteEvents, r.HandlerExecutions)
 	fmt.Fprintf(w, "  acked_puts=%d ok_gets=%d failed_puts=%d failed_gets=%d unresolved=%d\n",
 		r.AckedPuts, r.OKGets, r.FailedPuts, r.FailedGets, r.UnresolvedOps)
 	fmt.Fprintf(w, "  slow_windows=%d slow_delayed=%d\n", r.SlowWindows, r.SlowDelayed)
-	fmt.Fprintf(w, "  hedges=%d hedge_wins=%d sheds=%d redeliveries=%d retries=%d slow_hints=%d\n",
-		r.Hedges, r.HedgeWins, r.Sheds, r.Redeliveries, r.Retries, r.SlowHints)
+	fmt.Fprintf(w, "  hedges=%d hedge_wins=%d retries=%d slow_hints=%d\n",
+		r.Hedges, r.HedgeWins, r.Retries, r.SlowHints)
 	fmt.Fprintf(w, "  linearizable=%t lost_acked_writes=%d\n", r.Linearizable, r.LostAckedWrites)
 	fmt.Fprintf(w, "  spans=%d timelines=%d trace_digest=%016x\n",
 		r.TraceSpans, r.TraceTimelines, r.TraceDigest)
@@ -339,7 +338,7 @@ func runGray(w io.Writer, seed int64, _ string) (any, error) {
 // must demonstrably engage: swaps applied under traffic and frames on the
 // wire in both the binary and gob formats.
 func runCodecSwap(w io.Writer, seed int64, _ string) (any, error) {
-	r := experiments.CodecSwap(seed, experiments.CodecSwapConfig{})
+	r := experiments.CodecSwap(seed)
 	fmt.Fprintf(w, "catssim codecswap: seed=%d nodes=%d keys=%d simulated=%v events=%d execs=%d\n",
 		seed, r.Nodes, r.Keys, r.SimulatedDuration, r.DiscreteEvents, r.HandlerExecutions)
 	fmt.Fprintf(w, "  acked_puts=%d ok_gets=%d failed_puts=%d failed_gets=%d unresolved=%d\n",
@@ -360,7 +359,7 @@ func runCodecSwap(w io.Writer, seed int64, _ string) (any, error) {
 // (the audit's handoff appends to the WALs), so the runner repeats the
 // pair from an empty directory rather than the recover child alone.
 func runRecover(w io.Writer, seed int64, dir string) (any, error) {
-	r, err := experiments.RecoveryRecover(seed, experiments.RecoveryConfig{}, dir)
+	r, err := experiments.RecoveryRecover(seed, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -392,7 +391,7 @@ const hedgeBaseline = 33.0
 // The floor needs no headroom for machine noise: latencies are virtual, so
 // the profile is a deterministic function of the seed on any machine. The
 // "off" arm is the fixed-deadline coordinator, DeadlineFloor = OpTimeout:
-// the floor clamps every peer deadline to the ceiling, the hedge
+// the floor clamps every peer deadline to OpTimeout, the hedge
 // checkpoint (a third of the attempt budget) is never past one, and no
 // hedge can fire (pinned by TestFixedDeadlineNeverHedges in internal/abd).
 // At seed 2012 off p99 ≈ 303.8ms (the first attempt's full budget rides
@@ -406,7 +405,7 @@ func runHedge(w io.Writer, seed int64, _ string) (any, error) {
 	fmt.Fprintln(w, "    peer deadline pinned to OpTimeout; virtual-time latencies, deterministic")
 	fmt.Fprintln(w, "    per seed)")
 	fmt.Fprintln(w)
-	r := experiments.HedgeBench(seed, experiments.HedgeBenchConfig{})
+	r := experiments.HedgeBench(seed)
 	fmt.Fprintf(w, "%10s  %8s  %12s  %12s  %12s\n", "Hedging", "Ops", "P50", "P99", "Max")
 	for _, a := range []struct {
 		name string

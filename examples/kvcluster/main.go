@@ -39,7 +39,7 @@ func (c *client) Setup(ctx *core.Ctx) {
 func main() {
 	const n = 5
 	registry := network.NewLoopbackRegistry(
-		network.WithCodec(network.Codec{Compress: true}), // full marshalling path
+		network.WithWireCodec(network.Codec{Compress: true}), // full marshalling path
 	)
 	env := cats.LoopbackEnv{Registry: registry}
 

@@ -64,20 +64,17 @@ var PutGetPortType = core.NewPortType("PutGet",
 // acks travel in opBatchMsg/opBatchAckMsg (batch.go); refusals are
 // individual.
 
-// nackMsg refuses a quorum phase. Busy means the replica cannot serve
-// right now; with RetryAfter zero it is mid-handoff (state for the new
-// view still in flight) and the coordinator just waits, with RetryAfter
-// set the replica shed the phase under load and the coordinator re-offers
-// it after the hint (plus jitter). A non-Busy nack means the
-// coordinator's epoch was stale and Epoch is the hint to restart the
-// attempt against a fresh view.
+// nackMsg refuses a quorum phase. Busy means the replica is mid-handoff
+// (state for the new view still in flight) and the coordinator just waits
+// for the rest of the group. A non-Busy nack means the coordinator's epoch
+// was stale and Epoch is the hint to restart the attempt against a fresh
+// view.
 type nackMsg struct {
 	network.Header
-	OpID       uint64
-	Attempt    int
-	Epoch      uint64
-	Busy       bool
-	RetryAfter time.Duration
+	OpID    uint64
+	Attempt int
+	Epoch   uint64
+	Busy    bool
 }
 
 func init() {
@@ -150,8 +147,8 @@ type op struct {
 	hedged       bool
 	hedgeTo      int       // group index the hedge went to; -1 after its ack won
 	hedgeAt      time.Time // when the hedged duplicate was sent
-	// imposeVer/imposeVal are the phase-2 payload, kept so hedges and shed
-	// redeliveries can re-send the impose without recomputing it.
+	// imposeVer/imposeVal are the phase-2 payload, kept so a hedge can
+	// re-send the impose without recomputing it.
 	imposeVer Version
 	imposeVal []byte
 
@@ -181,21 +178,14 @@ type Config struct {
 	// a private store (tests).
 	Store *kvstore.Store
 
-	// DeadlineFloor and DeadlineCeil clamp the adaptive per-peer deadline
-	// (defaults OpTimeout/20 and OpTimeout). The ceiling doubles as the
-	// attempt budget for groups with no latency history, so a fresh
+	// DeadlineFloor is the lower clamp of the adaptive per-peer deadline
+	// (default OpTimeout/20); OpTimeout is the upper one. OpTimeout doubles
+	// as the attempt budget for groups with no latency history, so a fresh
 	// coordinator behaves exactly like the old fixed-timeout one. A floor
-	// equal to the ceiling IS the fixed-timeout coordinator: every peer
-	// deadline is the ceiling, the hedge checkpoint (a third of the budget)
+	// equal to OpTimeout IS the fixed-timeout coordinator: every peer
+	// deadline is OpTimeout, the hedge checkpoint (a third of the budget)
 	// is never past it, and no hedge can fire.
 	DeadlineFloor time.Duration
-	DeadlineCeil  time.Duration
-
-	// ShedServeRate is replica-side admission control: it caps the quorum
-	// phases served per shedWindow, and past the cap the replica sheds
-	// with Busy{RetryAfter: OpTimeout/20} nacks. Zero (the default) never
-	// sheds — shedding healthy traffic is worse than queueing it.
-	ShedServeRate int
 }
 
 func (c *Config) applyDefaults() {
@@ -208,14 +198,11 @@ func (c *Config) applyDefaults() {
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 5
 	}
-	if c.DeadlineCeil <= 0 {
-		c.DeadlineCeil = c.OpTimeout
-	}
 	if c.DeadlineFloor <= 0 {
 		c.DeadlineFloor = c.OpTimeout / 20
 	}
-	if c.DeadlineFloor > c.DeadlineCeil {
-		c.DeadlineFloor = c.DeadlineCeil
+	if c.DeadlineFloor > c.OpTimeout {
+		c.DeadlineFloor = c.OpTimeout
 	}
 }
 
@@ -293,17 +280,12 @@ type ABD struct {
 	// peers holds the coordinator's per-replica latency estimators
 	// (adaptive deadlines, overrun evidence; see adaptive.go).
 	peers map[network.Address]*peerStat
-	// Replica-side admission control: serves counted in the current
-	// shed window.
-	shedWinStart time.Time
-	shedServed   int
 
 	statGets, statPuts, statRetries, statFailures  uint64
 	statNacksBusy, statNacksStale, statStaleServed uint64
 	statEpochRestarts                              uint64
 	statBatchesSent, statBatchedOps                uint64
-	statHedges, statHedgeWins, statSheds           uint64
-	statRedeliveries, statSlowHints                uint64
+	statHedges, statHedgeWins, statSlowHints       uint64
 }
 
 // New creates an ABD component definition.
@@ -358,8 +340,6 @@ func (a *ABD) Setup(ctx *core.Ctx) {
 			"batched_ops":    int64(a.statBatchedOps),
 			"hedges":         int64(a.statHedges),
 			"hedge_wins":     int64(a.statHedgeWins),
-			"sheds":          int64(a.statSheds),
-			"redeliveries":   int64(a.statRedeliveries),
 			"slow_hints":     int64(a.statSlowHints),
 		}}, st)
 	})
@@ -374,7 +354,6 @@ func (a *ABD) Setup(ctx *core.Ctx) {
 	core.Subscribe(ctx, a.net, a.handleOpBatchAck)
 	core.Subscribe(ctx, a.tmr, a.handleDeadline)
 	core.Subscribe(ctx, a.tmr, a.handleBackoff)
-	core.Subscribe(ctx, a.tmr, a.handleRedeliver)
 	core.Subscribe(ctx, a.tmr, a.handleFlush)
 	ctx.OnActivationEnd(a.activationEnd)
 }
@@ -454,7 +433,7 @@ func (a *ABD) startOp(o *op) {
 // group from the router's pushed table and starts phase 1 (read round) in
 // the same activation. The attempt budget is adaptive — derived from the
 // group's per-peer latency estimators (the previous attempt's group on
-// retries; the ceiling when no history exists) — and the attempt timer
+// retries; OpTimeout when no history exists) — and the attempt timer
 // fires in two stages: the hedge checkpoint at budget/hedgeStageDiv, then
 // the retry deadline. The attempt runs in the freshest epoch this node
 // knows: the table's epoch, nack hints, and the replica-side view all feed
@@ -480,11 +459,11 @@ func (a *ABD) beginAttempt(o *op) {
 	o.epoch = max(a.tableEpoch, a.epochFloor, a.localEpoch)
 	o.quorum = len(group)/2 + 1
 	a.endPhase(o, outcomeOK)
-	// The budget above used the previous attempt's group (the ceiling for
-	// a fresh op). Now that the group is resolved, re-arm the attempt timer
+	// The budget above used the previous attempt's group (OpTimeout for a
+	// fresh op). Now that the group is resolved, re-arm the attempt timer
 	// against its actual latency estimates — this is what makes attempt
 	// budgets adaptive on FIRST attempts, not just retries. Cold groups
-	// keep the ceiling budget and skip the re-arm entirely.
+	// keep the OpTimeout budget and skip the re-arm entirely.
 	if b := a.attemptBudget(o); b < o.deadline {
 		o.deadline = b
 		a.setDeadline(o, now.Add(b/hedgeStageDiv))
@@ -601,12 +580,6 @@ func (a *ABD) handleNack(m nackMsg) {
 	}
 	if m.Busy {
 		a.statNacksBusy++
-		// A RetryAfter hint means the replica shed under load (vs the bare
-		// mid-handoff Busy, where the coordinator just waits): re-offer the
-		// phase to that replica after the hint plus jitter.
-		if m.RetryAfter > 0 {
-			a.scheduleRedeliver(o, m)
-		}
 		return
 	}
 	a.statNacksStale++
@@ -724,21 +697,6 @@ func (a *ABD) serveEpoch(m network.Message, tc tracing.Context, kind string, opI
 		}, a.net)
 		return false
 	}
-	// Admission control: a replica under pressure sheds the phase with a
-	// retry-after hint instead of queueing it unboundedly. Shedding comes
-	// after the epoch checks — a stale coordinator learns its epoch is
-	// stale even when the replica is overloaded.
-	if a.shouldShed() {
-		a.statSheds++
-		shedsTotal.Add(1)
-		a.recordServe(tc, kind, opID, attempt, "shed")
-		a.ctx.Trigger(nackMsg{
-			Header: network.Reply(m), OpID: opID, Attempt: attempt,
-			Epoch: a.localEpoch, Busy: true, RetryAfter: a.cfg.OpTimeout / shedRetryDiv,
-		}, a.net)
-		return false
-	}
-	a.shedServed++
 	if epoch > a.localEpoch {
 		a.localEpoch = epoch
 	}

@@ -54,7 +54,7 @@ type abdNode struct {
 	sim   *simulation.Simulation
 	emu   *simulation.NetworkEmulator
 	store *Store        // optional pre-built (e.g. recovered) store
-	tweak func(*Config) // optional config override (shed/hedge knobs)
+	tweak func(*Config) // optional config override (hedge knobs)
 	rt    *stubRouter   // preset before boot to publish other than group
 
 	ctx     *core.Ctx

@@ -3,12 +3,10 @@
 // latency estimators (EWMA + deviation, RFC 6298 style); retries back off
 // exponentially with jitter instead of stampeding in lockstep; a quorum
 // phase stalled one ack short of completion hedges a duplicate to its
-// straggler once the straggler blows its adaptive deadline; and replicas
-// under local pressure shed load with Busy{RetryAfter} nacks that the
-// coordinator honors with jittered redelivery. A replica that keeps
-// answering but keeps overrunning its deadline is slow, not dead — after
-// enough consecutive overruns the failure detector hears about it as a
-// SlowHint, distinct from the transport's down/up hints.
+// straggler once the straggler blows its adaptive deadline. A replica that
+// keeps answering but keeps overrunning its deadline is slow, not dead —
+// after enough consecutive overruns the failure detector hears about it as
+// a SlowHint, distinct from the transport's down/up hints.
 package abd
 
 import (
@@ -36,17 +34,6 @@ const (
 	// for the end of the budget as the retry deadline (both instants on
 	// the coordinator's deadline heap, deadline.go).
 	hedgeStageDiv = 3
-	// shedWindow is the accounting window of the replica's serve-rate cap
-	// (Config.ShedServeRate phases per window).
-	shedWindow = 10 * time.Millisecond
-	// shedRetryDiv derives a shed nack's retry-after hint from the
-	// coordinator-visible timescale: OpTimeout/shedRetryDiv, the same
-	// fraction as the default deadline floor. Coupled to shedWindow: the
-	// coordinator re-offers as early as ¾ of the hint, which reaches a
-	// fresh serve window only while OpTimeout·¾/shedRetryDiv >= shedWindow,
-	// i.e. OpTimeout >= 267 ms (the smallest configured anywhere is
-	// 500 ms). Below that a re-offer can be shed once more before it lands.
-	shedRetryDiv = 20
 )
 
 // peerStat is the coordinator's latency estimator for one replica.
@@ -70,15 +57,15 @@ func clampDur(d, lo, hi time.Duration) time.Duration {
 }
 
 // peerDeadline is the adaptive deadline for one replica: its p99 latency
-// estimate clamped to the configured floor/ceiling. A peer with no
-// history gets the ceiling, so fresh coordinators behave exactly like the
-// old fixed-timeout ones until evidence accumulates.
+// estimate clamped to [DeadlineFloor, OpTimeout]. A peer with no history
+// gets OpTimeout, so fresh coordinators behave exactly like the old
+// fixed-timeout ones until evidence accumulates.
 func (a *ABD) peerDeadline(addr network.Address) time.Duration {
 	ps, ok := a.peers[addr]
 	if !ok || !ps.seen {
-		return a.cfg.DeadlineCeil
+		return a.cfg.OpTimeout
 	}
-	return clampDur(time.Duration(ps.ewma+devMargin*ps.dev), a.cfg.DeadlineFloor, a.cfg.DeadlineCeil)
+	return clampDur(time.Duration(ps.ewma+devMargin*ps.dev), a.cfg.DeadlineFloor, a.cfg.OpTimeout)
 }
 
 // observeRTT feeds one counted ack's phase round trip into the peer's
@@ -135,8 +122,8 @@ func (a *ABD) noteOverrun(addr network.Address, ps *peerStat) {
 // deadlines at the slowest group member's adaptive estimate (the attempt
 // spans a route resolution plus up to two quorum round trips), doubled
 // per timeout retry so a shrunken deadline can never starve an op against
-// slow-but-alive replicas, clamped to [floor, ceil]. With no history the
-// budget is the ceiling — the old fixed OpTimeout.
+// slow-but-alive replicas, clamped to [DeadlineFloor, OpTimeout]. With no
+// history the budget is the old fixed OpTimeout.
 func (a *ABD) attemptBudget(o *op) time.Duration {
 	base := time.Duration(0)
 	for _, n := range o.group {
@@ -145,13 +132,13 @@ func (a *ABD) attemptBudget(o *op) time.Duration {
 		}
 	}
 	if base == 0 {
-		base = a.cfg.DeadlineCeil
+		base = a.cfg.OpTimeout
 	}
 	b := hedgeStageDiv * base
-	for i := 0; i < o.retries && b < a.cfg.DeadlineCeil; i++ {
+	for i := 0; i < o.retries && b < a.cfg.OpTimeout; i++ {
 		b *= 2
 	}
-	return clampDur(b, a.cfg.DeadlineFloor, a.cfg.DeadlineCeil)
+	return clampDur(b, a.cfg.DeadlineFloor, a.cfg.OpTimeout)
 }
 
 // retryBackoff is the capped-exponential, ±50%-jittered delay between a
@@ -180,16 +167,6 @@ type backoffTimeout struct {
 	OpID uint64
 }
 
-// redeliverTimeout re-offers a shed quorum phase to one replica after its
-// Busy{RetryAfter} window (plus jitter) passes.
-type redeliverTimeout struct {
-	timer.Timeout
-	OpID    uint64
-	Attempt int
-	Phase   phase
-	Dst     network.Address
-}
-
 // groupIndex maps an ack's source address to its position in the
 // attempt's replica group (-1: not a member).
 func (o *op) groupIndex(addr network.Address) int {
@@ -201,9 +178,9 @@ func (o *op) groupIndex(addr network.Address) int {
 	return -1
 }
 
-// countAck dedups per-replica acks within a phase — hedges and shed
-// redeliveries make duplicates possible, and only the first ack from each
-// replica may count toward the quorum — feeds the peer's latency
+// countAck dedups per-replica acks within a phase — hedges make
+// duplicates possible, and only the first ack from each replica may
+// count toward the quorum — feeds the peer's latency
 // estimator, and tallies hedge wins. Reports whether the ack counts.
 func (a *ABD) countAck(o *op, src network.Address) bool {
 	sentAt := o.phaseSentAt
@@ -343,39 +320,6 @@ func (a *ABD) recordHedge(o *op, dst network.Address) {
 	})
 }
 
-// scheduleRedeliver honors a shed replica's retry-after hint: the current
-// phase is re-offered to that replica after the hint ±25% jitter, so a
-// herd of shed coordinators doesn't return in step.
-func (a *ABD) scheduleRedeliver(o *op, m nackMsg) {
-	d := m.RetryAfter
-	d = d*3/4 + time.Duration(a.ctx.Rand().Int63n(int64(d)/2+1))
-	a.statRedeliveries++
-	redeliveriesTotal.Add(1)
-	a.ctx.Trigger(timer.ScheduleTimeout{
-		Delay: d,
-		Timeout: redeliverTimeout{
-			Timeout: timer.Timeout{ID: timer.NextID()},
-			OpID:    o.id,
-			Attempt: o.attempt,
-			Phase:   o.phase,
-			Dst:     m.Source(),
-		},
-	}, a.tmr)
-}
-
-// handleRedeliver re-sends the shed phase if the op is still waiting on
-// that replica in the same attempt and phase.
-func (a *ABD) handleRedeliver(t redeliverTimeout) {
-	o, ok := a.ops[t.OpID]
-	if !ok || o.attempt != t.Attempt || o.phase != t.Phase {
-		return // op finished, advanced, or restarted since the shed
-	}
-	if idx := o.groupIndex(t.Dst); idx >= 0 && idx < 64 && o.ackedMask&(uint64(1)<<uint(idx)) != 0 {
-		return // already acked meanwhile (e.g. a hedge filled the hole)
-	}
-	a.resendPhase(o, t.Dst)
-}
-
 // handleBackoff begins the delayed retry attempt. An op sits in phaseIdle
 // only between a timed-out attempt and its one backoff timeout.
 func (a *ABD) handleBackoff(t backoffTimeout) {
@@ -384,18 +328,4 @@ func (a *ABD) handleBackoff(t backoffTimeout) {
 		return
 	}
 	a.beginAttempt(o)
-}
-
-// shouldShed applies the replica's admission control ahead of serving a
-// quorum phase: past ShedServeRate serves in the current shedWindow the
-// phase is shed with a Busy{RetryAfter} nack instead of queued unboundedly.
-func (a *ABD) shouldShed() bool {
-	if a.cfg.ShedServeRate <= 0 {
-		return false
-	}
-	now := a.ctx.Now()
-	if now.Sub(a.shedWinStart) >= shedWindow {
-		a.shedWinStart, a.shedServed = now, 0
-	}
-	return a.shedServed >= a.cfg.ShedServeRate
 }

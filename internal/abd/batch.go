@@ -199,7 +199,7 @@ func (a *ABD) flush() {
 // --- replica side ---------------------------------------------------------------
 
 // handleOpBatch serves a quorum frame. Every op passes the epoch gate
-// individually: stale, mid-sync or shed ops nack alone through nackMsg,
+// individually: stale or mid-sync ops nack alone through nackMsg,
 // the rest are served and acknowledged together in one opBatchAckMsg.
 // Serving merges newer epochs as it goes, so ops later in
 // the batch are gated against the freshest view the batch itself revealed.

@@ -32,7 +32,6 @@ type epochNode struct {
 	group []ident.NodeRef
 	sim   *simulation.Simulation
 	emu   *simulation.NetworkEmulator
-	tweak func(*Config) // optional config override (shed/hedge knobs)
 
 	ctx     *core.Ctx
 	ABD     *ABD
@@ -51,16 +50,12 @@ func (n *epochNode) Setup(ctx *core.Ctx) {
 	tm := ctx.Create("timer", simulation.NewTimer(n.sim))
 	rt := ctx.Create("router", &stubRouter{group: n.group})
 	ho := ctx.Create("handoff-feeder", &hoFeeder{inner: &n.hoInner})
-	cfg := Config{
+	n.ABD = New(Config{
 		Self:              n.self,
 		ReplicationDegree: len(n.group),
 		OpTimeout:         300 * time.Millisecond,
 		MaxRetries:        3,
-	}
-	if n.tweak != nil {
-		n.tweak(&cfg)
-	}
-	n.ABD = New(cfg)
+	})
 	abdC := ctx.Create("abd", n.ABD)
 	n.abdC, n.timerC = abdC, tm
 	ctx.Connect(abdC.Required(network.PortType), tr.Provided(network.PortType))
@@ -97,11 +92,10 @@ func (n *epochNode) syncWindow(epoch, round uint64, close bool) {
 
 // ackRecord is one replica answer observed on the wire, in arrival order.
 type ackRecord struct {
-	kind       string // "readAck" | "writeAck" | "nack"
-	epoch      uint64
-	opID       uint64
-	busy       bool
-	retryAfter time.Duration // shed hint carried by busy nacks
+	kind  string // "readAck" | "writeAck" | "nack"
+	epoch uint64
+	opID  uint64
+	busy  bool
 }
 
 // wireProbe is a bare network endpoint that speaks the replica wire
@@ -130,7 +124,7 @@ func (p *wireProbe) Setup(ctx *core.Ctx) {
 		}
 	})
 	core.Subscribe(ctx, p.net, func(m nackMsg) {
-		p.acks = append(p.acks, ackRecord{kind: "nack", epoch: m.Epoch, opID: m.OpID, busy: m.Busy, retryAfter: m.RetryAfter})
+		p.acks = append(p.acks, ackRecord{kind: "nack", epoch: m.Epoch, opID: m.OpID, busy: m.Busy})
 	})
 }
 
@@ -153,11 +147,6 @@ func (p *wireProbe) read(to network.Address, opID, epoch uint64, key string) {
 
 // newEpochWorld builds n replicas (static full group) plus a wire probe.
 func newEpochWorld(t *testing.T, n int, seed int64) (*simulation.Simulation, *simulation.NetworkEmulator, []*epochNode, *wireProbe) {
-	return newEpochWorldCfg(t, n, seed, nil)
-}
-
-// newEpochWorldCfg is newEpochWorld with a per-node config override.
-func newEpochWorldCfg(t *testing.T, n int, seed int64, tweak func(*Config)) (*simulation.Simulation, *simulation.NetworkEmulator, []*epochNode, *wireProbe) {
 	t.Helper()
 	sim := simulation.New(seed)
 	emu := simulation.NewNetworkEmulator(sim,
@@ -168,7 +157,7 @@ func newEpochWorldCfg(t *testing.T, n int, seed int64, tweak func(*Config)) (*si
 	}
 	nodes := make([]*epochNode, n)
 	for i := range nodes {
-		nodes[i] = &epochNode{self: group[i], group: group, sim: sim, emu: emu, tweak: tweak}
+		nodes[i] = &epochNode{self: group[i], group: group, sim: sim, emu: emu}
 	}
 	probe := &wireProbe{self: network.Address{Host: "probe", Port: 1}, emu: emu}
 	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
@@ -258,6 +247,45 @@ func TestReplicaBusyDuringSync(t *testing.T) {
 	sim.Run(50 * time.Millisecond)
 	if len(probe.acks) != 2 || probe.acks[1].kind != "writeAck" || probe.acks[1].epoch != 5 {
 		t.Fatalf("post-sync answer: %+v, want writeAck@5", probe.acks)
+	}
+}
+
+// TestCoordinatorQuorumsAroundBusyReplica is the coordinator side of the
+// Busy nack: one replica of three is mid-sync and refuses the read phase,
+// and the get completes on the other two in its first attempt. The nack
+// is counted and then only waited past — no retry, no epoch restart.
+func TestCoordinatorQuorumsAroundBusyReplica(t *testing.T) {
+	sim, emu, nodes, _ := newEpochWorld(t, 3, 37)
+	coord, busy, other := nodes[0], nodes[1], nodes[2]
+	coord.put(1, "k", "v1")
+	sim.Run(time.Second)
+	if len(coord.puts) != 1 || coord.puts[0].Err != "" {
+		t.Fatalf("seed put: %+v", coord.puts)
+	}
+
+	// Everyone moves to epoch 3; the busy replica's sync round stays open.
+	coord.syncWindow(3, 1, true)
+	other.syncWindow(3, 1, true)
+	busy.syncWindow(3, 1, false)
+	sim.Settle()
+	// Slow the other replica for the read's send instant, so the busy
+	// nack reaches the coordinator before the quorum completes.
+	emu.SlowNode(other.self.Addr, 10*time.Millisecond, time.Millisecond)
+	coord.get(2, "k")
+	sim.Run(time.Second)
+
+	if len(coord.gets) != 1 || coord.gets[0].Err != "" || string(coord.gets[0].Value) != "v1" {
+		t.Fatalf("get beside a mid-sync replica: %+v", coord.gets)
+	}
+	nBusy, stale, restarts := coord.ABD.EpochStats()
+	if nBusy != 1 || stale != 0 || restarts != 0 {
+		t.Fatalf("busy=%d stale=%d restarts=%d, want 1/0/0", nBusy, stale, restarts)
+	}
+	if _, _, retries, failures := coord.ABD.Stats(); retries != 0 || failures != 0 {
+		t.Fatalf("retries=%d failures=%d, want the first attempt to complete", retries, failures)
+	}
+	if coord.ABD.InFlight() != 0 {
+		t.Fatal("leaked in-flight op")
 	}
 }
 

@@ -28,14 +28,11 @@ var (
 )
 
 // Gray-failure resilience counters (see adaptive.go): attempt retries,
-// hedged phase resends and the hedges whose duplicate ack arrived first,
-// replica-side load sheds, and shed-triggered phase redeliveries.
+// hedged phase resends and the hedges whose duplicate ack arrived first.
 var (
-	retriesTotal      atomic.Uint64
-	hedgesTotal       atomic.Uint64
-	hedgeWinsTotal    atomic.Uint64
-	shedsTotal        atomic.Uint64
-	redeliveriesTotal atomic.Uint64
+	retriesTotal   atomic.Uint64
+	hedgesTotal    atomic.Uint64
+	hedgeWinsTotal atomic.Uint64
 )
 
 // ResilienceMetrics is a snapshot of the process-wide gray-failure
@@ -47,20 +44,17 @@ type ResilienceMetrics struct {
 	// hedge target's ack was the first counted from that replica slot.
 	Hedges    uint64
 	HedgeWins uint64
-	// Sheds counts quorum phases refused by replica admission control;
-	// Redeliveries the coordinator-side re-offers they triggered.
-	Sheds        uint64
-	Redeliveries uint64
+	// Sheds is always zero (replicas do not shed load); it stays only
+	// because the benchmark harness still reads it.
+	Sheds uint64
 }
 
 // GlobalResilienceMetrics snapshots the process-wide resilience counters.
 func GlobalResilienceMetrics() ResilienceMetrics {
 	return ResilienceMetrics{
-		Retries:      retriesTotal.Load(),
-		Hedges:       hedgesTotal.Load(),
-		HedgeWins:    hedgeWinsTotal.Load(),
-		Sheds:        shedsTotal.Load(),
-		Redeliveries: redeliveriesTotal.Load(),
+		Retries:   retriesTotal.Load(),
+		Hedges:    hedgesTotal.Load(),
+		HedgeWins: hedgeWinsTotal.Load(),
 	}
 }
 
@@ -199,10 +193,6 @@ func init() {
 		m.Counter("cats_abd_hedges_total", r.Hedges)
 		m.Header("cats_abd_hedge_wins_total", "counter", "Hedged resends whose ack arrived before the straggler's.")
 		m.Counter("cats_abd_hedge_wins_total", r.HedgeWins)
-		m.Header("cats_abd_sheds_total", "counter", "Quorum phases shed by replica admission control.")
-		m.Counter("cats_abd_sheds_total", r.Sheds)
-		m.Header("cats_abd_redeliveries_total", "counter", "Shed quorum phases re-offered after the retry-after hint.")
-		m.Counter("cats_abd_redeliveries_total", r.Redeliveries)
 		writePhaseMetrics(m)
 	})
 }

@@ -1,8 +1,6 @@
 package abd
 
 import (
-	"time"
-
 	"repro/internal/kvstore"
 	"repro/internal/network"
 	"repro/internal/tracing"
@@ -61,8 +59,7 @@ func (m nackMsg) AppendWire(dst []byte) []byte {
 	dst = network.AppendU64(dst, m.OpID)
 	dst = network.AppendI64(dst, int64(m.Attempt))
 	dst = network.AppendU64(dst, m.Epoch)
-	dst = network.AppendBool(dst, m.Busy)
-	return network.AppendI64(dst, int64(m.RetryAfter))
+	return network.AppendBool(dst, m.Busy)
 }
 
 func decodeNackMsg(r *network.WireReader) (network.Message, error) {
@@ -72,7 +69,6 @@ func decodeNackMsg(r *network.WireReader) (network.Message, error) {
 	m.Attempt = int(r.I64())
 	m.Epoch = r.U64()
 	m.Busy = r.Bool()
-	m.RetryAfter = time.Duration(r.I64())
 	return m, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 	"unsafe"
 
 	"repro/internal/kvstore"
@@ -23,7 +22,7 @@ var (
 // batch of one phase — and "abd.opBatch.one" is pinned in the fuzz corpus
 // beside the multi-op frame.
 var wireSamples = []wiretest.Sample{
-	{Seed: "abd.nack", Msg: nackMsg{Header: wiretest.Header(), OpID: 6, Attempt: 4, Epoch: 9, Busy: true, RetryAfter: 250 * time.Millisecond}},
+	{Seed: "abd.nack", Msg: nackMsg{Header: wiretest.Header(), OpID: 6, Attempt: 4, Epoch: 9, Busy: true}},
 	{Seed: "abd.opBatch", Msg: opBatchMsg{
 		Header: wiretest.Header(), Context: wireTC,
 		Reads: []readPhase{

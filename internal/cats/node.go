@@ -60,8 +60,6 @@ type NodeConfig struct {
 
 	// ReplicationDegree is the replica group size (default 3).
 	ReplicationDegree int
-	// SuccessorListSize is the ring resilience parameter (default 4).
-	SuccessorListSize int
 	// FDInterval is the failure-detector ping period (default 100ms).
 	FDInterval time.Duration
 	// FDSuspectAfterMisses is how many consecutive unanswered ping rounds
@@ -82,19 +80,11 @@ type NodeConfig struct {
 	// RouterSweepPeriod is the router staleness sweep interval
 	// (default 5s).
 	RouterSweepPeriod time.Duration
-	// HandoffPullTimeout bounds how long a view-change sync round waits
-	// for lagging members before serving with what transferred
-	// (default 2s).
-	HandoffPullTimeout time.Duration
 
-	// Gray-failure resilience knobs, passed through to the ABD component
-	// (see abd.Config for semantics and defaults). DeadlineFloor and
-	// DeadlineCeil clamp the adaptive per-peer deadline (floor = ceiling
-	// is the fixed-deadline coordinator, which never hedges);
-	// ShedServeRate arms replica-side admission control (off by default).
+	// DeadlineFloor is the lower clamp of ABD's adaptive per-peer deadline
+	// (see abd.Config; default OpTimeout/20). Setting it to OpTimeout gives
+	// the fixed-deadline coordinator, which never hedges.
 	DeadlineFloor time.Duration
-	DeadlineCeil  time.Duration
-	ShedServeRate int
 
 	// DataDir, when set, makes the register store durable: its
 	// write-ahead log + snapshot live under this directory and are
@@ -116,9 +106,6 @@ type NodeConfig struct {
 func (c *NodeConfig) applyDefaults() {
 	if c.ReplicationDegree <= 0 {
 		c.ReplicationDegree = 3
-	}
-	if c.SuccessorListSize <= 0 {
-		c.SuccessorListSize = 4
 	}
 	if c.FDInterval <= 0 {
 		c.FDInterval = 100 * time.Millisecond
@@ -239,9 +226,8 @@ func (n *Node) Setup(ctx *core.Ctx) {
 	n.Cyclon = cyclon.New(cyclon.Config{Self: self, Period: n.cfg.CyclonPeriod})
 	cyC := ctx.Create("cyclon", n.Cyclon)
 	n.Ring = ring.New(ring.Config{
-		Self:              self,
-		SuccessorListSize: n.cfg.SuccessorListSize,
-		StabilizePeriod:   n.cfg.StabilizePeriod,
+		Self:            self,
+		StabilizePeriod: n.cfg.StabilizePeriod,
 	})
 	ringC := ctx.Create("ring", n.Ring)
 	n.Router = router.New(router.Config{
@@ -273,16 +259,13 @@ func (n *Node) Setup(ctx *core.Ctx) {
 		OpTimeout:         n.cfg.OpTimeout,
 		Store:             store,
 		DeadlineFloor:     n.cfg.DeadlineFloor,
-		DeadlineCeil:      n.cfg.DeadlineCeil,
-		ShedServeRate:     n.cfg.ShedServeRate,
 	})
 	abdC := ctx.Create("abd", n.ABD)
 	n.Handoff = handoff.New(handoff.Config{
-		Self:        self,
-		Degree:      n.cfg.ReplicationDegree,
-		Store:       store,
-		Members:     n.Router.Members,
-		PullTimeout: n.cfg.HandoffPullTimeout,
+		Self:    self,
+		Degree:  n.cfg.ReplicationDegree,
+		Store:   store,
+		Members: n.Router.Members,
 	})
 	hoC := ctx.Create("handoff", n.Handoff)
 

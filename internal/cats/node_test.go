@@ -237,7 +237,7 @@ func TestMonitorReportingFlow(t *testing.T) {
 func TestNodeConfigDefaults(t *testing.T) {
 	cfg := NodeConfig{}
 	cfg.applyDefaults()
-	if cfg.ReplicationDegree != 3 || cfg.SuccessorListSize != 4 ||
+	if cfg.ReplicationDegree != 3 ||
 		cfg.FDInterval != 100*time.Millisecond || cfg.OpTimeout != time.Second {
 		t.Fatalf("defaults: %+v", cfg)
 	}

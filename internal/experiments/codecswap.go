@@ -10,47 +10,20 @@ import (
 	"repro/internal/tracing"
 )
 
-// CodecSwapConfig parameterizes the live codec-swap chaos scenario: a
-// simulated CATS cluster serving quorum traffic while nodes swap their
-// wire codec underneath it (gob → binary → gob+zlib) and links flap —
-// the emulator analog of a mid-swap TCP redial.
-type CodecSwapConfig struct {
-	Nodes     int           // cluster size (default 5)
-	Keys      int           // distinct data keys under test (default 6)
-	OpsPerKey int           // operations per key, excluding the final audit read (default 12)
-	Swaps     int           // per-node live codec swaps under traffic (default 6)
-	Flaps     int           // symmetric link flaps overlapping the swaps (default 3)
-	FlapDown  time.Duration // how long a flapped link stays down (default 800ms)
-	OpWindow  time.Duration // virtual-time window the workload and swaps are spread over (default 40s)
-	Tail      time.Duration // settle time after the window before the audit reads (default 15s)
-}
-
-func (c *CodecSwapConfig) applyDefaults() {
-	if c.Nodes <= 0 {
-		c.Nodes = 5
-	}
-	if c.Keys <= 0 {
-		c.Keys = 6
-	}
-	if c.OpsPerKey <= 0 {
-		c.OpsPerKey = 12
-	}
-	if c.Swaps <= 0 {
-		c.Swaps = 6
-	}
-	if c.Flaps <= 0 {
-		c.Flaps = 3
-	}
-	if c.FlapDown <= 0 {
-		c.FlapDown = 800 * time.Millisecond
-	}
-	if c.OpWindow <= 0 {
-		c.OpWindow = 40 * time.Second
-	}
-	if c.Tail <= 0 {
-		c.Tail = 15 * time.Second
-	}
-}
+// The live codec-swap chaos scenario's shape: a simulated CATS cluster
+// serving quorum traffic while nodes swap their wire codec underneath it
+// (gob → binary → gob+zlib) and links flap — the emulator analog of a
+// mid-swap TCP redial.
+const (
+	swapNodes     = 5                      // cluster size
+	swapKeys      = 6                      // distinct data keys under test
+	swapOpsPerKey = 12                     // operations per key, excluding the final audit read
+	swapSwaps     = 6                      // per-node live codec swaps under traffic
+	swapFlaps     = 3                      // symmetric link flaps overlapping the swaps
+	swapFlapDown  = 800 * time.Millisecond // how long a flapped link stays down
+	swapOpWindow  = 40 * time.Second       // virtual-time window the workload and swaps are spread over
+	swapTail      = 15 * time.Second       // settle time after the window before the audit reads
+)
 
 // CodecSwapResult reports the scenario outcome. Codec counters come from
 // the emulator's local (per-run, deterministic) accounting.
@@ -76,9 +49,7 @@ type CodecSwapResult struct {
 // swap must never lose or reorder frames: the result carries the recorded
 // history's linearizability verdict and the lost-acked-write audit, which
 // must both be clean with swaps > 0 and a frame mix spanning both formats.
-func CodecSwap(seed int64, cfg CodecSwapConfig, simOpts ...simulation.SimOption) CodecSwapResult {
-	cfg.applyDefaults()
-
+func CodecSwap(seed int64, simOpts ...simulation.SimOption) CodecSwapResult {
 	ring, restore := traceEveryOp(1 << 14)
 	defer restore()
 
@@ -87,23 +58,23 @@ func CodecSwap(seed int64, cfg CodecSwapConfig, simOpts ...simulation.SimOption)
 	// mid-run, so both formats cross the wire within one scenario.
 	c := cats.NewSimCluster(seed, simTimings, "", simLAN(simulation.WithEmulatedCodec("gob")), simOpts...)
 	c.Host.RecordOps = true
-	c.Join(spreadKeys(cfg.Nodes))
+	c.Join(spreadKeys(swapNodes))
 	refs := c.Host.AliveNodes()
 	rng := rand.New(rand.NewSource(seed ^ 0x63647377)) // "cdsw"
 
 	// Workload: same shape as the churn scenario.
-	keys := make([]string, cfg.Keys)
+	keys := make([]string, swapKeys)
 	for k := range keys {
 		keys[k] = "swap-" + strconv.Itoa(k)
 	}
-	scheduleKeyOps(c, rng, "codecswap", keys, cfg.OpsPerKey, cfg.OpWindow, 0.5, "")
+	scheduleKeyOps(c, rng, "codecswap", keys, swapOpsPerKey, swapOpWindow, 0.5, "")
 
 	// Live swaps under traffic: each picks a node and moves it to the next
 	// codec in the rotation. Spread over the middle of the window so plenty
 	// of operations straddle each swap point.
 	rotation := []string{"binary", "gob+zlib", "gob"}
-	for i := 0; i < cfg.Swaps; i++ {
-		at := cfg.OpWindow/8 + time.Duration(rng.Int63n(int64(cfg.OpWindow)*3/4))
+	for i := 0; i < swapSwaps; i++ {
+		at := swapOpWindow/8 + time.Duration(rng.Int63n(int64(swapOpWindow)*3/4))
 		victim := refs[rng.Intn(len(refs))].Addr
 		name := rotation[i%len(rotation)]
 		c.Sim.ScheduleAt(at, "codecswap:swap", func() { c.Emu.SwapCodec(victim, name) })
@@ -111,17 +82,17 @@ func CodecSwap(seed int64, cfg CodecSwapConfig, simOpts ...simulation.SimOption)
 
 	// Link flaps overlapping the swaps: the emulator analog of a TCP
 	// connection breaking and redialing mid-swap.
-	scheduleFlaps(c, rng, "codecswap", cfg.Flaps, cfg.OpWindow/8, cfg.OpWindow*3/4, cfg.FlapDown)
+	scheduleFlaps(c, rng, "codecswap", swapFlaps, swapOpWindow/8, swapOpWindow*3/4, swapFlapDown)
 
-	mainStats := c.Sim.Run(cfg.OpWindow + cfg.Tail)
+	mainStats := c.Sim.Run(swapOpWindow + swapTail)
 
 	// Audit: one read per key after everything settles.
 	preAudit := scheduleAudit(c, rng, "codecswap", keys)
 	auditStats := c.Sim.Run(simTimings.OpTimeout * 3)
 
 	res := CodecSwapResult{
-		Nodes:             cfg.Nodes,
-		Keys:              cfg.Keys,
+		Nodes:             swapNodes,
+		Keys:              swapKeys,
 		HistoryAudit:      auditHistory(c.Host, preAudit, keys),
 		SimulatedDuration: mainStats.SimulatedDuration + auditStats.SimulatedDuration,
 		DiscreteEvents:    mainStats.DiscreteEvents + auditStats.DiscreteEvents,

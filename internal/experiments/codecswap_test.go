@@ -10,7 +10,7 @@ import (
 // linearizable with zero lost acked writes and zero codec errors, while
 // swaps actually happened and both wire formats crossed the emulated wire.
 func TestCodecSwapCleanRun(t *testing.T) {
-	res := CodecSwap(7, CodecSwapConfig{})
+	res := CodecSwap(7)
 	if !res.Linearizable {
 		t.Errorf("history not linearizable (key %q)", res.NonLinearizableKey)
 	}
@@ -39,12 +39,12 @@ func TestCodecSwapDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the scenario twice")
 	}
-	a := CodecSwap(11, CodecSwapConfig{})
-	b := CodecSwap(11, CodecSwapConfig{})
+	a := CodecSwap(11)
+	b := CodecSwap(11)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same-seed runs diverge:\n a: %+v\n b: %+v", a, b)
 	}
-	c := CodecSwap(13, CodecSwapConfig{})
+	c := CodecSwap(13)
 	if c.TraceDigest == a.TraceDigest {
 		t.Error("different seeds produced identical trace digests")
 	}

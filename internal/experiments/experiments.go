@@ -114,7 +114,7 @@ type LatencyResult struct {
 	Replication int
 	ValueSize   int
 	Ops         int
-	Codec       LatencyCodec
+	Codec       string // registered wire-codec name
 	Mean        time.Duration
 	P50         time.Duration
 	P99         time.Duration
@@ -122,49 +122,19 @@ type LatencyResult struct {
 	SubMilli    float64 // fraction of ops under 1ms
 }
 
-// LatencyCodec selects the serialization model of the latency experiment.
-type LatencyCodec int
-
-const (
-	// CodecStream uses a persistent gob stream (per-connection codec, type
-	// descriptors amortized — the realistic long-lived-connection cost).
-	CodecStream LatencyCodec = iota + 1
-	// CodecPerMessage re-encodes type descriptors per message.
-	CodecPerMessage
-	// CodecPerMessageZlib additionally zlib-compresses every message.
-	CodecPerMessageZlib
-)
-
-func (c LatencyCodec) String() string {
-	switch c {
-	case CodecStream:
-		return "gob-stream"
-	case CodecPerMessage:
-		return "gob-msg"
-	case CodecPerMessageZlib:
-		return "gob-msg+zlib"
-	default:
-		return "unknown"
-	}
-}
-
 // Latency measures end-to-end put/get latency on a real-time in-process
-// cluster over the loopback transport with full marshalling per message —
-// the paper's §4.1 sub-millisecond LAN claim (4 one-way latencies, 4×
-// serialization, 4× deserialization, plus runtime dispatching, per
-// operation). Background protocol periods are relaxed so the measurement
-// reflects the operation path, as on the paper's idle LAN cluster.
-func Latency(nodes, replication, valueSize, ops int, codec LatencyCodec) LatencyResult {
-	var opt network.LoopbackOption
-	switch codec {
-	case CodecPerMessage:
-		opt = network.WithCodec(network.Codec{})
-	case CodecPerMessageZlib:
-		opt = network.WithCodec(network.Codec{Compress: true})
-	default:
-		opt = network.WithStreamCodec()
+// cluster over the loopback transport, every message encoded and decoded
+// by the registered wire codec named codec — the paper's §4.1
+// sub-millisecond LAN claim (4 one-way latencies, 4× serialization, 4×
+// deserialization, plus runtime dispatching, per operation). Background
+// protocol periods are relaxed so the measurement reflects the operation
+// path, as on the paper's idle LAN cluster.
+func Latency(nodes, replication, valueSize, ops int, codec string) LatencyResult {
+	wc, ok := network.CodecByName(codec)
+	if !ok {
+		panic(fmt.Sprintf("experiments: unknown wire codec %q (registered: %v)", codec, network.CodecNames()))
 	}
-	registry := network.NewLoopbackRegistry(opt)
+	registry := network.NewLoopbackRegistry(network.WithWireCodec(wc))
 	cfg := cats.NodeConfig{
 		ReplicationDegree: replication,
 		FDInterval:        2 * time.Second,

@@ -72,7 +72,7 @@ func TestLatencySmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("macro experiment")
 	}
-	r := Latency(5, 3, 256, 100, CodecStream)
+	r := Latency(5, 3, 256, 100, "binary")
 	if r.Ops == 0 {
 		t.Fatalf("no ops measured")
 	}

@@ -2,11 +2,10 @@
 // kills nodes outright, Gray injects *slowness*: replicas that answer
 // every ping but stall every quorum phase they serve. The scenario proves
 // the resilience layer end to end — adaptive attempt budgets fire hedge
-// checkpoints, hedged duplicates win races against pulsed stragglers,
-// replica admission control sheds a synchronized burst and the shed ops
-// recover through jittered redelivery — while the usual chaos gates
-// (linearizability, zero lost acked writes) still hold. HedgeBench is the
-// A/B half: the same straggler workload with hedging off vs on, in
+// checkpoints and hedged duplicates win races against pulsed stragglers —
+// while the usual chaos gates (linearizability, zero lost acked writes)
+// still hold, also across a synchronized same-instant burst. HedgeBench is
+// the A/B half: the same straggler workload with hedging off vs on, in
 // virtual time, so the p99 tail comparison is machine-independent.
 package experiments
 
@@ -24,52 +23,19 @@ import (
 	"repro/internal/tracing"
 )
 
-// GrayConfig parameterizes the gray-failure scenario.
-type GrayConfig struct {
-	Nodes     int           // cluster size (default 5)
-	WarmOps   int           // estimator warm-up ops before any fault (default 12)
-	Pulses    int           // straggler pulses aimed at the hedge group (default 6)
-	SlowExtra time.Duration // extra one-way latency during a pulse (default 300ms)
-	PulseLen  time.Duration // pulse duration (default 2ms — shorter than a hedge checkpoint)
-	BurstOps  int           // synchronized op burst that must trip admission control (default 40)
-	BurstKeys int           // distinct keys the burst spreads over (default 6)
-	Tail      time.Duration // settle time before the audit reads (default 12s)
+// Gray-failure scenario shape. The straggler pulse (stragglerExtra for
+// stragglerPulse) is shared with HedgeBench.
+const (
+	grayNodes     = 5                // cluster size
+	grayWarmOps   = 12               // estimator warm-up ops before any fault
+	grayPulses    = 6                // straggler pulses aimed at the hedge group
+	grayBurstOps  = 40               // ops issued at one virtual instant
+	grayBurstKeys = 6                // distinct keys the burst spreads over
+	grayTail      = 12 * time.Second // settle time before the audit reads
 
-	// ShedServeRate caps quorum phases served per replica per 10ms window
-	// (default 5) — low enough that the synchronized burst sheds, high
-	// enough that the paced warm-up and pulse ops never do.
-	ShedServeRate int
-}
-
-func (c *GrayConfig) applyDefaults() {
-	if c.Nodes <= 0 {
-		c.Nodes = 5
-	}
-	if c.WarmOps <= 0 {
-		c.WarmOps = 12
-	}
-	if c.Pulses <= 0 {
-		c.Pulses = 6
-	}
-	if c.SlowExtra <= 0 {
-		c.SlowExtra = 300 * time.Millisecond
-	}
-	if c.PulseLen <= 0 {
-		c.PulseLen = 2 * time.Millisecond
-	}
-	if c.BurstOps <= 0 {
-		c.BurstOps = 40
-	}
-	if c.BurstKeys <= 0 {
-		c.BurstKeys = 6
-	}
-	if c.Tail <= 0 {
-		c.Tail = 12 * time.Second
-	}
-	if c.ShedServeRate <= 0 {
-		c.ShedServeRate = 5
-	}
-}
+	stragglerExtra = 300 * time.Millisecond // extra one-way latency during a pulse
+	stragglerPulse = 2 * time.Millisecond   // pulse duration, shorter than a hedge checkpoint
+)
 
 // GrayResult reports the scenario outcome.
 type GrayResult struct {
@@ -77,14 +43,12 @@ type GrayResult struct {
 	HistoryAudit
 
 	// Resilience activity (deltas of the process-wide counters).
-	Retries      uint64
-	Hedges       uint64
-	HedgeWins    uint64
-	Sheds        uint64
-	Redeliveries uint64
-	SlowHints    uint64 // summed over the cluster's failure detectors
-	SlowWindows  uint64 // gray injections applied by the emulator
-	SlowDelayed  uint64 // messages the emulator delayed inside one
+	Retries     uint64
+	Hedges      uint64
+	HedgeWins   uint64
+	SlowHints   uint64 // summed over the cluster's failure detectors
+	SlowWindows uint64 // gray injections applied by the emulator
+	SlowDelayed uint64 // messages the emulator delayed inside one
 
 	SimulatedDuration time.Duration
 	DiscreteEvents    uint64
@@ -116,27 +80,22 @@ func keyOwnedBy(nodeKeys []ident.Key, idx int, prefix string) string {
 // Gray runs the gray-failure scenario: a simulated CATS cluster serving
 // quorum traffic while the emulator injects straggler pulses (slow, never
 // dead, nodes) at a replica group held one ack short of quorum, and a
-// synchronized op burst tripping replica admission control. It gates the
-// same invariants as the chaos scenario — linearizable history, zero lost
-// acked writes — plus evidence the resilience layer actually engaged:
-// hedges fired and sheds happened.
-func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResult {
-	cfg.applyDefaults()
-
+// synchronized op burst from one coordinator. It gates the same invariants
+// as the chaos scenario — linearizable history, zero lost acked writes —
+// plus evidence the resilience layer actually engaged: hedges fired.
+func Gray(seed int64, simOpts ...simulation.SimOption) GrayResult {
 	ring, restore := traceEveryOp(1 << 16)
 	defer restore()
 
 	nodeCfg := simTimings
 	// A 2ms deadline floor keeps adaptive budgets meaningful at the
 	// emulator's sub-millisecond latencies (the default floor, OpTimeout/20
-	// = 100ms, would swamp them), and the serve-rate cap arms admission
-	// control on every replica.
+	// = 100ms, would swamp them).
 	nodeCfg.DeadlineFloor = 2 * time.Millisecond
-	nodeCfg.ShedServeRate = cfg.ShedServeRate
 
 	resBefore := abd.GlobalResilienceMetrics()
 
-	nodeKeys := spreadKeys(cfg.Nodes)
+	nodeKeys := spreadKeys(grayNodes)
 	c := cats.NewSimCluster(seed, nodeCfg, "", simLAN(), simOpts...)
 	c.Host.RecordOps = true
 	c.Join(nodeKeys)
@@ -146,7 +105,7 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 	// node hIdx — members {hIdx, hIdx+1, hIdx+2}. The coordinator is hIdx
 	// itself (its self-phase acks instantly), and the pulses slow the other
 	// two members, stalling every phase at quorum-minus-one.
-	n := cfg.Nodes
+	n := grayNodes
 	hIdx := rng.Intn(n)
 	hedgeKey := keyOwnedBy(nodeKeys, hIdx, "gray-hedge")
 	hCoord := nodeKeys[hIdx]
@@ -156,9 +115,9 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 
 	// Phase 1 — warm-up: paced ops on the hedge key from the hedge
 	// coordinator, so its estimators for the group members converge well
-	// below the deadline ceiling before the first pulse.
+	// below OpTimeout before the first pulse.
 	warmSpacing := 150 * time.Millisecond
-	for i := 0; i < cfg.WarmOps; i++ {
+	for i := 0; i < grayWarmOps; i++ {
 		at := time.Duration(i) * warmSpacing
 		if i == 0 || i%4 == 0 {
 			val := []byte("warm-" + strconv.Itoa(i))
@@ -167,38 +126,37 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 			c.Schedule(at, "gray:op", cats.OpGet{NodeKey: hCoord, Key: hedgeKey})
 		}
 	}
-	warmEnd := time.Duration(cfg.WarmOps) * warmSpacing
+	warmEnd := time.Duration(grayWarmOps) * warmSpacing
 
 	// Phase 2 — straggler pulses: both non-coordinator group members turn
-	// slow for PulseLen, and a get is issued at the pulse instant. Its
-	// phase messages to them are delayed by SlowExtra; the self ack holds
+	// slow for stragglerPulse, and a get is issued at the pulse instant. Its
+	// phase messages to them are delayed by stragglerExtra; the self ack holds
 	// the phase at quorum-minus-one; the adaptive hedge checkpoint lands
 	// after the pulse expired, so the hedged duplicate travels fast and
 	// wins the race while the originals are still in flight.
 	pulseSpacing := 500 * time.Millisecond
-	for i := 0; i < cfg.Pulses; i++ {
+	for i := 0; i < grayPulses; i++ {
 		at := warmEnd + time.Second + time.Duration(i)*pulseSpacing
-		extra, plen := cfg.SlowExtra, cfg.PulseLen
 		c.Sim.ScheduleAt(at, "gray:pulse", func() {
-			c.Emu.SlowNode(slowAddrA, extra, plen)
-			c.Emu.SlowNode(slowAddrB, extra, plen)
+			c.Emu.SlowNode(slowAddrA, stragglerExtra, stragglerPulse)
+			c.Emu.SlowNode(slowAddrB, stragglerExtra, stragglerPulse)
 		})
 		c.Schedule(at, "gray:op", cats.OpGet{NodeKey: hCoord, Key: hedgeKey})
 	}
-	pulseEnd := warmEnd + time.Second + time.Duration(cfg.Pulses)*pulseSpacing
+	pulseEnd := warmEnd + time.Second + time.Duration(grayPulses)*pulseSpacing
 
-	// Phase 3 — synchronized burst: BurstOps ops issued at one virtual
-	// instant from one coordinator. Each replica covering the burst keys
-	// sees far more phases inside one shed window than the serve-rate cap
-	// allows and sheds the excess; the shed ops recover through jittered
-	// redelivery and backoff retries during the tail.
+	// Phase 3 — synchronized burst: grayBurstOps ops issued at one virtual
+	// instant from one coordinator, several of them racing on each key.
+	// Every replica covering the burst keys serves them all in one go, and
+	// the history must still come out linearizable with no acked write
+	// lost.
 	burstAt := pulseEnd + time.Second
 	bCoord := nodeKeys[(hIdx+3)%n]
-	burstKeys := make([]string, cfg.BurstKeys)
+	burstKeys := make([]string, grayBurstKeys)
 	for k := range burstKeys {
 		burstKeys[k] = "gray-burst-" + strconv.Itoa(k)
 	}
-	for i := 0; i < cfg.BurstOps; i++ {
+	for i := 0; i < grayBurstOps; i++ {
 		key := burstKeys[i%len(burstKeys)]
 		if i < len(burstKeys) || rng.Float64() < 0.5 {
 			val := []byte("burst-" + strconv.Itoa(i))
@@ -208,7 +166,7 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 		}
 	}
 
-	mainStats := c.Sim.Run(burstAt + cfg.Tail)
+	mainStats := c.Sim.Run(burstAt + grayTail)
 
 	// Audit: one read per key must observe an acknowledged value.
 	preAudit := len(c.Host.OpHistory())
@@ -219,7 +177,7 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 	auditStats := c.Sim.Run(nodeCfg.OpTimeout * 4)
 
 	res := GrayResult{
-		Nodes:             cfg.Nodes,
+		Nodes:             grayNodes,
 		HistoryAudit:      auditHistory(c.Host, preAudit, auditKeys),
 		SimulatedDuration: mainStats.SimulatedDuration + auditStats.SimulatedDuration,
 		DiscreteEvents:    mainStats.DiscreteEvents + auditStats.DiscreteEvents,
@@ -229,8 +187,6 @@ func Gray(seed int64, cfg GrayConfig, simOpts ...simulation.SimOption) GrayResul
 	res.Retries = resAfter.Retries - resBefore.Retries
 	res.Hedges = resAfter.Hedges - resBefore.Hedges
 	res.HedgeWins = resAfter.HedgeWins - resBefore.HedgeWins
-	res.Sheds = resAfter.Sheds - resBefore.Sheds
-	res.Redeliveries = resAfter.Redeliveries - resBefore.Redeliveries
 	res.SlowWindows, res.SlowDelayed = c.Emu.GrayStats()
 	for _, ref := range c.Host.AliveNodes() {
 		if p, ok := c.Host.Peer(ref.Key); ok && p.Node != nil {
@@ -259,28 +215,12 @@ func refAddr(host *cats.Simulator, key ident.Key) (addr network.Address) {
 
 // --- hedge A/B benchmark ---------------------------------------------------------
 
-// HedgeBenchConfig parameterizes the straggler A/B benchmark.
-type HedgeBenchConfig struct {
-	WarmOps   int           // estimator warm-up ops (default 16)
-	Ops       int           // measured pulsed ops per arm (default 40)
-	SlowExtra time.Duration // straggler extra latency per pulse (default 300ms)
-	PulseLen  time.Duration // pulse duration (default 2ms)
-}
-
-func (c *HedgeBenchConfig) applyDefaults() {
-	if c.WarmOps <= 0 {
-		c.WarmOps = 16
-	}
-	if c.Ops <= 0 {
-		c.Ops = 40
-	}
-	if c.SlowExtra <= 0 {
-		c.SlowExtra = 300 * time.Millisecond
-	}
-	if c.PulseLen <= 0 {
-		c.PulseLen = 2 * time.Millisecond
-	}
-}
+// HedgeBench's shape: estimator warm-up ops, then pulsed ops measured per
+// arm.
+const (
+	hedgeWarmOps = 16
+	hedgeOps     = 40
+)
 
 // HedgeArm is one arm's latency profile over the pulsed ops, in virtual
 // time (deterministic per seed, machine-independent).
@@ -314,12 +254,11 @@ type HedgeBenchResult struct {
 // off the op must ride out the delayed original (or an attempt timeout +
 // backoff); with hedging on the checkpoint fires after the pulse expired
 // and the fast duplicate completes the quorum.
-func HedgeBench(seed int64, cfg HedgeBenchConfig) HedgeBenchResult {
-	cfg.applyDefaults()
+func HedgeBench(seed int64) HedgeBenchResult {
 	var res HedgeBenchResult
-	res.Off = hedgeArm(seed, cfg, simTimings.OpTimeout)
+	res.Off = hedgeArm(seed, simTimings.OpTimeout)
 	mid := abd.GlobalResilienceMetrics()
-	res.On = hedgeArm(seed, cfg, 2*time.Millisecond)
+	res.On = hedgeArm(seed, 2*time.Millisecond)
 	resAfter := abd.GlobalResilienceMetrics()
 	res.Hedges = resAfter.Hedges - mid.Hedges
 	res.HedgeWins = resAfter.HedgeWins - mid.HedgeWins
@@ -331,7 +270,7 @@ func HedgeBench(seed int64, cfg HedgeBenchConfig) HedgeBenchResult {
 
 // hedgeArm runs one arm of the A/B: same seed, same pulse schedule, only
 // the adaptive-deadline floor differs.
-func hedgeArm(seed int64, cfg HedgeBenchConfig, deadlineFloor time.Duration) HedgeArm {
+func hedgeArm(seed int64, deadlineFloor time.Duration) HedgeArm {
 	nodeCfg := simTimings
 	nodeCfg.DeadlineFloor = deadlineFloor
 
@@ -348,21 +287,20 @@ func hedgeArm(seed int64, cfg HedgeBenchConfig, deadlineFloor time.Duration) Hed
 
 	warmSpacing := 150 * time.Millisecond
 	c.Schedule(0, "hedge:op", cats.OpPut{NodeKey: coord, Key: key, Value: []byte("seed")})
-	for i := 1; i < cfg.WarmOps; i++ {
+	for i := 1; i < hedgeWarmOps; i++ {
 		c.Schedule(time.Duration(i)*warmSpacing, "hedge:op", cats.OpGet{NodeKey: coord, Key: key})
 	}
-	warmEnd := time.Duration(cfg.WarmOps) * warmSpacing
+	warmEnd := time.Duration(hedgeWarmOps) * warmSpacing
 
 	pulseSpacing := 500 * time.Millisecond
-	for i := 0; i < cfg.Ops; i++ {
+	for i := 0; i < hedgeOps; i++ {
 		at := warmEnd + time.Second + time.Duration(i)*pulseSpacing
-		extra, plen := cfg.SlowExtra, cfg.PulseLen
-		c.Sim.ScheduleAt(at, "hedge:pulse", func() { c.Emu.SlowNode(slowAddr, extra, plen) })
+		c.Sim.ScheduleAt(at, "hedge:pulse", func() { c.Emu.SlowNode(slowAddr, stragglerExtra, stragglerPulse) })
 		c.Schedule(at, "hedge:op", cats.OpGet{NodeKey: coord, Key: key})
 	}
 
-	preMeasure := cfg.WarmOps // history index where the pulsed ops start
-	c.Sim.Run(warmEnd + time.Second + time.Duration(cfg.Ops)*pulseSpacing + nodeCfg.OpTimeout*4)
+	preMeasure := hedgeWarmOps // history index where the pulsed ops start
+	c.Sim.Run(warmEnd + time.Second + time.Duration(hedgeOps)*pulseSpacing + nodeCfg.OpTimeout*4)
 
 	history := c.Host.OpHistory()
 	var lat []time.Duration

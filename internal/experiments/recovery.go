@@ -44,63 +44,29 @@ import (
 	"repro/internal/linear"
 )
 
-// RecoveryConfig parameterizes the crash-restart recovery scenario.
-type RecoveryConfig struct {
-	Nodes     int           // cluster size (default 5)
-	Keys      int           // distinct data keys (default 8)
-	OpsPerKey int           // operations per key scheduled in phase 1 (default 10)
-	ValuePad  int           // padding bytes per value, so WALs grow enough to snapshot (default 256)
-	OpWindow  time.Duration // window the workload and churn spread over (default 40s)
-	KillAt    time.Duration // virtual time of the whole-process SIGKILL (default 24s — mid-churn)
-	Crashes   int           // individual node crash→restart cycles before the kill (default 2)
-	CrashDown time.Duration // node outage length; exceeds suspicion so groups reconfigure (default 8s)
-	Tail      time.Duration // phase-2 settle time before the audit reads (default 25s)
+// The crash-restart recovery scenario's shape.
+const (
+	recNodes     = 5                // cluster size
+	recKeys      = 8                // distinct data keys
+	recOpsPerKey = 10               // operations per key scheduled in phase 1
+	recValuePad  = 256              // padding bytes per value, so WALs grow enough to snapshot
+	recOpWindow  = 40 * time.Second // window the workload and churn spread over
+	recKillAt    = 24 * time.Second // virtual time of the whole-process SIGKILL — mid-churn
+	recCrashes   = 2                // individual node crash→restart cycles before the kill
+	recCrashDown = 8 * time.Second  // node outage length; exceeds suspicion so groups reconfigure
+	recTail      = 25 * time.Second // phase-2 settle time before the audit reads
 
-	// SnapshotBytes is the WAL size triggering a checkpoint in phase 1
-	// (default 1 KiB — small, so the short scenario exercises the
-	// snapshot + rotate + recover path, not just WAL replay).
-	SnapshotBytes int64
-}
-
-func (c *RecoveryConfig) applyDefaults() {
-	if c.Nodes <= 0 {
-		c.Nodes = 5
-	}
-	if c.Keys <= 0 {
-		c.Keys = 8
-	}
-	if c.OpsPerKey <= 0 {
-		c.OpsPerKey = 10
-	}
-	if c.ValuePad <= 0 {
-		c.ValuePad = 256
-	}
-	if c.OpWindow <= 0 {
-		c.OpWindow = 40 * time.Second
-	}
-	if c.KillAt <= 0 {
-		c.KillAt = 24 * time.Second
-	}
-	if c.Crashes <= 0 {
-		c.Crashes = 2
-	}
-	if c.CrashDown <= 0 {
-		c.CrashDown = 8 * time.Second
-	}
-	if c.Tail <= 0 {
-		c.Tail = 25 * time.Second
-	}
-	if c.SnapshotBytes == 0 {
-		c.SnapshotBytes = 1 << 10
-	}
-}
+	// recSnapshotBytes is the WAL size triggering a checkpoint in phase 1:
+	// small, so the short scenario exercises the snapshot + rotate +
+	// recover path, not just WAL replay.
+	recSnapshotBytes = 1 << 10
+)
 
 // RecoveryCrash runs phase 1. On the happy path it does not return: the
 // scheduled SIGKILL tears the process down mid-churn with exit code 137.
 // Returning (with an error) means the kill never fired — callers must
 // treat that as scenario failure.
-func RecoveryCrash(seed int64, cfg RecoveryConfig, dir string) error {
-	cfg.applyDefaults()
+func RecoveryCrash(seed int64, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -110,24 +76,24 @@ func RecoveryCrash(seed int64, cfg RecoveryConfig, dir string) error {
 	}
 
 	// Acks are fsync-gated: the scenario's promise is "no acked write lost".
-	c := cats.NewSimCluster(seed, chaosTimings(cfg.SnapshotBytes), dir, simLAN())
+	c := cats.NewSimCluster(seed, chaosTimings(recSnapshotBytes), dir, simLAN())
 	c.Host.RecordOps = true
 	c.Host.OpSink = histLog.append
-	c.Join(spreadKeys(cfg.Nodes))
+	c.Join(spreadKeys(recNodes))
 	rng := rand.New(rand.NewSource(seed ^ 0x72656376)) // "recv"
 
 	// Workload: put-biased after each key's first put, so most keys
 	// accumulate several acked versions before the kill. Values carry
 	// padding so the WALs cross the checkpoint threshold during the run.
-	keys := make([]string, cfg.Keys)
+	keys := make([]string, recKeys)
 	for k := range keys {
 		keys[k] = "rec-" + string(rune('a'+k%26)) + "-" + strconv.Itoa(k)
 	}
-	scheduleKeyOps(c, rng, "recovery", keys, cfg.OpsPerKey, cfg.OpWindow, 0.6, strings.Repeat("x", cfg.ValuePad))
+	scheduleKeyOps(c, rng, "recovery", keys, recOpsPerKey, recOpWindow, 0.6, strings.Repeat("x", recValuePad))
 
 	// Individual-node churn before the kill, so the full-process restart
 	// lands on a cluster already mid-reconfiguration.
-	scheduleCrashes(c, rng, "recovery", cfg.Crashes, cfg.KillAt, cfg.CrashDown)
+	scheduleCrashes(c, rng, "recovery", recCrashes, recKillAt, recCrashDown)
 
 	// The point of the exercise: kill the whole cluster — every node
 	// lives in this process — with no warning and no cleanup. Everything
@@ -136,7 +102,7 @@ func RecoveryCrash(seed int64, cfg RecoveryConfig, dir string) error {
 	// Checkpoints finish in the background; the kill lands once the last
 	// one has settled, so the on-disk layout is a function of the seed
 	// (crashes mid-checkpoint are kvstore's crash-point tests).
-	c.Sim.ScheduleAt(cfg.KillAt, "recovery:sigkill", func() {
+	c.Sim.ScheduleAt(recKillAt, "recovery:sigkill", func() {
 		for _, ref := range c.Host.AliveNodes() {
 			if p, ok := c.Host.Peer(ref.Key); ok && p.Node != nil && p.Node.Store() != nil {
 				p.Node.Store().WaitCheckpoint()
@@ -146,8 +112,8 @@ func RecoveryCrash(seed int64, cfg RecoveryConfig, dir string) error {
 		select {} // unreachable: SIGKILL cannot be caught or outrun
 	})
 
-	c.Sim.Run(cfg.OpWindow + cfg.Tail)
-	return fmt.Errorf("recovery: scheduled SIGKILL at %v never fired (ran %v)", cfg.KillAt, cfg.OpWindow+cfg.Tail)
+	c.Sim.Run(recOpWindow + recTail)
+	return fmt.Errorf("recovery: scheduled SIGKILL at %v never fired (ran %v)", recKillAt, recOpWindow+recTail)
 }
 
 // RecoveryResult reports the phase-2 outcome.
@@ -186,8 +152,7 @@ type RecoveryResult struct {
 
 // RecoveryRecover runs phase 2 against the data directory a killed
 // phase 1 left behind.
-func RecoveryRecover(seed int64, cfg RecoveryConfig, dir string) (RecoveryResult, error) {
-	cfg.applyDefaults()
+func RecoveryRecover(seed int64, dir string) (RecoveryResult, error) {
 	var res RecoveryResult
 
 	resolved, unresolved, err := readHistoryLog(filepath.Join(dir, "history.log"))
@@ -208,7 +173,7 @@ func RecoveryRecover(seed int64, cfg RecoveryConfig, dir string) (RecoveryResult
 
 	// Phase 2 keeps sync=always for symmetry (cheap at audit volume);
 	// recovery itself is policy-independent.
-	c := cats.NewSimCluster(seed^0x7265636f, chaosTimings(cfg.SnapshotBytes), dir, simLAN()) // "reco"
+	c := cats.NewSimCluster(seed^0x7265636f, chaosTimings(recSnapshotBytes), dir, simLAN()) // "reco"
 	c.Host.RecordOps = true
 	c.Join(nodeKeys)
 

@@ -179,50 +179,3 @@ func decodeGob(payload []byte) (Message, error) {
 	}
 	return env.M, nil
 }
-
-// RoundTrip encodes and immediately decodes a message, returning the
-// deserialized copy. The Loopback transport uses it to exercise the full
-// serialization path in-process.
-func (c Codec) RoundTrip(m Message) (Message, error) {
-	b, err := c.Encode(m)
-	if err != nil {
-		return nil, err
-	}
-	return c.Decode(b)
-}
-
-// StreamCodec serializes messages over a persistent gob stream, amortizing
-// type descriptors across messages the way a per-connection stream codec
-// (the paper's Kryo setup) does. Safe for concurrent use.
-type StreamCodec struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-// NewStreamCodec creates a connected encoder/decoder pair.
-func NewStreamCodec() *StreamCodec {
-	s := &StreamCodec{}
-	s.enc = gob.NewEncoder(&s.buf)
-	s.dec = gob.NewDecoder(&s.buf)
-	return s
-}
-
-// RoundTrip serializes and immediately deserializes one message through
-// the stream.
-func (s *StreamCodec) RoundTrip(m Message) (Message, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.enc.Encode(envelope{M: m}); err != nil {
-		return nil, fmt.Errorf("network: stream encode %T: %w", m, err)
-	}
-	var env envelope
-	if err := s.dec.Decode(&env); err != nil {
-		return nil, fmt.Errorf("network: stream decode: %w", err)
-	}
-	if env.M == nil {
-		return nil, fmt.Errorf("network: stream decode: nil message")
-	}
-	return env.M, nil
-}

@@ -20,9 +20,7 @@ type LoopbackRegistry struct {
 
 	delay    func(src, dst Address) time.Duration
 	dropRate float64
-	codec    *Codec
 	wire     WireCodec
-	stream   *StreamCodec
 	rng      *rand.Rand
 	rngMu    sync.Mutex
 
@@ -53,27 +51,13 @@ func WithDropRate(p float64, seed int64) LoopbackOption {
 	}
 }
 
-// WithCodec makes the registry serialize and deserialize every message
-// through the codec before delivery, exercising the full marshalling path
-// (and catching unregistered message types) in-process.
-func WithCodec(c Codec) LoopbackOption {
-	return func(r *LoopbackRegistry) { r.codec = &c }
-}
-
-// WithWireCodec is WithCodec generalized over codec backends: every
-// message round-trips through the given WireCodec (binary payloads for
-// its wire set, gob fallback otherwise), exercising exactly the bytes a
-// TCP deployment with that backend would put on the wire.
+// WithWireCodec makes the registry serialize and deserialize every
+// message through the given codec before delivery (Encode, then
+// DecodePayload), exercising exactly the bytes a TCP deployment with that
+// backend would put on the wire — and catching unregistered message types
+// in-process.
 func WithWireCodec(c WireCodec) LoopbackOption {
 	return func(r *LoopbackRegistry) { r.wire = c }
-}
-
-// WithStreamCodec is WithCodec but over a persistent gob stream, which
-// amortizes type descriptors across messages as per-connection stream
-// codecs do; this is the realistic serialization cost for long-lived
-// connections.
-func WithStreamCodec() LoopbackOption {
-	return func(r *LoopbackRegistry) { r.stream = NewStreamCodec() }
 }
 
 // NewLoopbackRegistry creates an empty registry.
@@ -103,14 +87,6 @@ func (r *LoopbackRegistry) route(m Message) {
 			return
 		}
 	}
-	if r.codec != nil {
-		decoded, err := r.codec.RoundTrip(m)
-		if err != nil {
-			r.dropped.add(1)
-			return
-		}
-		m = decoded
-	}
 	if r.wire != nil {
 		payload, err := r.wire.Encode(m)
 		if err != nil {
@@ -118,14 +94,6 @@ func (r *LoopbackRegistry) route(m Message) {
 			return
 		}
 		decoded, err := DecodePayload(payload)
-		if err != nil {
-			r.dropped.add(1)
-			return
-		}
-		m = decoded
-	}
-	if r.stream != nil {
-		decoded, err := r.stream.RoundTrip(m)
 		if err != nil {
 			r.dropped.add(1)
 			return

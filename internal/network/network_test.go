@@ -70,7 +70,11 @@ func TestHeaderAndReply(t *testing.T) {
 func TestCodecRoundTripPlain(t *testing.T) {
 	c := Codec{}
 	m := data{Header: NewHeader(addr(1), addr(2)), Seq: 7, Payload: []byte("abc")}
-	got, err := c.RoundTrip(m)
+	enc, err := c.Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +148,11 @@ func TestPropertyCodecRoundTrip(t *testing.T) {
 	f := func(seq int, payload []byte, compress bool) bool {
 		c := Codec{Compress: compress}
 		m := data{Header: NewHeader(addr(1), addr(2)), Seq: seq, Payload: payload}
-		got, err := c.RoundTrip(m)
+		enc, err := c.Encode(m)
+		if err != nil {
+			return false
+		}
+		got, err := c.Decode(enc)
 		if err != nil {
 			return false
 		}
@@ -254,7 +262,7 @@ func TestLoopbackUnroutable(t *testing.T) {
 }
 
 func TestLoopbackCodecRoundTrip(t *testing.T) {
-	rt, n1, n2, _ := newLoopbackPair(t, WithCodec(Codec{Compress: true}))
+	rt, n1, n2, _ := newLoopbackPair(t, WithWireCodec(Codec{Compress: true}))
 	n1.send(data{Header: NewHeader(n1.self, n2.self), Seq: 3, Payload: []byte("xyz")})
 	if !rt.WaitQuiescence(5 * time.Second) {
 		t.Fatal("no quiescence")
