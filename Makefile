@@ -27,7 +27,8 @@ help:
 	@echo "                  ./...) and run its four workloads at smoke sizes"
 	@echo "  scenarios       catssim run gate: every gate scenario at its registered"
 	@echo "                  seeds, twice each in fresh processes, reports byte-identical"
-	@echo "                  and named invariants held (catssim list gate)"
+	@echo "                  and named invariants held (catssim list gate); then the"
+	@echo "                  simulation and real-time kvcluster examples"
 	@echo "  fuzz            binary frame and WAL decoder fuzz targets, 30s each"
 	@echo "  ci              vet + build + test-race"
 	@echo "  ci-local        local mirror of the CI jobs: lint (without staticcheck and"
@@ -79,10 +80,13 @@ kvbench-smoke:
 # Local mirror of the CI scenarios job: every gate entry of the catssim
 # registry, each seed twice in fresh processes, reports diffed and the
 # named invariants checked by catssim itself. Reports go to stdout. The
-# simulation example exits 1 unless its two same-seed runs match.
+# simulation example exits 1 unless its two same-seed runs match; the
+# kvcluster example, the one real-time cluster run outside go test, exits 1
+# on a failed op.
 scenarios:
 	$(GO) run ./cmd/catssim run gate
 	$(GO) run ./examples/simulation
+	$(GO) run ./examples/kvcluster
 
 # Binary frame decoder fuzz targets (also run as 30s smoke in CI): the
 # payload decoder must never panic or mis-frame on arbitrary bytes, the

@@ -47,7 +47,10 @@ func BenchmarkC1OperationLatency(b *testing.B) {
 	for _, repl := range []int{3, 5} {
 		b.Run(fmt.Sprintf("replication=%d", repl), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := experiments.Latency(8, repl, 1024, 300, "binary")
+				r, err := experiments.Latency(8, repl, 1024, 300, "binary")
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ReportMetric(float64(r.Mean.Microseconds()), "mean-us/op")
 				b.ReportMetric(float64(r.P99.Microseconds()), "p99-us/op")
 				b.ReportMetric(100*r.SubMilli, "%sub-ms")
@@ -393,11 +396,11 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 	chain = func() {
 		n++
 		if n < b.N {
-			sim.ScheduleAt(time.Microsecond, "e", chain)
+			sim.ScheduleAt(time.Microsecond, chain)
 		}
 	}
 	b.ResetTimer()
-	sim.ScheduleAt(0, "start", chain)
+	sim.ScheduleAt(0, chain)
 	sim.Run(0)
 	if n < b.N {
 		b.Fatalf("ran %d of %d events", n, b.N)

@@ -147,7 +147,8 @@ var sabotageTable = []struct {
 		"GobFrames":       "both-formats-on-wire",
 	}},
 	{"recovery", experiments.RecoveryResult{
-		Linearizable: true, WALReplayed: 1, SnapshotsLoaded: 1, RecoveredKeys: 1, HandoffTransfers: 1,
+		HistoryAudit: experiments.HistoryAudit{Linearizable: true},
+		WALReplayed:  1, SnapshotsLoaded: 1, RecoveredKeys: 1, HandoffTransfers: 1,
 	}, map[string]string{
 		"Linearizable":     "linearizable",
 		"LostAckedWrites":  "no-lost-acked-writes",

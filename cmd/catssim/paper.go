@@ -13,9 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cats"
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/network"
 	"repro/internal/scenario"
 )
 
@@ -27,24 +25,17 @@ func runLocal(w io.Writer, seed int64, _ string) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	host := cats.NewSimulator(cats.LoopbackEnv{Registry: network.NewLoopbackRegistry()}, simTimings)
-	rt := core.New()
-	defer rt.Shutdown()
-	var exp *core.Port
-	rt.MustBootstrap("CatsLocalExecutionMain", core.SetupFunc(func(ctx *core.Ctx) {
-		c := ctx.Create("simulator", host)
-		exp = c.Provided(cats.ExperimentPortType)
-	}))
-	rt.WaitQuiescence(5 * time.Second)
+	c := cats.NewLocalCluster(simTimings, "")
+	defer c.Close()
 
 	start := time.Now()
-	done, stop := scenario.ExecuteRealTime(sched, exp)
+	done, stop := scenario.ExecuteRealTime(sched, c.Exp)
 	defer stop()
 	<-done
 	time.Sleep(simTail)
-	rt.WaitQuiescence(10 * time.Second)
+	c.Rt.WaitQuiescence(10 * time.Second)
 	fmt.Fprintf(os.Stderr, "catssim: local execution took %v wall time\n", time.Since(start).Round(time.Millisecond))
-	report(w, host.Metrics(), host.AliveCount())
+	report(w, c.Host.Metrics(), c.Host.AliveCount())
 	return nil, nil
 }
 
@@ -71,12 +62,14 @@ func runLatency(w io.Writer, _ int64, _ string) (any, error) {
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%6s %5s %13s %10s  %10s  %10s  %10s  %10s  %8s\n",
 		"Nodes", "Repl", "Codec", "ValueSize", "Mean", "P50", "P99", "Max", "<1ms")
-	for _, r := range []experiments.LatencyResult{
-		experiments.Latency(8, 3, 1024, ops, "binary"),
-		experiments.Latency(8, 5, 1024, ops, "binary"),
-		experiments.Latency(8, 5, 1024, ops, "gob"),
-		experiments.Latency(8, 5, 1024, ops, "gob+zlib"),
-	} {
+	for _, cfg := range []struct {
+		repl  int
+		codec string
+	}{{3, "binary"}, {5, "binary"}, {5, "gob"}, {5, "gob+zlib"}} {
+		r, err := experiments.Latency(8, cfg.repl, 1024, ops, cfg.codec)
+		if err != nil {
+			return nil, err
+		}
 		fmt.Fprintf(w, "%6d %5d %13s %10d  %10v  %10v  %10v  %10v  %7.1f%%\n",
 			r.Nodes, r.Replication, r.Codec, r.ValueSize,
 			r.Mean.Round(time.Microsecond), r.P50.Round(time.Microsecond),

@@ -213,7 +213,7 @@ func TestCoordinatorCoalescesConcurrentOps(t *testing.T) {
 	coord := nodes[0]
 
 	const ops = 16
-	sim.ScheduleAt(0, "test:burst", func() {
+	sim.ScheduleAt(0, func() {
 		for i := 0; i < ops; i++ {
 			coord.put(uint64(i+1), fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
 		}
@@ -239,7 +239,7 @@ func TestCoordinatorCoalescesConcurrentOps(t *testing.T) {
 		t.Fatalf("burst of %d ops rode %d frames, want at most %d (one per replica per phase)", ops, batches, max)
 	}
 	// Reads see the writes through the same coalesced path.
-	sim.ScheduleAt(0, "test:verify", func() {
+	sim.ScheduleAt(0, func() {
 		for i := 0; i < ops; i++ {
 			coord.get(uint64(100+i), fmt.Sprintf("k%d", i))
 		}
@@ -269,14 +269,14 @@ func TestBatchChurnStress(t *testing.T) {
 		at := time.Duration(i) * 200 * time.Millisecond
 		victim := rng.Intn(len(nodes))
 		c := rng.Float64() < 0.7
-		sim.ScheduleAt(at, "stress:sync", func() {
+		sim.ScheduleAt(at, func() {
 			rounds[victim]++
 			nodes[victim].syncWindow(epoch, rounds[victim], c)
 			epoch++
 		})
 	}
-	sim.ScheduleAt(2*time.Second, "stress:crash", func() { emu.Crash(nodes[4].self.Addr) })
-	sim.ScheduleAt(4*time.Second, "stress:restart", func() { emu.Restart(nodes[4].self.Addr) })
+	sim.ScheduleAt(2*time.Second, func() { emu.Crash(nodes[4].self.Addr) })
+	sim.ScheduleAt(4*time.Second, func() { emu.Restart(nodes[4].self.Addr) })
 
 	// Bursts: several ops per scheduling wave so per-peer batches form.
 	const bursts, perBurst = 12, 6
@@ -285,7 +285,7 @@ func TestBatchChurnStress(t *testing.T) {
 		at := time.Duration(rng.Int63n(int64(7 * time.Second)))
 		node := nodes[rng.Intn(4)]
 		base := uint64(1000 * (b + 1))
-		sim.ScheduleAt(at, "stress:burst", func() {
+		sim.ScheduleAt(at, func() {
 			for i := 0; i < perBurst; i++ {
 				key := fmt.Sprintf("k%d", (int(base)+i)%9)
 				if i%2 == 0 {
@@ -297,7 +297,7 @@ func TestBatchChurnStress(t *testing.T) {
 		})
 		total += perBurst
 	}
-	sim.ScheduleAt(8*time.Second, "stress:quiesce", func() {
+	sim.ScheduleAt(8*time.Second, func() {
 		for i, nd := range nodes {
 			rounds[i]++
 			nd.syncWindow(epoch, rounds[i], true)

@@ -356,14 +356,14 @@ func TestEndlessViewChangesFailOp(t *testing.T) {
 	round := uint64(1)
 	for i := 0; i < 40; i++ {
 		at := time.Duration(i) * 50 * time.Millisecond
-		sim.ScheduleAt(at, "test:bump", func() {
+		sim.ScheduleAt(at, func() {
 			nodes[1].syncWindow(epoch, round, true)
 			nodes[2].syncWindow(epoch, round, true)
 			epoch++
 			round++
 		})
 	}
-	sim.ScheduleAt(60*time.Millisecond, "test:put", func() { nodes[0].put(1, "k", "v") })
+	sim.ScheduleAt(60*time.Millisecond, func() { nodes[0].put(1, "k", "v") })
 	sim.Run(10 * time.Second)
 
 	if len(nodes[0].puts) != 1 {
@@ -405,15 +405,15 @@ func epochChurnStress(t *testing.T) {
 		at := time.Duration(i) * 150 * time.Millisecond
 		victim := rng.Intn(len(nodes))
 		c := rng.Float64() < 0.8
-		sim.ScheduleAt(at, "stress:sync", func() {
+		sim.ScheduleAt(at, func() {
 			rounds[victim]++
 			nodes[victim].syncWindow(epoch, rounds[victim], c)
 			epoch++
 		})
 	}
 	// One replica drops off the network mid-run and returns.
-	sim.ScheduleAt(3*time.Second, "stress:crash", func() { emu.Crash(nodes[4].self.Addr) })
-	sim.ScheduleAt(5*time.Second, "stress:restart", func() { emu.Restart(nodes[4].self.Addr) })
+	sim.ScheduleAt(3*time.Second, func() { emu.Crash(nodes[4].self.Addr) })
+	sim.ScheduleAt(5*time.Second, func() { emu.Restart(nodes[4].self.Addr) })
 
 	// Workload across all coordinators.
 	const ops = 50
@@ -424,13 +424,13 @@ func epochChurnStress(t *testing.T) {
 		key := fmt.Sprintf("k%d", i%7)
 		if rng.Float64() < 0.5 {
 			val := fmt.Sprintf("v%d", i)
-			sim.ScheduleAt(at, "stress:put", func() { node.put(id, key, val) })
+			sim.ScheduleAt(at, func() { node.put(id, key, val) })
 		} else {
-			sim.ScheduleAt(at, "stress:get", func() { node.get(id, key) })
+			sim.ScheduleAt(at, func() { node.get(id, key) })
 		}
 	}
 	// Close any still-open windows so trailing ops can resolve.
-	sim.ScheduleAt(9*time.Second, "stress:quiesce", func() {
+	sim.ScheduleAt(9*time.Second, func() {
 		for i, nd := range nodes {
 			rounds[i]++
 			nd.syncWindow(epoch, rounds[i], true)

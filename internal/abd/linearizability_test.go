@@ -78,7 +78,7 @@ func recordedHistory(t *testing.T, seed int64) []linear.Op {
 		id := nextID
 		write := rng.Intn(2) == 0
 		val := fmt.Sprintf("v%d", i)
-		sim.ScheduleAt(at, "issue", func() {
+		sim.ScheduleAt(at, func() {
 			if write {
 				metas[id] = &meta{kind: linear.Write, value: val, start: sim.Now()}
 				nodes[coord].put(id, "k", val)

@@ -121,7 +121,9 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 			ctx.Connect(pc.Provided(web.PortType), b.Required(web.PortType))
 		}
 	}))
-	waitTCPRing(t, peers)
+	if err := AwaitReady(peers, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	// Traffic: a put through one node's web application, a get through the
 	// other's. The put is retried until the replica group has formed.

@@ -53,7 +53,6 @@ func (c *SimCluster) Join(keys []ident.Key) {
 }
 
 // Schedule triggers ev on the experiment port at virtual-time offset at.
-// tag is only read by a simulation.WithTrace hook.
-func (c *SimCluster) Schedule(at time.Duration, tag string, ev core.Event) {
-	c.Sim.ScheduleAt(at, tag, func() { _ = core.TriggerOn(c.Exp, ev) })
+func (c *SimCluster) Schedule(at time.Duration, ev core.Event) {
+	c.Sim.ScheduleAt(at, func() { _ = core.TriggerOn(c.Exp, ev) })
 }

@@ -325,6 +325,18 @@ func (s *Simulator) AliveNodes() []ident.NodeRef {
 	return out
 }
 
+// deployed returns the deployed peers, sorted by key.
+func (s *Simulator) deployed() []*Peer {
+	refs := s.AliveNodes()
+	out := make([]*Peer, 0, len(refs))
+	for _, ref := range refs {
+		if h := s.peerOf(ref.Key); h != nil {
+			out = append(out, h.peer)
+		}
+	}
+	return out
+}
+
 // peerOf looks up a deployed node's handle by exact key.
 func (s *Simulator) peerOf(key ident.Key) *peerHandle {
 	s.mu.Lock()

@@ -41,7 +41,7 @@ func (c *tcpClient) Setup(ctx *core.Ctx) {
 // bootTCPCluster starts a 3-node CATS cluster over real TCP sockets on
 // localhost with the environment's defaults — the full production path:
 // dial-on-demand connection management, length-prefixed framing, the
-// binary wire codec — and waits until the ring has converged.
+// binary wire codec — and waits until the cluster is ready (AwaitReady).
 func bootTCPCluster(t *testing.T) []*tcpClient {
 	t.Helper()
 	const n = 3
@@ -79,31 +79,10 @@ func bootTCPCluster(t *testing.T) []*tcpClient {
 		}
 	}))
 
-	waitTCPRing(t, peers)
-	return clients
-}
-
-// waitTCPRing waits until every peer has joined the ring over real sockets,
-// then gives the membership tables a second to fill.
-func waitTCPRing(t *testing.T, peers []*Peer) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		joined := 0
-		for _, p := range peers {
-			if p.Node != nil && p.Node.Ring.Joined() && len(p.Node.Ring.Succs()) > 0 {
-				joined++
-			}
-		}
-		if joined == len(peers) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ring did not converge over TCP: %d/%d joined", joined, len(peers))
-		}
-		time.Sleep(50 * time.Millisecond)
+	if err := AwaitReady(peers, 30*time.Second); err != nil {
+		t.Fatal(err)
 	}
-	time.Sleep(time.Second) // membership tables
+	return clients
 }
 
 // TestProductionTCPCluster performs linearizable puts and gets across

@@ -190,13 +190,6 @@ func (x *Ctx) Init(child *Component, ev Event) {
 	x.Trigger(ev, child.Control())
 }
 
-// CreateAndStart is Create followed by Start, for children needing no Init.
-func (x *Ctx) CreateAndStart(name string, def Definition) *Component {
-	child := x.Create(name, def)
-	x.Start(child)
-	return child
-}
-
 // Destroy stops and tears down a subcomponent and its whole subtree,
 // dropping its queued events and detaching all channels connected to its
 // ports.

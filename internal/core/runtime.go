@@ -134,15 +134,6 @@ func WithTraceSink(sink TraceSink) Option {
 	return func(rt *Runtime) { rt.traceSink = sink }
 }
 
-// WithSeed makes the default random provider deterministic without
-// replacing it.
-func WithSeed(seed int64) Option {
-	return func(rt *Runtime) {
-		shared := rand.New(&lockedSource{src: rand.NewSource(seed).(rand.Source64)})
-		rt.randFn = func(*Component) *rand.Rand { return shared }
-	}
-}
-
 // New creates a runtime. The scheduler is started lazily by Bootstrap.
 func New(opts ...Option) *Runtime {
 	rt := &Runtime{
@@ -214,11 +205,6 @@ func (rt *Runtime) LiveComponents() int64 { return rt.liveComps.Load() }
 
 // TotalComponentsCreated returns the number of components ever created.
 func (rt *Runtime) TotalComponentsCreated() int64 { return rt.totalComps.Load() }
-
-// ActiveComponents returns the number of components currently ready or
-// busy. Zero means the system is quiescent (no queued runnable work),
-// provided no external goroutine is about to inject events.
-func (rt *Runtime) ActiveComponents() int64 { return rt.active.Load() }
 
 // WaitQuiescence blocks until no component is ready or busy, or the timeout
 // elapses. It reports whether quiescence was reached. External event

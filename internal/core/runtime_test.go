@@ -6,31 +6,6 @@ import (
 	"time"
 )
 
-func TestWithSeedDeterministicRand(t *testing.T) {
-	draw := func() []int64 {
-		rt := New(
-			WithScheduler(NewWorkStealingScheduler(1)),
-			WithFaultPolicy(LogAndContinue),
-			WithSeed(99),
-		)
-		defer rt.Shutdown()
-		var out []int64
-		rt.MustBootstrap("Main", SetupFunc(func(ctx *Ctx) {
-			for i := 0; i < 10; i++ {
-				out = append(out, ctx.Rand().Int63())
-			}
-		}))
-		rt.WaitQuiescence(time.Second)
-		return out
-	}
-	a, b := draw(), draw()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("seeded rand diverged at %d", i)
-		}
-	}
-}
-
 func TestWallClockAdvances(t *testing.T) {
 	rt := newTestRuntime(t)
 	var t1, t2 time.Time

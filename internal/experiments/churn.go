@@ -161,16 +161,16 @@ type HistoryAudit struct {
 	LostKeys              []string
 }
 
-// auditHistory checks the ops the host recorded. Failed or unresolved
-// puts may or may not have taken effect, so they enter the per-key
-// linearizability history as writes with an unconstrained response time;
-// failed gets observed nothing and are excluded. The audit reads are the
-// gets recorded from index auditFrom on: per key in keys with an
-// acknowledged write, the final read must succeed and find a value (one of
-// the acked writes, or a later unacked write's — still not a loss).
-func auditHistory(host *cats.Simulator, auditFrom int, keys []string) HistoryAudit {
-	history := host.OpHistory()
-	unresolved := host.UnresolvedOps()
+// auditHistory checks a recorded client history: history holds the
+// resolved ops in completion order, unresolved the invocations that never
+// completed. Failed or unresolved puts may or may not have taken effect,
+// so they enter the per-key linearizability history as writes with an
+// unconstrained response time; failed gets observed nothing and are
+// excluded. The audit reads are the gets from history[auditFrom:]: per key
+// in keys with an acknowledged write, the final read must succeed and find
+// a value (one of the acked writes, or a later unacked write's — still not
+// a loss).
+func auditHistory(history, unresolved []cats.OpRecord, auditFrom int, keys []string) HistoryAudit {
 	a := HistoryAudit{UnresolvedOps: len(unresolved)}
 	hist := make(map[string][]linear.Op)
 	acked := make(map[string]bool)
@@ -246,7 +246,7 @@ func traceEveryOp(size int) (ring *tracing.Ring, restore func()) {
 // putFrac share are puts. Value i of key k is "v-k-i", suffixed "-"+pad
 // when pad is set. Ops can land mid-fault: coordinators may be isolated,
 // quorum members unreachable — that is the point.
-func scheduleKeyOps(c *cats.SimCluster, rng *rand.Rand, tag string, keys []string, opsPerKey int, window time.Duration, putFrac float64, pad string) {
+func scheduleKeyOps(c *cats.SimCluster, rng *rand.Rand, keys []string, opsPerKey int, window time.Duration, putFrac float64, pad string) {
 	type op struct {
 		at time.Duration
 		ev core.Event
@@ -272,7 +272,7 @@ func scheduleKeyOps(c *cats.SimCluster, rng *rand.Rand, tag string, keys []strin
 	}
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].at < ops[j].at })
 	for _, o := range ops {
-		c.Schedule(o.at, tag+":op", o.ev)
+		c.Schedule(o.at, o.ev)
 	}
 }
 
@@ -280,21 +280,21 @@ func scheduleKeyOps(c *cats.SimCluster, rng *rand.Rand, tag string, keys []strin
 // per equal slice of span, each dark for down. Windows shorter than a
 // slice never overlap, so at most one replica per group is dark at a time
 // (replication 3 tolerates one).
-func scheduleCrashes(c *cats.SimCluster, rng *rand.Rand, tag string, n int, span, down time.Duration) {
+func scheduleCrashes(c *cats.SimCluster, rng *rand.Rand, n int, span, down time.Duration) {
 	refs := c.Host.AliveNodes()
 	spacing := span / time.Duration(n+1)
 	for i := 0; i < n; i++ {
 		at := spacing*time.Duration(i+1) + time.Duration(rng.Int63n(int64(spacing)/4))
 		victim := refs[rng.Intn(len(refs))].Addr
-		c.Sim.ScheduleAt(at, tag+":crash", func() { c.Emu.Crash(victim) })
-		c.Sim.ScheduleAt(at+down, tag+":restart", func() { c.Emu.Restart(victim) })
+		c.Sim.ScheduleAt(at, func() { c.Emu.Crash(victim) })
+		c.Sim.ScheduleAt(at+down, func() { c.Emu.Restart(victim) })
 	}
 }
 
 // scheduleFlaps schedules n symmetric link outages between random node
 // pairs at random points of [from, from+span), each healing after down.
 // A draw that pairs a node with itself is skipped.
-func scheduleFlaps(c *cats.SimCluster, rng *rand.Rand, tag string, n int, from, span, down time.Duration) {
+func scheduleFlaps(c *cats.SimCluster, rng *rand.Rand, n int, from, span, down time.Duration) {
 	refs := c.Host.AliveNodes()
 	for i := 0; i < n; i++ {
 		at := from + time.Duration(rng.Int63n(int64(span)))
@@ -303,7 +303,7 @@ func scheduleFlaps(c *cats.SimCluster, rng *rand.Rand, tag string, n int, from, 
 		if a == b {
 			continue
 		}
-		c.Sim.ScheduleAt(at, tag+":flap", func() {
+		c.Sim.ScheduleAt(at, func() {
 			c.Emu.FlapLink(a, b, down)
 			c.Emu.FlapLink(b, a, down)
 		})
@@ -313,10 +313,10 @@ func scheduleFlaps(c *cats.SimCluster, rng *rand.Rand, tag string, n int, from, 
 // scheduleAudit schedules one read per key at a random coordinator, at
 // the current instant, and returns the history index the audit reads
 // start from.
-func scheduleAudit(c *cats.SimCluster, rng *rand.Rand, tag string, keys []string) int {
+func scheduleAudit(c *cats.SimCluster, rng *rand.Rand, keys []string) int {
 	from := len(c.Host.OpHistory())
 	for _, key := range keys {
-		c.Schedule(0, tag+":audit", cats.OpGet{NodeKey: ident.Key(rng.Uint64()), Key: key})
+		c.Schedule(0, cats.OpGet{NodeKey: ident.Key(rng.Uint64()), Key: key})
 	}
 	return from
 }
@@ -399,29 +399,29 @@ func Churn(seed int64, cfg ChurnConfig, simOpts ...simulation.SimOption) ChurnRe
 	for k := range keys {
 		keys[k] = "churn-" + string(rune('a'+k%26)) + "-" + strconv.Itoa(k)
 	}
-	scheduleKeyOps(c, rng, "churn", keys, cfg.OpsPerKey, cfg.OpWindow, 0.5, "")
-	scheduleCrashes(c, rng, "churn", cfg.Crashes, cfg.OpWindow, cfg.CrashDown)
+	scheduleKeyOps(c, rng, keys, cfg.OpsPerKey, cfg.OpWindow, 0.5, "")
+	scheduleCrashes(c, rng, cfg.Crashes, cfg.OpWindow, cfg.CrashDown)
 
 	// Link flaps heal by virtual-time expiry; one partition is explicitly
 	// healed.
-	scheduleFlaps(c, rng, "churn", cfg.Flaps, 0, cfg.OpWindow, cfg.FlapDown)
+	scheduleFlaps(c, rng, cfg.Flaps, 0, cfg.OpWindow, cfg.FlapDown)
 	partAt := cfg.OpWindow / 2
 	refs := c.Host.AliveNodes()
 	isolated := refs[rng.Intn(len(refs))].Addr
-	c.Sim.ScheduleAt(partAt, "churn:partition", func() { c.Emu.Partition(1, isolated) })
-	c.Sim.ScheduleAt(partAt+cfg.FlapDown, "churn:heal", func() { c.Emu.Heal() })
+	c.Sim.ScheduleAt(partAt, func() { c.Emu.Partition(1, isolated) })
+	c.Sim.ScheduleAt(partAt+cfg.FlapDown, func() { c.Emu.Heal() })
 
 	mainStats := c.Sim.Run(cfg.OpWindow + cfg.Tail)
 
 	// Audit phase: every fault has healed and in-flight ops have resolved
 	// or timed out; one read per key must observe some acknowledged value.
-	preAudit := scheduleAudit(c, rng, "churn", keys)
+	preAudit := scheduleAudit(c, rng, keys)
 	auditStats := c.Sim.Run(nodeCfg.OpTimeout * 3)
 
 	res := ChurnResult{
 		Nodes:             cfg.Nodes,
 		Keys:              cfg.Keys,
-		HistoryAudit:      auditHistory(c.Host, preAudit, keys),
+		HistoryAudit:      auditHistory(c.Host.OpHistory(), c.Host.UnresolvedOps(), preAudit, keys),
 		SimulatedDuration: mainStats.SimulatedDuration + auditStats.SimulatedDuration,
 		DiscreteEvents:    mainStats.DiscreteEvents + auditStats.DiscreteEvents,
 		HandlerExecutions: mainStats.HandlerExecutions + auditStats.HandlerExecutions,

@@ -67,7 +67,7 @@ func CodecSwap(seed int64, simOpts ...simulation.SimOption) CodecSwapResult {
 	for k := range keys {
 		keys[k] = "swap-" + strconv.Itoa(k)
 	}
-	scheduleKeyOps(c, rng, "codecswap", keys, swapOpsPerKey, swapOpWindow, 0.5, "")
+	scheduleKeyOps(c, rng, keys, swapOpsPerKey, swapOpWindow, 0.5, "")
 
 	// Live swaps under traffic: each picks a node and moves it to the next
 	// codec in the rotation. Spread over the middle of the window so plenty
@@ -77,23 +77,23 @@ func CodecSwap(seed int64, simOpts ...simulation.SimOption) CodecSwapResult {
 		at := swapOpWindow/8 + time.Duration(rng.Int63n(int64(swapOpWindow)*3/4))
 		victim := refs[rng.Intn(len(refs))].Addr
 		name := rotation[i%len(rotation)]
-		c.Sim.ScheduleAt(at, "codecswap:swap", func() { c.Emu.SwapCodec(victim, name) })
+		c.Sim.ScheduleAt(at, func() { c.Emu.SwapCodec(victim, name) })
 	}
 
 	// Link flaps overlapping the swaps: the emulator analog of a TCP
 	// connection breaking and redialing mid-swap.
-	scheduleFlaps(c, rng, "codecswap", swapFlaps, swapOpWindow/8, swapOpWindow*3/4, swapFlapDown)
+	scheduleFlaps(c, rng, swapFlaps, swapOpWindow/8, swapOpWindow*3/4, swapFlapDown)
 
 	mainStats := c.Sim.Run(swapOpWindow + swapTail)
 
 	// Audit: one read per key after everything settles.
-	preAudit := scheduleAudit(c, rng, "codecswap", keys)
+	preAudit := scheduleAudit(c, rng, keys)
 	auditStats := c.Sim.Run(simTimings.OpTimeout * 3)
 
 	res := CodecSwapResult{
 		Nodes:             swapNodes,
 		Keys:              swapKeys,
-		HistoryAudit:      auditHistory(c.Host, preAudit, keys),
+		HistoryAudit:      auditHistory(c.Host.OpHistory(), c.Host.UnresolvedOps(), preAudit, keys),
 		SimulatedDuration: mainStats.SimulatedDuration + auditStats.SimulatedDuration,
 		DiscreteEvents:    mainStats.DiscreteEvents + auditStats.DiscreteEvents,
 		HandlerExecutions: mainStats.HandlerExecutions + auditStats.HandlerExecutions,

@@ -27,7 +27,6 @@ import (
 	"repro/internal/cats"
 	"repro/internal/core"
 	"repro/internal/ident"
-	"repro/internal/network"
 	"repro/internal/scenario"
 	"repro/internal/simulation"
 )
@@ -128,40 +127,25 @@ type LatencyResult struct {
 // sub-millisecond LAN claim (4 one-way latencies, 4× serialization, 4×
 // deserialization, plus runtime dispatching, per operation). Background
 // protocol periods are relaxed so the measurement reflects the operation
-// path, as on the paper's idle LAN cluster.
-func Latency(nodes, replication, valueSize, ops int, codec string) LatencyResult {
-	wc, ok := network.CodecByName(codec)
-	if !ok {
-		panic(fmt.Sprintf("experiments: unknown wire codec %q (registered: %v)", codec, network.CodecNames()))
-	}
-	registry := network.NewLoopbackRegistry(network.WithWireCodec(wc))
-	cfg := cats.NodeConfig{
+// path, as on the paper's idle LAN cluster. It fails if the cluster does
+// not become ready.
+func Latency(nodes, replication, valueSize, ops int, codec string) (LatencyResult, error) {
+	res := LatencyResult{Nodes: nodes, Replication: replication, ValueSize: valueSize, Codec: codec}
+	c := cats.NewLocalCluster(cats.NodeConfig{
 		ReplicationDegree: replication,
 		FDInterval:        2 * time.Second,
 		StabilizePeriod:   time.Second,
 		CyclonPeriod:      2 * time.Second,
 		OpTimeout:         5 * time.Second,
+	}, codec)
+	defer c.Close()
+	if err := c.Join(spreadKeys(nodes)); err != nil {
+		return res, err
 	}
-	host := cats.NewSimulator(cats.LoopbackEnv{Registry: registry}, cfg)
-	rt := core.New(core.WithFaultPolicy(core.LogAndContinue))
-	defer rt.Shutdown()
-	var exp *core.Port
-	rt.MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
-		c := ctx.Create("simulator", host)
-		exp = c.Provided(cats.ExperimentPortType)
-	}))
-	rt.WaitQuiescence(5 * time.Second)
-
-	for _, k := range spreadKeys(nodes) {
-		_ = core.TriggerOn(exp, cats.JoinNode{Key: k})
-		time.Sleep(10 * time.Millisecond)
-	}
-	waitForRing(rt, host, nodes, 30*time.Second)
-	time.Sleep(2 * time.Second) // let membership tables converge
 
 	// Closed-loop single client: each op's latency is a clean end-to-end
 	// round trip with no queueing from concurrent ops.
-	_ = core.TriggerOn(exp, cats.StartLoad{
+	_ = core.TriggerOn(c.Exp, cats.StartLoad{
 		Clients:      1,
 		TotalOps:     ops,
 		ValueSize:    valueSize,
@@ -170,19 +154,19 @@ func Latency(nodes, replication, valueSize, ops int, codec string) LatencyResult
 	})
 	deadline := time.Now().Add(5 * time.Minute)
 	for time.Now().Before(deadline) {
-		if m := host.Metrics(); int(m.LoadDone) >= ops {
+		if m := c.Host.Metrics(); int(m.LoadDone) >= ops {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	rt.WaitQuiescence(10 * time.Second)
+	c.Rt.WaitQuiescence(10 * time.Second)
 
-	m := host.Metrics()
+	m := c.Host.Metrics()
 	lat := append([]time.Duration(nil), m.OpLatencies...)
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	res := LatencyResult{Nodes: nodes, Replication: replication, ValueSize: valueSize, Ops: len(lat), Codec: codec}
+	res.Ops = len(lat)
 	if len(lat) == 0 {
-		return res
+		return res, nil
 	}
 	var sum time.Duration
 	sub := 0
@@ -197,25 +181,7 @@ func Latency(nodes, replication, valueSize, ops int, codec string) LatencyResult
 	res.P99 = lat[len(lat)*99/100]
 	res.Max = lat[len(lat)-1]
 	res.SubMilli = float64(sub) / float64(len(lat))
-	return res
-}
-
-// waitForRing polls until every deployed node reports a joined ring.
-func waitForRing(rt *core.Runtime, host *cats.Simulator, nodes int, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		rt.WaitQuiescence(100 * time.Millisecond)
-		joined := 0
-		for _, ref := range host.AliveNodes() {
-			if p, ok := host.Peer(ref.Key); ok && p.Node != nil && p.Node.Ring.Joined() {
-				joined++
-			}
-		}
-		if joined >= nodes {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	return res, nil
 }
 
 // ScalingResult summarizes one row of experiment C2.

@@ -72,9 +72,12 @@ func TestLatencySmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("macro experiment")
 	}
-	r := Latency(5, 3, 256, 100, "binary")
-	if r.Ops == 0 {
-		t.Fatalf("no ops measured")
+	r, err := Latency(5, 3, 256, 100, "binary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Ops != 100 {
+		t.Fatalf("%d ops measured, want 100", r.Ops)
 	}
 	if r.Mean <= 0 || r.P99 < r.P50 {
 		t.Fatalf("latency stats inconsistent: %+v", r)

@@ -121,9 +121,9 @@ func Gray(seed int64, simOpts ...simulation.SimOption) GrayResult {
 		at := time.Duration(i) * warmSpacing
 		if i == 0 || i%4 == 0 {
 			val := []byte("warm-" + strconv.Itoa(i))
-			c.Schedule(at, "gray:op", cats.OpPut{NodeKey: hCoord, Key: hedgeKey, Value: val})
+			c.Schedule(at, cats.OpPut{NodeKey: hCoord, Key: hedgeKey, Value: val})
 		} else {
-			c.Schedule(at, "gray:op", cats.OpGet{NodeKey: hCoord, Key: hedgeKey})
+			c.Schedule(at, cats.OpGet{NodeKey: hCoord, Key: hedgeKey})
 		}
 	}
 	warmEnd := time.Duration(grayWarmOps) * warmSpacing
@@ -137,11 +137,11 @@ func Gray(seed int64, simOpts ...simulation.SimOption) GrayResult {
 	pulseSpacing := 500 * time.Millisecond
 	for i := 0; i < grayPulses; i++ {
 		at := warmEnd + time.Second + time.Duration(i)*pulseSpacing
-		c.Sim.ScheduleAt(at, "gray:pulse", func() {
+		c.Sim.ScheduleAt(at, func() {
 			c.Emu.SlowNode(slowAddrA, stragglerExtra, stragglerPulse)
 			c.Emu.SlowNode(slowAddrB, stragglerExtra, stragglerPulse)
 		})
-		c.Schedule(at, "gray:op", cats.OpGet{NodeKey: hCoord, Key: hedgeKey})
+		c.Schedule(at, cats.OpGet{NodeKey: hCoord, Key: hedgeKey})
 	}
 	pulseEnd := warmEnd + time.Second + time.Duration(grayPulses)*pulseSpacing
 
@@ -160,9 +160,9 @@ func Gray(seed int64, simOpts ...simulation.SimOption) GrayResult {
 		key := burstKeys[i%len(burstKeys)]
 		if i < len(burstKeys) || rng.Float64() < 0.5 {
 			val := []byte("burst-" + strconv.Itoa(i))
-			c.Schedule(burstAt, "gray:op", cats.OpPut{NodeKey: bCoord, Key: key, Value: val})
+			c.Schedule(burstAt, cats.OpPut{NodeKey: bCoord, Key: key, Value: val})
 		} else {
-			c.Schedule(burstAt, "gray:op", cats.OpGet{NodeKey: bCoord, Key: key})
+			c.Schedule(burstAt, cats.OpGet{NodeKey: bCoord, Key: key})
 		}
 	}
 
@@ -172,13 +172,13 @@ func Gray(seed int64, simOpts ...simulation.SimOption) GrayResult {
 	preAudit := len(c.Host.OpHistory())
 	auditKeys := append([]string{hedgeKey}, burstKeys...)
 	for i, key := range auditKeys {
-		c.Schedule(0, "gray:audit", cats.OpGet{NodeKey: nodeKeys[i%n], Key: key})
+		c.Schedule(0, cats.OpGet{NodeKey: nodeKeys[i%n], Key: key})
 	}
 	auditStats := c.Sim.Run(nodeCfg.OpTimeout * 4)
 
 	res := GrayResult{
 		Nodes:             grayNodes,
-		HistoryAudit:      auditHistory(c.Host, preAudit, auditKeys),
+		HistoryAudit:      auditHistory(c.Host.OpHistory(), c.Host.UnresolvedOps(), preAudit, auditKeys),
 		SimulatedDuration: mainStats.SimulatedDuration + auditStats.SimulatedDuration,
 		DiscreteEvents:    mainStats.DiscreteEvents + auditStats.DiscreteEvents,
 		HandlerExecutions: mainStats.HandlerExecutions + auditStats.HandlerExecutions,
@@ -286,17 +286,17 @@ func hedgeArm(seed int64, deadlineFloor time.Duration) HedgeArm {
 	key := "hedge-bench"
 
 	warmSpacing := 150 * time.Millisecond
-	c.Schedule(0, "hedge:op", cats.OpPut{NodeKey: coord, Key: key, Value: []byte("seed")})
+	c.Schedule(0, cats.OpPut{NodeKey: coord, Key: key, Value: []byte("seed")})
 	for i := 1; i < hedgeWarmOps; i++ {
-		c.Schedule(time.Duration(i)*warmSpacing, "hedge:op", cats.OpGet{NodeKey: coord, Key: key})
+		c.Schedule(time.Duration(i)*warmSpacing, cats.OpGet{NodeKey: coord, Key: key})
 	}
 	warmEnd := time.Duration(hedgeWarmOps) * warmSpacing
 
 	pulseSpacing := 500 * time.Millisecond
 	for i := 0; i < hedgeOps; i++ {
 		at := warmEnd + time.Second + time.Duration(i)*pulseSpacing
-		c.Sim.ScheduleAt(at, "hedge:pulse", func() { c.Emu.SlowNode(slowAddr, stragglerExtra, stragglerPulse) })
-		c.Schedule(at, "hedge:op", cats.OpGet{NodeKey: coord, Key: key})
+		c.Sim.ScheduleAt(at, func() { c.Emu.SlowNode(slowAddr, stragglerExtra, stragglerPulse) })
+		c.Schedule(at, cats.OpGet{NodeKey: coord, Key: key})
 	}
 
 	preMeasure := hedgeWarmOps // history index where the pulsed ops start

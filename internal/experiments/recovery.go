@@ -28,7 +28,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -41,7 +40,6 @@ import (
 	"repro/internal/cats"
 	"repro/internal/handoff"
 	"repro/internal/ident"
-	"repro/internal/linear"
 )
 
 // The crash-restart recovery scenario's shape.
@@ -89,11 +87,11 @@ func RecoveryCrash(seed int64, dir string) error {
 	for k := range keys {
 		keys[k] = "rec-" + string(rune('a'+k%26)) + "-" + strconv.Itoa(k)
 	}
-	scheduleKeyOps(c, rng, "recovery", keys, recOpsPerKey, recOpWindow, 0.6, strings.Repeat("x", recValuePad))
+	scheduleKeyOps(c, rng, keys, recOpsPerKey, recOpWindow, 0.6, strings.Repeat("x", recValuePad))
 
 	// Individual-node churn before the kill, so the full-process restart
 	// lands on a cluster already mid-reconfiguration.
-	scheduleCrashes(c, rng, "recovery", recCrashes, recKillAt, recCrashDown)
+	scheduleCrashes(c, rng, recCrashes, recKillAt, recCrashDown)
 
 	// The point of the exercise: kill the whole cluster — every node
 	// lives in this process — with no warning and no cleanup. Everything
@@ -102,7 +100,7 @@ func RecoveryCrash(seed int64, dir string) error {
 	// Checkpoints finish in the background; the kill lands once the last
 	// one has settled, so the on-disk layout is a function of the seed
 	// (crashes mid-checkpoint are kvstore's crash-point tests).
-	c.Sim.ScheduleAt(recKillAt, "recovery:sigkill", func() {
+	c.Sim.ScheduleAt(recKillAt, func() {
 		for _, ref := range c.Host.AliveNodes() {
 			if p, ok := c.Host.Peer(ref.Key); ok && p.Node != nil && p.Node.Store() != nil {
 				p.Node.Store().WaitCheckpoint()
@@ -121,10 +119,10 @@ type RecoveryResult struct {
 	Nodes int // node directories recovered
 	Keys  int // distinct data keys in the phase-1 history
 
-	// Phase-1 history, reconstructed from the fsynced log.
-	AckedPuts, FailedPuts int
-	OKGets                int
-	UnresolvedOps         int // invoked but not completed when the SIGKILL hit
+	// The verdict over the phase-1 history, reconstructed from the fsynced
+	// log, followed by the phase-2 audit reads. Its op counts are phase 1's:
+	// UnresolvedOps were invoked but not completed when the SIGKILL hit.
+	HistoryAudit
 
 	// What recovery rebuilt from disk, summed over nodes.
 	SnapshotsLoaded int
@@ -139,11 +137,6 @@ type RecoveryResult struct {
 	HandoffKeys              uint64
 	HandoffTransfers         uint64
 	MaxEpoch                 uint64
-
-	Linearizable       bool
-	NonLinearizableKey string
-	LostAckedWrites    int
-	LostKeys           []string
 
 	SimulatedDuration time.Duration
 	DiscreteEvents    uint64
@@ -167,7 +160,6 @@ func RecoveryRecover(seed int64, dir string) (RecoveryResult, error) {
 		return res, fmt.Errorf("recovery: no node-* directories under %s", dir)
 	}
 	res.Nodes = len(nodeKeys)
-	res.UnresolvedOps = len(unresolved)
 
 	handoffBefore := handoff.GlobalMetrics()
 
@@ -205,7 +197,7 @@ func RecoveryRecover(seed int64, dir string) (RecoveryResult, error) {
 	}
 	sort.Strings(sortedKeys)
 	res.Keys = len(sortedKeys)
-	scheduleAudit(c, rand.New(rand.NewSource(seed^0x61756474)), "recovery", sortedKeys) // "audt"
+	scheduleAudit(c, rand.New(rand.NewSource(seed^0x61756474)), sortedKeys) // "audt"
 	stats := c.Sim.Run(simTimings.OpTimeout * 3)
 	res.SimulatedDuration = stats.SimulatedDuration
 	res.DiscreteEvents = stats.DiscreteEvents
@@ -226,90 +218,27 @@ func RecoveryRecover(seed int64, dir string) (RecoveryResult, error) {
 	// response. Unresolved phase-1 puts stay time-unconstrained
 	// (End = MaxInt64): the kill may or may not have let them take effect,
 	// and either is legal.
-	var maxEnd1 int64 = math.MinInt64
-	for _, r := range resolved {
-		if e := r.End.UnixNano(); e > maxEnd1 {
-			maxEnd1 = e
-		}
-	}
-	var minStart2 int64 = math.MaxInt64
-	for _, r := range audit {
-		if s := r.Start.UnixNano(); s < minStart2 {
-			minStart2 = s
-		}
-	}
-	offset := int64(0)
-	if len(audit) > 0 && maxEnd1 > math.MinInt64 {
-		offset = maxEnd1 - minStart2 + int64(time.Hour)
-	}
-
-	hist := make(map[string][]linear.Op)
-	ackedVals := make(map[string]map[string]bool)
-	for _, r := range resolved {
-		switch r.Kind {
-		case "put":
-			if r.OK {
-				res.AckedPuts++
-				if ackedVals[r.Key] == nil {
-					ackedVals[r.Key] = make(map[string]bool)
-				}
-				ackedVals[r.Key][r.Value] = true
-				hist[r.Key] = append(hist[r.Key], linear.Op{
-					Kind: linear.Write, Value: r.Value,
-					Start: r.Start.UnixNano(), End: r.End.UnixNano(),
-				})
-			} else {
-				res.FailedPuts++
-				hist[r.Key] = append(hist[r.Key], linear.Op{
-					Kind: linear.Write, Value: r.Value,
-					Start: r.Start.UnixNano(), End: math.MaxInt64,
-				})
-			}
-		case "get":
-			if r.OK {
-				res.OKGets++
-				hist[r.Key] = append(hist[r.Key], linear.Op{
-					Kind: linear.Read, Value: r.Value, Found: r.Found,
-					Start: r.Start.UnixNano(), End: r.End.UnixNano(),
-				})
+	history := append(resolved[:len(resolved):len(resolved)], audit...)
+	if len(resolved) > 0 && len(audit) > 0 {
+		end1, start2 := resolved[0].End, audit[0].Start
+		for _, r := range resolved {
+			if r.End.After(end1) {
+				end1 = r.End
 			}
 		}
-	}
-	for _, r := range unresolved {
-		if r.Kind == "put" {
-			hist[r.Key] = append(hist[r.Key], linear.Op{
-				Kind: linear.Write, Value: r.Value,
-				Start: r.Start.UnixNano(), End: math.MaxInt64,
-			})
+		for _, r := range audit {
+			if r.Start.Before(start2) {
+				start2 = r.Start
+			}
+		}
+		shift := end1.Sub(start2) + time.Hour
+		for i := len(resolved); i < len(history); i++ {
+			history[i].Start = history[i].Start.Add(shift)
+			history[i].End = history[i].End.Add(shift)
 		}
 	}
-	finalRead := make(map[string]cats.OpRecord)
-	for _, r := range audit {
-		if r.Kind != "get" {
-			continue
-		}
-		if r.OK {
-			hist[r.Key] = append(hist[r.Key], linear.Op{
-				Kind: linear.Read, Value: r.Value, Found: r.Found,
-				Start: r.Start.UnixNano() + offset, End: r.End.UnixNano() + offset,
-			})
-		}
-		finalRead[r.Key] = r
-	}
-	res.Linearizable, res.NonLinearizableKey = linear.CheckPerKey(hist)
-
-	// Lost-acked-write audit: every key with a phase-1 acked put must be
-	// readable — found — after the full-cluster restart.
-	for _, key := range sortedKeys {
-		if len(ackedVals[key]) == 0 {
-			continue
-		}
-		r, ok := finalRead[key]
-		if !ok || !r.OK || !r.Found {
-			res.LostAckedWrites++
-			res.LostKeys = append(res.LostKeys, key)
-		}
-	}
+	res.HistoryAudit = auditHistory(history, unresolved, len(resolved), sortedKeys)
+	res.OKGets -= int(res.AuditOKGets) // the audit's own reads are not phase-1 history
 	return res, nil
 }
 

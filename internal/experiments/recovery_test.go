@@ -30,7 +30,7 @@ func TestRecoveryFullClusterRestart(t *testing.T) {
 	const nkeys = 6
 	for k := 0; k < nkeys; k++ {
 		for seq := 0; seq < 3; seq++ {
-			c.Schedule(time.Duration(k*300+seq*900)*time.Millisecond, "test:put", cats.OpPut{
+			c.Schedule(time.Duration(k*300+seq*900)*time.Millisecond, cats.OpPut{
 				NodeKey: ident.Key(uint64(k*7+seq) * 1e15),
 				Key:     "restart-" + strconv.Itoa(k),
 				Value:   []byte("val-" + strconv.Itoa(k) + "-" + strconv.Itoa(seq)),
@@ -82,7 +82,7 @@ func TestRecoveryFullClusterRestart(t *testing.T) {
 	}
 
 	for k := 0; k < nkeys; k++ {
-		c2.Schedule(0, "test:get", cats.OpGet{NodeKey: ident.Key(uint64(k) * 1e17), Key: "restart-" + strconv.Itoa(k)})
+		c2.Schedule(0, cats.OpGet{NodeKey: ident.Key(uint64(k) * 1e17), Key: "restart-" + strconv.Itoa(k)})
 	}
 	c2.Sim.Run(10 * time.Second)
 	m2 := c2.Host.Metrics()

@@ -54,23 +54,10 @@ func newCluster(t *testing.T) []*Client {
 			ctx.Connect(pc.Provided(abd.PutGetPortType), cc.Required(abd.PutGetPortType))
 		}
 	}))
-	// Wait for ring convergence.
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		joined := 0
-		for _, p := range peers {
-			if p.Node != nil && p.Node.Ring.Joined() && len(p.Node.Ring.Succs()) > 0 {
-				joined++
-			}
-		}
-		if joined == n {
-			time.Sleep(500 * time.Millisecond) // membership tables
-			return clients
-		}
-		time.Sleep(20 * time.Millisecond)
+	if err := cats.AwaitReady(peers, 30*time.Second); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("ring did not converge")
-	return nil
+	return clients
 }
 
 func TestPutGetRoundTrip(t *testing.T) {

@@ -138,9 +138,6 @@ func decodeBinary(payload []byte) (Message, error) {
 // build AppendWire bodies and decoders from these so every implementation
 // shares the same (fuzzed) bounds handling.
 
-// AppendU8 appends one byte.
-func AppendU8(dst []byte, v byte) []byte { return append(dst, v) }
-
 // AppendU16 appends a big-endian uint16.
 func AppendU16(dst []byte, v uint16) []byte {
 	return append(dst, byte(v>>8), byte(v))

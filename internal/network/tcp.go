@@ -35,7 +35,8 @@ const dialTimeout = 3 * time.Second
 // nothing in the repository needs a second value.
 const ioBufSize = 64 << 10
 
-// Resilience defaults; see the corresponding TCPOptions.
+// Resilience defaults; see the corresponding TCPOptions (the idle timeout
+// has none: see idleReader).
 const (
 	defaultKeepalive    = 10 * time.Second
 	defaultIdleTimeout  = 45 * time.Second
@@ -95,7 +96,6 @@ type TCP struct {
 	codecName string
 
 	keepalive    time.Duration
-	idleTimeout  time.Duration
 	writeTimeout time.Duration
 	backoffBase  time.Duration
 	backoffMax   time.Duration
@@ -200,13 +200,6 @@ func WithKeepalive(d time.Duration) TCPOption {
 	return func(t *TCP) { t.keepalive = d }
 }
 
-// WithIdleTimeout sets how long an inbound connection may stay silent
-// before it is reaped (0 disables the read deadline). Must exceed the
-// peers' keepalive period or healthy idle links get cut.
-func WithIdleTimeout(d time.Duration) TCPOption {
-	return func(t *TCP) { t.idleTimeout = d }
-}
-
 // WithWriteTimeout bounds a single frame write (0 disables the deadline);
 // it is what unwedges a writer stalled on a dead or unreading peer.
 func WithWriteTimeout(d time.Duration) TCPOption {
@@ -238,7 +231,6 @@ func NewTCP(self Address, opts ...TCPOption) *TCP {
 		conns:        make(map[Address]*peerConn),
 		inbound:      make(map[net.Conn]struct{}),
 		keepalive:    defaultKeepalive,
-		idleTimeout:  defaultIdleTimeout,
 		writeTimeout: defaultWriteTimeout,
 		backoffBase:  defaultBackoffBase,
 		backoffMax:   defaultBackoffMax,
@@ -859,16 +851,12 @@ func (t *TCP) acceptLoop(ln net.Listener) {
 
 // idleReader refreshes the connection's idle deadline before every read
 // from the socket: one deadline update per read syscall, however many
-// frames that read returns.
-type idleReader struct {
-	conn net.Conn
-	idle time.Duration
-}
+// frames that read returns. A connection silent for defaultIdleTimeout,
+// well past the peers' keepalive period, is reaped.
+type idleReader struct{ conn net.Conn }
 
 func (r idleReader) Read(p []byte) (int, error) {
-	if r.idle > 0 {
-		_ = r.conn.SetReadDeadline(time.Now().Add(r.idle))
-	}
+	_ = r.conn.SetReadDeadline(time.Now().Add(defaultIdleTimeout))
 	return r.conn.Read(p)
 }
 
@@ -890,7 +878,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(idleReader{conn, t.idleTimeout}, ioBufSize)
+	br := bufio.NewReaderSize(idleReader{conn}, ioBufSize)
 	hs, err := br.Peek(handshakeLen)
 	if err != nil {
 		t.log.Debug("tcp: handshake read", "err", err)

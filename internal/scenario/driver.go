@@ -21,7 +21,7 @@ func stableSortFunc(evs []TimedEvent, less func(a, b TimedEvent) bool) {
 func ExecuteSimulated(sim *simulation.Simulation, sched Schedule, target *core.Port) time.Duration {
 	for _, ev := range sched.Events {
 		ev := ev
-		sim.ScheduleAt(ev.At, "scenario:"+ev.Process, func() {
+		sim.ScheduleAt(ev.At, func() {
 			_ = core.TriggerOn(target, ev.Event)
 		})
 	}

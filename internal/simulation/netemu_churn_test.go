@@ -34,7 +34,7 @@ func TestEmulatedCrashDropsTrafficAndRestartHeals(t *testing.T) {
 func TestEmulatedCrashDropsInFlightMessages(t *testing.T) {
 	s, emu, n1, n2 := newSimPair(t, 3, WithLatency(ConstantLatency(5*time.Millisecond)))
 	n1.ctx.Trigger(note{Header: network.NewHeader(n1.self, n2.self)}, n1.port)
-	s.ScheduleAt(time.Millisecond, "crash", func() { emu.Crash(n2.self) })
+	s.ScheduleAt(time.Millisecond, func() { emu.Crash(n2.self) })
 	s.Run(0)
 	if len(n2.got) != 0 {
 		t.Fatalf("message delivered to node that crashed while it was in flight")

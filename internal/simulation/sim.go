@@ -79,7 +79,6 @@ func (s *SimScheduler) drain() uint64 {
 
 // ScheduledEvent is a handle on a future discrete event, for cancellation.
 type ScheduledEvent struct {
-	tag       string
 	fire      func()
 	cancelled bool
 }
@@ -103,15 +102,6 @@ type entry struct {
 // events fire in scheduling order — the determinism invariant.
 func (a *entry) before(b *entry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// tag returns the entry's trace tag; a delivery's is formatted here, so
-// only when traced.
-func (e *entry) tag() string {
-	if e.ev != nil {
-		return e.ev.tag
-	}
-	return fmt.Sprintf("net:%s->%s", e.msg.Source(), e.dst)
 }
 
 // eventHeap is a binary min-heap of entries held by value.
@@ -188,19 +178,12 @@ type Simulation struct {
 	pq    eventHeap
 	seq   uint64
 	fired uint64
-	trace func(at time.Time, tag string)
 	sink  core.TraceSink
 	halt  bool
 }
 
 // SimOption configures a Simulation.
 type SimOption func(*Simulation)
-
-// WithTrace installs a hook called for every discrete event fired, in
-// order; determinism tests compare these traces across runs.
-func WithTrace(f func(at time.Time, tag string)) SimOption {
-	return func(s *Simulation) { s.trace = f }
-}
 
 // WithTraceSink installs a core.TraceSink on the simulated runtime, so every
 // handler execution is recorded with virtual timestamps — the same mechanism
@@ -263,9 +246,8 @@ func (s *Simulation) Now() time.Time { return s.clock.Now() }
 // ScheduleAt schedules fire to run at the given delay of virtual time from
 // now. A zero or negative delay fires at the current instant, after all
 // currently ready components have drained. Returns a cancellable handle.
-// tag is only read by a WithTrace hook.
-func (s *Simulation) ScheduleAt(delay time.Duration, tag string, fire func()) *ScheduledEvent {
-	e := &ScheduledEvent{tag: tag, fire: fire}
+func (s *Simulation) ScheduleAt(delay time.Duration, fire func()) *ScheduledEvent {
+	e := &ScheduledEvent{fire: fire}
 	s.requeue(e, delay)
 	return e
 }
@@ -283,10 +265,6 @@ func (s *Simulation) push(delay time.Duration, e entry) {
 	e.at, e.seq = int64(s.clock.Now().Sub(simEpoch)+max(delay, 0)), s.seq
 	s.pq.push(e)
 }
-
-// tracing reports whether a WithTrace hook reads event tags, so callers
-// format tags only when someone will see them.
-func (s *Simulation) tracing() bool { return s.trace != nil }
 
 // Pending returns the number of events in the discrete-event queue
 // (including cancelled ones not yet popped).
@@ -325,11 +303,7 @@ func (s *Simulation) Run(limit time.Duration) Stats {
 		if next.ev != nil && next.ev.cancelled {
 			continue
 		}
-		at := simEpoch.Add(time.Duration(next.at))
-		s.clock.set(at)
-		if s.tracing() {
-			s.trace(at, next.tag())
-		}
+		s.clock.set(simEpoch.Add(time.Duration(next.at)))
 		s.fired++
 		if next.ev != nil {
 			next.ev.fire()

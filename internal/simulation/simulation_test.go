@@ -49,9 +49,9 @@ func TestVirtualClockMonotonic(t *testing.T) {
 func TestRunFiresEventsInTimeOrder(t *testing.T) {
 	s := New(1)
 	var order []string
-	s.ScheduleAt(3*time.Millisecond, "c", func() { order = append(order, "c") })
-	s.ScheduleAt(1*time.Millisecond, "a", func() { order = append(order, "a") })
-	s.ScheduleAt(2*time.Millisecond, "b", func() { order = append(order, "b") })
+	s.ScheduleAt(3*time.Millisecond, func() { order = append(order, "c") })
+	s.ScheduleAt(1*time.Millisecond, func() { order = append(order, "a") })
+	s.ScheduleAt(2*time.Millisecond, func() { order = append(order, "b") })
 	stats := s.Run(0)
 	if got := strings.Join(order, ""); got != "abc" {
 		t.Fatalf("fired order %q, want abc", got)
@@ -66,7 +66,7 @@ func TestSimultaneousEventsFireInScheduleOrder(t *testing.T) {
 	var order []string
 	for i := 0; i < 10; i++ {
 		lbl := fmt.Sprintf("%d", i)
-		s.ScheduleAt(time.Millisecond, lbl, func() { order = append(order, lbl) })
+		s.ScheduleAt(time.Millisecond, func() { order = append(order, lbl) })
 	}
 	s.Run(0)
 	want := "0123456789"
@@ -78,7 +78,7 @@ func TestSimultaneousEventsFireInScheduleOrder(t *testing.T) {
 func TestCancelledEventDoesNotFire(t *testing.T) {
 	s := New(1)
 	fired := false
-	ev := s.ScheduleAt(time.Millisecond, "x", func() { fired = true })
+	ev := s.ScheduleAt(time.Millisecond, func() { fired = true })
 	ev.Cancel()
 	s.Run(0)
 	if fired {
@@ -89,8 +89,8 @@ func TestCancelledEventDoesNotFire(t *testing.T) {
 func TestRunHonoursLimit(t *testing.T) {
 	s := New(1)
 	var fired []string
-	s.ScheduleAt(time.Second, "early", func() { fired = append(fired, "early") })
-	s.ScheduleAt(time.Hour, "late", func() { fired = append(fired, "late") })
+	s.ScheduleAt(time.Second, func() { fired = append(fired, "early") })
+	s.ScheduleAt(time.Hour, func() { fired = append(fired, "late") })
 	stats := s.Run(time.Minute)
 	if len(fired) != 1 || fired[0] != "early" {
 		t.Fatalf("fired %v, want [early]", fired)
@@ -109,7 +109,7 @@ func TestHaltStopsRun(t *testing.T) {
 	s := New(1)
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.ScheduleAt(time.Duration(i)*time.Millisecond, "e", func() {
+		s.ScheduleAt(time.Duration(i)*time.Millisecond, func() {
 			count++
 			if count == 3 {
 				s.Halt()
@@ -134,10 +134,10 @@ func TestSelfSchedulingEventChain(t *testing.T) {
 	step = func() {
 		n++
 		if n < 100 {
-			s.ScheduleAt(time.Millisecond, "step", step)
+			s.ScheduleAt(time.Millisecond, step)
 		}
 	}
-	s.ScheduleAt(0, "start", step)
+	s.ScheduleAt(0, step)
 	stats := s.Run(0)
 	if n != 100 {
 		t.Fatalf("chain ran %d steps, want 100", n)
@@ -235,39 +235,6 @@ func TestSimulatedTimerCancel(t *testing.T) {
 	s.Run(10 * time.Millisecond)
 	if fired != 3 {
 		t.Fatalf("fired %d, want 3 (periodic at 1,2,3ms; one-shot cancelled)", fired)
-	}
-}
-
-// TestTimerTraceTags: under WithTrace, timer events carry the timeout:N and
-// periodic:N tags, the periodic one on every re-armed period.
-func TestTimerTraceTags(t *testing.T) {
-	var tags []string
-	s := New(7, WithTrace(func(at time.Time, tag string) {
-		tags = append(tags, fmt.Sprintf("%v %s", at.Sub(simEpoch), tag))
-	}))
-	var port *core.Port
-	var cx *core.Ctx
-	s.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
-		tm := ctx.Create("timer", NewTimer(s))
-		c := ctx.Create("c", core.SetupFunc(func(inner *core.Ctx) {
-			cx = inner
-			port = inner.Requires(timer.PortType)
-			core.Subscribe(inner, port, func(tick) {})
-		}))
-		ctx.Connect(tm.Provided(timer.PortType), c.Required(timer.PortType))
-	}))
-	s.Settle()
-	p, o := timer.NextID(), timer.NextID()
-	cx.Trigger(timer.SchedulePeriodic{Delay: 10 * time.Millisecond, Period: 10 * time.Millisecond, Timeout: tick{Timeout: timer.Timeout{ID: p}}}, port)
-	cx.Trigger(timer.ScheduleTimeout{Delay: 15 * time.Millisecond, Timeout: tick{Timeout: timer.Timeout{ID: o}}}, port)
-	s.Run(25 * time.Millisecond)
-	want := []string{
-		fmt.Sprintf("10ms periodic:%d", p),
-		fmt.Sprintf("15ms timeout:%d", o),
-		fmt.Sprintf("20ms periodic:%d", p),
-	}
-	if strings.Join(tags, "|") != strings.Join(want, "|") {
-		t.Fatalf("trace tags %q, want %q", tags, want)
 	}
 }
 
@@ -431,14 +398,20 @@ func TestLatencyModels(t *testing.T) {
 
 // --- determinism ---------------------------------------------------------------
 
+// traceLines is a core.TraceSink keeping every handler execution as one
+// line: virtual timestamp, component path, event type, handler.
+type traceLines []string
+
+func (t *traceLines) Record(r core.TraceRecord) {
+	*t = append(*t, fmt.Sprintf("%d|%s|%v|%s|%d", r.At.UnixNano(), r.Component.Path(), r.Event, r.Handler, r.Handlers))
+}
+
 // runTracedScenario runs a fixed little distributed workload and returns
-// its full trace: two nodes exchanging notes over an emulated network with
-// random latency, driven by periodic timers.
+// its full handler-execution trace: two nodes exchanging notes over an
+// emulated network with random latency, driven by periodic timers.
 func runTracedScenario(seed int64) []string {
-	var trace []string
-	s := New(seed, WithTrace(func(at time.Time, tag string) {
-		trace = append(trace, fmt.Sprintf("%d %s", at.UnixNano(), tag))
-	}))
+	var trace traceLines
+	s := New(seed, WithTraceSink(&trace))
 	emu := NewNetworkEmulator(s, WithLatency(UniformLatency(time.Millisecond, 20*time.Millisecond)), WithLoss(0.1))
 	n1 := &simNode{self: addr(1), emu: emu}
 	n2 := &simNode{self: addr(2), emu: emu}
@@ -450,7 +423,7 @@ func runTracedScenario(seed int64) []string {
 	// Each node streams 50 notes to the other at random offsets.
 	for i := 0; i < 50; i++ {
 		i := i
-		s.ScheduleAt(time.Duration(s.Rand().Intn(1000))*time.Millisecond, "drive", func() {
+		s.ScheduleAt(time.Duration(s.Rand().Intn(1000))*time.Millisecond, func() {
 			n1.ctx.Trigger(note{Header: network.NewHeader(n1.self, n2.self), Text: fmt.Sprintf("a%d", i)}, n1.port)
 			n2.ctx.Trigger(note{Header: network.NewHeader(n2.self, n1.self), Text: fmt.Sprintf("b%d", i)}, n2.port)
 		})
@@ -514,14 +487,14 @@ func TestDeterministicSameSeedSameTrace(t *testing.T) {
 	}
 }
 
-// TestTracedScenarioPinned pins the trace of seed 42 — virtual instants and
-// tags, including the net:src->dst tags formatted at delivery time — to the
-// digest the scenario has always produced.
+// TestTracedScenarioPinned pins the handler-execution trace of seed 42 —
+// virtual instants, components, events and handlers — to the digest the
+// scenario has always produced.
 func TestTracedScenarioPinned(t *testing.T) {
 	tr := runTracedScenario(42)
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(strings.Join(tr, "\n")))
-	if got, want := fmt.Sprintf("%016x/%d", h.Sum64(), len(tr)), "61ca54124fa56098/140"; got != want {
+	if got, want := fmt.Sprintf("%016x/%d", h.Sum64(), len(tr)), "53f9865300eb7268/195"; got != want {
 		t.Fatalf("trace digest %s, want %s", got, want)
 	}
 }

@@ -1,8 +1,6 @@
 package simulation
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/timer"
 )
@@ -41,18 +39,10 @@ func (t *Timer) Setup(ctx *core.Ctx) {
 	core.Subscribe(ctx, ctx.Control(), func(core.Stop) { t.cancelAll() })
 }
 
-// tag formats a trace tag, only when a WithTrace hook will read it.
-func (t *Timer) tag(kind string, id timer.ID) string {
-	if !t.sim.tracing() {
-		return ""
-	}
-	return fmt.Sprintf("%s:%d", kind, id)
-}
-
 func (t *Timer) handleSchedule(st timer.ScheduleTimeout) {
 	id := st.Timeout.TimeoutID()
 	ev := st.Timeout
-	t.oneShot[id] = t.sim.ScheduleAt(st.Delay, t.tag("timeout", id), func() {
+	t.oneShot[id] = t.sim.ScheduleAt(st.Delay, func() {
 		delete(t.oneShot, id)
 		_ = core.TriggerOn(t.port, ev)
 	})
@@ -68,7 +58,7 @@ func (t *Timer) handlePeriodic(sp timer.SchedulePeriodic) {
 	}
 	ev := sp.Timeout
 	var h *ScheduledEvent
-	h = t.sim.ScheduleAt(sp.Delay, t.tag("periodic", id), func() {
+	h = t.sim.ScheduleAt(sp.Delay, func() {
 		t.sim.requeue(h, period)
 		_ = core.TriggerOn(t.port, ev)
 	})

@@ -52,7 +52,7 @@ func TestSimulationEventTrace(t *testing.T) {
 	// Three hops injected at A, each at a distinct virtual instant.
 	for i := 0; i < 3; i++ {
 		stage := i * 10
-		sim.ScheduleAt(time.Duration(i+1)*time.Second, "hop", func() {
+		sim.ScheduleAt(time.Duration(i+1)*time.Second, func() {
 			if err := core.TriggerOn(a.Provided(hopPort), hop{Stage: stage}); err != nil {
 				t.Error(err)
 			}
@@ -140,7 +140,7 @@ func TestSimulationTraceDeterministic(t *testing.T) {
 		sim.Settle()
 		for i := 0; i < 10; i++ {
 			stage := i
-			sim.ScheduleAt(time.Duration(i)*time.Millisecond, "h", func() {
+			sim.ScheduleAt(time.Duration(i)*time.Millisecond, func() {
 				relayCtx.Trigger(hop{Stage: stage}, relayPort)
 			})
 		}
