@@ -18,7 +18,8 @@ help:
 	@echo "  test-race       go test -race ./... (deque/routing-cache stress tests)"
 	@echo "  core-stress     internal/core 50x at -cpu 1,2,4 and 10x under -race: the"
 	@echo "                  hold/unplug/resume and swap ordering tests are concurrent;"
-	@echo "                  plus the WAL group-commit vs checkpoint race, 20x under -race"
+	@echo "                  plus the WAL group-commit vs checkpoint race and the TCP"
+	@echo "                  codec-swap/retransmit tests, 20x under -race"
 	@echo "  bench           full benchmark sweep (macro experiments included)"
 	@echo "  bench-dispatch  hot-path microbenchmarks only: dispatch, fan-out,"
 	@echo "                  ping-pong, deque. Pinned -benchtime $(BENCHTIME) -cpu $(BENCHCPU);"
@@ -51,11 +52,13 @@ test-race:
 # Local mirror of the CI core-stress job. The channel reconfiguration tests
 # (hold/resume and swap under concurrent traffic) race producers against
 # reconfiguration, so one pass proves little: repeat them across scheduler
-# widths, and under the race detector.
+# widths, and under the race detector. The TCP codec-swap and retransmit
+# tests race a swap and a redial against live traffic the same way.
 core-stress:
 	$(GO) test -count=50 -cpu 1,2,4 ./internal/core
 	$(GO) test -race -count=10 ./internal/core
 	$(GO) test -race -count=20 -run 'TestGroupSyncRacesCheckpoint' ./internal/kvstore
+	$(GO) test -race -count=20 -run 'TestTCPSwapCodecLiveStream|TestTCPFailedFlushRetransmitsInOrder' ./internal/network
 
 # Full benchmark sweep (experiment macro-benchmarks take seconds per run).
 bench:

@@ -7,7 +7,6 @@
 package abd
 
 import (
-	"math/bits"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -94,20 +93,8 @@ func GlobalBatchMetrics() BatchMetrics {
 // sampled (traced) operations, mirroring the handler-latency sampling
 // discipline — the unsampled hot path never touches these.
 type phaseCell struct {
-	counts   [core.LatencyBuckets]atomic.Uint64
-	sum      atomic.Uint64
-	n        atomic.Uint64
+	core.LatencyHistogram
 	exemplar atomic.Uint64 // latest trace ID observed into this cell
-}
-
-func (c *phaseCell) snapshot() core.LatencyStats {
-	var s core.LatencyStats
-	for i := range c.counts {
-		s.Buckets[i] = c.counts[i].Load()
-	}
-	s.SumNanos = c.sum.Load()
-	s.Samples = c.n.Load()
-	return s
 }
 
 // phaseCells is indexed [phase-1][outcome] over the phaseLabelNames ×
@@ -116,17 +103,8 @@ var phaseCells [len(phaseLabelNames)][outcomeCount]phaseCell
 
 // observePhase records one sampled phase completion.
 func observePhase(p phase, outcome int, d time.Duration, trace uint64) {
-	if d < 0 {
-		d = 0
-	}
 	c := &phaseCells[int(p)-1][outcome]
-	idx := bits.Len64(uint64(d))
-	if idx >= core.LatencyBuckets {
-		idx = core.LatencyBuckets - 1
-	}
-	c.counts[idx].Add(1)
-	c.sum.Add(uint64(d))
-	c.n.Add(1)
+	c.Observe(d)
 	c.exemplar.Store(trace)
 }
 
@@ -138,15 +116,15 @@ func writePhaseMetrics(m *web.MetricsWriter) {
 	wroteHeader := false
 	for pi := range phaseCells {
 		for oi := range phaseCells[pi] {
-			c := &phaseCells[pi][oi]
-			if c.n.Load() == 0 {
+			s := phaseCells[pi][oi].Snapshot()
+			if s.Samples == 0 {
 				continue
 			}
 			if !wroteHeader {
 				m.Header("cats_abd_phase_seconds", "histogram", "Sampled ABD quorum-phase latency by phase and outcome.")
 				wroteHeader = true
 			}
-			m.Histogram("cats_abd_phase_seconds", c.snapshot(),
+			m.Histogram("cats_abd_phase_seconds", s,
 				"phase", phaseLabelNames[pi], "outcome", phaseOutcomeNames[oi])
 		}
 	}

@@ -404,7 +404,7 @@ func (c *Component) executeItem(it workItem) {
 		c.runItem(it)
 		d := rt.clock.Now().Sub(start)
 		if sampled {
-			c.stats.latency.observe(d)
+			c.stats.latency.Observe(d)
 		}
 		if sink != nil {
 			handler := ""

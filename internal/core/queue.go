@@ -13,7 +13,7 @@ type ring struct {
 // push appends an item at the tail.
 func (r *ring) push(it workItem) {
 	if r.size == len(r.buf) {
-		r.grow()
+		r.reserve(1)
 	}
 	r.buf[(r.head+r.size)%len(r.buf)] = it
 	r.size++
@@ -67,17 +67,4 @@ func (r *ring) reset() {
 	}
 	r.head = 0
 	r.size = 0
-}
-
-func (r *ring) grow() {
-	n := len(r.buf) * 2
-	if n == 0 {
-		n = 8
-	}
-	nb := make([]workItem, n)
-	for i := 0; i < r.size; i++ {
-		nb[i] = r.buf[(r.head+i)%len(r.buf)]
-	}
-	r.buf = nb
-	r.head = 0
 }

@@ -126,8 +126,7 @@ func WithLatencySampling(every int) Option {
 	}
 }
 
-// WithTraceSink attaches an event-trace sink (typically a *TraceRing):
-// every executed work item is recorded with its timestamp, component, port,
+// WithTraceSink attaches an event-trace sink: every executed work item is recorded with its timestamp, component, port,
 // event type, handler, and duration. The sink must be set before Bootstrap;
 // it is read without synchronization on the dispatch path.
 func WithTraceSink(sink TraceSink) Option {

@@ -25,18 +25,19 @@ import (
 // upper bound.
 const LatencyBuckets = 33
 
-// latHistogram is the per-component sampled handler-latency histogram:
-// power-of-two buckets, plain atomic adds, no locking. Writers are the
-// component's executing worker (one at a time); readers snapshot racily,
-// which is fine for monitoring.
-type latHistogram struct {
+// LatencyHistogram is a sampled latency histogram: power-of-two buckets,
+// plain atomic adds, no locking. It backs each component's handler-latency
+// stats and the ABD phase-latency cells. Writers observe one at a time
+// (a component's executing worker); readers snapshot racily, which is fine
+// for monitoring. The zero value is ready to use.
+type LatencyHistogram struct {
 	counts [LatencyBuckets]atomic.Uint64
 	sum    atomic.Uint64 // total sampled nanoseconds
 	n      atomic.Uint64 // number of samples
 }
 
-// observe records one sampled handler duration.
-func (h *latHistogram) observe(d time.Duration) {
+// Observe records one sampled duration (negative durations count as 0).
+func (h *LatencyHistogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
@@ -49,8 +50,8 @@ func (h *latHistogram) observe(d time.Duration) {
 	h.n.Add(1)
 }
 
-// snapshot copies the histogram.
-func (h *latHistogram) snapshot() LatencyStats {
+// Snapshot copies the histogram.
+func (h *LatencyHistogram) Snapshot() LatencyStats {
 	var s LatencyStats
 	for i := range h.counts {
 		s.Buckets[i] = h.counts[i].Load()
@@ -87,7 +88,7 @@ type compStats struct {
 	handled  atomic.Uint64 // work items executed (events handled)
 	triggers atomic.Uint64 // events emitted via Ctx.Trigger
 	faults   atomic.Uint64 // handler panics attributed to this component
-	latency  latHistogram
+	latency  LatencyHistogram
 }
 
 // ComponentStats is a point-in-time copy of one component's counters.
@@ -114,7 +115,7 @@ func (c *Component) Metrics() ComponentStats {
 		Triggers:   c.stats.triggers.Load(),
 		Faults:     c.stats.faults.Load(),
 		QueueDepth: c.QueuedEvents(),
-		Latency:    c.stats.latency.snapshot(),
+		Latency:    c.stats.latency.Snapshot(),
 	}
 }
 
@@ -187,20 +188,9 @@ type RouteCacheStats struct {
 	Resets uint64
 }
 
-// TraceStats describes the event-trace sink attached to a runtime.
-type TraceStats struct {
-	// Enabled reports whether a TraceSink is attached.
-	Enabled bool
-	// Records is the total number of records written (when the sink is a
-	// *TraceRing).
-	Records uint64
-	// Capacity is the ring capacity (when the sink is a *TraceRing).
-	Capacity int
-}
-
 // MetricsSnapshot is a full point-in-time view of a runtime's telemetry:
-// runtime-level gauges, scheduler counters, routing-cache state, trace sink
-// state, and per-component counters. It is assembled on demand by
+// runtime-level gauges, scheduler counters, routing-cache state, and
+// per-component counters. It is assembled on demand by
 // Runtime.MetricsSnapshot; nothing here is maintained eagerly.
 type MetricsSnapshot struct {
 	// At is the runtime-clock timestamp of the snapshot (virtual time under
@@ -218,7 +208,6 @@ type MetricsSnapshot struct {
 	LatencySampleEvery uint64
 	Scheduler          SchedulerStats
 	RouteCache         RouteCacheStats
-	Trace              TraceStats
 	// Components holds per-component counters, sorted by path.
 	Components []ComponentStats
 }
@@ -261,14 +250,6 @@ func (rt *Runtime) MetricsSnapshot() MetricsSnapshot {
 	sort.Slice(snap.Components, func(i, j int) bool {
 		return snap.Components[i].Path < snap.Components[j].Path
 	})
-
-	if rt.traceSink != nil {
-		snap.Trace.Enabled = true
-		if ring, ok := rt.traceSink.(*TraceRing); ok {
-			snap.Trace.Records = ring.Recorded()
-			snap.Trace.Capacity = ring.Cap()
-		}
-	}
 	return snap
 }
 

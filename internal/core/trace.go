@@ -12,17 +12,12 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"time"
 )
 
 // TraceRecord describes one executed work item: one event delivered to one
 // component, with every matched handler run back-to-back.
 type TraceRecord struct {
-	// Seq is a total order over records (assigned by TraceRing; custom
-	// sinks may assign their own). Under the deterministic simulation
-	// scheduler it is the causal execution order.
-	Seq uint64
 	// At is the runtime-clock time execution started (virtual time under
 	// simulation).
 	At time.Time
@@ -53,8 +48,8 @@ func (r TraceRecord) String() string {
 	if r.Port != nil {
 		port = r.Port.Type().Name()
 	}
-	return fmt.Sprintf("#%d %s %s port=%s event=%s handlers=%d dur=%s",
-		r.Seq, r.At.Format("15:04:05.000000"), comp, port, r.Event, r.Handlers, r.Duration)
+	return fmt.Sprintf("%s %s port=%s event=%s handlers=%d dur=%s",
+		r.At.Format("15:04:05.000000"), comp, port, r.Event, r.Handlers, r.Duration)
 }
 
 // TraceSink receives one record per executed work item. Record is called
@@ -63,84 +58,4 @@ func (r TraceRecord) String() string {
 // concurrent use and must not block — they run on the dispatch path.
 type TraceSink interface {
 	Record(TraceRecord)
-}
-
-// TraceRing is the standard TraceSink: a fixed-capacity lock-free ring that
-// keeps the most recent records. Writers claim slots with one atomic
-// fetch-add and publish each record with one atomic pointer store, so
-// concurrent workers never serialize on a lock; when the ring wraps, the
-// oldest records are overwritten. Snapshot reads are wait-free and may run
-// concurrently with writers.
-type TraceRing struct {
-	mask  uint64
-	next  atomic.Uint64
-	slots []atomic.Pointer[TraceRecord]
-}
-
-// NewTraceRing creates a ring holding the most recent capacity records
-// (rounded up to a power of two, minimum 16).
-func NewTraceRing(capacity int) *TraceRing {
-	n := 16
-	for n < capacity {
-		n <<= 1
-	}
-	return &TraceRing{mask: uint64(n - 1), slots: make([]atomic.Pointer[TraceRecord], n)}
-}
-
-var _ TraceSink = (*TraceRing)(nil)
-
-// Record implements TraceSink. It allocates one small record; metrics
-// counters never allocate, but tracing trades one allocation per event for
-// race-free concurrent snapshots (records are immutable once published).
-func (r *TraceRing) Record(rec TraceRecord) {
-	i := r.next.Add(1) - 1
-	rec.Seq = i
-	r.slots[i&r.mask].Store(&rec)
-}
-
-// Recorded returns the total number of records ever written (not the
-// current ring occupancy; see Len).
-func (r *TraceRing) Recorded() uint64 { return r.next.Load() }
-
-// Cap returns the ring capacity.
-func (r *TraceRing) Cap() int { return len(r.slots) }
-
-// Len returns the current number of retained records.
-func (r *TraceRing) Len() int {
-	n := r.next.Load()
-	if n > uint64(len(r.slots)) {
-		return len(r.slots)
-	}
-	return int(n)
-}
-
-// Snapshot returns the retained records, oldest first. Records written
-// concurrently with the snapshot may or may not be included; each returned
-// record is internally consistent (published with a single pointer store).
-// Lapped slots (overwritten while reading) surface as the newer record;
-// the result is therefore sorted by Seq before returning.
-func (r *TraceRing) Snapshot() []TraceRecord {
-	hi := r.next.Load()
-	lo := uint64(0)
-	if hi > uint64(len(r.slots)) {
-		lo = hi - uint64(len(r.slots))
-	}
-	out := make([]TraceRecord, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		if p := r.slots[i&r.mask].Load(); p != nil {
-			out = append(out, *p)
-		}
-	}
-	sortTrace(out)
-	return out
-}
-
-// sortTrace orders records by Seq (insertion sort: snapshots are nearly
-// sorted already, only lapped slots are out of place).
-func sortTrace(recs []TraceRecord) {
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j].Seq < recs[j-1].Seq; j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
 }

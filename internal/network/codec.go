@@ -40,55 +40,44 @@ func IsBinaryPayload(p []byte) bool {
 	return len(p) > 0 && p[0] == flagBinary
 }
 
-// WireCodec is a swappable wire-format backend behind the Network port.
-// Implementations turn Messages into self-describing payloads (byte 0 is
-// one of the format flags above) and back. The codec ID doubles as the
-// capability byte exchanged in the transport handshake.
+// WireCodec is a swappable wire-format encoder behind the Network port.
+// Implementations turn Messages into self-describing payloads: byte 0 is
+// one of the format flags above, and that flag is the payload's only codec
+// identity. There is no per-codec decoder — DecodePayload decodes what any
+// codec produced — so a codec swap is a purely sender-local decision.
 //
 // EncodeAppend appends the payload to dst and returns the extended slice,
 // so a steady-state caller encoding into a recycled buffer allocates
-// nothing. Decode never returns a view of the payload: the message owns
-// its memory and the caller may overwrite the payload buffer afterwards.
+// nothing.
 type WireCodec interface {
 	// Name is the stable human name used by -wire-codec flags and SwapCodec.
 	Name() string
-	// ID is the codec's wire capability byte (also its payload format flag).
-	ID() byte
 	// EncodeAppend appends m's payload to dst.
 	EncodeAppend(dst []byte, m Message) ([]byte, error)
 	// Encode serializes m into a fresh payload.
 	Encode(m Message) ([]byte, error)
-	// Decode deserializes a payload produced by any registered codec.
-	Decode(payload []byte) (Message, error)
 }
 
-// codecRegistry maps codec names and capability bytes to backends. Entries
-// are installed from package inits (the two built-ins below) and read on
-// every handshake, so registration after init is guarded but discouraged.
+// codecRegistry maps codec names to encoders. Entries are installed from
+// package inits (the built-ins below), so registration after init is
+// guarded but discouraged.
 var codecRegistry struct {
 	mu     sync.RWMutex
 	byName map[string]WireCodec
-	byID   map[byte]WireCodec
 }
 
-// RegisterWireCodec installs a codec backend under its Name and ID.
-// Registering a duplicate name or ID panics: codec identity is part of the
-// wire protocol and must be unambiguous.
+// RegisterWireCodec installs a codec under its Name. Registering a
+// duplicate name panics: a -wire-codec flag must name one encoder.
 func RegisterWireCodec(c WireCodec) {
 	codecRegistry.mu.Lock()
 	defer codecRegistry.mu.Unlock()
 	if codecRegistry.byName == nil {
 		codecRegistry.byName = make(map[string]WireCodec)
-		codecRegistry.byID = make(map[byte]WireCodec)
 	}
 	if _, dup := codecRegistry.byName[c.Name()]; dup {
 		panic(fmt.Sprintf("network: duplicate codec name %q", c.Name()))
 	}
-	if _, dup := codecRegistry.byID[c.ID()]; dup {
-		panic(fmt.Sprintf("network: duplicate codec id 0x%02x", c.ID()))
-	}
 	codecRegistry.byName[c.Name()] = c
-	codecRegistry.byID[c.ID()] = c
 }
 
 // CodecByName resolves a codec backend by its stable name.
@@ -96,14 +85,6 @@ func CodecByName(name string) (WireCodec, bool) {
 	codecRegistry.mu.RLock()
 	defer codecRegistry.mu.RUnlock()
 	c, ok := codecRegistry.byName[name]
-	return c, ok
-}
-
-// CodecByID resolves a codec backend by its wire capability byte.
-func CodecByID(id byte) (WireCodec, bool) {
-	codecRegistry.mu.RLock()
-	defer codecRegistry.mu.RUnlock()
-	c, ok := codecRegistry.byID[id]
 	return c, ok
 }
 

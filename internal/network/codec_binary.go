@@ -15,7 +15,7 @@ import (
 // maintenance, bootstrap and monitor traffic) implements WireMessage and
 // marshals itself with the Append* primitives below — no reflection, no
 // type descriptors; encode appends into the caller's recycled buffer and
-// allocates nothing. Decode copies every string and byte slice out of the
+// allocates nothing. Decoding copies every string and byte slice out of the
 // frame: a decoded message owns its memory, so the transport may reuse
 // the frame buffer and a stored value never pins the frame it arrived in.
 // Types outside the wire set fall back to gob inside a tagged frame
@@ -27,9 +27,6 @@ var _ WireCodec = BinaryCodec{}
 
 // Name returns the registry name "binary".
 func (BinaryCodec) Name() string { return "binary" }
-
-// ID returns the codec capability byte (also the format flag it emits).
-func (BinaryCodec) ID() byte { return flagBinary }
 
 // WireMessage is implemented by message types that belong to the binary
 // codec's hot-path wire set. AppendWire appends the message body (no flag,
@@ -93,11 +90,6 @@ func (BinaryCodec) EncodeAppend(dst []byte, m Message) ([]byte, error) {
 // Encode serializes a message into a fresh payload.
 func (c BinaryCodec) Encode(m Message) ([]byte, error) {
 	return c.EncodeAppend(nil, m)
-}
-
-// Decode deserializes a payload produced by any registered codec.
-func (BinaryCodec) Decode(payload []byte) (Message, error) {
-	return DecodePayload(payload)
 }
 
 // wireReaderPool recycles the reader handed to registered decoders: it

@@ -19,7 +19,7 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add(p[:len(p)/2]) // torn tail
 		f.Add(p[:2])        // flag+tag only
 		corrupt := append([]byte(nil), p...)
-		corrupt[1] = 0x7f // unknown wire tag (capability-byte corruption)
+		corrupt[1] = 0x7f // unknown wire tag (tag-byte corruption)
 		f.Add(corrupt)
 	}
 	if p, err := (Codec{}).Encode(hello{Header: NewHeader(addr(1), addr(2)), Greeting: "seed"}); err == nil {
@@ -98,7 +98,7 @@ func FuzzFramePrefix(f *testing.F) {
 	f.Add(uint32(1))
 	f.Add(uint32(maxFrame))
 	f.Add(uint32(keepaliveMagic))
-	f.Add(uint32(codecSwitchMagic))
+	f.Add(uint32(controlFloor))
 	f.Fuzz(func(t *testing.T, n uint32) {
 		legal := n > 0 && n <= maxFrame
 		if legal && isControlPrefix(n) {

@@ -32,15 +32,6 @@ func (c Codec) Name() string {
 	return "gob"
 }
 
-// ID returns the codec capability byte, which doubles as the payload
-// format flag this backend emits.
-func (c Codec) ID() byte {
-	if c.Compress {
-		return flagZlib
-	}
-	return flagPlain
-}
-
 // zlib writers and readers hold large window buffers; pool them so
 // per-message compression does not pay their allocation every time. The
 // reader pool mirrors the writer pool: Decode resets a pooled inflater
@@ -126,13 +117,6 @@ func (c Codec) EncodeAppend(dst []byte, m Message) ([]byte, error) {
 // Encode serializes a message into a fresh self-contained payload.
 func (c Codec) Encode(m Message) ([]byte, error) {
 	return c.EncodeAppend(nil, m)
-}
-
-// Decode deserializes a payload produced by any registered codec: gob
-// payloads (of either compression setting) inline, binary payloads via
-// the binary decoder — payloads are self-describing by format flag.
-func (c Codec) Decode(payload []byte) (Message, error) {
-	return DecodePayload(payload)
 }
 
 // decodeGob deserializes a flagPlain or flagZlib payload.

@@ -8,7 +8,7 @@ import (
 
 // TestControlPrefixRange pins the shared framing constants: the control
 // range sits strictly above the largest legal frame, so no frame length can
-// collide with keepalives or codec-switch markers under any codec.
+// collide with a keepalive under any codec.
 func TestControlPrefixRange(t *testing.T) {
 	if maxFrame >= controlFloor {
 		t.Fatalf("maxFrame %#x overlaps control range starting at %#x", maxFrame, controlFloor)
@@ -16,8 +16,8 @@ func TestControlPrefixRange(t *testing.T) {
 	if isControlPrefix(maxFrame) {
 		t.Fatal("maximum frame length reads as a control prefix")
 	}
-	if !isControlPrefix(keepaliveMagic) || !isControlPrefix(codecSwitchMagic) {
-		t.Fatal("control magics not in the control range")
+	if !isControlPrefix(keepaliveMagic) {
+		t.Fatal("keepalive magic not in the control range")
 	}
 	if isControlPrefix(controlFloor - 1) {
 		t.Fatal("control floor off by one")

@@ -18,7 +18,7 @@ type LoopbackRegistry struct {
 	mu    sync.RWMutex
 	nodes map[Address]*Loopback
 
-	delay    func(src, dst Address) time.Duration
+	delay    time.Duration
 	dropRate float64
 	wire     WireCodec
 	rng      *rand.Rand
@@ -30,16 +30,9 @@ type LoopbackRegistry struct {
 // LoopbackOption configures a LoopbackRegistry.
 type LoopbackOption func(*LoopbackRegistry)
 
-// WithDelay adds an artificial one-way delivery delay per message.
-func WithDelay(f func(src, dst Address) time.Duration) LoopbackOption {
-	return func(r *LoopbackRegistry) { r.delay = f }
-}
-
 // WithConstantDelay adds a fixed one-way delivery delay.
 func WithConstantDelay(d time.Duration) LoopbackOption {
-	return func(r *LoopbackRegistry) {
-		r.delay = func(Address, Address) time.Duration { return d }
-	}
+	return func(r *LoopbackRegistry) { r.delay = d }
 }
 
 // WithDropRate drops each message independently with probability p,
@@ -111,11 +104,9 @@ func (r *LoopbackRegistry) route(m Message) {
 		r.delivered.add(1)
 		_ = core.TriggerOn(dst.port, m)
 	}
-	if r.delay != nil {
-		if d := r.delay(m.Source(), m.Destination()); d > 0 {
-			time.AfterFunc(d, deliver)
-			return
-		}
+	if r.delay > 0 {
+		time.AfterFunc(r.delay, deliver)
+		return
 	}
 	deliver()
 }

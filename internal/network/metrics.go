@@ -9,7 +9,7 @@ import "sync/atomic"
 var (
 	gEncodedMsgs      atomic.Uint64 // messages serialized by Codec.Encode
 	gEncodedBytes     atomic.Uint64 // payload bytes produced by Encode (post-compression)
-	gDecodedMsgs      atomic.Uint64 // messages deserialized by Codec.Decode
+	gDecodedMsgs      atomic.Uint64 // messages deserialized by DecodePayload
 	gCompressedMsgs   atomic.Uint64 // messages that went through zlib on encode
 	gCompressedIn     atomic.Uint64 // bytes fed into zlib (uncompressed gob size)
 	gCompressedOut    atomic.Uint64 // bytes out of zlib (compressed payload body)
@@ -27,11 +27,10 @@ var (
 	gTracedFrames atomic.Uint64 // encoded messages carrying a sampled trace context
 
 	// Wire-codec backend counters (cats_network_codec_* in /metrics).
-	gBinaryEncoded     atomic.Uint64 // messages encoded by the binary backend's wire set
-	gBinaryDecoded     atomic.Uint64 // binary-format payloads decoded
-	gCodecFallbacks    atomic.Uint64 // binary-backend encodes that fell back to gob
-	gCodecSwaps        atomic.Uint64 // live SwapCodec operations applied (per peer)
-	gCodecSwitchFrames atomic.Uint64 // codec-switch control frames received
+	gBinaryEncoded  atomic.Uint64 // messages encoded by the binary backend's wire set
+	gBinaryDecoded  atomic.Uint64 // binary-format payloads decoded
+	gCodecFallbacks atomic.Uint64 // binary-backend encodes that fell back to gob
+	gCodecSwaps     atomic.Uint64 // live SwapCodec operations applied
 )
 
 // gPeerStates counts live outbound peer connections per PeerState
@@ -66,7 +65,6 @@ type Metrics struct {
 	BinaryDecoded    uint64 `json:"codec_binary_decoded"`
 	CodecFallbacks   uint64 `json:"codec_fallbacks"`
 	CodecSwaps       uint64 `json:"codec_swaps"`
-	CodecSwitches    uint64 `json:"codec_switch_frames"`
 	PeersConnecting  int64  `json:"peers_connecting"`
 	PeersUp          int64  `json:"peers_up"`
 	PeersBackoff     int64  `json:"peers_backoff"`
@@ -95,7 +93,6 @@ func GlobalMetrics() Metrics {
 		BinaryDecoded:    gBinaryDecoded.Load(),
 		CodecFallbacks:   gCodecFallbacks.Load(),
 		CodecSwaps:       gCodecSwaps.Load(),
-		CodecSwitches:    gCodecSwitchFrames.Load(),
 		PeersConnecting:  gPeerStates[PeerConnecting].Load(),
 		PeersUp:          gPeerStates[PeerUp].Load(),
 		PeersBackoff:     gPeerStates[PeerBackoff].Load(),

@@ -74,7 +74,7 @@ func TestCodecRoundTripPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Decode(enc)
+	got, err := DecodePayload(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCodecRoundTripCompressed(t *testing.T) {
 	if len(enc) >= len(plain) {
 		t.Fatalf("compressed (%d) not smaller than plain (%d)", len(enc), len(plain))
 	}
-	got, err := c.Decode(enc)
+	got, err := DecodePayload(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +112,14 @@ func TestCodecRoundTripCompressed(t *testing.T) {
 }
 
 func TestCodecCrossCompatibility(t *testing.T) {
-	// A non-compressing codec must decode compressed payloads and vice
-	// versa (the flag byte drives it).
+	// A compressed payload decodes by its flag byte alone, whichever
+	// codec the receiver itself sends with.
 	m := hello{Header: NewHeader(addr(1), addr(2)), Greeting: "hi"}
 	enc, err := Codec{Compress: true}.Encode(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Codec{}.Decode(enc)
+	got, err := DecodePayload(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,17 +129,16 @@ func TestCodecCrossCompatibility(t *testing.T) {
 }
 
 func TestCodecErrors(t *testing.T) {
-	c := Codec{}
-	if _, err := c.Decode(nil); err == nil {
+	if _, err := DecodePayload(nil); err == nil {
 		t.Fatalf("decode empty must fail")
 	}
-	if _, err := c.Decode([]byte{0x7f, 1, 2}); err == nil {
+	if _, err := DecodePayload([]byte{0x7f, 1, 2}); err == nil {
 		t.Fatalf("decode unknown flag must fail")
 	}
-	if _, err := c.Decode([]byte{flagPlain, 1, 2, 3}); err == nil {
+	if _, err := DecodePayload([]byte{flagPlain, 1, 2, 3}); err == nil {
 		t.Fatalf("decode garbage must fail")
 	}
-	if _, err := c.Decode([]byte{flagZlib, 1, 2, 3}); err == nil {
+	if _, err := DecodePayload([]byte{flagZlib, 1, 2, 3}); err == nil {
 		t.Fatalf("decode garbage zlib must fail")
 	}
 }
@@ -152,7 +151,7 @@ func TestPropertyCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := c.Decode(enc)
+		got, err := DecodePayload(enc)
 		if err != nil {
 			return false
 		}

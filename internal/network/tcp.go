@@ -50,15 +50,16 @@ const (
 // paper's pluggable NIO frameworks (Grizzly/Netty/MINA) built on net. It
 // performs automatic connection management (dial on demand, reuse,
 // reconnect with capped exponential backoff, teardown on error) and
-// message serialization through a swappable WireCodec backend — the
-// binary codec by default (every node-to-node message type has a wire
-// encoding; gob is the tagged fallback for anything else), gob or
-// gob+zlib by option, switchable per peer at runtime via SwapCodec.
+// message serialization through one swappable WireCodec — the binary
+// codec by default (every node-to-node message type has a wire encoding;
+// gob is the tagged fallback for anything else), gob or gob+zlib by
+// option, switchable at runtime via SwapCodec.
 //
-// Wire format: an 8-byte handshake (magic, version, codec capability
-// byte), then frames — 4-byte big-endian length prefix + self-describing
-// codec payload — interleaved with control frames from the reserved
-// prefix range (keepalives, codec switches; see framing.go). Outbound
+// Wire format: a 5-byte handshake (magic, version), then frames — 4-byte
+// big-endian length prefix + self-describing codec payload — interleaved
+// with keepalives (see framing.go). The payload's format flag is its only
+// codec identity: the stream carries no codec announcements, so frames
+// encoded before and after a swap may share one connection. Outbound
 // connections are used for sending only; peers dial back for their own
 // sends, so each direction has a dedicated connection.
 //
@@ -72,7 +73,7 @@ const (
 // connection (at-least-once: frames of a partially written flush may
 // arrive twice). The reader sits behind one ioBufSize buffered reader and
 // decodes out of one reusable frame buffer, which is safe because decoded
-// messages own their memory (see WireCodec).
+// messages own their memory (see DecodePayload).
 //
 // Each outbound peer is managed by a small circuit-breaker state machine
 // (connecting → up → backoff → … → down). The pending send queue belongs
@@ -86,13 +87,11 @@ type TCP struct {
 	self Address
 	log  *slog.Logger
 
-	// codecs is the published codec choice: the default backend plus the
-	// per-peer overrides installed by SwapCodec, which survive peer
-	// retirement and redials. The send path reads it without a lock;
-	// writers replace the whole table under mu. codecName defers resolution
-	// of a WithWireCodecName option to Setup (so unknown names can be
-	// logged, not panicked).
-	codecs    atomic.Pointer[codecTable]
+	// codec encodes every outbound frame; SwapCodec replaces it and the
+	// send path reads it without a lock. codecName defers resolution of a
+	// WithWireCodecName option to Setup (so unknown names can be logged,
+	// not panicked).
+	codec     atomic.Pointer[WireCodec]
 	codecName string
 
 	keepalive    time.Duration
@@ -116,12 +115,6 @@ type TCP struct {
 	sent, received, droppedFull, sendErrors atomic.Uint64
 	reconnects, requeued, abandoned         atomic.Uint64
 	codecSwaps                              atomic.Uint64
-}
-
-// codecTable is one immutable snapshot of a transport's codec choice.
-type codecTable struct {
-	def   WireCodec
-	peers map[Address]WireCodec
 }
 
 // frameBuf is a pooled encode buffer: handleSend encodes each outbound
@@ -161,7 +154,6 @@ type outFrame struct {
 	payload  []byte
 	buf      *frameBuf // pooled backing buffer; released at final resolution
 	trace    tracing.Context
-	codecID  byte // capability byte of the codec that encoded payload
 	attempts int  // flushes that carried it so far; >1 means the frame crossed a redial
 	spanned  bool // the frame's single transport span has been recorded
 }
@@ -238,7 +230,7 @@ func NewTCP(self Address, opts ...TCPOption) *TCP {
 		queueLen:     sendQueueLen,
 		ids:          tracing.NewIDSource(self.String()),
 	}
-	t.codecs.Store(&codecTable{def: BinaryCodec{}})
+	t.setCodec(BinaryCodec{})
 	for _, o := range opts {
 		o(t)
 	}
@@ -254,10 +246,10 @@ func (t *TCP) Setup(ctx *core.Ctx) {
 	t.port = ctx.Provides(PortType)
 	if t.codecName != "" {
 		if c, ok := CodecByName(t.codecName); ok {
-			t.codecs.Store(&codecTable{def: c})
+			t.setCodec(c)
 		} else {
 			t.log.Warn("tcp: unknown wire codec, keeping default",
-				"codec", t.codecName, "default", t.codecs.Load().def.Name())
+				"codec", t.codecName, "default", (*t.codec.Load()).Name())
 		}
 	}
 	core.Subscribe(ctx, t.port, t.handleSend)
@@ -288,46 +280,16 @@ func (t *TCP) ResilienceStats() (reconnects, requeued, abandoned uint64) {
 // CodecStats returns how many live codec swaps this transport has applied.
 func (t *TCP) CodecStats() (swaps uint64) { return t.codecSwaps.Load() }
 
-// PeerCodec reports the codec currently used for frames to peer.
-func (t *TCP) PeerCodec(peer Address) WireCodec { return t.codecFor(peer) }
-
-// SwapCodec live-swaps the wire codec used for frames to peer, the paper's
-// §2.6 hot-swap applied to the wire format. Every channel attached to the
-// Network port is held first, so no send or indication can interleave with
-// the swap; the peer's owned send queue keeps draining through the old
-// codec (its frames were encoded at enqueue time and each carries its
-// codec ID, so the writer announces the change with a codec-switch control
-// frame exactly where the boundary falls — even if a redial lands in the
-// middle); then the new codec is installed and the channels resume,
-// flushing anything queued during the hold in FIFO order. Zero frames are
-// lost or reordered. The override survives peer retirement and redials;
-// it applies to the next frame encoded after the swap.
-func (t *TCP) SwapCodec(peer Address, name string) error {
-	err := t.swapCodecs(name, func(old *codecTable, c WireCodec) *codecTable {
-		peers := make(map[Address]WireCodec, len(old.peers)+1)
-		for a, pc := range old.peers {
-			peers[a] = pc
-		}
-		peers[peer] = c
-		return &codecTable{def: old.def, peers: peers}
-	})
-	if err == nil && t.log != nil {
-		t.log.Info("tcp: wire codec swapped", "peer", peer.String(), "codec", name)
-	}
-	return err
-}
-
-// SwapAllCodecs swaps the default codec and every per-peer override to
-// name, under one hold of the Network port.
-func (t *TCP) SwapAllCodecs(name string) error {
-	return t.swapCodecs(name, func(_ *codecTable, c WireCodec) *codecTable {
-		return &codecTable{def: c}
-	})
-}
-
-// swapCodecs resolves name and publishes the table next builds from the
-// current one, with every channel attached to the Network port held.
-func (t *TCP) swapCodecs(name string, next func(old *codecTable, c WireCodec) *codecTable) error {
+// SwapCodec live-swaps the wire codec of every subsequent frame, the
+// paper's §2.6 hot-swap applied to the wire format. Every channel attached
+// to the Network port is held first, so no send or indication can
+// interleave with the swap; the peer send queues keep draining the frames
+// already encoded under the old codec; then the new codec is installed and
+// the channels resume, flushing anything queued during the hold in FIFO
+// order. The receiver needs no notice — each payload names its own format
+// — so old- and new-codec frames may share a connection, or cross a
+// redial, and zero frames are lost or reordered.
+func (t *TCP) SwapCodec(name string) error {
 	c, ok := CodecByName(name)
 	if !ok {
 		return fmt.Errorf("network: swap codec: unknown codec %q (have %v)", name, CodecNames())
@@ -343,13 +305,17 @@ func (t *TCP) swapCodecs(name string, next func(old *codecTable, c WireCodec) *c
 			}
 		}()
 	}
-	t.mu.Lock()
-	t.codecs.Store(next(t.codecs.Load(), c))
-	t.mu.Unlock()
+	t.setCodec(c)
 	t.codecSwaps.Add(1)
 	gCodecSwaps.Add(1)
+	if t.log != nil {
+		t.log.Info("tcp: wire codec swapped", "codec", name)
+	}
 	return nil
 }
+
+// setCodec publishes c as the codec of every subsequent frame.
+func (t *TCP) setCodec(c WireCodec) { t.codec.Store(&c) }
 
 // PeerStates snapshots the circuit-breaker state of every live outbound
 // peer.
@@ -416,19 +382,9 @@ func (t *TCP) shutdown() {
 	t.wg.Wait()
 }
 
-// codecFor resolves the wire codec for one peer: its SwapCodec override
-// if present, else the transport default.
-func (t *TCP) codecFor(dst Address) WireCodec {
-	ct := t.codecs.Load()
-	if c, ok := ct.peers[dst]; ok {
-		return c
-	}
-	return ct.def
-}
-
 // handleSend routes an outbound message onto the peer's connection queue,
 // dialing on demand. Messages to self are delivered directly. The frame is
-// encoded here — through the peer's current codec, into a pooled buffer —
+// encoded here — through the current codec, into a pooled buffer —
 // so the bytes on the queue are immutable from this point on: a codec
 // swapped later never re-encodes frames already queued under the old one.
 func (t *TCP) handleSend(m Message) {
@@ -438,9 +394,8 @@ func (t *TCP) handleSend(m Message) {
 		core.TriggerOn(t.port, m) //nolint:errcheck // port type validated at Setup
 		return
 	}
-	codec := t.codecFor(m.Destination())
 	fb := frameBufPool.Get().(*frameBuf)
-	payload, err := codec.EncodeAppend(fb.b[:0], m)
+	payload, err := (*t.codec.Load()).EncodeAppend(fb.b[:0], m)
 	fb.b = payload[:0]
 	if err != nil {
 		frameBufPool.Put(fb)
@@ -453,12 +408,7 @@ func (t *TCP) handleSend(m Message) {
 	if tm, ok := m.(tracing.Traced); ok {
 		tc = tm.TraceContext()
 	}
-	t.enqueue(m.Destination(), outFrame{
-		payload: payload,
-		buf:     fb,
-		trace:   tc,
-		codecID: codec.ID(),
-	})
+	t.enqueue(m.Destination(), outFrame{payload: payload, buf: fb, trace: tc})
 }
 
 // enqueue places one encoded frame on dst's queue, creating the peer's
@@ -616,14 +566,8 @@ func (t *TCP) writeLoop(pc *peerConn) {
 			}
 			return
 		}
-		// Announce ourselves before the first frame: magic, version, and
-		// the capability byte naming this peer's current codec. Frames
-		// queued under an older codec (including the staged ones, preserved
-		// across the redial) still flow — stage emits a codec-switch control
-		// frame whenever the next frame's codec differs from the one last
-		// announced on this connection.
-		connCodec := t.codecFor(pc.addr).ID()
-		if err := t.writeHandshake(conn, connCodec); err != nil {
+		// Announce ourselves before the first frame: magic and version.
+		if err := t.writeHandshake(conn); err != nil {
 			_ = conn.Close()
 			t.sendErrors.Add(1)
 			gSendErrors.Add(1)
@@ -639,7 +583,7 @@ func (t *TCP) writeLoop(pc *peerConn) {
 		everUp = true
 		t.setState(pc, PeerUp)
 		t.emitStatus(pc.addr, true)
-		err := t.serveConn(pc, conn, connCodec)
+		err := t.serveConn(pc, conn)
 		_ = conn.Close()
 		if errors.Is(err, errPeerClosed) {
 			t.retirePeer(pc)
@@ -700,34 +644,24 @@ func (t *TCP) backoff(attempt int) time.Duration {
 }
 
 // writeHandshake sends the connection preamble declaring the wire
-// protocol version and the codec capability byte for subsequent frames.
-func (t *TCP) writeHandshake(conn net.Conn, codecID byte) error {
+// protocol version.
+func (t *TCP) writeHandshake(conn net.Conn) error {
 	if t.writeTimeout > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(t.writeTimeout))
 	}
 	var hs [handshakeLen]byte
 	copy(hs[:4], handshakeMagic[:])
 	hs[4] = wireVersion
-	hs[5] = codecID
 	_, err := conn.Write(hs[:])
 	return err
 }
 
-// stage appends one frame — length prefix and payload, preceded by a
-// codec-switch control frame when its codec differs from connCodec, the
-// one last announced on this connection — to the write buffer, and returns
-// the codec now announced. That is how a live SwapCodec (or a mixed-codec
-// queue surviving a redial) stays frame-exact on the wire, also in the
-// middle of one coalesced buffer.
-func (pc *peerConn) stage(f *outFrame, connCodec byte) byte {
+// stage appends one frame — length prefix and payload — to the write
+// buffer.
+func (pc *peerConn) stage(f *outFrame) {
 	f.attempts++
-	if f.codecID != connCodec {
-		pc.wbuf = AppendU32(pc.wbuf, codecSwitchMagic)
-		pc.wbuf = append(pc.wbuf, f.codecID)
-	}
 	pc.wbuf = AppendU32(pc.wbuf, uint32(len(f.payload)))
 	pc.wbuf = append(pc.wbuf, f.payload...)
-	return f.codecID
 }
 
 // serveConn coalesces queued frames (and idle keepalives) into the write
@@ -738,12 +672,11 @@ func (pc *peerConn) stage(f *outFrame, connCodec byte) byte {
 // counted as requeued — so the reconnected peer transmits them first, in
 // order, ahead of anything queued behind them. Their span bookkeeping
 // rides in the outFrame across the redial: the retransmission finishes the
-// original frame's story, it does not start a new one. connCodec is the
-// codec ID the handshake announced.
-func (t *TCP) serveConn(pc *peerConn, conn net.Conn, connCodec byte) error {
+// original frame's story, it does not start a new one.
+func (t *TCP) serveConn(pc *peerConn, conn net.Conn) error {
 	pc.wbuf = pc.wbuf[:0]
 	for i := range pc.staged {
-		connCodec = pc.stage(&pc.staged[i], connCodec)
+		pc.stage(&pc.staged[i])
 	}
 	accept := func(f outFrame) {
 		if len(f.payload) > maxFrame {
@@ -753,7 +686,7 @@ func (t *TCP) serveConn(pc *peerConn, conn net.Conn, connCodec byte) error {
 			return
 		}
 		pc.staged = append(pc.staged, f)
-		connCodec = pc.stage(&pc.staged[len(pc.staged)-1], connCodec)
+		pc.stage(&pc.staged[len(pc.staged)-1])
 	}
 	var ka <-chan time.Time
 	if t.keepalive > 0 {
@@ -861,15 +794,13 @@ func (r idleReader) Read(p []byte) (int, error) {
 }
 
 // readLoop decodes frames from one inbound connection and delivers them on
-// the Network port. The connection must open with a valid handshake naming
-// a registered codec; decode itself dispatches on each payload's format
-// flag, so frames from any codec (or a mid-stream swap) decode without
-// renegotiation. Keepalive control frames only keep the connection from
-// going idle; codec-switch control frames update the peer's announced
-// codec (and are validated against the registry); a connection silent past
-// the idle timeout is reaped. Every payload is read into the same frame
-// buffer: decoded messages own their memory, so the next frame may
-// overwrite it.
+// the Network port. The connection must open with a valid handshake;
+// decode dispatches on each payload's format flag, so frames from any codec
+// (or a mid-stream swap) decode without renegotiation. Keepalives only keep
+// the connection from going idle; any other control prefix closes it, and
+// a connection silent past the idle timeout is reaped. Every payload is
+// read into the same frame buffer: decoded messages own their memory, so
+// the next frame may overwrite it.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -888,10 +819,6 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.log.Warn("tcp: bad handshake", "magic", fmt.Sprintf("%x", hs[:4]), "version", hs[4])
 		return
 	}
-	if _, ok := CodecByID(hs[5]); !ok {
-		t.log.Warn("tcp: handshake names unknown codec", "id", fmt.Sprintf("0x%02x", hs[5]))
-		return
-	}
 	_, _ = br.Discard(handshakeLen) // cannot fail: Peek just returned these bytes
 	var frame []byte
 	for {
@@ -905,24 +832,11 @@ func (t *TCP) readLoop(conn net.Conn) {
 		n := binary.BigEndian.Uint32(prefix)
 		_, _ = br.Discard(4)
 		if isControlPrefix(n) {
-			switch n {
-			case keepaliveMagic:
+			if n == keepaliveMagic {
 				continue
-			case codecSwitchMagic:
-				id, err := br.ReadByte()
-				if err != nil {
-					return
-				}
-				if _, ok := CodecByID(id); !ok {
-					t.log.Warn("tcp: switch to unknown codec", "id", fmt.Sprintf("0x%02x", id))
-					return
-				}
-				gCodecSwitchFrames.Add(1)
-				continue
-			default:
-				t.log.Warn("tcp: unknown control prefix", "prefix", fmt.Sprintf("0x%08x", n))
-				return
 			}
+			t.log.Warn("tcp: unknown control prefix", "prefix", fmt.Sprintf("0x%08x", n))
+			return
 		}
 		if n == 0 || n > maxFrame {
 			t.log.Warn("tcp: bad frame length", "len", n)

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"encoding/binary"
 	"io"
 	"log/slog"
 	"net"
@@ -25,14 +26,26 @@ func pipeReceiver(t *testing.T, recv *TCP) net.Conn {
 	return near
 }
 
+// teeConn records every byte written through it.
+type teeConn struct {
+	net.Conn
+	written []byte
+}
+
+func (c *teeConn) Write(p []byte) (int, error) {
+	c.written = append(c.written, p...)
+	return c.Conn.Write(p)
+}
+
 // TestTCPFailedFlushRetransmitsInOrder is the event-stream test for the
 // coalescing writer. Eight traced frames — the last four encoded under a
-// different codec, so a codec-switch frame falls in the middle of the
-// buffer — go out in one flush, and the connection breaks half way through
-// it. On the next connection the receiver must see all eight first, in
-// FIFO order without a gap, then the four frames queued meanwhile; every
-// codec boundary still announces itself; and each frame records exactly
-// one net.send span, whose attempt count tells which flush delivered it.
+// different codec, so the codec changes in the middle of the buffer — go
+// out in one flush, and the connection breaks half way through it. On the
+// next connection the receiver must see all eight first, in FIFO order
+// without a gap, then the four frames queued meanwhile; the bytes written
+// are the handshake and then length-prefixed frames only, each payload
+// naming its own codec; and each frame records exactly one net.send span,
+// whose attempt count tells which flush delivered it.
 func TestTCPFailedFlushRetransmitsInOrder(t *testing.T) {
 	ring := swapRing(t, 256)
 	_, _, recv := newTCPPair(t, WithKeepalive(0))
@@ -49,12 +62,20 @@ func TestTCPFailedFlushRetransmitsInOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outFrame{payload: payload, codecID: codec.ID(), trace: tracing.Context{TraceID: uint64(0x100 + seq), SpanID: 1}}
+		return outFrame{payload: payload, trace: tracing.Context{TraceID: uint64(0x100 + seq), SpanID: 1}}
 	}
 	const failed, later = 8, 4
+	// flagOf is the format flag frame seq carries: gob, then binary from
+	// the middle of the failed flush, then gob again for the later frames.
+	flagOf := func(seq int) byte {
+		if seq >= failed/2 && seq < failed {
+			return flagBinary
+		}
+		return flagPlain
+	}
 	for seq := 0; seq < failed; seq++ {
 		codec := WireCodec(Codec{})
-		if seq >= failed/2 {
+		if flagOf(seq) == flagBinary {
 			codec = BinaryCodec{}
 		}
 		pc.ch <- frame(seq, codec)
@@ -66,7 +87,7 @@ func TestTCPFailedFlushRetransmitsInOrder(t *testing.T) {
 		_, _ = io.ReadFull(c2, make([]byte, 4+len(frame(0, Codec{}).payload)*3/2))
 		_ = c2.Close()
 	}()
-	if err := tr.serveConn(pc, c1, flagPlain); err == nil {
+	if err := tr.serveConn(pc, c1); err == nil {
 		t.Fatal("serveConn returned nil after the connection broke")
 	}
 	_ = c1.Close()
@@ -90,13 +111,12 @@ func TestTCPFailedFlushRetransmitsInOrder(t *testing.T) {
 	for seq := failed; seq < failed+later; seq++ {
 		pc.ch <- frame(seq, Codec{})
 	}
-	switchesBefore := gCodecSwitchFrames.Load()
-	c3 := pipeReceiver(t, recv.tcp)
-	if err := tr.writeHandshake(c3, flagPlain); err != nil {
+	c3 := &teeConn{Conn: pipeReceiver(t, recv.tcp)}
+	if err := tr.writeHandshake(c3); err != nil {
 		t.Fatal(err)
 	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- tr.serveConn(pc, c3, flagPlain) }()
+	go func() { errCh <- tr.serveConn(pc, c3) }()
 	waitCount(t, &recv.got, failed+later, 5*time.Second)
 	pc.shutdown()
 	if err := <-errCh; err != errPeerClosed {
@@ -113,8 +133,41 @@ func TestTCPFailedFlushRetransmitsInOrder(t *testing.T) {
 	if got := recv.got.Load(); got != failed+later {
 		t.Fatalf("receiver saw %d frames, want %d", got, failed+later)
 	}
-	if got := gCodecSwitchFrames.Load() - switchesBefore; got != 2 {
-		t.Fatalf("receiver saw %d codec-switch frames, want 2 (gob→binary inside the retransmitted buffer, binary→gob behind it)", got)
+
+	// The raw stream: the 5-byte preamble, then nothing but length-prefixed
+	// frames (keepalives are the one control prefix a writer may emit), in
+	// order, each payload flagged with the codec that encoded it.
+	w := c3.written
+	if len(w) < handshakeLen || [4]byte(w[:4]) != handshakeMagic || w[4] != wireVersion {
+		t.Fatalf("stream does not open with the handshake: % x", w[:min(len(w), handshakeLen)])
+	}
+	w = w[handshakeLen:]
+	seq := 0
+	for len(w) > 0 {
+		if len(w) < 4 {
+			t.Fatalf("%d trailing bytes after frame %d", len(w), seq)
+		}
+		n := binary.BigEndian.Uint32(w)
+		w = w[4:]
+		if n == keepaliveMagic {
+			continue
+		}
+		if n == 0 || n > maxFrame || int(n) > len(w) {
+			t.Fatalf("frame %d: bad length prefix %#x (%d bytes left)", seq, n, len(w))
+		}
+		payload := w[:n]
+		w = w[n:]
+		if payload[0] != flagOf(seq) {
+			t.Errorf("frame %d: format flag %#x, want %#x", seq, payload[0], flagOf(seq))
+		}
+		m, err := DecodePayload(payload)
+		if b, ok := m.(wireBlob); err != nil || !ok || b.Seq != seq {
+			t.Errorf("frame %d on the wire decodes to %+v, %v", seq, m, err)
+		}
+		seq++
+	}
+	if seq != failed+later {
+		t.Fatalf("stream carried %d frames, want %d", seq, failed+later)
 	}
 
 	spans := netSendSpans(ring, 0)

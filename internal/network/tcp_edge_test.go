@@ -2,23 +2,24 @@ package network
 
 import (
 	"encoding/binary"
+	"errors"
 	"net"
+	"os"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 )
 
+// validHandshake is the preamble a current dialer sends.
+var validHandshake = append(handshakeMagic[:], wireVersion)
+
 // dialRaw connects a raw socket to a transport's listener and performs
-// the client side of the connection handshake (gob capability byte).
+// the client side of the connection handshake.
 func dialRaw(t *testing.T, addr Address) net.Conn {
 	t.Helper()
 	conn := dialRawNoHandshake(t, addr)
-	var hs [handshakeLen]byte
-	copy(hs[:4], handshakeMagic[:])
-	hs[4] = wireVersion
-	hs[5] = flagPlain
-	if _, err := conn.Write(hs[:]); err != nil {
+	if _, err := conn.Write(validHandshake); err != nil {
 		t.Fatalf("handshake write: %v", err)
 	}
 	return conn
@@ -40,6 +41,49 @@ func dialRawNoHandshake(t *testing.T, addr Address) net.Conn {
 	}
 	t.Fatalf("dial %s: %v", addr, err)
 	return nil
+}
+
+// TestTCPRejectsBadHandshake probes the preamble validation: a dialer
+// whose preamble has the wrong magic, or an old wire version — in the old
+// 8-byte shape or in the current 5-byte one — is hung up on before any
+// frame behind the preamble is delivered; a valid preamble then delivers.
+func TestTCPRejectsBadHandshake(t *testing.T) {
+	_, n1, _ := newTCPPair(t)
+	payload, err := BinaryCodec{}.Encode(wireBlob{Header: NewHeader(addr(9), n1.self), Seq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := append(AppendU32(nil, uint32(len(payload))), payload...)
+
+	for _, tc := range []struct {
+		name     string
+		preamble []byte
+	}{
+		{"wrong magic", []byte{'K', 'O', 'M', 'P', wireVersion}},
+		{"version-1 preamble", []byte{'C', 'A', 'T', 'S', 1, flagBinary, 0, 0}},
+		{"version 1", []byte{'C', 'A', 'T', 'S', 1}},
+	} {
+		conn := dialRawNoHandshake(t, n1.self)
+		if _, err := conn.Write(append(tc.preamble, frame...)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err := conn.Read(make([]byte, 1))
+		_ = conn.Close()
+		if err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: connection stayed open (read: %v)", tc.name, err)
+		}
+	}
+
+	conn := dialRaw(t, n1.self)
+	defer conn.Close()
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	waitCount(t, &n1.got, 1, 5*time.Second)
+	if got := n1.got.Load(); got != 1 {
+		t.Fatalf("delivered %d frames, want only the one behind the valid preamble", got)
+	}
 }
 
 func TestTCPRejectsOversizedFrame(t *testing.T) {

@@ -104,7 +104,7 @@ func TestTCPRetransmitFirstSingleSpan(t *testing.T) {
 	reader1 := &frameReader{conn: c2, payloads: make(chan []byte, 16)}
 	go reader1.run()
 	errCh := make(chan error, 1)
-	go func() { errCh <- tr.serveConn(pc, c1, flagPlain) }()
+	go func() { errCh <- tr.serveConn(pc, c1) }()
 	pc.ch <- frameU
 	pc.ch <- frameA
 	for i := 0; i < 2; i++ {
@@ -150,7 +150,7 @@ func TestTCPRetransmitFirstSingleSpan(t *testing.T) {
 	reader2 := &frameReader{conn: c4, payloads: make(chan []byte, 16)}
 	go reader2.run()
 	tr.keepalive = 10 * time.Millisecond
-	go func() { errCh <- tr.serveConn(pc, c3, flagPlain) }()
+	go func() { errCh <- tr.serveConn(pc, c3) }()
 	var order []string
 	for i := 0; i < 2; i++ {
 		select {

@@ -56,11 +56,10 @@ type NetworkEmulator struct {
 	down     map[network.Address]bool
 	linkDown map[[2]network.Address]time.Time // directed link → down-until (virtual)
 
-	// Gray-failure state: slowed nodes and links DELAY traffic (delivered,
-	// not dropped) by an extra latency until a virtual-time deadline
-	// passes. Windows expire lazily at send time, like link flaps.
+	// Gray-failure state: slowed nodes DELAY traffic (delivered, not
+	// dropped) by an extra latency until a virtual-time deadline passes.
+	// Windows expire lazily at send time, like link flaps.
 	slowNodes map[network.Address]slowWindow
-	slowLinks map[[2]network.Address]slowWindow
 
 	// Wire-codec state: when defaultCodec is set, every cross-node message
 	// round-trips through the sender's configured codec (binary payloads for
@@ -124,7 +123,6 @@ func NewNetworkEmulator(sim *Simulation, opts ...EmulatorOption) *NetworkEmulato
 		down:       make(map[network.Address]bool),
 		linkDown:   make(map[[2]network.Address]time.Time),
 		slowNodes:  make(map[network.Address]slowWindow),
-		slowLinks:  make(map[[2]network.Address]slowWindow),
 	}
 	for _, o := range opts {
 		o(e)
@@ -209,13 +207,6 @@ func (e *NetworkEmulator) SlowNode(addr network.Address, extra, slowFor time.Dur
 	e.slows++
 }
 
-// SlowLink slows only the directed src→dst link (call twice for a
-// symmetric gray link) for the given window of virtual time.
-func (e *NetworkEmulator) SlowLink(src, dst network.Address, extra, slowFor time.Duration) {
-	e.slowLinks[[2]network.Address{src, dst}] = slowWindow{extra: extra, until: e.sim.Now().Add(slowFor)}
-	e.slows++
-}
-
 // nodeSlow returns addr's active extra latency, expiring stale windows as
 // a side effect.
 func (e *NetworkEmulator) nodeSlow(addr network.Address) time.Duration {
@@ -231,22 +222,12 @@ func (e *NetworkEmulator) nodeSlow(addr network.Address) time.Duration {
 }
 
 // slowExtra returns the extra one-way latency gray-failure injection adds
-// to a src→dst message: the largest applicable window among the source
-// node, the destination node, and the directed link.
+// to a src→dst message: the larger of the source's and the destination's
+// active windows.
 func (e *NetworkEmulator) slowExtra(src, dst network.Address) time.Duration {
 	extra := e.nodeSlow(src)
 	if d := e.nodeSlow(dst); d > extra {
 		extra = d
-	}
-	key := [2]network.Address{src, dst}
-	if w, ok := e.slowLinks[key]; ok {
-		if e.sim.Now().Before(w.until) {
-			if w.extra > extra {
-				extra = w.extra
-			}
-		} else {
-			delete(e.slowLinks, key)
-		}
 	}
 	return extra
 }
@@ -283,9 +264,9 @@ func (e *NetworkEmulator) SwapCodec(addr network.Address, name string) {
 	e.codecSwaps++
 }
 
-// codecFor returns the wire codec the given sender is configured with, or
+// senderCodec returns the wire codec the given sender is configured with, or
 // nil when the emulator does no codec round-tripping.
-func (e *NetworkEmulator) codecFor(src network.Address) network.WireCodec {
+func (e *NetworkEmulator) senderCodec(src network.Address) network.WireCodec {
 	if c, ok := e.nodeCodecs[src]; ok {
 		return c
 	}
@@ -314,7 +295,7 @@ func (e *NetworkEmulator) send(m network.Message) {
 		e.dropped++
 		return
 	}
-	if c := e.codecFor(src); c != nil {
+	if c := e.senderCodec(src); c != nil {
 		// Fresh buffer per message: the decoded message may alias it.
 		payload, err := c.Encode(m)
 		if err != nil {

@@ -16,13 +16,19 @@ var hopPort = core.NewPortType("Hop",
 	core.Indication[hop](),
 )
 
+// recordSink is a core.TraceSink keeping every record in execution order
+// (the simulation scheduler calls it from one goroutine).
+type recordSink []core.TraceRecord
+
+func (s *recordSink) Record(r core.TraceRecord) { *s = append(*s, r) }
+
 // TestSimulationEventTrace drives a three-component relay chain under
-// virtual time with a TraceRing attached and asserts the causal execution
+// virtual time with a trace sink attached and asserts the causal execution
 // order: the trace records A handling before B before C at every hop, with
 // non-decreasing virtual timestamps and the exact event types.
 func TestSimulationEventTrace(t *testing.T) {
-	ring := core.NewTraceRing(256)
-	sim := New(42, WithTraceSink(ring))
+	var traced recordSink
+	sim := New(42, WithTraceSink(&traced))
 
 	// relay builds a component that handles hops on its provided port and,
 	// unless terminal, forwards them on its required port.
@@ -62,7 +68,7 @@ func TestSimulationEventTrace(t *testing.T) {
 
 	hopT := reflect.TypeOf(hop{})
 	var recs []core.TraceRecord
-	for _, r := range ring.Snapshot() {
+	for _, r := range traced {
 		if r.Event == hopT {
 			recs = append(recs, r)
 		}
@@ -75,10 +81,6 @@ func TestSimulationEventTrace(t *testing.T) {
 		if recs[i].Component != a || recs[i+1].Component != b || recs[i+2].Component != c {
 			t.Fatalf("hop %d order: %s, %s, %s, want a, b, c", i/3,
 				recs[i].Component.Path(), recs[i+1].Component.Path(), recs[i+2].Component.Path())
-		}
-		if recs[i].Seq >= recs[i+1].Seq || recs[i+1].Seq >= recs[i+2].Seq {
-			t.Fatalf("hop %d: seqs %d, %d, %d not causally ordered",
-				i/3, recs[i].Seq, recs[i+1].Seq, recs[i+2].Seq)
 		}
 		// The whole relay runs at one virtual instant (handlers do not
 		// advance the clock).
@@ -112,9 +114,6 @@ func TestSimulationEventTrace(t *testing.T) {
 	if snap.Scheduler.Executed != sm.Executed {
 		t.Fatalf("snapshot scheduler executed %d != %d", snap.Scheduler.Executed, sm.Executed)
 	}
-	if !snap.Trace.Enabled || snap.Trace.Records < 9 {
-		t.Fatalf("snapshot trace %+v, want enabled with >= 9 records", snap.Trace)
-	}
 }
 
 // TestSimulationTraceDeterministic runs the same seeded simulation twice and
@@ -122,8 +121,8 @@ func TestSimulationEventTrace(t *testing.T) {
 // timestamps all reproduce.
 func TestSimulationTraceDeterministic(t *testing.T) {
 	run := func() []string {
-		ring := core.NewTraceRing(1024)
-		sim := New(7, WithTraceSink(ring))
+		var traced recordSink
+		sim := New(7, WithTraceSink(&traced))
 		var relayCtx *core.Ctx
 		var relayPort *core.Port
 		sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
@@ -146,7 +145,7 @@ func TestSimulationTraceDeterministic(t *testing.T) {
 		}
 		sim.Run(0)
 		var out []string
-		for _, r := range ring.Snapshot() {
+		for _, r := range traced {
 			out = append(out, r.String())
 		}
 		return out

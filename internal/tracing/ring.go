@@ -5,11 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// Ring is a lock-free fixed-size span buffer, the core.TraceRing idiom
-// applied to spans: writers atomically claim a monotonically increasing
-// sequence number and publish into slot seq&mask, so concurrent recorders
-// never block and the ring always holds the most recent Cap() spans.
-// Snapshot is safe to call concurrently with recording.
+// Ring is a lock-free fixed-size span buffer: writers atomically claim a
+// monotonically increasing sequence number and publish into slot seq&mask,
+// so concurrent recorders never block and the ring always holds the most
+// recent Cap() spans. Snapshot is safe to call concurrently with recording.
 type Ring struct {
 	mask  uint64
 	next  atomic.Uint64

@@ -246,9 +246,6 @@ func writeRuntimeMetrics(m *MetricsWriter, s core.MetricsSnapshot) {
 	m.Header("cats_routecache_resets_total", "counter", "Route-table resets forced by the capacity cap.")
 	m.Counter("cats_routecache_resets_total", s.RouteCache.Resets)
 
-	m.Header("cats_trace_records_total", "counter", "Trace records written.")
-	m.Counter("cats_trace_records_total", s.Trace.Records)
-
 	m.Header("cats_component_handled_total", "counter", "Events handled per component.")
 	for _, c := range s.Components {
 		m.Counter("cats_component_handled_total", c.Handled, "component", c.Path)
@@ -308,10 +305,8 @@ func writeNetworkMetrics(m *MetricsWriter, n network.Metrics) {
 	m.Counter("cats_network_codec_binary_decoded_total", n.BinaryDecoded)
 	m.Header("cats_network_codec_fallbacks_total", "counter", "Messages outside the binary wire set encoded via gob fallback.")
 	m.Counter("cats_network_codec_fallbacks_total", n.CodecFallbacks)
-	m.Header("cats_network_codec_swaps_total", "counter", "Live wire-codec swaps applied to peers.")
+	m.Header("cats_network_codec_swaps_total", "counter", "Live wire-codec swaps applied.")
 	m.Counter("cats_network_codec_swaps_total", n.CodecSwaps)
-	m.Header("cats_network_codec_switch_frames_total", "counter", "Codec-switch control frames observed on inbound connections.")
-	m.Counter("cats_network_codec_switch_frames_total", n.CodecSwitches)
 	m.Header("cats_network_peers", "gauge", "Outbound peer connections by circuit-breaker state.")
 	m.Gauge("cats_network_peers", float64(n.PeersConnecting), "state", "connecting")
 	m.Gauge("cats_network_peers", float64(n.PeersUp), "state", "up")
