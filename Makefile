@@ -52,13 +52,13 @@ test-race:
 # Local mirror of the CI core-stress job. The channel reconfiguration tests
 # (hold/resume and swap under concurrent traffic) race producers against
 # reconfiguration, so one pass proves little: repeat them across scheduler
-# widths, and under the race detector. The TCP codec-swap and retransmit
-# tests race a swap and a redial against live traffic the same way.
+# widths, and under the race detector. The TCP reconnect and retransmit
+# tests race a redial against live traffic the same way.
 core-stress:
 	$(GO) test -count=50 -cpu 1,2,4 ./internal/core
 	$(GO) test -race -count=10 ./internal/core
 	$(GO) test -race -count=20 -run 'TestGroupSyncRacesCheckpoint' ./internal/kvstore
-	$(GO) test -race -count=20 -run 'TestTCPSwapCodecLiveStream|TestTCPFailedFlushRetransmitsInOrder' ./internal/network
+	$(GO) test -race -count=20 -run 'TestTCPQueuedFramesSurviveReconnect|TestTCPFailedFlushRetransmitsInOrder' ./internal/network
 
 # Full benchmark sweep (experiment macro-benchmarks take seconds per run).
 bench:

@@ -161,8 +161,6 @@ type OpRecord struct {
 type Simulator struct {
 	Env      Env
 	Defaults NodeConfig
-	// MaxSeeds bounds how many existing nodes a joiner learns (default 3).
-	MaxSeeds int
 	// RecordOps captures every explicit put/get (not closed-loop load ops)
 	// as an OpRecord for post-run linearizability checking.
 	RecordOps bool
@@ -210,7 +208,6 @@ func NewSimulator(env Env, defaults NodeConfig) *Simulator {
 	return &Simulator{
 		Env:      env,
 		Defaults: defaults,
-		MaxSeeds: 3,
 		peers:    make(map[ident.Key]*peerHandle),
 		pending:  make(map[uint64]*pendingOp),
 	}
@@ -370,6 +367,9 @@ func (s *Simulator) resolve(key ident.Key) *peerHandle {
 	return s.peerOf(n.Key)
 }
 
+// maxSeeds bounds how many existing nodes a joiner learns.
+const maxSeeds = 3
+
 func (s *Simulator) handleJoin(j JoinNode) {
 	if s.peerOf(j.Key) != nil {
 		s.bump(func(m *Metrics) { m.Skipped++ })
@@ -377,12 +377,8 @@ func (s *Simulator) handleJoin(j JoinNode) {
 	}
 	self := ident.NodeRef{Key: j.Key, Addr: addrOf(j.Key)}
 
-	// Pick up to MaxSeeds existing nodes as ring contacts.
+	// Pick up to maxSeeds existing nodes as ring contacts.
 	alive := s.AliveNodes()
-	maxSeeds := s.MaxSeeds
-	if maxSeeds <= 0 {
-		maxSeeds = 3
-	}
 	var seeds []ident.NodeRef
 	if len(alive) > 0 {
 		perm := s.ctx.Rand().Perm(len(alive))

@@ -206,23 +206,6 @@ func (pp *portPair) unsubscribe(s *Subscription) {
 	}
 }
 
-// AttachedChannels snapshots the channels currently connected to either
-// half of this port. The §2.6 reconfiguration primitives (Hold, Resume,
-// Unplug, Disconnect) live on channels; a component that must quiesce its
-// own boundary — e.g. the TCP transport holding the Network port around a
-// live codec swap — enumerates them here and applies the primitive to
-// each. The returned slice is a copy; channels attached or detached later
-// are not reflected.
-func (p *Port) AttachedChannels() []*Channel {
-	pp := p.pair
-	pp.mu.RLock()
-	defer pp.mu.RUnlock()
-	out := make([]*Channel, 0, len(pp.chans[0])+len(pp.chans[1]))
-	out = append(out, pp.chans[0]...)
-	out = append(out, pp.chans[1]...)
-	return out
-}
-
 // attachChannel registers a channel endpoint on one half.
 func (pp *portPair) attachChannel(f face, ch *Channel) {
 	pp.mu.Lock()

@@ -10,10 +10,10 @@ import (
 	"repro/internal/tracing"
 )
 
-// The live codec-swap chaos scenario's shape: a simulated CATS cluster
-// serving quorum traffic while nodes swap their wire codec underneath it
-// (gob → binary → gob+zlib) and links flap — the emulator analog of a
-// mid-swap TCP redial.
+// The codec-swap chaos scenario's shape: a simulated CATS cluster serving
+// quorum traffic while nodes change their wire codec underneath it (gob →
+// binary → gob+zlib), as in a rolling restart onto another -wire-codec,
+// and links flap so frames of both formats cross broken and healed links.
 const (
 	swapNodes     = 5                      // cluster size
 	swapKeys      = 6                      // distinct data keys under test
@@ -81,7 +81,7 @@ func CodecSwap(seed int64, simOpts ...simulation.SimOption) CodecSwapResult {
 	}
 
 	// Link flaps overlapping the swaps: the emulator analog of a TCP
-	// connection breaking and redialing mid-swap.
+	// connection breaking and redialing while the cluster's codecs are mixed.
 	scheduleFlaps(c, rng, swapFlaps, swapOpWindow/8, swapOpWindow*3/4, swapFlapDown)
 
 	mainStats := c.Sim.Run(swapOpWindow + swapTail)

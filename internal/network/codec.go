@@ -23,10 +23,9 @@ type envelope struct {
 
 // Payload format flags. Byte 0 of every encoded payload names the format
 // of the rest, so a payload is self-describing: any receiver can decode
-// any frame regardless of which codec its peer currently has installed.
-// That property is what makes a live codec swap frame-safe — mixed-codec
-// queues, pre-swap frames surviving a redial, and mid-swap reconnects all
-// decode correctly with no negotiation on the read path.
+// any frame regardless of which codec its peer was booted with. That
+// property is what lets a mixed-codec cluster interoperate — a node
+// restarted onto another codec needs no negotiation on the read path.
 const (
 	flagPlain  byte = 0x00 // gob body
 	flagZlib   byte = 0x01 // zlib-compressed gob body
@@ -40,17 +39,18 @@ func IsBinaryPayload(p []byte) bool {
 	return len(p) > 0 && p[0] == flagBinary
 }
 
-// WireCodec is a swappable wire-format encoder behind the Network port.
+// WireCodec is a pluggable wire-format encoder behind the Network port.
 // Implementations turn Messages into self-describing payloads: byte 0 is
 // one of the format flags above, and that flag is the payload's only codec
 // identity. There is no per-codec decoder — DecodePayload decodes what any
-// codec produced — so a codec swap is a purely sender-local decision.
+// codec produced — so the choice of codec is purely sender-local.
 //
 // EncodeAppend appends the payload to dst and returns the extended slice,
 // so a steady-state caller encoding into a recycled buffer allocates
 // nothing.
 type WireCodec interface {
-	// Name is the stable human name used by -wire-codec flags and SwapCodec.
+	// Name is the stable human name used by -wire-codec flags and
+	// WithWireCodecName.
 	Name() string
 	// EncodeAppend appends m's payload to dst.
 	EncodeAppend(dst []byte, m Message) ([]byte, error)

@@ -14,9 +14,8 @@ import (
 // Codec is the gob wire-codec backend, optionally zlib-compressed (the
 // paper's transports apply Zlib compression). It handles every Registered
 // message type: the binary codec, the transport default, falls back to it
-// for types outside the wire set, and it is the counterpart a live codec
-// swap switches to and from. The zero value is a plain gob codec without
-// compression.
+// for types outside the wire set. The zero value is a plain gob codec
+// without compression.
 type Codec struct {
 	// Compress enables zlib compression of each payload.
 	Compress bool

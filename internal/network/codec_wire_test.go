@@ -103,8 +103,8 @@ func TestBinaryCodecFallback(t *testing.T) {
 }
 
 // TestCodecCrossDecode pins the self-describing payload property that
-// makes live swaps frame-safe: every codec's output is decodable by
-// DecodePayload regardless of which codec the receiver has installed.
+// lets mixed-codec clusters interoperate: every codec's output is
+// decodable by DecodePayload regardless of which codec the receiver uses.
 func TestCodecCrossDecode(t *testing.T) {
 	msgs := []Message{
 		hello{Header: NewHeader(addr(1), addr(2)), Greeting: "hi"},

@@ -1,48 +1,28 @@
 package network
 
 import (
-	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 )
 
 // LoopbackRegistry is the shared in-process "wire" connecting Loopback
 // transport components: a map from address to the component's provided
-// Network port. It supports optional per-message latency, loss, and codec
-// round-tripping (serialize + deserialize each message, as a real transport
-// would).
+// Network port. It hands every message straight to its destination and
+// loses none, except that with WithWireCodec it round-trips each message
+// through a codec (serialize + deserialize, as a real transport would) and
+// drops what fails to encode or decode.
 type LoopbackRegistry struct {
 	mu    sync.RWMutex
 	nodes map[Address]*Loopback
-
-	delay    time.Duration
-	dropRate float64
-	wire     WireCodec
-	rng      *rand.Rand
-	rngMu    sync.Mutex
+	wire  WireCodec
 
 	delivered, dropped, unroutable atomicCounter
 }
 
 // LoopbackOption configures a LoopbackRegistry.
 type LoopbackOption func(*LoopbackRegistry)
-
-// WithConstantDelay adds a fixed one-way delivery delay.
-func WithConstantDelay(d time.Duration) LoopbackOption {
-	return func(r *LoopbackRegistry) { r.delay = d }
-}
-
-// WithDropRate drops each message independently with probability p,
-// using the given seed.
-func WithDropRate(p float64, seed int64) LoopbackOption {
-	return func(r *LoopbackRegistry) {
-		r.dropRate = p
-		r.rng = rand.New(rand.NewSource(seed))
-	}
-}
 
 // WithWireCodec makes the registry serialize and deserialize every
 // message through the given codec before delivery (Encode, then
@@ -62,24 +42,16 @@ func NewLoopbackRegistry(opts ...LoopbackOption) *LoopbackRegistry {
 	return r
 }
 
-// Stats returns the number of messages delivered, dropped by the loss
-// model, and addressed to unknown nodes.
+// Stats returns the number of messages delivered, dropped because the
+// registry's codec failed to encode or decode them, and addressed to
+// unknown nodes.
 func (r *LoopbackRegistry) Stats() (delivered, dropped, unroutable uint64) {
 	return r.delivered.load(), r.dropped.load(), r.unroutable.load()
 }
 
-// route delivers a message to its destination transport, applying loss,
-// codec, and delay models.
+// route delivers a message to its destination transport, round-tripping
+// it through the registry's codec first when one is set.
 func (r *LoopbackRegistry) route(m Message) {
-	if r.dropRate > 0 {
-		r.rngMu.Lock()
-		drop := r.rng.Float64() < r.dropRate
-		r.rngMu.Unlock()
-		if drop {
-			r.dropped.add(1)
-			return
-		}
-	}
 	if r.wire != nil {
 		payload, err := r.wire.Encode(m)
 		if err != nil {
@@ -93,22 +65,15 @@ func (r *LoopbackRegistry) route(m Message) {
 		}
 		m = decoded
 	}
-	deliver := func() {
-		r.mu.RLock()
-		dst := r.nodes[m.Destination()]
-		r.mu.RUnlock()
-		if dst == nil {
-			r.unroutable.add(1)
-			return
-		}
-		r.delivered.add(1)
-		_ = core.TriggerOn(dst.port, m)
-	}
-	if r.delay > 0 {
-		time.AfterFunc(r.delay, deliver)
+	r.mu.RLock()
+	dst := r.nodes[m.Destination()]
+	r.mu.RUnlock()
+	if dst == nil {
+		r.unroutable.add(1)
 		return
 	}
-	deliver()
+	r.delivered.add(1)
+	_ = core.TriggerOn(dst.port, m)
 }
 
 // register binds an address to a transport.

@@ -30,7 +30,6 @@ var (
 	gBinaryEncoded  atomic.Uint64 // messages encoded by the binary backend's wire set
 	gBinaryDecoded  atomic.Uint64 // binary-format payloads decoded
 	gCodecFallbacks atomic.Uint64 // binary-backend encodes that fell back to gob
-	gCodecSwaps     atomic.Uint64 // live SwapCodec operations applied
 )
 
 // gPeerStates counts live outbound peer connections per PeerState
@@ -64,7 +63,6 @@ type Metrics struct {
 	BinaryEncoded    uint64 `json:"codec_binary_encoded"`
 	BinaryDecoded    uint64 `json:"codec_binary_decoded"`
 	CodecFallbacks   uint64 `json:"codec_fallbacks"`
-	CodecSwaps       uint64 `json:"codec_swaps"`
 	PeersConnecting  int64  `json:"peers_connecting"`
 	PeersUp          int64  `json:"peers_up"`
 	PeersBackoff     int64  `json:"peers_backoff"`
@@ -92,7 +90,6 @@ func GlobalMetrics() Metrics {
 		BinaryEncoded:    gBinaryEncoded.Load(),
 		BinaryDecoded:    gBinaryDecoded.Load(),
 		CodecFallbacks:   gCodecFallbacks.Load(),
-		CodecSwaps:       gCodecSwaps.Load(),
 		PeersConnecting:  gPeerStates[PeerConnecting].Load(),
 		PeersUp:          gPeerStates[PeerUp].Load(),
 		PeersBackoff:     gPeerStates[PeerBackoff].Load(),

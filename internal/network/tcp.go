@@ -50,18 +50,18 @@ const (
 // paper's pluggable NIO frameworks (Grizzly/Netty/MINA) built on net. It
 // performs automatic connection management (dial on demand, reuse,
 // reconnect with capped exponential backoff, teardown on error) and
-// message serialization through one swappable WireCodec — the binary
-// codec by default (every node-to-node message type has a wire encoding;
-// gob is the tagged fallback for anything else), gob or gob+zlib by
-// option, switchable at runtime via SwapCodec.
+// message serialization through one WireCodec chosen at construction — the
+// binary codec by default (every node-to-node message type has a wire
+// encoding; gob is the tagged fallback for anything else), gob or gob+zlib
+// by option.
 //
 // Wire format: a 5-byte handshake (magic, version), then frames — 4-byte
 // big-endian length prefix + self-describing codec payload — interleaved
 // with keepalives (see framing.go). The payload's format flag is its only
-// codec identity: the stream carries no codec announcements, so frames
-// encoded before and after a swap may share one connection. Outbound
-// connections are used for sending only; peers dial back for their own
-// sends, so each direction has a dedicated connection.
+// codec identity: the stream carries no codec announcements, so a receiver
+// decodes frames from peers booted with any codec. Outbound connections
+// are used for sending only; peers dial back for their own sends, so each
+// direction has a dedicated connection.
 //
 // Both socket loops work a buffer at a time, not a frame at a time. The
 // writer copies length prefix and payload of each queued frame into one
@@ -87,12 +87,7 @@ type TCP struct {
 	self Address
 	log  *slog.Logger
 
-	// codec encodes every outbound frame; SwapCodec replaces it and the
-	// send path reads it without a lock. codecName defers resolution of a
-	// WithWireCodecName option to Setup (so unknown names can be logged,
-	// not panicked).
-	codec     atomic.Pointer[WireCodec]
-	codecName string
+	codec WireCodec // encodes every outbound frame
 
 	keepalive    time.Duration
 	writeTimeout time.Duration
@@ -114,7 +109,6 @@ type TCP struct {
 
 	sent, received, droppedFull, sendErrors atomic.Uint64
 	reconnects, requeued, abandoned         atomic.Uint64
-	codecSwaps                              atomic.Uint64
 }
 
 // frameBuf is a pooled encode buffer: handleSend encodes each outbound
@@ -180,11 +174,17 @@ func (p *peerConn) shutdown() { p.once.Do(func() { close(p.close) }) }
 // TCPOption configures a TCP transport.
 type TCPOption func(*TCP)
 
-// WithWireCodecName selects the default wire-codec backend by registry
-// name ("gob", "gob+zlib", "binary"). Unknown names are logged at Setup
-// and the transport keeps its previous default.
+// WithWireCodecName selects the wire-codec backend by registry name
+// ("gob", "gob+zlib", "binary"). An unknown name panics in NewTCP: callers
+// taking the name from a user validate it first (catsnode's -wire-codec).
 func WithWireCodecName(name string) TCPOption {
-	return func(t *TCP) { t.codecName = name }
+	return func(t *TCP) {
+		c, ok := CodecByName(name)
+		if !ok {
+			panic(fmt.Sprintf("network: unknown wire codec %q (registered: %v)", name, CodecNames()))
+		}
+		t.codec = c
+	}
 }
 
 // WithKeepalive sets the idle keepalive probe period (0 disables probes).
@@ -229,8 +229,8 @@ func NewTCP(self Address, opts ...TCPOption) *TCP {
 		dialAttempts: defaultDialAttempts,
 		queueLen:     sendQueueLen,
 		ids:          tracing.NewIDSource(self.String()),
+		codec:        BinaryCodec{},
 	}
-	t.setCodec(BinaryCodec{})
 	for _, o := range opts {
 		o(t)
 	}
@@ -244,14 +244,6 @@ func (t *TCP) Setup(ctx *core.Ctx) {
 	t.ctx = ctx
 	t.log = ctx.Log()
 	t.port = ctx.Provides(PortType)
-	if t.codecName != "" {
-		if c, ok := CodecByName(t.codecName); ok {
-			t.setCodec(c)
-		} else {
-			t.log.Warn("tcp: unknown wire codec, keeping default",
-				"codec", t.codecName, "default", (*t.codec.Load()).Name())
-		}
-	}
 	core.Subscribe(ctx, t.port, t.handleSend)
 	core.Subscribe(ctx, ctx.Control(), func(core.Start) {
 		if err := t.listen(); err != nil {
@@ -276,46 +268,6 @@ func (t *TCP) Stats() (sent, received, droppedFull, sendErrors uint64) {
 func (t *TCP) ResilienceStats() (reconnects, requeued, abandoned uint64) {
 	return t.reconnects.Load(), t.requeued.Load(), t.abandoned.Load()
 }
-
-// CodecStats returns how many live codec swaps this transport has applied.
-func (t *TCP) CodecStats() (swaps uint64) { return t.codecSwaps.Load() }
-
-// SwapCodec live-swaps the wire codec of every subsequent frame, the
-// paper's §2.6 hot-swap applied to the wire format. Every channel attached
-// to the Network port is held first, so no send or indication can
-// interleave with the swap; the peer send queues keep draining the frames
-// already encoded under the old codec; then the new codec is installed and
-// the channels resume, flushing anything queued during the hold in FIFO
-// order. The receiver needs no notice — each payload names its own format
-// — so old- and new-codec frames may share a connection, or cross a
-// redial, and zero frames are lost or reordered.
-func (t *TCP) SwapCodec(name string) error {
-	c, ok := CodecByName(name)
-	if !ok {
-		return fmt.Errorf("network: swap codec: unknown codec %q (have %v)", name, CodecNames())
-	}
-	if t.port != nil {
-		chans := t.port.AttachedChannels()
-		for _, ch := range chans {
-			ch.Hold()
-		}
-		defer func() {
-			for _, ch := range chans {
-				ch.Resume()
-			}
-		}()
-	}
-	t.setCodec(c)
-	t.codecSwaps.Add(1)
-	gCodecSwaps.Add(1)
-	if t.log != nil {
-		t.log.Info("tcp: wire codec swapped", "codec", name)
-	}
-	return nil
-}
-
-// setCodec publishes c as the codec of every subsequent frame.
-func (t *TCP) setCodec(c WireCodec) { t.codec.Store(&c) }
 
 // PeerStates snapshots the circuit-breaker state of every live outbound
 // peer.
@@ -384,9 +336,8 @@ func (t *TCP) shutdown() {
 
 // handleSend routes an outbound message onto the peer's connection queue,
 // dialing on demand. Messages to self are delivered directly. The frame is
-// encoded here — through the current codec, into a pooled buffer —
-// so the bytes on the queue are immutable from this point on: a codec
-// swapped later never re-encodes frames already queued under the old one.
+// encoded here, into a pooled buffer, so the bytes on the queue are
+// immutable from this point on.
 func (t *TCP) handleSend(m Message) {
 	if m.Destination() == t.self {
 		t.received.Add(1)
@@ -395,7 +346,7 @@ func (t *TCP) handleSend(m Message) {
 		return
 	}
 	fb := frameBufPool.Get().(*frameBuf)
-	payload, err := (*t.codec.Load()).EncodeAppend(fb.b[:0], m)
+	payload, err := t.codec.EncodeAppend(fb.b[:0], m)
 	fb.b = payload[:0]
 	if err != nil {
 		frameBufPool.Put(fb)
@@ -796,11 +747,11 @@ func (r idleReader) Read(p []byte) (int, error) {
 // readLoop decodes frames from one inbound connection and delivers them on
 // the Network port. The connection must open with a valid handshake;
 // decode dispatches on each payload's format flag, so frames from any codec
-// (or a mid-stream swap) decode without renegotiation. Keepalives only keep
-// the connection from going idle; any other control prefix closes it, and
-// a connection silent past the idle timeout is reaped. Every payload is
-// read into the same frame buffer: decoded messages own their memory, so
-// the next frame may overwrite it.
+// decode without renegotiation. Keepalives only keep the connection from
+// going idle; any other control prefix closes it, and a connection silent
+// past the idle timeout is reaped. Every payload is read into the same
+// frame buffer: decoded messages own their memory, so the next frame may
+// overwrite it.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {

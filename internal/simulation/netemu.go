@@ -251,10 +251,12 @@ func (e *NetworkEmulator) ChurnStats() (crashes, restarts, flaps, churnDropped u
 	return e.crashes, e.restarts, e.flaps, e.churnDropped
 }
 
-// SwapCodec switches the wire codec one node uses for subsequent sends,
-// the emulator analog of the TCP transport's live SwapCodec control path.
-// Only meaningful when the emulator was built WithEmulatedCodec. Panics on
-// an unknown name.
+// SwapCodec switches the wire codec one node uses for subsequent sends. It
+// models a node of a mixed-codec cluster coming back on another encoder —
+// a rolling restart onto another -wire-codec — which needs no transport
+// support: receivers decode every payload from its format flag. Only
+// meaningful when the emulator was built WithEmulatedCodec. Panics on an
+// unknown name.
 func (e *NetworkEmulator) SwapCodec(addr network.Address, name string) {
 	c, ok := network.CodecByName(name)
 	if !ok {

@@ -305,8 +305,6 @@ func writeNetworkMetrics(m *MetricsWriter, n network.Metrics) {
 	m.Counter("cats_network_codec_binary_decoded_total", n.BinaryDecoded)
 	m.Header("cats_network_codec_fallbacks_total", "counter", "Messages outside the binary wire set encoded via gob fallback.")
 	m.Counter("cats_network_codec_fallbacks_total", n.CodecFallbacks)
-	m.Header("cats_network_codec_swaps_total", "counter", "Live wire-codec swaps applied.")
-	m.Counter("cats_network_codec_swaps_total", n.CodecSwaps)
 	m.Header("cats_network_peers", "gauge", "Outbound peer connections by circuit-breaker state.")
 	m.Gauge("cats_network_peers", float64(n.PeersConnecting), "state", "connecting")
 	m.Gauge("cats_network_peers", float64(n.PeersUp), "state", "up")

@@ -54,7 +54,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cats_network_abandoned_total",
 		"cats_network_traced_frames_total",
 		"cats_network_codec_binary_encoded_total",
-		"cats_network_codec_swaps_total",
 		`cats_network_peers{state="backoff"}`,
 		"cats_runtime_components_live",
 		"cats_tracing_spans_recorded_total",
