@@ -19,8 +19,8 @@ help:
 	@echo "  core-stress     internal/core 50x at -cpu 1,2,4 and 10x under -race: the"
 	@echo "                  hold/unplug/resume and swap ordering tests are concurrent;"
 	@echo "                  plus the WAL group-commit vs checkpoint race and the TCP"
-	@echo "                  codec-swap/retransmit tests, 20x under -race"
-	@echo "  bench           full benchmark sweep (macro experiments included)"
+	@echo "                  reconnect/retransmit tests, 20x under -race"
+	@echo "  bench           every microbenchmark (the paper's tables: catssim run paper)"
 	@echo "  bench-dispatch  hot-path microbenchmarks only: dispatch, fan-out,"
 	@echo "                  ping-pong, deque. Pinned -benchtime $(BENCHTIME) -cpu $(BENCHCPU);"
 	@echo "                  override with BENCHTIME=... BENCHCPU=..."
@@ -29,7 +29,7 @@ help:
 	@echo "  scenarios       catssim run gate: every gate scenario at its registered"
 	@echo "                  seeds, twice each in fresh processes, reports byte-identical"
 	@echo "                  and named invariants held (catssim list gate); then the"
-	@echo "                  simulation and real-time kvcluster examples"
+	@echo "                  real-time kvcluster example"
 	@echo "  fuzz            binary frame and WAL decoder fuzz targets, 30s each"
 	@echo "  ci              vet + build + test-race"
 	@echo "  ci-local        local mirror of the CI jobs: lint (without staticcheck and"
@@ -60,7 +60,8 @@ core-stress:
 	$(GO) test -race -count=20 -run 'TestGroupSyncRacesCheckpoint' ./internal/kvstore
 	$(GO) test -race -count=20 -run 'TestTCPQueuedFramesSurviveReconnect|TestTCPFailedFlushRetransmitsInOrder' ./internal/network
 
-# Full benchmark sweep (experiment macro-benchmarks take seconds per run).
+# Every microbenchmark. The paper's evaluation tables are catssim's paper
+# entries (go run ./cmd/catssim run paper), not benchmarks.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
@@ -83,12 +84,10 @@ kvbench-smoke:
 # Local mirror of the CI scenarios job: every gate entry of the catssim
 # registry, each seed twice in fresh processes, reports diffed and the
 # named invariants checked by catssim itself. Reports go to stdout. The
-# simulation example exits 1 unless its two same-seed runs match; the
 # kvcluster example, the one real-time cluster run outside go test, exits 1
 # on a failed op.
 scenarios:
 	$(GO) run ./cmd/catssim run gate
-	$(GO) run ./examples/simulation
 	$(GO) run ./examples/kvcluster
 
 # Binary frame decoder fuzz targets (also run as 30s smoke in CI): the

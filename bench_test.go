@@ -1,107 +1,20 @@
 package repro
 
-// Benchmarks regenerating the paper's evaluation artifacts (see DESIGN.md
-// §3 and EXPERIMENTS.md), plus framework microbenchmarks for the design
-// choices the paper calls out. Macro experiments (whole-cluster runs) take
-// seconds per iteration, so testing.B typically settles at N=1; their
-// results are conveyed via b.ReportMetric. `catssim run paper` prints the
-// same experiments as paper-style tables.
+// Framework microbenchmarks for the design choices the paper calls out:
+// dispatch, fan-out, scheduling, serialization, simulation and hot swap.
+// The paper's evaluation tables are not benchmarks: `go run ./cmd/catssim
+// run paper` regenerates them (EXPERIMENTS.md is its output).
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/cats"
 	"repro/internal/core"
-	"repro/internal/experiments"
-	"repro/internal/ident"
 	"repro/internal/network"
 	"repro/internal/simulation"
 )
-
-// --- Experiment benchmarks (one per table/figure) ------------------------------
-
-// BenchmarkTable1TimeCompression reproduces Table 1: the simulated-to-real
-// time ratio when simulating whole systems of N peers (paper: 475x at 64
-// peers decaying to ~1x at 16384, for 4275 s of simulated time).
-func BenchmarkTable1TimeCompression(b *testing.B) {
-	for _, peers := range []int{64, 128, 256} {
-		b.Run(fmt.Sprintf("peers=%d", peers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := experiments.Table1(2012, peers, 20*time.Second)
-				b.ReportMetric(r.Compression, "x-compression")
-				b.ReportMetric(float64(r.DiscreteEvents), "discrete-events")
-			}
-		})
-	}
-}
-
-// BenchmarkC1OperationLatency reproduces the paper's §4.1 sub-millisecond
-// end-to-end get/put latency claim on an in-process cluster with full
-// per-message serialization (replication degree 5, as deployed on the
-// paper's LAN).
-func BenchmarkC1OperationLatency(b *testing.B) {
-	for _, repl := range []int{3, 5} {
-		b.Run(fmt.Sprintf("replication=%d", repl), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.Latency(8, repl, 1024, 300, "binary")
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(r.Mean.Microseconds()), "mean-us/op")
-				b.ReportMetric(float64(r.P99.Microseconds()), "p99-us/op")
-				b.ReportMetric(100*r.SubMilli, "%sub-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkC2ThroughputScaling reproduces the paper's §4.1 scalability
-// claim: aggregate read throughput grows near-linearly with cluster size
-// (paper: ~100,000 reads/s at 96 machines). Throughput here is virtual-
-// time ops/s of the simulated cluster; the reproduction target is the
-// shape (per-node throughput roughly constant as nodes grow).
-func BenchmarkC2ThroughputScaling(b *testing.B) {
-	for _, nodes := range []int{8, 16, 32} {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := experiments.Scaling(2012, nodes, 8, 150)
-				b.ReportMetric(r.ThroughputPS, "ops/s")
-				b.ReportMetric(r.PerNodePS, "ops/s/node")
-			}
-		})
-	}
-}
-
-// BenchmarkC3StealBatching reproduces the paper's §3 work-stealing design
-// claim: stealing a batch of half the victim's queue versus stealing one
-// component at a time, under maximal placement imbalance. On multi-core
-// hosts batching wins on wall clock; on any host the steal-operation count
-// collapses by orders of magnitude (the mechanism the paper describes).
-func BenchmarkC3StealBatching(b *testing.B) {
-	workers := runtime.NumCPU()
-	if workers < 4 {
-		workers = 4
-	}
-	for _, batchHalf := range []bool{false, true} {
-		name := "batch=one"
-		if batchHalf {
-			name = "batch=half"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := experiments.Stealing(workers, 256, 500, batchHalf)
-				b.ReportMetric(r.EventsPerMS, "events/ms")
-				b.ReportMetric(float64(r.Steals), "steal-ops")
-			}
-		})
-	}
-}
-
-// --- Framework microbenchmarks ---------------------------------------------------
 
 type benchPing struct{ N int }
 type benchPong struct{ N int }
@@ -446,35 +359,3 @@ func (s *swapTarget) Setup(ctx *core.Ctx) {
 
 func (s *swapTarget) DumpState() any      { return s.state }
 func (s *swapTarget) LoadState(state any) { s.state = state.(int) }
-
-// BenchmarkABDOperation measures the wall cost of one linearizable
-// operation driven through a simulated 5-node cluster (simulator + full
-// protocol stack, virtual network).
-func BenchmarkABDOperation(b *testing.B) {
-	c := cats.NewSimCluster(7, cats.NodeConfig{
-		FDInterval:      time.Second,
-		StabilizePeriod: time.Second,
-		CyclonPeriod:    2 * time.Second,
-		OpTimeout:       2 * time.Second,
-	}, "", []simulation.EmulatorOption{simulation.WithLatency(simulation.ConstantLatency(time.Millisecond))})
-	var keys []ident.Key
-	for i := 0; i < 5; i++ {
-		keys = append(keys, ident.Key(uint64(i+1)<<60))
-	}
-	c.Join(keys)
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.TriggerOn(c.Exp, cats.OpPut{
-			NodeKey: ident.Key(uint64(i)),
-			Key:     fmt.Sprintf("bench-%d", i%64),
-			Value:   []byte("value"),
-		})
-		c.Sim.Run(10 * time.Second)
-	}
-	b.StopTimer()
-	m := c.Host.Metrics()
-	if m.PutsFailed > 0 {
-		b.Fatalf("%d puts failed", m.PutsFailed)
-	}
-}

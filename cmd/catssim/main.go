@@ -8,7 +8,7 @@
 //	catssim run <name|attr>... [-seed N]
 //
 // Every entry has a name, attributes ("gate": CI runs it; "paper": it
-// prints one of the paper's evaluation tables), default seeds, a run
+// prints one section of EXPERIMENTS.md), default seeds, a run
 // function that prints a report, and named invariants: Go predicates over
 // the run's result. `catssim run gate` is the whole CI scenario gate.
 //

@@ -199,42 +199,31 @@ func buildScenario() *scenario.Scenario {
 	return sc
 }
 
-// generate draws the sim scenario's schedule and prints its header line.
-func generate(w io.Writer, seed int64) (scenario.Schedule, error) {
-	sched, err := buildScenario().Generate(seed)
-	if err == nil {
-		fmt.Fprintf(w, "catssim: scenario has %d commands over %v (seed %d)\n",
-			len(sched.Events), sched.End.Round(time.Millisecond), seed)
-	}
-	return sched, err
-}
-
 func runSim(w io.Writer, seed int64, _ string) (any, error) {
-	sched, err := generate(w, seed)
+	sched, err := buildScenario().Generate(seed)
 	if err != nil {
 		return nil, err
 	}
+	fmt.Fprintf(w, "catssim: scenario has %d commands over %v (seed %d)\n",
+		len(sched.Events), sched.End.Round(time.Millisecond), seed)
 	digest := newTraceDigest()
 	c := cats.NewSimCluster(seed, simTimings, "",
 		[]simulation.EmulatorOption{simulation.WithLatency(simulation.UniformLatency(time.Millisecond, 10*time.Millisecond))},
 		simulation.WithTraceSink(digest))
 	end := scenario.ExecuteSimulated(c.Sim, sched, c.Exp)
 	stats := c.Sim.Run(end + simTail)
-	report(w, c.Host.Metrics(), c.Host.AliveCount())
-	fmt.Fprintf(w, "  simulated=%v discrete-events=%d handler-execs=%d\n",
-		stats.SimulatedDuration, stats.DiscreteEvents, stats.HandlerExecutions)
-	fmt.Fprintf(os.Stderr, "  wall=%v compression=%.2fx\n", stats.WallDuration, stats.Compression())
-	fmt.Fprintf(w, "  trace: records=%d digest=%016x\n", digest.n, digest.h.Sum64())
-	return simResult{Metrics: c.Host.Metrics(), TraceRecords: digest.n}, nil
-}
-
-func report(w io.Writer, m cats.Metrics, alive int) {
-	fmt.Fprintf(w, "  joins=%d fails=%d alive=%d skipped=%d\n", m.Joins, m.Fails, alive, m.Skipped)
+	m := c.Host.Metrics()
+	fmt.Fprintf(w, "  joins=%d fails=%d alive=%d skipped=%d\n", m.Joins, m.Fails, c.Host.AliveCount(), m.Skipped)
 	fmt.Fprintf(w, "  lookups=%d (empty=%d) puts=%d ok / %d failed, gets=%d ok / %d failed\n",
 		m.Lookups, m.LookupsEmpty, m.PutsOK, m.PutsFailed, m.GetsOK, m.GetsFailed)
 	if n, mean, min, max := m.LatencyStats(); n > 0 {
 		fmt.Fprintf(w, "  op latency: n=%d mean=%v min=%v max=%v\n", n, mean, min, max)
 	}
+	fmt.Fprintf(w, "  simulated=%v discrete-events=%d handler-execs=%d\n",
+		stats.SimulatedDuration, stats.DiscreteEvents, stats.HandlerExecutions)
+	fmt.Fprintf(os.Stderr, "  wall=%v compression=%.2fx\n", stats.WallDuration, stats.Compression())
+	fmt.Fprintf(w, "  trace: records=%d digest=%016x\n", digest.n, digest.h.Sum64())
+	return simResult{Metrics: m, TraceRecords: digest.n}, nil
 }
 
 // traceDigest is a core.TraceSink that folds every handler execution —

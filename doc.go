@@ -6,6 +6,7 @@
 // See README.md for the overview, DESIGN.md for the system inventory and
 // experiment index, and EXPERIMENTS.md for paper-vs-measured results. The
 // library lives under internal/, runnable examples under examples/, and
-// executables under cmd/. The benchmarks in bench_test.go regenerate the
-// paper's evaluation artifacts (run: go test -bench=. -benchmem .).
+// executables under cmd/. The catssim paper entries regenerate the paper's
+// evaluation (go run ./cmd/catssim run paper > EXPERIMENTS.md); the
+// benchmarks in bench_test.go are framework microbenchmarks.
 package repro

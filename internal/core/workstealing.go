@@ -26,8 +26,8 @@ import (
 // single components (paper §3). The default batch policy is adaptive: half
 // of a deep victim, shrinking toward a single component as the victim deque
 // drains (see adaptiveStealBatch); the policy is configurable to make the
-// paper's batch-versus-single claim measurable (see
-// BenchmarkC3StealBatching).
+// paper's batch-versus-single claim measurable (see `catssim run
+// stealing`).
 type WorkStealingScheduler struct {
 	workers []*worker
 	rr      atomic.Uint64 // placement sequence for external submissions

@@ -1,9 +1,8 @@
 // Package experiments implements the paper's evaluation artifacts and the
 // repo's fault-injection scenarios as reusable functions. The catssim
-// scenario registry runs them (its paper entries print paper-style tables,
-// its gate entries print reports it checks invariants over), and the root
-// bench_test.go benchmarks reuse the paper experiments. The paper rows of
-// DESIGN.md §3:
+// scenario registry is their one driver: its paper entries print the
+// sections of EXPERIMENTS.md, its gate entries print reports it checks
+// invariants over. The paper rows of DESIGN.md §3:
 //
 //   - Table1: simulated-time compression vs. number of peers.
 //   - C1: end-to-end operation latency on an in-process cluster.
@@ -19,6 +18,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,13 +67,15 @@ type Table1Result struct {
 	Compression       float64
 	DiscreteEvents    uint64
 	HandlerExecutions uint64
+	Allocs            uint64 // heap allocations during the measured run
 }
 
 // Table1 measures the time-compression ratio of simulating a system of
 // `peers` nodes for simTime of virtual time under a lookup workload (one
 // lookup per node per second on average), mirroring the paper's Table 1.
 // The setup phase (boot + convergence) is excluded from the measurement,
-// as the paper reports steady-state simulation.
+// wall time and heap allocation count alike, as the paper reports
+// steady-state simulation.
 func Table1(seed int64, peers int, simTime time.Duration) Table1Result {
 	c := cats.NewSimCluster(seed, simTimings, "", simLAN())
 	c.Join(spreadKeys(peers))
@@ -96,7 +98,10 @@ func Table1(seed int64, peers int, simTime time.Duration) Table1Result {
 	}
 	scenario.ExecuteSimulated(c.Sim, sched, c.Exp)
 
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	stats := c.Sim.Run(simTime)
+	runtime.ReadMemStats(&after)
 	return Table1Result{
 		Peers:             peers,
 		SimulatedDuration: stats.SimulatedDuration,
@@ -104,6 +109,7 @@ func Table1(seed int64, peers int, simTime time.Duration) Table1Result {
 		Compression:       stats.Compression(),
 		DiscreteEvents:    stats.DiscreteEvents,
 		HandlerExecutions: stats.HandlerExecutions,
+		Allocs:            after.Mallocs - before.Mallocs,
 	}
 }
 

@@ -22,6 +22,9 @@ func TestTable1SmallRun(t *testing.T) {
 	if r.DiscreteEvents == 0 || r.HandlerExecutions == 0 {
 		t.Fatalf("no events executed: %+v", r)
 	}
+	if r.Allocs == 0 {
+		t.Fatalf("no heap allocations counted over the run: %+v", r)
+	}
 }
 
 func TestTable1CompressionDecreasesWithPeers(t *testing.T) {

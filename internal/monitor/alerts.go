@@ -108,7 +108,7 @@ func (s *Server) observeRuntime(node string, cur map[string]int64) {
 	s.depthHWM[node] = int64(hwm)
 	c[maxDequeDepth] = int64(hwm)
 	if prev, ok := s.prevRuntime[node]; ok {
-		s.alerts[node] = EvaluateAlerts(s.rules, node, prev, c)
+		s.alerts[node] = EvaluateAlerts(DefaultAlertRules(), node, prev, c)
 	}
 	s.prevRuntime[node] = c
 }

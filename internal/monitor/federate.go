@@ -18,21 +18,17 @@ import (
 // serves the merged exposition — one scrape target for a Prometheus that
 // cannot reach (or does not want to enumerate) the individual nodes.
 
-// Federator scrapes node /metrics endpoints in parallel and merges the
-// results. It is plain Go (no component state) so it can be unit-tested
-// against httptest servers.
-type Federator struct {
-	client *http.Client
-}
+// scrapeTimeout bounds each per-node scrape behind /federate and /traces.
+const scrapeTimeout = 2 * time.Second
 
-// NewFederator creates a federator whose per-node scrapes time out after
-// timeout (default 2s).
-func NewFederator(timeout time.Duration) *Federator {
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	return &Federator{client: &http.Client{Timeout: timeout}}
-}
+// Response-size limits: a scrape reads at most this much of a node's reply,
+// so one misbehaving node cannot exhaust the monitor's memory.
+const (
+	maxMetricsBody = 4 << 20  // /metrics
+	maxTraceBody   = 16 << 20 // /debug/trace
+)
+
+var scrapeClient = &http.Client{Timeout: scrapeTimeout}
 
 // scrapeResult is one node's scrape outcome.
 type scrapeResult struct {
@@ -41,13 +37,11 @@ type scrapeResult struct {
 	err  error
 }
 
-// Scrape fetches host/metrics from every target (node name → host:port),
-// in parallel, and returns the merged exposition: failed nodes recorded as
-// comments so the output still says who was unreachable, then one group per
-// metric family — its HELP/TYPE header once, followed by every node's
-// samples labeled with the node's name, nodes sorted by name. Families keep
-// the order in which they first appear.
-func (f *Federator) Scrape(targets map[string]string) string {
+// scrapeAll fetches path from every target (node name → host:port), in
+// parallel, reading at most limit bytes of each reply. Results are sorted
+// by node name. It is plain Go (no component state) so both endpoints can
+// be unit-tested against httptest servers.
+func scrapeAll(targets map[string]string, path string, limit int64) []scrapeResult {
 	names := make([]string, 0, len(targets))
 	for n := range targets {
 		names = append(names, n)
@@ -60,14 +54,37 @@ func (f *Federator) Scrape(targets map[string]string) string {
 		wg.Add(1)
 		go func(i int, node, host string) {
 			defer wg.Done()
-			body, err := f.fetch("http://" + host + "/metrics")
+			body, err := fetch("http://"+host+path, limit)
 			results[i] = scrapeResult{node: node, body: body, err: err}
 		}(i, n, targets[n])
 	}
 	wg.Wait()
+	return results
+}
 
+// fetch GETs url and returns at most limit bytes of a 200 reply.
+func fetch(url string, limit int64) ([]byte, error) {
+	resp, err := scrapeClient.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, limit))
+}
+
+// federate fetches host/metrics from every target and returns the merged
+// exposition: failed nodes recorded as comments so the output still says
+// who was unreachable, then one group per metric family — its HELP/TYPE
+// header once, followed by every node's samples labeled with the node's
+// name, nodes sorted by name. Families keep the order in which they first
+// appear.
+func federate(targets map[string]string) string {
+	results := scrapeAll(targets, "/metrics", maxMetricsBody)
 	var b strings.Builder
-	fmt.Fprintf(&b, "# CATS federation: %d nodes\n", len(names))
+	fmt.Fprintf(&b, "# CATS federation: %d nodes\n", len(results))
 	var merged []*familyBlock
 	byName := make(map[string]*familyBlock)
 	for _, r := range results {
@@ -143,18 +160,6 @@ func isHistogramSeries(sample, family string) bool {
 	return ok && (suffix == "_bucket" || suffix == "_sum" || suffix == "_count")
 }
 
-func (f *Federator) fetch(url string) ([]byte, error) {
-	resp, err := f.client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-}
-
 // InjectNodeLabel rewrites a Prometheus text exposition so every sample
 // carries node="name": comment and blank lines pass through, labeled
 // samples get the node label prepended, bare samples gain a label set.
@@ -186,6 +191,17 @@ func InjectNodeLabel(body, node string) string {
 // renderFederate serves the merged scrape of every reporting node that
 // advertised a metrics URL.
 func (s *Server) renderFederate(r web.Request) {
+	s.ctx.Trigger(web.Response{
+		ReqID:       r.ReqID,
+		Status:      200,
+		ContentType: "text/plain; version=0.0.4; charset=utf-8",
+		Body:        federate(s.scrapeTargets()),
+	}, s.webP)
+}
+
+// scrapeTargets expires stale views and returns every remaining node that
+// advertised a web listen address (node name → host:port).
+func (s *Server) scrapeTargets() map[string]string {
 	s.expire()
 	targets := make(map[string]string)
 	for name, v := range s.views {
@@ -193,10 +209,5 @@ func (s *Server) renderFederate(r web.Request) {
 			targets[name] = v.MetricsURL
 		}
 	}
-	s.ctx.Trigger(web.Response{
-		ReqID:       r.ReqID,
-		Status:      200,
-		ContentType: "text/plain; version=0.0.4; charset=utf-8",
-		Body:        s.fed.Scrape(targets),
-	}, s.webP)
+	return targets
 }

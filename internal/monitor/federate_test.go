@@ -45,8 +45,7 @@ func TestFederatorScrape(t *testing.T) {
 	s2 := mkSrv("cats_handoff_keys_total{dir=\"in\"} 9\n")
 	defer s2.Close()
 
-	f := NewFederator(time.Second)
-	out := f.Scrape(map[string]string{
+	out := federate(map[string]string{
 		"node-b": strings.TrimPrefix(s2.URL, "http://"),
 		"node-a": strings.TrimPrefix(s1.URL, "http://"),
 		"node-c": "127.0.0.1:1", // nothing listens here
@@ -89,7 +88,7 @@ func TestFederatorMergesFamilies(t *testing.T) {
 	defer srv.Close()
 	host := strings.TrimPrefix(srv.URL, "http://")
 
-	out := NewFederator(time.Second).Scrape(map[string]string{"node-a": host, "node-b": host})
+	out := federate(map[string]string{"node-a": host, "node-b": host})
 	promtest.Check(t, out)
 	want := "# CATS federation: 2 nodes\n" +
 		"# HELP cats_x_total X.\n" +

@@ -151,12 +151,6 @@ type ServerConfig struct {
 	// ExpireAfter drops node views not refreshed in this window
 	// (default 10s).
 	ExpireAfter time.Duration
-	// AlertRules evaluated over each node's consecutive runtime rollups
-	// (nil: DefaultAlertRules).
-	AlertRules []AlertRule
-	// ScrapeTimeout bounds each /federate per-node metrics scrape
-	// (default 2s).
-	ScrapeTimeout time.Duration
 }
 
 func (c *ServerConfig) applyDefaults() {
@@ -175,31 +169,20 @@ type Server struct {
 	webP  *core.Port
 	views map[string]NodeView
 
-	rules       []AlertRule
 	prevRuntime map[string]map[string]int64
 	alerts      map[string][]Alert
 	depthHWM    map[string]int64
-
-	fed    *Federator
-	traces *TraceCollector
 }
 
 // NewServer creates a monitor server component definition.
 func NewServer(cfg ServerConfig) *Server {
 	cfg.applyDefaults()
-	rules := cfg.AlertRules
-	if rules == nil {
-		rules = DefaultAlertRules()
-	}
 	return &Server{
 		cfg:         cfg,
 		views:       make(map[string]NodeView),
-		rules:       rules,
 		prevRuntime: make(map[string]map[string]int64),
 		alerts:      make(map[string][]Alert),
 		depthHWM:    make(map[string]int64),
-		fed:         NewFederator(cfg.ScrapeTimeout),
-		traces:      NewTraceCollector(cfg.ScrapeTimeout),
 	}
 }
 

@@ -3,13 +3,8 @@ package monitor
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
-	"sync"
-	"time"
 
 	"repro/internal/tracing"
 	"repro/internal/web"
@@ -25,80 +20,27 @@ import (
 // defaultTraceLimit bounds an unfiltered /traces reply.
 const defaultTraceLimit = 100
 
-// TraceCollector scrapes node /debug/trace endpoints in parallel and
-// merges the spans. Plain Go (no component state) so it can be
-// unit-tested against httptest servers.
-type TraceCollector struct {
-	client *http.Client
-}
-
-// NewTraceCollector creates a collector whose per-node scrapes time out
-// after timeout (default 2s).
-func NewTraceCollector(timeout time.Duration) *TraceCollector {
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	return &TraceCollector{client: &http.Client{Timeout: timeout}}
-}
-
-// Collect fetches every target's span ring (node name → host:port), in
-// parallel, and returns the merged span set plus per-node scrape errors.
+// collectSpans fetches every target's span ring (node name → host:port),
+// in parallel, and returns the merged span set plus per-node scrape errors.
 // Spans keep their own Node field, so merge order does not matter for the
 // assembled timelines.
-func (c *TraceCollector) Collect(targets map[string]string) ([]tracing.Span, map[string]string) {
-	names := make([]string, 0, len(targets))
-	for n := range targets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	type result struct {
-		node  string
-		spans []tracing.Span
-		err   error
-	}
-	results := make([]result, len(names))
-	var wg sync.WaitGroup
-	for i, n := range names {
-		wg.Add(1)
-		go func(i int, node, host string) {
-			defer wg.Done()
-			dump, err := c.fetch("http://" + host + "/debug/trace")
-			results[i] = result{node: node, spans: dump.Spans, err: err}
-		}(i, n, targets[n])
-	}
-	wg.Wait()
-
+func collectSpans(targets map[string]string) ([]tracing.Span, map[string]string) {
 	var spans []tracing.Span
 	errs := make(map[string]string)
-	for _, r := range results {
+	for _, r := range scrapeAll(targets, "/debug/trace", maxTraceBody) {
+		var dump web.TraceDump
+		if r.err == nil {
+			if err := json.Unmarshal(r.body, &dump); err != nil {
+				r.err = fmt.Errorf("bad trace dump: %w", err)
+			}
+		}
 		if r.err != nil {
 			errs[r.node] = r.err.Error()
 			continue
 		}
-		spans = append(spans, r.spans...)
+		spans = append(spans, dump.Spans...)
 	}
 	return spans, errs
-}
-
-func (c *TraceCollector) fetch(url string) (web.TraceDump, error) {
-	var dump web.TraceDump
-	resp, err := c.client.Get(url)
-	if err != nil {
-		return dump, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return dump, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return dump, err
-	}
-	if err := json.Unmarshal(body, &dump); err != nil {
-		return dump, fmt.Errorf("bad trace dump: %w", err)
-	}
-	return dump, nil
 }
 
 // TracesReply is the JSON document served at /traces (and consumed by
@@ -187,14 +129,8 @@ func (s *Server) renderTraces(r web.Request) {
 		s.tracesError(r, err)
 		return
 	}
-	s.expire()
-	targets := make(map[string]string)
-	for name, v := range s.views {
-		if v.MetricsURL != "" {
-			targets[name] = v.MetricsURL
-		}
-	}
-	spans, errs := s.traces.Collect(targets)
+	targets := s.scrapeTargets()
+	spans, errs := collectSpans(targets)
 	tls, err := FilterTimelines(tracing.Assemble(spans), q)
 	if err != nil {
 		s.tracesError(r, err)

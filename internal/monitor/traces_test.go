@@ -50,8 +50,7 @@ func TestTraceCollectorJoinsAcrossNodes(t *testing.T) {
 		"b": strings.TrimPrefix(replica.URL, "http://"),
 		"c": "127.0.0.1:1", // nothing listens
 	}
-	c := NewTraceCollector(time.Second)
-	spans, errs := c.Collect(targets)
+	spans, errs := collectSpans(targets)
 	if len(spans) != 3 {
 		t.Fatalf("collected %d spans, want 3", len(spans))
 	}

@@ -380,6 +380,11 @@ func testTCPAddr(t *testing.T) Address {
 	return Address{Host: "127.0.0.1", Port: uint16(port)}
 }
 
+// noKeepalive turns a test transport's idle probes off.
+func noKeepalive(t *TCP) { t.keepalive = 0 }
+
+// newTCPPair boots two TCP nodes under one runtime. An option may also set
+// the transport's unexported timing fields before the component starts.
 func newTCPPair(t *testing.T, opts ...TCPOption) (*core.Runtime, *tcpNode, *tcpNode) {
 	t.Helper()
 	return newTCPPairEach(t, opts, opts)

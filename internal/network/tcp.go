@@ -35,8 +35,8 @@ const dialTimeout = 3 * time.Second
 // nothing in the repository needs a second value.
 const ioBufSize = 64 << 10
 
-// Resilience defaults; see the corresponding TCPOptions (the idle timeout
-// has none: see idleReader).
+// Resilience defaults: the initial values of the TCP fields they name (the
+// idle timeout has no field: see idleReader).
 const (
 	defaultKeepalive    = 10 * time.Second
 	defaultIdleTimeout  = 45 * time.Second
@@ -89,12 +89,14 @@ type TCP struct {
 
 	codec WireCodec // encodes every outbound frame
 
-	keepalive    time.Duration
-	writeTimeout time.Duration
-	backoffBase  time.Duration
+	// Resilience settings, set from the defaults above in NewTCP; only this
+	// package's tests change them.
+	keepalive    time.Duration // idle keepalive probe period (0: no probes)
+	writeTimeout time.Duration // bounds one flush (0: none); unwedges a writer stalled on a dead peer
+	backoffBase  time.Duration // reconnect backoff: doubles per failure up to backoffMax, ±50% jitter
 	backoffMax   time.Duration
-	dialAttempts int
-	queueLen     int
+	dialAttempts int // consecutive dial failures that retire a peer and abandon its queue
+	queueLen     int // per-peer outbound queue capacity
 
 	ctx  *core.Ctx
 	port *core.Port
@@ -185,35 +187,6 @@ func WithWireCodecName(name string) TCPOption {
 		}
 		t.codec = c
 	}
-}
-
-// WithKeepalive sets the idle keepalive probe period (0 disables probes).
-func WithKeepalive(d time.Duration) TCPOption {
-	return func(t *TCP) { t.keepalive = d }
-}
-
-// WithWriteTimeout bounds a single frame write (0 disables the deadline);
-// it is what unwedges a writer stalled on a dead or unreading peer.
-func WithWriteTimeout(d time.Duration) TCPOption {
-	return func(t *TCP) { t.writeTimeout = d }
-}
-
-// WithBackoff sets the reconnect backoff: base doubles per consecutive
-// failure up to max, with ±50% jitter.
-func WithBackoff(base, max time.Duration) TCPOption {
-	return func(t *TCP) { t.backoffBase = base; t.backoffMax = max }
-}
-
-// WithDialAttempts sets how many consecutive dial failures retire a peer
-// (its queue is then drained into the abandoned counter; the next send
-// starts over).
-func WithDialAttempts(n int) TCPOption {
-	return func(t *TCP) { t.dialAttempts = n }
-}
-
-// WithSendQueueLen overrides the per-peer outbound queue capacity.
-func WithSendQueueLen(n int) TCPOption {
-	return func(t *TCP) { t.queueLen = n }
 }
 
 // NewTCP creates a TCP transport component bound to self.
@@ -504,7 +477,7 @@ func (t *TCP) writeLoop(pc *peerConn) {
 	defer t.wg.Done()
 	everUp := false
 	for {
-		conn, retried := t.dialWithBackoff(pc)
+		conn, retried := t.dialPeer(pc)
 		if conn == nil {
 			// Retry budget exhausted or peer shut down: retire and account
 			// for every frame left behind.
@@ -547,11 +520,11 @@ func (t *TCP) writeLoop(pc *peerConn) {
 	}
 }
 
-// dialWithBackoff tries to establish the peer connection, sleeping a
+// dialPeer tries to establish the peer connection, sleeping a
 // capped exponential backoff (±50% jitter) between attempts. Returns the
 // connection and whether any attempt failed first; (nil, _) when the peer
 // was closed or the attempt budget ran out.
-func (t *TCP) dialWithBackoff(pc *peerConn) (net.Conn, bool) {
+func (t *TCP) dialPeer(pc *peerConn) (net.Conn, bool) {
 	for attempt := 0; attempt < t.dialAttempts; attempt++ {
 		select {
 		case <-pc.close:

@@ -48,9 +48,10 @@ func (c *teeConn) Write(p []byte) (int, error) {
 // whose attempt count tells which flush delivered it.
 func TestTCPFailedFlushRetransmitsInOrder(t *testing.T) {
 	ring := swapRing(t, 256)
-	_, _, recv := newTCPPair(t, WithKeepalive(0))
+	_, _, recv := newTCPPair(t, noKeepalive)
 
-	tr := NewTCP(Address{Host: "127.0.0.1", Port: 9}, WithKeepalive(0), WithWriteTimeout(5*time.Second))
+	tr := NewTCP(Address{Host: "127.0.0.1", Port: 9})
+	tr.keepalive, tr.writeTimeout = 0, 5*time.Second
 	tr.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	pc := &peerConn{
 		addr:  recv.self,
@@ -196,7 +197,7 @@ type countNode struct {
 }
 
 func (n *countNode) Setup(ctx *core.Ctx) {
-	n.tcp = NewTCP(n.self, WithKeepalive(0))
+	n.tcp = NewTCP(n.self, noKeepalive)
 	port := ctx.Create("net", n.tcp).Provided(PortType)
 	core.Subscribe(ctx, port, func(Message) { n.got.Add(1) })
 }

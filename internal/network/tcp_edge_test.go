@@ -143,11 +143,11 @@ func TestTCPSurvivesGarbagePayload(t *testing.T) {
 // The subscriber must also see the PeerStatus Down→Up transition and the
 // reconnect counter must move.
 func TestTCPQueuedFramesSurviveReconnect(t *testing.T) {
-	_, n1, n2 := newTCPPair(t,
-		WithKeepalive(25*time.Millisecond),
-		WithBackoff(20*time.Millisecond, 100*time.Millisecond),
-		WithDialAttempts(500),
-	)
+	_, n1, n2 := newTCPPair(t, func(tr *TCP) {
+		tr.keepalive = 25 * time.Millisecond
+		tr.backoffBase, tr.backoffMax = 20*time.Millisecond, 100*time.Millisecond
+		tr.dialAttempts = 500
+	})
 	n1.ctx.Trigger(hello{Header: NewHeader(n1.self, n2.self), Greeting: "warmup"}, n1.port)
 	waitCount(t, &n2.got, 1, 5*time.Second)
 
@@ -197,20 +197,29 @@ func TestTCPQueuedFramesSurviveReconnect(t *testing.T) {
 	if reconnects, _, _ := n1.tcp.ResilienceStats(); reconnects == 0 {
 		t.Fatalf("reconnect counter did not move")
 	}
-	statuses := n1.peerStatuses()
-	downAt, upAfterDown := -1, false
-	for i, s := range statuses {
-		if s.Peer != n2.self {
-			continue
+	// The Up indication reaches n1's subscriber through n1's scheduler,
+	// while the frames reach n3 through the socket: neither waits for the
+	// other, so poll for the transition rather than read it once.
+	downThenUp := func(statuses []PeerStatus) bool {
+		downAt := -1
+		for i, s := range statuses {
+			if s.Peer != n2.self {
+				continue
+			}
+			if !s.Up {
+				downAt = i
+			} else if downAt >= 0 && i > downAt {
+				return true
+			}
 		}
-		if !s.Up {
-			downAt = i
-		} else if downAt >= 0 && i > downAt {
-			upAfterDown = true
-		}
+		return false
 	}
-	if downAt < 0 || !upAfterDown {
-		t.Fatalf("PeerStatus Down→Up not observed: %+v", statuses)
+	deadline = time.Now().Add(5 * time.Second)
+	for !downThenUp(n1.peerStatuses()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("PeerStatus Down→Up not observed: %+v", n1.peerStatuses())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -218,10 +227,10 @@ func TestTCPQueuedFramesSurviveReconnect(t *testing.T) {
 // retry budget runs out, every frame stranded on its queue is accounted for
 // in the abandoned counter (previously they vanished without a trace).
 func TestTCPAbandonedFramesAreCounted(t *testing.T) {
-	_, n1, _ := newTCPPair(t,
-		WithBackoff(5*time.Millisecond, 10*time.Millisecond),
-		WithDialAttempts(2),
-	)
+	_, n1, _ := newTCPPair(t, func(tr *TCP) {
+		tr.backoffBase, tr.backoffMax = 5*time.Millisecond, 10*time.Millisecond
+		tr.dialAttempts = 2
+	})
 	dead := Address{Host: "127.0.0.1", Port: 1} // nothing listens
 	const k = 3
 	for i := 0; i < k; i++ {
@@ -243,11 +252,11 @@ func TestTCPAbandonedFramesAreCounted(t *testing.T) {
 // bounded send queue fills, and the newest frames are dropped and counted
 // rather than blocking the sender's handlers.
 func TestTCPSlowReaderBackpressureDrops(t *testing.T) {
-	_, n1, _ := newTCPPair(t,
-		WithSendQueueLen(2),
-		WithWriteTimeout(100*time.Millisecond),
-		WithKeepalive(0),
-	)
+	_, n1, _ := newTCPPair(t, func(tr *TCP) {
+		tr.queueLen = 2
+		tr.writeTimeout = 100 * time.Millisecond
+		tr.keepalive = 0
+	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -85,7 +85,8 @@ func (r *frameReader) run() {
 func TestTCPRetransmitFirstSingleSpan(t *testing.T) {
 	ring := swapRing(t, 256)
 
-	tr := NewTCP(Address{Host: "127.0.0.1", Port: 9}, WithKeepalive(0), WithWriteTimeout(time.Second))
+	tr := NewTCP(Address{Host: "127.0.0.1", Port: 9})
+	tr.keepalive, tr.writeTimeout = 0, time.Second
 	tr.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	pc := &peerConn{
 		addr:  Address{Host: "127.0.0.1", Port: 9},
@@ -213,7 +214,7 @@ func TestTCPRetransmitFirstSingleSpan(t *testing.T) {
 // counter moves.
 func TestTCPTracedFrameEndToEnd(t *testing.T) {
 	ring := swapRing(t, 256)
-	_, n1, n2 := newTCPPair(t, WithKeepalive(15*time.Millisecond))
+	_, n1, n2 := newTCPPair(t, func(tr *TCP) { tr.keepalive = 15 * time.Millisecond })
 
 	const trace, parent = 0xFACE, 0xF00D
 	tracedBefore := GlobalMetrics().TracedFrames
