@@ -6,7 +6,7 @@ GO ?= go
 BENCHTIME ?= 1s
 BENCHCPU ?= 4
 
-.PHONY: all help build vet test test-race core-stress bench bench-dispatch kvbench-smoke scenarios fuzz ci ci-local
+.PHONY: all help build vet test test-race core-stress bench bench-dispatch kvbench-smoke scenarios fuzz alloc ci ci-local
 
 all: build
 
@@ -31,6 +31,7 @@ help:
 	@echo "                  and named invariants held (catssim list gate); then the"
 	@echo "                  real-time kvcluster example"
 	@echo "  fuzz            binary frame and WAL decoder fuzz targets, 30s each"
+	@echo "  alloc           the CI alloc job: allocation gates on the hot paths"
 	@echo "  ci              vet + build + test-race"
 	@echo "  ci-local        local mirror of the CI jobs: lint (without staticcheck and"
 	@echo "                  govulncheck), test, core-stress, alloc, kvbench, scenarios, fuzz"
@@ -103,18 +104,13 @@ fuzz:
 
 ci: vet build test-race
 
-# The CI jobs, locally and in one command, job for job: lint (vet, build,
-# gofmt; staticcheck and govulncheck need a network install), test (the
-# -race pass unsharded: sharding only buys wall-clock on parallel
-# runners), core-stress, alloc, kvbench, scenarios and fuzz. The non-gating bench job
-# is `make bench-dispatch` on two commits.
-ci-local: vet build
-	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
-	$(GO) test -count=1 ./...
-	$(GO) test -race -count=1 ./...
-	$(MAKE) core-stress
+# Local mirror of the CI alloc job: the zero-alloc hot paths, the quorum
+# path's serve and pong ceilings, the TCP socket loops, the WAL, metrics
+# exposition and the Timer-free quorum path.
+alloc:
 	$(GO) test -run 'ZeroAlloc' -count=1 .
 	$(GO) test -run 'ZeroAlloc|Pooled' -count=1 ./internal/network/ ./internal/abd/ ./internal/handoff/ ./internal/fd/ ./internal/cyclon/ ./internal/ring/ ./internal/bootstrap/ ./internal/monitor/ ./internal/simulation/
+	$(GO) test -run 'TestServeReadsAllocs|TestPongAllocs' -count=1 ./internal/abd/ ./internal/fd/
 	$(GO) test -run 'TCPSteadyStateAllocs' -count=1 ./internal/network/
 	$(GO) test -run 'SteadyStateNoGobFallback' -count=1 ./internal/cats/
 	$(GO) test -run 'WALAppendSteadyStateAllocs|WALGroupSyncAllocs|VersionStringAlloc' -count=1 ./internal/kvstore/
@@ -125,6 +121,18 @@ ci-local: vet build
 	$(GO) test -race -run 'TestActivationEndHook' -count=1 ./internal/core/
 	$(GO) test -run 'TestZeroDelayDeliveredDirectly' -count=1 ./internal/timer/
 	$(GO) test -run 'TestWarmGetsIssueNoTimerRequests|TestLoneGetFlushesInRequestActivation|TestLoneGetCoordinatorExecutions|TestShrunkBudgetRearmsEarlier|TestBackstopFlushesWhenQueueNeverDrains|TestBatchChurnStress|TestCoordinatorCoalescesConcurrentOps' -count=1 ./internal/abd/
+
+# The CI jobs, locally and in one command, job for job: lint (vet, build,
+# gofmt; staticcheck and govulncheck need a network install), test (the
+# -race pass unsharded: sharding only buys wall-clock on parallel
+# runners), core-stress, alloc, kvbench, scenarios and fuzz. The non-gating bench job
+# is `make bench-dispatch` on two commits.
+ci-local: vet build
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+	$(GO) test -count=1 ./...
+	$(GO) test -race -count=1 ./...
+	$(MAKE) core-stress
+	$(MAKE) alloc
 	$(MAKE) kvbench-smoke
 	$(MAKE) scenarios
 	$(MAKE) fuzz

@@ -227,6 +227,10 @@ type ABD struct {
 	store *Store
 	ops   map[uint64]*op
 	seq   uint64
+	// free holds finished ops for reuse, zeroed but for their group
+	// slices' backing arrays; handlers of one component never run
+	// concurrently, so it needs no lock.
+	free []*op
 	// table is the router's latest pushed membership view (sorted by key,
 	// self included, never mutated) and tableEpoch the group-view epoch it
 	// was published under: every attempt resolves its group against it.
@@ -257,9 +261,10 @@ type ABD struct {
 	syncing  bool
 	curRound uint64
 
-	// Quorum coalescing state: phases owed to each peer since the last
-	// flush, in insertion order (map order would be nondeterministic), and
-	// whether the backstop flush timeout is already in flight (batch.go).
+	// Quorum coalescing state: each peer's batch record, the peers owed
+	// phases since the last flush in insertion order (map order would be
+	// nondeterministic), and whether the backstop flush timeout is already
+	// in flight (batch.go).
 	pend       map[network.Address]*peerBatch
 	pendOrder  []network.Address
 	flushArmed bool
@@ -413,11 +418,27 @@ func (a *ABD) handleTable(t router.Table) {
 // --- coordinator: client requests ---------------------------------------------
 
 func (a *ABD) handleGet(g GetRequest) {
-	a.startOp(&op{kind: opGet, reqID: g.ReqID, key: g.Key})
+	o := a.newOp()
+	o.kind, o.reqID, o.key = opGet, g.ReqID, g.Key
+	a.startOp(o)
 }
 
 func (a *ABD) handlePut(p PutRequest) {
-	a.startOp(&op{kind: opPut, reqID: p.ReqID, key: p.Key, value: p.Value})
+	o := a.newOp()
+	o.kind, o.reqID, o.key, o.value = opPut, p.ReqID, p.Key, p.Value
+	a.startOp(o)
+}
+
+// newOp takes a zeroed op off the free list, or allocates one.
+func (a *ABD) newOp() *op {
+	n := len(a.free)
+	if n == 0 {
+		return &op{}
+	}
+	o := a.free[n-1]
+	a.free[n-1] = nil
+	a.free = a.free[:n-1]
+	return o
 }
 
 func (a *ABD) startOp(o *op) {
@@ -451,7 +472,9 @@ func (a *ABD) beginAttempt(o *op) {
 	o.attemptAt, o.phaseSentAt = now, now
 	o.deadline = a.attemptBudget(o)
 	a.setDeadline(o, now.Add(o.deadline/hedgeStageDiv))
-	group := ident.SuccessorsOf(a.table, ident.KeyOfString(o.key), a.cfg.ReplicationDegree)
+	// The group is resolved into the op's own slice: the budget above was
+	// the last read of the previous attempt's group.
+	group := ident.AppendSuccessorsOf(o.group[:0], a.table, ident.KeyOfString(o.key), a.cfg.ReplicationDegree)
 	if len(group) == 0 {
 		return // wait for timeout → retry; no membership table yet
 	}
@@ -628,6 +651,11 @@ func (a *ABD) finish(o *op, errMsg string) {
 		}
 		a.ctx.Trigger(PutResponse{ReqID: o.reqID, Key: o.key, Err: errMsg}, a.pg)
 	}
+	// o is off a.ops and the deadline heap, and nothing else points at it
+	// (timeouts, nacks and acks name ops by ID), so it is recycled. Its
+	// group slice keeps its backing array for the next op's group.
+	*o = op{group: o.group[:0]}
+	a.free = append(a.free, o)
 }
 
 // handleTimeout is the attempt timer's two-stage handler, run by the
@@ -678,13 +706,13 @@ func (a *ABD) handleTimeout(o *op) {
 // are refused as Busy (the state backing an ack may still be in flight),
 // and served epochs merge into the replica's own — per-node epochs are
 // Lamport clocks, not globally equal counters, so "equal or newer" is the
-// servable condition.
-func (a *ABD) serveEpoch(m network.Message, tc tracing.Context, kind string, opID uint64, attempt int, epoch uint64) bool {
+// servable condition. reply is the header answering the phase's frame.
+func (a *ABD) serveEpoch(reply network.Header, tc tracing.Context, kind string, opID uint64, attempt int, epoch uint64) bool {
 	if epoch < a.localEpoch {
 		a.statStaleServed++
 		a.recordServe(tc, kind, opID, attempt, "nack-stale")
 		a.ctx.Trigger(nackMsg{
-			Header: network.Reply(m), OpID: opID, Attempt: attempt,
+			Header: reply, OpID: opID, Attempt: attempt,
 			Epoch: a.localEpoch, Busy: false,
 		}, a.net)
 		return false
@@ -692,7 +720,7 @@ func (a *ABD) serveEpoch(m network.Message, tc tracing.Context, kind string, opI
 	if a.syncing {
 		a.recordServe(tc, kind, opID, attempt, "nack-busy")
 		a.ctx.Trigger(nackMsg{
-			Header: network.Reply(m), OpID: opID, Attempt: attempt,
+			Header: reply, OpID: opID, Attempt: attempt,
 			Epoch: a.localEpoch, Busy: true,
 		}, a.net)
 		return false

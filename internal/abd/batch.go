@@ -102,35 +102,53 @@ type flushTimeout struct {
 }
 
 // peerBatch accumulates the phases owed to one replica until the next
-// flush. The slices are handed to the outgoing message at flush time and
-// never reused: triggered messages are owned by the transport from then on.
+// flush. The record is kept across flushes (like the peer's latency
+// estimator, one per peer this coordinator has sent to), but its slices are
+// handed to the outgoing message at flush time and never reused: triggered
+// messages are owned by the transport from then on. The next batch's
+// slices start at nReads and nWrites: the larger of the previous batch's
+// size and three quarters of the previous hint. Sizing to the last batch
+// alone still grew the slice in about two batches of three under a
+// closed-loop load whose batch sizes vary around a mean; the decaying peak
+// makes a batch one allocation per phase kind, and a burst's size is
+// forgotten within a few flushes.
 type peerBatch struct {
-	reads  []readPhase
-	writes []writePhase
+	reads           []readPhase
+	writes          []writePhase
+	nReads, nWrites int
 }
 
-// pendFor returns (creating if needed) the pending batch for dst. Peer
-// order is insertion order — map iteration order would break run-to-run
-// determinism of the simulation trace.
+// pendFor returns (creating if needed) the batch record for dst and
+// queues dst for the next flush if its batch is empty; the caller appends
+// a phase to it. Peer order is insertion order — map iteration order would
+// break run-to-run determinism of the simulation trace.
 func (a *ABD) pendFor(dst network.Address) *peerBatch {
-	if b, ok := a.pend[dst]; ok {
-		return b
+	b, ok := a.pend[dst]
+	if !ok {
+		b = &peerBatch{}
+		a.pend[dst] = b
 	}
-	b := &peerBatch{}
-	a.pend[dst] = b
-	a.pendOrder = append(a.pendOrder, dst)
+	if len(b.reads)+len(b.writes) == 0 {
+		a.pendOrder = append(a.pendOrder, dst)
+	}
 	return b
 }
 
 // sendRead queues one phase-1 query into dst's pending batch.
 func (a *ABD) sendRead(dst network.Address, r readPhase) {
 	b := a.pendFor(dst)
+	if b.reads == nil {
+		b.reads = make([]readPhase, 0, max(b.nReads, 1))
+	}
 	b.reads = append(b.reads, r)
 }
 
 // sendWrite queues one phase-2 impose into dst's pending batch.
 func (a *ABD) sendWrite(dst network.Address, w writePhase) {
 	b := a.pendFor(dst)
+	if b.writes == nil {
+		b.writes = make([]writePhase, 0, max(b.nWrites, 1))
+	}
 	b.writes = append(b.writes, w)
 }
 
@@ -164,7 +182,6 @@ func (a *ABD) handleFlush(flushTimeout) {
 func (a *ABD) flush() {
 	for _, dst := range a.pendOrder {
 		b := a.pend[dst]
-		delete(a.pend, dst)
 		n := len(b.reads) + len(b.writes)
 		a.statBatchesSent++
 		a.statBatchedOps += uint64(n)
@@ -192,6 +209,9 @@ func (a *ABD) flush() {
 			Reads:   b.reads,
 			Writes:  b.writes,
 		}, a.net)
+		b.nReads = max(len(b.reads), b.nReads*3/4)
+		b.nWrites = max(len(b.writes), b.nWrites*3/4)
+		b.reads, b.writes = nil, nil
 	}
 	a.pendOrder = a.pendOrder[:0]
 }
@@ -204,10 +224,10 @@ func (a *ABD) flush() {
 // Serving merges newer epochs as it goes, so ops later in
 // the batch are gated against the freshest view the batch itself revealed.
 func (a *ABD) handleOpBatch(m opBatchMsg) {
-	var readAcks []readAckEntry
-	var writeAcks []writeAckEntry
+	reply := m.Reply()
+	readAcks := make([]readAckEntry, 0, len(m.Reads))
 	for _, r := range m.Reads {
-		if !a.serveEpoch(m, r.Context, "serve.read", r.OpID, r.Attempt, r.Epoch) {
+		if !a.serveEpoch(reply, r.Context, "serve.read", r.OpID, r.Attempt, r.Epoch) {
 			continue
 		}
 		ver, val, found := a.store.Read(r.Key)
@@ -223,7 +243,7 @@ func (a *ABD) handleOpBatch(m opBatchMsg) {
 	a.servedIdx = a.servedIdx[:0]
 	for i := range m.Writes {
 		w := &m.Writes[i]
-		if a.serveEpoch(m, w.Context, "serve.write", w.OpID, w.Attempt, w.Epoch) {
+		if a.serveEpoch(reply, w.Context, "serve.write", w.OpID, w.Attempt, w.Epoch) {
 			a.servedIdx = append(a.servedIdx, i)
 		}
 	}
@@ -235,6 +255,10 @@ func (a *ABD) handleOpBatch(m opBatchMsg) {
 	err := a.applyWrites(m.Writes, a.servedIdx)
 	if err != nil {
 		a.ctx.Log().Warn("abd: wal append failed; batched writes not acked", "writes", len(a.servedIdx), "err", err)
+	}
+	var writeAcks []writeAckEntry
+	if err == nil {
+		writeAcks = make([]writeAckEntry, 0, len(a.servedIdx))
 	}
 	for _, i := range a.servedIdx {
 		w := &m.Writes[i]
@@ -249,7 +273,7 @@ func (a *ABD) handleOpBatch(m opBatchMsg) {
 		return // every op nacked individually; nothing to ack
 	}
 	a.ctx.Trigger(opBatchAckMsg{
-		Header:    network.Reply(m),
+		Header:    reply,
 		Epoch:     a.localEpoch,
 		ReadAcks:  readAcks,
 		WriteAcks: writeAcks,

@@ -368,3 +368,30 @@ func TestServeWritesMemoryStoreZeroAlloc(t *testing.T) {
 		t.Fatal("a write that failed its epoch gate was applied")
 	}
 }
+
+// A replica serving a warm frame of reads allocates the ack entries' slice,
+// sized to the frame, and the boxed ack, whatever the frame's size: the
+// reply header is computed once per frame, not boxed per entry, and the
+// slice does not grow.
+func TestServeReadsAllocs(t *testing.T) {
+	sim := simulation.New(1)
+	a := New(Config{Self: nodeRef(1)})
+	// Every required port stays unconnected, so the ack is delivered to
+	// nobody and only the replica's own allocations are counted.
+	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
+		ctx.Create("abd", a)
+	}))
+	sim.Settle()
+	for _, n := range []int{1, 8, 64} {
+		m := opBatchMsg{Header: network.NewHeader(nodeRef(2).Addr, nodeRef(1).Addr)}
+		for i := 0; i < n; i++ {
+			key := fmt.Sprintf("r-%d-%d", n, i)
+			a.store.Apply(key, Version{Seq: 1, Writer: 2}, []byte("v"))
+			m.Reads = append(m.Reads, readPhase{OpID: uint64(i), Attempt: 1, Key: key})
+		}
+		a.handleOpBatch(m)
+		if allocs := testing.AllocsPerRun(100, func() { a.handleOpBatch(m) }); allocs > 2 {
+			t.Errorf("serving %d reads: %.1f allocs, want <= 2 (ack slice, boxed ack)", n, allocs)
+		}
+	}
+}

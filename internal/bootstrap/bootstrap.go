@@ -289,7 +289,7 @@ func (s *Server) handleGetPeers(m getPeersMsg) {
 	if len(peers) > s.cfg.MaxPeersReturned {
 		peers = peers[:s.cfg.MaxPeersReturned]
 	}
-	s.ctx.Trigger(peersMsg{Header: network.Reply(m), Peers: peers}, s.net)
+	s.ctx.Trigger(peersMsg{Header: m.Reply(), Peers: peers}, s.net)
 	// Tentatively register the requester AFTER answering: simultaneous
 	// joiners are serialized by request arrival — the first founds the
 	// ring, the rest learn of it. Keep-alives refresh the entry once the

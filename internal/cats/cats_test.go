@@ -285,3 +285,42 @@ func TestStrayFoundSuccessorLeavesGetPending(t *testing.T) {
 		t.Fatalf("lookups %d gets ok %d, want 0 and 1", m.Lookups, m.GetsOK)
 	}
 }
+
+// Metrics hands out the recorded latency prefix, not a copy: an earlier
+// snapshot must not change as later ops complete, and a caller appending
+// to one must not share its backing array with the simulator's record.
+func TestMetricsSnapshotUnchangedByLaterOps(t *testing.T) {
+	c := NewSimCluster(23, fastTimings, "", testLAN)
+	keys := join(t, c, 3)
+	put := func(v string) {
+		if err := core.TriggerOn(c.Exp, OpPut{NodeKey: keys[0], Key: "k", Value: []byte(v)}); err != nil {
+			t.Fatal(err)
+		}
+		c.Sim.Run(5 * time.Second)
+	}
+	// Three latencies leave the record's backing array with spare room
+	// (append grows it 1, 2, 4), which a caller's append could reach.
+	put("a")
+	put("b")
+	put("c")
+	m1 := c.Host.Metrics()
+	want := append([]time.Duration(nil), m1.OpLatencies...)
+	if len(want) != 3 {
+		t.Fatalf("%d latencies recorded for three puts", len(want))
+	}
+	mine := append(m1.OpLatencies, -1)
+	put("d")
+	put("e")
+	m2 := c.Host.Metrics()
+	if len(m2.OpLatencies) != len(want)+2 {
+		t.Fatalf("latencies %d after two more puts, want %d", len(m2.OpLatencies), len(want)+2)
+	}
+	for i, d := range want {
+		if m1.OpLatencies[i] != d || m2.OpLatencies[i] != d {
+			t.Fatalf("latency %d: snapshot %v, later %v, want %v", i, m1.OpLatencies[i], m2.OpLatencies[i], d)
+		}
+	}
+	if mine[len(want)] != -1 {
+		t.Fatalf("the simulator recorded %v into a slice a caller appended to", mine[len(want)])
+	}
+}

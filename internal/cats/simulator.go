@@ -227,12 +227,15 @@ func (s *Simulator) Setup(ctx *core.Ctx) {
 	core.Subscribe(ctx, s.exp, s.handleStartLoad)
 }
 
-// Metrics returns a copy of the experiment counters collected so far.
+// Metrics returns a snapshot of the experiment counters collected so far.
+// OpLatencies is append-only, so the snapshot's is the recorded prefix
+// itself, not a copy: callers must not write to it (copy it to sort it).
 func (s *Simulator) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.metrics
-	m.OpLatencies = append([]time.Duration(nil), s.metrics.OpLatencies...)
+	n := len(m.OpLatencies)
+	m.OpLatencies = m.OpLatencies[:n:n]
 	return m
 }
 

@@ -205,7 +205,7 @@ func (o *Overlay) handleShuffle(m shuffleMsg) {
 	reply := o.randomSubset(o.cfg.ShuffleSize - 1)
 	reply = append(reply, descriptor{Node: o.cfg.Self, Age: 0})
 	o.ctx.Trigger(shuffleReplyMsg{
-		Header:  network.Reply(m),
+		Header:  m.Reply(),
 		Entries: reply,
 	}, o.net)
 	o.merge(m.Entries)

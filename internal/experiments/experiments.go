@@ -306,7 +306,7 @@ func Stealing(workers, components, eventsPerComponent int, batchHalf bool) Steal
 		Batch:       label,
 		Events:      total,
 		Wall:        wall,
-		EventsPerMS: float64(total) / float64(wall.Milliseconds()+1),
+		EventsPerMS: float64(total) / (float64(wall) / float64(time.Millisecond)),
 		Steals:      steals,
 		Stolen:      stolen,
 	}

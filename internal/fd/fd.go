@@ -229,7 +229,7 @@ func (p *Ping) sendPing(node network.Address, st *monitorState) {
 // handlePing answers any node's ping, monitored or not.
 func (p *Ping) handlePing(m pingMsg) {
 	p.stat.pongsSent++
-	p.ctx.Trigger(pongMsg{Header: network.Reply(m), Seq: m.Seq}, p.net)
+	p.ctx.Trigger(pongMsg{Header: m.Reply(), Seq: m.Seq}, p.net)
 }
 
 // handlePong clears the outstanding round and restores suspected nodes.

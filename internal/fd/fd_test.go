@@ -319,3 +319,20 @@ func TestPingRoundOrderUnderMonitorChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestPongAllocs: answering a ping allocates at most the boxed pong; the
+// reply header is built from the ping's own header, not from a boxed copy
+// of the ping.
+func TestPongAllocs(t *testing.T) {
+	sim, p, _, _, _ := newPingRig(t, Config{Self: addr(0)})
+	ping := pingMsg{Header: network.NewHeader(addr(1), addr(0)), Seq: 7}
+	p.handlePing(ping)
+	sim.Settle()
+	allocs := testing.AllocsPerRun(100, func() {
+		p.handlePing(ping)
+		sim.Settle()
+	})
+	if allocs > 1 {
+		t.Fatalf("answering a ping: %.1f allocs, want <= 1 (the boxed pong)", allocs)
+	}
+}

@@ -411,7 +411,7 @@ func (h *Handoff) handlePullReq(m pullReqMsg) {
 	h.pullsServed++
 	h.recordInstant("handoff.serve", m.Context, "ok")
 	if total == 0 {
-		h.ctx.Trigger(itemsMsg{Header: network.Reply(m), Context: m.Context, Epoch: m.Epoch, Round: m.Round, Done: true}, h.net)
+		h.ctx.Trigger(itemsMsg{Header: m.Reply(), Context: m.Context, Epoch: m.Epoch, Round: m.Round, Done: true}, h.net)
 		return
 	}
 	sent := 0
@@ -423,7 +423,7 @@ func (h *Handoff) handlePullReq(m pullReqMsg) {
 			}
 			sent += end - start
 			h.ctx.Trigger(itemsMsg{
-				Header:  network.Reply(m),
+				Header:  m.Reply(),
 				Context: m.Context,
 				Epoch:   m.Epoch,
 				Round:   m.Round,

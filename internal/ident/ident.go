@@ -5,7 +5,7 @@ package ident
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,15 +19,22 @@ type Key uint64
 // String renders the key in decimal.
 func (k Key) String() string { return fmt.Sprintf("%d", uint64(k)) }
 
-// KeyOf hashes arbitrary bytes onto the ring (FNV-1a).
-func KeyOf(b []byte) Key {
-	h := fnv.New64a()
-	_, _ = h.Write(b)
-	return Key(h.Sum64())
-}
+// FNV-1a 64-bit parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
-// KeyOfString hashes a string key onto the ring.
-func KeyOfString(s string) Key { return KeyOf([]byte(s)) }
+// KeyOfString hashes a string key onto the ring (FNV-1a, the value
+// hash/fnv's New64a gives, computed inline so it allocates nothing).
+func KeyOfString(s string) Key {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return Key(h)
+}
 
 // InOpenInterval reports whether k lies strictly between from and to going
 // clockwise (exclusive on both ends), with wrap-around. When from == to the
@@ -125,18 +132,25 @@ func SuccessorOf(sorted []NodeRef, key Key) NodeRef {
 // its successor), given a key-sorted slice. Fewer are returned when the
 // ring is smaller than n.
 func SuccessorsOf(sorted []NodeRef, key Key, n int) []NodeRef {
+	return AppendSuccessorsOf(nil, sorted, key, n)
+}
+
+// AppendSuccessorsOf appends SuccessorsOf(sorted, key, n) to dst and
+// returns the extended slice, so a caller that keeps a group slice can
+// resolve into it without allocating.
+func AppendSuccessorsOf(dst, sorted []NodeRef, key Key, n int) []NodeRef {
 	if len(sorted) == 0 || n <= 0 {
-		return nil
+		return dst
 	}
 	if n > len(sorted) {
 		n = len(sorted)
 	}
 	i := sort.Search(len(sorted), func(i int) bool { return sorted[i].Key >= key })
-	out := make([]NodeRef, 0, n)
+	dst = slices.Grow(dst, n)
 	for j := 0; j < n; j++ {
-		out = append(out, sorted[(i+j)%len(sorted)])
+		dst = append(dst, sorted[(i+j)%len(sorted)])
 	}
-	return out
+	return dst
 }
 
 // Dedup removes duplicate node references (by key+address) from a sorted

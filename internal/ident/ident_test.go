@@ -1,6 +1,8 @@
 package ident
 
 import (
+	"hash/fnv"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -18,8 +20,23 @@ func TestKeyOfDeterministic(t *testing.T) {
 	if KeyOfString("abc") == KeyOfString("abd") {
 		t.Fatalf("suspicious collision")
 	}
-	if KeyOf([]byte("abc")) != KeyOfString("abc") {
-		t.Fatalf("bytes/string hash mismatch")
+}
+
+// KeyOfString's inline FNV-1a must give hash/fnv's value on every string:
+// a differing hash would move every key's ring position.
+func TestKeyOfStringMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, rng.Intn(64))
+		rng.Read(b)
+		h := fnv.New64a()
+		h.Write(b)
+		if got, want := KeyOfString(string(b)), Key(h.Sum64()); got != want {
+			t.Fatalf("KeyOfString(%q) = %d, hash/fnv gives %d", b, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = KeyOfString("some-key-000") }); allocs != 0 {
+		t.Fatalf("KeyOfString allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -106,6 +123,22 @@ func TestSuccessorsOf(t *testing.T) {
 	}
 	if SuccessorsOf(nil, 1, 2) != nil {
 		t.Fatalf("empty ring must return nil")
+	}
+}
+
+// AppendSuccessorsOf resolves into the caller's slice: with room for the
+// group it allocates nothing, and it leaves dst's prefix alone.
+func TestAppendSuccessorsOf(t *testing.T) {
+	nodes := []NodeRef{ref(10, 1), ref(20, 2), ref(30, 3)}
+	dst := []NodeRef{ref(99, 9)}
+	got := AppendSuccessorsOf(dst, nodes, 25, 2)
+	if len(got) != 3 || got[0].Key != 99 || got[1].Key != 30 || got[2].Key != 10 {
+		t.Fatalf("appended successors of 25: %v", got)
+	}
+	buf := make([]NodeRef, 0, 3)
+	allocs := testing.AllocsPerRun(100, func() { buf = AppendSuccessorsOf(buf[:0], nodes, 15, 3) })
+	if allocs != 0 || len(buf) != 3 || buf[0].Key != 20 {
+		t.Fatalf("resolving into a slice with room: %.1f allocs, got %v", allocs, buf)
 	}
 }
 

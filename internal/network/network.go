@@ -76,8 +76,11 @@ func (h Header) Destination() Address { return h.Dst }
 
 var _ Message = Header{}
 
-// Reply builds a header answering a received message.
-func Reply(m Message) Header { return Header{Src: m.Destination(), Dst: m.Source()} }
+// Reply builds the header answering a message sent with h: source and
+// destination swapped. Every message embedding Header has it, and calling
+// it on the received value copies two addresses, where passing the whole
+// message as a Message interface would box a copy of it on the heap.
+func (h Header) Reply() Header { return Header{Src: h.Dst, Dst: h.Src} }
 
 // PeerStatus is a transport-level liveness indication: Up when a
 // connection to the peer is (re-)established, Down when an established

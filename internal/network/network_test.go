@@ -62,7 +62,7 @@ func TestHeaderAndReply(t *testing.T) {
 	if h.Source() != addr(1) || h.Destination() != addr(2) {
 		t.Fatalf("header accessors wrong")
 	}
-	r := Reply(h)
+	r := h.Reply()
 	if r.Source() != addr(2) || r.Destination() != addr(1) {
 		t.Fatalf("reply must swap source and destination")
 	}

@@ -338,7 +338,7 @@ func (r *Ring) handleJoinReq(m joinReqMsg) {
 	}
 	ident.SortByKey(members)
 	members = ident.Dedup(members)
-	r.ctx.Trigger(joinRespMsg{Header: network.Reply(m), Members: members, Epoch: r.epoch.Load()}, r.net)
+	r.ctx.Trigger(joinRespMsg{Header: m.Reply(), Members: members, Epoch: r.epoch.Load()}, r.net)
 }
 
 func (r *Ring) handleJoinResp(m joinRespMsg) {
@@ -412,7 +412,7 @@ func (r *Ring) tryRejoin() {
 
 func (r *Ring) handleStabilizeReq(m stabilizeReqMsg) {
 	r.ctx.Trigger(stabilizeRespMsg{
-		Header: network.Reply(m),
+		Header: m.Reply(),
 		Pred:   r.pred,
 		Succs:  append([]ident.NodeRef{r.cfg.Self}, r.succs...),
 		Epoch:  r.epoch.Load(),
