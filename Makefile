@@ -66,7 +66,7 @@ core-stress:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Just the hot-path microbenchmarks: dispatch allocs, batched fan-out, and
+# Just the hot-path microbenchmarks: dispatch allocs, broadcast fan-out, and
 # deque throughput. -benchtime and -cpu are pinned (see BENCHTIME/BENCHCPU
 # above) so results are comparable between local runs and the CI artifact.
 bench-dispatch:

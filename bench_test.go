@@ -178,7 +178,7 @@ func BenchmarkChannelFanout(b *testing.B) {
 
 // BenchmarkFanout measures broadcast fan-out: one trigger crossing a port
 // pair with N attached channels, each leading to a distinct subscriber
-// component (the batched-forwarding hot path). Reported time is per
+// component (one delivery per channel hop). Reported time is per
 // broadcast (N deliveries + N handler executions); the dispatch side must
 // stay allocation-free (TestFanoutZeroAlloc gates that in CI).
 func BenchmarkFanout(b *testing.B) {

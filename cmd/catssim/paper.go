@@ -100,7 +100,8 @@ const (
 	scalingClients, scalingOpsPerNode   = 8, 400
 	stealComponents, stealEventsPerComp = 512, 2000
 	// stealRepeats is the number of interleaved runs per C3 policy: one
-	// run each reads either policy as faster on a small box.
+	// run each reads either policy as faster on a small box, so the
+	// verdict compares the quartiles of all of them.
 	stealRepeats = 7
 )
 
@@ -318,7 +319,7 @@ func scalingSection(seed int64, rows []experiments.ScalingResult) section {
 // counts per policy are pinned by TestStealBatchPolicyOpCounts in
 // internal/core; this table shows what they buy on this machine. Each
 // policy runs stealRepeats times, interleaved with the other and
-// alternating which goes first, and each row is the policy's median run.
+// alternating which goes first.
 func runStealing(w io.Writer, _ int64, _ string) (any, error) {
 	// At least 4 workers so the stealing machinery engages even on hosts
 	// with few cores (on a single-core host this measures the mechanism's
@@ -335,36 +336,64 @@ func runStealing(w io.Writer, _ int64, _ string) (any, error) {
 			}
 		}
 	}
-	stealingSection(medianRun(one), medianRun(half)).write(w, hardware())
+	stealingSection(one, half).write(w, hardware())
 	return nil, nil
 }
 
-// medianRun returns the run with the median throughput.
-func medianRun(rs []experiments.StealingResult) experiments.StealingResult {
+// byThroughput sorts runs by events/ms, slowest first, and returns them.
+func byThroughput(rs []experiments.StealingResult) []experiments.StealingResult {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].EventsPerMS < rs[j].EventsPerMS })
-	return rs[len(rs)/2]
+	return rs
 }
 
-func stealingSection(one, half experiments.StealingResult) section {
+// quartiles returns the first and third quartile of the sorted runs'
+// events/ms, interpolating between neighbouring runs.
+func quartiles(sorted []experiments.StealingResult) (q1, q3 float64) {
+	at := func(p float64) float64 {
+		x := p * float64(len(sorted)-1)
+		i := int(x)
+		if i+1 >= len(sorted) {
+			return sorted[i].EventsPerMS
+		}
+		return sorted[i].EventsPerMS + (x-float64(i))*(sorted[i+1].EventsPerMS-sorted[i].EventsPerMS)
+	}
+	return at(0.25), at(0.75)
+}
+
+// stealingSection renders C3 from every run of each policy: each row is
+// the policy's median run, with the quartiles of all its runs beside it.
+// The faster policy is named only when the two inter-quartile ranges do
+// not overlap; otherwise the difference is within the runs' noise.
+func stealingSection(one, half []experiments.StealingResult) section {
+	one, half = byThroughput(one), byThroughput(half)
+	oneQ1, oneQ3 := quartiles(one)
+	halfQ1, halfQ3 := quartiles(half)
+	medOne, medHalf := one[len(one)/2], half[len(half)/2]
+	faster := "within noise"
+	if halfQ1 > oneQ3 || oneQ1 > halfQ3 {
+		faster = yesNo(halfQ1 > oneQ3)
+	}
 	return section{
 		title: "C3 — work-stealing batch ablation (paper §3)",
 		claim: "\"batching shows a considerable performance improvement over stealing small numbers of ready components.\"",
 		setup: fmt.Sprintf("`catssim run stealing`: one worker per CPU and at least 4, %d components × %d "+
 			"events of a short spin each, every readiness placed on worker 0's queue (maximal imbalance). "+
 			"Each policy runs %d times, interleaved with the other and alternating which goes first; each row "+
-			"is the policy's median run by events/ms. The exact steal-operation counts per policy are pinned, single-threaded, by "+
-			"`TestStealBatchPolicyOpCounts` in `internal/core`.", stealComponents, stealEventsPerComp, stealRepeats),
-		header: []string{"Workers", "Batch", "Events", "Wall", "Events/ms", "Steals", "Stolen"},
-		rows:   [][]string{stealingRow(one), stealingRow(half)},
+			"is the policy's median run by events/ms, with the quartiles of all its runs. A policy is called "+
+			"faster only when the two inter-quartile ranges do not overlap. The exact steal-operation counts "+
+			"per policy are pinned, single-threaded, by `TestStealBatchPolicyOpCounts` in `internal/core`.",
+			stealComponents, stealEventsPerComp, stealRepeats),
+		header: []string{"Workers", "Batch", "Events", "Wall", "Events/ms", "Events/ms Q1–Q3", "Steals", "Stolen"},
+		rows:   [][]string{stealingRow(medOne, oneQ1, oneQ3), stealingRow(medHalf, halfQ1, halfQ3)},
 		shape: []string{
-			fmt.Sprintf("batch=half throughput ÷ batch=one: %s; batch=half faster: %s",
-				ratio(half.EventsPerMS, one.EventsPerMS), yesNo(half.EventsPerMS > one.EventsPerMS)),
-			fmt.Sprintf("steal operations, batch=one ÷ batch=half: %s", ratio(float64(one.Steals), float64(half.Steals))),
+			fmt.Sprintf("batch=half throughput ÷ batch=one, medians: %s; batch=half faster: %s",
+				ratio(medHalf.EventsPerMS, medOne.EventsPerMS), faster),
+			fmt.Sprintf("steal operations, batch=one ÷ batch=half: %s", ratio(float64(medOne.Steals), float64(medHalf.Steals))),
 		},
 	}
 }
 
-func stealingRow(x experiments.StealingResult) []string {
+func stealingRow(x experiments.StealingResult, q1, q3 float64) []string {
 	return []string{fmt.Sprint(x.Workers), x.Batch, fmt.Sprint(x.Events), x.Wall.Round(time.Millisecond).String(),
-		fmt.Sprintf("%.0f", x.EventsPerMS), fmt.Sprint(x.Steals), fmt.Sprint(x.Stolen)}
+		fmt.Sprintf("%.0f", x.EventsPerMS), fmt.Sprintf("%.0f–%.0f", q1, q3), fmt.Sprint(x.Steals), fmt.Sprint(x.Stolen)}
 }

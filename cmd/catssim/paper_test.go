@@ -42,8 +42,8 @@ func TestPaperSectionsRender(t *testing.T) {
 		{Nodes: 8, Ops: 80, ThroughputPS: 800, PerNodePS: 100},
 		{Nodes: 16, Ops: 160, ThroughputPS: 1600, PerNodePS: 100},
 	}
-	one := experiments.StealingResult{Workers: 4, Batch: "one", Events: 40, EventsPerMS: 10, Steals: 30, Stolen: 30}
-	half := experiments.StealingResult{Workers: 4, Batch: "half", Events: 40, EventsPerMS: 12, Steals: 3, Stolen: 30}
+	one := []experiments.StealingResult{{Workers: 4, Batch: "one", Events: 40, EventsPerMS: 10, Steals: 30, Stolen: 30}}
+	half := []experiments.StealingResult{{Workers: 4, Batch: "half", Events: 40, EventsPerMS: 12, Steals: 3, Stolen: 30}}
 
 	for _, c := range []struct {
 		name string
@@ -117,11 +117,19 @@ func TestPaperShapesReportViolations(t *testing.T) {
 		t.Errorf("sub-linear scaling not reported:\n%s", out)
 	}
 
-	slowHalf := stealingSection(
-		experiments.StealingResult{Batch: "one", EventsPerMS: 12, Steals: 10, Stolen: 10},
-		experiments.StealingResult{Batch: "half", EventsPerMS: 10, Steals: 1, Stolen: 10})
+	slowHalf := stealingSection(stealRuns("one", 12, 13, 14), stealRuns("half", 9, 10, 11))
 	if out := render(slowHalf); !strings.Contains(out, "batch=half faster: no") {
 		t.Errorf("slower batch=half not reported:\n%s", out)
+	}
+	fastHalf := stealingSection(stealRuns("one", 8, 10, 12), stealRuns("half", 13, 15, 17))
+	if out := render(fastHalf); !strings.Contains(out, "batch=half faster: yes") ||
+		!strings.Contains(out, "| 10 | 9–11 |") {
+		t.Errorf("faster batch=half or its quartiles not reported:\n%s", out)
+	}
+	// Medians 10 and 12, but the ranges 8–12 and 11–13 overlap.
+	noisy := stealingSection(stealRuns("one", 6, 8, 10, 12, 14), stealRuns("half", 10, 11, 12, 13, 15))
+	if out := render(noisy); !strings.Contains(out, "batch=half faster: within noise") {
+		t.Errorf("overlapping quartiles not reported as noise:\n%s", out)
 	}
 
 	slowBinary := latencySection([]experiments.LatencyResult{
@@ -130,4 +138,13 @@ func TestPaperShapesReportViolations(t *testing.T) {
 	if out := render(slowBinary); !strings.Contains(out, "median under 1 ms with the shipped codec at replication 5: no") {
 		t.Errorf("slow median not reported:\n%s", out)
 	}
+}
+
+// stealRuns builds one C3 policy's runs with the given events/ms.
+func stealRuns(batch string, perMS ...float64) []experiments.StealingResult {
+	rs := make([]experiments.StealingResult, len(perMS))
+	for i, v := range perMS {
+		rs[i] = experiments.StealingResult{Batch: batch, EventsPerMS: v, Steals: 1, Stolen: 10}
+	}
+	return rs
 }

@@ -121,9 +121,9 @@ func (ch *Channel) Type() *PortType { return ch.typ }
 // forward carries an event that just crossed into endpoint half from onward
 // to the opposite end, or queues it while the channel is not a plain pipe.
 // hint is the scheduler locality hint of the originating trigger (see
-// Port.deliver). With a non-nil batch b the delivery joins it, and the
-// snapshot reference is dropped when b flushes, after its enqueues.
-func (ch *Channel) forward(ev Event, from *Port, hint *worker, b *fanoutBatch) {
+// Port.deliver). The snapshot reference is dropped as soon as the onward
+// delivery has enqueued.
+func (ch *Channel) forward(ev Event, from *Port, hint *worker) {
 	ce := ch.pass.Load()
 	if ce != nil {
 		ce.refs.Add(1)
@@ -144,13 +144,8 @@ func (ch *Channel) forward(ev Event, from *Port, hint *worker, b *fanoutBatch) {
 		ce.refs.Add(1)
 		ch.mu.Unlock()
 	}
-	if b == nil {
-		ce.end(toProv).deliver(ev, hint)
-		ce.refs.Add(-1)
-		return
-	}
-	ce.end(toProv).deliverInto(ev, hint, b)
-	b.refs = append(b.refs, ce)
+	ce.end(toProv).deliver(ev, hint)
+	ce.refs.Add(-1)
 }
 
 // plainLocked reports whether the channel is a plain pipe (rule 1). Called

@@ -214,45 +214,6 @@ func (c *Component) enqueue(it workItem, hint *worker) {
 	}
 }
 
-// enqueueRun appends a run of work items bound for this component — one
-// destination's slice of a batched fan-out — under a single queue-lock
-// acquisition, in run order. If the component became runnable and was idle,
-// it is recorded in the batch's ready list for the batched scheduler
-// submission instead of being submitted immediately (see fanoutBatch.flush);
-// the ready CAS still happens here so readiness order matches enqueue order.
-func (c *Component) enqueueRun(ents []fanoutEntry, b *fanoutBatch) {
-	if c.life.Load() == lifeDestroyed {
-		return // events to destroyed components are dropped
-	}
-	c.qmu.Lock()
-	for i := 0; i < len(ents); {
-		ctrl := ents[i].item.control
-		j := i + 1
-		for j < len(ents) && ents[j].item.control == ctrl {
-			j++
-		}
-		q := &c.mainQ
-		if ctrl {
-			q = &c.ctrlQ
-		}
-		q.reserve(j - i)
-		for k := i; k < j; k++ {
-			q.push(ents[k].item)
-		}
-		i = j
-	}
-	c.pending.Add(int32(len(ents)))
-	runnable := c.runnableLocked()
-	c.qmu.Unlock()
-	if !runnable {
-		return
-	}
-	if c.sched.CompareAndSwap(schedIdle, schedReady) {
-		c.rt.componentReady(c)
-		b.ready = append(b.ready, c)
-	}
-}
-
 // wake schedules the component if it is idle and has runnable work. When the
 // locality hint names a worker of this runtime's scheduler, the component is
 // submitted to that worker's own deque; otherwise it goes through the
@@ -358,11 +319,10 @@ func (c *Component) ExecuteOne() bool {
 // ExecuteBatch runs up to limit queued work items of the component in one
 // scheduler activation, returning the number executed. The busy/idle
 // transition, the re-wake, and the active-count release are paid once for
-// the whole batch, so a component with a backlog (the receiving side of a
-// batched fan-out, say) does not bounce through the ready queue between
-// every two events. limit bounds the activation so a busy component still
-// interleaves fairly with the rest of the ready set. The same exclusivity
-// contract as ExecuteOne applies.
+// the whole batch, so a component with a backlog does not bounce through
+// the ready queue between every two events. limit bounds the activation so
+// a busy component still interleaves fairly with the rest of the ready set.
+// The same exclusivity contract as ExecuteOne applies.
 //
 // An activation that executed at least one event ends with the
 // component's end-of-activation hook, if it set one and is not destroyed.
@@ -398,7 +358,7 @@ func (c *Component) ExecuteBatch(limit int) int {
 func (c *Component) executeItem(it workItem) {
 	rt := c.rt
 	n := c.stats.handled.Add(1)
-	sampled := n&rt.latMask == 0
+	sampled := n&latSampleMask == 0
 	if sink := rt.traceSink; sink != nil || sampled {
 		start := rt.clock.Now()
 		c.runItem(it)

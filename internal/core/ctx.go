@@ -95,13 +95,15 @@ func triggerFrom(p *Port, ev Event, hint *worker) error {
 		return err
 	}
 	// One probe finds the plan, which carries the port-type check for ev's
-	// dynamic type in the direction of travel, and is then run as is.
-	plan := p.pair.planFor(p.twin(), ev)
+	// dynamic type in the direction of travel, and is then run as is, so a
+	// port hop costs one table probe.
+	dst := p.twin()
+	plan := p.pair.planFor(dst, ev)
 	if !plan.allowed {
 		return fmt.Errorf("core: trigger: port type %s does not allow %T in direction %s",
 			p.pair.typ.Name(), ev, p.crossDirection())
 	}
-	p.deliverPlan(plan, ev, hint)
+	plan.run(ev, dst, hint)
 	return nil
 }
 

@@ -83,32 +83,6 @@ func (d *wsDeque) push(c *Component) {
 	d.pushMu.Unlock()
 }
 
-// pushN appends a batch of ready components under ONE producer-lock
-// acquisition — the submission path of a batched fan-out, where dozens of
-// components become ready from a single broadcast. Entries keep their
-// slice order, so FIFO consumption preserves readiness order.
-func (d *wsDeque) pushN(cs []*Component) {
-	if len(cs) == 0 {
-		return
-	}
-	d.pushMu.Lock()
-	b := d.bottom.Load()
-	t := d.top.Load()
-	a := d.arr.Load()
-	n := int64(len(cs))
-	for b-t+n > int64(len(a.slots)) {
-		a = d.grow(a, t, b)
-	}
-	for i, c := range cs {
-		a.slots[(b+int64(i))&a.mask].Store(c)
-	}
-	d.bottom.Store(b + n)
-	if depth := b + n - t; depth > d.maxDepth.Load() {
-		d.maxDepth.Store(depth)
-	}
-	d.pushMu.Unlock()
-}
-
 // grow doubles the backing array, copying the live index range. Called with
 // pushMu held. The old array is never written again, so concurrent
 // consumers holding it keep reading valid entries; they pick up the new

@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// Tests for batched fan-out forwarding (port.go/fanout.go), its interaction
-// with channel Hold/Resume and hot swap, and the adaptive steal batch
-// policy. The concurrency tests here are the per-channel ordering oracle
-// for the batched path: every client must observe the exact trigger
-// sequence — no loss, no duplication, no reordering — however the
+// Tests for broadcast delivery (one event crossing a port with several
+// attached channels), its interaction with channel Hold/Resume and hot
+// swap, and the steal batch policy. The concurrency tests here are the
+// per-channel ordering oracle of §2.6: every client must observe the exact
+// trigger sequence — no loss, no duplication, no reordering — however the
 // broadcast is interrupted by reconfiguration.
 
 type fanEvent struct{ Seq int }
@@ -83,11 +83,11 @@ func assertFullSequence(t *testing.T, who string, got []int, first, total int) {
 	}
 }
 
-// TestHoldResumeDuringBatchedFanout flaps Hold/Resume on a subset of the
-// channels while a broadcast storm is in flight on the batched fan-out
-// path. Held channels must queue every event and Resume must replay them in
-// order, so every client still observes the unbroken trigger sequence.
-func TestHoldResumeDuringBatchedFanout(t *testing.T) {
+// TestHoldResumeDuringBroadcast flaps Hold/Resume on a subset of the
+// channels while a broadcast storm is in flight. Held channels must queue
+// every event and Resume must replay them in order, so every client still
+// observes the unbroken trigger sequence.
+func TestHoldResumeDuringBroadcast(t *testing.T) {
 	rt := newTestRuntime(t)
 	const nClients = 8
 	const total = 2000
@@ -130,11 +130,11 @@ func TestHoldResumeDuringBatchedFanout(t *testing.T) {
 	}
 }
 
-// TestSwapDuringBatchedFanout hot-swaps one client while broadcasts on the
-// batched fan-out path are in flight. The swap recipe (hold, unplug,
-// migrate queued events, resume) must neither lose nor duplicate nor
-// reorder any event, for the swapped slot or for the bystander clients.
-func TestSwapDuringBatchedFanout(t *testing.T) {
+// TestSwapDuringBroadcast hot-swaps one client while broadcasts are in
+// flight. The swap recipe (hold, unplug, migrate queued events, resume)
+// must neither lose nor duplicate nor reorder any event, for the swapped
+// slot or for the bystander clients.
+func TestSwapDuringBroadcast(t *testing.T) {
 	rt := newTestRuntime(t)
 	const nClients = 4
 	const total = 1600
@@ -161,33 +161,6 @@ func TestSwapDuringBatchedFanout(t *testing.T) {
 
 	for i, rec := range recs {
 		assertFullSequence(t, fmt.Sprintf("client %d", i), rec.snapshot(), 0, total)
-	}
-}
-
-// TestAdaptiveStealBatchPolicy pins the adaptive policy's shape: steal-one
-// at the shallow floor, a quarter while the victim is far below its
-// high-water mark, half otherwise — with the shrunk flag set exactly when
-// the choice is smaller than the half-batch default.
-func TestAdaptiveStealBatchPolicy(t *testing.T) {
-	cases := []struct {
-		depth, highWater int64
-		wantN            int64
-		wantShrunk       bool
-	}{
-		{depth: 1, highWater: 0, wantN: 1, wantShrunk: false},
-		{depth: 2, highWater: 8, wantN: 1, wantShrunk: false},  // half would be 1 too
-		{depth: 4, highWater: 8, wantN: 1, wantShrunk: true},   // half would be 2
-		{depth: 8, highWater: 100, wantN: 2, wantShrunk: true}, // draining: quarter
-		{depth: 16, highWater: 100, wantN: 8, wantShrunk: false},
-		{depth: 40, highWater: 400, wantN: 10, wantShrunk: true},
-		{depth: 100, highWater: 100, wantN: 50, wantShrunk: false},
-	}
-	for _, c := range cases {
-		n, shrunk := adaptiveStealBatch(c.depth, c.highWater)
-		if n != c.wantN || shrunk != c.wantShrunk {
-			t.Errorf("adaptiveStealBatch(%d, %d) = (%d, %v), want (%d, %v)",
-				c.depth, c.highWater, n, shrunk, c.wantN, c.wantShrunk)
-		}
 	}
 }
 
@@ -231,102 +204,30 @@ func TestStealBatchPolicyOpCounts(t *testing.T) {
 }
 
 // BenchmarkStealPingPong measures the steal round trip against a
-// repeatedly-refilled shallow victim whose deque once ran deep — the drain
-// phase the adaptive policy is shaped for. Sub-benchmark "half" pins the
-// paper's fixed steal-half policy; "adaptive" computes the batch from the
-// victim's current depth against its high-water mark. The interesting
-// output is not only ns/op but how much of the victim's remaining work each
-// policy strips from its owner.
+// repeatedly-refilled shallow victim whose deque once ran deep: owner and
+// thief alternate one FIFO pop and one steal of half the remaining
+// components, the default batch policy.
 func BenchmarkStealPingPong(b *testing.B) {
-	policies := []struct {
-		name  string
-		batch func(d *wsDeque) int64
-	}{
-		{"half", func(d *wsDeque) int64 { return d.size() / 2 }},
-		{"adaptive", func(d *wsDeque) int64 {
-			n, _ := adaptiveStealBatch(d.size(), d.maxDepth.Load())
-			return n
-		}},
+	d := newWSDeque()
+	c := &Component{}
+	// Establish a deep high-water mark, then drain to the shallow phase.
+	for i := 0; i < 256; i++ {
+		d.push(c)
 	}
-	for _, pol := range policies {
-		b.Run(pol.name, func(b *testing.B) {
-			d := newWSDeque()
-			c := &Component{}
-			// Establish a deep high-water mark, then drain to enter the
-			// shallow phase the policies diverge on.
-			for i := 0; i < 256; i++ {
-				d.push(c)
-			}
-			for d.pop() != nil {
-			}
-			var buf []*Component
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k := 0; k < 4; k++ {
-					d.push(c)
-				}
-				// Owner and thief alternate: one FIFO pop, one policy-sized
-				// steal, until the refill is consumed.
-				for d.size() > 0 {
-					if d.pop() == nil {
-						break
-					}
-					n := pol.batch(d)
-					if n < 1 {
-						n = 1
-					}
-					buf = d.stealInto(buf[:0], n)
-				}
-			}
-		})
+	for d.pop() != nil {
 	}
-}
-
-// TestStealShrinkTelemetry drives an imbalanced load through the default
-// (adaptive) policy and checks the scheduler surfaces shrink decisions in
-// its stats without breaking the steals/stolen accounting.
-func TestStealShrinkTelemetry(t *testing.T) {
-	s := NewWorkStealingScheduler(2, WithPlacement(func(uint64, int) int { return 0 }))
-	rt := New(WithScheduler(s))
-	defer rt.Shutdown()
-	var handled int64
-	var mu sync.Mutex
-	var port *Port
-	rt.MustBootstrap("Main", SetupFunc(func(ctx *Ctx) {
-		srv := ctx.Create("server", SetupFunc(func(sx *Ctx) {
-			port = sx.Provides(fanPort)
-		}))
-		for i := 0; i < 16; i++ {
-			cli := ctx.Create(fmt.Sprintf("c%d", i), SetupFunc(func(cx *Ctx) {
-				p := cx.Requires(fanPort)
-				Subscribe(cx, p, func(fanEvent) {
-					mu.Lock()
-					handled++
-					mu.Unlock()
-				})
-			}))
-			ctx.Connect(srv.Provided(fanPort), cli.Required(fanPort))
+	var buf []*Component
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < 4; k++ {
+			d.push(c)
 		}
-	}))
-	waitQuiet(t, rt)
-
-	for i := 0; i < 500; i++ {
-		if err := TriggerOn(port, fanEvent{Seq: i}); err != nil {
-			t.Fatal(err)
+		for d.size() > 0 {
+			if d.pop() == nil {
+				break
+			}
+			buf = d.stealInto(buf[:0], d.size()/2)
 		}
-	}
-	waitQuiet(t, rt)
-
-	st := s.SchedulerMetrics()
-	if st.StealShrinks > st.Steals {
-		t.Fatalf("steal shrinks %d exceed successful steals %d", st.StealShrinks, st.Steals)
-	}
-	var perWorker uint64
-	for _, w := range st.PerWorker {
-		perWorker += w.StealShrinks
-	}
-	if perWorker != st.StealShrinks {
-		t.Fatalf("per-worker shrink sum %d != aggregate %d", perWorker, st.StealShrinks)
 	}
 }

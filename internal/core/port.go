@@ -321,33 +321,8 @@ func (p *Port) present(ev Event) { p.deliver(ev, nil) }
 // worker so newly readied components land on its own deque (see
 // Component.wake).
 func (p *Port) deliver(ev Event, from *worker) {
-	p.deliverPlan(p.pair.planFor(p.twin(), ev), ev, from)
-}
-
-// deliverPlan runs plan, the plan of ev's dynamic type crossing from p into
-// its twin. Trigger calls it directly with the plan it already looked up to
-// check admission, so a port hop costs one table probe.
-func (p *Port) deliverPlan(plan *routePlan, ev Event, from *worker) {
 	dst := p.twin()
-	if len(plan.chans) < fanoutBatchMinChans {
-		plan.run(ev, dst, from)
-		return
-	}
-	// Broadcast: collect the whole transitive fan-out, then flush with one
-	// queue-lock acquisition per destination run and one batched scheduler
-	// submission (see fanout.go).
-	b := acquireFanoutBatch(from)
-	plan.runInto(ev, dst, from, b)
-	b.flush(from)
-	releaseFanoutBatch(b)
-}
-
-// deliverInto is deliver inside an ongoing batch collection: the event
-// crossed a channel of a plan already being batched, so its own fan-out
-// joins the same batch instead of flushing separately.
-func (p *Port) deliverInto(ev Event, from *worker, b *fanoutBatch) {
-	dst := p.twin()
-	p.pair.planFor(dst, ev).runInto(ev, dst, from, b)
+	p.pair.planFor(dst, ev).run(ev, dst, from)
 }
 
 // planFor returns the delivery plan for ev's dynamic type crossing into
@@ -367,28 +342,16 @@ func (pp *portPair) planFor(dst *Port, ev Event) *routePlan {
 	return plan
 }
 
-// run executes a delivery plan for one event instance (the direct path:
-// zero or one attached channel).
+// run executes a delivery plan for one event instance: the local enqueues
+// in plan order, then each attached channel's onward delivery, one channel
+// at a time.
 func (plan *routePlan) run(ev Event, dst *Port, from *worker) {
 	for i := range plan.deliveries {
 		d := &plan.deliveries[i]
 		d.dest.enqueue(workItem{event: ev, subs: d.subs, control: d.control, via: dst}, from)
 	}
 	for _, ch := range plan.chans {
-		ch.forward(ev, dst, from, nil)
-	}
-}
-
-// runInto executes a delivery plan for one event instance into a batch:
-// enqueues are collected rather than performed, and channel forwarding
-// recurses with the same batch.
-func (plan *routePlan) runInto(ev Event, dst *Port, from *worker, b *fanoutBatch) {
-	for i := range plan.deliveries {
-		d := &plan.deliveries[i]
-		b.add(d.dest, workItem{event: ev, subs: d.subs, control: d.control, via: dst})
-	}
-	for _, ch := range plan.chans {
-		ch.forward(ev, dst, from, b)
+		ch.forward(ev, dst, from)
 	}
 }
 

@@ -13,7 +13,7 @@ type ring struct {
 // push appends an item at the tail.
 func (r *ring) push(it workItem) {
 	if r.size == len(r.buf) {
-		r.reserve(1)
+		r.grow()
 	}
 	r.buf[(r.head+r.size)%len(r.buf)] = it
 	r.size++
@@ -34,20 +34,12 @@ func (r *ring) pop() (it workItem, ok bool) {
 // len returns the number of queued items.
 func (r *ring) len() int { return r.size }
 
-// reserve grows the backing array (at most once) so that n further pushes
-// proceed without triggering growth — the multi-event push of a batched
-// fan-out pays one capacity check per run instead of one per item.
-func (r *ring) reserve(n int) {
-	need := r.size + n
-	if need <= len(r.buf) {
-		return
-	}
+// grow doubles the backing array (eight slots at first), moving the queued
+// items to its front in FIFO order.
+func (r *ring) grow() {
 	sz := len(r.buf) * 2
 	if sz == 0 {
 		sz = 8
-	}
-	for sz < need {
-		sz *= 2
 	}
 	nb := make([]workItem, sz)
 	for i := 0; i < r.size; i++ {

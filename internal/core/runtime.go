@@ -42,11 +42,10 @@ type Runtime struct {
 	liveComps  atomic.Int64
 	totalComps atomic.Int64
 
-	// Telemetry (see telemetry.go). latMask and traceSink are set by
-	// options before Bootstrap and read unsynchronized on the dispatch hot
-	// path; the registry and counters are touched off the hot path only
+	// Telemetry (see telemetry.go). traceSink is set by an option before
+	// Bootstrap and read unsynchronized on the dispatch hot path; the
+	// registry and counters are touched off the hot path only
 	// (create/destroy, faults, route-plan builds).
-	latMask          uint64 // sample latency when handled&latMask==0; latSamplingDisabled: never
 	traceSink        TraceSink
 	faults           atomic.Uint64
 	routePlanBuilds  atomic.Uint64
@@ -97,35 +96,6 @@ func WithRandProvider(f func(*Component) *rand.Rand) Option {
 	return func(rt *Runtime) { rt.randFn = f }
 }
 
-// latSamplingDisabled is the latMask sentinel that suppresses handler
-// latency sampling. The sample test is handled&latMask==0; an all-ones mask
-// matches only handled==0, and the counter is incremented before the test,
-// so it never fires.
-const latSamplingDisabled = ^uint64(0)
-
-// defaultLatencySampleEvery is the default handler-latency sampling
-// interval: one timed execution in every 64.
-const defaultLatencySampleEvery = 64
-
-// WithLatencySampling sets how often handler executions are timed into the
-// per-component latency histogram: one in every `every` events (rounded up
-// to a power of two so the hot-path test is a single mask). every == 1
-// times every handler execution; every == 0 disables sampling entirely.
-// The default is one in 64.
-func WithLatencySampling(every int) Option {
-	return func(rt *Runtime) {
-		if every <= 0 {
-			rt.latMask = latSamplingDisabled
-			return
-		}
-		n := 1
-		for n < every {
-			n <<= 1
-		}
-		rt.latMask = uint64(n - 1)
-	}
-}
-
 // WithTraceSink attaches an event-trace sink: every executed work item is recorded with its timestamp, component, port,
 // event type, handler, and duration. The sink must be set before Bootstrap;
 // it is read without synchronization on the dispatch path.
@@ -136,11 +106,10 @@ func WithTraceSink(sink TraceSink) Option {
 // New creates a runtime. The scheduler is started lazily by Bootstrap.
 func New(opts ...Option) *Runtime {
 	rt := &Runtime{
-		clock:   WallClock{},
-		logger:  slog.Default(),
-		haltCh:  make(chan struct{}),
-		latMask: defaultLatencySampleEvery - 1,
-		comps:   make(map[*Component]struct{}),
+		clock:  WallClock{},
+		logger: slog.Default(),
+		haltCh: make(chan struct{}),
+		comps:  make(map[*Component]struct{}),
 	}
 	for _, o := range opts {
 		o(rt)

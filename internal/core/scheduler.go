@@ -20,9 +20,11 @@ package core
 // Michael–Scott queue was replaced because it allocated one node per
 // Schedule on the dispatch hot path.
 type Scheduler interface {
-	// Schedule notifies the scheduler that a component became ready. It
-	// may be called from worker goroutines (a handler triggered events)
-	// and from external goroutines (network, timers, tests).
+	// Schedule notifies the scheduler that a component became ready, one
+	// call per component: a broadcast readies its destinations one at a
+	// time, in delivery order. It may be called from worker goroutines (a
+	// handler triggered events) and from external goroutines (network,
+	// timers, tests).
 	Schedule(c *Component)
 	// Start launches the scheduler's workers, if any.
 	Start()

@@ -64,7 +64,7 @@ func (h *LatencyHistogram) Snapshot() LatencyStats {
 // LatencyStats is a point-in-time copy of a sampled latency histogram.
 type LatencyStats struct {
 	// Samples is the number of handler executions that were timed (one in
-	// every sampling-interval executions; see WithLatencySampling).
+	// every 64; see latSampleMask).
 	Samples uint64
 	// SumNanos is the summed duration of all samples, in nanoseconds.
 	SumNanos uint64
@@ -81,6 +81,11 @@ func BucketBoundNS(i int) uint64 {
 	}
 	return 1 << uint(i)
 }
+
+// latSampleMask selects the handler executions whose latency is timed: the
+// n-th execution of a component is sampled when n&latSampleMask == 0, one
+// in every 64.
+const latSampleMask = 64 - 1
 
 // compStats are the always-on per-component telemetry counters, embedded in
 // Component so the dispatch path never allocates or indirects to reach them.
@@ -139,10 +144,6 @@ type WorkerStats struct {
 	// Parks is the number of times the worker went to sleep for lack of
 	// work anywhere.
 	Parks uint64
-	// StealShrinks is the number of successful steals where the adaptive
-	// batch policy took less than the half-batch default because the victim
-	// deque was shallow relative to its high-water mark.
-	StealShrinks uint64
 	// MaxDequeDepth is the high-water mark of the worker's ready deque.
 	MaxDequeDepth int64
 	// DequeDepth is the current (racy) length of the worker's ready deque.
@@ -161,7 +162,6 @@ type SchedulerStats struct {
 	StealMisses   uint64
 	Stolen        uint64
 	Parks         uint64
-	StealShrinks  uint64
 	MaxDequeDepth int64
 	// PerWorker carries the unaggregated counters, when available.
 	PerWorker []WorkerStats `json:",omitempty"`
@@ -202,12 +202,9 @@ type MetricsSnapshot struct {
 	TotalComponents  int64
 	ActiveComponents int64
 	// Faults is the number of handler panics recovered runtime-wide.
-	Faults uint64
-	// LatencySampleEvery is the handler-latency sampling interval (0:
-	// sampling disabled).
-	LatencySampleEvery uint64
-	Scheduler          SchedulerStats
-	RouteCache         RouteCacheStats
+	Faults     uint64
+	Scheduler  SchedulerStats
+	RouteCache RouteCacheStats
 	// Components holds per-component counters, sorted by path.
 	Components []ComponentStats
 }
@@ -218,12 +215,11 @@ type MetricsSnapshot struct {
 // monitoring frequency, not per event.
 func (rt *Runtime) MetricsSnapshot() MetricsSnapshot {
 	snap := MetricsSnapshot{
-		At:                 rt.clock.Now(),
-		LiveComponents:     rt.liveComps.Load(),
-		TotalComponents:    rt.totalComps.Load(),
-		ActiveComponents:   rt.active.Load(),
-		Faults:             rt.faults.Load(),
-		LatencySampleEvery: rt.latencySampleEvery(),
+		At:               rt.clock.Now(),
+		LiveComponents:   rt.liveComps.Load(),
+		TotalComponents:  rt.totalComps.Load(),
+		ActiveComponents: rt.active.Load(),
+		Faults:           rt.faults.Load(),
 	}
 	if src, ok := rt.scheduler.(SchedulerMetricsSource); ok {
 		snap.Scheduler = src.SchedulerMetrics()
@@ -251,15 +247,6 @@ func (rt *Runtime) MetricsSnapshot() MetricsSnapshot {
 		return snap.Components[i].Path < snap.Components[j].Path
 	})
 	return snap
-}
-
-// latencySampleEvery translates the internal sampling mask back to the
-// user-facing interval (0 when sampling is disabled).
-func (rt *Runtime) latencySampleEvery() uint64 {
-	if rt.latMask == latSamplingDisabled {
-		return 0
-	}
-	return rt.latMask + 1
 }
 
 // routeCacheSize counts the published route tables and cached plans across

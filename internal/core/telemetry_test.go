@@ -28,9 +28,9 @@ func telWorld(t *testing.T, opts ...Option) (*Runtime, *Component, *Port) {
 }
 
 func TestComponentCountersAndLatency(t *testing.T) {
-	rt, sink, port := telWorld(t, WithLatencySampling(1))
+	rt, sink, port := telWorld(t)
 
-	const events = 200
+	const events = 4 * (latSampleMask + 1)
 	for i := 0; i < events; i++ {
 		if err := TriggerOn(port, telEvent{N: i}); err != nil {
 			t.Fatal(err)
@@ -42,8 +42,9 @@ func TestComponentCountersAndLatency(t *testing.T) {
 	if m.Handled < events {
 		t.Fatalf("handled %d, want >= %d", m.Handled, events)
 	}
-	if m.Latency.Samples < events {
-		t.Fatalf("latency samples %d, want >= %d (sampling every 1)", m.Latency.Samples, events)
+	// One execution in 64 is timed, counting the lifecycle events too.
+	if want := m.Handled / (latSampleMask + 1); m.Latency.Samples != want {
+		t.Fatalf("latency samples %d after %d executions, want %d", m.Latency.Samples, m.Handled, want)
 	}
 	var bucketSum uint64
 	for _, c := range m.Latency.Buckets {
@@ -54,22 +55,6 @@ func TestComponentCountersAndLatency(t *testing.T) {
 	}
 	if m.Path != sink.Path() {
 		t.Fatalf("path %q, want %q", m.Path, sink.Path())
-	}
-}
-
-func TestLatencySamplingDisabled(t *testing.T) {
-	rt, sink, port := telWorld(t, WithLatencySampling(0))
-	for i := 0; i < 100; i++ {
-		if err := TriggerOn(port, telEvent{N: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitQuiet(t, rt)
-	if s := sink.Metrics().Latency.Samples; s != 0 {
-		t.Fatalf("latency samples %d with sampling disabled, want 0", s)
-	}
-	if every := rt.MetricsSnapshot().LatencySampleEvery; every != 0 {
-		t.Fatalf("LatencySampleEvery %d, want 0", every)
 	}
 }
 

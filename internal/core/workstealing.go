@@ -23,17 +23,16 @@ import (
 // thief contacts the victim with the highest number of ready components and
 // steals a batch of them — in a single CAS, regardless of batch size.
 // Batching shows a considerable performance improvement over stealing
-// single components (paper §3). The default batch policy is adaptive: half
-// of a deep victim, shrinking toward a single component as the victim deque
-// drains (see adaptiveStealBatch); the policy is configurable to make the
+// single components (paper §3). The default batch is half of the victim's
+// ready components (at least one); the policy is configurable to make the
 // paper's batch-versus-single claim measurable (see `catssim run
 // stealing`).
 type WorkStealingScheduler struct {
 	workers []*worker
 	rr      atomic.Uint64 // placement sequence for external submissions
-	// stealBatch, when non-nil, overrides how many components to steal from
-	// a victim queue of length n (WithStealBatch). When nil the adaptive
-	// default policy applies.
+	// stealBatch says how many components to steal from a victim queue of
+	// length n. The default is n/2 (WithStealBatch overrides it); a result
+	// below one steals one.
 	stealBatch func(n int64) int64
 	// placement picks the worker queue for the seq-th external submission.
 	// The default is round-robin; benchmarks use skewed placements to
@@ -52,14 +51,13 @@ type WorkStealingScheduler struct {
 // false-share (workers are separate heap objects, but the allocator gives
 // no line-alignment guarantee between them).
 type workerStats struct {
-	executed     atomic.Uint64 // events executed
-	localPops    atomic.Uint64 // components consumed from own deque
-	steals       atomic.Uint64 // successful steal operations
-	stealMisses  atomic.Uint64 // steal attempts that found/claimed nothing
-	stolen       atomic.Uint64 // components claimed by steals
-	parks        atomic.Uint64 // times the worker slept for lack of work
-	stealShrinks atomic.Uint64 // steals the adaptive policy shrank below half
-	_            [8]byte       // pad 7×8 counter bytes to 64
+	executed    atomic.Uint64 // events executed
+	localPops   atomic.Uint64 // components consumed from own deque
+	steals      atomic.Uint64 // successful steal operations
+	stealMisses atomic.Uint64 // steal attempts that found/claimed nothing
+	stolen      atomic.Uint64 // components claimed by steals
+	parks       atomic.Uint64 // times the worker slept for lack of work
+	_           [16]byte      // pad 6×8 counter bytes to 64
 }
 
 // worker is one scheduler thread with its dedicated ready deque.
@@ -71,11 +69,7 @@ type worker struct {
 	// into before committing the steal; reused across steals so the steal
 	// path allocates nothing in steady state.
 	stealBuf []*Component
-	// fanout is the worker's scratch batch for batched fan-out delivery of
-	// events triggered from handlers executing on this worker (see
-	// acquireFanoutBatch).
-	fanout fanoutBatch
-	stats  workerStats
+	stats    workerStats
 }
 
 // SchedulerOption configures a WorkStealingScheduler.
@@ -103,16 +97,15 @@ func NewWorkStealingScheduler(n int, opts ...SchedulerOption) *WorkStealingSched
 		n = runtime.NumCPU()
 	}
 	s := &WorkStealingScheduler{
-		placement: func(seq uint64, workers int) int { return int(seq % uint64(workers)) },
+		stealBatch: func(n int64) int64 { return n / 2 },
+		placement:  func(seq uint64, workers int) int { return int(seq % uint64(workers)) },
 	}
 	s.parkCond = sync.NewCond(&s.parkMu)
 	for _, o := range opts {
 		o(s)
 	}
 	for i := 0; i < n; i++ {
-		w := &worker{id: i, deque: newWSDeque(), sched: s}
-		w.fanout.owner = w
-		s.workers = append(s.workers, w)
+		s.workers = append(s.workers, &worker{id: i, deque: newWSDeque(), sched: s})
 	}
 	return s
 }
@@ -142,52 +135,6 @@ func (s *WorkStealingScheduler) Schedule(c *Component) {
 	s.wakeIdler()
 }
 
-// minBatchChunk is the smallest slice of a batched submission worth a
-// separate deque (and producer-lock acquisition): tiny batches go to one
-// deque whole rather than paying per-worker locks for two-entry chunks.
-const minBatchChunk = 4
-
-// ScheduleBatch places a batch of ready components across the worker deques
-// — the external submission path of a batched fan-out. Dumping the whole
-// batch on one deque would serialize its consumption behind steal CASes on
-// a single hot top index, so the batch is split into contiguous chunks, one
-// pushN (one producer-lock acquisition) per chunk, with the placement
-// policy choosing each chunk's deque. Parked workers are woken once for the
-// whole batch.
-func (s *WorkStealingScheduler) ScheduleBatch(cs []*Component) {
-	if len(cs) == 0 || s.stopped.Load() {
-		return
-	}
-	s.scheduleChunked(cs, nil)
-}
-
-// scheduleChunked distributes a ready batch over the deques in chunk-sized
-// pushN calls. When local is non-nil (worker-local batched submission) the
-// first chunk stays on that worker's own deque; the rest go through the
-// placement policy like external submissions.
-func (s *WorkStealingScheduler) scheduleChunked(cs []*Component, local *worker) {
-	nw := len(s.workers)
-	per := (len(cs) + nw - 1) / nw
-	if per < minBatchChunk {
-		per = minBatchChunk
-	}
-	for i := 0; i < len(cs); {
-		j := i + per
-		if j > len(cs) {
-			j = len(cs)
-		}
-		w := local
-		if w == nil {
-			w = s.workers[s.placement(s.rr.Add(1), nw)]
-		} else {
-			local = nil
-		}
-		w.deque.pushN(cs[i:j])
-		i = j
-	}
-	s.wakeIdlers(len(cs))
-}
-
 // submitLocal pushes a component readied during this worker's handler
 // execution onto the worker's own deque.
 func (w *worker) submitLocal(c *Component) {
@@ -199,18 +146,6 @@ func (w *worker) submitLocal(c *Component) {
 	s.wakeIdler()
 }
 
-// submitLocalBatch distributes a batch of components readied during this
-// worker's handler execution: the first chunk keeps the triggering worker's
-// locality, the remainder spreads across the other deques so a broadcast's
-// consumers start in parallel instead of queueing behind one deque.
-func (w *worker) submitLocalBatch(cs []*Component) {
-	s := w.sched
-	if len(cs) == 0 || s.stopped.Load() {
-		return
-	}
-	s.scheduleChunked(cs, w)
-}
-
 // wakeIdler signals one parked worker, if any.
 func (s *WorkStealingScheduler) wakeIdler() {
 	if s.idlers.Load() > 0 {
@@ -218,23 +153,6 @@ func (s *WorkStealingScheduler) wakeIdler() {
 		s.parkCond.Signal()
 		s.parkMu.Unlock()
 	}
-}
-
-// wakeIdlers wakes parked workers after n components became ready at once:
-// one Signal for a single unit of work, one Broadcast for a batch. A single
-// Broadcast costs less than n Signals and over-waking is self-correcting —
-// a worker that finds nothing to steal parks again.
-func (s *WorkStealingScheduler) wakeIdlers(n int) {
-	if s.idlers.Load() <= 0 {
-		return
-	}
-	s.parkMu.Lock()
-	if n > 1 {
-		s.parkCond.Broadcast()
-	} else {
-		s.parkCond.Signal()
-	}
-	s.parkMu.Unlock()
 }
 
 // Start launches the worker goroutines.
@@ -286,7 +204,6 @@ func (s *WorkStealingScheduler) SchedulerMetrics() SchedulerStats {
 			StealMisses:   w.stats.stealMisses.Load(),
 			Stolen:        w.stats.stolen.Load(),
 			Parks:         w.stats.parks.Load(),
-			StealShrinks:  w.stats.stealShrinks.Load(),
 			MaxDequeDepth: w.deque.maxDepth.Load(),
 			DequeDepth:    w.deque.size(),
 		}
@@ -296,7 +213,6 @@ func (s *WorkStealingScheduler) SchedulerMetrics() SchedulerStats {
 		st.StealMisses += ws.StealMisses
 		st.Stolen += ws.Stolen
 		st.Parks += ws.Parks
-		st.StealShrinks += ws.StealShrinks
 		if ws.MaxDequeDepth > st.MaxDequeDepth {
 			st.MaxDequeDepth = ws.MaxDequeDepth
 		}
@@ -344,10 +260,10 @@ func (w *worker) run() {
 // maxExecBatch bounds how many queued events one scheduler activation may
 // run in a component before it returns to the ready queue. Batching
 // amortizes the activation overhead (deque round trip, busy/idle
-// transitions, wake) across a backlog — the receiving side of a batched
-// fan-out burst — while the bound keeps a busy component from starving the
-// rest of the ready set (Kompics' maxEventExecuteNumber plays the same
-// role).
+// transitions, wake) across a backlog — a component that many senders, or
+// one bursty sender, queued events for — while the bound keeps a busy
+// component from starving the rest of the ready set (Kompics'
+// maxEventExecuteNumber plays the same role).
 const maxExecBatch = 8
 
 // execute runs up to maxExecBatch events of component c, exposing this
@@ -390,17 +306,7 @@ func (w *worker) steal() bool {
 		w.stats.stealMisses.Add(1)
 		return false
 	}
-	var n int64
-	shrunk := false
-	if s.stealBatch != nil {
-		n = s.stealBatch(max)
-	} else {
-		n, shrunk = adaptiveStealBatch(max, victim.deque.maxDepth.Load())
-	}
-	if n < 1 {
-		n = 1
-	}
-	w.stealBuf = victim.deque.stealInto(w.stealBuf[:0], n)
+	w.stealBuf = victim.deque.stealInto(w.stealBuf[:0], s.stealBatch(max))
 	got := len(w.stealBuf)
 	if got == 0 {
 		w.stats.stealMisses.Add(1)
@@ -408,9 +314,6 @@ func (w *worker) steal() bool {
 	}
 	w.stats.steals.Add(1)
 	w.stats.stolen.Add(uint64(got))
-	if shrunk {
-		w.stats.stealShrinks.Add(1)
-	}
 	for _, c := range w.stealBuf[1:] {
 		w.deque.push(c)
 	}
@@ -422,26 +325,4 @@ func (w *worker) steal() bool {
 	}
 	w.execute(first)
 	return true
-}
-
-// adaptiveStealBatch is the default steal batch policy: steal half of a deep
-// victim (the paper's batched steal), but shrink toward stealing a single
-// component as the victim's current depth falls relative to its observed
-// high-water mark. Near-empty deques are in their drain phase; taking half
-// of the remainder would mostly ping-pong components (and their cache
-// lines) between workers for no throughput gain. The returned shrunk flag
-// reports whether the policy chose less than the half-batch default, for
-// the stealShrinks telemetry counter.
-func adaptiveStealBatch(depth, highWater int64) (n int64, shrunk bool) {
-	const shallowFloor = 4
-	if depth <= shallowFloor {
-		return 1, depth/2 > 1
-	}
-	if depth <= highWater>>3 {
-		// Well below the high-water mark: the victim is draining. Take a
-		// quarter so the thief helps without stripping the victim's
-		// locality.
-		return depth / 4, true
-	}
-	return depth / 2, false
 }

@@ -19,17 +19,22 @@ import (
 	"repro/internal/tracing"
 )
 
+// The chaos scenario's fixed shape; ChurnConfig holds what its variants
+// change.
+const (
+	churnNodes     = 6                      // cluster size
+	churnKeys      = 6                      // distinct data keys under test
+	churnOpsPerKey = 10                     // put/get operations per key, excluding the final audit read
+	churnFlaps     = 4                      // symmetric link flaps
+	churnFlapDown  = 900 * time.Millisecond // how long a flapped link (and the partition) stays down
+)
+
 // ChurnConfig parameterizes the chaos scenario: a simulated CATS cluster
 // serving quorum reads and writes while nodes crash and restart and links
 // flap and heal underneath it.
 type ChurnConfig struct {
-	Nodes     int           // cluster size (default 6)
-	Keys      int           // distinct data keys under test (default 6)
-	OpsPerKey int           // put/get operations per key, excluding the final audit read (default 10)
 	Crashes   int           // sequential crash→restart cycles (default 3)
-	Flaps     int           // symmetric link flaps (default 4)
 	CrashDown time.Duration // how long a crashed node stays off the network (default 8s)
-	FlapDown  time.Duration // how long a flapped link stays down (default 900ms)
 	OpWindow  time.Duration // virtual-time window the workload and churn are spread over (default 60s)
 	Tail      time.Duration // settle time after the window before the audit reads (default 25s)
 
@@ -43,20 +48,8 @@ type ChurnConfig struct {
 }
 
 func (c *ChurnConfig) applyDefaults() {
-	if c.Nodes <= 0 {
-		c.Nodes = 6
-	}
-	if c.Keys <= 0 {
-		c.Keys = 6
-	}
-	if c.OpsPerKey <= 0 {
-		c.OpsPerKey = 10
-	}
 	if c.Crashes <= 0 {
 		c.Crashes = 3
-	}
-	if c.Flaps <= 0 {
-		c.Flaps = 4
 	}
 	if c.CrashDown <= 0 {
 		// Longer than the 6s suspicion threshold (FDInterval 2s × 3
@@ -64,9 +57,6 @@ func (c *ChurnConfig) applyDefaults() {
 		// epoch/handoff machinery must carry state across — the case the
 		// scenario exists to prove.
 		c.CrashDown = 8 * time.Second
-	}
-	if c.FlapDown <= 0 {
-		c.FlapDown = 900 * time.Millisecond
 	}
 	if c.OpWindow <= 0 {
 		c.OpWindow = 60 * time.Second
@@ -392,24 +382,24 @@ func Churn(seed int64, cfg ChurnConfig, simOpts ...simulation.SimOption) ChurnRe
 
 	c := cats.NewSimCluster(seed, nodeCfg, cfg.DataDir, simLAN(), simOpts...)
 	c.Host.RecordOps = true
-	c.Join(spreadKeys(cfg.Nodes))
+	c.Join(spreadKeys(churnNodes))
 	rng := rand.New(rand.NewSource(seed ^ 0x6368726e)) // "chrn"
 
-	keys := make([]string, cfg.Keys)
+	keys := make([]string, churnKeys)
 	for k := range keys {
 		keys[k] = "churn-" + string(rune('a'+k%26)) + "-" + strconv.Itoa(k)
 	}
-	scheduleKeyOps(c, rng, keys, cfg.OpsPerKey, cfg.OpWindow, 0.5, "")
+	scheduleKeyOps(c, rng, keys, churnOpsPerKey, cfg.OpWindow, 0.5, "")
 	scheduleCrashes(c, rng, cfg.Crashes, cfg.OpWindow, cfg.CrashDown)
 
 	// Link flaps heal by virtual-time expiry; one partition is explicitly
 	// healed.
-	scheduleFlaps(c, rng, cfg.Flaps, 0, cfg.OpWindow, cfg.FlapDown)
+	scheduleFlaps(c, rng, churnFlaps, 0, cfg.OpWindow, churnFlapDown)
 	partAt := cfg.OpWindow / 2
 	refs := c.Host.AliveNodes()
 	isolated := refs[rng.Intn(len(refs))].Addr
 	c.Sim.ScheduleAt(partAt, func() { c.Emu.Partition(1, isolated) })
-	c.Sim.ScheduleAt(partAt+cfg.FlapDown, func() { c.Emu.Heal() })
+	c.Sim.ScheduleAt(partAt+churnFlapDown, func() { c.Emu.Heal() })
 
 	mainStats := c.Sim.Run(cfg.OpWindow + cfg.Tail)
 
@@ -419,8 +409,8 @@ func Churn(seed int64, cfg ChurnConfig, simOpts ...simulation.SimOption) ChurnRe
 	auditStats := c.Sim.Run(nodeCfg.OpTimeout * 3)
 
 	res := ChurnResult{
-		Nodes:             cfg.Nodes,
-		Keys:              cfg.Keys,
+		Nodes:             churnNodes,
+		Keys:              churnKeys,
 		HistoryAudit:      auditHistory(c.Host.OpHistory(), c.Host.UnresolvedOps(), preAudit, keys),
 		SimulatedDuration: mainStats.SimulatedDuration + auditStats.SimulatedDuration,
 		DiscreteEvents:    mainStats.DiscreteEvents + auditStats.DiscreteEvents,

@@ -258,16 +258,13 @@ type StealingResult struct {
 // index, so Steals counts one operation per transferred batch rather than
 // per transferred component.
 func Stealing(workers, components, eventsPerComponent int, batchHalf bool) StealingResult {
-	batch := func(n int64) int64 { return 1 }
-	label := "one"
-	if batchHalf {
-		batch = func(n int64) int64 { return n / 2 }
-		label = "half"
+	opts := []core.SchedulerOption{core.WithPlacement(func(seq uint64, w int) int { return 0 })}
+	label := "half" // the scheduler's default batch
+	if !batchHalf {
+		opts = append(opts, core.WithStealBatch(func(int64) int64 { return 1 }))
+		label = "one"
 	}
-	sched := core.NewWorkStealingScheduler(workers,
-		core.WithStealBatch(batch),
-		core.WithPlacement(func(seq uint64, w int) int { return 0 }),
-	)
+	sched := core.NewWorkStealingScheduler(workers, opts...)
 	rt := core.New(core.WithScheduler(sched), core.WithFaultPolicy(core.LogAndContinue))
 	defer rt.Shutdown()
 

@@ -224,8 +224,6 @@ func writeRuntimeMetrics(m *MetricsWriter, s core.MetricsSnapshot) {
 	m.Counter("cats_scheduler_steals_total", s.Scheduler.Steals)
 	m.Header("cats_scheduler_stolen_total", "counter", "Components claimed by steals.")
 	m.Counter("cats_scheduler_stolen_total", s.Scheduler.Stolen)
-	m.Header("cats_scheduler_steal_shrinks_total", "counter", "Steals shrunk below half by the adaptive batch policy.")
-	m.Counter("cats_scheduler_steal_shrinks_total", s.Scheduler.StealShrinks)
 	m.Header("cats_scheduler_parks_total", "counter", "Times a worker parked for lack of work.")
 	m.Counter("cats_scheduler_parks_total", s.Scheduler.Parks)
 	m.Header("cats_scheduler_max_deque_depth", "gauge", "High-water mark of any worker deque.")

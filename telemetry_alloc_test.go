@@ -55,12 +55,11 @@ func TestTelemetryDispatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFanoutZeroAlloc asserts the batched fan-out path stays allocation-free
-// in steady state: one trigger on a port with many attached channels
-// collects the whole broadcast into a reusable batch, enqueues per
-// destination, and submits the ready set in bulk — with no per-event or
-// per-destination allocation anywhere (batch scratch, queue rings, deque
-// arrays, and the ready list all reach steady capacity during warm-up).
+// TestFanoutZeroAlloc asserts broadcast delivery stays allocation-free in
+// steady state: one trigger on a port with many attached channels crosses
+// each channel in turn, enqueues on every destination and readies it on a
+// worker deque — with no per-event or per-destination allocation anywhere
+// (queue rings and deque arrays reach steady capacity during warm-up).
 func TestFanoutZeroAlloc(t *testing.T) {
 	const subs = 16
 	rt := core.New(core.WithScheduler(core.NewWorkStealingScheduler(2)))
@@ -102,7 +101,7 @@ func TestFanoutZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("batched fan-out allocates %.1f allocs/op, want 0", allocs)
+		t.Fatalf("broadcast delivery allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 
