@@ -50,7 +50,7 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Local mirror of the CI core-stress job. The channel reconfiguration tests
+# The CI core-stress job (CI runs this target). The channel reconfiguration tests
 # (hold/resume and swap under concurrent traffic) race producers against
 # reconfiguration, so one pass proves little: repeat them across scheduler
 # widths, and under the race detector. The TCP reconnect and retransmit
@@ -73,7 +73,7 @@ bench-dispatch:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventDispatch|BenchmarkDispatchAllocs|BenchmarkPingPongRoundTrip|BenchmarkChannelFanout|BenchmarkFanout' -benchmem -benchtime $(BENCHTIME) -cpu $(BENCHCPU) -count=3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkWSDeque|BenchmarkStealPingPong' -benchmem -benchtime $(BENCHTIME) -cpu $(BENCHCPU) -count=3 ./internal/core/
 
-# Local mirror of the CI kvbench job. bench/kvbench is its own module
+# The CI kvbench job (CI runs this target). bench/kvbench is its own module
 # (replace repro => ../..), so the root ./... patterns never compile it:
 # deleting an exported name it uses stays green everywhere else. The smoke
 # run exits non-zero when an operation fails or verification does.
@@ -82,7 +82,7 @@ kvbench-smoke:
 	$(GO) -C bench/kvbench test -count=1 ./...
 	bash bench/kvbench/run.sh -smoke -seed 7
 
-# Local mirror of the CI scenarios job: every gate entry of the catssim
+# The CI scenarios job (CI runs this target): every gate entry of the catssim
 # registry, each seed twice in fresh processes, reports diffed and the
 # named invariants checked by catssim itself. Reports go to stdout. The
 # kvcluster example, the one real-time cluster run outside go test, exits 1
@@ -91,7 +91,7 @@ scenarios:
 	$(GO) run ./cmd/catssim run gate
 	$(GO) run ./examples/kvcluster
 
-# Binary frame decoder fuzz targets (also run as 30s smoke in CI): the
+# Binary frame decoder fuzz targets (the CI fuzz job runs this target): the
 # payload decoder must never panic or mis-frame on arbitrary bytes, the
 # WireReader must latch at the first out-of-bounds read, and the framing
 # layer must keep control prefixes and legal lengths disjoint. The WAL
@@ -104,23 +104,24 @@ fuzz:
 
 ci: vet build test-race
 
-# Local mirror of the CI alloc job: the zero-alloc hot paths, the quorum
-# path's serve and pong ceilings, the TCP socket loops, the WAL, metrics
-# exposition and the Timer-free quorum path.
+# The CI alloc job (CI runs this target; -v so the log lists every gate):
+# the zero-alloc hot paths, the quorum path's serve and pong ceilings, the
+# TCP socket loops, the WAL, metrics exposition and the Timer-free quorum
+# path.
 alloc:
-	$(GO) test -run 'ZeroAlloc' -count=1 .
-	$(GO) test -run 'ZeroAlloc|Pooled' -count=1 ./internal/network/ ./internal/abd/ ./internal/handoff/ ./internal/fd/ ./internal/cyclon/ ./internal/ring/ ./internal/bootstrap/ ./internal/monitor/ ./internal/simulation/
-	$(GO) test -run 'TestServeReadsAllocs|TestPongAllocs' -count=1 ./internal/abd/ ./internal/fd/
-	$(GO) test -run 'TCPSteadyStateAllocs' -count=1 ./internal/network/
-	$(GO) test -run 'SteadyStateNoGobFallback' -count=1 ./internal/cats/
-	$(GO) test -run 'WALAppendSteadyStateAllocs|WALGroupSyncAllocs|VersionStringAlloc' -count=1 ./internal/kvstore/
-	$(GO) test -run 'MetricsEndpoint|MetricsWriter|RegisteredMetricsSources|RollupWriter|Parse' -count=1 ./internal/web/...
-	$(GO) test -run 'PhaseMetricsExposition' -count=1 ./internal/abd/
-	$(GO) test -run 'FederatorMergesFamilies' -count=1 ./internal/monitor/
-	$(GO) test -run 'MetricsExpositionWellFormed|RollupIsUnlabeledExposition' -count=1 ./internal/cats/
-	$(GO) test -race -run 'TestActivationEndHook' -count=1 ./internal/core/
-	$(GO) test -run 'TestZeroDelayDeliveredDirectly' -count=1 ./internal/timer/
-	$(GO) test -run 'TestWarmGetsIssueNoTimerRequests|TestLoneGetFlushesInRequestActivation|TestLoneGetCoordinatorExecutions|TestShrunkBudgetRearmsEarlier|TestBackstopFlushesWhenQueueNeverDrains|TestBatchChurnStress|TestCoordinatorCoalescesConcurrentOps' -count=1 ./internal/abd/
+	$(GO) test -run 'ZeroAlloc' -v -count=1 .
+	$(GO) test -run 'ZeroAlloc|Pooled' -v -count=1 ./internal/network/ ./internal/abd/ ./internal/handoff/ ./internal/fd/ ./internal/cyclon/ ./internal/ring/ ./internal/bootstrap/ ./internal/monitor/ ./internal/simulation/
+	$(GO) test -run 'TestServeReadsAllocs|TestPongAllocs' -v -count=1 ./internal/abd/ ./internal/fd/
+	$(GO) test -run 'TCPSteadyStateAllocs' -v -count=1 ./internal/network/
+	$(GO) test -run 'SteadyStateNoGobFallback' -v -count=1 ./internal/cats/
+	$(GO) test -run 'WALAppendSteadyStateAllocs|WALGroupSyncAllocs|VersionStringAlloc' -v -count=1 ./internal/kvstore/
+	$(GO) test -run 'MetricsEndpoint|MetricsWriter|RegisteredMetricsSources|RollupWriter|Parse' -v -count=1 ./internal/web/...
+	$(GO) test -run 'PhaseMetricsExposition' -v -count=1 ./internal/abd/
+	$(GO) test -run 'FederatorMergesFamilies' -v -count=1 ./internal/monitor/
+	$(GO) test -run 'MetricsExpositionWellFormed|RollupIsUnlabeledExposition' -v -count=1 ./internal/cats/
+	$(GO) test -race -run 'TestActivationEndHook' -v -count=1 ./internal/core/
+	$(GO) test -run 'TestZeroDelayDeliveredDirectly' -v -count=1 ./internal/timer/
+	$(GO) test -run 'TestWarmGetsIssueNoTimerRequests|TestLoneGetFlushesInRequestActivation|TestLoneGetCoordinatorExecutions|TestShrunkBudgetRearmsEarlier|TestBackstopFlushesWhenQueueNeverDrains|TestBatchChurnStress|TestCoordinatorCoalescesConcurrentOps' -v -count=1 ./internal/abd/
 
 # The CI jobs, locally and in one command, job for job: lint (vet, build,
 # gofmt; staticcheck and govulncheck need a network install), test (the

@@ -23,6 +23,7 @@ import (
 	"strings"
 	"syscall"
 
+	"repro/internal/abd"
 	"repro/internal/cats"
 	"repro/internal/core"
 	"repro/internal/ident"
@@ -40,7 +41,7 @@ func main() {
 		bootstrapS = flag.String("bootstrap", "", "bootstrap server address (overrides -seeds)")
 		monitorS   = flag.String("monitor", "", "monitor server address")
 		webS       = flag.String("web", "", "web UI listen address (empty: disabled)")
-		replicas   = flag.Int("replication", 3, "replication degree")
+		replicas   = flag.Int("replication", 3, fmt.Sprintf("replication degree (1..%d)", abd.MaxReplicationDegree))
 		wireCodec  = flag.String("wire-codec", "", fmt.Sprintf("wire codec backend: %s (empty: binary)", strings.Join(network.CodecNames(), " | ")))
 		pprofOn    = flag.Bool("pprof", false, "expose /debug/pprof/ on the web listener")
 		traceEvery = flag.Int("trace-sample", 64, "trace one operation in N (rounded up to a power of two; 1: every op, 0: tracing off)")
@@ -52,6 +53,9 @@ func main() {
 	)
 	flag.Parse()
 	tracing.SetSampleEvery(*traceEvery)
+	if *replicas < 1 || *replicas > abd.MaxReplicationDegree {
+		fatal(fmt.Errorf("-replication %d outside 1..%d", *replicas, abd.MaxReplicationDegree))
+	}
 
 	addr, err := network.ParseAddress(*addrS)
 	if err != nil {

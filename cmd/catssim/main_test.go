@@ -265,8 +265,8 @@ func TestGateDigestsPinned(t *testing.T) {
 		seed int64
 		want string
 	}{
-		{"sim", 7, "trace: records=273699 digest=fbb7daa85977ca32"},
-		{"chaos-durable", 5, "trace: records=22889 digest=8ef71ac81ae3df5c"},
+		{"sim", 7, "trace: records=272992 digest=e0c505063ec9de19"},
+		{"chaos-durable", 5, "trace: records=22762 digest=65d2aac925ceedaa"},
 	} {
 		e := registry[slices.IndexFunc(registry, func(e *entry) bool { return e.name == tc.name })]
 		var out bytes.Buffer

@@ -102,7 +102,6 @@ func main() {
 				FDInterval:        200 * time.Millisecond,
 				StabilizePeriod:   150 * time.Millisecond,
 				CyclonPeriod:      300 * time.Millisecond,
-				MonitorPeriod:     time.Second,
 				OpTimeout:         2 * time.Second,
 			})
 			pc := ctx.Create(fmt.Sprintf("node-%d", i), peer)

@@ -1,3 +1,10 @@
+// Package abd implements the paper's Consistent ABD component:
+// quorum-based linearizable read and write operations over replica groups
+// resolved by the One-Hop Router (a multi-writer generalization of the
+// Attiya–Bar-Noy–Dolev atomic register, with read-impose write-back),
+// versioned by replica-group epochs published by the ring. Together with
+// the ring, router, failure detector, and handoff it forms the data path
+// of the CATS key-value store.
 package abd
 
 import (
@@ -114,7 +121,7 @@ type op struct {
 	quorum    int
 	readAcks  int
 	writeAcks int
-	bestVer   Version
+	bestVer   kvstore.Version
 	bestVal   []byte
 	bestFound bool
 	bestCount int // read acks carrying exactly bestVer
@@ -122,7 +129,7 @@ type op struct {
 	// (timeout retries AND stale-epoch restarts) so late acks from a
 	// superseded group can never count toward the current quorum.
 	attempt int
-	// retries counts timeout retries against MaxRetries; epochRestarts
+	// retries counts timeout retries against maxRetries; epochRestarts
 	// counts stale-epoch restarts separately — reconfiguration churn must
 	// not eat the timeout budget, but it still needs its own bound.
 	retries       int
@@ -149,7 +156,7 @@ type op struct {
 	hedgeAt      time.Time // when the hedged duplicate was sent
 	// imposeVer/imposeVal are the phase-2 payload, kept so a hedge can
 	// re-send the impose without recomputing it.
-	imposeVer Version
+	imposeVer kvstore.Version
 	imposeVal []byte
 
 	// Tracing state: zero traceID means the op is unsampled and every
@@ -163,6 +170,16 @@ type op struct {
 	phaseStart   time.Time
 }
 
+const (
+	// maxRetries bounds timeout retries before an operation fails; epoch
+	// restarts are bounded separately, at twice as many.
+	maxRetries = 5
+	// MaxReplicationDegree caps the replica group size: each phase
+	// dedups acks in a 64-bit mask indexed by group position (ackedMask),
+	// so a wider group would count a member's duplicate ack twice.
+	MaxReplicationDegree = 64
+)
+
 // Config parameterizes the ABD component.
 type Config struct {
 	// Self is the local node reference (its key is the writer identity).
@@ -171,11 +188,8 @@ type Config struct {
 	ReplicationDegree int
 	// OpTimeout is the per-attempt timeout before retrying (default 1s).
 	OpTimeout time.Duration
-	// MaxRetries bounds attempts before failing the operation (default 5).
-	MaxRetries int
-	// Store optionally supplies the register store. The CATS node shares
-	// one store between the replica and its handoff component; nil creates
-	// a private store (tests).
+	// Store is the register store. The CATS node shares one store between
+	// the replica and its handoff component (required).
 	Store *kvstore.Store
 
 	// DeadlineFloor is the lower clamp of the adaptive per-peer deadline
@@ -194,9 +208,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.OpTimeout <= 0 {
 		c.OpTimeout = time.Second
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 5
 	}
 	if c.DeadlineFloor <= 0 {
 		c.DeadlineFloor = c.OpTimeout / 20
@@ -224,7 +235,7 @@ type ABD struct {
 	// assemblies (tests) need no detector wired.
 	fdp *core.Port
 
-	store *Store
+	store *kvstore.Store
 	ops   map[uint64]*op
 	seq   uint64
 	// free holds finished ops for reuse, zeroed but for their group
@@ -293,16 +304,19 @@ type ABD struct {
 	statHedges, statHedgeWins, statSlowHints       uint64
 }
 
-// New creates an ABD component definition.
+// New creates an ABD component definition. It panics without a Store or
+// with a ReplicationDegree above MaxReplicationDegree.
 func New(cfg Config) *ABD {
 	cfg.applyDefaults()
-	st := cfg.Store
-	if st == nil {
-		st = NewStore()
+	if cfg.Store == nil {
+		panic("abd: Config.Store is required")
+	}
+	if cfg.ReplicationDegree > MaxReplicationDegree {
+		panic(fmt.Sprintf("abd: ReplicationDegree %d exceeds MaxReplicationDegree %d", cfg.ReplicationDegree, MaxReplicationDegree))
 	}
 	return &ABD{
 		cfg:   cfg,
-		store: st,
+		store: cfg.Store,
 		ops:   make(map[uint64]*op),
 		pend:  make(map[network.Address]*peerBatch),
 		peers: make(map[network.Address]*peerStat),
@@ -364,7 +378,7 @@ func (a *ABD) Setup(ctx *core.Ctx) {
 }
 
 // Store exposes the local register store (status, tests).
-func (a *ABD) Store() *Store { return a.store }
+func (a *ABD) Store() *kvstore.Store { return a.store }
 
 // Stats returns operation counters: gets and puts completed, retries, and
 // failed operations.
@@ -464,10 +478,10 @@ func (a *ABD) beginAttempt(o *op) {
 	o.attempt++
 	a.beginAttemptTrace(o)
 	o.readAcks, o.writeAcks, o.bestCount = 0, 0, 0
-	o.bestVer, o.bestVal, o.bestFound = Version{}, nil, false
+	o.bestVer, o.bestVal, o.bestFound = kvstore.Version{}, nil, false
 	o.ackedMask = 0
 	o.hedgeChecked, o.hedged, o.hedgeTo = false, false, -1
-	o.imposeVer, o.imposeVal = Version{}, nil
+	o.imposeVer, o.imposeVal = kvstore.Version{}, nil
 	now := a.ctx.Now()
 	o.attemptAt, o.phaseSentAt = now, now
 	o.deadline = a.attemptBudget(o)
@@ -505,7 +519,7 @@ func (a *ABD) beginAttempt(o *op) {
 
 // ingestReadAck collects the read quorum, then imposes the chosen
 // version+value in phase 2.
-func (a *ABD) ingestReadAck(src network.Address, opID uint64, attempt int, version Version, value []byte, found bool) {
+func (a *ABD) ingestReadAck(src network.Address, opID uint64, attempt int, version kvstore.Version, value []byte, found bool) {
 	o, ok := a.ops[opID]
 	if !ok || o.phase != phaseRead || attempt != o.attempt {
 		return // stale ack from a previous attempt: its group may differ
@@ -552,7 +566,7 @@ func (a *ABD) ingestReadAck(src network.Address, opID uint64, attempt int, versi
 			a.lamport = o.bestVer.Seq
 		}
 		a.lamport++
-		ver = Version{Seq: a.lamport, Writer: uint64(a.cfg.Self.Key)}
+		ver = kvstore.Version{Seq: a.lamport, Writer: uint64(a.cfg.Self.Key)}
 		val = o.value
 	}
 	o.imposeVer, o.imposeVal = ver, val
@@ -609,7 +623,7 @@ func (a *ABD) handleNack(m nackMsg) {
 	// Epoch restarts have their own bound (reconfiguration may be ongoing),
 	// wider than the timeout budget but finite: a node that can never catch
 	// up must fail the op rather than spin.
-	if o.epochRestarts >= 2*a.cfg.MaxRetries {
+	if o.epochRestarts >= 2*maxRetries {
 		a.endPhase(o, outcomeFail)
 		a.finish(o, "stale epoch: view kept changing")
 		return
@@ -665,7 +679,7 @@ func (a *ABD) finish(o *op, errMsg string) {
 // adaptive deadline, the phase is resent to another group member, and
 // either way the timer re-arms for the end of the budget. The second fire
 // retries the whole attempt (fresh group resolution, after a jittered
-// backoff) or fails the operation after MaxRetries.
+// backoff) or fails the operation after maxRetries.
 func (a *ABD) handleTimeout(o *op) {
 	if !o.hedgeChecked {
 		o.hedgeChecked = true
@@ -675,7 +689,7 @@ func (a *ABD) handleTimeout(o *op) {
 			return
 		}
 	}
-	if o.retries >= a.cfg.MaxRetries {
+	if o.retries >= maxRetries {
 		a.ctx.Log().Warn("abd: operation failed after retries",
 			"op", o.id, "key", o.key, "phase", int(o.phase), "group", fmt.Sprintf("%v", o.group),
 			"readAcks", o.readAcks, "writeAcks", o.writeAcks, "quorum", o.quorum)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ident"
+	"repro/internal/kvstore"
 	"repro/internal/network"
 	"repro/internal/router"
 	"repro/internal/simulation"
@@ -53,9 +54,9 @@ type abdNode struct {
 	group []ident.NodeRef
 	sim   *simulation.Simulation
 	emu   *simulation.NetworkEmulator
-	store *Store        // optional pre-built (e.g. recovered) store
-	tweak func(*Config) // optional config override (hedge knobs)
-	rt    *stubRouter   // preset before boot to publish other than group
+	store *kvstore.Store // optional pre-built (e.g. recovered) store
+	tweak func(*Config)  // optional config override (hedge knobs)
+	rt    *stubRouter    // preset before boot to publish other than group
 
 	ctx     *core.Ctx
 	ABD     *ABD
@@ -78,7 +79,6 @@ func (n *abdNode) Setup(ctx *core.Ctx) {
 		Self:              n.self,
 		ReplicationDegree: len(n.group),
 		OpTimeout:         300 * time.Millisecond,
-		MaxRetries:        3,
 		Store:             n.store,
 	}
 	if n.tweak != nil {
@@ -136,7 +136,7 @@ func newABDWorldWith(t *testing.T, n int, seed int64, adjust func(*abdNode), opt
 	}
 	nodes := make([]*abdNode, n)
 	for i := range nodes {
-		nodes[i] = &abdNode{self: group[i], group: group, sim: sim, emu: emu}
+		nodes[i] = &abdNode{self: group[i], group: group, sim: sim, emu: emu, store: kvstore.New()}
 		adjust(nodes[i])
 	}
 	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
@@ -352,10 +352,24 @@ func TestManyKeysManyOps(t *testing.T) {
 	}
 }
 
+// TestNewRejectsGroupWiderThanAckMask: a phase dedups acks in a 64-bit
+// mask by group index, so New refuses any degree above the mask's width
+// instead of letting a member at index 64 or more count a duplicate ack
+// twice; the cap itself is accepted.
+func TestNewRejectsGroupWiderThanAckMask(t *testing.T) {
+	New(Config{ReplicationDegree: MaxReplicationDegree, Store: kvstore.New()})
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("New accepted ReplicationDegree %d", MaxReplicationDegree+1)
+		}
+	}()
+	New(Config{ReplicationDegree: MaxReplicationDegree + 1, Store: kvstore.New()})
+}
+
 func TestConfigDefaultsABD(t *testing.T) {
 	c := Config{}
 	c.applyDefaults()
-	if c.ReplicationDegree != 3 || c.OpTimeout != time.Second || c.MaxRetries != 5 {
+	if c.ReplicationDegree != 3 || c.OpTimeout != time.Second || c.DeadlineFloor != time.Second/20 {
 		t.Fatalf("defaults: %+v", c)
 	}
 }

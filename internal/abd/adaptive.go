@@ -186,7 +186,7 @@ func (a *ABD) countAck(o *op, src network.Address) bool {
 	sentAt := o.phaseSentAt
 	hedgeWin := false
 	idx := o.groupIndex(src)
-	if idx >= 0 && idx < 64 {
+	if idx >= 0 { // New caps the group at MaxReplicationDegree, the mask's width
 		bit := uint64(1) << uint(idx)
 		if o.ackedMask&bit != 0 {
 			return false // the loser of a hedged race: discard
@@ -260,7 +260,7 @@ func (a *ABD) maybeHedge(o *op) {
 func (a *ABD) hedgeTarget(o *op) int {
 	best, bestD := -1, time.Duration(0)
 	for i, n := range o.group {
-		if i < 64 && o.ackedMask&(uint64(1)<<uint(i)) != 0 {
+		if o.ackedMask&(uint64(1)<<uint(i)) != 0 {
 			continue
 		}
 		d := a.peerDeadline(n.Addr)

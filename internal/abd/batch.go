@@ -45,7 +45,7 @@ type writePhase struct {
 	Attempt int
 	Epoch   uint64
 	Key     string
-	Version Version
+	Version kvstore.Version
 	Value   []byte
 }
 
@@ -64,7 +64,7 @@ type opBatchMsg struct {
 type readAckEntry struct {
 	OpID    uint64
 	Attempt int
-	Version Version
+	Version kvstore.Version
 	Value   []byte
 	Found   bool
 }

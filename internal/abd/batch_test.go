@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ident"
+	"repro/internal/kvstore"
 	"repro/internal/network"
 	"repro/internal/simulation"
 )
@@ -103,8 +104,8 @@ func TestBatchStaleOpNacksAloneRestAcks(t *testing.T) {
 			{OpID: 2, Attempt: 1, Epoch: 1, Key: "b"}, // stale
 		},
 		Writes: []writePhase{
-			{OpID: 3, Attempt: 1, Epoch: 3, Key: "c", Version: Version{Seq: 1, Writer: 9}, Value: []byte("v3")},
-			{OpID: 4, Attempt: 1, Epoch: 2, Key: "d", Version: Version{Seq: 1, Writer: 9}, Value: []byte("v4")}, // stale
+			{OpID: 3, Attempt: 1, Epoch: 3, Key: "c", Version: kvstore.Version{Seq: 1, Writer: 9}, Value: []byte("v3")},
+			{OpID: 4, Attempt: 1, Epoch: 2, Key: "d", Version: kvstore.Version{Seq: 1, Writer: 9}, Value: []byte("v4")}, // stale
 		},
 	})
 	sim.Run(50 * time.Millisecond)
@@ -183,7 +184,7 @@ func TestBatchBusyMidSyncNacksIndividually(t *testing.T) {
 
 	probe.send(r.self.Addr, opBatchMsg{
 		Reads:  []readPhase{{OpID: 1, Attempt: 1, Epoch: 4, Key: "a"}},
-		Writes: []writePhase{{OpID: 2, Attempt: 1, Epoch: 4, Key: "b", Version: Version{Seq: 1, Writer: 9}, Value: []byte("v")}},
+		Writes: []writePhase{{OpID: 2, Attempt: 1, Epoch: 4, Key: "b", Version: kvstore.Version{Seq: 1, Writer: 9}, Value: []byte("v")}},
 	})
 	sim.Run(50 * time.Millisecond)
 
@@ -337,7 +338,7 @@ func TestBatchChurnStress(t *testing.T) {
 // in-memory benchmarks) that call allocates nothing, so batching the
 // store apply adds no allocation to the serve loop.
 func TestServeWritesMemoryStoreZeroAlloc(t *testing.T) {
-	a := New(Config{Store: NewStore()})
+	a := New(Config{Store: kvstore.New()})
 	writes := make([]writePhase, 16)
 	served := make([]int, 0, len(writes))
 	value := make([]byte, 64)
@@ -351,7 +352,7 @@ func TestServeWritesMemoryStoreZeroAlloc(t *testing.T) {
 	serve := func() {
 		seq++
 		for i := range writes {
-			writes[i].Version = Version{Seq: seq, Writer: 1}
+			writes[i].Version = kvstore.Version{Seq: seq, Writer: 1}
 		}
 		if err := a.applyWrites(writes, served); err != nil {
 			t.Fatal(err)
@@ -375,7 +376,7 @@ func TestServeWritesMemoryStoreZeroAlloc(t *testing.T) {
 // slice does not grow.
 func TestServeReadsAllocs(t *testing.T) {
 	sim := simulation.New(1)
-	a := New(Config{Self: nodeRef(1)})
+	a := New(Config{Self: nodeRef(1), Store: kvstore.New()})
 	// Every required port stays unconnected, so the ack is delivered to
 	// nobody and only the replica's own allocations are counted.
 	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
@@ -386,7 +387,7 @@ func TestServeReadsAllocs(t *testing.T) {
 		m := opBatchMsg{Header: network.NewHeader(nodeRef(2).Addr, nodeRef(1).Addr)}
 		for i := 0; i < n; i++ {
 			key := fmt.Sprintf("r-%d-%d", n, i)
-			a.store.Apply(key, Version{Seq: 1, Writer: 2}, []byte("v"))
+			a.store.Apply(key, kvstore.Version{Seq: 1, Writer: 2}, []byte("v"))
 			m.Reads = append(m.Reads, readPhase{OpID: uint64(i), Attempt: 1, Key: key})
 		}
 		a.handleOpBatch(m)

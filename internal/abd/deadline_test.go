@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ident"
+	"repro/internal/kvstore"
 	"repro/internal/network"
 	"repro/internal/router"
 	"repro/internal/simulation"
@@ -319,7 +320,7 @@ func TestBackstopFlushesWhenQueueNeverDrains(t *testing.T) {
 	t.Cleanup(rt.Shutdown)
 	self := nodeRef(1)
 	reg := network.NewLoopbackRegistry()
-	a := New(Config{Self: self, ReplicationDegree: 1, OpTimeout: 5 * time.Second, MaxRetries: 1})
+	a := New(Config{Self: self, ReplicationDegree: 1, OpTimeout: 5 * time.Second, Store: kvstore.New()})
 	var abdC *core.Component
 	got := make(chan GetResponse, 1)
 	rt.MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {

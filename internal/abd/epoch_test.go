@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/handoff"
 	"repro/internal/ident"
+	"repro/internal/kvstore"
 	"repro/internal/network"
 	"repro/internal/router"
 	"repro/internal/simulation"
@@ -54,7 +55,7 @@ func (n *epochNode) Setup(ctx *core.Ctx) {
 		Self:              n.self,
 		ReplicationDegree: len(n.group),
 		OpTimeout:         300 * time.Millisecond,
-		MaxRetries:        3,
+		Store:             kvstore.New(),
 	})
 	abdC := ctx.Create("abd", n.ABD)
 	n.abdC, n.timerC = abdC, tm
@@ -133,7 +134,7 @@ func (p *wireProbe) write(to network.Address, opID, epoch uint64, key, val strin
 		Header: network.NewHeader(p.self, to),
 		Writes: []writePhase{{
 			OpID: opID, Attempt: 1, Epoch: epoch,
-			Key: key, Version: Version{Seq: opID, Writer: 999}, Value: []byte(val),
+			Key: key, Version: kvstore.Version{Seq: opID, Writer: 999}, Value: []byte(val),
 		}},
 	}, p.net)
 }

@@ -74,7 +74,7 @@ func TestReplayCompletesBeforeFirstServe(t *testing.T) {
 	}
 	nodes := make([]*abdNode, 3)
 	for i := range nodes {
-		nodes[i] = &abdNode{self: group[i], group: group, sim: sim, emu: emu}
+		nodes[i] = &abdNode{self: group[i], group: group, sim: sim, emu: emu, store: kvstore.New()}
 	}
 	nodes[0].store = recovered // the recovered replica
 	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {

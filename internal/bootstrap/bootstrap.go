@@ -67,6 +67,19 @@ type retryTimeout struct{ timer.Timeout }
 type keepaliveTimeout struct{ timer.Timeout }
 type evictTimeout struct{ timer.Timeout }
 
+const (
+	// retryInterval is how often a client retries an unanswered peers
+	// request.
+	retryInterval = 500 * time.Millisecond
+	// keepaliveInterval is a client's keep-alive period after
+	// BootstrapDone.
+	keepaliveInterval = time.Second
+	// evictInterval is the server's eviction sweep period.
+	evictInterval = time.Second
+	// maxPeersReturned caps the peer list in a server's responses.
+	maxPeersReturned = 32
+)
+
 // ClientConfig parameterizes a BootstrapClient.
 type ClientConfig struct {
 	// Self is the local node's address.
@@ -76,21 +89,6 @@ type ClientConfig struct {
 	SelfRef ident.NodeRef
 	// Server is the bootstrap server's address.
 	Server network.Address
-	// RetryInterval is how often an unanswered peers request is retried
-	// (default 500ms).
-	RetryInterval time.Duration
-	// KeepaliveInterval is the keep-alive period after BootstrapDone
-	// (default 1s).
-	KeepaliveInterval time.Duration
-}
-
-func (c *ClientConfig) applyDefaults() {
-	if c.RetryInterval <= 0 {
-		c.RetryInterval = 500 * time.Millisecond
-	}
-	if c.KeepaliveInterval <= 0 {
-		c.KeepaliveInterval = time.Second
-	}
 }
 
 // Client is the BootstrapClient component: provides Bootstrap, requires
@@ -111,7 +109,6 @@ type Client struct {
 
 // NewClient creates a bootstrap client component definition.
 func NewClient(cfg ClientConfig) *Client {
-	cfg.applyDefaults()
 	return &Client{cfg: cfg}
 }
 
@@ -149,8 +146,8 @@ func (c *Client) handleRequest(BootstrapRequest) {
 	c.waiting = true
 	c.retryID = timer.NextID()
 	c.ctx.Trigger(timer.SchedulePeriodic{
-		Delay:   c.cfg.RetryInterval,
-		Period:  c.cfg.RetryInterval,
+		Delay:   retryInterval,
+		Period:  retryInterval,
 		Timeout: retryTimeout{timer.Timeout{ID: c.retryID}},
 	}, c.tmr)
 }
@@ -186,8 +183,8 @@ func (c *Client) handleDone(d BootstrapDone) {
 	c.sendKeepalive()
 	c.kaID = timer.NextID()
 	c.ctx.Trigger(timer.SchedulePeriodic{
-		Delay:   c.cfg.KeepaliveInterval,
-		Period:  c.cfg.KeepaliveInterval,
+		Delay:   keepaliveInterval,
+		Period:  keepaliveInterval,
 		Timeout: keepaliveTimeout{timer.Timeout{ID: c.kaID}},
 	}, c.tmr)
 }
@@ -212,21 +209,11 @@ type ServerConfig struct {
 	// EvictAfter is how long a node may stay silent before eviction
 	// (default 3s).
 	EvictAfter time.Duration
-	// EvictInterval is the eviction sweep period (default 1s).
-	EvictInterval time.Duration
-	// MaxPeersReturned caps the peer list in responses (default 32).
-	MaxPeersReturned int
 }
 
 func (c *ServerConfig) applyDefaults() {
 	if c.EvictAfter <= 0 {
 		c.EvictAfter = 3 * time.Second
-	}
-	if c.EvictInterval <= 0 {
-		c.EvictInterval = time.Second
-	}
-	if c.MaxPeersReturned <= 0 {
-		c.MaxPeersReturned = 32
 	}
 }
 
@@ -266,8 +253,8 @@ func (s *Server) Setup(ctx *core.Ctx) {
 	core.Subscribe(ctx, ctx.Control(), func(core.Start) {
 		s.tid = timer.NextID()
 		ctx.Trigger(timer.SchedulePeriodic{
-			Delay:   s.cfg.EvictInterval,
-			Period:  s.cfg.EvictInterval,
+			Delay:   evictInterval,
+			Period:  evictInterval,
 			Timeout: evictTimeout{timer.Timeout{ID: s.tid}},
 		}, s.tmr)
 	})
@@ -286,8 +273,8 @@ func (s *Server) handleGetPeers(m getPeersMsg) {
 	}
 	// Sort before capping so the returned subset is deterministic.
 	ident.SortByKey(peers)
-	if len(peers) > s.cfg.MaxPeersReturned {
-		peers = peers[:s.cfg.MaxPeersReturned]
+	if len(peers) > maxPeersReturned {
+		peers = peers[:maxPeersReturned]
 	}
 	s.ctx.Trigger(peersMsg{Header: m.Reply(), Peers: peers}, s.net)
 	// Tentatively register the requester AFTER answering: simultaneous

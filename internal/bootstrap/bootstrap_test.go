@@ -28,7 +28,7 @@ type serverHost struct {
 func (s *serverHost) Setup(ctx *core.Ctx) {
 	tr := ctx.Create("net", s.emu.Transport(s.self))
 	tm := ctx.Create("timer", simulation.NewTimer(s.sim))
-	s.Srv = NewServer(ServerConfig{Self: s.self, EvictAfter: 3 * time.Second, EvictInterval: time.Second})
+	s.Srv = NewServer(ServerConfig{Self: s.self, EvictAfter: 3 * time.Second})
 	srvC := ctx.Create("server", s.Srv)
 	ctx.Connect(srvC.Required(network.PortType), tr.Provided(network.PortType))
 	ctx.Connect(srvC.Required(timer.PortType), tm.Provided(timer.PortType))
@@ -50,12 +50,7 @@ func (c *clientHost) Setup(ctx *core.Ctx) {
 	c.ctx = ctx
 	tr := ctx.Create("net", c.emu.Transport(c.self.Addr))
 	tm := ctx.Create("timer", simulation.NewTimer(c.sim))
-	cl := NewClient(ClientConfig{
-		Self:              c.self.Addr,
-		Server:            c.server,
-		RetryInterval:     300 * time.Millisecond,
-		KeepaliveInterval: 500 * time.Millisecond,
-	})
+	cl := NewClient(ClientConfig{Self: c.self.Addr, Server: c.server})
 	clC := ctx.Create("client", cl)
 	ctx.Connect(clC.Required(network.PortType), tr.Provided(network.PortType))
 	ctx.Connect(clC.Required(timer.PortType), tm.Provided(timer.PortType))

@@ -110,7 +110,6 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 				StabilizePeriod:   100 * time.Millisecond,
 				CyclonPeriod:      200 * time.Millisecond,
 				OpTimeout:         2 * time.Second,
-				MonitorPeriod:     200 * time.Millisecond,
 			}
 			if i > 0 {
 				cfg.Seeds = refs[:1]

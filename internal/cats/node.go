@@ -72,8 +72,6 @@ type NodeConfig struct {
 	CyclonPeriod time.Duration
 	// OpTimeout is the ABD per-attempt timeout (default 1s).
 	OpTimeout time.Duration
-	// MonitorPeriod is the status collection period (default 2s).
-	MonitorPeriod time.Duration
 	// RouterEntryTTL ages out router membership entries not refreshed in
 	// this window (default 30s).
 	RouterEntryTTL time.Duration
@@ -118,9 +116,6 @@ func (c *NodeConfig) applyDefaults() {
 	}
 	if c.OpTimeout <= 0 {
 		c.OpTimeout = time.Second
-	}
-	if c.MonitorPeriod <= 0 {
-		c.MonitorPeriod = 2 * time.Second
 	}
 }
 
@@ -348,7 +343,6 @@ func (n *Node) Setup(ctx *core.Ctx) {
 			Server:     n.cfg.MonitorServer,
 			NodeName:   self.String(),
 			MetricsURL: n.cfg.MetricsURL,
-			Period:     n.cfg.MonitorPeriod,
 		}))
 		ctx.Connect(monC.Required(network.PortType), n.netP)
 		ctx.Connect(monC.Required(timer.PortType), n.tmrP)

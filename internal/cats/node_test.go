@@ -174,12 +174,11 @@ func TestMonitorReportingFlow(t *testing.T) {
 
 	cfg := fastTimings
 	cfg.MonitorServer = monAddr
-	cfg.MonitorPeriod = time.Second
 
 	var msrv *monitor.Server
 	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
 		tr := ctx.Create("mon-net", emu.Transport(monAddr))
-		msrv = monitor.NewServer(monitor.ServerConfig{Self: monAddr, ExpireAfter: time.Minute})
+		msrv = monitor.NewServer(monitor.ServerConfig{Self: monAddr})
 		srvC := ctx.Create("mon", msrv)
 		ctx.Connect(srvC.Required(network.PortType), tr.Provided(network.PortType))
 

@@ -63,28 +63,23 @@ func init() {
 
 type shuffleTimeout struct{ timer.Timeout }
 
+const (
+	// viewSize is the maximum partial view size.
+	viewSize = 16
+	// shuffleSize is the number of descriptors one shuffle exchanges,
+	// the sender's fresh self-descriptor included.
+	shuffleSize = 8
+)
+
 // Config parameterizes a Cyclon overlay component.
 type Config struct {
 	// Self is the local node reference.
 	Self ident.NodeRef
-	// ViewSize is the maximum partial view size (default 16).
-	ViewSize int
-	// ShuffleSize is the number of descriptors exchanged (default 8).
-	ShuffleSize int
 	// Period is the shuffle interval (default 1s).
 	Period time.Duration
 }
 
 func (c *Config) applyDefaults() {
-	if c.ViewSize <= 0 {
-		c.ViewSize = 16
-	}
-	if c.ShuffleSize <= 0 {
-		c.ShuffleSize = 8
-	}
-	if c.ShuffleSize > c.ViewSize {
-		c.ShuffleSize = c.ViewSize
-	}
 	if c.Period <= 0 {
 		c.Period = time.Second
 	}
@@ -189,7 +184,7 @@ func (o *Overlay) handleTick(shuffleTimeout) {
 	}
 	q := o.view[oldest].Node
 
-	entries := o.randomSubset(o.cfg.ShuffleSize - 1)
+	entries := o.randomSubset(shuffleSize - 1)
 	entries = append(entries, descriptor{Node: o.cfg.Self, Age: 0})
 	o.shuffles++
 	o.ctx.Trigger(shuffleMsg{
@@ -202,7 +197,7 @@ func (o *Overlay) handleTick(shuffleTimeout) {
 // fresh self-descriptor (refreshing this node's age in the initiator's
 // view), and merge the received descriptors.
 func (o *Overlay) handleShuffle(m shuffleMsg) {
-	reply := o.randomSubset(o.cfg.ShuffleSize - 1)
+	reply := o.randomSubset(shuffleSize - 1)
 	reply = append(reply, descriptor{Node: o.cfg.Self, Age: 0})
 	o.ctx.Trigger(shuffleReplyMsg{
 		Header:  m.Reply(),
@@ -254,7 +249,7 @@ func (o *Overlay) insert(e descriptor) {
 			return
 		}
 	}
-	if len(o.view) < o.cfg.ViewSize {
+	if len(o.view) < viewSize {
 		o.view = append(o.view, e)
 		return
 	}

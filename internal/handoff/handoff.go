@@ -87,6 +87,14 @@ type pullTimeout struct {
 	Round uint64
 }
 
+const (
+	// pullTimeoutAfter bounds how long a sync round waits for lagging
+	// members before declaring the transfer (partially) complete.
+	pullTimeoutAfter = 2 * time.Second
+	// chunkSize caps entries per itemsMsg.
+	chunkSize = 128
+)
+
 // Config parameterizes a handoff component.
 type Config struct {
 	// Self is the local node reference.
@@ -95,26 +103,15 @@ type Config struct {
 	Degree int
 	// Store is the register store shared with the ABD replica (required).
 	Store *kvstore.Store
-	// Members optionally supplies a wider membership view (the one-hop
-	// router's table) used when answering pulls; the requester is always
-	// merged in. When nil, responders fall back to their last group view.
+	// Members supplies the membership view used when answering pulls —
+	// the one-hop router's table, wider than the ring neighborhood; the
+	// requester is always merged in (required).
 	Members func() []ident.NodeRef
-	// PullTimeout bounds how long a sync round waits for lagging members
-	// before declaring the transfer (partially) complete (default 2s).
-	PullTimeout time.Duration
-	// ChunkSize caps entries per itemsMsg (default 128).
-	ChunkSize int
 }
 
 func (c *Config) applyDefaults() {
 	if c.Degree <= 0 {
 		c.Degree = 3
-	}
-	if c.PullTimeout <= 0 {
-		c.PullTimeout = 2 * time.Second
-	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 128
 	}
 }
 
@@ -134,7 +131,7 @@ type Handoff struct {
 	round   uint64
 	syncing bool
 	pending map[network.Address]struct{}
-	view    []ident.NodeRef // last group-view members (responder fallback)
+	view    []ident.NodeRef // last group-view members (pull-span order)
 	tid     timer.ID
 
 	roundKeys  int
@@ -166,6 +163,9 @@ func New(cfg Config) *Handoff {
 	cfg.applyDefaults()
 	if cfg.Store == nil {
 		panic("handoff: Config.Store is required")
+	}
+	if cfg.Members == nil {
+		panic("handoff: Config.Members is required")
 	}
 	return &Handoff{cfg: cfg, pending: make(map[network.Address]struct{})}
 }
@@ -253,7 +253,7 @@ func (h *Handoff) handleGroupView(v ring.GroupView) {
 	}
 	h.tid = timer.NextID()
 	h.ctx.Trigger(timer.ScheduleTimeout{
-		Delay:   h.cfg.PullTimeout,
+		Delay:   pullTimeoutAfter,
 		Timeout: pullTimeout{Timeout: timer.Timeout{ID: h.tid}, Round: h.round},
 	}, h.tmr)
 }
@@ -343,8 +343,8 @@ func (h *Handoff) pushReleased(v ring.GroupView) {
 		if !ok {
 			continue
 		}
-		for start := 0; start < len(items); start += h.cfg.ChunkSize {
-			end := start + h.cfg.ChunkSize
+		for start := 0; start < len(items); start += chunkSize {
+			end := start + chunkSize
 			if end > len(items) {
 				end = len(items)
 			}
@@ -364,14 +364,11 @@ func (h *Handoff) pushReleased(v ring.GroupView) {
 }
 
 // handlePullReq answers with the entries the requester covers, judged
-// against this node's membership view merged with the requester (the
-// requester may be absent from a stale view). Chunked; the final chunk —
-// or an empty answer — carries Done.
+// against Members merged with the requester (the requester may be absent
+// from a stale view). Chunked; the final chunk — or an empty answer —
+// carries Done.
 func (h *Handoff) handlePullReq(m pullReqMsg) {
-	members := h.view
-	if h.cfg.Members != nil {
-		members = h.cfg.Members()
-	}
+	members := h.cfg.Members()
 	merged := make([]ident.NodeRef, 0, len(members)+1)
 	merged = append(merged, members...)
 	merged = append(merged, m.Requester)
@@ -416,8 +413,8 @@ func (h *Handoff) handlePullReq(m pullReqMsg) {
 	}
 	sent := 0
 	for _, items := range shardItems {
-		for start := 0; start < len(items); start += h.cfg.ChunkSize {
-			end := start + h.cfg.ChunkSize
+		for start := 0; start < len(items); start += chunkSize {
+			end := start + chunkSize
 			if end > len(items) {
 				end = len(items)
 			}

@@ -33,6 +33,9 @@ type hoNode struct {
 	sim   *simulation.Simulation
 	emu   *simulation.NetworkEmulator
 	store *kvstore.Store
+	// members stands in for the one-hop router's table (Config.Members):
+	// every node of the world, as a converged router would hold.
+	members func() []ident.NodeRef
 
 	h         *Handoff
 	ringInner *core.Port
@@ -45,11 +48,10 @@ func (n *hoNode) Setup(ctx *core.Ctx) {
 	tm := ctx.Create("timer", simulation.NewTimer(n.sim))
 	fd := ctx.Create("feeder", &ringFeeder{inner: &n.ringInner})
 	n.h = New(Config{
-		Self:        n.self,
-		Degree:      2,
-		Store:       n.store,
-		PullTimeout: time.Second,
-		ChunkSize:   2,
+		Self:    n.self,
+		Degree:  2,
+		Store:   n.store,
+		Members: n.members,
 	})
 	ho := ctx.Create("handoff", n.h)
 	ctx.Connect(tr.Provided(network.PortType), ho.Required(network.PortType))
@@ -74,17 +76,24 @@ func newHoWorld(t *testing.T, seed int64, n int) *hoWorld {
 	emu := simulation.NewNetworkEmulator(sim,
 		simulation.WithLatency(simulation.ConstantLatency(2*time.Millisecond)))
 	w := &hoWorld{sim: sim, emu: emu}
+	var all []ident.NodeRef
+	members := func() []ident.NodeRef { return all }
 	for i := 0; i < n; i++ {
 		w.nodes = append(w.nodes, &hoNode{
 			self: ident.NodeRef{
 				Key:  ident.Key(uint64(i+1) * (^uint64(0) / uint64(n+1))),
 				Addr: network.Address{Host: "ho", Port: uint16(i + 1)},
 			},
-			sim:   sim,
-			emu:   emu,
-			store: kvstore.New(),
+			sim:     sim,
+			emu:     emu,
+			store:   kvstore.New(),
+			members: members,
 		})
 	}
+	for i := range w.nodes {
+		all = append(all, w.nodes[i].self)
+	}
+	ident.SortByKey(all)
 	sim.Runtime().MustBootstrap("HandoffTestMain", core.SetupFunc(func(ctx *core.Ctx) {
 		for i, nd := range w.nodes {
 			ctx.Create(fmt.Sprintf("node-%d", i), nd)
@@ -105,7 +114,7 @@ func (w *hoWorld) members(idx ...int) []ident.NodeRef {
 
 // feedView injects a GroupView into node i's handoff component and runs
 // the simulation briefly — enough virtual time for request/answer latency,
-// well short of the 1s pull timeout.
+// well short of the pull timeout.
 func (w *hoWorld) feedView(i int, epoch uint64, members []ident.NodeRef) {
 	nd := w.nodes[i]
 	_ = core.TriggerOn(nd.ringInner, ring.GroupView{
@@ -128,7 +137,12 @@ func fill(s *kvstore.Store, writer uint64, keys ...string) {
 func TestPullFillsCoveredRange(t *testing.T) {
 	w := newHoWorld(t, 21, 2)
 	a, b := w.nodes[0], w.nodes[1]
-	keys := []string{"alpha", "bravo", "charlie", "delta", "echo"}
+	// Twice chunkSize per shard on average: some shard holds at least
+	// 2*chunkSize entries, so its answer spans several chunks.
+	keys := make([]string, 2*chunkSize*kvstore.ShardCount)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+	}
 	fill(a.store, 1, keys...)
 
 	// Degree 2 with 2 members: both nodes cover every key.
@@ -152,7 +166,7 @@ func TestPullFillsCoveredRange(t *testing.T) {
 	if b.h.Syncing() {
 		t.Fatal("still syncing after Synced")
 	}
-	// Chunked transfer (ChunkSize 2, 5 entries) must reassemble intact.
+	// Chunked transfer must reassemble intact.
 	for _, k := range keys {
 		_, got, ok := b.store.Read(k)
 		if !ok || string(got) != string(mustRead(t, a.store, k)) {
@@ -241,9 +255,48 @@ func TestPushReleasedEntries(t *testing.T) {
 	}
 }
 
+// TestPullAnswerJudgedByMembers: a responder judges what the requester
+// covers against Members (the router's table), not against its own last
+// group view. Under the narrow two-node view both nodes would cover every
+// key at degree 2; under the four-node membership the requester covers only
+// its own arc, and only that arc may arrive.
+func TestPullAnswerJudgedByMembers(t *testing.T) {
+	w := newHoWorld(t, 26, 4)
+	r, q := w.nodes[0], w.nodes[1]
+	keys := make([]string, 200)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("arc-%d", i)
+	}
+	fill(r.store, 3, keys...)
+	narrow := w.members(0, 1)
+	w.feedView(0, 1, narrow)
+	w.feedView(1, 2, narrow)
+
+	all := w.members(0, 1, 2, 3)
+	want := 0
+	for _, k := range keys {
+		covered := false
+		for _, o := range ident.SuccessorsOf(all, ident.KeyOfString(k), 2) {
+			covered = covered || o.Addr == q.self.Addr
+		}
+		if _, _, ok := q.store.Read(k); ok != covered {
+			t.Fatalf("key %q: at requester %t, covered under Members %t", k, ok, covered)
+		}
+		if covered {
+			want++
+		}
+	}
+	if want == 0 || want == len(keys) {
+		t.Fatalf("test inert: requester covers %d of %d keys", want, len(keys))
+	}
+	if len(q.synced) != 1 || q.synced[0].Keys != want {
+		t.Fatalf("synced %+v, want one round of %d keys", q.synced, want)
+	}
+}
+
 // TestPullTimeoutDeclaresPartial: when the pull target is dark, the round
-// still completes after PullTimeout — partially — so the replica is not
-// blocked forever.
+// still completes after pullTimeoutAfter — partially — so the replica is
+// not blocked forever.
 func TestPullTimeoutDeclaresPartial(t *testing.T) {
 	w := newHoWorld(t, 23, 2)
 	b := w.nodes[1]
@@ -256,7 +309,7 @@ func TestPullTimeoutDeclaresPartial(t *testing.T) {
 	if !b.h.Syncing() {
 		t.Fatal("not syncing while pull outstanding")
 	}
-	w.sim.Run(2 * time.Second)
+	w.sim.Run(pullTimeoutAfter)
 	if len(b.synced) != 1 {
 		t.Fatalf("synced events after timeout: %d, want 1", len(b.synced))
 	}

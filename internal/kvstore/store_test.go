@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/ident"
 )
@@ -199,5 +200,92 @@ func TestConcurrentApplyAndIterate(t *testing.T) {
 	wg.Wait()
 	if s.Len() != 32 {
 		t.Fatalf("len %d, want 32", s.Len())
+	}
+}
+
+func TestVersionOrdering(t *testing.T) {
+	cases := []struct {
+		a, b Version
+		less bool
+	}{
+		{Version{Seq: 1, Writer: 1}, Version{Seq: 2, Writer: 1}, true},
+		{Version{Seq: 2, Writer: 1}, Version{Seq: 1, Writer: 1}, false},
+		{Version{Seq: 1, Writer: 1}, Version{Seq: 1, Writer: 2}, true},
+		{Version{Seq: 1, Writer: 2}, Version{Seq: 1, Writer: 1}, false},
+		{Version{Seq: 1, Writer: 1}, Version{Seq: 1, Writer: 1}, false},
+		{Version{}, Version{Seq: 1, Writer: 0}, true},
+	}
+	for _, c := range cases {
+		if got := c.a.Less(c.b); got != c.less {
+			t.Errorf("%v < %v = %v, want %v", c.a, c.b, got, c.less)
+		}
+	}
+	if !(Version{}).IsZero() || (Version{Seq: 1, Writer: 0}).IsZero() {
+		t.Fatalf("IsZero wrong")
+	}
+	if (Version{Seq: 3, Writer: 4}).String() != "3.4" {
+		t.Fatalf("version string")
+	}
+}
+
+func TestStoreApplyAdvancesOnly(t *testing.T) {
+	s := New()
+	if _, _, ok := s.Read("k"); ok {
+		t.Fatalf("empty store found key")
+	}
+	if !s.Apply("k", Version{Seq: 1, Writer: 1}, []byte("a")) {
+		t.Fatalf("first write rejected")
+	}
+	if s.Apply("k", Version{Seq: 1, Writer: 1}, []byte("b")) {
+		t.Fatalf("same version re-applied")
+	}
+	if s.Apply("k", Version{}, []byte("c")) {
+		t.Fatalf("zero version applied")
+	}
+	if !s.Apply("k", Version{Seq: 2, Writer: 0}, []byte("d")) {
+		t.Fatalf("higher version rejected")
+	}
+	v, val, ok := s.Read("k")
+	if !ok || v != (Version{Seq: 2, Writer: 0}) || string(val) != "d" {
+		t.Fatalf("read %v %q %v", v, val, ok)
+	}
+	if s.Len() != 1 || len(s.Keys()) != 1 {
+		t.Fatalf("store size accessors")
+	}
+}
+
+// Property: applying any permutation of a write set leaves the store at
+// the maximum version (replica convergence / idempotence).
+func TestPropertyStoreConvergesToMaxVersion(t *testing.T) {
+	f := func(seqs []uint8, order []uint8) bool {
+		if len(seqs) == 0 {
+			return true
+		}
+		writes := make([]Version, len(seqs))
+		var max Version
+		for i, q := range seqs {
+			writes[i] = Version{Seq: uint64(q%8) + 1, Writer: uint64(i % 3)}
+			if max.Less(writes[i]) {
+				max = writes[i]
+			}
+		}
+		s := New()
+		// Apply in a scrambled order derived from `order`.
+		for i := range writes {
+			j := i
+			if len(order) > 0 {
+				j = int(order[i%len(order)]) % len(writes)
+			}
+			s.Apply("k", writes[j], []byte{byte(writes[j].Seq)})
+		}
+		// Then apply all (covers every write at least once).
+		for _, w := range writes {
+			s.Apply("k", w, []byte{byte(w.Seq)})
+		}
+		v, _, ok := s.Read("k")
+		return ok && v == max
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

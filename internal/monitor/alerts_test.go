@@ -60,7 +60,6 @@ func newAlertWorld(t *testing.T) *alertWorld {
 				Self:     addr(1),
 				Server:   addr(0),
 				NodeName: "node-1",
-				Period:   500 * time.Millisecond,
 			}))
 			ctx.Connect(clC.Required(network.PortType), tr.Provided(network.PortType))
 			ctx.Connect(clC.Required(timer.PortType), tm.Provided(timer.PortType))
@@ -92,7 +91,7 @@ func TestAlertsGolden(t *testing.T) {
 	w := newAlertWorld(t)
 
 	// Two rounds establish the baseline (first report only seeds state).
-	w.sim.Run(1100 * time.Millisecond)
+	w.sim.Run(2*collectPeriod + collectPeriod/5)
 	if got := w.alertsPage(t, 1); got.Body != "CATS alerts: none firing\n" {
 		t.Fatalf("baseline alerts page:\n%q", got.Body)
 	}
@@ -101,7 +100,7 @@ func TestAlertsGolden(t *testing.T) {
 	w.rtm.metrics["cats_network_dropped_full_total"] = 12
 	w.rtm.metrics["cats_runtime_faults_total"] = 4
 	w.rtm.metrics["cats_network_reconnects_total"] = 7
-	w.sim.Run(time.Second)
+	w.sim.Run(2 * collectPeriod)
 
 	got := w.alertsPage(t, 2)
 	if got.ContentType != "text/plain; charset=utf-8" || got.Status != 200 {
@@ -117,7 +116,7 @@ func TestAlertsGolden(t *testing.T) {
 	}
 
 	// Counters stop moving: the next round clears every alert.
-	w.sim.Run(time.Second)
+	w.sim.Run(2 * collectPeriod)
 	if got := w.alertsPage(t, 3); got.Body != "CATS alerts: none firing\n" {
 		t.Fatalf("alerts did not clear:\n%q", got.Body)
 	}
@@ -178,12 +177,12 @@ func TestAlertThresholds(t *testing.T) {
 func TestDequeDepthAlertGolden(t *testing.T) {
 	w := newAlertWorld(t)
 	w.rtm.metrics["cats_scheduler_max_deque_depth"] = 0
-	w.sim.Run(1100 * time.Millisecond) // baseline rounds
+	w.sim.Run(2*collectPeriod + collectPeriod/5) // baseline rounds
 
 	// The node's max-depth HWM jumps to 600 and, being an all-time max,
 	// stays there. Two reporting periods later the alert is firing.
 	w.rtm.metrics["cats_scheduler_max_deque_depth"] = 600
-	w.sim.Run(2 * time.Second)
+	w.sim.Run(4 * collectPeriod)
 	got := w.alertsPage(t, 1)
 	want := "CATS alerts: 1 firing\n" +
 		"\n" +
@@ -199,7 +198,7 @@ func TestDequeDepthAlertGolden(t *testing.T) {
 	w.rtm.metrics["cats_scheduler_max_deque_depth"] = 0
 	// 600 → 300 → 150: two periods later the mark is under 256 in both
 	// compared rollups.
-	w.sim.Run(2 * time.Second)
+	w.sim.Run(4 * collectPeriod)
 	if got := w.alertsPage(t, 2); got.Body != "CATS alerts: none firing\n" {
 		t.Fatalf("depth alert did not decay clear:\n%q", got.Body)
 	}

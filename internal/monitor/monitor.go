@@ -35,6 +35,14 @@ func init() {
 
 type collectTimeout struct{ timer.Timeout }
 
+const (
+	// collectPeriod is a client's status collection and report interval.
+	collectPeriod = 2 * time.Second
+	// expireAfter is how long a server keeps a node view no report
+	// refreshed.
+	expireAfter = 10 * time.Second
+)
+
 // ClientConfig parameterizes a MonitorClient.
 type ClientConfig struct {
 	// Self is the local node's address.
@@ -48,14 +56,9 @@ type ClientConfig struct {
 	// to the server so /federate can scrape this node's /metrics (empty:
 	// node not federated).
 	MetricsURL string
-	// Period is the collection interval (default 2s).
-	Period time.Duration
 }
 
 func (c *ClientConfig) applyDefaults() {
-	if c.Period <= 0 {
-		c.Period = 2 * time.Second
-	}
 	if c.NodeName == "" {
 		c.NodeName = c.Self.String()
 	}
@@ -97,8 +100,8 @@ func (c *Client) Setup(ctx *core.Ctx) {
 	core.Subscribe(ctx, ctx.Control(), func(core.Start) {
 		c.tid = timer.NextID()
 		ctx.Trigger(timer.SchedulePeriodic{
-			Delay:   c.cfg.Period,
-			Period:  c.cfg.Period,
+			Delay:   collectPeriod,
+			Period:  collectPeriod,
 			Timeout: collectTimeout{timer.Timeout{ID: c.tid}},
 		}, c.tmr)
 	})
@@ -148,15 +151,6 @@ type NodeView struct {
 type ServerConfig struct {
 	// Self is the server's address.
 	Self network.Address
-	// ExpireAfter drops node views not refreshed in this window
-	// (default 10s).
-	ExpireAfter time.Duration
-}
-
-func (c *ServerConfig) applyDefaults() {
-	if c.ExpireAfter <= 0 {
-		c.ExpireAfter = 10 * time.Second
-	}
 }
 
 // Server is the MonitorServer component: requires Network, provides Web
@@ -176,7 +170,6 @@ type Server struct {
 
 // NewServer creates a monitor server component definition.
 func NewServer(cfg ServerConfig) *Server {
-	cfg.applyDefaults()
 	return &Server{
 		cfg:         cfg,
 		views:       make(map[string]NodeView),
@@ -242,7 +235,7 @@ func (s *Server) handleWeb(r web.Request) {
 
 // expire drops stale node views along with their alert state.
 func (s *Server) expire() {
-	cutoff := s.ctx.Now().Add(-s.cfg.ExpireAfter)
+	cutoff := s.ctx.Now().Add(-expireAfter)
 	for n, v := range s.views {
 		if v.Received.Before(cutoff) {
 			delete(s.views, n)

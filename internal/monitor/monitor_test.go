@@ -50,7 +50,6 @@ func (n *clientNode) Setup(ctx *core.Ctx) {
 		Self:     n.self,
 		Server:   n.server,
 		NodeName: "node-1",
-		Period:   500 * time.Millisecond,
 	})
 	clC := ctx.Create("client", n.Client)
 	ctx.Connect(clC.Required(network.PortType), tr.Provided(network.PortType))
@@ -74,7 +73,7 @@ type serverNode struct {
 func (n *serverNode) Setup(ctx *core.Ctx) {
 	n.ctx = ctx
 	tr := ctx.Create("net", n.emu.Transport(n.self))
-	n.Server = NewServer(ServerConfig{Self: n.self, ExpireAfter: 5 * time.Second})
+	n.Server = NewServer(ServerConfig{Self: n.self})
 	srvC := ctx.Create("server", n.Server)
 	ctx.Connect(srvC.Required(network.PortType), tr.Provided(network.PortType))
 	n.webOuter = srvC.Provided(web.PortType)
@@ -98,7 +97,7 @@ func newMonitorWorld(t *testing.T) (*simulation.Simulation, *clientNode, *server
 
 func TestClientCollectsSnapshots(t *testing.T) {
 	sim, cl, _ := newMonitorWorld(t)
-	sim.Run(600 * time.Millisecond) // one tick: request issued
+	sim.Run(collectPeriod + 100*time.Millisecond) // one tick: request issued
 	if got := len(cl.Client.Pending()); got != 2 {
 		t.Fatalf("pending snapshots %d, want 2 (alpha and beta)", got)
 	}
@@ -106,7 +105,7 @@ func TestClientCollectsSnapshots(t *testing.T) {
 
 func TestServerAggregatesReports(t *testing.T) {
 	sim, _, srv := newMonitorWorld(t)
-	sim.Run(3 * time.Second) // several report rounds
+	sim.Run(3 * collectPeriod) // several report rounds
 	if srv.Server.NodeCount() != 1 {
 		t.Fatalf("server views %d, want 1", srv.Server.NodeCount())
 	}
@@ -118,7 +117,7 @@ func TestServerAggregatesReports(t *testing.T) {
 
 func TestServerWebPageRendersGlobalView(t *testing.T) {
 	sim, _, srv := newMonitorWorld(t)
-	sim.Run(3 * time.Second)
+	sim.Run(3 * collectPeriod)
 	_ = core.TriggerOn(srv.webOuter, web.Request{ReqID: 1, Path: "/"})
 	sim.Run(time.Second)
 	if len(srv.pages) != 1 {
@@ -134,7 +133,7 @@ func TestServerWebPageRendersGlobalView(t *testing.T) {
 
 func TestServerExpiresStaleViews(t *testing.T) {
 	sim, cl, srv := newMonitorWorld(t)
-	sim.Run(3 * time.Second)
+	sim.Run(3 * collectPeriod)
 	if srv.Server.NodeCount() != 1 {
 		t.Fatalf("precondition: 1 view")
 	}
@@ -146,7 +145,7 @@ func TestServerExpiresStaleViews(t *testing.T) {
 			core.TriggerOn(ch.Control(), core.Kill{}) //nolint:errcheck
 		}
 	}
-	sim.Run(10 * time.Second)
+	sim.Run(expireAfter + collectPeriod)
 	_ = core.TriggerOn(srv.webOuter, web.Request{ReqID: 2, Path: "/"})
 	sim.Run(time.Second)
 	if srv.Server.NodeCount() != 0 {
@@ -156,7 +155,7 @@ func TestServerExpiresStaleViews(t *testing.T) {
 
 func TestStaleStatusResponsesIgnored(t *testing.T) {
 	sim, cl, _ := newMonitorWorld(t)
-	sim.Run(600 * time.Millisecond)
+	sim.Run(collectPeriod + 100*time.Millisecond)
 	// Inject a response with a stale round ID directly.
 	before := len(cl.Client.Pending())
 	// reqSeq is 1 after the first tick; ReqID 999 is stale/foreign.

@@ -36,7 +36,6 @@ func TestRuntimeStatusAggregation(t *testing.T) {
 				Self:     addr(1),
 				Server:   addr(0),
 				NodeName: "node-rt",
-				Period:   500 * time.Millisecond,
 			}))
 			cx.Connect(clC.Required(network.PortType), tr.Provided(network.PortType))
 			cx.Connect(clC.Required(timer.PortType), tm.Provided(timer.PortType))
@@ -45,7 +44,7 @@ func TestRuntimeStatusAggregation(t *testing.T) {
 		}))
 	}))
 	sim.Settle()
-	sim.Run(3 * time.Second)
+	sim.Run(3 * collectPeriod)
 
 	v, ok := srv.View("node-rt")
 	if !ok {
@@ -86,12 +85,12 @@ func TestRuntimeStatusAggregation(t *testing.T) {
 // view rather than duplicating it, and that expiry leaves fresh views alone.
 func TestServerViewAfterClientRestart(t *testing.T) {
 	sim, _, srv := newMonitorWorld(t)
-	sim.Run(3 * time.Second)
+	sim.Run(3 * collectPeriod)
 	if srv.Server.NodeCount() != 1 {
 		t.Fatalf("views %d, want 1", srv.Server.NodeCount())
 	}
 	first, _ := srv.Server.View("node-1")
-	sim.Run(2 * time.Second)
+	sim.Run(collectPeriod)
 	second, _ := srv.Server.View("node-1")
 	if !second.Received.After(first.Received) {
 		t.Fatalf("view not refreshed: %v then %v", first.Received, second.Received)

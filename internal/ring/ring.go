@@ -2,13 +2,14 @@
 // study: consistent-hashing ring topology maintenance. Nodes join via a
 // seed, then converge through periodic stabilization (successor-list
 // repair and notify, in the style of Chord), with the failure detector
-// pruning dead neighbors. The ring publishes NeighborsChanged indications
-// that the one-hop router consumes, and — since replica groups became
-// first-class — epoch-versioned GroupView indications: every membership
-// change advances a monotone epoch (Lamport-merged with epochs observed on
-// the wire, so epochs across nodes converge), which the replication layer
-// stamps on quorum phases and the handoff component uses to version state
-// transfer (the paper's consistent-quorums reconfiguration).
+// pruning dead neighbors. Every membership change is announced once, as an
+// epoch-versioned GroupView indication: the change advances a monotone
+// epoch (Lamport-merged with epochs observed on the wire, so epochs across
+// nodes converge), the one-hop router learns the neighborhood from the
+// view's members and stamps its epoch on resolutions (which the
+// replication layer carries on quorum phases), and the handoff component
+// uses it to version state transfer (the paper's consistent-quorums
+// reconfiguration).
 package ring
 
 import (
@@ -30,13 +31,6 @@ type Join struct {
 	Seeds []ident.NodeRef
 }
 
-// NeighborsChanged announces the node's current predecessor and successor
-// list after any topology change.
-type NeighborsChanged struct {
-	Pred  ident.NodeRef
-	Succs []ident.NodeRef
-}
-
 // KeyRange is the half-open ring interval (From, To] — the keys a node is
 // the primary replica for. From == To denotes the whole ring (a founder
 // with no predecessor).
@@ -48,17 +42,15 @@ type KeyRange struct {
 // Contains reports whether k falls in the range.
 func (r KeyRange) Contains(k ident.Key) bool { return k.InHalfOpenInterval(r.From, r.To) }
 
-// GroupView is the epoch-versioned replica-group view: published alongside
-// NeighborsChanged on every membership change, it makes group composition
-// explicit instead of something quorum operations discover by accident.
+// GroupView is the epoch-versioned replica-group view: the ring's one
+// announcement of a membership change, it makes group composition explicit
+// instead of something quorum operations discover by accident.
 // Epoch is monotone per node and Lamport-merged with epochs observed from
 // neighbors, so concurrent views order consistently across the ring.
 type GroupView struct {
 	Epoch uint64
 	// Range is the primary key range of this node: (Pred, Self].
 	Range KeyRange
-	Pred  ident.NodeRef
-	Succs []ident.NodeRef
 	// Members is the sorted, deduplicated neighborhood: self, predecessor,
 	// and the successor list — the nodes state handoff pulls from and
 	// pushes to.
@@ -74,7 +66,6 @@ type Ready struct {
 // PortType is the ring topology abstraction.
 var PortType = core.NewPortType("Ring",
 	core.Request[Join](),
-	core.Indication[NeighborsChanged](),
 	core.Indication[GroupView](),
 	core.Indication[Ready](),
 )
@@ -120,27 +111,26 @@ func init() {
 type stabilizeTimeout struct{ timer.Timeout }
 type joinRetryTimeout struct{ timer.Timeout }
 
+const (
+	// successorListSize is the resilience parameter: how many clockwise
+	// successors a node tracks.
+	successorListSize = 4
+	// joinRetryPeriod is the interval between join requests until a seed
+	// answers.
+	joinRetryPeriod = time.Second
+)
+
 // Config parameterizes a ring component.
 type Config struct {
 	// Self is the local node reference.
 	Self ident.NodeRef
-	// SuccessorListSize is the resilience parameter (default 4).
-	SuccessorListSize int
 	// StabilizePeriod is the stabilization interval (default 500ms).
 	StabilizePeriod time.Duration
-	// JoinRetryPeriod is the join retry interval (default 1s).
-	JoinRetryPeriod time.Duration
 }
 
 func (c *Config) applyDefaults() {
-	if c.SuccessorListSize <= 0 {
-		c.SuccessorListSize = 4
-	}
 	if c.StabilizePeriod <= 0 {
 		c.StabilizePeriod = 500 * time.Millisecond
-	}
-	if c.JoinRetryPeriod <= 0 {
-		c.JoinRetryPeriod = time.Second
 	}
 }
 
@@ -305,8 +295,8 @@ func (r *Ring) handleJoin(j Join) {
 	r.sendJoinReq()
 	r.jtid = timer.NextID()
 	r.ctx.Trigger(timer.SchedulePeriodic{
-		Delay:   r.cfg.JoinRetryPeriod,
-		Period:  r.cfg.JoinRetryPeriod,
+		Delay:   joinRetryPeriod,
+		Period:  joinRetryPeriod,
 		Timeout: joinRetryTimeout{timer.Timeout{ID: r.jtid}},
 	}, r.tmr)
 }
@@ -469,7 +459,7 @@ func (r *Ring) handleNotify(m notifyMsg) {
 }
 
 // adoptSuccessors rebuilds the successor list from candidate members:
-// clockwise from self, deduplicated, truncated to the configured size.
+// clockwise from self, deduplicated, truncated to successorListSize.
 func (r *Ring) adoptSuccessors(candidates []ident.NodeRef) {
 	members := make([]ident.NodeRef, 0, len(candidates))
 	for _, n := range candidates {
@@ -482,7 +472,7 @@ func (r *Ring) adoptSuccessors(candidates []ident.NodeRef) {
 	}
 	ident.SortByKey(members)
 	members = ident.Dedup(members)
-	newSuccs := ident.SuccessorsOf(members, r.cfg.Self.Key+1, r.cfg.SuccessorListSize)
+	newSuccs := ident.SuccessorsOf(members, r.cfg.Self.Key+1, successorListSize)
 	if !nodesEqual(newSuccs, r.succs) {
 		r.mu.Lock()
 		r.succs = newSuccs
@@ -544,30 +534,24 @@ func (r *Ring) monitor(n ident.NodeRef) {
 	r.ctx.Trigger(fd.Monitor{Node: n.Addr}, r.fdp)
 }
 
-// publishView announces the membership change: the legacy NeighborsChanged
-// indication plus the epoch-versioned GroupView. Every call corresponds to
-// an actual change (callers check), so the epoch bumps here, in one place.
+// publishView announces the membership change as one epoch-versioned
+// GroupView. Every call corresponds to an actual change (callers check),
+// so the epoch bumps here, in one place.
 func (r *Ring) publishView() {
 	epoch := r.bumpEpoch()
-	pred := r.Pred()
-	succs := r.Succs()
-	r.ctx.Trigger(NeighborsChanged{Pred: pred, Succs: succs}, r.ring)
-
-	members := append([]ident.NodeRef{r.cfg.Self}, succs...)
-	if !pred.IsZero() {
-		members = append(members, pred)
+	members := append([]ident.NodeRef{r.cfg.Self}, r.succs...)
+	if !r.pred.IsZero() {
+		members = append(members, r.pred)
 	}
 	ident.SortByKey(members)
 	members = ident.Dedup(members)
 	from := r.cfg.Self.Key // no predecessor: whole ring
-	if !pred.IsZero() {
-		from = pred.Key
+	if !r.pred.IsZero() {
+		from = r.pred.Key
 	}
 	r.ctx.Trigger(GroupView{
 		Epoch:   epoch,
 		Range:   KeyRange{From: from, To: r.cfg.Self.Key},
-		Pred:    pred,
-		Succs:   succs,
 		Members: members,
 	}, r.ring)
 

@@ -1,6 +1,7 @@
 // Package router implements the paper's One-Hop Router: every node
-// accumulates a full(ish) membership table of the ring — fed by its own
-// ring neighborhood and by the Cyclon peer-sampling stream — and resolves
+// accumulates a full(ish) membership table of the ring — fed by the
+// members of its ring's group views and by the Cyclon peer-sampling
+// stream — and resolves
 // the replica group responsible for a key locally, in one hop, with no
 // routing round-trips. Entries not refreshed within a TTL are aged out, so
 // the table tracks churn. The router also tracks the ring's group-view
@@ -144,7 +145,6 @@ func (r *Router) Setup(ctx *core.Ctx) {
 	})
 
 	core.Subscribe(ctx, r.rout, r.handleFind)
-	core.Subscribe(ctx, r.rng, r.handleNeighbors)
 	core.Subscribe(ctx, r.rng, r.handleGroupView)
 	core.Subscribe(ctx, r.smp, r.handleSample)
 	core.Subscribe(ctx, r.fdp, r.handleSuspect)
@@ -199,21 +199,9 @@ func (r *Router) publish() {
 	r.ctx.Trigger(*t, r.rout)
 }
 
-// handleNeighbors refreshes the table from the node's own ring
-// neighborhood (authoritative and fresh).
-func (r *Router) handleNeighbors(n ring.NeighborsChanged) {
-	if !n.Pred.IsZero() {
-		r.learn(n.Pred)
-	}
-	for _, s := range n.Succs {
-		r.learn(s)
-	}
-	r.publish()
-}
-
-// handleGroupView tracks the ring's epoch-versioned view: the membership
-// feeds the table (same data as NeighborsChanged) and the epoch is stamped
-// on subsequent resolutions.
+// handleGroupView tracks the ring's epoch-versioned view: its members —
+// the node's own ring neighborhood, authoritative and fresh — feed the
+// table, and the epoch is stamped on subsequent resolutions.
 func (r *Router) handleGroupView(v ring.GroupView) {
 	for _, m := range v.Members {
 		r.learn(m)

@@ -81,12 +81,6 @@ func newHarness(t *testing.T, self ident.NodeRef) *harness {
 	return h
 }
 
-// feedNeighbors injects a ring NeighborsChanged indication.
-func (h *harness) feedNeighbors(pred ident.NodeRef, succs ...ident.NodeRef) {
-	_ = core.TriggerOn(h.ringInner, ring.NeighborsChanged{Pred: pred, Succs: succs})
-	h.sim.Settle()
-}
-
 // feedSample injects a peer-sampling indication.
 func (h *harness) feedSample(peers ...ident.NodeRef) {
 	_ = core.TriggerOn(h.smpInner, cyclon.PeersSample{Peers: peers})
@@ -129,7 +123,7 @@ func TestResolveSelfOnlyRing(t *testing.T) {
 func TestResolveUsesRingAndSamples(t *testing.T) {
 	self := nodeRef(2) // key 200
 	h := newHarness(t, self)
-	h.feedNeighbors(nodeRef(1), nodeRef(3), nodeRef(4))
+	h.feedView(0, nodeRef(1), self, nodeRef(3), nodeRef(4))
 	h.feedSample(nodeRef(5), nodeRef(6))
 	if h.Router.TableSize() != 5 {
 		t.Fatalf("table %d, want 5", h.Router.TableSize())
@@ -203,7 +197,7 @@ func TestSelfAndZeroRefsNotLearned(t *testing.T) {
 	self := nodeRef(1)
 	h := newHarness(t, self)
 	h.feedSample(self, ident.NodeRef{})
-	h.feedNeighbors(ident.NodeRef{}, self)
+	h.feedView(0, ident.NodeRef{}, self)
 	if h.Router.TableSize() != 0 {
 		t.Fatalf("learned self/zero: %d", h.Router.TableSize())
 	}
@@ -248,7 +242,7 @@ func TestTablePublishedOnChange(t *testing.T) {
 	}
 	n2, n3 := nodeRef(2), nodeRef(3)
 	step("new members", true, func() { h.feedSample(n3, n2) }, self, n2, n3)
-	step("refresh", false, func() { h.feedSample(n2, n3); h.feedNeighbors(n3, n2) }, self, n2, n3)
+	step("refresh", false, func() { h.feedSample(n2, n3); h.feedView(0, self, n2, n3) }, self, n2, n3)
 	moved := n3
 	moved.Addr.Port = 33
 	step("changed address", true, func() { h.feedSample(moved) }, self, n2, moved)
