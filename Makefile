@@ -106,14 +106,14 @@ ci: vet build test-race
 
 # The CI alloc job (CI runs this target; -v so the log lists every gate):
 # the zero-alloc hot paths, the quorum path's serve and pong ceilings, the
-# TCP socket loops, the WAL, metrics exposition and the Timer-free quorum
-# path.
+# TCP socket loops, the experiment host's op routing, the WAL, metrics
+# exposition and the Timer-free quorum path.
 alloc:
 	$(GO) test -run 'ZeroAlloc' -v -count=1 .
 	$(GO) test -run 'ZeroAlloc|Pooled' -v -count=1 ./internal/network/ ./internal/abd/ ./internal/handoff/ ./internal/fd/ ./internal/cyclon/ ./internal/ring/ ./internal/bootstrap/ ./internal/monitor/ ./internal/simulation/
 	$(GO) test -run 'TestServeReadsAllocs|TestPongAllocs' -v -count=1 ./internal/abd/ ./internal/fd/
 	$(GO) test -run 'TCPSteadyStateAllocs' -v -count=1 ./internal/network/
-	$(GO) test -run 'SteadyStateNoGobFallback' -v -count=1 ./internal/cats/
+	$(GO) test -run 'SteadyStateNoGobFallback|TestSimulatorResolveZeroAlloc' -v -count=1 ./internal/cats/
 	$(GO) test -run 'WALAppendSteadyStateAllocs|WALGroupSyncAllocs|VersionStringAlloc' -v -count=1 ./internal/kvstore/
 	$(GO) test -run 'MetricsEndpoint|MetricsWriter|RegisteredMetricsSources|RollupWriter|Parse' -v -count=1 ./internal/web/...
 	$(GO) test -run 'PhaseMetricsExposition' -v -count=1 ./internal/abd/

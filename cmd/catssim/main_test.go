@@ -258,7 +258,7 @@ func TestSabotageTable(t *testing.T) {
 // change to component paths, RNG streams or dispatch order moves them.
 // For example, booting the durable cluster under CatsSimulationMain
 // instead of CatsRecoveryMain re-seeds every component RNG, and
-// chaos-durable then reads records=22953 digest=7d3021a89920c34e.
+// chaos-durable then reads records=22826 digest=e060120249472cb9.
 func TestGateDigestsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -137,7 +137,6 @@ func main() {
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
-	time.Sleep(time.Second) // first monitor reports
 
 	// Interact over HTTP, through different nodes.
 	code, body := get(fmt.Sprintf("http://%s/put?key=city&value=montreal", nodeWebs[0]))

@@ -3,6 +3,7 @@ package cats
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -179,16 +180,23 @@ type Simulator struct {
 	ctx *core.Ctx
 	exp *core.Port
 
-	// mu guards peers and metrics: handlers mutate them on a scheduler
-	// worker while real-time experiment drivers poll Metrics/AliveNodes/
-	// Peer from outside the runtime. pending and load are touched only by
-	// handlers (component-serial) and need no lock.
-	mu      sync.Mutex
-	peers   map[ident.Key]*peerHandle
+	// mu guards peers, alive and metrics: handlers mutate them on a
+	// scheduler worker while real-time experiment drivers poll Metrics/
+	// AliveNodes/Peer from outside the runtime. pending, values and load
+	// are touched only by handlers (component-serial) and need no lock.
+	mu    sync.Mutex
+	peers map[ident.Key]*peerHandle
+	// alive holds the deployed nodes' references sorted by key. A join or
+	// fail replaces it with a new slice and never writes to the old one,
+	// so AliveNodes and resolve read it without copying or sorting.
+	alive   []ident.NodeRef
 	metrics Metrics
 	history []OpRecord
 
 	pending map[uint64]*pendingOp
+	// values maps each value a recorded put wrote to itself, so a recorded
+	// get that returns it shares the put's string instead of copying it.
+	values map[string]string
 
 	// Closed-loop load state.
 	load struct {
@@ -313,16 +321,13 @@ func (s *Simulator) AliveCount() int {
 	return len(s.peers)
 }
 
-// AliveNodes returns the deployed node references, sorted by key.
+// AliveNodes returns the deployed node references, sorted by key. The
+// result is shared, not a copy: callers must not write to it.
 func (s *Simulator) AliveNodes() []ident.NodeRef {
 	s.mu.Lock()
-	out := make([]ident.NodeRef, 0, len(s.peers))
-	for _, h := range s.peers {
-		out = append(out, h.ref)
-	}
-	s.mu.Unlock()
-	ident.SortByKey(out)
-	return out
+	defer s.mu.Unlock()
+	n := len(s.alive)
+	return s.alive[:n:n]
 }
 
 // deployed returns the deployed peers, sorted by key.
@@ -362,12 +367,12 @@ func addrOf(key ident.Key) network.Address {
 // smallest key >= key, wrapping (so scenario-drawn node IDs always hit an
 // alive node).
 func (s *Simulator) resolve(key ident.Key) *peerHandle {
-	refs := s.AliveNodes()
-	if len(refs) == 0 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.alive) == 0 {
 		return nil
 	}
-	n := ident.SuccessorOf(refs, key)
-	return s.peerOf(n.Key)
+	return s.peers[ident.SuccessorOf(s.alive, key).Key]
 }
 
 // maxSeeds bounds how many existing nodes a joiner learns.
@@ -413,6 +418,8 @@ func (s *Simulator) handleJoin(j JoinNode) {
 	core.Subscribe(s.ctx, h.route, s.handleFound)
 	s.mu.Lock()
 	s.peers[j.Key] = h
+	i, _ := slices.BinarySearchFunc(s.alive, self, ident.CompareByKey)
+	s.alive = slices.Insert(slices.Clip(s.alive), i, self)
 	s.metrics.Joins++
 	s.mu.Unlock()
 	s.ctx.Start(comp)
@@ -426,6 +433,8 @@ func (s *Simulator) handleFail(f FailNode) {
 	}
 	s.mu.Lock()
 	delete(s.peers, h.ref.Key)
+	i, _ := slices.BinarySearchFunc(s.alive, h.ref, ident.CompareByKey)
+	s.alive = slices.Concat(s.alive[:i], s.alive[i+1:])
 	s.metrics.Fails++
 	s.mu.Unlock()
 	s.ctx.Destroy(h.comp) // crash: queues dropped, no leave protocol
@@ -454,8 +463,15 @@ func (s *Simulator) handlePut(p OpPut) {
 	}
 	id := simReqBase + NextReqID()
 	now := s.ctx.Now()
-	s.pending[id] = &pendingOp{kind: "put", key: p.Key, value: string(p.Value), start: now}
-	s.sinkInvocation("put", p.Key, string(p.Value), now)
+	v := string(p.Value)
+	if s.RecordOps {
+		if s.values == nil {
+			s.values = make(map[string]string)
+		}
+		s.values[v] = v
+	}
+	s.pending[id] = &pendingOp{kind: "put", key: p.Key, value: v, start: now}
+	s.sinkInvocation("put", p.Key, v, now)
 	s.ctx.Trigger(abd.PutRequest{ReqID: id, Key: p.Key, Value: p.Value}, h.putget)
 }
 
@@ -572,9 +588,18 @@ func (s *Simulator) handleGetResponse(g abd.GetResponse) {
 		return
 	}
 	now := s.ctx.Now()
-	s.record(OpRecord{Kind: "get", Key: op.key, Value: string(g.Value), OK: g.Err == "",
+	s.record(OpRecord{Kind: "get", Key: op.key, Value: s.recordedValue(g.Value), OK: g.Err == "",
 		Found: g.Found, Start: op.start, End: now})
 	s.bump(func(m *Metrics) { m.OpLatencies = append(m.OpLatencies, now.Sub(op.start)) })
+}
+
+// recordedValue returns the string a recorded put wrote with value v, or a
+// copy of v when no recorded put wrote it.
+func (s *Simulator) recordedValue(v []byte) string {
+	if rv, ok := s.values[string(v)]; ok {
+		return rv
+	}
+	return string(v)
 }
 
 func (s *Simulator) handlePutResponse(p abd.PutResponse) {

@@ -18,7 +18,10 @@ import (
 //
 //  1. pass is non-nil only while the channel is a plain pipe: both ends
 //     plugged, not held, queue empty, no drain running. Only a holder of mu
-//     changes it.
+//     changes it. A route plan may leave out a plain pipe that leads nowhere
+//     (see deadEnd), so retiring pass bumps the topology generation of the
+//     ends' runtimes; publishing it needs no bump, since a plan that kept
+//     the channel stays correct.
 //  2. forward's fast path takes a reference on the published endpoint
 //     snapshot, re-checks that it is still published, delivers, and drops
 //     the reference. Otherwise forward takes mu: a channel that is not a
@@ -56,6 +59,16 @@ type Channel struct {
 type chanEnds struct {
 	prov, req *Port
 	refs      atomic.Int32
+}
+
+// topologyChanged bumps the topology generation of each plugged end's
+// runtime.
+func (ce *chanEnds) topologyChanged() {
+	for _, p := range [2]*Port{ce.prov, ce.req} {
+		if p != nil {
+			p.pair.rt.topologyChanged()
+		}
+	}
 }
 
 // end returns the provider-like end when toProv is set, else the
@@ -98,9 +111,12 @@ func Connect(a, b *Port) (*Channel, error) {
 		a, b = b, a
 	}
 	ch := &Channel{typ: a.Type(), ends: &chanEnds{prov: a, req: b}}
-	ch.pass.Store(ch.ends)
 	a.pair.attachChannel(a.face, ch)
 	b.pair.attachChannel(b.face, ch)
+	// Published only once both ends are attached: a plan reaches through a
+	// channel to its far side only while pass is, and the far end's attach
+	// is what tells such plans that face changed.
+	ch.pass.Store(ch.ends)
 	return ch, nil
 }
 
@@ -148,6 +164,31 @@ func (ch *Channel) forward(ev Event, from *Port, hint *worker) {
 	ce.refs.Add(-1)
 }
 
+// maxPruneDepth bounds the channel hops deadEnd follows. A longer path, or a
+// cycle of channels, keeps its channel in the plan.
+const maxPruneDepth = 8
+
+// deadEnd reports whether an event of ev's dynamic type that crossed into
+// endpoint half from would reach nobody through the channel: the channel is
+// a plain pipe (rule 1) and the plan on its far side for that type has no
+// delivery and no channel. The far plan leaves out its own dead ends, so
+// the check is transitive. A held, unplugged, queueing or draining channel
+// is never a dead end: what it queues is delivered at resume or plug to the
+// subscriptions that exist then (§2.6). Nor is a channel into another
+// runtime, whose generation does not validate this runtime's plans. depth
+// counts the hops already followed.
+func (ch *Channel) deadEnd(from *Port, ev Event, depth int) bool {
+	ce := ch.pass.Load()
+	if ce == nil || depth >= maxPruneDepth {
+		return false
+	}
+	far := ce.end(!from.providerLike())
+	if far.pair.rt != from.pair.rt {
+		return false
+	}
+	return far.pair.planAt(far.twin(), ev, depth+1).reachesNobody()
+}
+
 // plainLocked reports whether the channel is a plain pipe (rule 1). Called
 // with ch.mu held.
 func (ch *Channel) plainLocked() bool {
@@ -163,6 +204,7 @@ func (ch *Channel) retireLocked(prov, req *Port) {
 	old := ch.ends
 	ch.ends = &chanEnds{prov: prov, req: req}
 	ch.pass.Store(nil)
+	old.topologyChanged()
 	ch.mu.Unlock()
 	for old.refs.Load() != 0 {
 		runtime.Gosched()

@@ -455,17 +455,21 @@ func TestInterfaceSubscriptionManyConcreteTypes(t *testing.T) {
 	}
 }
 
-// TestRouteTableRebuiltOnMutation checks the invalidation rule of the
-// linear table: subscribe, unsubscribe, connect and disconnect each bump
-// the pair's generation, and the next trigger publishes a fresh table for
-// the new generation holding only the plan it just built, whose contents
-// reflect the mutation.
+// TestRouteTableRebuiltOnMutation checks when a cached plan is replaced.
+// Subscribe, unsubscribe, connect and disconnect bump the pair's own
+// generation, and the next trigger publishes a fresh table for it holding
+// only the plan it just built. A plan that left a dead-end channel out is
+// also replaced when the runtime's topology generation moves: here, on a
+// subscribe downstream of that channel. Hold, resume and a downstream
+// unsubscribe replace nothing: a plan that kept a channel stays correct
+// whether the channel queues, passes, or leads nowhere.
 func TestRouteTableRebuiltOnMutation(t *testing.T) {
 	rt := newTestRuntime(t)
 	var served, extra, replies atomic.Int64
 	var srv, cli *Component
-	var srvCtx *Ctx
-	var srvInner *Port
+	var srvCtx, cliCtx *Ctx
+	var srvInner, cliInner *Port
+	var cliSub *Subscription
 	rt.MustBootstrap("Main", SetupFunc(func(ctx *Ctx) {
 		srv = ctx.Create("srv", SetupFunc(func(cx *Ctx) {
 			srvCtx = cx
@@ -473,46 +477,57 @@ func TestRouteTableRebuiltOnMutation(t *testing.T) {
 			Subscribe(cx, srvInner, func(ping) { served.Add(1) })
 		}))
 		cli = ctx.Create("cli", SetupFunc(func(cx *Ctx) {
-			Subscribe(cx, cx.Requires(pingPongPort), func(pong) { replies.Add(1) })
+			cliCtx = cx
+			cliInner = cx.Requires(pingPongPort)
+			cliSub = Subscribe(cx, cliInner, func(pong) { replies.Add(1) })
 		}))
 	}))
 	waitQuiet(t, rt)
 	srvOuter := srv.Provided(pingPongPort)
 	pp := srvOuter.pair
 
-	// step applies one mutation and checks the generation bump and the
-	// rebuild on the next trigger (ev presented at from, crossing into f).
-	step := func(name string, mutate func(), from *Port, ev Event, f face) *routePlan {
+	// step triggers ev at from (crossing into face f of pp) to cache its
+	// plan, applies one mutation, triggers ev again, and checks whether the
+	// second trigger ran a newly built plan, which must be current.
+	step := func(name string, mutate func(), from *Port, ev Event, f face, rebuilt bool) *routePlan {
 		t.Helper()
-		if err := TriggerOn(from, ev); err != nil { // cache a plan at the old gen
-			t.Fatal(err)
+		trigger := func() {
+			t.Helper()
+			if err := TriggerOn(from, ev); err != nil {
+				t.Fatal(err)
+			}
+			waitQuiet(t, rt)
 		}
-		waitQuiet(t, rt)
-		before, old := pp.gen.Load(), pp.routes[f-1].Load()
+		trigger()
+		old := cachedPlan(pp, f, ev)
 		mutate()
-		if pp.gen.Load() == before {
-			t.Fatalf("%s did not bump the generation", name)
-		}
-		if err := TriggerOn(from, ev); err != nil {
-			t.Fatal(err)
-		}
-		waitQuiet(t, rt)
+		trigger()
 		tab := pp.routes[f-1].Load()
-		if tab == old || tab.gen != pp.gen.Load() || len(tab.plans) != 1 {
-			t.Fatalf("%s: table %p gen %d with %d plans, want a fresh table at gen %d with 1 plan",
-				name, tab, tab.gen, len(tab.plans), pp.gen.Load())
+		plan := cachedPlan(pp, f, ev)
+		if tab.gen != pp.gen.Load() || len(tab.plans) != 1 || !plan.current(rt) {
+			t.Fatalf("%s: table gen %d with %d plans, plan %+v at topology %d; want gen %d, 1 plan, current",
+				name, tab.gen, len(tab.plans), plan, rt.topoGen.Load(), pp.gen.Load())
 		}
-		return tab.plans[0].plan
+		if (plan != old) != rebuilt {
+			t.Fatalf("%s: plan rebuilt %v, want %v", name, plan != old, rebuilt)
+		}
+		return plan
+	}
+	wantReplies := func(name string, want int64) {
+		t.Helper()
+		if got := replies.Load(); got != want {
+			t.Fatalf("after %s: client got %d pongs, want %d", name, got, want)
+		}
 	}
 
 	var sub *Subscription
 	plan := step("subscribe", func() {
 		sub = Subscribe(srvCtx, srvInner, func(ping) { extra.Add(1) })
-	}, srvOuter, ping{}, inner)
+	}, srvOuter, ping{}, inner, true)
 	if len(plan.deliveries) != 1 || len(plan.deliveries[0].subs) != 2 || extra.Load() != 1 {
 		t.Fatalf("after subscribe: plan %+v, extra handler ran %d times", plan, extra.Load())
 	}
-	plan = step("unsubscribe", func() { srvCtx.Unsubscribe(sub) }, srvOuter, ping{}, inner)
+	plan = step("unsubscribe", func() { srvCtx.Unsubscribe(sub) }, srvOuter, ping{}, inner, true)
 	if len(plan.deliveries[0].subs) != 1 || extra.Load() != 2 {
 		t.Fatalf("after unsubscribe: plan %+v, extra handler ran %d times, want 2", plan, extra.Load())
 	}
@@ -520,14 +535,45 @@ func TestRouteTableRebuiltOnMutation(t *testing.T) {
 	var ch *Channel
 	plan = step("connect", func() {
 		ch = MustConnect(srvOuter, cli.Required(pingPongPort))
-	}, srvInner, pong{}, outer)
-	if len(plan.chans) != 1 || replies.Load() != 1 {
-		t.Fatalf("after connect: plan %+v, client got %d pongs", plan, replies.Load())
+	}, srvInner, pong{}, outer, true)
+	if len(plan.chans) != 1 {
+		t.Fatalf("after connect: plan %+v, want the channel", plan)
 	}
-	plan = step("disconnect", ch.Disconnect, srvInner, pong{}, outer)
-	if len(plan.chans) != 0 || replies.Load() != 2 {
-		t.Fatalf("after disconnect: plan %+v, client got %d pongs, want 2", plan, replies.Load())
+	wantReplies("connect", 1)
+
+	// The held channel stays in the plan and queues; resume delivers.
+	step("hold", ch.Hold, srvInner, pong{}, outer, false)
+	wantReplies("hold", 2)
+	step("resume", ch.Resume, srvInner, pong{}, outer, false)
+	wantReplies("resume", 5)
+
+	// Downstream: the channel that now reaches nobody stays in the plan
+	// until the pair changes; rebuilt, the plan leaves it out, and a new
+	// subscription at the far end brings it back.
+	step("downstream unsubscribe", func() { cliCtx.Unsubscribe(cliSub) }, srvInner, pong{}, outer, false)
+	wantReplies("downstream unsubscribe", 6)
+	plan = step("reconnect", func() {
+		ch.Disconnect()
+		ch = MustConnect(srvOuter, cli.Required(pingPongPort))
+	}, srvInner, pong{}, outer, true)
+	if len(plan.chans) != 0 || !plan.pruned {
+		t.Fatalf("after reconnect: plan %+v, want the dead-end channel left out", plan)
 	}
+	topo := rt.topoGen.Load()
+	plan = step("downstream subscribe", func() {
+		Subscribe(cliCtx, cliInner, func(pong) { replies.Add(1) })
+	}, srvInner, pong{}, outer, true)
+	if len(plan.chans) != 1 || rt.topoGen.Load() == topo {
+		t.Fatalf("after downstream subscribe: plan %+v, topology %d (was %d); want the channel back under a new topology",
+			plan, rt.topoGen.Load(), topo)
+	}
+	wantReplies("downstream subscribe", 7)
+
+	plan = step("disconnect", ch.Disconnect, srvInner, pong{}, outer, true)
+	if len(plan.chans) != 0 {
+		t.Fatalf("after disconnect: plan %+v, want no channel", plan)
+	}
+	wantReplies("disconnect", 8)
 	if served.Load() != 4 {
 		t.Fatalf("server handled %d pings, want 4", served.Load())
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -61,6 +62,10 @@ type portPair struct {
 	// allocates a Port and handle identity is stable.
 	halves [2]Port
 
+	// rt is the owner's runtime, whose topology generation validates the
+	// cached plans that left a channel out.
+	rt *Runtime
+
 	mu    sync.RWMutex
 	subs  [2][]*Subscription // indexed by face-1
 	chans [2][]*Channel      // indexed by face-1
@@ -79,7 +84,7 @@ type portPair struct {
 }
 
 func newPortPair(typ *PortType, owner *Component, provided bool) *portPair {
-	pp := &portPair{typ: typ, owner: owner, provided: provided}
+	pp := &portPair{typ: typ, owner: owner, provided: provided, rt: owner.rt}
 	pp.halves[inner-1] = Port{pair: pp, face: inner}
 	pp.halves[outer-1] = Port{pair: pp, face: outer}
 	return pp
@@ -187,7 +192,7 @@ func (pp *portPair) subscribeUnchecked(s *Subscription) {
 	defer pp.mu.Unlock()
 	s.active.Store(true)
 	pp.subs[s.port.face-1] = append(pp.subs[s.port.face-1], s)
-	pp.gen.Add(1)
+	pp.changedLocked(s.port.face, true)
 }
 
 // unsubscribe detaches a subscription from its half. It is a no-op if the
@@ -200,7 +205,7 @@ func (pp *portPair) unsubscribe(s *Subscription) {
 		if cur == s {
 			pp.subs[s.port.face-1] = append(list[:i:i], list[i+1:]...)
 			s.active.Store(false)
-			pp.gen.Add(1)
+			pp.changedLocked(s.port.face, false)
 			return
 		}
 	}
@@ -211,7 +216,7 @@ func (pp *portPair) attachChannel(f face, ch *Channel) {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	pp.chans[f-1] = append(pp.chans[f-1], ch)
-	pp.gen.Add(1)
+	pp.changedLocked(f, true)
 }
 
 // detachChannel removes a channel endpoint from one half.
@@ -222,9 +227,23 @@ func (pp *portPair) detachChannel(f face, ch *Channel) {
 	for i, cur := range list {
 		if cur == ch {
 			pp.chans[f-1] = append(list[:i:i], list[i+1:]...)
-			pp.gen.Add(1)
+			pp.changedLocked(f, false)
 			return
 		}
+	}
+}
+
+// changedLocked invalidates the pair's route tables after a subscription or
+// channel on face f came (grew) or went. A plan elsewhere that left out a
+// channel as a dead end looked at this face only through a channel attached
+// to the twin half, so when something came and such a channel exists, the
+// runtime's topology generation is bumped too: the face may now reach
+// somebody. Something going only makes dead ends deader, which a plan that
+// kept a channel tolerates. Called with mu held.
+func (pp *portPair) changedLocked(f face, grew bool) {
+	pp.gen.Add(1)
+	if grew && len(pp.chans[f.twin()-1]) > 0 {
+		pp.rt.topologyChanged()
 	}
 }
 
@@ -238,7 +257,9 @@ func (pp *portPair) detachChannel(f face, ch *Channel) {
 var routeCacheCap = 256
 
 // routeTable is an immutable snapshot of delivery plans for one destination
-// face, valid while gen matches the pair's generation counter. It is
+// face, valid while gen matches the pair's generation counter (and, for a
+// plan that left a channel out, while its topo matches the runtime's
+// topology generation). It is
 // replaced wholesale (copy-on-write) when a new dynamic type is planned.
 // plans is probed linearly: a port sees a handful of event types (about ten
 // on the busiest ports of a 64-peer simulation), so comparing one pointer
@@ -285,7 +306,8 @@ func typeWord(ev Event) unsafe.Pointer {
 // into one face: whether the port type admits that type in the direction of
 // travel, the component enqueues (subscriptions pre-grouped by owner, with
 // the control flag and the implicit owner-lifecycle delivery already
-// resolved) and the frozen channel forwarding list.
+// resolved) and the frozen list of the attached channels that can deliver
+// the type.
 type routePlan struct {
 	// allowed caches the port-type check Trigger makes: the control port
 	// admits everything, any other port the types its PortType declares in
@@ -294,6 +316,18 @@ type routePlan struct {
 	allowed    bool
 	deliveries []routeDelivery
 	chans      []*Channel
+	// pruned is set when the plan left out an attached channel as a dead
+	// end (see Channel.deadEnd). Such a plan depends on state past its own
+	// pair and is current only while topo, the runtime topology generation
+	// loaded before the plan was built, is.
+	pruned bool
+	topo   uint64
+}
+
+// current reports whether a cached plan of a table at the pair's
+// generation may still be run.
+func (plan *routePlan) current(rt *Runtime) bool {
+	return !plan.pruned || plan.topo == rt.topoGen.Load()
 }
 
 // routeDelivery is one enqueue of the plan. subs is shared by every event
@@ -327,17 +361,25 @@ func (p *Port) deliver(ev Event, from *worker) {
 
 // planFor returns the delivery plan for ev's dynamic type crossing into
 // half dst: one atomic generation load, one atomic table load and a linear
-// probe on ev's type word on the steady-state path; a miss resolves the
-// reflect.Type, builds the plan and publishes it copy-on-write.
+// probe on ev's type word on the steady-state path, plus one load of the
+// runtime's topology generation when the plan left a channel out; a miss
+// resolves the reflect.Type, builds the plan and publishes it
+// copy-on-write.
 func (pp *portPair) planFor(dst *Port, ev Event) *routePlan {
+	return pp.planAt(dst, ev, 0)
+}
+
+// planAt is planFor for a plan built depth channel hops upstream of the
+// event's origin (see Channel.deadEnd).
+func (pp *portPair) planAt(dst *Port, ev Event, depth int) *routePlan {
 	w := typeWord(ev)
 	gen := pp.gen.Load()
 	if tab := pp.routes[dst.face-1].Load(); tab != nil && tab.gen == gen {
-		if plan := tab.lookup(w); plan != nil {
+		if plan := tab.lookup(w); plan != nil && plan.current(pp.rt) {
 			return plan
 		}
 	}
-	plan, gen := pp.buildPlan(dst, reflect.TypeOf(ev))
+	plan := pp.buildPlan(dst, ev, depth)
 	pp.publishPlan(dst.face, w, plan, gen)
 	return plan
 }
@@ -355,41 +397,48 @@ func (plan *routePlan) run(ev Event, dst *Port, from *worker) {
 	}
 }
 
-// buildPlan computes the delivery plan for events of dynamic type dynT
-// crossing into half dst, returning it with the generation it is valid for.
-// It reproduces exactly the historical per-event matching semantics:
-// matching subscriptions grouped by owning component (all handlers of one
-// component for one event execute back-to-back with no interleaved foreign
-// event — the paper's Figure 7), and lifecycle events crossing into the
-// inner half of a control port always reaching the owner's control queue so
-// the runtime can intercept Start/Stop/Init/Kill. It also decides the port
-// type's admission of dynT once per plan, so PortType.Allows runs only on a
-// miss (and at Subscribe), never per event.
-func (pp *portPair) buildPlan(dst *Port, dynT reflect.Type) (*routePlan, uint64) {
-	pp.mu.RLock()
-	defer pp.mu.RUnlock()
-	gen := pp.gen.Load() // stable: mutators bump only under mu.Lock
-
-	if pp.owner != nil && pp.owner.rt != nil {
-		pp.owner.rt.routePlanBuilds.Add(1)
-	}
-	dynET := EventType{t: dynT}
+// buildPlan computes the delivery plan for events of ev's dynamic type
+// crossing into half dst. The caller loaded the pair generation the plan is
+// published under before calling, and the plan loads the topology
+// generation before it looks past the pair, so a mutation racing the build
+// leaves a plan no lookup runs. It reproduces exactly the historical
+// per-event matching semantics: matching subscriptions grouped by owning
+// component (all handlers of one component for one event execute
+// back-to-back with no interleaved foreign event — the paper's Figure 7),
+// and lifecycle events crossing into the inner half of a control port
+// always reaching the owner's control queue so the runtime can intercept
+// Start/Stop/Init/Kill. It also decides the port type's admission of the
+// type once per plan, so PortType.Allows runs only on a miss (and at
+// Subscribe), never per event. Attached channels that are dead ends for
+// the type are left out (see Channel.deadEnd).
+func (pp *portPair) buildPlan(dst *Port, ev Event, depth int) *routePlan {
+	pp.rt.routePlanBuilds.Add(1)
+	dynET := EventType{t: reflect.TypeOf(ev)}
 	plan := &routePlan{
 		allowed: pp.typ == ControlPortType || pp.typ.Allows(dynET, dst.incomingDirection()),
+		topo:    pp.rt.topoGen.Load(),
 	}
+	ownerControl := pp.isControl && dst.face == inner
+
+	pp.mu.RLock()
 	var matched []*Subscription
 	for _, s := range pp.subs[dst.face-1] {
 		if s.eventT.Accepts(dynET) {
 			matched = append(matched, s)
 		}
 	}
+	chans := append([]*Channel(nil), pp.chans[dst.face-1]...)
+	pp.mu.RUnlock()
 
-	if n := len(pp.chans[dst.face-1]); n > 0 {
-		plan.chans = make([]*Channel, n)
-		copy(plan.chans, pp.chans[dst.face-1])
+	// Pruning takes no lock of this pair: the far side's plans are built
+	// under their own pairs' locks, and channels may form cycles.
+	for _, ch := range chans {
+		if ch.deadEnd(dst, ev, depth) {
+			plan.pruned = true
+		} else {
+			plan.chans = append(plan.chans, ch)
+		}
 	}
-
-	ownerControl := pp.isControl && dst.face == inner
 
 	// Group matched subscriptions by owner, preserving first-match order.
 	var order []*Component
@@ -415,11 +464,18 @@ func (pp *portPair) buildPlan(dst *Port, dynT reflect.Type) (*routePlan, uint64)
 			control: ownerControl && owner == pp.owner,
 		})
 	}
-	return plan, gen
+	return plan
+}
+
+// reachesNobody reports whether running the plan delivers to no component
+// and forwards through no channel.
+func (plan *routePlan) reachesNobody() bool {
+	return len(plan.deliveries) == 0 && len(plan.chans) == 0
 }
 
 // publishPlan installs a freshly built plan into the face's route table via
-// copy-on-write. Concurrent publishers race benignly: a lost entry is simply
+// copy-on-write, in place of a plan of the same type that is no longer
+// current. Concurrent publishers race benignly: a lost entry is simply
 // rebuilt on a later miss, and a table whose generation no longer matches is
 // never consulted.
 func (pp *portPair) publishPlan(f face, typ unsafe.Pointer, plan *routePlan, gen uint64) {
@@ -429,26 +485,35 @@ func (pp *portPair) publishPlan(f face, typ unsafe.Pointer, plan *routePlan, gen
 		if cur != nil && cur.gen > gen {
 			return // a newer snapshot exists; ours is stale
 		}
-		var keep []routeEntry
+		var old *routePlan
 		if cur != nil && cur.gen == gen {
-			if cur.lookup(typ) != nil {
+			if old = cur.lookup(typ); old != nil && old.current(pp.rt) {
 				return // a concurrent miss published this type first
 			}
-			if len(cur.plans) >= routeCacheCap {
-				// Capacity reset: publish a table holding only the new
-				// plan. Dropped plans rebuild on their next miss, so a
-				// type-churning workload pays rebuilds, never unbounded
-				// memory.
-				if pp.owner != nil && pp.owner.rt != nil {
-					pp.owner.rt.routeCacheResets.Add(1)
-				}
-			} else {
-				keep = cur.plans
-			}
 		}
-		next := &routeTable{gen: gen, plans: make([]routeEntry, len(keep), len(keep)+1)}
-		copy(next.plans, keep)
-		next.plans = append(next.plans, routeEntry{typ: typ, plan: plan})
+		var next *routeTable
+		switch {
+		case cur == nil || cur.gen != gen:
+			next = &routeTable{gen: gen, plans: []routeEntry{{typ: typ, plan: plan}}}
+		case old != nil:
+			// A dead end the old plan left out may have come alive.
+			next = &routeTable{gen: gen, plans: slices.Clone(cur.plans)}
+			for j := range next.plans {
+				if next.plans[j].plan == old {
+					next.plans[j].plan = plan
+				}
+			}
+		case len(cur.plans) >= routeCacheCap:
+			// Capacity reset: publish a table holding only the new plan.
+			// Dropped plans rebuild on their next miss, so a type-churning
+			// workload pays rebuilds, never unbounded memory.
+			pp.rt.routeCacheResets.Add(1)
+			next = &routeTable{gen: gen, plans: []routeEntry{{typ: typ, plan: plan}}}
+		default:
+			next = &routeTable{gen: gen, plans: make([]routeEntry, len(cur.plans), len(cur.plans)+1)}
+			copy(next.plans, cur.plans)
+			next.plans = append(next.plans, routeEntry{typ: typ, plan: plan})
+		}
 		if slot.CompareAndSwap(cur, next) {
 			return
 		}

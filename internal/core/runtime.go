@@ -42,6 +42,15 @@ type Runtime struct {
 	liveComps  atomic.Int64
 	totalComps atomic.Int64
 
+	// topoGen is the topology generation. A route plan that left a channel
+	// out as a dead end (see Channel.deadEnd) depends on state past its own
+	// port pair, and runs only while topoGen still reads what it did when
+	// the plan was built. It is bumped, after the change, by whatever could
+	// make a dead end reach somebody: a subscribe or attach on a face that
+	// a channel leads into, and a channel leaving the plain-pipe state
+	// (Hold, Unplug, Disconnect).
+	topoGen atomic.Uint64
+
 	// Telemetry (see telemetry.go). traceSink is set by an option before
 	// Bootstrap and read unsynchronized on the dispatch hot path; the
 	// registry and counters are touched off the hot path only
@@ -223,6 +232,9 @@ func (rt *Runtime) halt(f Fault) {
 		go rt.scheduler.Stop()
 	})
 }
+
+// topologyChanged invalidates every cached route table of the runtime.
+func (rt *Runtime) topologyChanged() { rt.topoGen.Add(1) }
 
 // Counter hooks called by components.
 

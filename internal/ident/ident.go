@@ -4,6 +4,7 @@
 package ident
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -106,12 +107,16 @@ func (n NodeRef) String() string {
 // SortByKey sorts node references clockwise by key (ties by address for
 // determinism).
 func SortByKey(nodes []NodeRef) {
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].Key != nodes[j].Key {
-			return nodes[i].Key < nodes[j].Key
-		}
-		return nodes[i].Addr.String() < nodes[j].Addr.String()
-	})
+	sort.Slice(nodes, func(i, j int) bool { return CompareByKey(nodes[i], nodes[j]) < 0 })
+}
+
+// CompareByKey orders node references as SortByKey does: by key, ties by
+// address string.
+func CompareByKey(a, b NodeRef) int {
+	if a.Key != b.Key {
+		return cmp.Compare(a.Key, b.Key)
+	}
+	return strings.Compare(a.Addr.String(), b.Addr.String())
 }
 
 // SuccessorOf returns the first node clockwise responsible for key (the

@@ -12,6 +12,7 @@
 package router
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -101,6 +102,12 @@ type Router struct {
 	epoch uint64
 	dirty bool
 	tid   timer.ID
+	// members is table's nodes plus self, kept sorted by ident.CompareByKey
+	// as entries come and go: the Members of the next Table. A published
+	// slice is never written, so the first change after a publish edits a
+	// copy (owned marks that members is no longer the published slice).
+	members []ident.NodeRef
+	owned   bool
 
 	// snap is the last published Table. Readers on other workers
 	// (handoff's Members, status, benchmark readiness polls) load it
@@ -118,8 +125,8 @@ type tableEntry struct {
 // New creates a one-hop router component definition.
 func New(cfg Config) *Router {
 	cfg.applyDefaults()
-	r := &Router{cfg: cfg, table: make(map[ident.Key]tableEntry)}
-	r.snap.Store(&Table{Members: []ident.NodeRef{cfg.Self}})
+	r := &Router{cfg: cfg, table: make(map[ident.Key]tableEntry), members: []ident.NodeRef{cfg.Self}}
+	r.snap.Store(&Table{Members: r.members})
 	return r
 }
 
@@ -180,23 +187,50 @@ func (r *Router) handleFind(f FindSuccessor) {
 	r.ctx.Trigger(FoundSuccessor{ReqID: f.ReqID, Key: f.Key, Group: group, Epoch: t.Epoch}, r.rout)
 }
 
-// publish rebuilds the snapshot and triggers it as a Table when a handler
+// publish stores the snapshot and triggers it as a Table when a handler
 // changed the membership or the epoch. Every mutating handler ends here,
-// so a burst of learns costs one rebuild.
+// so a burst of learns costs one copy of the membership.
 func (r *Router) publish() {
 	if !r.dirty {
 		return
 	}
 	r.dirty = false
-	members := make([]ident.NodeRef, 0, len(r.table)+1)
-	members = append(members, r.cfg.Self)
-	for _, e := range r.table {
-		members = append(members, e.node)
-	}
-	ident.SortByKey(members)
-	t := &Table{Members: ident.Dedup(members), Epoch: r.epoch}
+	r.owned = false
+	t := &Table{Members: slices.Clip(r.members), Epoch: r.epoch}
 	r.snap.Store(t)
 	r.ctx.Trigger(*t, r.rout)
+}
+
+// own makes members a private copy, with room for one insert, unless it
+// already is one.
+func (r *Router) own() {
+	if r.owned {
+		return
+	}
+	r.members = append(make([]ident.NodeRef, 0, len(r.members)+1), r.members...)
+	r.owned = true
+}
+
+// addMember inserts n into the sorted membership.
+func (r *Router) addMember(n ident.NodeRef) {
+	r.own()
+	i, _ := slices.BinarySearchFunc(r.members, n, ident.CompareByKey)
+	r.members = slices.Insert(r.members, i, n)
+}
+
+// removeMember deletes n from the sorted membership.
+func (r *Router) removeMember(n ident.NodeRef) {
+	if i, ok := slices.BinarySearchFunc(r.members, n, ident.CompareByKey); ok {
+		r.own()
+		r.members = slices.Delete(r.members, i, i+1)
+	}
+}
+
+// evict drops table entry k and its membership.
+func (r *Router) evict(k ident.Key, e tableEntry) {
+	delete(r.table, k)
+	r.removeMember(e.node)
+	r.dirty = true
 }
 
 // handleGroupView tracks the ring's epoch-versioned view: its members —
@@ -225,7 +259,12 @@ func (r *Router) learn(n ident.NodeRef) {
 	if n.IsZero() || n.Addr == r.cfg.Self.Addr {
 		return
 	}
-	if old, ok := r.table[n.Key]; !ok || old.node.Addr != n.Addr {
+	old, ok := r.table[n.Key]
+	if !ok || old.node.Addr != n.Addr {
+		if ok {
+			r.removeMember(old.node)
+		}
+		r.addMember(n)
 		r.dirty = true
 	}
 	r.table[n.Key] = tableEntry{node: n, seen: r.ctx.Now()}
@@ -237,8 +276,7 @@ func (r *Router) learn(n ident.NodeRef) {
 func (r *Router) handleSuspect(s fd.Suspect) {
 	for k, e := range r.table {
 		if e.node.Addr == s.Node {
-			delete(r.table, k)
-			r.dirty = true
+			r.evict(k, e)
 		}
 	}
 	r.publish()
@@ -249,8 +287,7 @@ func (r *Router) handleSweep(sweepTimeout) {
 	cutoff := r.ctx.Now().Add(-r.cfg.EntryTTL)
 	for k, e := range r.table {
 		if e.seen.Before(cutoff) {
-			delete(r.table, k)
-			r.dirty = true
+			r.evict(k, e)
 		}
 	}
 	r.publish()

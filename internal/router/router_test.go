@@ -2,6 +2,7 @@ package router
 
 import (
 	"cmp"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -337,5 +338,38 @@ func TestSnapshotReadersDuringPublish(t *testing.T) {
 	}
 	if r.TableSize() != len(r.Members())-1 || r.Epoch() != 2900 {
 		t.Fatalf("settled: size %d, members %d, epoch %d", r.TableSize(), len(r.Members()), r.Epoch())
+	}
+}
+
+// TestMembersMatchTableRebuild: the membership kept sorted as entries are
+// learned, moved and evicted equals the table's nodes plus self sorted from
+// scratch, after every step of a random feed. Keys collide with self's and
+// with each other's under other addresses, so ties by address are covered.
+func TestMembersMatchTableRebuild(t *testing.T) {
+	self := nodeRef(5)
+	h := newHarness(t, self)
+	rng := rand.New(rand.NewSource(7))
+	ref := func() ident.NodeRef {
+		return ident.NodeRef{Key: ident.Key(rng.Intn(12) * 100), Addr: network.Address{Host: "rt", Port: uint16(rng.Intn(16))}}
+	}
+	for i := 0; i < 400; i++ {
+		switch rng.Intn(6) {
+		case 0:
+			h.feedSuspect(ref())
+		case 1:
+			h.sim.Run(time.Duration(rng.Intn(3000)) * time.Millisecond)
+		case 2:
+			h.feedView(uint64(i), ref(), ref())
+		default:
+			h.feedSample(ref(), ref(), ref())
+		}
+		want := []ident.NodeRef{self}
+		for _, e := range h.Router.table {
+			want = append(want, e.node)
+		}
+		ident.SortByKey(want)
+		if got := h.Router.Members(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: members %v, want %v", i, got, want)
+		}
 	}
 }
