@@ -105,13 +105,13 @@ fuzz:
 ci: vet build test-race
 
 # The CI alloc job (CI runs this target; -v so the log lists every gate):
-# the zero-alloc hot paths, the quorum path's serve and pong ceilings, the
-# TCP socket loops, the experiment host's op routing, the WAL, metrics
-# exposition and the Timer-free quorum path.
+# the zero-alloc hot paths, the quorum path's serve, warm-get and pong
+# ceilings, the TCP socket loops, the experiment host's op routing, the
+# WAL, metrics exposition and the Timer-free quorum path.
 alloc:
 	$(GO) test -run 'ZeroAlloc' -v -count=1 .
 	$(GO) test -run 'ZeroAlloc|Pooled' -v -count=1 ./internal/network/ ./internal/abd/ ./internal/handoff/ ./internal/fd/ ./internal/cyclon/ ./internal/ring/ ./internal/bootstrap/ ./internal/monitor/ ./internal/simulation/
-	$(GO) test -run 'TestServeReadsAllocs|TestPongAllocs' -v -count=1 ./internal/abd/ ./internal/fd/
+	$(GO) test -run 'TestServeReadsAllocs|TestLocalReadServeAllocs|TestPongAllocs' -v -count=1 ./internal/abd/ ./internal/fd/
 	$(GO) test -run 'TCPSteadyStateAllocs' -v -count=1 ./internal/network/
 	$(GO) test -run 'SteadyStateNoGobFallback|TestSimulatorResolveZeroAlloc' -v -count=1 ./internal/cats/
 	$(GO) test -run 'WALAppendSteadyStateAllocs|WALGroupSyncAllocs|VersionStringAlloc' -v -count=1 ./internal/kvstore/

@@ -125,6 +125,10 @@ type op struct {
 	bestVal   []byte
 	bestFound bool
 	bestCount int // read acks carrying exactly bestVer
+	// have is the version the in-place read of the coordinator's own
+	// replica returned this attempt (zero when it was not served): a
+	// remote ack at that version carries no value.
+	have kvstore.Version
 	// attempt is the wire-level attempt number: bumped on every restart
 	// (timeout retries AND stale-epoch restarts) so late acks from a
 	// superseded group can never count toward the current quorum.
@@ -479,6 +483,7 @@ func (a *ABD) beginAttempt(o *op) {
 	a.beginAttemptTrace(o)
 	o.readAcks, o.writeAcks, o.bestCount = 0, 0, 0
 	o.bestVer, o.bestVal, o.bestFound = kvstore.Version{}, nil, false
+	o.have = kvstore.Version{}
 	o.ackedMask = 0
 	o.hedgeChecked, o.hedged, o.hedgeTo = false, false, -1
 	o.imposeVer, o.imposeVal = kvstore.Version{}, nil
@@ -506,14 +511,54 @@ func (a *ABD) beginAttempt(o *op) {
 		a.setDeadline(o, now.Add(b/hedgeStageDiv))
 	}
 	o.phase = phaseRead
+	// The coordinator's own replica is served in place, before the remote
+	// reads leave, so they can carry the version it holds. Its ack counts
+	// last: with a group of one it completes the op. It still counts before
+	// any remote ack can arrive, so a remote ack at version o.have never
+	// becomes the best one and its missing value is never needed.
+	local, val, found := a.serveLocalRead(o)
 	for _, n := range o.group {
-		a.sendRead(n.Addr, readPhase{
-			Context: o.wireCtx(),
-			OpID:    o.id,
-			Attempt: o.attempt,
-			Epoch:   o.epoch,
-			Key:     o.key,
-		})
+		if n.Addr != a.cfg.Self.Addr {
+			a.sendRead(n.Addr, o.readPhase())
+		}
+	}
+	if local {
+		a.ingestReadAck(a.cfg.Self.Addr, o.id, o.attempt, o.have, val, found)
+	}
+}
+
+// serveLocalRead serves o's read phase from the coordinator's own replica
+// when it is a member of o's group: the same epoch gate as a remote frame,
+// one store read, and no message. It reports whether the replica served
+// the read, setting o.have, and the value it read. A refused serve counts
+// as the busy nack it would have sent; the quorum then forms from the
+// remote replicas.
+func (a *ABD) serveLocalRead(o *op) (served bool, val []byte, found bool) {
+	if o.groupIndex(a.cfg.Self.Addr) < 0 {
+		return false, nil, false
+	}
+	tc := o.wireCtx()
+	if refusal, ok := a.gateEpoch(tc, "serve.read", o.id, o.attempt, o.epoch); !ok {
+		if refusal.Busy {
+			a.statNacksBusy++
+		}
+		return false, nil, false
+	}
+	o.have, val, found = a.store.Read(o.key)
+	a.recordServe(tc, "serve.read", o.id, o.attempt, "ok")
+	return true, val, found
+}
+
+// readPhase is o's phase-1 query as a remote replica receives it.
+func (o *op) readPhase() readPhase {
+	return readPhase{
+		Context:      o.wireCtx(),
+		OpID:         o.id,
+		Attempt:      o.attempt,
+		Epoch:        o.epoch,
+		Key:          o.key,
+		Have:         o.have,
+		VersionsOnly: o.kind == opPut,
 	}
 }
 
@@ -715,32 +760,36 @@ func (a *ABD) handleTimeout(o *op) {
 
 // --- replica: register storage --------------------------------------------------
 
-// serveEpoch applies the replica-side epoch gate shared by reads and
-// writes: stale epochs are refused with a hint, phases arriving mid-sync
-// are refused as Busy (the state backing an ack may still be in flight),
-// and served epochs merge into the replica's own — per-node epochs are
-// Lamport clocks, not globally equal counters, so "equal or newer" is the
-// servable condition. reply is the header answering the phase's frame.
-func (a *ABD) serveEpoch(reply network.Header, tc tracing.Context, kind string, opID uint64, attempt int, epoch uint64) bool {
+// gateEpoch applies the replica-side epoch gate shared by reads and
+// writes, remote or served in place: stale epochs are refused with a hint,
+// phases arriving mid-sync are refused as Busy (the state backing an ack
+// may still be in flight), and served epochs merge into the replica's own
+// — per-node epochs are Lamport clocks, not globally equal counters, so
+// "equal or newer" is the servable condition. A refusal returns the nack
+// that answers it, without its header.
+func (a *ABD) gateEpoch(tc tracing.Context, kind string, opID uint64, attempt int, epoch uint64) (nackMsg, bool) {
 	if epoch < a.localEpoch {
 		a.statStaleServed++
 		a.recordServe(tc, kind, opID, attempt, "nack-stale")
-		a.ctx.Trigger(nackMsg{
-			Header: reply, OpID: opID, Attempt: attempt,
-			Epoch: a.localEpoch, Busy: false,
-		}, a.net)
-		return false
+		return nackMsg{OpID: opID, Attempt: attempt, Epoch: a.localEpoch, Busy: false}, false
 	}
 	if a.syncing {
 		a.recordServe(tc, kind, opID, attempt, "nack-busy")
-		a.ctx.Trigger(nackMsg{
-			Header: reply, OpID: opID, Attempt: attempt,
-			Epoch: a.localEpoch, Busy: true,
-		}, a.net)
-		return false
+		return nackMsg{OpID: opID, Attempt: attempt, Epoch: a.localEpoch, Busy: true}, false
 	}
 	if epoch > a.localEpoch {
 		a.localEpoch = epoch
 	}
-	return true
+	return nackMsg{}, true
+}
+
+// serveEpoch is gateEpoch for a phase that arrived in a frame: a refusal
+// is sent back under reply, the header answering the frame.
+func (a *ABD) serveEpoch(reply network.Header, tc tracing.Context, kind string, opID uint64, attempt int, epoch uint64) bool {
+	nack, ok := a.gateEpoch(tc, kind, opID, attempt, epoch)
+	if !ok {
+		nack.Header = reply
+		a.ctx.Trigger(nack, a.net)
+	}
+	return ok
 }

@@ -2,7 +2,6 @@ package abd
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/simulation"
 	"repro/internal/timer"
+	"repro/internal/tracing"
 )
 
 func addr(i int) network.Address { return network.Address{Host: "abd", Port: uint16(i)} }
@@ -309,10 +309,11 @@ func TestUnanimousReadSkipsImposeRound(t *testing.T) {
 	if len(nodes[1].gets) != 1 || string(nodes[1].gets[0].Value) != "v1" {
 		t.Fatalf("get: %+v", nodes[1].gets)
 	}
-	// One-round read: 3 single-phase read frames + up to 3 acks = at most
-	// 6 messages (no impose round).
-	if delta := messageCount(nodes) - before; delta > 6 {
-		t.Fatalf("unanimous read used %d messages, want <= 6 (impose skipped)", delta)
+	// One-round read: the coordinator serves its own replica in place, so
+	// 2 read frames + up to 2 acks = at most 4 messages; an impose round
+	// would add 4 more.
+	if delta := messageCount(nodes) - before; delta > 4 {
+		t.Fatalf("unanimous read used %d messages, want <= 4 (impose skipped)", delta)
 	}
 }
 
@@ -375,21 +376,22 @@ func TestConfigDefaultsABD(t *testing.T) {
 }
 
 // TestTableSwapRedirectsNextOp: once the router pushes a new table, the
-// coordinator's next operation sends its read phase to the group resolved
-// from that table, and to no member of the old one.
+// coordinator's next operation has its read phase served by the group
+// resolved from that table, and by no member of the old one. Every serve,
+// the coordinator's in-place one included, records a serve.read span.
 func TestTableSwapRedirectsNextOp(t *testing.T) {
-	sink := &traceSink{}
+	ring := withTracing(t, 1, 1<<12)
 	three := func(c *Config) { c.ReplicationDegree = 3 }
-	sim, _, nodes := newABDWorldWith(t, 6, 21, func(nd *abdNode) { nd.tweak = three }, simulation.WithTraceSink(sink))
+	sim, _, nodes := newABDWorldWith(t, 6, 21, func(nd *abdNode) { nd.tweak = three })
 	coord := nodes[0]
 	served := func() []ident.NodeRef {
 		var out []ident.NodeRef
-		for _, r := range sink.recs {
-			if r.Event != reflect.TypeOf(opBatchMsg{}) {
+		for _, s := range ring.Snapshot() {
+			if s.Name != "serve.read" || s.Outcome != "ok" {
 				continue
 			}
 			for _, nd := range nodes {
-				if r.Component.Path() == nd.ctx.Self().Path()+"/abd" {
+				if s.Node == nd.self.Addr.String() && !slices.Contains(out, nd.self) {
 					out = append(out, nd.self)
 				}
 			}
@@ -407,7 +409,6 @@ func TestTableSwapRedirectsNextOp(t *testing.T) {
 		}
 	}
 
-	sink.recs = nil
 	coord.get(1, "k")
 	sim.Run(time.Second)
 	if got := served(); !slices.Equal(got, oldGroup) {
@@ -418,7 +419,8 @@ func TestTableSwapRedirectsNextOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Settle()
-	sink.recs = nil
+	ring = tracing.NewRing(1 << 12) // the second get's spans alone
+	tracing.SwapDefault(ring)
 	coord.get(2, "k")
 	sim.Run(time.Second)
 	if got := served(); !slices.Equal(got, newGroup) {

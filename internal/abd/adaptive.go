@@ -277,13 +277,7 @@ func (a *ABD) hedgeTarget(o *op) int {
 func (a *ABD) resendPhase(o *op, dst network.Address) {
 	switch o.phase {
 	case phaseRead:
-		a.sendRead(dst, readPhase{
-			Context: o.wireCtx(),
-			OpID:    o.id,
-			Attempt: o.attempt,
-			Epoch:   o.epoch,
-			Key:     o.key,
-		})
+		a.sendRead(dst, o.readPhase())
 	case phaseWrite:
 		a.sendWrite(dst, writePhase{
 			Context: o.wireCtx(),

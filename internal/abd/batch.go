@@ -24,18 +24,31 @@ import (
 // strictly per-op, so a stale operation inside a batch nacks individually
 // while the rest of the batch acks.
 //
+// A coordinator inside its key's group reads its own replica in place
+// (beginAttempt) rather than sending itself a frame. Its impose phases
+// still go to itself in a frame: served there, every write of the frame
+// shares one WAL append, where served in place each would pay its own.
+//
 // Flushing at the end of every activation instead, drained or not, was
 // measured and lost: batches shrank to about three phases and frames per
 // op tripled, which cost more than the latency it saved.
 
 // readPhase is one coalesced phase-1 query. The embedded trace context is
 // per-op: each sampled operation inside a batch keeps its own identity.
+// Have and VersionsOnly let the replica leave its value out of the ack
+// when the coordinator has no use for it (handleOpBatch).
 type readPhase struct {
 	tracing.Context
 	OpID    uint64
 	Attempt int
 	Epoch   uint64
 	Key     string
+	// Have is the version the coordinator read from its own replica when
+	// it served this phase in place; zero when it is outside the group or
+	// its replica refused the serve.
+	Have kvstore.Version
+	// VersionsOnly marks a put's read phase, which needs versions alone.
+	VersionsOnly bool
 }
 
 // writePhase is one coalesced phase-2 impose.
@@ -231,6 +244,12 @@ func (a *ABD) handleOpBatch(m opBatchMsg) {
 			continue
 		}
 		ver, val, found := a.store.Read(r.Key)
+		// A put's read phase needs versions alone, and a coordinator that
+		// holds ver holds its value: a version names one value. Every
+		// other ack carries the value, so a get learns a newer one.
+		if r.VersionsOnly || ver == r.Have {
+			val = nil
+		}
 		a.recordServe(r.Context, "serve.read", r.OpID, r.Attempt, "ok")
 		readAcks = append(readAcks, readAckEntry{
 			OpID:    r.OpID,

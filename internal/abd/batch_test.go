@@ -63,6 +63,13 @@ func (p *batchProbe) send(to network.Address, m opBatchMsg) {
 // windows) plus a batch probe.
 func newBatchWorld(t *testing.T, n int, seed int64, opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, []*epochNode, *batchProbe) {
 	t.Helper()
+	return newBatchWorldWith(t, n, seed, nil, opts...)
+}
+
+// newBatchWorldWith is newBatchWorld with a hook that adjusts each node
+// before the world boots.
+func newBatchWorldWith(t *testing.T, n int, seed int64, adjust func(*epochNode), opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, []*epochNode, *batchProbe) {
+	t.Helper()
 	sim := simulation.New(seed, opts...)
 	emu := simulation.NewNetworkEmulator(sim,
 		simulation.WithLatency(simulation.ConstantLatency(2*time.Millisecond)))
@@ -73,6 +80,9 @@ func newBatchWorld(t *testing.T, n int, seed int64, opts ...simulation.SimOption
 	nodes := make([]*epochNode, n)
 	for i := range nodes {
 		nodes[i] = &epochNode{self: group[i], group: group, sim: sim, emu: emu}
+		if adjust != nil {
+			adjust(nodes[i])
+		}
 	}
 	probe := &batchProbe{self: network.Address{Host: "bprobe", Port: 1}, emu: emu}
 	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
@@ -229,15 +239,18 @@ func TestCoordinatorCoalescesConcurrentOps(t *testing.T) {
 			t.Fatalf("put failed: %+v", p)
 		}
 	}
-	// Every put sends one read and one impose phase to each replica. Fully
-	// coalesced, the burst costs one frame per replica per phase; a
-	// coordinator that flushed per phase would send one frame per phase.
+	// Every put sends its read phase to each remote replica (the
+	// coordinator's own replica serves it in place) and its impose phase
+	// to every replica, itself included. Fully coalesced, the burst costs
+	// one frame per destination per phase; a coordinator that flushed per
+	// phase would send one frame per phase.
+	perPut := 2*len(nodes) - 1
 	batches, batched := coord.ABD.statBatchesSent, coord.ABD.statBatchedOps
-	if want := uint64(2 * len(nodes) * ops); batched != want {
+	if want := uint64(perPut * ops); batched != want {
 		t.Fatalf("burst of %d ops sent %d phases, want %d", ops, batched, want)
 	}
-	if max := uint64(2 * len(nodes)); batches > max {
-		t.Fatalf("burst of %d ops rode %d frames, want at most %d (one per replica per phase)", ops, batches, max)
+	if max := uint64(perPut); batches > max {
+		t.Fatalf("burst of %d ops rode %d frames, want at most %d (one per destination per phase)", ops, batches, max)
 	}
 	// Reads see the writes through the same coalesced path.
 	sim.ScheduleAt(0, func() {

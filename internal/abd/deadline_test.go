@@ -220,9 +220,13 @@ func TestLoneGetFlushesInRequestActivation(t *testing.T) {
 
 // TestLoneGetCoordinatorExecutions pins how many handler executions a warm
 // lone get costs on the coordinator's node: the request, the deadline
-// timer arm, three read-phase sends, the node's own replica serve and ack
-// send, three ack handlers, the response and the deadline sweep. Resolving the group by a FindSuccessor/FoundSuccessor
-// exchange with the router cost two more (14).
+// timer arm, two read-phase sends, two ack handlers, the response and the
+// deadline sweep. Sending the node's own replica a read frame cost four
+// more (12): a third send through the transport, the replica's serve, the
+// ack's send back through the transport and a third ack handler; the
+// coordinator now serves its own replica in place. Resolving the group by
+// a FindSuccessor/FoundSuccessor exchange with the router cost two more
+// again (14).
 func TestLoneGetCoordinatorExecutions(t *testing.T) {
 	coord, recs := loneGetTrace(t)
 	node := coord.ctx.Self().Path()
@@ -232,8 +236,8 @@ func TestLoneGetCoordinatorExecutions(t *testing.T) {
 			execs = append(execs, fmt.Sprintf("%s %v", p, r.Event))
 		}
 	}
-	if len(execs) != 12 {
-		t.Fatalf("%d coordinator-side handler executions, want 12:\n%s", len(execs), strings.Join(execs, "\n"))
+	if len(execs) != 8 {
+		t.Fatalf("%d coordinator-side handler executions, want 8:\n%s", len(execs), strings.Join(execs, "\n"))
 	}
 }
 
@@ -309,11 +313,13 @@ func TestShrunkBudgetRearmsEarlier(t *testing.T) {
 
 // TestBackstopFlushesWhenQueueNeverDrains runs a coordinator on the real
 // runtime and timer with its queue kept thousands of events deep: it never
-// ends an activation idle, so only the backstop flush timeout can send its
-// read phase, and the get must still complete inside its first attempt.
-// The budget is generous because each pass through the flooded queue
-// takes milliseconds (tens under -race); without the backstop the phase
-// never leaves and the op times out.
+// ends an activation idle, so only the backstop flush timeout can send a
+// phase, and the op must still complete inside its first attempt. The op
+// is a put in a group of one: its read phase is served in place, but its
+// impose phase leaves as a frame to the node itself. The budget is
+// generous because each pass through the flooded queue takes milliseconds
+// (tens under -race); without the backstop the phase never leaves and the
+// op times out.
 func TestBackstopFlushesWhenQueueNeverDrains(t *testing.T) {
 	const floodDepth = 4096
 	rt := core.New(core.WithScheduler(core.NewWorkStealingScheduler(2)), core.WithFaultPolicy(core.LogAndContinue))
@@ -322,7 +328,7 @@ func TestBackstopFlushesWhenQueueNeverDrains(t *testing.T) {
 	reg := network.NewLoopbackRegistry()
 	a := New(Config{Self: self, ReplicationDegree: 1, OpTimeout: 5 * time.Second, Store: kvstore.New()})
 	var abdC *core.Component
-	got := make(chan GetResponse, 1)
+	got := make(chan PutResponse, 1)
 	rt.MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
 		tr := ctx.Create("net", network.NewLoopback(self.Addr, reg))
 		tm := ctx.Create("timer", timer.NewReal())
@@ -331,7 +337,7 @@ func TestBackstopFlushesWhenQueueNeverDrains(t *testing.T) {
 		ctx.Connect(abdC.Required(network.PortType), tr.Provided(network.PortType))
 		ctx.Connect(abdC.Required(timer.PortType), tm.Provided(timer.PortType))
 		ctx.Connect(abdC.Required(router.PortType), ro.Provided(router.PortType))
-		core.Subscribe(ctx, abdC.Provided(PutGetPortType), func(g GetResponse) { got <- g })
+		core.Subscribe(ctx, abdC.Provided(PutGetPortType), func(p PutResponse) { got <- p })
 	}))
 	if !rt.WaitQuiescence(5 * time.Second) {
 		t.Fatal("no quiescence after boot")
@@ -361,10 +367,10 @@ func TestBackstopFlushesWhenQueueNeverDrains(t *testing.T) {
 	for abdC.QueuedEvents() < floodDepth/2 {
 		runtime.Gosched()
 	}
-	_ = core.TriggerOn(abdC.Provided(PutGetPortType), GetRequest{ReqID: 1, Key: "k"})
-	var g GetResponse
+	_ = core.TriggerOn(abdC.Provided(PutGetPortType), PutRequest{ReqID: 1, Key: "k", Value: []byte("v")})
+	var p PutResponse
 	select {
-	case g = <-got:
+	case p = <-got:
 	case <-time.After(8 * time.Second):
 	}
 	close(stop)
@@ -372,10 +378,10 @@ func TestBackstopFlushesWhenQueueNeverDrains(t *testing.T) {
 	if !rt.WaitQuiescence(10 * time.Second) {
 		t.Fatal("no quiescence after the flood")
 	}
-	if g.ReqID != 1 || g.Err != "" {
-		t.Fatalf("get under a queue that never drains: %+v (retries %d)", g, a.statRetries)
+	if p.ReqID != 1 || p.Err != "" {
+		t.Fatalf("put under a queue that never drains: %+v (retries %d)", p, a.statRetries)
 	}
 	if a.statRetries != 0 || a.statBatchesSent == 0 {
-		t.Fatalf("read phase left late: retries %d, batches %d", a.statRetries, a.statBatchesSent)
+		t.Fatalf("impose phase left late: retries %d, batches %d", a.statRetries, a.statBatchesSent)
 	}
 }

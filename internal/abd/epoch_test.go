@@ -38,6 +38,7 @@ type epochNode struct {
 	ABD     *ABD
 	abdC    *core.Component
 	timerC  *core.Component
+	netC    *core.Component
 	pgOuter *core.Port
 	hoInner *core.Port
 	puts    []PutResponse
@@ -58,7 +59,7 @@ func (n *epochNode) Setup(ctx *core.Ctx) {
 		Store:             kvstore.New(),
 	})
 	abdC := ctx.Create("abd", n.ABD)
-	n.abdC, n.timerC = abdC, tm
+	n.abdC, n.timerC, n.netC = abdC, tm, tr
 	ctx.Connect(abdC.Required(network.PortType), tr.Provided(network.PortType))
 	ctx.Connect(abdC.Required(timer.PortType), tm.Provided(timer.PortType))
 	ctx.Connect(abdC.Required(router.PortType), rt.Provided(router.PortType))

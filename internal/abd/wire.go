@@ -20,7 +20,11 @@ import (
 // Wire tags 0x05–0x07 are the ABD quorum set (handoff owns 0x10–0x11).
 // 0x01–0x04 belonged to the retired single-op read/readAck/write/writeAck
 // messages: tags are forever, so they stay unregistered (a frame carrying
-// one fails to decode) and are never reused.
+// one fails to decode) and are never reused. 0x06 kept its tag when its
+// read entries gained the Have version and the versions-only mark: every
+// node of a deployment runs one binary, so no node decodes another
+// layout. A read ack that leaves out its value encodes it as zero length,
+// so the ack layout did not change.
 const (
 	wireTagNack       byte = 0x05
 	wireTagOpBatch    byte = 0x06
@@ -85,6 +89,8 @@ func (m opBatchMsg) AppendWire(dst []byte) []byte {
 		dst = network.AppendI64(dst, int64(p.Attempt))
 		dst = network.AppendU64(dst, p.Epoch)
 		dst = network.AppendString(dst, p.Key)
+		dst = appendVersion(dst, p.Have)
+		dst = network.AppendBool(dst, p.VersionsOnly)
 	}
 	dst = network.AppendU32(dst, uint32(len(m.Writes)))
 	for i := range m.Writes {
@@ -104,8 +110,9 @@ func decodeOpBatchMsg(r *network.WireReader) (network.Message, error) {
 	var m opBatchMsg
 	m.Header = r.Header()
 	m.Context = readTrace(r)
-	// A readPhase is at least trace(16)+op(8)+attempt(8)+epoch(8)+len(4).
-	if nr := r.Count(44); nr > 0 {
+	// A readPhase is at least trace(16)+op(8)+attempt(8)+epoch(8)+len(4)
+	// +have(16)+versions-only(1).
+	if nr := r.Count(61); nr > 0 {
 		m.Reads = make([]readPhase, nr)
 		for i := range m.Reads {
 			p := &m.Reads[i]
@@ -114,9 +121,12 @@ func decodeOpBatchMsg(r *network.WireReader) (network.Message, error) {
 			p.Attempt = int(r.I64())
 			p.Epoch = r.U64()
 			p.Key = r.String()
+			p.Have = readVersion(r)
+			p.VersionsOnly = r.Bool()
 		}
 	}
-	// A writePhase adds version(16)+value len(4) to the readPhase minimum.
+	// A writePhase is at least trace(16)+op(8)+attempt(8)+epoch(8)+len(4)
+	// +version(16)+value len(4).
 	if nw := r.Count(64); nw > 0 {
 		m.Writes = make([]writePhase, nw)
 		for i := range m.Writes {

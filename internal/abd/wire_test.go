@@ -26,8 +26,8 @@ var wireSamples = []wiretest.Sample{
 	{Seed: "abd.opBatch", Msg: opBatchMsg{
 		Header: wiretest.Header(), Context: wireTC,
 		Reads: []readPhase{
-			{Context: wireTC, OpID: 7, Attempt: 1, Epoch: 9, Key: "g1"},
-			{OpID: 8, Epoch: 9, Key: ""},
+			{Context: wireTC, OpID: 7, Attempt: 1, Epoch: 9, Key: "g1", Have: wireVer},
+			{OpID: 8, Epoch: 9, Key: "", VersionsOnly: true},
 		},
 		Writes: []writePhase{
 			{Context: wireTC, OpID: 9, Attempt: 2, Epoch: 9, Key: "p1", Version: wireVer, Value: []byte("vv")},
@@ -52,7 +52,10 @@ var wireSamples = []wiretest.Sample{
 	}},
 	{Msg: opBatchAckMsg{
 		Header: wiretest.Header(), Epoch: 9,
-		ReadAcks: []readAckEntry{{OpID: 1, Attempt: 3, Version: wireVer, Value: make([]byte, 256), Found: true}},
+		ReadAcks: []readAckEntry{
+			{OpID: 1, Attempt: 3, Version: wireVer, Value: make([]byte, 256), Found: true},
+			{OpID: 2, Attempt: 3, Version: wireVer, Found: true}, // value left out: the coordinator holds it
+		},
 	}},
 	{Msg: opBatchAckMsg{Header: wiretest.Header(), Epoch: 9, WriteAcks: []writeAckEntry{{OpID: 4, Attempt: 2}}}},
 }
