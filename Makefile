@@ -82,11 +82,12 @@ kvbench-smoke:
 	$(GO) -C bench/kvbench test -count=1 ./...
 	bash bench/kvbench/run.sh -smoke -seed 7
 
-# The CI scenarios job (CI runs this target): every gate entry of the catssim
-# registry, each seed twice in fresh processes, reports diffed and the
-# named invariants checked by catssim itself. Reports go to stdout. The
-# kvcluster example, the one real-time cluster run outside go test, exits 1
-# on a failed op.
+# The CI scenarios job (CI runs this target): every entry `catssim list gate`
+# prints, each seed twice in fresh processes, reports diffed and the
+# invariants the registry declares checked by catssim itself
+# (TestFaultGatesInProcess checks the same invariants in go test). Reports
+# go to stdout. The kvcluster example, the one real-time cluster run
+# outside go test, exits 1 on a failed op.
 scenarios:
 	$(GO) run ./cmd/catssim run gate
 	$(GO) run ./examples/kvcluster

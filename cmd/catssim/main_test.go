@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/cats"
 	"repro/internal/experiments"
+	"repro/internal/simulation"
 )
 
 // TestMain lets the runner tests spawn this test binary as their child
@@ -88,74 +89,49 @@ stealing       paper  -                          C3: work-stealing batch ablatio
 	}
 }
 
-// passingChurn passes every chaos invariant, durable ones included.
-var passingChurn = experiments.ChurnResult{
-	HistoryAudit: experiments.HistoryAudit{Linearizable: true},
-	StoreKeys:    1, StoreShardsInUse: 1, HandoffTransfers: 1, MaxEpoch: 1, TraceTimelines: 1,
-	WALAppends: 1, WALSyncs: 1,
+// passingFault passes every fault entry's invariants.
+var passingFault = experiments.Result{
+	HistoryAudit: experiments.HistoryAudit{Linearizable: true, AckedPuts: 1, OKGets: 1},
+	FaultStats: simulation.FaultStats{Crashes: 1, Restarts: 1, ChurnDropped: 1,
+		SlowWindows: 1, SlowDelayed: 1, CodecSwaps: 1, BinaryFrames: 1, GobFrames: 1},
+	StoreKeys: 1, StoreShardsInUse: 1, HandoffTransfers: 1, MaxEpoch: 1, TraceTimelines: 1, WALAppends: 1,
+	WALSyncs: 1, Hedges: 1, HedgeWins: 1, WALReplayed: 1, SnapshotsLoaded: 1, RecoveredKeys: 1,
 }
 
-var churnFlips = map[string]string{
-	"Linearizable":     "linearizable",
-	"LostAckedWrites":  "no-lost-acked-writes",
-	"StoreKeys":        "stores-populated",
-	"StoreShardsInUse": "stores-populated",
-	"HandoffTransfers": "handoff-ran",
-	"MaxEpoch":         "epoch-advanced",
-	"TraceTimelines":   "timelines-assembled",
+// faultFlips maps each field a fault entry's invariant reads to that
+// invariant; an entry is held to the fields whose invariant it declares.
+var faultFlips = map[string]string{
+	"Linearizable": "linearizable", "LostAckedWrites": "no-lost-acked-writes",
+	"AckedPuts": "ops-completed", "OKGets": "ops-completed", "TraceTimelines": "timelines-assembled",
+	"Crashes": "churn-injected", "Restarts": "churn-injected", "ChurnDropped": "churn-dropped-traffic",
+	"StoreKeys": "stores-populated", "StoreShardsInUse": "stores-populated",
+	"HandoffTransfers": "handoff-ran", "MaxEpoch": "epoch-advanced",
+	"WALAppends": "wal-active", "WALSyncs": "wal-active",
+	"SlowWindows": "gray-faults-injected", "SlowDelayed": "gray-faults-injected",
+	"Hedges": "hedges-fired", "HedgeWins": "hedges-fired",
+	"CodecErrors": "no-codec-errors", "CodecSwaps": "swaps-applied",
+	"BinaryFrames": "both-formats-on-wire", "GobFrames": "both-formats-on-wire",
+	"WALReplayed": "wal-replayed", "SnapshotsLoaded": "snapshots-loaded", "RecoveredKeys": "keys-recovered",
 }
 
-// sabotageTable names, per gate entry, a passing result and every field
+// faultEntries are the gate entries whose run is a fault scenario.
+var faultEntries = []string{"chaos", "chaos-long", "chaos-durable", "gray", "codecswap", "recovery"}
+
+// sabotageRow names, for a gate entry, a passing result and every field
 // an invariant reads, with the invariant that must fail when the field is
 // zeroed (or flipped, for booleans and fields that pass at zero).
-var sabotageTable = []struct {
+type sabotageRow struct {
 	entry string
 	pass  any
 	flips map[string]string
-}{
+}
+
+// sabotageTable holds the gate entries that are not fault entries.
+var sabotageTable = []sabotageRow{
 	{"sim", simResult{Metrics: cats.Metrics{PutsOK: 1, GetsOK: 1}, TraceRecords: 1}, map[string]string{
 		"Metrics.PutsOK": "ops-completed",
 		"Metrics.GetsOK": "ops-completed",
 		"TraceRecords":   "handlers-traced",
-	}},
-	{"chaos", passingChurn, churnFlips},
-	{"chaos-long", passingChurn, churnFlips},
-	{"chaos-durable", passingChurn, mergeFlips(churnFlips, map[string]string{
-		"WALAppends": "wal-active",
-		"WALSyncs":   "wal-active",
-	})},
-	{"gray", experiments.GrayResult{
-		HistoryAudit: experiments.HistoryAudit{Linearizable: true},
-		SlowWindows:  1, SlowDelayed: 1, Hedges: 1, HedgeWins: 1,
-	}, map[string]string{
-		"Linearizable":    "linearizable",
-		"LostAckedWrites": "no-lost-acked-writes",
-		"SlowWindows":     "gray-faults-injected",
-		"SlowDelayed":     "gray-faults-injected",
-		"Hedges":          "hedges-fired",
-		"HedgeWins":       "hedges-fired",
-	}},
-	{"codecswap", experiments.CodecSwapResult{
-		HistoryAudit: experiments.HistoryAudit{Linearizable: true},
-		CodecSwaps:   1, BinaryFrames: 1, GobFrames: 1,
-	}, map[string]string{
-		"Linearizable":    "linearizable",
-		"LostAckedWrites": "no-lost-acked-writes",
-		"CodecErrors":     "no-codec-errors",
-		"CodecSwaps":      "swaps-applied",
-		"BinaryFrames":    "both-formats-on-wire",
-		"GobFrames":       "both-formats-on-wire",
-	}},
-	{"recovery", experiments.RecoveryResult{
-		HistoryAudit: experiments.HistoryAudit{Linearizable: true},
-		WALReplayed:  1, SnapshotsLoaded: 1, RecoveredKeys: 1, HandoffTransfers: 1,
-	}, map[string]string{
-		"Linearizable":     "linearizable",
-		"LostAckedWrites":  "no-lost-acked-writes",
-		"WALReplayed":      "wal-replayed",
-		"SnapshotsLoaded":  "snapshots-loaded",
-		"RecoveredKeys":    "keys-recovered",
-		"HandoffTransfers": "handoff-ran",
 	}},
 	{"hedge", experiments.HedgeBenchResult{
 		Off:    experiments.HedgeArm{P99: 300 * time.Millisecond},
@@ -169,17 +145,6 @@ var sabotageTable = []struct {
 		"Off.P99":        "p99-improves",
 		"P99Improvement": "p99-improvement-floor",
 	}},
-}
-
-func mergeFlips(a, b map[string]string) map[string]string {
-	out := map[string]string{}
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
 }
 
 // sabotage returns a copy of pass with one (possibly nested) field
@@ -217,11 +182,16 @@ func boolToInt(b bool) int {
 // invariant, each checked field sabotaged in turn fails the invariant that
 // reads it, and every invariant is reached by some sabotaged field.
 func TestSabotageTable(t *testing.T) {
-	covered := map[string]bool{}
-	for _, row := range sabotageTable {
+	rows := sabotageTable
+	for _, name := range faultEntries {
+		rows = append(rows, sabotageRow{name, passingFault, faultFlips})
+	}
+	covered, declared := map[string]bool{}, map[string]bool{}
+	for _, row := range rows {
 		e := registry[slices.IndexFunc(registry, func(e *entry) bool { return e.name == row.entry })]
 		covered[e.name] = true
 		for _, c := range e.checks {
+			declared[c.name] = true
 			if !c.holds(row.pass) {
 				t.Errorf("%s: passing result fails invariant %s", e.name, c.name)
 			}
@@ -230,8 +200,7 @@ func TestSabotageTable(t *testing.T) {
 		for field, name := range row.flips {
 			i := slices.IndexFunc(e.checks, func(c check) bool { return c.name == name })
 			if i < 0 {
-				t.Errorf("%s: table names unknown invariant %q", e.name, name)
-				continue
+				continue // another fault entry's invariant
 			}
 			if e.checks[i].holds(sabotage(t, row.pass, field)) {
 				t.Errorf("%s: sabotaged %s still passes invariant %s", e.name, field, name)
@@ -247,6 +216,37 @@ func TestSabotageTable(t *testing.T) {
 	for _, e := range registry {
 		if slices.Contains(e.attrs, "gate") && !covered[e.name] {
 			t.Errorf("gate entry %s has no sabotage table row", e.name)
+		}
+	}
+	for _, name := range faultFlips {
+		if !declared[name] {
+			t.Errorf("fault flips name unknown invariant %q", name)
+		}
+	}
+}
+
+// TestFaultGatesInProcess makes the invariant checks of `catssim run gate`
+// in this process, at every registered seed of each fault entry but
+// recovery, which needs its SIGKILLed crash child.
+func TestFaultGatesInProcess(t *testing.T) {
+	for _, name := range faultEntries {
+		e := registry[slices.IndexFunc(registry, func(e *entry) bool { return e.name == name })]
+		if e.crash != nil {
+			continue
+		}
+		for _, seed := range e.seeds {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				var out bytes.Buffer
+				res, err := e.run(&out, seed, t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range e.checks {
+					if !c.holds(res) {
+						t.Errorf("invariant %s violated:\n%s", c.name, out.String())
+					}
+				}
+			})
 		}
 	}
 }

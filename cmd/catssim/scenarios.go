@@ -32,67 +32,69 @@ var registry = []*entry{
 	{
 		name: "chaos", attrs: []string{"gate"}, seeds: []int64{3, 77, 4242},
 		doc: "quorum ops through crash-restart churn past suspicion, link flaps and a healed partition",
-		run: func(w io.Writer, seed int64, _ string) (any, error) {
-			return runChaos(w, seed, experiments.ChurnConfig{}, "default"), nil
-		},
-		checks: churnChecks,
+		run: fault("chaos", func(seed int64, _ string, opts ...simulation.SimOption) (experiments.Result, error) {
+			return experiments.Churn(seed, experiments.ChurnConfig{}, opts...), nil
+		}),
+		checks: slices.Concat(auditChecks, churnChecks),
 	},
 	{
 		name: "chaos-long", attrs: []string{"gate"}, seeds: []int64{11},
 		doc: "chaos with outages twice the suspicion threshold: eviction, ring repair, rejoin",
-		run: func(w io.Writer, seed int64, _ string) (any, error) {
-			return runChaos(w, seed, experiments.LongOutageChurnConfig(), "long-outage"), nil
-		},
-		checks: churnChecks,
+		run: fault("chaos-long", func(seed int64, _ string, opts ...simulation.SimOption) (experiments.Result, error) {
+			return experiments.Churn(seed, experiments.LongOutageChurnConfig(), opts...), nil
+		}),
+		checks: slices.Concat(auditChecks, churnChecks),
 	},
 	{
 		name: "chaos-durable", attrs: []string{"gate"}, seeds: []int64{5}, durable: true,
 		doc: "chaos on WAL-backed stores (sync=always, small snapshot threshold)",
-		run: func(w io.Writer, seed int64, dir string) (any, error) {
-			return runChaos(w, seed, experiments.ChurnConfig{DataDir: dir}, "default+durable"), nil
-		},
-		checks: slices.Concat(churnChecks, []check{
-			inv("wal-active", func(r experiments.ChurnResult) bool { return r.WALAppends > 0 && r.WALSyncs > 0 }),
+		run: fault("chaos-durable", func(seed int64, dir string, opts ...simulation.SimOption) (experiments.Result, error) {
+			return experiments.Churn(seed, experiments.ChurnConfig{DataDir: dir}, opts...), nil
+		}),
+		checks: slices.Concat(auditChecks, churnChecks, []check{
+			inv("wal-active", func(r experiments.Result) bool { return r.WALAppends > 0 && r.WALSyncs > 0 }),
 		}),
 	},
 	{
 		name: "gray", attrs: []string{"gate"}, seeds: []int64{3, 77, 4242},
 		doc: "straggler pulses and a same-instant op burst: hedges must engage",
-		run: runGray,
-		checks: []check{
-			inv("linearizable", func(r experiments.GrayResult) bool { return r.Linearizable }),
-			inv("no-lost-acked-writes", func(r experiments.GrayResult) bool { return r.LostAckedWrites == 0 }),
-			inv("gray-faults-injected", func(r experiments.GrayResult) bool { return r.SlowWindows > 0 && r.SlowDelayed > 0 }),
-			inv("hedges-fired", func(r experiments.GrayResult) bool { return r.Hedges > 0 && r.HedgeWins > 0 }),
-		},
+		run: fault("gray", func(seed int64, _ string, opts ...simulation.SimOption) (experiments.Result, error) {
+			return experiments.Gray(seed, opts...), nil
+		}),
+		checks: slices.Concat(auditChecks, []check{
+			inv("gray-faults-injected", func(r experiments.Result) bool { return r.SlowWindows > 0 && r.SlowDelayed > 0 }),
+			inv("hedges-fired", func(r experiments.Result) bool { return r.Hedges > 0 && r.HedgeWins > 0 }),
+		}),
 	},
 	{
 		name: "codecswap", attrs: []string{"gate"}, seeds: []int64{1, 9, 451},
 		doc: "live wire-codec swaps (gob, binary, gob+zlib) and link flaps under quorum traffic",
-		run: runCodecSwap,
-		checks: []check{
-			inv("linearizable", func(r experiments.CodecSwapResult) bool { return r.Linearizable }),
-			inv("no-lost-acked-writes", func(r experiments.CodecSwapResult) bool { return r.LostAckedWrites == 0 }),
-			inv("no-codec-errors", func(r experiments.CodecSwapResult) bool { return r.CodecErrors == 0 }),
-			inv("swaps-applied", func(r experiments.CodecSwapResult) bool { return r.CodecSwaps > 0 }),
-			inv("both-formats-on-wire", func(r experiments.CodecSwapResult) bool { return r.BinaryFrames > 0 && r.GobFrames > 0 }),
-		},
+		run: fault("codecswap", func(seed int64, _ string, opts ...simulation.SimOption) (experiments.Result, error) {
+			return experiments.CodecSwap(seed, opts...), nil
+		}),
+		checks: slices.Concat(auditChecks, []check{
+			inv("no-codec-errors", func(r experiments.Result) bool { return r.CodecErrors == 0 }),
+			inv("swaps-applied", func(r experiments.Result) bool { return r.CodecSwaps > 0 }),
+			inv("both-formats-on-wire", func(r experiments.Result) bool { return r.BinaryFrames > 0 && r.GobFrames > 0 }),
+		}),
 	},
 	{
 		name: "recovery", attrs: []string{"gate"}, seeds: []int64{3, 21, 99}, durable: true,
-		doc: "SIGKILL a durable cluster mid-churn, rebuild it from WAL + snapshots in a new process",
-		crash: func(seed int64, dir string) error {
-			return experiments.RecoveryCrash(seed, dir)
-		},
-		run: runRecover,
-		checks: []check{
-			inv("linearizable", func(r experiments.RecoveryResult) bool { return r.Linearizable }),
-			inv("no-lost-acked-writes", func(r experiments.RecoveryResult) bool { return r.LostAckedWrites == 0 }),
-			inv("wal-replayed", func(r experiments.RecoveryResult) bool { return r.WALReplayed > 0 }),
-			inv("snapshots-loaded", func(r experiments.RecoveryResult) bool { return r.SnapshotsLoaded > 0 }),
-			inv("keys-recovered", func(r experiments.RecoveryResult) bool { return r.RecoveredKeys > 0 }),
-			inv("handoff-ran", func(r experiments.RecoveryResult) bool { return r.HandoffTransfers > 0 }),
-		},
+		doc:   "SIGKILL a durable cluster mid-churn, rebuild it from WAL + snapshots in a new process",
+		crash: experiments.RecoveryCrash,
+		// The recover child rebuilds the cluster from nothing but the data
+		// directory the SIGKILLed crash child left (see
+		// internal/experiments/recovery.go). The (crash, recover) pair is
+		// the deterministic unit: the recover child is itself durable (the
+		// audit's handoff appends to the WALs), so the runner repeats the
+		// pair from an empty directory rather than the recover child alone.
+		run: fault("recovery", experiments.RecoveryRecover),
+		checks: slices.Concat(auditChecks, []check{
+			inv("wal-replayed", func(r experiments.Result) bool { return r.WALReplayed > 0 }),
+			inv("snapshots-loaded", func(r experiments.Result) bool { return r.SnapshotsLoaded > 0 }),
+			inv("keys-recovered", func(r experiments.Result) bool { return r.RecoveredKeys > 0 }),
+			inv("handoff-ran", func(r experiments.Result) bool { return r.HandoffTransfers > 0 }),
+		}),
 	},
 	{
 		name: "hedge", attrs: []string{"gate"}, seeds: []int64{2012},
@@ -247,122 +249,79 @@ func (t *traceDigest) Record(r core.TraceRecord) {
 	fmt.Fprintf(t.h, "%d|%s|%v|%s|%d\n", r.At.UnixNano(), comp, r.Event, r.Handler, r.Handlers)
 }
 
-// churnChecks are the invariants of every chaos entry. Fault windows
-// exceed the suspicion threshold, so groups must have reconfigured
-// (epochs advanced, handoff ran); survivors' stores must be populated and
-// spread over shards; every op is traced, so timelines must assemble.
+// auditChecks are the invariants every fault entry declares: the recorded
+// history is linearizable, every acknowledged write survives to the audit,
+// the workload completed puts and gets, and every op was traced, so
+// timelines assembled.
+var auditChecks = []check{
+	inv("linearizable", func(r experiments.Result) bool { return r.Linearizable }),
+	inv("no-lost-acked-writes", func(r experiments.Result) bool { return r.LostAckedWrites == 0 }),
+	inv("ops-completed", func(r experiments.Result) bool { return r.AckedPuts > 0 && r.OKGets > 0 }),
+	inv("timelines-assembled", func(r experiments.Result) bool { return r.TraceTimelines > 0 }),
+}
+
+// churnChecks are what every chaos entry adds. Every crash restarts, and
+// the faults dropped traffic. Fault windows exceed the suspicion
+// threshold, so groups must have reconfigured: epochs advanced and handoff
+// ran. The survivors' stores must hold keys in at least one shard.
 var churnChecks = []check{
-	inv("linearizable", func(r experiments.ChurnResult) bool { return r.Linearizable }),
-	inv("no-lost-acked-writes", func(r experiments.ChurnResult) bool { return r.LostAckedWrites == 0 }),
-	inv("stores-populated", func(r experiments.ChurnResult) bool { return r.StoreKeys > 0 && r.StoreShardsInUse > 0 }),
-	inv("handoff-ran", func(r experiments.ChurnResult) bool { return r.HandoffTransfers > 0 }),
-	inv("epoch-advanced", func(r experiments.ChurnResult) bool { return r.MaxEpoch > 0 }),
-	inv("timelines-assembled", func(r experiments.ChurnResult) bool { return r.TraceTimelines > 0 }),
+	inv("churn-injected", func(r experiments.Result) bool { return r.Crashes > 0 && r.Restarts == r.Crashes }),
+	inv("churn-dropped-traffic", func(r experiments.Result) bool { return r.ChurnDropped > 0 }),
+	inv("stores-populated", func(r experiments.Result) bool { return r.StoreKeys > 0 && r.StoreShardsInUse > 0 }),
+	inv("handoff-ran", func(r experiments.Result) bool { return r.HandoffTransfers > 0 }),
+	inv("epoch-advanced", func(r experiments.Result) bool { return r.MaxEpoch > 0 }),
 }
 
-// runChaos runs the crash-restart churn scenario (experiments.Churn) with
-// every handler execution digested. A violating run cites the implicated
-// operations' cross-node timelines on stderr.
-func runChaos(w io.Writer, seed int64, cfg experiments.ChurnConfig, variant string) experiments.ChurnResult {
-	digest := newTraceDigest()
-	r := experiments.Churn(seed, cfg, simulation.WithTraceSink(digest))
-	fmt.Fprintf(w, "catssim chaos: seed=%d variant=%s nodes=%d keys=%d simulated=%v events=%d execs=%d\n",
-		seed, variant, r.Nodes, r.Keys, r.SimulatedDuration, r.DiscreteEvents, r.HandlerExecutions)
-	fmt.Fprintf(w, "  acked_puts=%d ok_gets=%d failed_puts=%d failed_gets=%d unresolved=%d\n",
-		r.AckedPuts, r.OKGets, r.FailedPuts, r.FailedGets, r.UnresolvedOps)
-	fmt.Fprintf(w, "  crashes=%d restarts=%d flaps=%d churn_dropped=%d\n",
-		r.Crashes, r.Restarts, r.Flaps, r.ChurnDropped)
-	fmt.Fprintf(w, "  handoff_keys=%d handoff_bytes=%d handoff_transfers=%d max_epoch=%d\n",
-		r.HandoffKeys, r.HandoffBytes, r.HandoffTransfers, r.MaxEpoch)
-	fmt.Fprintf(w, "  store_keys=%d store_shards_in_use=%d store_max_shard_share=%.2f\n",
-		r.StoreKeys, r.StoreShardsInUse, r.StoreMaxShardShare)
-	fmt.Fprintf(w, "  durability: wal_appends=%d wal_syncs=%d wal_snapshots=%d wal_replays=%d wal_errors=%d\n",
-		r.WALAppends, r.WALSyncs, r.WALSnapshots, r.WALReplays, r.WALErrors)
-	fmt.Fprintf(w, "  linearizable=%t lost_acked_writes=%d\n", r.Linearizable, r.LostAckedWrites)
-	fmt.Fprintf(w, "  spans=%d timelines=%d cross_node=%d restart_traces=%d trace_digest=%016x\n",
-		r.TraceSpans, r.TraceTimelines, r.CrossNodeTraces, r.RestartTraces, r.TraceDigest)
-	fmt.Fprintf(w, "  trace: records=%d digest=%016x\n", digest.n, digest.h.Sum64())
-	for _, tl := range r.ViolationTimelines() {
-		fmt.Fprintf(os.Stderr, "catssim chaos: implicated op: trace=%s %s key=%s outcome=%s restarts=%d nodes=%v spans=%d\n",
-			tl.TraceHex, tl.Name, tl.Key, tl.Outcome, tl.Restarts, tl.Nodes, len(tl.Spans))
-		for _, s := range tl.Spans {
-			fmt.Fprintf(os.Stderr, "    %-14s %-10s attempt=%d epoch=%d node=%s span=%016x parent=%016x link=%016x\n",
-				s.Name, s.Outcome, s.Attempt, s.Epoch, s.Node, s.ID, s.Parent, s.Link)
+// fault is the run function of a fault entry: it runs the scenario with
+// every handler execution digested and prints the one fault report, whose
+// lines read zero where the scenario does not exercise them. A failed
+// audit names its keys and cites the implicated ops' cross-node timelines
+// on stderr.
+func fault(name string, scenario func(seed int64, dir string, opts ...simulation.SimOption) (experiments.Result, error)) func(io.Writer, int64, string) (any, error) {
+	return func(w io.Writer, seed int64, dir string) (any, error) {
+		digest := newTraceDigest()
+		r, err := scenario(seed, dir, simulation.WithTraceSink(digest))
+		if err != nil {
+			return nil, err
 		}
-	}
-	return r
-}
+		fmt.Fprintf(w, "catssim %s: seed=%d nodes=%d keys=%d simulated=%v events=%d execs=%d\n",
+			name, seed, r.Nodes, r.Keys, r.SimulatedDuration, r.DiscreteEvents, r.HandlerExecutions)
+		fmt.Fprintf(w, "  acked_puts=%d ok_gets=%d failed_puts=%d failed_gets=%d unresolved=%d audit_ok=%d audit_failed=%d\n",
+			r.AckedPuts, r.OKGets, r.FailedPuts, r.FailedGets, r.UnresolvedOps, r.AuditOK, r.AuditFailed)
+		fmt.Fprintf(w, "  faults: crashes=%d restarts=%d flaps=%d churn_dropped=%d slow_windows=%d slow_delayed=%d\n",
+			r.Crashes, r.Restarts, r.Flaps, r.ChurnDropped, r.SlowWindows, r.SlowDelayed)
+		fmt.Fprintf(w, "  codecs: codec_swaps=%d binary_frames=%d gob_frames=%d codec_errors=%d\n",
+			r.CodecSwaps, r.BinaryFrames, r.GobFrames, r.CodecErrors)
+		fmt.Fprintf(w, "  resilience: hedges=%d hedge_wins=%d retries=%d slow_hints=%d\n",
+			r.Hedges, r.HedgeWins, r.Retries, r.SlowHints)
+		fmt.Fprintf(w, "  handoff: handoff_keys=%d handoff_bytes=%d handoff_transfers=%d max_epoch=%d\n",
+			r.HandoffKeys, r.HandoffBytes, r.HandoffTransfers, r.MaxEpoch)
+		fmt.Fprintf(w, "  store: store_keys=%d store_shards_in_use=%d\n", r.StoreKeys, r.StoreShardsInUse)
+		fmt.Fprintf(w, "  durability: wal_appends=%d wal_syncs=%d wal_snapshots=%d wal_replays=%d wal_errors=%d\n",
+			r.WALAppends, r.WALSyncs, r.WALSnapshots, r.WALReplays, r.WALErrors)
+		fmt.Fprintf(w, "  recovered: snapshots_loaded=%d snapshot_entries=%d wal_replayed=%d torn_tails=%d recovered_keys=%d\n",
+			r.SnapshotsLoaded, r.SnapshotEntries, r.WALReplayed, r.TornTails, r.RecoveredKeys)
+		fmt.Fprintf(w, "  linearizable=%t lost_acked_writes=%d\n", r.Linearizable, r.LostAckedWrites)
+		fmt.Fprintf(w, "  spans=%d timelines=%d cross_node=%d restart_traces=%d trace_digest=%016x\n",
+			r.TraceSpans, r.TraceTimelines, r.CrossNodeTraces, r.RestartTraces, r.TraceDigest)
+		fmt.Fprintf(w, "  trace: records=%d digest=%016x\n", digest.n, digest.h.Sum64())
 
-// explain names the keys behind a failed history audit on stderr.
-func explain(nonLinearizableKey string, lostKeys []string) {
-	if nonLinearizableKey != "" {
-		fmt.Fprintf(os.Stderr, "catssim: non-linearizable key: %s\n", nonLinearizableKey)
+		if r.NonLinearizableKey != "" {
+			fmt.Fprintf(os.Stderr, "catssim: non-linearizable key: %s\n", r.NonLinearizableKey)
+		}
+		for _, k := range r.LostKeys {
+			fmt.Fprintf(os.Stderr, "catssim: lost acked writes on key: %s\n", k)
+		}
+		for _, tl := range r.ViolationTimelines() {
+			fmt.Fprintf(os.Stderr, "catssim %s: implicated op: trace=%s %s key=%s outcome=%s restarts=%d nodes=%v spans=%d\n",
+				name, tl.TraceHex, tl.Name, tl.Key, tl.Outcome, tl.Restarts, tl.Nodes, len(tl.Spans))
+			for _, s := range tl.Spans {
+				fmt.Fprintf(os.Stderr, "    %-14s %-10s attempt=%d epoch=%d node=%s span=%016x parent=%016x link=%016x\n",
+					s.Name, s.Outcome, s.Attempt, s.Epoch, s.Node, s.ID, s.Parent, s.Link)
+			}
+		}
+		return r, nil
 	}
-	for _, k := range lostKeys {
-		fmt.Fprintf(os.Stderr, "catssim: lost acked writes on key: %s\n", k)
-	}
-}
-
-// runGray runs the gray-failure scenario (experiments.Gray). An inert run
-// — faults injected but no hedges — fails its invariants: it
-// would mean the gate stopped exercising the code it exists to protect.
-func runGray(w io.Writer, seed int64, _ string) (any, error) {
-	r := experiments.Gray(seed)
-	fmt.Fprintf(w, "catssim gray: seed=%d nodes=%d simulated=%v events=%d execs=%d\n",
-		seed, r.Nodes, r.SimulatedDuration, r.DiscreteEvents, r.HandlerExecutions)
-	fmt.Fprintf(w, "  acked_puts=%d ok_gets=%d failed_puts=%d failed_gets=%d unresolved=%d\n",
-		r.AckedPuts, r.OKGets, r.FailedPuts, r.FailedGets, r.UnresolvedOps)
-	fmt.Fprintf(w, "  slow_windows=%d slow_delayed=%d\n", r.SlowWindows, r.SlowDelayed)
-	fmt.Fprintf(w, "  hedges=%d hedge_wins=%d retries=%d slow_hints=%d\n",
-		r.Hedges, r.HedgeWins, r.Retries, r.SlowHints)
-	fmt.Fprintf(w, "  linearizable=%t lost_acked_writes=%d\n", r.Linearizable, r.LostAckedWrites)
-	fmt.Fprintf(w, "  spans=%d timelines=%d trace_digest=%016x\n",
-		r.TraceSpans, r.TraceTimelines, r.TraceDigest)
-	explain(r.NonLinearizableKey, r.LostKeys)
-	return r, nil
-}
-
-// runCodecSwap runs the live wire-codec swap scenario
-// (experiments.CodecSwap). Besides a clean history, the swap machinery
-// must demonstrably engage: swaps applied under traffic and frames on the
-// wire in both the binary and gob formats.
-func runCodecSwap(w io.Writer, seed int64, _ string) (any, error) {
-	r := experiments.CodecSwap(seed)
-	fmt.Fprintf(w, "catssim codecswap: seed=%d nodes=%d keys=%d simulated=%v events=%d execs=%d\n",
-		seed, r.Nodes, r.Keys, r.SimulatedDuration, r.DiscreteEvents, r.HandlerExecutions)
-	fmt.Fprintf(w, "  acked_puts=%d ok_gets=%d failed_puts=%d failed_gets=%d unresolved=%d\n",
-		r.AckedPuts, r.OKGets, r.FailedPuts, r.FailedGets, r.UnresolvedOps)
-	fmt.Fprintf(w, "  codec_swaps=%d binary_frames=%d gob_frames=%d codec_errors=%d flaps=%d\n",
-		r.CodecSwaps, r.BinaryFrames, r.GobFrames, r.CodecErrors, r.Flaps)
-	fmt.Fprintf(w, "  linearizable=%t lost_acked_writes=%d trace_digest=%016x\n",
-		r.Linearizable, r.LostAckedWrites, r.TraceDigest)
-	explain(r.NonLinearizableKey, r.LostKeys)
-	return r, nil
-}
-
-// runRecover is the recovery entry's second child (see
-// internal/experiments/recovery.go): it rebuilds a cluster from nothing
-// but the data directory the SIGKILLed crash child left, audits it, and
-// reports from virtual time and on-disk state only. The (crash, recover)
-// pair is the deterministic unit: the recover child is itself durable
-// (the audit's handoff appends to the WALs), so the runner repeats the
-// pair from an empty directory rather than the recover child alone.
-func runRecover(w io.Writer, seed int64, dir string) (any, error) {
-	r, err := experiments.RecoveryRecover(seed, dir)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "catssim recovery: seed=%d phase=recover nodes=%d keys=%d simulated=%v events=%d execs=%d\n",
-		seed, r.Nodes, r.Keys, r.SimulatedDuration, r.DiscreteEvents, r.HandlerExecutions)
-	fmt.Fprintf(w, "  phase1: acked_puts=%d failed_puts=%d ok_gets=%d unresolved=%d\n",
-		r.AckedPuts, r.FailedPuts, r.OKGets, r.UnresolvedOps)
-	fmt.Fprintf(w, "  recovered: snapshots_loaded=%d snapshot_entries=%d wal_replayed=%d torn_tails=%d recovered_keys=%d\n",
-		r.SnapshotsLoaded, r.SnapshotEntries, r.WALReplayed, r.TornTails, r.RecoveredKeys)
-	fmt.Fprintf(w, "  converge: handoff_keys=%d handoff_transfers=%d max_epoch=%d audit_ok=%d audit_failed=%d\n",
-		r.HandoffKeys, r.HandoffTransfers, r.MaxEpoch, r.AuditOKGets, r.AuditFailed)
-	fmt.Fprintf(w, "  linearizable=%t lost_acked_writes=%d\n", r.Linearizable, r.LostAckedWrites)
-	explain(r.NonLinearizableKey, r.LostKeys)
-	return r, nil
 }
 
 // hedgeBaseline is the p99 improvement (unhedged p99 / hedged p99) the

@@ -22,7 +22,7 @@ type SimCluster struct {
 // Simulator host whose nodes take cfg (zero fields keep the NodeConfig
 // defaults), and settles it. A non-empty dataDir gives every node a
 // durable store under it. Set the host's RecordOps and OpSink before the
-// first node joins.
+// first put or get is scheduled.
 func NewSimCluster(seed int64, cfg NodeConfig, dataDir string, emuOpts []simulation.EmulatorOption, simOpts ...simulation.SimOption) *SimCluster {
 	sim := simulation.New(seed, simOpts...)
 	emu := simulation.NewNetworkEmulator(sim, emuOpts...)

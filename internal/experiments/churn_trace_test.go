@@ -8,9 +8,10 @@ import (
 
 // TestChurnTraceAcceptance pins the tracing acceptance criterion for the
 // chaos scenario: an operation that crosses an epoch restart (and the
-// handoff window behind it) must assemble into ONE timeline carrying spans
-// from at least two nodes with intact parent and restart links, and the
-// whole trace set must replay identically from the seed.
+// handoff window behind it, which at this seed moves keys) must assemble
+// into ONE timeline carrying spans from at least two nodes with intact
+// parent and restart links, and the whole trace set must replay
+// identically from the seed.
 func TestChurnTraceAcceptance(t *testing.T) {
 	a := Churn(3, ChurnConfig{})
 	b := Churn(3, ChurnConfig{})
@@ -25,6 +26,9 @@ func TestChurnTraceAcceptance(t *testing.T) {
 	}
 	if a.RestartTraces == 0 {
 		t.Fatalf("no timeline crossed an epoch restart out of %d — chaos stopped exercising restarts", a.TraceTimelines)
+	}
+	if a.HandoffKeys == 0 {
+		t.Fatalf("handoff moved no keys across %d sync rounds", a.HandoffTransfers)
 	}
 
 	// A clean run must not implicate anything.

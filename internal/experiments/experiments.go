@@ -12,7 +12,8 @@
 // The scenarios: Churn (crash-restart churn, link flaps, partitions),
 // Gray (straggler pulses and an overload burst), HedgeBench (the hedging
 // A/B under a gray replica), CodecSwap (live wire-codec swaps), and the
-// two-process crash-restart Recovery pair.
+// two-process crash-restart Recovery pair. All but HedgeBench are fault
+// scenarios: specs over one runner that return one Result (faults.go).
 package experiments
 
 import (

@@ -20,45 +20,26 @@ import (
 	"repro/internal/ident"
 	"repro/internal/network"
 	"repro/internal/simulation"
-	"repro/internal/tracing"
 )
 
 // Gray-failure scenario shape. The straggler pulse (stragglerExtra for
 // stragglerPulse) is shared with HedgeBench.
 const (
-	grayNodes     = 5                // cluster size
-	grayWarmOps   = 12               // estimator warm-up ops before any fault
-	grayPulses    = 6                // straggler pulses aimed at the hedge group
-	grayBurstOps  = 40               // ops issued at one virtual instant
-	grayBurstKeys = 6                // distinct keys the burst spreads over
-	grayTail      = 12 * time.Second // settle time before the audit reads
+	grayNodes        = 5                      // cluster size
+	grayWarmOps      = 12                     // estimator warm-up ops before any fault
+	grayWarmSpacing  = 150 * time.Millisecond // between warm-up ops
+	grayPulses       = 6                      // straggler pulses aimed at the hedge group
+	grayPulseSpacing = 500 * time.Millisecond // between pulses
+	grayBurstOps     = 40                     // ops issued at one virtual instant
+	grayBurstKeys    = 6                      // distinct keys the burst spreads over
+	grayTail         = 12 * time.Second       // settle time before the audit reads
+
+	grayPulsesAt = grayWarmOps*grayWarmSpacing + time.Second                // first pulse
+	grayBurstAt  = grayPulsesAt + grayPulses*grayPulseSpacing + time.Second // the burst
 
 	stragglerExtra = 300 * time.Millisecond // extra one-way latency during a pulse
 	stragglerPulse = 2 * time.Millisecond   // pulse duration, shorter than a hedge checkpoint
 )
-
-// GrayResult reports the scenario outcome.
-type GrayResult struct {
-	Nodes int
-	HistoryAudit
-
-	// Resilience activity (deltas of the process-wide counters).
-	Retries     uint64
-	Hedges      uint64
-	HedgeWins   uint64
-	SlowHints   uint64 // summed over the cluster's failure detectors
-	SlowWindows uint64 // gray injections applied by the emulator
-	SlowDelayed uint64 // messages the emulator delayed inside one
-
-	SimulatedDuration time.Duration
-	DiscreteEvents    uint64
-	HandlerExecutions uint64
-
-	TraceSpans     int
-	TraceTimelines int
-	TraceDigest    uint64
-	Timelines      []tracing.Timeline
-}
 
 // keyOwnedBy searches deterministic key strings until one hashes into the
 // ring span owned by nodeKeys[idx] — i.e. its replica group starts there.
@@ -83,124 +64,90 @@ func keyOwnedBy(nodeKeys []ident.Key, idx int, prefix string) string {
 // synchronized op burst from one coordinator. It gates the same invariants
 // as the chaos scenario — linearizable history, zero lost acked writes —
 // plus evidence the resilience layer actually engaged: hedges fired.
-func Gray(seed int64, simOpts ...simulation.SimOption) GrayResult {
-	ring, restore := traceEveryOp(1 << 16)
-	defer restore()
-
+func Gray(seed int64, simOpts ...simulation.SimOption) Result {
 	nodeCfg := simTimings
 	// A 2ms deadline floor keeps adaptive budgets meaningful at the
 	// emulator's sub-millisecond latencies (the default floor, OpTimeout/20
 	// = 100ms, would swamp them).
 	nodeCfg.DeadlineFloor = 2 * time.Millisecond
-
-	resBefore := abd.GlobalResilienceMetrics()
-
 	nodeKeys := spreadKeys(grayNodes)
-	c := cats.NewSimCluster(seed, nodeCfg, "", simLAN(), simOpts...)
-	c.Host.RecordOps = true
-	c.Join(nodeKeys)
-	rng := rand.New(rand.NewSource(seed ^ 0x67726179)) // "gray"
 
-	// Geometry: the hedge group is the replica group of a key owned by
-	// node hIdx — members {hIdx, hIdx+1, hIdx+2}. The coordinator is hIdx
-	// itself (its self-phase acks instantly), and the pulses slow the other
-	// two members, stalling every phase at quorum-minus-one.
-	n := grayNodes
-	hIdx := rng.Intn(n)
-	hedgeKey := keyOwnedBy(nodeKeys, hIdx, "gray-hedge")
-	hCoord := nodeKeys[hIdx]
-	slowA := ident.NodeRef{Key: nodeKeys[(hIdx+1)%n]}
-	slowB := ident.NodeRef{Key: nodeKeys[(hIdx+2)%n]}
-	var slowAddrA, slowAddrB = refAddr(c.Host, slowA.Key), refAddr(c.Host, slowB.Key)
+	return runFaults(seed, faultSpec{
+		nodes:    nodeKeys,
+		cfg:      nodeCfg,
+		salt:     0x67726179, // "gray"
+		window:   grayBurstAt + grayTail,
+		auditFor: simTimings.OpTimeout * 4,
+		setup: func(c *cats.SimCluster, rng *rand.Rand) []cats.OpGet {
+			// Geometry: the hedge group is the replica group of a key owned
+			// by node hIdx — members {hIdx, hIdx+1, hIdx+2}. The coordinator
+			// is hIdx itself (its self-phase acks instantly), and the pulses
+			// slow the other two members, stalling every phase at
+			// quorum-minus-one.
+			n := grayNodes
+			hIdx := rng.Intn(n)
+			hedgeKey := keyOwnedBy(nodeKeys, hIdx, "gray-hedge")
+			hCoord := nodeKeys[hIdx]
+			slowAddrA := refAddr(c.Host, nodeKeys[(hIdx+1)%n])
+			slowAddrB := refAddr(c.Host, nodeKeys[(hIdx+2)%n])
 
-	// Phase 1 — warm-up: paced ops on the hedge key from the hedge
-	// coordinator, so its estimators for the group members converge well
-	// below OpTimeout before the first pulse.
-	warmSpacing := 150 * time.Millisecond
-	for i := 0; i < grayWarmOps; i++ {
-		at := time.Duration(i) * warmSpacing
-		if i == 0 || i%4 == 0 {
-			val := []byte("warm-" + strconv.Itoa(i))
-			c.Schedule(at, cats.OpPut{NodeKey: hCoord, Key: hedgeKey, Value: val})
-		} else {
-			c.Schedule(at, cats.OpGet{NodeKey: hCoord, Key: hedgeKey})
-		}
-	}
-	warmEnd := time.Duration(grayWarmOps) * warmSpacing
+			// Phase 1 — warm-up: paced ops on the hedge key from the hedge
+			// coordinator, so its estimators for the group members converge
+			// well below OpTimeout before the first pulse.
+			for i := 0; i < grayWarmOps; i++ {
+				at := time.Duration(i) * grayWarmSpacing
+				if i == 0 || i%4 == 0 {
+					val := []byte("warm-" + strconv.Itoa(i))
+					c.Schedule(at, cats.OpPut{NodeKey: hCoord, Key: hedgeKey, Value: val})
+				} else {
+					c.Schedule(at, cats.OpGet{NodeKey: hCoord, Key: hedgeKey})
+				}
+			}
 
-	// Phase 2 — straggler pulses: both non-coordinator group members turn
-	// slow for stragglerPulse, and a get is issued at the pulse instant. Its
-	// phase messages to them are delayed by stragglerExtra; the self ack holds
-	// the phase at quorum-minus-one; the adaptive hedge checkpoint lands
-	// after the pulse expired, so the hedged duplicate travels fast and
-	// wins the race while the originals are still in flight.
-	pulseSpacing := 500 * time.Millisecond
-	for i := 0; i < grayPulses; i++ {
-		at := warmEnd + time.Second + time.Duration(i)*pulseSpacing
-		c.Sim.ScheduleAt(at, func() {
-			c.Emu.SlowNode(slowAddrA, stragglerExtra, stragglerPulse)
-			c.Emu.SlowNode(slowAddrB, stragglerExtra, stragglerPulse)
-		})
-		c.Schedule(at, cats.OpGet{NodeKey: hCoord, Key: hedgeKey})
-	}
-	pulseEnd := warmEnd + time.Second + time.Duration(grayPulses)*pulseSpacing
+			// Phase 2 — straggler pulses: both non-coordinator group members
+			// turn slow for stragglerPulse, and a get is issued at the pulse
+			// instant. Its phase messages to them are delayed by
+			// stragglerExtra; the self ack holds the phase at
+			// quorum-minus-one; the adaptive hedge checkpoint lands after the
+			// pulse expired, so the hedged duplicate travels fast and wins
+			// the race while the originals are still in flight.
+			for i := 0; i < grayPulses; i++ {
+				at := grayPulsesAt + time.Duration(i)*grayPulseSpacing
+				c.Sim.ScheduleAt(at, func() {
+					c.Emu.SlowNode(slowAddrA, stragglerExtra, stragglerPulse)
+					c.Emu.SlowNode(slowAddrB, stragglerExtra, stragglerPulse)
+				})
+				c.Schedule(at, cats.OpGet{NodeKey: hCoord, Key: hedgeKey})
+			}
 
-	// Phase 3 — synchronized burst: grayBurstOps ops issued at one virtual
-	// instant from one coordinator, several of them racing on each key.
-	// Every replica covering the burst keys serves them all in one go, and
-	// the history must still come out linearizable with no acked write
-	// lost.
-	burstAt := pulseEnd + time.Second
-	bCoord := nodeKeys[(hIdx+3)%n]
-	burstKeys := make([]string, grayBurstKeys)
-	for k := range burstKeys {
-		burstKeys[k] = "gray-burst-" + strconv.Itoa(k)
-	}
-	for i := 0; i < grayBurstOps; i++ {
-		key := burstKeys[i%len(burstKeys)]
-		if i < len(burstKeys) || rng.Float64() < 0.5 {
-			val := []byte("burst-" + strconv.Itoa(i))
-			c.Schedule(burstAt, cats.OpPut{NodeKey: bCoord, Key: key, Value: val})
-		} else {
-			c.Schedule(burstAt, cats.OpGet{NodeKey: bCoord, Key: key})
-		}
-	}
+			// Phase 3 — synchronized burst: grayBurstOps ops issued at one
+			// virtual instant from one coordinator, several of them racing
+			// on each key. Every replica covering the burst keys serves them
+			// all in one go, and the history must still come out
+			// linearizable with no acked write lost.
+			bCoord := nodeKeys[(hIdx+3)%n]
+			burstKeys := make([]string, grayBurstKeys)
+			for k := range burstKeys {
+				burstKeys[k] = "gray-burst-" + strconv.Itoa(k)
+			}
+			for i := 0; i < grayBurstOps; i++ {
+				key := burstKeys[i%len(burstKeys)]
+				if i < len(burstKeys) || rng.Float64() < 0.5 {
+					val := []byte("burst-" + strconv.Itoa(i))
+					c.Schedule(grayBurstAt, cats.OpPut{NodeKey: bCoord, Key: key, Value: val})
+				} else {
+					c.Schedule(grayBurstAt, cats.OpGet{NodeKey: bCoord, Key: key})
+				}
+			}
 
-	mainStats := c.Sim.Run(burstAt + grayTail)
-
-	// Audit: one read per key must observe an acknowledged value.
-	preAudit := len(c.Host.OpHistory())
-	auditKeys := append([]string{hedgeKey}, burstKeys...)
-	for i, key := range auditKeys {
-		c.Schedule(0, cats.OpGet{NodeKey: nodeKeys[i%n], Key: key})
-	}
-	auditStats := c.Sim.Run(nodeCfg.OpTimeout * 4)
-
-	res := GrayResult{
-		Nodes:             grayNodes,
-		HistoryAudit:      auditHistory(c.Host.OpHistory(), c.Host.UnresolvedOps(), preAudit, auditKeys),
-		SimulatedDuration: mainStats.SimulatedDuration + auditStats.SimulatedDuration,
-		DiscreteEvents:    mainStats.DiscreteEvents + auditStats.DiscreteEvents,
-		HandlerExecutions: mainStats.HandlerExecutions + auditStats.HandlerExecutions,
-	}
-	resAfter := abd.GlobalResilienceMetrics()
-	res.Retries = resAfter.Retries - resBefore.Retries
-	res.Hedges = resAfter.Hedges - resBefore.Hedges
-	res.HedgeWins = resAfter.HedgeWins - resBefore.HedgeWins
-	res.SlowWindows, res.SlowDelayed = c.Emu.GrayStats()
-	for _, ref := range c.Host.AliveNodes() {
-		if p, ok := c.Host.Peer(ref.Key); ok && p.Node != nil {
-			res.SlowHints += p.Node.FD.SlowHints()
-		}
-	}
-
-	res.Timelines = tracing.Assemble(ring.Snapshot())
-	res.TraceTimelines = len(res.Timelines)
-	for _, tl := range res.Timelines {
-		res.TraceSpans += len(tl.Spans)
-	}
-	res.TraceDigest = TimelineDigest(res.Timelines)
-	return res
+			// Audit: one read per key, coordinators in turn.
+			var reads []cats.OpGet
+			for i, key := range append([]string{hedgeKey}, burstKeys...) {
+				reads = append(reads, cats.OpGet{NodeKey: nodeKeys[i%n], Key: key})
+			}
+			return reads
+		},
+	}, simOpts)
 }
 
 // refAddr resolves a node key to its emulated transport address.

@@ -38,8 +38,8 @@ import (
 	"time"
 
 	"repro/internal/cats"
-	"repro/internal/handoff"
 	"repro/internal/ident"
+	"repro/internal/simulation"
 )
 
 // The crash-restart recovery scenario's shape.
@@ -73,144 +73,100 @@ func RecoveryCrash(seed int64, dir string) error {
 		return err
 	}
 
-	// Acks are fsync-gated: the scenario's promise is "no acked write lost".
-	c := cats.NewSimCluster(seed, chaosTimings(recSnapshotBytes), dir, simLAN())
-	c.Host.RecordOps = true
-	c.Host.OpSink = histLog.append
-	c.Join(spreadKeys(recNodes))
-	rng := rand.New(rand.NewSource(seed ^ 0x72656376)) // "recv"
+	runFaults(seed, faultSpec{
+		nodes: spreadKeys(recNodes),
+		// Acks are fsync-gated: the scenario's promise is "no acked write
+		// lost".
+		cfg:      chaosTimings(recSnapshotBytes),
+		dataDir:  dir,
+		salt:     0x72656376, // "recv"
+		window:   recOpWindow + recTail,
+		auditFor: simTimings.OpTimeout * 3,
+		setup: func(c *cats.SimCluster, rng *rand.Rand) []cats.OpGet {
+			c.Host.OpSink = histLog.append
 
-	// Workload: put-biased after each key's first put, so most keys
-	// accumulate several acked versions before the kill. Values carry
-	// padding so the WALs cross the checkpoint threshold during the run.
-	keys := make([]string, recKeys)
-	for k := range keys {
-		keys[k] = "rec-" + string(rune('a'+k%26)) + "-" + strconv.Itoa(k)
-	}
-	scheduleKeyOps(c, rng, keys, recOpsPerKey, recOpWindow, 0.6, strings.Repeat("x", recValuePad))
-
-	// Individual-node churn before the kill, so the full-process restart
-	// lands on a cluster already mid-reconfiguration.
-	scheduleCrashes(c, rng, recCrashes, recKillAt, recCrashDown)
-
-	// The point of the exercise: kill the whole cluster — every node
-	// lives in this process — with no warning and no cleanup. Everything
-	// the disk has at this virtual-time point (fsynced WAL appends,
-	// renamed snapshots, the history log) is all phase 2 gets.
-	// Checkpoints finish in the background; the kill lands once the last
-	// one has settled, so the on-disk layout is a function of the seed
-	// (crashes mid-checkpoint are kvstore's crash-point tests).
-	c.Sim.ScheduleAt(recKillAt, func() {
-		for _, ref := range c.Host.AliveNodes() {
-			if p, ok := c.Host.Peer(ref.Key); ok && p.Node != nil && p.Node.Store() != nil {
-				p.Node.Store().WaitCheckpoint()
+			// Workload: put-biased after each key's first put, so most keys
+			// accumulate several acked versions before the kill. Values
+			// carry padding so the WALs cross the checkpoint threshold
+			// during the run.
+			keys := make([]string, recKeys)
+			for k := range keys {
+				keys[k] = "rec-" + string(rune('a'+k%26)) + "-" + strconv.Itoa(k)
 			}
-		}
-		syscall.Kill(os.Getpid(), syscall.SIGKILL)
-		select {} // unreachable: SIGKILL cannot be caught or outrun
-	})
+			scheduleKeyOps(c, rng, keys, recOpsPerKey, recOpWindow, 0.6, strings.Repeat("x", recValuePad))
 
-	c.Sim.Run(recOpWindow + recTail)
-	return fmt.Errorf("recovery: scheduled SIGKILL at %v never fired (ran %v)", recKillAt, recOpWindow+recTail)
-}
+			// Individual-node churn before the kill, so the full-process
+			// restart lands on a cluster already mid-reconfiguration.
+			scheduleCrashes(c, rng, recCrashes, recKillAt, recCrashDown)
 
-// RecoveryResult reports the phase-2 outcome.
-type RecoveryResult struct {
-	Nodes int // node directories recovered
-	Keys  int // distinct data keys in the phase-1 history
-
-	// The verdict over the phase-1 history, reconstructed from the fsynced
-	// log, followed by the phase-2 audit reads. Its op counts are phase 1's:
-	// UnresolvedOps were invoked but not completed when the SIGKILL hit.
-	HistoryAudit
-
-	// What recovery rebuilt from disk, summed over nodes.
-	SnapshotsLoaded int
-	SnapshotEntries int
-	WALReplayed     int
-	TornTails       int
-	RecoveredKeys   int
-
-	// Phase-2 activity: the rebuilt cluster must converge via handoff and
-	// answer the audit.
-	AuditOKGets, AuditFailed uint64
-	HandoffKeys              uint64
-	HandoffTransfers         uint64
-	MaxEpoch                 uint64
-
-	SimulatedDuration time.Duration
-	DiscreteEvents    uint64
-	HandlerExecutions uint64
+			// The point of the exercise: kill the whole cluster — every
+			// node lives in this process — with no warning and no cleanup.
+			// Everything the disk has at this virtual-time point (fsynced
+			// WAL appends, renamed snapshots, the history log) is all
+			// phase 2 gets. Checkpoints finish in the background; the kill
+			// lands once the last one has settled, so the on-disk layout is
+			// a function of the seed (crashes mid-checkpoint are kvstore's
+			// crash-point tests). A history log that lost a line could hide
+			// a lost acked write, so then the process refuses to die.
+			c.Sim.ScheduleAt(recKillAt, func() {
+				if histLog.err != nil {
+					return
+				}
+				for _, ref := range c.Host.AliveNodes() {
+					if p, ok := c.Host.Peer(ref.Key); ok && p.Node != nil && p.Node.Store() != nil {
+						p.Node.Store().WaitCheckpoint()
+					}
+				}
+				syscall.Kill(os.Getpid(), syscall.SIGKILL)
+				select {} // unreachable: SIGKILL cannot be caught or outrun
+			})
+			return auditReads(rng, keys)
+		},
+	}, nil)
+	if histLog.err != nil {
+		return fmt.Errorf("recovery: history log: %w", histLog.err)
+	}
+	return fmt.Errorf("recovery: scheduled SIGKILL at %v never fired", recKillAt)
 }
 
 // RecoveryRecover runs phase 2 against the data directory a killed
-// phase 1 left behind.
-func RecoveryRecover(seed int64, dir string) (RecoveryResult, error) {
-	var res RecoveryResult
-
+// phase 1 left behind. The Result's verdict is over the phase-1 history,
+// reconstructed from the fsynced log, followed by the phase-2 audit reads;
+// its op counts are phase 1's, and its UnresolvedOps were invoked but not
+// completed when the SIGKILL hit.
+func RecoveryRecover(seed int64, dir string, simOpts ...simulation.SimOption) (Result, error) {
 	resolved, unresolved, err := readHistoryLog(filepath.Join(dir, "history.log"))
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
 	nodeKeys, err := discoverNodeDirs(dir)
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
 	if len(nodeKeys) == 0 {
-		return res, fmt.Errorf("recovery: no node-* directories under %s", dir)
-	}
-	res.Nodes = len(nodeKeys)
-
-	handoffBefore := handoff.GlobalMetrics()
-
-	// Phase 2 keeps sync=always for symmetry (cheap at audit volume);
-	// recovery itself is policy-independent.
-	c := cats.NewSimCluster(seed^0x7265636f, chaosTimings(recSnapshotBytes), dir, simLAN()) // "reco"
-	c.Host.RecordOps = true
-	c.Join(nodeKeys)
-
-	// Sum what Open rebuilt, per node, before any audit traffic.
-	for _, ref := range c.Host.AliveNodes() {
-		p, ok := c.Host.Peer(ref.Key)
-		if !ok || p.Node == nil || p.Node.Store() == nil {
-			continue
-		}
-		rec := p.Node.Store().Recovery()
-		res.SnapshotsLoaded += rec.SnapshotsLoaded
-		res.SnapshotEntries += rec.SnapshotEntries
-		res.WALReplayed += rec.WALEntries
-		res.TornTails += rec.TornTails
-		res.RecoveredKeys += rec.Keys
+		return Result{}, fmt.Errorf("recovery: no node-* directories under %s", dir)
 	}
 
 	// Audit: one read per key the phase-1 history touched.
-	keys := map[string]bool{}
+	touched := map[string]bool{}
 	for _, r := range resolved {
-		keys[r.Key] = true
+		touched[r.Key] = true
 	}
 	for _, r := range unresolved {
-		keys[r.Key] = true
+		touched[r.Key] = true
 	}
-	sortedKeys := make([]string, 0, len(keys))
-	for k := range keys {
-		sortedKeys = append(sortedKeys, k)
+	keys := make([]string, 0, len(touched))
+	for k := range touched {
+		keys = append(keys, k)
 	}
-	sort.Strings(sortedKeys)
-	res.Keys = len(sortedKeys)
-	scheduleAudit(c, rand.New(rand.NewSource(seed^0x61756474)), sortedKeys) // "audt"
-	stats := c.Sim.Run(simTimings.OpTimeout * 3)
-	res.SimulatedDuration = stats.SimulatedDuration
-	res.DiscreteEvents = stats.DiscreteEvents
-	res.HandlerExecutions = stats.HandlerExecutions
+	sort.Strings(keys)
+	reads := auditReads(rand.New(rand.NewSource(seed^0x61756474)), keys) // "audt"
 
-	handoffAfter := handoff.GlobalMetrics()
-	res.HandoffKeys = handoffAfter.Keys - handoffBefore.Keys
-	res.HandoffTransfers = handoffAfter.Transfers - handoffBefore.Transfers
-	res.MaxEpoch = handoffAfter.Epoch
-
-	m := c.Host.Metrics()
-	res.AuditOKGets, res.AuditFailed = m.GetsOK, m.GetsFailed
-	audit := c.Host.OpHistory()
+	// Phase 2 keeps sync=always for symmetry (cheap at audit volume);
+	// recovery itself is policy-independent. Each node replays its
+	// snapshot and WAL tail as it joins.
+	run := boot(seed^0x7265636f, faultSpec{nodes: nodeKeys, cfg: chaosTimings(recSnapshotBytes), dataDir: dir}, simOpts) // "reco"
+	run.audit(reads, simTimings.OpTimeout*3)
 
 	// Combined linearizability history. The two phases run on separate
 	// virtual clocks, but phase 2 is strictly after phase 1 in real
@@ -218,6 +174,7 @@ func RecoveryRecover(seed int64, dir string) (RecoveryResult, error) {
 	// response. Unresolved phase-1 puts stay time-unconstrained
 	// (End = MaxInt64): the kill may or may not have let them take effect,
 	// and either is legal.
+	audit := run.c.Host.OpHistory()
 	history := append(resolved[:len(resolved):len(resolved)], audit...)
 	if len(resolved) > 0 && len(audit) > 0 {
 		end1, start2 := resolved[0].End, audit[0].Start
@@ -237,8 +194,9 @@ func RecoveryRecover(seed int64, dir string) (RecoveryResult, error) {
 			history[i].End = history[i].End.Add(shift)
 		}
 	}
-	res.HistoryAudit = auditHistory(history, unresolved, len(resolved), sortedKeys)
-	res.OKGets -= int(res.AuditOKGets) // the audit's own reads are not phase-1 history
+	res := run.result(history, unresolved, len(resolved), reads)
+	res.OKGets -= res.AuditOK // the audit's own reads are not phase-1 history
+	res.FailedGets -= res.AuditFailed
 	return res, nil
 }
 
@@ -265,8 +223,14 @@ func discoverNodeDirs(root string) ([]ident.Key, error) {
 }
 
 // historyLog streams op events to disk, fsyncing each line: after a
-// SIGKILL, every event appended before the kill is readable.
-type historyLog struct{ f *os.File }
+// SIGKILL, every event appended before the kill is readable. A lost
+// completion line would make an acked put read as unresolved, which the
+// audit must allow never to have taken effect; so the first failed append
+// is kept in err, and the log takes no line after it.
+type historyLog struct {
+	f   *os.File
+	err error
+}
 
 func openHistoryLog(path string) (*historyLog, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -281,14 +245,20 @@ func openHistoryLog(path string) (*historyLog, error) {
 // whitespace, but both are quoted anyway so the format cannot silently
 // break if that changes.
 func (l *historyLog) append(r cats.OpRecord) {
+	if l.err != nil {
+		return
+	}
 	tag := "res"
 	if r.End.IsZero() {
 		tag = "inv"
 	}
-	fmt.Fprintf(l.f, "%s %s %s %s %t %t %d %d\n",
+	_, err := fmt.Fprintf(l.f, "%s %s %s %s %t %t %d %d\n",
 		tag, r.Kind, strconv.Quote(r.Key), strconv.Quote(r.Value),
 		r.OK, r.Found, r.Start.UnixNano(), r.End.UnixNano())
-	l.f.Sync()
+	if err == nil {
+		err = l.f.Sync()
+	}
+	l.err = err
 }
 
 // readHistoryLog reconstructs the phase-1 history: completions, plus the

@@ -128,6 +128,21 @@ func TestHistoryLogRoundtrip(t *testing.T) {
 	}
 }
 
+// TestHistoryLogKeepsWriteError: an append that cannot reach the disk is
+// kept, not dropped, and the log takes no further line, so the crash
+// child refuses its SIGKILL instead of leaving a log with a hole in it.
+func TestHistoryLogKeepsWriteError(t *testing.T) {
+	l, err := openHistoryLog(filepath.Join(t.TempDir(), "history.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.f.Close()
+	l.append(cats.OpRecord{Kind: "put", Key: "a", Value: "1", OK: true, Start: time.Unix(0, 1), End: time.Unix(0, 2)})
+	if l.err == nil {
+		t.Fatal("append to a closed log reported no error")
+	}
+}
+
 // TestRecoverySyncPolicyFlagRoundtrip pins the catsnode flag spellings.
 func TestRecoverySyncPolicyFlagRoundtrip(t *testing.T) {
 	for _, p := range []kvstore.SyncPolicy{kvstore.SyncAlways, kvstore.SyncInterval, kvstore.SyncNever} {

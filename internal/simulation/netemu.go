@@ -70,10 +70,21 @@ type NetworkEmulator struct {
 	nodeCodecs   map[network.Address]network.WireCodec
 
 	delivered, dropped, blocked, unroutable uint64
-	crashes, restarts, flaps, churnDropped  uint64
-	slows, slowDelayed                      uint64
-	codecSwaps, binaryFrames, gobFrames     uint64
-	codecErrors                             uint64
+	faults                                  FaultStats
+}
+
+// FaultStats counts what the emulator's fault injection did. All counters
+// are local to one emulator, so they are deterministic per seed.
+type FaultStats struct {
+	Crashes, Restarts uint64 // crash and restart injections applied
+	Flaps             uint64 // link flaps injected
+	ChurnDropped      uint64 // messages dropped by a crashed endpoint or a flapped link
+	SlowWindows       uint64 // gray-failure slow windows injected
+	SlowDelayed       uint64 // messages a slow window delayed
+	CodecSwaps        uint64 // live per-node codec swaps applied
+	BinaryFrames      uint64 // frames that crossed the wire in the binary format
+	GobFrames         uint64 // frames that crossed the wire in a gob format
+	CodecErrors       uint64 // encode/decode failures (the frame is dropped)
 }
 
 // slowWindow is one gray-failure injection: extra one-way latency applied
@@ -157,7 +168,7 @@ func (e *NetworkEmulator) Heal() {
 func (e *NetworkEmulator) Crash(addr network.Address) {
 	if !e.down[addr] {
 		e.down[addr] = true
-		e.crashes++
+		e.faults.Crashes++
 	}
 }
 
@@ -166,7 +177,7 @@ func (e *NetworkEmulator) Crash(addr network.Address) {
 func (e *NetworkEmulator) Restart(addr network.Address) {
 	if e.down[addr] {
 		delete(e.down, addr)
-		e.restarts++
+		e.faults.Restarts++
 	}
 }
 
@@ -179,7 +190,7 @@ func (e *NetworkEmulator) Crashed(addr network.Address) bool { return e.down[add
 // lazily at send time.
 func (e *NetworkEmulator) FlapLink(src, dst network.Address, downFor time.Duration) {
 	e.linkDown[[2]network.Address{src, dst}] = e.sim.Now().Add(downFor)
-	e.flaps++
+	e.faults.Flaps++
 }
 
 // linkFlapped reports whether src→dst is inside a flap window, expiring
@@ -204,7 +215,7 @@ func (e *NetworkEmulator) linkFlapped(src, dst network.Address) bool {
 // it serves. Deterministic under the seeded sim clock.
 func (e *NetworkEmulator) SlowNode(addr network.Address, extra, slowFor time.Duration) {
 	e.slowNodes[addr] = slowWindow{extra: extra, until: e.sim.Now().Add(slowFor)}
-	e.slows++
+	e.faults.SlowWindows++
 }
 
 // nodeSlow returns addr's active extra latency, expiring stale windows as
@@ -232,24 +243,14 @@ func (e *NetworkEmulator) slowExtra(src, dst network.Address) time.Duration {
 	return extra
 }
 
-// GrayStats returns gray-failure counters: slow windows injected and
-// messages delayed by one.
-func (e *NetworkEmulator) GrayStats() (slows, slowDelayed uint64) {
-	return e.slows, e.slowDelayed
-}
-
 // Stats returns delivery counters: delivered, dropped by loss, blocked by
 // partitions, and unroutable.
 func (e *NetworkEmulator) Stats() (delivered, dropped, blocked, unroutable uint64) {
 	return e.delivered, e.dropped, e.blocked, e.unroutable
 }
 
-// ChurnStats returns fault-injection counters: crashes and restarts
-// applied, link flaps injected, and messages dropped by churn (crashed
-// endpoints or flapped links).
-func (e *NetworkEmulator) ChurnStats() (crashes, restarts, flaps, churnDropped uint64) {
-	return e.crashes, e.restarts, e.flaps, e.churnDropped
-}
+// FaultStats returns the fault-injection counters.
+func (e *NetworkEmulator) FaultStats() FaultStats { return e.faults }
 
 // SwapCodec switches the wire codec one node uses for subsequent sends. It
 // models a node of a mixed-codec cluster coming back on another encoder —
@@ -263,7 +264,7 @@ func (e *NetworkEmulator) SwapCodec(addr network.Address, name string) {
 		panic(fmt.Sprintf("simulation: unknown wire codec %q", name))
 	}
 	e.nodeCodecs[addr] = c
-	e.codecSwaps++
+	e.faults.CodecSwaps++
 }
 
 // senderCodec returns the wire codec the given sender is configured with, or
@@ -275,18 +276,11 @@ func (e *NetworkEmulator) senderCodec(src network.Address) network.WireCodec {
 	return e.defaultCodec
 }
 
-// CodecStats returns codec round-trip counters: live swaps applied, frames
-// that went over the emulated wire in the binary format vs gob, and
-// encode/decode failures (dropped).
-func (e *NetworkEmulator) CodecStats() (swaps, binaryFrames, gobFrames, codecErrors uint64) {
-	return e.codecSwaps, e.binaryFrames, e.gobFrames, e.codecErrors
-}
-
 // send routes one message through the emulated network.
 func (e *NetworkEmulator) send(m network.Message) {
 	src, dst := m.Source(), m.Destination()
 	if e.down[src] || e.down[dst] || e.linkFlapped(src, dst) {
-		e.churnDropped++
+		e.faults.ChurnDropped++
 		return
 	}
 	if e.partitions[src] != e.partitions[dst] {
@@ -301,17 +295,17 @@ func (e *NetworkEmulator) send(m network.Message) {
 		// Fresh buffer per message: the decoded message may alias it.
 		payload, err := c.Encode(m)
 		if err != nil {
-			e.codecErrors++
+			e.faults.CodecErrors++
 			return
 		}
 		if network.IsBinaryPayload(payload) {
-			e.binaryFrames++
+			e.faults.BinaryFrames++
 		} else {
-			e.gobFrames++
+			e.faults.GobFrames++
 		}
 		decoded, err := network.DecodePayload(payload)
 		if err != nil {
-			e.codecErrors++
+			e.faults.CodecErrors++
 			return
 		}
 		m = decoded
@@ -319,7 +313,7 @@ func (e *NetworkEmulator) send(m network.Message) {
 	d := e.latency(e.rng, src, dst)
 	if extra := e.slowExtra(src, dst); extra > 0 {
 		d += extra
-		e.slowDelayed++
+		e.faults.SlowDelayed++
 	}
 	e.sim.push(d, entry{emu: e, dst: dst, msg: m})
 }
@@ -327,7 +321,7 @@ func (e *NetworkEmulator) send(m network.Message) {
 // deliver hands m to dst's transport when its delivery event fires.
 func (e *NetworkEmulator) deliver(dst network.Address, m network.Message) {
 	if e.down[dst] {
-		e.churnDropped++ // crashed while the message was in flight
+		e.faults.ChurnDropped++ // crashed while the message was in flight
 		return
 	}
 	t, ok := e.nodes[dst]

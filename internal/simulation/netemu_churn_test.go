@@ -25,9 +25,8 @@ func TestEmulatedCrashDropsTrafficAndRestartHeals(t *testing.T) {
 	if len(n2.got) != 1 {
 		t.Fatalf("restarted node unreachable: got %d", len(n2.got))
 	}
-	crashes, restarts, _, churnDropped := emu.ChurnStats()
-	if crashes != 1 || restarts != 1 || churnDropped != 2 {
-		t.Fatalf("churn stats crashes=%d restarts=%d dropped=%d, want 1/1/2", crashes, restarts, churnDropped)
+	if f := emu.FaultStats(); f.Crashes != 1 || f.Restarts != 1 || f.ChurnDropped != 2 {
+		t.Fatalf("churn stats crashes=%d restarts=%d dropped=%d, want 1/1/2", f.Crashes, f.Restarts, f.ChurnDropped)
 	}
 }
 
@@ -39,9 +38,8 @@ func TestEmulatedCrashDropsInFlightMessages(t *testing.T) {
 	if len(n2.got) != 0 {
 		t.Fatalf("message delivered to node that crashed while it was in flight")
 	}
-	_, _, _, churnDropped := emu.ChurnStats()
-	if churnDropped != 1 {
-		t.Fatalf("churnDropped %d, want 1", churnDropped)
+	if f := emu.FaultStats(); f.ChurnDropped != 1 {
+		t.Fatalf("churnDropped %d, want 1", f.ChurnDropped)
 	}
 }
 
@@ -63,8 +61,7 @@ func TestEmulatedFlapLinkIsDirectedAndExpires(t *testing.T) {
 	if len(n2.got) != 1 {
 		t.Fatalf("flap did not expire")
 	}
-	_, _, flaps, churnDropped := emu.ChurnStats()
-	if flaps != 1 || churnDropped != 1 {
-		t.Fatalf("flaps=%d dropped=%d, want 1/1", flaps, churnDropped)
+	if f := emu.FaultStats(); f.Flaps != 1 || f.ChurnDropped != 1 {
+		t.Fatalf("flaps=%d dropped=%d, want 1/1", f.Flaps, f.ChurnDropped)
 	}
 }
