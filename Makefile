@@ -122,7 +122,7 @@ alloc:
 	$(GO) test -run 'MetricsExpositionWellFormed|RollupIsUnlabeledExposition' -v -count=1 ./internal/cats/
 	$(GO) test -race -run 'TestActivationEndHook' -v -count=1 ./internal/core/
 	$(GO) test -run 'TestZeroDelayDeliveredDirectly' -v -count=1 ./internal/timer/
-	$(GO) test -run 'TestWarmGetsIssueNoTimerRequests|TestLoneGetFlushesInRequestActivation|TestLoneGetCoordinatorExecutions|TestShrunkBudgetRearmsEarlier|TestBackstopFlushesWhenQueueNeverDrains|TestBatchChurnStress|TestCoordinatorCoalescesConcurrentOps' -v -count=1 ./internal/abd/
+	$(GO) test -run 'TestWarmGetsIssueNoTimerRequests|TestLoneGetFlushesInRequestActivation|TestLoneGetCoordinatorExecutions|TestShrunkBudgetRearmsEarlier|TestRetryBackoffRidesDeadlineHeap|TestBackstopFlushesWhenQueueNeverDrains|TestBatchChurnStress|TestCoordinatorCoalescesConcurrentOps' -v -count=1 ./internal/abd/
 
 # The CI jobs, locally and in one command, job for job: lint (vet, build,
 # gofmt; staticcheck and govulncheck need a network install), test (the

@@ -89,8 +89,8 @@ func init() {
 }
 
 // op phases. phaseIdle is the between-attempts state: a timed-out
-// attempt sits idle through its backoff delay, ignoring stragglers from
-// the superseded wire attempt.
+// attempt sits idle through its backoff delay, its next instant on the
+// deadline heap, ignoring stragglers from the superseded wire attempt.
 type phase int
 
 const (
@@ -119,8 +119,6 @@ type op struct {
 	group     []ident.NodeRef
 	epoch     uint64 // group-view epoch this attempt runs in
 	quorum    int
-	readAcks  int
-	writeAcks int
 	bestVer   kvstore.Version
 	bestVal   []byte
 	bestFound bool
@@ -138,8 +136,9 @@ type op struct {
 	// not eat the timeout budget, but it still needs its own bound.
 	retries       int
 	epochRestarts int
-	// dlAt is the attempt timer's next instant and dlIdx the op's position
-	// in the coordinator's deadline heap (-1 when not queued; deadline.go).
+	// dlAt is the op's next timer instant (hedge checkpoint, retry
+	// deadline or end of backoff) and dlIdx its position in the
+	// coordinator's deadline heap (-1 when not queued; deadline.go).
 	dlAt  time.Time
 	dlIdx int
 
@@ -147,9 +146,10 @@ type op struct {
 	// budget; the attempt timer first fires at deadline/hedgeStageDiv (the
 	// hedge checkpoint, hedgeChecked) and then re-arms for the remainder.
 	// ackedMask is the per-phase bitmap (by group index) of replicas whose
-	// ack already counted — the dedup that discards a hedge loser's late
-	// duplicate. attemptAt/phaseSentAt are always set (unlike the
-	// trace-gated clocks below): they feed rtt observation and budgets.
+	// ack already counted: its popcount is the phase's ack count, and it
+	// discards a hedge loser's late duplicate. attemptAt/phaseSentAt are
+	// the attempt's and the current phase's start: they feed rtt
+	// observation, budgets, and the attempt and phase spans.
 	deadline     time.Duration
 	attemptAt    time.Time
 	phaseSentAt  time.Time
@@ -165,13 +165,11 @@ type op struct {
 
 	// Tracing state: zero traceID means the op is unsampled and every
 	// tracing hook is a no-op (see trace.go for the span model).
-	traceID      uint64
-	rootSpan     uint64
-	attemptSpan  uint64
-	linkSpan     uint64 // restart link owed to the next attempt span
-	opStart      time.Time
-	attemptStart time.Time
-	phaseStart   time.Time
+	traceID     uint64
+	rootSpan    uint64
+	attemptSpan uint64
+	linkSpan    uint64 // restart link owed to the next attempt span
+	opStart     time.Time
 }
 
 const (
@@ -301,11 +299,11 @@ type ABD struct {
 	// (adaptive deadlines, overrun evidence; see adaptive.go).
 	peers map[network.Address]*peerStat
 
-	statGets, statPuts, statRetries, statFailures  uint64
-	statNacksBusy, statNacksStale, statStaleServed uint64
-	statEpochRestarts                              uint64
-	statBatchesSent, statBatchedOps                uint64
-	statHedges, statHedgeWins, statSlowHints       uint64
+	statGets, statPuts, statRetries, statFailures uint64
+	statNacksBusy, statNacksStale                 uint64
+	statEpochRestarts                             uint64
+	statBatchesSent, statBatchedOps               uint64
+	statHedges, statHedgeWins, statSlowHints      uint64
 }
 
 // New creates an ABD component definition. It panics without a Store or
@@ -333,7 +331,7 @@ var _ core.Definition = (*ABD)(nil)
 func (a *ABD) Setup(ctx *core.Ctx) {
 	a.ctx = ctx
 	a.nodeName = a.cfg.Self.Addr.String()
-	a.ids = tracing.NewIDSource(a.nodeName)
+	a.ids = tracing.NewIDSource(a.nodeName, "abd")
 	a.pg = ctx.Provides(PutGetPortType)
 	a.rout = ctx.Requires(router.PortType)
 	a.hop = ctx.Requires(handoff.PortType)
@@ -376,7 +374,6 @@ func (a *ABD) Setup(ctx *core.Ctx) {
 	core.Subscribe(ctx, a.net, a.handleOpBatch)
 	core.Subscribe(ctx, a.net, a.handleOpBatchAck)
 	core.Subscribe(ctx, a.tmr, a.handleDeadline)
-	core.Subscribe(ctx, a.tmr, a.handleBackoff)
 	core.Subscribe(ctx, a.tmr, a.handleFlush)
 	ctx.OnActivationEnd(a.activationEnd)
 }
@@ -481,7 +478,7 @@ func (a *ABD) beginAttempt(o *op) {
 	o.phase = phaseRoute
 	o.attempt++
 	a.beginAttemptTrace(o)
-	o.readAcks, o.writeAcks, o.bestCount = 0, 0, 0
+	o.bestCount = 0
 	o.bestVer, o.bestVal, o.bestFound = kvstore.Version{}, nil, false
 	o.have = kvstore.Version{}
 	o.ackedMask = 0
@@ -511,6 +508,7 @@ func (a *ABD) beginAttempt(o *op) {
 		a.setDeadline(o, now.Add(b/hedgeStageDiv))
 	}
 	o.phase = phaseRead
+	o.phaseSentAt = a.ctx.Now()
 	// The coordinator's own replica is served in place, before the remote
 	// reads leave, so they can carry the version it holds. Its ack counts
 	// last: with a group of one it completes the op. It still counts before
@@ -572,14 +570,14 @@ func (a *ABD) ingestReadAck(src network.Address, opID uint64, attempt int, versi
 	if !a.countAck(o, src) {
 		return // duplicate: a hedge loser's late ack, discarded
 	}
-	o.readAcks++
 	if o.bestVer.Less(version) {
 		o.bestVer, o.bestVal, o.bestFound = version, value, found
 		o.bestCount = 1
 	} else if version == o.bestVer {
 		o.bestCount++
 	}
-	if o.readAcks < o.quorum {
+	acks := o.acks()
+	if acks < o.quorum {
 		return
 	}
 	a.endPhase(o, outcomeOK)
@@ -595,7 +593,7 @@ func (a *ABD) ingestReadAck(src network.Address, opID uint64, attempt int, versi
 	// reports the same version, that (version, value) already resides on a
 	// quorum — any later read's quorum intersects it — so the impose round
 	// is unnecessary.
-	if o.kind == opGet && o.bestCount == o.readAcks {
+	if o.kind == opGet && o.bestCount == acks {
 		a.finish(o, "")
 		return
 	}
@@ -616,15 +614,20 @@ func (a *ABD) ingestReadAck(src network.Address, opID uint64, attempt int, versi
 	}
 	o.imposeVer, o.imposeVal = ver, val
 	for _, n := range o.group {
-		a.sendWrite(n.Addr, writePhase{
-			Context: o.wireCtx(),
-			OpID:    o.id,
-			Attempt: o.attempt,
-			Epoch:   o.epoch,
-			Key:     o.key,
-			Version: ver,
-			Value:   val,
-		})
+		a.sendWrite(n.Addr, o.writePhase())
+	}
+}
+
+// writePhase is o's phase-2 impose as a replica receives it.
+func (o *op) writePhase() writePhase {
+	return writePhase{
+		Context: o.wireCtx(),
+		OpID:    o.id,
+		Attempt: o.attempt,
+		Epoch:   o.epoch,
+		Key:     o.key,
+		Version: o.imposeVer,
+		Value:   o.imposeVal,
 	}
 }
 
@@ -637,8 +640,7 @@ func (a *ABD) ingestWriteAck(src network.Address, opID uint64, attempt int) {
 	if !a.countAck(o, src) {
 		return // duplicate: a hedge loser's late ack, discarded
 	}
-	o.writeAcks++
-	if o.writeAcks < o.quorum {
+	if o.acks() < o.quorum {
 		return
 	}
 	a.endPhase(o, outcomeOK)
@@ -717,15 +719,20 @@ func (a *ABD) finish(o *op, errMsg string) {
 	a.free = append(a.free, o)
 }
 
-// handleTimeout is the attempt timer's two-stage handler, run by the
-// deadline sweep for an op whose instant has come (it is off the heap).
-// The first fire (at deadline/hedgeStageDiv) is the hedge checkpoint: if
-// the phase is one ack short of quorum and the straggler has overrun its
+// handleTimeout is the op timer's handler, run by the deadline sweep for
+// an op whose instant has come (it is off the heap). The first fire of an
+// attempt (at deadline/hedgeStageDiv) is the hedge checkpoint: if the
+// phase is one ack short of quorum and the straggler has overrun its
 // adaptive deadline, the phase is resent to another group member, and
 // either way the timer re-arms for the end of the budget. The second fire
-// retries the whole attempt (fresh group resolution, after a jittered
-// backoff) or fails the operation after maxRetries.
+// times the attempt out: the op fails after maxRetries, or idles through
+// a jittered backoff, and the fire that ends the backoff begins the retry
+// (fresh group resolution).
 func (a *ABD) handleTimeout(o *op) {
+	if o.phase == phaseIdle {
+		a.beginAttempt(o)
+		return
+	}
 	if !o.hedgeChecked {
 		o.hedgeChecked = true
 		a.maybeHedge(o)
@@ -737,7 +744,7 @@ func (a *ABD) handleTimeout(o *op) {
 	if o.retries >= maxRetries {
 		a.ctx.Log().Warn("abd: operation failed after retries",
 			"op", o.id, "key", o.key, "phase", int(o.phase), "group", fmt.Sprintf("%v", o.group),
-			"readAcks", o.readAcks, "writeAcks", o.writeAcks, "quorum", o.quorum)
+			"acks", o.acks(), "quorum", o.quorum)
 		a.endPhase(o, outcomeTimeout)
 		a.finish(o, "timeout: no quorum after retries")
 		return
@@ -749,13 +756,9 @@ func (a *ABD) handleTimeout(o *op) {
 	a.endAttempt(o, "timeout")
 	// Jittered backoff desynchronizes co-timed retries so they don't
 	// stampede a recovering replica; the op idles through the delay,
-	// ignoring stragglers from the superseded wire attempt. Backoffs are
-	// rare, so they stay plain Timer requests.
+	// ignoring stragglers from the superseded wire attempt.
 	o.phase = phaseIdle
-	a.ctx.Trigger(timer.ScheduleTimeout{
-		Delay:   a.retryBackoff(o.retries),
-		Timeout: backoffTimeout{Timeout: timer.Timeout{ID: timer.NextID()}, OpID: o.id},
-	}, a.tmr)
+	a.setDeadline(o, a.ctx.Now().Add(a.retryBackoff(o.retries)))
 }
 
 // --- replica: register storage --------------------------------------------------
@@ -769,7 +772,6 @@ func (a *ABD) handleTimeout(o *op) {
 // that answers it, without its header.
 func (a *ABD) gateEpoch(tc tracing.Context, kind string, opID uint64, attempt int, epoch uint64) (nackMsg, bool) {
 	if epoch < a.localEpoch {
-		a.statStaleServed++
 		a.recordServe(tc, kind, opID, attempt, "nack-stale")
 		return nackMsg{OpID: opID, Attempt: attempt, Epoch: a.localEpoch, Busy: false}, false
 	}

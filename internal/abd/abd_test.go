@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/handoff"
 	"repro/internal/ident"
 	"repro/internal/kvstore"
 	"repro/internal/network"
@@ -48,33 +49,53 @@ func table(members ...ident.NodeRef) router.Table {
 }
 
 // abdNode is one replica/coordinator: ABD + stub router + transport +
-// timer.
+// timer, and optionally a handoff feeder so tests control its sync window
+// and epoch.
 type abdNode struct {
-	self  ident.NodeRef
-	group []ident.NodeRef
-	sim   *simulation.Simulation
-	emu   *simulation.NetworkEmulator
-	store *kvstore.Store // optional pre-built (e.g. recovered) store
-	tweak func(*Config)  // optional config override (hedge knobs)
-	rt    *stubRouter    // preset before boot to publish other than group
+	self   ident.NodeRef
+	group  []ident.NodeRef
+	sim    *simulation.Simulation
+	emu    *simulation.NetworkEmulator
+	store  *kvstore.Store // optional pre-built (e.g. recovered) store
+	tweak  func(*Config)  // optional config override (hedge knobs)
+	rt     *stubRouter    // preset before boot to publish other than group
+	feeder bool           // connect a handoff feeder (syncWindow, hoInner)
 
-	ctx     *core.Ctx
-	ABD     *ABD
-	pgOuter *core.Port
-	gets    []GetResponse
-	puts    []PutResponse
-	onGet   []func(GetResponse) // extra observers (linearizability stamps)
-	onPut   []func(PutResponse)
+	ctx                *core.Ctx
+	ABD                *ABD
+	abdC, timerC, netC *core.Component
+	pgOuter, hoInner   *core.Port
+	gets               []GetResponse
+	puts               []PutResponse
+	onGet              []func(GetResponse) // extra observers (linearizability stamps, closed loops)
+	onPut              []func(PutResponse)
+}
+
+// hoFeeder provides the Handoff port so tests can drive a replica's sync
+// window (SyncStarted/Synced) directly.
+type hoFeeder struct {
+	inner **core.Port
+}
+
+func (f *hoFeeder) Setup(ctx *core.Ctx) {
+	*f.inner = ctx.Provides(handoff.PortType)
 }
 
 func (n *abdNode) Setup(ctx *core.Ctx) {
 	n.ctx = ctx
-	tr := ctx.Create("net", n.emu.Transport(n.self.Addr))
-	tm := ctx.Create("timer", simulation.NewTimer(n.sim))
+	n.netC = ctx.Create("net", n.emu.Transport(n.self.Addr))
+	n.timerC = ctx.Create("timer", simulation.NewTimer(n.sim))
 	if n.rt == nil {
 		n.rt = &stubRouter{group: n.group}
 	}
 	rt := ctx.Create("router", n.rt)
+	var ho *core.Component
+	if n.feeder {
+		ho = ctx.Create("handoff-feeder", &hoFeeder{inner: &n.hoInner})
+	}
+	if n.store == nil {
+		n.store = kvstore.New()
+	}
 	cfg := Config{
 		Self:              n.self,
 		ReplicationDegree: len(n.group),
@@ -85,11 +106,14 @@ func (n *abdNode) Setup(ctx *core.Ctx) {
 		n.tweak(&cfg)
 	}
 	n.ABD = New(cfg)
-	abdC := ctx.Create("abd", n.ABD)
-	ctx.Connect(abdC.Required(network.PortType), tr.Provided(network.PortType))
-	ctx.Connect(abdC.Required(timer.PortType), tm.Provided(timer.PortType))
-	ctx.Connect(abdC.Required(router.PortType), rt.Provided(router.PortType))
-	n.pgOuter = abdC.Provided(PutGetPortType)
+	n.abdC = ctx.Create("abd", n.ABD)
+	ctx.Connect(n.abdC.Required(network.PortType), n.netC.Provided(network.PortType))
+	ctx.Connect(n.abdC.Required(timer.PortType), n.timerC.Provided(timer.PortType))
+	ctx.Connect(n.abdC.Required(router.PortType), rt.Provided(router.PortType))
+	if ho != nil {
+		ctx.Connect(n.abdC.Required(handoff.PortType), ho.Provided(handoff.PortType))
+	}
+	n.pgOuter = n.abdC.Provided(PutGetPortType)
 	core.Subscribe(ctx, n.pgOuter, func(g GetResponse) {
 		n.gets = append(n.gets, g)
 		for _, f := range n.onGet {
@@ -112,6 +136,49 @@ func (n *abdNode) get(id uint64, key string) {
 	n.ctx.Trigger(GetRequest{ReqID: id, Key: key}, n.pgOuter)
 }
 
+// syncWindow drives a feeder node's replica through SyncStarted(epoch,
+// round) and, when close is set, the matching Synced — raising its epoch
+// without real handoff traffic.
+func (n *abdNode) syncWindow(epoch, round uint64, close bool) {
+	_ = core.TriggerOn(n.hoInner, handoff.SyncStarted{Epoch: epoch, Round: round})
+	if close {
+		_ = core.TriggerOn(n.hoInner, handoff.Synced{Epoch: epoch, Round: round})
+	}
+}
+
+// newWorld builds n replica nodes sharing a static full group over links
+// of latency lat, lets adjust (optional) change each node before the world
+// boots, and boots them with probe (optional): a bare endpoint on its own
+// transport at probeAddr.
+func newWorld(t *testing.T, n int, seed int64, lat simulation.LatencyModel, adjust func(*abdNode), probe core.Definition, probeAddr network.Address, opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, []*abdNode) {
+	t.Helper()
+	sim := simulation.New(seed, opts...)
+	emu := simulation.NewNetworkEmulator(sim, simulation.WithLatency(lat))
+	group := make([]ident.NodeRef, n)
+	for i := range group {
+		group[i] = nodeRef(i + 1)
+	}
+	nodes := make([]*abdNode, n)
+	for i := range nodes {
+		nodes[i] = &abdNode{self: group[i], group: group, sim: sim, emu: emu}
+		if adjust != nil {
+			adjust(nodes[i])
+		}
+	}
+	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
+		for i, nd := range nodes {
+			ctx.Create(fmt.Sprintf("n%d", i+1), nd)
+		}
+		if probe != nil {
+			trC := ctx.Create("probe-net", emu.Transport(probeAddr))
+			probeC := ctx.Create("probe", probe)
+			ctx.Connect(probeC.Required(network.PortType), trC.Provided(network.PortType))
+		}
+	}))
+	sim.Settle()
+	return sim, emu, nodes
+}
+
 // newABDWorld builds n replica nodes all sharing a static full group.
 func newABDWorld(t *testing.T, n int, seed int64) (*simulation.Simulation, *simulation.NetworkEmulator, []*abdNode) {
 	return newABDWorldCfg(t, n, seed, nil)
@@ -127,25 +194,18 @@ func newABDWorldCfg(t *testing.T, n int, seed int64, tweak func(*Config)) (*simu
 // the world boots, and simulation options.
 func newABDWorldWith(t *testing.T, n int, seed int64, adjust func(*abdNode), opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, []*abdNode) {
 	t.Helper()
-	sim := simulation.New(seed, opts...)
-	emu := simulation.NewNetworkEmulator(sim,
-		simulation.WithLatency(simulation.UniformLatency(time.Millisecond, 5*time.Millisecond)))
-	group := make([]ident.NodeRef, n)
-	for i := range group {
-		group[i] = nodeRef(i + 1)
-	}
-	nodes := make([]*abdNode, n)
-	for i := range nodes {
-		nodes[i] = &abdNode{self: group[i], group: group, sim: sim, emu: emu, store: kvstore.New()}
-		adjust(nodes[i])
-	}
-	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
-		for i, nd := range nodes {
-			ctx.Create(fmt.Sprintf("n%d", i+1), nd)
+	return newWorld(t, n, seed, simulation.UniformLatency(time.Millisecond, 5*time.Millisecond), adjust, nil, network.Address{}, opts...)
+}
+
+// withFeeder chains adjust (optional) after connecting a node's handoff
+// feeder.
+func withFeeder(adjust func(*abdNode)) func(*abdNode) {
+	return func(nd *abdNode) {
+		nd.feeder = true
+		if adjust != nil {
+			adjust(nd)
 		}
-	}))
-	sim.Settle()
-	return sim, emu, nodes
+	}
 }
 
 func TestPutThenGetSameCoordinator(t *testing.T) {

@@ -10,11 +10,11 @@
 package abd
 
 import (
+	"math/bits"
 	"time"
 
 	"repro/internal/fd"
 	"repro/internal/network"
-	"repro/internal/timer"
 	"repro/internal/tracing"
 )
 
@@ -144,8 +144,9 @@ func (a *ABD) attemptBudget(o *op) time.Duration {
 // retryBackoff is the capped-exponential, ±50%-jittered delay between a
 // timed-out attempt and the next one, mirroring the TCP dialer's jitter
 // idiom: co-timed coordinators must not stampede a recovering replica in
-// lockstep. Jitter draws from the component's seeded source, so
-// simulations stay deterministic.
+// lockstep. The delay is the idle op's instant on the deadline heap.
+// Jitter draws from the component's seeded source, so simulations stay
+// deterministic.
 func (a *ABD) retryBackoff(retries int) time.Duration {
 	base := a.cfg.OpTimeout / 8
 	if base <= 0 {
@@ -161,12 +162,6 @@ func (a *ABD) retryBackoff(retries int) time.Duration {
 	return d/2 + time.Duration(a.ctx.Rand().Int63n(int64(d)))
 }
 
-// backoffTimeout fires between a timed-out attempt and its retry.
-type backoffTimeout struct {
-	timer.Timeout
-	OpID uint64
-}
-
 // groupIndex maps an ack's source address to its position in the
 // attempt's replica group (-1: not a member).
 func (o *op) groupIndex(addr network.Address) int {
@@ -178,32 +173,35 @@ func (o *op) groupIndex(addr network.Address) int {
 	return -1
 }
 
-// countAck dedups per-replica acks within a phase — hedges make
-// duplicates possible, and only the first ack from each replica may
-// count toward the quorum — feeds the peer's latency
-// estimator, and tallies hedge wins. Reports whether the ack counts.
+// acks is the number of group members whose ack counted in this phase.
+func (o *op) acks() int { return bits.OnesCount64(o.ackedMask) }
+
+// countAck sets src's bit in the phase's ack mask and reports whether the
+// ack counts toward the quorum: only a group member's first ack does
+// (hedges make duplicates possible). A counted ack feeds the peer's
+// latency estimator and may win a hedge.
 func (a *ABD) countAck(o *op, src network.Address) bool {
-	sentAt := o.phaseSentAt
-	hedgeWin := false
 	idx := o.groupIndex(src)
-	if idx >= 0 { // New caps the group at MaxReplicationDegree, the mask's width
-		bit := uint64(1) << uint(idx)
-		if o.ackedMask&bit != 0 {
-			return false // the loser of a hedged race: discard
-		}
-		o.ackedMask |= bit
-		if o.hedged && idx == o.hedgeTo {
-			o.hedgeTo = -1
-			hedgeWin = true
-			a.statHedgeWins++
-			hedgeWinsTotal.Add(1)
-			// A hedge win's round trip is measured from the duplicate's
-			// send, not the phase start: charging the checkpoint wait to
-			// the peer would feed back into its deadline (later checkpoint
-			// → larger observed rtt → later checkpoint) until hedging
-			// starves itself out.
-			sentAt = o.hedgeAt
-		}
+	if idx < 0 {
+		return false
+	}
+	bit := uint64(1) << uint(idx) // New caps the group at MaxReplicationDegree, the mask's width
+	if o.ackedMask&bit != 0 {
+		return false // the loser of a hedged race: discard
+	}
+	o.ackedMask |= bit
+	sentAt := o.phaseSentAt
+	hedgeWin := o.hedged && idx == o.hedgeTo
+	if hedgeWin {
+		o.hedgeTo = -1
+		a.statHedgeWins++
+		hedgeWinsTotal.Add(1)
+		// A hedge win's round trip is measured from the duplicate's send,
+		// not the phase start: charging the checkpoint wait to the peer
+		// would feed back into its deadline (later checkpoint → larger
+		// observed rtt → later checkpoint) until hedging starves itself
+		// out.
+		sentAt = o.hedgeAt
 	}
 	a.observeRTT(src, a.ctx.Now().Sub(sentAt), hedgeWin)
 	return true
@@ -216,19 +214,10 @@ func (a *ABD) countAck(o *op, src network.Address) bool {
 // duplicate is discarded by countAck's per-replica dedup, and epochs
 // still gate the duplicate per op on the replica.
 func (a *ABD) maybeHedge(o *op) {
-	if o.hedged || len(o.group) == 0 {
+	if o.hedged || (o.phase != phaseRead && o.phase != phaseWrite) {
 		return
 	}
-	var acks int
-	switch o.phase {
-	case phaseRead:
-		acks = o.readAcks
-	case phaseWrite:
-		acks = o.writeAcks
-	default:
-		return
-	}
-	if acks != o.quorum-1 {
+	if o.acks() != o.quorum-1 {
 		return // hedging targets a lone straggler, not a missing quorum
 	}
 	idx := a.hedgeTarget(o)
@@ -279,15 +268,7 @@ func (a *ABD) resendPhase(o *op, dst network.Address) {
 	case phaseRead:
 		a.sendRead(dst, o.readPhase())
 	case phaseWrite:
-		a.sendWrite(dst, writePhase{
-			Context: o.wireCtx(),
-			OpID:    o.id,
-			Attempt: o.attempt,
-			Epoch:   o.epoch,
-			Key:     o.key,
-			Version: o.imposeVer,
-			Value:   o.imposeVal,
-		})
+		a.sendWrite(dst, o.writePhase())
 	}
 }
 
@@ -312,14 +293,4 @@ func (a *ABD) recordHedge(o *op, dst network.Address) {
 		Start:   now,
 		End:     now,
 	})
-}
-
-// handleBackoff begins the delayed retry attempt. An op sits in phaseIdle
-// only between a timed-out attempt and its one backoff timeout.
-func (a *ABD) handleBackoff(t backoffTimeout) {
-	o, ok := a.ops[t.OpID]
-	if !ok || o.phase != phaseIdle {
-		return
-	}
-	a.beginAttempt(o)
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ident"
 	"repro/internal/kvstore"
 	"repro/internal/network"
 	"repro/internal/simulation"
@@ -29,7 +28,6 @@ type batchRecord struct {
 // coalesced frames.
 type batchProbe struct {
 	self network.Address
-	emu  *simulation.NetworkEmulator
 
 	ctx  *core.Ctx
 	net  *core.Port
@@ -59,41 +57,19 @@ func (p *batchProbe) send(to network.Address, m opBatchMsg) {
 	p.ctx.Trigger(m, p.net)
 }
 
-// newBatchWorld builds n replicas (epochNodes, so tests drive their sync
-// windows) plus a batch probe.
-func newBatchWorld(t *testing.T, n int, seed int64, opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, []*epochNode, *batchProbe) {
+// newBatchWorld builds n replicas (handoff feeders connected, so tests
+// drive their sync windows) plus a batch probe.
+func newBatchWorld(t *testing.T, n int, seed int64, opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, []*abdNode, *batchProbe) {
 	t.Helper()
 	return newBatchWorldWith(t, n, seed, nil, opts...)
 }
 
 // newBatchWorldWith is newBatchWorld with a hook that adjusts each node
 // before the world boots.
-func newBatchWorldWith(t *testing.T, n int, seed int64, adjust func(*epochNode), opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, []*epochNode, *batchProbe) {
+func newBatchWorldWith(t *testing.T, n int, seed int64, adjust func(*abdNode), opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, []*abdNode, *batchProbe) {
 	t.Helper()
-	sim := simulation.New(seed, opts...)
-	emu := simulation.NewNetworkEmulator(sim,
-		simulation.WithLatency(simulation.ConstantLatency(2*time.Millisecond)))
-	group := make([]ident.NodeRef, n)
-	for i := range group {
-		group[i] = nodeRef(i + 1)
-	}
-	nodes := make([]*epochNode, n)
-	for i := range nodes {
-		nodes[i] = &epochNode{self: group[i], group: group, sim: sim, emu: emu}
-		if adjust != nil {
-			adjust(nodes[i])
-		}
-	}
-	probe := &batchProbe{self: network.Address{Host: "bprobe", Port: 1}, emu: emu}
-	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
-		for i, nd := range nodes {
-			ctx.Create(fmt.Sprintf("n%d", i+1), nd)
-		}
-		trC := ctx.Create("probe-net", emu.Transport(probe.self))
-		probeC := ctx.Create("probe", probe)
-		ctx.Connect(probeC.Required(network.PortType), trC.Provided(network.PortType))
-	}))
-	sim.Settle()
+	probe := &batchProbe{self: network.Address{Host: "bprobe", Port: 1}}
+	sim, emu, nodes := newWorld(t, n, seed, simulation.ConstantLatency(2*time.Millisecond), withFeeder(adjust), probe, probe.self, opts...)
 	return sim, emu, nodes, probe
 }
 

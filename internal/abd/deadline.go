@@ -7,16 +7,17 @@ import (
 	"repro/internal/timer"
 )
 
-// One deadline timer per coordinator. Every in-flight attempt has a next
-// attempt-timer instant — the hedge checkpoint, then the retry deadline
-// (see handleTimeout) — and those instants live on one min-heap ordered by
-// (instant, op ID). Only the earliest instant holds an armed Timer request:
-// starting, re-budgeting, finishing or restarting an attempt is a heap
-// operation, not a Timer round trip, so a warm operation's path issues no
-// Timer request at all. When the armed timeout fires, every due attempt
-// runs through handleTimeout in heap order and the timer re-arms for the
-// new earliest instant. Each instant is exactly the one a per-op timer
-// would have fired at.
+// One deadline timer per coordinator. Every in-flight op has a next timer
+// instant — the hedge checkpoint, then the retry deadline, then, after a
+// timeout, the end of its retry backoff (see handleTimeout) — and those
+// instants live on one min-heap ordered by (instant, op ID). Only the
+// earliest instant holds an armed Timer request: starting, re-budgeting,
+// finishing, restarting or backing off an attempt is a heap operation,
+// not a Timer round trip, so a warm operation's path issues no Timer
+// request at all. When the armed timeout fires, every due op runs through
+// handleTimeout in heap order and the timer re-arms for the new earliest
+// instant. Each instant is exactly the one a per-op timer would have fired
+// at.
 //
 // The armed request is never cancelled. Moving it earlier (a budget that
 // shrank below it) arms a second request and the superseded one fires into
@@ -27,7 +28,7 @@ type deadlineTimeout struct {
 	timer.Timeout
 }
 
-// deadlineHeap is the coordinator's attempt-deadline queue. Each op keeps
+// deadlineHeap is the coordinator's op-deadline queue. Each op keeps
 // its own index (dlIdx, -1 when absent) so a re-budget is a heap.Fix and a
 // completion a heap.Remove.
 type deadlineHeap []*op
@@ -59,7 +60,7 @@ func (h *deadlineHeap) Pop() any {
 	return o
 }
 
-// setDeadline (re)places o's next attempt-timer instant on the heap and
+// setDeadline (re)places o's next timer instant on the heap and
 // makes sure the armed timer fires no later than the heap's earliest.
 func (a *ABD) setDeadline(o *op, at time.Time) {
 	o.dlAt = at
@@ -96,7 +97,7 @@ func (a *ABD) armDeadline() {
 	}, a.tmr)
 }
 
-// handleDeadline is the sweep: every attempt whose instant has come runs
+// handleDeadline is the sweep: every op whose instant has come runs
 // through handleTimeout, earliest first, and the timer re-arms once for
 // whatever is earliest afterwards. handleTimeout only re-queues instants
 // in the future, so the sweep terminates; while it runs, the fired request

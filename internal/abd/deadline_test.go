@@ -38,7 +38,7 @@ type timerStream struct {
 	recs []timerRec
 }
 
-func watchTimer(sim *simulation.Simulation, nd *epochNode) *timerStream {
+func watchTimer(sim *simulation.Simulation, nd *abdNode) *timerStream {
 	s := &timerStream{}
 	kind := func(ev timer.TimeoutEvent) string {
 		switch ev.(type) {
@@ -75,19 +75,20 @@ func (s *timerStream) count(kind, ev string) int {
 
 // closedLoopGets runs n gets of key back to back — each response issues
 // the next get in the same instant — and lets the run settle.
-func closedLoopGets(sim *simulation.Simulation, nd *epochNode, key string, n int, nextID *uint64) {
+func closedLoopGets(sim *simulation.Simulation, nd *abdNode, key string, n int, nextID *uint64) {
 	left := n - 1
-	nd.onGet = func(GetResponse) {
+	observers := nd.onGet
+	nd.onGet = append(observers[:len(observers):len(observers)], func(GetResponse) {
 		if left > 0 {
 			left--
 			*nextID++
 			nd.get(*nextID, key)
 		}
-	}
+	})
 	*nextID++
 	nd.get(*nextID, key)
 	sim.Run(2 * time.Second)
-	nd.onGet = nil
+	nd.onGet = observers
 }
 
 // newWarmPair builds a two-replica batch world — every ack counts toward
@@ -95,7 +96,7 @@ func closedLoopGets(sim *simulation.Simulation, nd *epochNode, key string, n int
 // budgets shrink below the ceiling (in a constant-latency three-replica
 // world the third ack always lands after the quorum and its peer stays at
 // the ceiling) — writes key "k", and warms the coordinator with 20 gets.
-func newWarmPair(t *testing.T, seed int64, opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, []*epochNode, *uint64) {
+func newWarmPair(t *testing.T, seed int64, opts ...simulation.SimOption) (*simulation.Simulation, *simulation.NetworkEmulator, []*abdNode, *uint64) {
 	t.Helper()
 	sim, emu, nodes, _ := newBatchWorld(t, 2, seed, opts...)
 	nodes[0].put(1, "k", "v")
@@ -169,7 +170,7 @@ func (s *traceSink) Record(r core.TraceRecord) { s.recs = append(s.recs, r) }
 
 // loneGetTrace warms a 3-node group with one put, then records every
 // handler execution of one lone get issued at nodes[0].
-func loneGetTrace(t *testing.T) (*epochNode, []core.TraceRecord) {
+func loneGetTrace(t *testing.T) (*abdNode, []core.TraceRecord) {
 	t.Helper()
 	sink := &traceSink{}
 	sim, _, nodes, _ := newBatchWorld(t, 3, 52, simulation.WithTraceSink(sink))
@@ -308,6 +309,77 @@ func TestShrunkBudgetRearmsEarlier(t *testing.T) {
 	}
 	if len(coord.ABD.deadlines) != 0 || coord.ABD.InFlight() != 0 {
 		t.Fatalf("op state left behind: heap %d, in flight %d", len(coord.ABD.deadlines), coord.ABD.InFlight())
+	}
+}
+
+// TestRetryBackoffRidesDeadlineHeap: a timed-out attempt idles through
+// its jittered backoff as the op's next instant on the deadline heap. The
+// attempt deadline's sweep re-arms the timer once, for the end of the
+// backoff; the sweep there sends the retry's read phase; and no Timer
+// request other than the deadline timeout is ever made.
+func TestRetryBackoffRidesDeadlineHeap(t *testing.T) {
+	sim, emu, nodes, _ := newBatchWorld(t, 3, 54)
+	coord := nodes[0]
+	ts := watchTimer(sim, coord)
+	type sentRead struct {
+		at      time.Time
+		attempt int
+	}
+	var reads []sentRead
+	core.Subscribe(coord.ctx, coord.abdC.Required(network.PortType), func(m opBatchMsg) {
+		for _, r := range m.Reads {
+			reads = append(reads, sentRead{at: sim.Now(), attempt: r.Attempt})
+		}
+	})
+	// With both remote replicas down the first attempt cannot quorum: the
+	// coordinator's own replica is one ack of two. A cold coordinator's
+	// attempt budget is the full OpTimeout.
+	const opTimeout = 300 * time.Millisecond
+	emu.Crash(nodes[1].self.Addr)
+	emu.Crash(nodes[2].self.Addr)
+	start := sim.Now()
+	coord.get(1, "k")
+	deadline := start.Add(opTimeout)
+	sim.Run(deadline.Add(time.Millisecond).Sub(sim.Now()))
+	emu.Restart(nodes[1].self.Addr)
+	emu.Restart(nodes[2].self.Addr)
+	sim.Run(time.Second)
+
+	if len(coord.gets) != 1 || coord.gets[0].Err != "" {
+		t.Fatalf("get: %+v", coord.gets)
+	}
+	if _, _, retries, _ := coord.ABD.Stats(); retries != 1 {
+		t.Fatalf("retries %d, want 1", retries)
+	}
+	for _, r := range ts.recs {
+		if r.kind == "cancel" || r.ev != "deadline" && r.ev != "flush" {
+			t.Fatalf("Timer request %+v, want only deadline and flush schedules", r)
+		}
+	}
+	var retry time.Time
+	for _, r := range reads {
+		if r.attempt == 2 {
+			retry = r.at
+			break
+		}
+	}
+	if retry.IsZero() {
+		t.Fatalf("no read phase of a second attempt: %+v", reads)
+	}
+	base := opTimeout / 8 // retryBackoff's first delay, jittered ±50%
+	if backoff := retry.Sub(deadline); backoff < base/2 || backoff >= base*3/2 {
+		t.Fatalf("retry sent %v after the attempt deadline, want a backoff in [%v, %v)", backoff, base/2, base*3/2)
+	}
+	var rearm, sweep bool
+	for _, r := range ts.recs {
+		if r.ev != "deadline" {
+			continue
+		}
+		rearm = rearm || r.kind == "schedule" && r.at.Equal(deadline) && r.at.Add(r.delay).Equal(retry)
+		sweep = sweep || r.kind == "fire" && r.at.Equal(retry)
+	}
+	if !rearm || !sweep {
+		t.Fatalf("backoff re-arm at the deadline %v: %v, sweep at the retry %v: %v; timer stream %+v", deadline, rearm, retry, sweep, ts.recs)
 	}
 }
 

@@ -8,89 +8,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/handoff"
-	"repro/internal/ident"
 	"repro/internal/kvstore"
 	"repro/internal/network"
-	"repro/internal/router"
 	"repro/internal/simulation"
-	"repro/internal/timer"
 )
-
-// hoFeeder provides the Handoff port so tests can drive a replica's sync
-// window (SyncStarted/Synced) directly.
-type hoFeeder struct {
-	inner **core.Port
-}
-
-func (f *hoFeeder) Setup(ctx *core.Ctx) {
-	*f.inner = ctx.Provides(handoff.PortType)
-}
-
-// epochNode is an abdNode variant whose ABD also has a connected handoff
-// feeder, so tests control its sync window and epoch.
-type epochNode struct {
-	self  ident.NodeRef
-	group []ident.NodeRef
-	sim   *simulation.Simulation
-	emu   *simulation.NetworkEmulator
-
-	ctx     *core.Ctx
-	ABD     *ABD
-	abdC    *core.Component
-	timerC  *core.Component
-	netC    *core.Component
-	pgOuter *core.Port
-	hoInner *core.Port
-	puts    []PutResponse
-	gets    []GetResponse
-	onGet   func(GetResponse) // optional observer (closed-loop clients)
-}
-
-func (n *epochNode) Setup(ctx *core.Ctx) {
-	n.ctx = ctx
-	tr := ctx.Create("net", n.emu.Transport(n.self.Addr))
-	tm := ctx.Create("timer", simulation.NewTimer(n.sim))
-	rt := ctx.Create("router", &stubRouter{group: n.group})
-	ho := ctx.Create("handoff-feeder", &hoFeeder{inner: &n.hoInner})
-	n.ABD = New(Config{
-		Self:              n.self,
-		ReplicationDegree: len(n.group),
-		OpTimeout:         300 * time.Millisecond,
-		Store:             kvstore.New(),
-	})
-	abdC := ctx.Create("abd", n.ABD)
-	n.abdC, n.timerC, n.netC = abdC, tm, tr
-	ctx.Connect(abdC.Required(network.PortType), tr.Provided(network.PortType))
-	ctx.Connect(abdC.Required(timer.PortType), tm.Provided(timer.PortType))
-	ctx.Connect(abdC.Required(router.PortType), rt.Provided(router.PortType))
-	ctx.Connect(abdC.Required(handoff.PortType), ho.Provided(handoff.PortType))
-	n.pgOuter = abdC.Provided(PutGetPortType)
-	core.Subscribe(ctx, n.pgOuter, func(p PutResponse) { n.puts = append(n.puts, p) })
-	core.Subscribe(ctx, n.pgOuter, func(g GetResponse) {
-		n.gets = append(n.gets, g)
-		if n.onGet != nil {
-			n.onGet(g)
-		}
-	})
-}
-
-func (n *epochNode) put(id uint64, key, val string) {
-	n.ctx.Trigger(PutRequest{ReqID: id, Key: key, Value: []byte(val)}, n.pgOuter)
-}
-
-func (n *epochNode) get(id uint64, key string) {
-	n.ctx.Trigger(GetRequest{ReqID: id, Key: key}, n.pgOuter)
-}
-
-// syncWindow drives a replica through SyncStarted(epoch, round) and, when
-// close is set, the matching Synced — raising its epoch without real
-// handoff traffic.
-func (n *epochNode) syncWindow(epoch, round uint64, close bool) {
-	_ = core.TriggerOn(n.hoInner, handoff.SyncStarted{Epoch: epoch, Round: round})
-	if close {
-		_ = core.TriggerOn(n.hoInner, handoff.Synced{Epoch: epoch, Round: round})
-	}
-}
 
 // ackRecord is one replica answer observed on the wire, in arrival order.
 type ackRecord struct {
@@ -107,7 +28,6 @@ type ackRecord struct {
 // assertion.
 type wireProbe struct {
 	self network.Address
-	emu  *simulation.NetworkEmulator
 
 	ctx  *core.Ctx
 	net  *core.Port
@@ -147,30 +67,12 @@ func (p *wireProbe) read(to network.Address, opID, epoch uint64, key string) {
 	}, p.net)
 }
 
-// newEpochWorld builds n replicas (static full group) plus a wire probe.
-func newEpochWorld(t *testing.T, n int, seed int64) (*simulation.Simulation, *simulation.NetworkEmulator, []*epochNode, *wireProbe) {
+// newEpochWorld builds n replicas (static full group, handoff feeders
+// connected) plus a wire probe.
+func newEpochWorld(t *testing.T, n int, seed int64) (*simulation.Simulation, *simulation.NetworkEmulator, []*abdNode, *wireProbe) {
 	t.Helper()
-	sim := simulation.New(seed)
-	emu := simulation.NewNetworkEmulator(sim,
-		simulation.WithLatency(simulation.ConstantLatency(2*time.Millisecond)))
-	group := make([]ident.NodeRef, n)
-	for i := range group {
-		group[i] = nodeRef(i + 1)
-	}
-	nodes := make([]*epochNode, n)
-	for i := range nodes {
-		nodes[i] = &epochNode{self: group[i], group: group, sim: sim, emu: emu}
-	}
-	probe := &wireProbe{self: network.Address{Host: "probe", Port: 1}, emu: emu}
-	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
-		for i, nd := range nodes {
-			ctx.Create(fmt.Sprintf("n%d", i+1), nd)
-		}
-		trC := ctx.Create("probe-net", emu.Transport(probe.self))
-		probeC := ctx.Create("probe", probe)
-		ctx.Connect(probeC.Required(network.PortType), trC.Provided(network.PortType))
-	}))
-	sim.Settle()
+	probe := &wireProbe{self: network.Address{Host: "probe", Port: 1}}
+	sim, emu, nodes := newWorld(t, n, seed, simulation.ConstantLatency(2*time.Millisecond), withFeeder(nil), probe, probe.self)
 	return sim, emu, nodes, probe
 }
 

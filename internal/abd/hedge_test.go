@@ -140,9 +140,9 @@ func TestFixedDeadlineNeverHedges(t *testing.T) {
 		t.Fatalf("get completed %d times while both remote replicas were stalled", len(coord.gets)-preGets)
 	}
 	for _, o := range coord.ABD.ops {
-		if o.phase != phaseRead || o.readAcks != o.quorum-1 || !o.hedgeChecked {
-			t.Fatalf("past the checkpoint: phase=%d readAcks=%d hedgeChecked=%v, want the read phase at quorum-1, checkpoint taken",
-				o.phase, o.readAcks, o.hedgeChecked)
+		if acks := o.acks(); o.phase != phaseRead || acks != o.quorum-1 || !o.hedgeChecked {
+			t.Fatalf("past the checkpoint: phase=%d acks=%d hedgeChecked=%v, want the read phase at quorum-1, checkpoint taken",
+				o.phase, acks, o.hedgeChecked)
 		}
 	}
 	sim.Run(time.Second)

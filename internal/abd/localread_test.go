@@ -27,7 +27,7 @@ type quorumWire struct {
 	acks  []ackFrom
 }
 
-func watchQuorumWire(nd *epochNode) *quorumWire {
+func watchQuorumWire(nd *abdNode) *quorumWire {
 	w := &quorumWire{}
 	core.Subscribe(nd.ctx, nd.abdC.Required(network.PortType), func(m opBatchMsg) {
 		w.reads = append(w.reads, m.Reads...)
@@ -41,7 +41,7 @@ func watchQuorumWire(nd *epochNode) *quorumWire {
 }
 
 // version returns nd's stored version of key.
-func (n *epochNode) version(key string) kvstore.Version {
+func (n *abdNode) version(key string) kvstore.Version {
 	v, _, _ := n.ABD.Store().Read(key)
 	return v
 }
@@ -166,7 +166,7 @@ func TestGetRemoteNewerShipsValue(t *testing.T) {
 // when its store holds the key: its read entries carry no Have, and every
 // ack carries its value.
 func TestGetOutsideGroupAcksCarryValues(t *testing.T) {
-	sim, _, nodes, _ := newBatchWorldWith(t, 4, 64, func(nd *epochNode) {
+	sim, _, nodes, _ := newBatchWorldWith(t, 4, 64, func(nd *abdNode) {
 		if nd.self == nodeRef(1) {
 			nd.group = nd.group[1:] // the coordinator routes to the other three
 		}

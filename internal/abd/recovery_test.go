@@ -6,10 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/ident"
 	"repro/internal/kvstore"
-	"repro/internal/simulation"
 )
 
 // eventStream collects ordered recovery/serve events. Replay events are
@@ -65,24 +62,11 @@ func TestReplayCompletesBeforeFirstServe(t *testing.T) {
 	}
 	defer recovered.Close()
 
-	sim := simulation.New(31)
-	emu := simulation.NewNetworkEmulator(sim,
-		simulation.WithLatency(simulation.UniformLatency(time.Millisecond, 5*time.Millisecond)))
-	group := make([]ident.NodeRef, 3)
-	for i := range group {
-		group[i] = nodeRef(i + 1)
-	}
-	nodes := make([]*abdNode, 3)
-	for i := range nodes {
-		nodes[i] = &abdNode{self: group[i], group: group, sim: sim, emu: emu, store: kvstore.New()}
-	}
-	nodes[0].store = recovered // the recovered replica
-	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
-		for i, nd := range nodes {
-			ctx.Create(fmt.Sprintf("n%d", i+1), nd)
+	sim, _, nodes := newABDWorldWith(t, 3, 31, func(nd *abdNode) {
+		if nd.self == nodeRef(1) {
+			nd.store = recovered // the recovered replica
 		}
-	}))
-	sim.Settle()
+	})
 	nodes[0].onGet = append(nodes[0].onGet, func(GetResponse) { stream.add("serve get") })
 
 	// Reads coordinated at the recovered node: phase 1 queries its own
@@ -138,23 +122,9 @@ func TestWriteNotAckedOnWALError(t *testing.T) {
 		stores[i] = s
 	}
 
-	sim := simulation.New(32)
-	emu := simulation.NewNetworkEmulator(sim,
-		simulation.WithLatency(simulation.UniformLatency(time.Millisecond, 5*time.Millisecond)))
-	group := make([]ident.NodeRef, 3)
-	for i := range group {
-		group[i] = nodeRef(i + 1)
-	}
-	nodes := make([]*abdNode, 3)
-	for i := range nodes {
-		nodes[i] = &abdNode{self: group[i], group: group, sim: sim, emu: emu, store: stores[i]}
-	}
-	sim.Runtime().MustBootstrap("Main", core.SetupFunc(func(ctx *core.Ctx) {
-		for i, nd := range nodes {
-			ctx.Create(fmt.Sprintf("n%d", i+1), nd)
-		}
-	}))
-	sim.Settle()
+	sim, _, nodes := newABDWorldWith(t, 3, 32, func(nd *abdNode) {
+		nd.store = stores[nd.self.Addr.Port-1]
+	})
 
 	// Healthy cluster: the write lands.
 	nodes[0].put(1, "k", "v1")

@@ -54,27 +54,24 @@ func (a *ABD) beginTrace(o *op) {
 	o.opStart = a.ctx.Now()
 }
 
-// beginAttemptTrace opens the span for a new attempt (fresh span ID,
-// phase clock reset). Called from beginAttempt after the attempt counter
-// is bumped.
+// beginAttemptTrace mints the span ID for a new attempt. Called from
+// beginAttempt after the attempt counter is bumped.
 func (a *ABD) beginAttemptTrace(o *op) {
 	if o.traceID == 0 {
 		return
 	}
 	o.attemptSpan = a.ids.Next()
-	now := a.ctx.Now()
-	o.attemptStart, o.phaseStart = now, now
 }
 
-// endPhase closes the current phase span, feeds the phase-latency
-// histogram (with this trace as the exemplar), and restarts the phase
-// clock.
+// endPhase closes the current phase span, which started at phaseSentAt,
+// and feeds the phase-latency histogram (with this trace as the
+// exemplar).
 func (a *ABD) endPhase(o *op, outcome int) {
 	if o.traceID == 0 || o.phase == phaseIdle {
 		return
 	}
 	now := a.ctx.Now()
-	observePhase(o.phase, outcome, now.Sub(o.phaseStart), o.traceID)
+	observePhase(o.phase, outcome, now.Sub(o.phaseSentAt), o.traceID)
 	tracing.Record(tracing.Span{
 		Trace:   o.traceID,
 		ID:      a.ids.Next(),
@@ -86,10 +83,9 @@ func (a *ABD) endPhase(o *op, outcome int) {
 		Attempt: o.attempt,
 		Epoch:   o.epoch,
 		Outcome: phaseOutcomeNames[outcome],
-		Start:   o.phaseStart,
+		Start:   o.phaseSentAt,
 		End:     now,
 	})
-	o.phaseStart = now
 }
 
 // endAttempt closes the current attempt span, consuming any pending
@@ -110,7 +106,7 @@ func (a *ABD) endAttempt(o *op, outcome string) {
 		Attempt: o.attempt,
 		Epoch:   o.epoch,
 		Outcome: outcome,
-		Start:   o.attemptStart,
+		Start:   o.attemptAt,
 		End:     a.ctx.Now(),
 	})
 	o.linkSpan = 0

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/tracing"
@@ -57,6 +58,44 @@ func TestChurnTraceAcceptance(t *testing.T) {
 	checkTimelineIntegrity(t, *hit)
 	t.Logf("acceptance timeline: trace=%s %s key=%s restarts=%d nodes=%v spans=%d",
 		hit.TraceHex, hit.Name, hit.Key, hit.Restarts, hit.Nodes, len(hit.Spans))
+}
+
+// TestTraceIDsDistinctPerComponent: each node's ABD coordinator and
+// handoff component mint IDs from their own sources, so no assembled op
+// timeline holds a handoff span, and no timeline holds two spans with one
+// ID. With one source per node address, a handoff round and an op minted
+// the same trace ID and assembled as one timeline.
+func TestTraceIDsDistinctPerComponent(t *testing.T) {
+	r := Churn(3, ChurnConfig{})
+	ops, rounds := 0, 0
+	for _, tl := range r.Timelines {
+		ids := make(map[uint64]bool, len(tl.Spans))
+		op, handoffSpan := false, ""
+		for _, s := range tl.Spans {
+			if ids[s.ID] {
+				t.Errorf("timeline %s (%s) holds two spans with ID %016x", tl.TraceHex, tl.Name, s.ID)
+			}
+			ids[s.ID] = true
+			switch {
+			case s.Name == "get" || s.Name == "put" || s.Name == "attempt":
+				op = true
+			case strings.HasPrefix(s.Name, "handoff."):
+				handoffSpan = s.Name
+			}
+		}
+		if op && handoffSpan != "" {
+			t.Errorf("op timeline %s (%s key=%q) holds a %s span", tl.TraceHex, tl.Name, tl.Key, handoffSpan)
+		}
+		if op {
+			ops++
+		}
+		if tl.Name == "handoff.round" {
+			rounds++
+		}
+	}
+	if ops == 0 || rounds == 0 {
+		t.Fatalf("chaos run assembled %d op and %d handoff-round timelines, want both", ops, rounds)
+	}
 }
 
 // checkTimelineIntegrity verifies one assembled timeline's span tree:

@@ -176,7 +176,7 @@ var _ core.Definition = (*Handoff)(nil)
 func (h *Handoff) Setup(ctx *core.Ctx) {
 	h.ctx = ctx
 	h.nodeName = h.cfg.Self.Addr.String()
-	h.ids = tracing.NewIDSource(h.nodeName)
+	h.ids = tracing.NewIDSource(h.nodeName, "handoff")
 	h.hop = ctx.Provides(PortType)
 	h.rng = ctx.Requires(ring.PortType)
 	h.net = ctx.Requires(network.PortType)

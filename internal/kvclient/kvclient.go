@@ -64,8 +64,6 @@ func (c *Client) Setup(ctx *core.Ctx) {
 	})
 }
 
-// Port returns the client's required PutGet port (inner half), for wiring
-// by the enclosing scope via the owning component's Required accessor.
 func (c *Client) resolve(id uint64, r result) {
 	c.mu.Lock()
 	ch, ok := c.waiting[id]

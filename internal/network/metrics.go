@@ -96,12 +96,3 @@ func GlobalMetrics() Metrics {
 		PeersDown:        gPeerStates[PeerDown].Load(),
 	}
 }
-
-// CompressionRatio returns compressed-out over compressed-in bytes (1.0 when
-// nothing was compressed): the effective zlib payload shrink factor.
-func (m Metrics) CompressionRatio() float64 {
-	if m.CompressedIn == 0 {
-		return 1.0
-	}
-	return float64(m.CompressedOut) / float64(m.CompressedIn)
-}

@@ -508,11 +508,12 @@ func TestTCPUnknownCodecPanics(t *testing.T) {
 
 func TestTCPSendToDeadPeerCountsError(t *testing.T) {
 	_, n1, _ := newTCPPair(t)
+	before := GlobalMetrics()
 	dead := Address{Host: "127.0.0.1", Port: 1} // nothing listens
 	n1.ctx.Trigger(hello{Header: NewHeader(n1.self, dead)}, n1.port)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, _, _, errs := n1.tcp.Stats(); errs > 0 {
+		if GlobalMetrics().SendErrors > before.SendErrors {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -522,14 +523,14 @@ func TestTCPSendToDeadPeerCountsError(t *testing.T) {
 
 func TestTCPStats(t *testing.T) {
 	_, n1, n2 := newTCPPair(t)
+	before := GlobalMetrics()
 	n1.ctx.Trigger(hello{Header: NewHeader(n1.self, n2.self)}, n1.port)
 	waitCount(t, &n2.got, 1, 5*time.Second)
-	sent, _, _, _ := n1.tcp.Stats()
-	if sent != 1 {
+	after := GlobalMetrics()
+	if sent := after.Sent - before.Sent; sent != 1 {
 		t.Fatalf("sent %d, want 1", sent)
 	}
-	_, received, _, _ := n2.tcp.Stats()
-	if received != 1 {
+	if received := after.Received - before.Received; received != 1 {
 		t.Fatalf("received %d, want 1", received)
 	}
 }

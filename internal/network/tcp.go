@@ -108,9 +108,6 @@ type TCP struct {
 	inbound map[net.Conn]struct{}
 	stopped bool
 	wg      sync.WaitGroup
-
-	sent, received, droppedFull, sendErrors atomic.Uint64
-	reconnects, requeued, abandoned         atomic.Uint64
 }
 
 // frameBuf is a pooled encode buffer: handleSend encodes each outbound
@@ -201,7 +198,7 @@ func NewTCP(self Address, opts ...TCPOption) *TCP {
 		backoffMax:   defaultBackoffMax,
 		dialAttempts: defaultDialAttempts,
 		queueLen:     sendQueueLen,
-		ids:          tracing.NewIDSource(self.String()),
+		ids:          tracing.NewIDSource(self.String(), "net"),
 		codec:        BinaryCodec{},
 	}
 	for _, o := range opts {
@@ -228,19 +225,6 @@ func (t *TCP) Setup(ctx *core.Ctx) {
 
 // Self returns the local address.
 func (t *TCP) Self() Address { return t.self }
-
-// Stats returns transport counters: messages sent, received, dropped on
-// full queues, and send errors.
-func (t *TCP) Stats() (sent, received, droppedFull, sendErrors uint64) {
-	return t.sent.Load(), t.received.Load(), t.droppedFull.Load(), t.sendErrors.Load()
-}
-
-// ResilienceStats returns the reconnect counters: successful redials after
-// a failure, frames carried across a broken write, and frames abandoned
-// when a peer's retry budget ran out.
-func (t *TCP) ResilienceStats() (reconnects, requeued, abandoned uint64) {
-	return t.reconnects.Load(), t.requeued.Load(), t.abandoned.Load()
-}
 
 // PeerStates snapshots the circuit-breaker state of every live outbound
 // peer.
@@ -313,7 +297,6 @@ func (t *TCP) shutdown() {
 // immutable from this point on.
 func (t *TCP) handleSend(m Message) {
 	if m.Destination() == t.self {
-		t.received.Add(1)
 		gReceived.Add(1)
 		core.TriggerOn(t.port, m) //nolint:errcheck // port type validated at Setup
 		return
@@ -323,7 +306,6 @@ func (t *TCP) handleSend(m Message) {
 	fb.b = payload[:0]
 	if err != nil {
 		frameBufPool.Put(fb)
-		t.sendErrors.Add(1)
 		gSendErrors.Add(1)
 		t.log.Warn("tcp: encode failed", "type", fmt.Sprintf("%T", m), "err", err)
 		return
@@ -363,12 +345,10 @@ func (t *TCP) enqueue(dst Address, f outFrame) {
 	select {
 	case pc.ch <- f:
 		t.mu.Unlock()
-		t.sent.Add(1)
 		gSent.Add(1)
 	default:
 		t.mu.Unlock()
 		releaseFrame(&f)
-		t.droppedFull.Add(1)
 		gDroppedFull.Add(1)
 	}
 }
@@ -416,7 +396,6 @@ func (t *TCP) abandonQueue(pc *peerConn) {
 			releaseFrame(&f)
 		default:
 			if n > 0 {
-				t.abandoned.Add(n)
 				gAbandoned.Add(n)
 				t.log.Warn("tcp: abandoned queued frames", "peer", pc.addr.String(), "frames", n)
 			}
@@ -493,14 +472,12 @@ func (t *TCP) writeLoop(pc *peerConn) {
 		// Announce ourselves before the first frame: magic and version.
 		if err := t.writeHandshake(conn); err != nil {
 			_ = conn.Close()
-			t.sendErrors.Add(1)
 			gSendErrors.Add(1)
 			t.log.Debug("tcp: handshake failed", "peer", pc.addr.String(), "err", err)
 			t.setState(pc, PeerBackoff)
 			continue
 		}
 		if everUp || retried {
-			t.reconnects.Add(1)
 			gReconnects.Add(1)
 			t.log.Info("tcp: peer reconnected", "peer", pc.addr.String())
 		}
@@ -536,7 +513,6 @@ func (t *TCP) dialPeer(pc *peerConn) (net.Conn, bool) {
 		if err == nil {
 			return conn, attempt > 0
 		}
-		t.sendErrors.Add(1)
 		gSendErrors.Add(1)
 		t.log.Debug("tcp: dial failed", "peer", pc.addr.String(), "attempt", attempt+1, "err", err)
 		t.setState(pc, PeerBackoff)
@@ -604,7 +580,6 @@ func (t *TCP) serveConn(pc *peerConn, conn net.Conn) error {
 	}
 	accept := func(f outFrame) {
 		if len(f.payload) > maxFrame {
-			t.sendErrors.Add(1)
 			gSendErrors.Add(1)
 			releaseFrame(&f)
 			return
@@ -665,9 +640,7 @@ func (t *TCP) flush(pc *peerConn, conn net.Conn) error {
 				first++
 			}
 		}
-		t.requeued.Add(first)
 		gRequeued.Add(first)
-		t.sendErrors.Add(1)
 		gSendErrors.Add(1)
 		return err
 	}
@@ -781,7 +754,6 @@ func (t *TCP) readLoop(conn net.Conn) {
 			t.log.Warn("tcp: decode failed", "err", err)
 			continue
 		}
-		t.received.Add(1)
 		gReceived.Add(1)
 		if err := core.TriggerOn(t.port, m); err != nil {
 			t.log.Warn("tcp: deliver failed", "err", err)

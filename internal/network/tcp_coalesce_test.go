@@ -82,6 +82,7 @@ func TestTCPFailedFlushRetransmitsInOrder(t *testing.T) {
 		pc.ch <- frame(seq, codec)
 	}
 
+	before := GlobalMetrics()
 	// Connection 1: the far end takes a frame and a half, then hangs up.
 	c1, c2 := net.Pipe()
 	go func() {
@@ -100,7 +101,7 @@ func TestTCPFailedFlushRetransmitsInOrder(t *testing.T) {
 			t.Fatalf("staged frame %d: attempts=%d released=%v", i, pc.staged[i].attempts, pc.staged[i].payload == nil)
 		}
 	}
-	if got := tr.requeued.Load(); got != failed {
+	if got := GlobalMetrics().Requeued - before.Requeued; got != failed {
 		t.Fatalf("requeued = %d, want %d", got, failed)
 	}
 	if spans := netSendSpans(ring, 0); len(spans) != 0 {

@@ -148,6 +148,7 @@ func TestTCPQueuedFramesSurviveReconnect(t *testing.T) {
 		tr.backoffBase, tr.backoffMax = 20*time.Millisecond, 100*time.Millisecond
 		tr.dialAttempts = 500
 	})
+	before := GlobalMetrics()
 	n1.ctx.Trigger(hello{Header: NewHeader(n1.self, n2.self), Greeting: "warmup"}, n1.port)
 	waitCount(t, &n2.got, 1, 5*time.Second)
 
@@ -194,7 +195,7 @@ func TestTCPQueuedFramesSurviveReconnect(t *testing.T) {
 	}
 	n3.mu.Unlock()
 
-	if reconnects, _, _ := n1.tcp.ResilienceStats(); reconnects == 0 {
+	if GlobalMetrics().Reconnects == before.Reconnects {
 		t.Fatalf("reconnect counter did not move")
 	}
 	// The Up indication reaches n1's subscriber through n1's scheduler,
@@ -231,6 +232,7 @@ func TestTCPAbandonedFramesAreCounted(t *testing.T) {
 		tr.backoffBase, tr.backoffMax = 5*time.Millisecond, 10*time.Millisecond
 		tr.dialAttempts = 2
 	})
+	before := GlobalMetrics()
 	dead := Address{Host: "127.0.0.1", Port: 1} // nothing listens
 	const k = 3
 	for i := 0; i < k; i++ {
@@ -238,12 +240,12 @@ func TestTCPAbandonedFramesAreCounted(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, _, abandoned := n1.tcp.ResilienceStats(); abandoned >= k {
+		if GlobalMetrics().Abandoned-before.Abandoned >= k {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	_, _, abandoned := n1.tcp.ResilienceStats()
+	abandoned := GlobalMetrics().Abandoned - before.Abandoned
 	t.Fatalf("abandoned %d frames, want >= %d", abandoned, k)
 }
 
@@ -257,6 +259,7 @@ func TestTCPSlowReaderBackpressureDrops(t *testing.T) {
 		tr.writeTimeout = 100 * time.Millisecond
 		tr.keepalive = 0
 	})
+	before := GlobalMetrics()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +282,7 @@ func TestTCPSlowReaderBackpressureDrops(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, _, droppedFull, _ := n1.tcp.Stats(); droppedFull > 0 {
+		if GlobalMetrics().DroppedFull > before.DroppedFull {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -313,8 +316,8 @@ func TestTCPMidFrameDisconnect(t *testing.T) {
 }
 
 func TestTCPReconnectAfterPeerRestart(t *testing.T) {
-	rt, n1, n2 := newTCPPair(t)
-	_ = rt
+	_, n1, n2 := newTCPPair(t)
+	before := GlobalMetrics()
 	n1.ctx.Trigger(hello{Header: NewHeader(n1.self, n2.self), Greeting: "a"}, n1.port)
 	waitCount(t, &n2.got, 1, 5*time.Second)
 
@@ -325,7 +328,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	n1.ctx.Trigger(hello{Header: NewHeader(n1.self, n2.self), Greeting: "lost"}, n1.port)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, _, _, errs := n1.tcp.Stats(); errs > 0 {
+		if GlobalMetrics().SendErrors > before.SendErrors {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -99,6 +99,7 @@ func TestTCPRetransmitFirstSingleSpan(t *testing.T) {
 	frameB := outFrame{payload: []byte("frame-B"), trace: tracing.Context{TraceID: 0xB1, SpanID: 0xB2}}
 	frameC := outFrame{payload: []byte("frame-C"), trace: tracing.Context{TraceID: 0xC1, SpanID: 0xC2}}
 
+	before := GlobalMetrics()
 	// Connection 1: the reader accepts two frames (U, A) then hangs up, so
 	// the flush of B fails mid-conversation and B stays staged.
 	c1, c2 := net.Pipe()
@@ -133,7 +134,7 @@ func TestTCPRetransmitFirstSingleSpan(t *testing.T) {
 	if pc.staged[0].attempts != 1 {
 		t.Fatalf("staged attempts = %d, want 1", pc.staged[0].attempts)
 	}
-	if got := tr.requeued.Load(); got != 1 {
+	if got := GlobalMetrics().Requeued - before.Requeued; got != 1 {
 		t.Fatalf("requeued = %d, want 1", got)
 	}
 	if spans := netSendSpans(ring, 0); len(spans) != 1 || spans[0].Trace != 0xA1 {

@@ -129,10 +129,10 @@ func Sampled(n uint64) bool {
 // --- ID minting -----------------------------------------------------------------
 
 // IDSource mints trace and span IDs for one component. IDs mix a hash of
-// the owning node's address with a serial counter through a splitmix64
+// the owning node's address and the component's name with a serial counter through a splitmix64
 // finalizer: deterministic under the simulation's serial scheduler (no
 // wall clock, no crypto randomness — the seeded trace digest must stay
-// byte-identical), unique across nodes with overwhelming probability, and
+// byte-identical), unique across components and nodes with overwhelming probability, and
 // safe for concurrent minting (the transport records send spans from
 // per-peer goroutines).
 type IDSource struct {
@@ -140,9 +140,12 @@ type IDSource struct {
 	n    atomic.Uint64
 }
 
-// NewIDSource creates an ID source for the node with the given address.
-func NewIDSource(node string) *IDSource {
-	return &IDSource{node: fnv64a(node)}
+// NewIDSource creates an ID source for the named component of the node
+// with the given address. Components of one node must pass distinct names:
+// two sources with one seed mint one ID sequence, and Assemble would merge
+// their traces.
+func NewIDSource(node, component string) *IDSource {
+	return &IDSource{node: fnv64a(node + "/" + component)}
 }
 
 // Next mints the source's next non-zero ID.

@@ -43,22 +43,23 @@ func TestSampling(t *testing.T) {
 }
 
 func TestIDSourceDeterministicAndUnique(t *testing.T) {
-	a1 := NewIDSource("node-a")
-	a2 := NewIDSource("node-a")
-	b := NewIDSource("node-b")
+	a1 := NewIDSource("node-a", "abd")
+	a2 := NewIDSource("node-a", "abd")
+	b := NewIDSource("node-b", "abd")
+	c := NewIDSource("node-a", "handoff")
 	seen := map[uint64]bool{}
 	for i := 0; i < 1000; i++ {
-		x, y, z := a1.Next(), a2.Next(), b.Next()
+		x, y, z, w := a1.Next(), a2.Next(), b.Next(), c.Next()
 		if x != y {
-			t.Fatalf("same node+counter minted different IDs: %x vs %x", x, y)
+			t.Fatalf("same node+component+counter minted different IDs: %x vs %x", x, y)
 		}
-		if x == 0 || z == 0 {
+		if x == 0 || z == 0 || w == 0 {
 			t.Fatal("minted a zero ID")
 		}
-		if seen[x] || seen[z] || x == z {
+		if seen[x] || seen[z] || seen[w] || x == z || x == w || z == w {
 			t.Fatalf("duplicate ID minted at i=%d", i)
 		}
-		seen[x], seen[z] = true, true
+		seen[x], seen[z], seen[w] = true, true, true
 	}
 }
 
